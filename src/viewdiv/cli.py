@@ -182,7 +182,8 @@ def _write_reports(
     diagnostics: list[ParseDiagnostic],
     per_user: list[UserMetrics],
     matrix: WingMatrix,
-) -> None:
+) -> dict:
+    """Write every report file to ``rc.out_dir``; returns the summary object."""
     out = rc.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
@@ -214,14 +215,14 @@ def _write_reports(
 
     summary = _summary_object(rc, dataset, report, diagnostics, per_user, matrix)
     _write_text(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return summary
 
 
 def cmd_analyze(rc: RunConfig) -> dict:
     """Run the full pipeline and emit all report files; returns the summary."""
     dataset, report, diagnostics = _load(rc)
     per_user, matrix = compute_all(dataset, io_margin=rc.io_margin)
-    _write_reports(rc, dataset, report, diagnostics, per_user, matrix)
-    return _summary_object(rc, dataset, report, diagnostics, per_user, matrix)
+    return _write_reports(rc, dataset, report, diagnostics, per_user, matrix)
 
 
 def cmd_compare(rc_a: RunConfig, rc_b: RunConfig, out_dir: Path) -> list[dict]:

@@ -39,6 +39,14 @@ class CategoryHistogram:
         return frozenset(c for c, v in self.counts.items() if v > 0)
 
 
+def _mask(positions) -> int:
+    """Bitset with the given bit positions set."""
+    bits = 0
+    for i in positions:
+        bits |= 1 << i
+    return bits
+
+
 class ExposureIndex:
     """Per-seed lookups shared across many timeline computations.
 
@@ -47,6 +55,16 @@ class ExposureIndex:
     dataset of any size should go through one shared index (as
     ``metrics.compute_all`` does) rather than the per-call convenience
     functions below.
+
+    Besides the id sets, the index holds the surfaced part of exposure as
+    Python-int bitsets. Bit ``i`` stands for ``source_ids[i]``, the i-th
+    retweeted original in id order. Per seed, ``surfaced_mask`` has the
+    bits of the originals it retweeted and ``authored_mask`` the bits of
+    the retweeted originals it wrote. ``category_masks`` (indexed by
+    ``category_pos_of_seed``, the config category order) and
+    ``minority_mask`` group the bits by original author. A
+    user's surfaced-new originals are then the OR of its followees'
+    ``surfaced_mask`` minus the OR of their ``authored_mask``.
     """
 
     def __init__(self, dataset: Dataset):
@@ -73,6 +91,29 @@ class ExposureIndex:
             t for t, a in self.original_author.items()
             if a in dataset.config.minority_user_ids
         )
+
+        self.source_ids: tuple[str, ...] = tuple(
+            sorted(set().union(*retweeted_by_seed.values()))
+        )
+        position = {t: i for i, t in enumerate(self.source_ids)}
+        bits_by_author: dict[str, list[int]] = {s: [] for s in seed_ids}
+        for i, t in enumerate(self.source_ids):
+            bits_by_author[self.original_author[t]].append(i)
+        self.surfaced_mask = {
+            s: _mask(position[t] for t in v) for s, v in retweeted_by_seed.items()
+        }
+        self.authored_mask = {s: _mask(v) for s, v in bits_by_author.items()}
+        category_pos = {c: i for i, c in enumerate(dataset.config.category_ids)}
+        self.category_pos_of_seed = {
+            s: category_pos[c] for s, c in self.category_of_seed.items()  # type: ignore[index]
+        }
+        category_masks = [0] * dataset.config.n_categories
+        self.minority_mask = 0
+        for s, m in self.authored_mask.items():
+            category_masks[self.category_pos_of_seed[s]] |= m
+            if s in dataset.config.minority_user_ids:
+                self.minority_mask |= m
+        self.category_masks = tuple(category_masks)
 
     def direct_ids(self, user_id: str) -> frozenset[str]:
         user = self.dataset.users[user_id]

@@ -100,6 +100,10 @@ def parse_users(lines: Iterable[str]) -> tuple[list[UserRecord], list[ParseDiagn
         ):
             diagnostics.append(ParseDiagnostic(line_no, "'followees' must be a list of ids"))
             continue
+        category = obj.get("category")
+        if category is not None and not isinstance(category, str):
+            diagnostics.append(ParseDiagnostic(line_no, "'category' must be a string"))
+            continue
         if uid in seen_ids:
             diagnostics.append(ParseDiagnostic(line_no, f"duplicate user id {uid!r}"))
             continue
@@ -108,7 +112,7 @@ def parse_users(lines: Iterable[str]) -> tuple[list[UserRecord], list[ParseDiagn
             record = UserRecord(
                 id=uid,
                 kind=UserKind(kind_raw),
-                category=obj.get("category"),
+                category=category,
                 followees=frozenset(followees_raw),
             )
         except (ValueError, TypeError) as exc:
@@ -150,14 +154,22 @@ def parse_tweets(lines: Iterable[str]) -> tuple[list[TweetRecord], list[ParseDia
         if not isinstance(timestamp, int) or isinstance(timestamp, bool):
             diagnostics.append(ParseDiagnostic(line_no, "'timestamp' must be an integer"))
             continue
+        source = obj.get("source_tweet_id")
+        if source is not None and not isinstance(source, str):
+            diagnostics.append(ParseDiagnostic(line_no, "'source_tweet_id' must be a string"))
+            continue
+        target = obj.get("target_user_id")
+        if target is not None and not isinstance(target, str):
+            diagnostics.append(ParseDiagnostic(line_no, "'target_user_id' must be a string"))
+            continue
 
         try:
             record = TweetRecord(
                 id=tid,
                 author_id=author,
                 kind=TweetKind(kind_raw),
-                source_tweet_id=obj.get("source_tweet_id"),
-                target_user_id=obj.get("target_user_id"),
+                source_tweet_id=source,
+                target_user_id=target,
                 timestamp=timestamp,
             )
         except (ValueError, TypeError) as exc:
@@ -330,10 +342,15 @@ def load_country_config(path: str | Path) -> CountryConfig:
             PoliticalCategory(id=c["id"], wing=Wing(c["wing"]))
             for c in raw["categories"]
         )
+        minority_ids = raw.get("minority_user_ids", [])
+        if not isinstance(minority_ids, list) or not all(
+            isinstance(m, str) for m in minority_ids
+        ):
+            raise ValueError("'minority_user_ids' must be a list of ids")
         return CountryConfig(
             name=raw.get("name", ""),
             categories=categories,
-            minority_user_ids=frozenset(raw.get("minority_user_ids", [])),
+            minority_user_ids=frozenset(minority_ids),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed country config ({exc})") from exc

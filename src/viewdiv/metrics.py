@@ -240,22 +240,40 @@ def compute_all(
     column (default 0.15).
 
     This is the batch path: it builds one :class:`ExposureIndex`, takes one
-    pass over the tweets for output histograms, and aggregates per-seed
-    volumes instead of materializing each user's direct timeline (the direct
-    parts of followed seeds never overlap, so only surfaced retweets need
-    set deduplication).
+    pass over the tweets for output histograms, and makes one pass over
+    each regular's followees. The direct parts of followed seeds never
+    overlap, so direct counts are sums of per-seed volumes. The surfaced
+    part is a bitset over the retweeted originals: the OR of the
+    followees' ``surfaced_mask``, minus the OR of their ``authored_mask``
+    (originals already received directly). Indirect counts per category
+    and for the minority are the direct ones plus ``bit_count`` of that
+    bitset under ``category_masks`` and ``minority_mask``. Every histogram
+    reaches the entropy in config category order.
     """
     index = ExposureIndex(dataset)
-    n = dataset.config.n_categories
-    minority_seed_ids = dataset.config.minority_user_ids
+    config = dataset.config
+    n = config.n_categories
+    category_ids = config.category_ids
+    minority_seed_ids = config.minority_user_ids
     total_minority = len(index.minority_original_ids)
+    seed_pos = index.category_pos_of_seed
 
-    # per-seed aggregates for the no-set direct path
-    seed_volume = {s: len(ids) for s, ids in index.originals_by_seed.items()}
+    # per seed: (original volume, category position, minority volume,
+    # surfaced bits, authored bits)
+    per_seed = {
+        s: (
+            len(ids),
+            seed_pos[s],
+            len(ids) if s in minority_seed_ids else 0,
+            index.surfaced_mask[s],
+            index.authored_mask[s],
+        )
+        for s, ids in index.originals_by_seed.items()
+    }
 
     # one pass for every regular's output histograms
-    retweet_counts: dict[str, Counter[str]] = {}
-    reply_counts: dict[str, Counter[str]] = {}
+    retweet_counts: dict[str, list[int]] = {}
+    reply_counts: dict[str, list[int]] = {}
     regular_ids = {
         u.id for u in dataset.users.values() if u.kind is UserKind.REGULAR
     }
@@ -263,51 +281,42 @@ def compute_all(
         if t.author_id not in regular_ids:
             continue
         if t.kind is TweetKind.RETWEET:
-            cat = index.category_of_seed[index.original_author[t.source_tweet_id]]  # type: ignore[index]
-            retweet_counts.setdefault(t.author_id, Counter())[cat] += 1
+            by_cat = retweet_counts.setdefault(t.author_id, [0] * n)
+            by_cat[seed_pos[index.original_author[t.source_tweet_id]]] += 1  # type: ignore[index]
         elif t.kind is TweetKind.REPLY:
             target = dataset.users.get(t.target_user_id or "")
             if target is not None and target.kind is UserKind.SEED:
-                reply_counts.setdefault(t.author_id, Counter())[target.category] += 1  # type: ignore[index]
+                reply_counts.setdefault(t.author_id, [0] * n)[seed_pos[target.id]] += 1
 
+    no_counts = [0] * n
+    category_masks = index.category_masks
+    minority_mask = index.minority_mask
     results: list[UserMetrics] = []
     for uid in sorted(regular_ids):
-        user = dataset.users[uid]
-        followees = user.followees
-
-        direct_counts: Counter[str] = Counter()
-        direct_total = 0
+        direct = [0] * n
         direct_minority = 0
-        for f in followees:
-            vol = seed_volume.get(f, 0)
-            if vol:
-                direct_counts[index.category_of_seed[f]] += vol  # type: ignore[index]
-                direct_total += vol
-                if f in minority_seed_ids:
-                    direct_minority += vol
+        surfaced = 0
+        authored = 0
+        for f in dataset.users[uid].followees:
+            volume, pos, minority, s_bits, a_bits = per_seed[f]
+            direct[pos] += volume
+            direct_minority += minority
+            surfaced |= s_bits
+            authored |= a_bits
+        new = surfaced & ~authored
+        indirect = [d + (new & m).bit_count() for d, m in zip(direct, category_masks)]
+        indirect_total = sum(indirect)
+        indirect_minority = direct_minority + (new & minority_mask).bit_count()
 
-        surfaced: set[str] = set()
-        for f in followees:
-            surfaced |= index.retweeted_by_seed.get(f, frozenset())
-        indirect_counts = Counter(direct_counts)
-        indirect_total = direct_total
-        indirect_minority = direct_minority
-        for tid in surfaced:
-            author = index.original_author[tid]
-            if author in followees:
-                continue  # already received directly
-            indirect_counts[index.category_of_seed[author]] += 1  # type: ignore[index]
-            indirect_total += 1
-            if author in minority_seed_ids:
-                indirect_minority += 1
-
-        rt = dict(retweet_counts.get(uid, Counter()))
-        rp = dict(reply_counts.get(uid, Counter()))
+        direct_hist = dict(zip(category_ids, direct))
+        indirect_hist = dict(zip(category_ids, indirect))
+        rt = dict(zip(category_ids, retweet_counts.get(uid, no_counts)))
+        rp = dict(zip(category_ids, reply_counts.get(uid, no_counts)))
         results.append(
             UserMetrics(
                 user_id=uid,
-                direct_source_diversity=_entropy_of_counts(dict(direct_counts), n),
-                indirect_source_diversity=_entropy_of_counts(dict(indirect_counts), n),
+                direct_source_diversity=_entropy_of_counts(direct_hist, n),
+                indirect_source_diversity=_entropy_of_counts(indirect_hist, n),
                 retweet_diversity=_entropy_of_counts(rt, n),
                 reply_diversity=_entropy_of_counts(rp, n),
                 minority_reach=(
@@ -316,8 +325,8 @@ def compute_all(
                 minority_exposure=(
                     indirect_minority / indirect_total if indirect_total else None
                 ),
-                io_correlated=_io_correlated(dict(indirect_counts), rt, n, 0.0),
-                io_correlated_15=_io_correlated(dict(indirect_counts), rt, n, io_margin),
+                io_correlated=_io_correlated(indirect_hist, rt, n, 0.0),
+                io_correlated_15=_io_correlated(indirect_hist, rt, n, io_margin),
             )
         )
 

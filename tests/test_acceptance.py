@@ -26,6 +26,7 @@ from viewdiv import (
     write_dataset,
 )
 from viewdiv.cli import RunConfig, cmd_analyze, cmd_compare
+from viewdiv.oracle import MAX_ORACLE_TWEETS
 
 TOY = Path(__file__).resolve().parent / "data" / "toy"
 
@@ -143,11 +144,31 @@ def _small_oracle_datasets():
     return out
 
 
+def _dense_follow_oracle_dataset():
+    """300 category-blind seeds that retweet each other: each regular follows
+    ~150 of them, whose retweets surface ~1.3k distinct originals, many of
+    them several times or by an author the regular already follows."""
+    params = SynthParams(
+        rng_seed=4242, n_categories=5, n_seeds=300, n_regulars=6, homophily=0.0,
+        tweets_per_seed=6, retweets_per_regular=16, replies_per_regular=2,
+    )
+    ds = generate(params)
+    assert len(ds.seed_users()) >= 100 and len(ds.tweets) <= MAX_ORACLE_TWEETS
+    index = ExposureIndex(ds)
+    for u in ds.regular_users():
+        assert len(u.followees) >= 100
+        surfaced = [t for f in u.followees for t in index.retweeted_by_seed[f]]
+        assert len(surfaced) > len(set(surfaced))  # cross-followee duplicates
+        assert any(index.original_author[t] in u.followees for t in surfaced)
+    return params.rng_seed, ds
+
+
 def test_oracle_equivalence():
-    """50 random small datasets: fast path == oracle exactly, within 1e-12."""
+    """50 random small datasets and one dense-follow dataset: fast path ==
+    oracle exactly, within 1e-12."""
     start = time.perf_counter()
     seeds_used = []
-    for rng_seed, ds in _small_oracle_datasets():
+    for rng_seed, ds in [*_small_oracle_datasets(), _dense_follow_oracle_dataset()]:
         seeds_used.append(rng_seed)
         fast_metrics, fast_matrix = compute_all(ds)
         slow_metrics, slow_matrix = oracle_metrics(ds)
@@ -160,7 +181,8 @@ def test_oracle_equivalence():
     assert elapsed < 30.0, f"oracle equivalence took {elapsed:.1f}s"
     print(f"oracle dataset rng seeds: {seeds_used}")
     _passed(
-        "oracle equivalence: 50 datasets match in definedness and to 1e-12 "
+        "oracle equivalence: 50 small datasets and one dense-follow dataset "
+        "match in definedness and to 1e-12 "
         f"(io margins 0/0.15, wing matrix), {elapsed:.1f}s < 30s"
     )
 

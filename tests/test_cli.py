@@ -90,6 +90,34 @@ def test_analyze_invalid_config_exits_2(tmp_path):
     assert "n < 2" in result.output
 
 
+def test_analyze_string_minority_ids_exits_2(tmp_path):
+    cfg = json.loads((TOY / "config.json").read_text())
+    cfg["minority_user_ids"] = "s_green"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    result = runner.invoke(
+        main,
+        ["analyze", "--config", str(bad), "--users", str(TOY / "users.jsonl"),
+         "--tweets", str(TOY / "tweets.jsonl"), "--out", str(tmp_path / "rep")],
+    )
+    assert result.exit_code == 2
+    assert "malformed country config" in result.output
+
+
+def test_analyze_non_string_reply_target_is_a_line_diagnostic(tmp_path):
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_text(
+        (TOY / "tweets.jsonl").read_text()
+        + '{"id":"t99","author_id":"u_bob","kind":"reply","target_user_id":["s_blue"]}\n'
+    )
+    args = _analyze_args(tmp_path / "rep")
+    args[args.index("--tweets") + 1] = str(tweets)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+    assert summary["dataset"]["ingest"]["malformed_lines"] == 1
+
+
 def test_analyze_rerun_is_byte_identical(tmp_path):
     assert runner.invoke(main, _analyze_args(tmp_path / "a")).exit_code == 0
     assert runner.invoke(main, _analyze_args(tmp_path / "b")).exit_code == 0

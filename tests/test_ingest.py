@@ -10,6 +10,7 @@ from viewdiv import (
     IngestError,
     build_dataset,
     filter_active_regulars,
+    load_country_config,
     load_dataset,
     parse_spam,
     parse_tweets,
@@ -76,6 +77,66 @@ def test_parse_tweets_reply_requires_target():
         ['{"id":"t1","author_id":"u1","kind":"reply","target_user_id":"s1","timestamp":1}']
     )
     assert len(ok) == 1 and diags == []
+
+
+@pytest.mark.parametrize("field", ["source_tweet_id", "target_user_id"])
+@pytest.mark.parametrize("value", [["s1"], 7, {"id": "s1"}, True])
+def test_parse_tweets_non_string_reference_is_diagnosed(field, value):
+    kind = "retweet" if field == "source_tweet_id" else "reply"
+    line = json.dumps({"id": "t1", "author_id": "u1", "kind": kind, field: value})
+    ok_line = json.dumps({"id": "t2", "author_id": "u1", "kind": kind, field: "x"})
+    tweets, diags = parse_tweets([ok_line, line])
+    assert [t.id for t in tweets] == ["t2"]
+    assert len(diags) == 1 and diags[0].line_no == 2
+    assert diags[0].message == f"'{field}' must be a string"
+
+
+def test_parse_tweets_non_string_reference_on_original_is_diagnosed():
+    line = '{"id":"t1","author_id":"s1","kind":"original","target_user_id":["s2"]}'
+    tweets, diags = parse_tweets([line])
+    assert tweets == [] and len(diags) == 1
+
+
+@pytest.mark.parametrize("value", [["a"], 3, {"a": 1}])
+def test_parse_users_non_string_category_is_diagnosed(value):
+    line = json.dumps({"id": "s9", "kind": "seed", "category": value, "followees": []})
+    users, diags = parse_users([USER_LINES[0], line])
+    assert [u.id for u in users] == ["s1"]
+    assert len(diags) == 1 and diags[0].line_no == 2
+    assert diags[0].message == "'category' must be a string"
+
+
+def test_load_dataset_counts_non_string_fields_as_malformed():
+    cfg = config({"a": "left", "b": "right"})
+    user_lines = USER_LINES + ['{"id":"s3","kind":"seed","category":["b"],"followees":[]}']
+    tweet_lines = [
+        '{"id":"o1","author_id":"s1","kind":"original"}',
+        '{"id":"r1","author_id":"u1","kind":"retweet","source_tweet_id":{"id":"o1"}}',
+        '{"id":"p1","author_id":"u1","kind":"reply","target_user_id":["s2"]}',
+    ]
+    ds, report, diags = load_dataset(cfg, user_lines, tweet_lines)
+    assert len(diags) == 3
+    assert report.users_read == 4 and report.tweets_read == 3
+    assert "s3" not in ds.users and [t.id for t in ds.tweets] == ["o1"]
+
+
+@pytest.mark.parametrize(
+    "minority", ['"s_green"', '["s_green", 3]', '{"s_green": true}', "null"]
+)
+def test_load_country_config_rejects_malformed_minority_ids(tmp_path, minority):
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"name": "x", "categories": [{"id": "a", "wing": "left"}, '
+        f'{{"id": "b", "wing": "right"}}], "minority_user_ids": {minority}}}'
+    )
+    with pytest.raises(ValueError, match="malformed country config"):
+        load_country_config(path)
+
+
+def test_load_country_config_minority_ids_default_empty(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"categories": [{"id": "a", "wing": "left"}, {"id": "b", "wing": "right"}]}')
+    assert load_country_config(path).minority_user_ids == frozenset()
 
 
 def test_parse_spam():
