@@ -54,9 +54,20 @@ from .stats import (
     fraction_below,
     welch_t_test,
 )
-from .synth import SynthParams, generate, presets
 
 __version__ = "0.1.0"
+
+# The generator needs numpy, which analyze never uses; load it on first use.
+_SYNTH_NAMES = frozenset({"SynthParams", "generate", "presets"})
+
+
+def __getattr__(name: str):
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CategoryHistogram",

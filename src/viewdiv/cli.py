@@ -16,7 +16,6 @@ from pathlib import Path
 import click
 
 from . import ingest as ingest_mod
-from . import synth as synth_mod
 from .ingest import IngestError, IngestReport, ParseDiagnostic, load_country_config
 from .metrics import UserMetrics, WingMatrix, compute_all
 from .model import Dataset
@@ -72,7 +71,7 @@ def _round4(x: float | None) -> float | None:
 
 def _read_lines(path: Path) -> list[str]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             return fh.readlines()
     except OSError as exc:
         raise IngestError([f"cannot open {path}: {exc.strerror or exc}"]) from exc
@@ -395,6 +394,8 @@ def compare_command(
 @_input_errors
 def synth_command(preset, params_path, rng_seed, out_dir) -> None:
     """Generate a synthetic dataset as ingest-compatible files."""
+    from . import synth as synth_mod  # numpy; only this command needs it
+
     if (preset is None) == (params_path is None):
         raise ValueError("give exactly one of --preset or --params")
     if preset is not None:

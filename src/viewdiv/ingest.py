@@ -1,6 +1,8 @@
 """Line-delimited ingest: parsing, activity filtering, and dataset assembly.
 
-File formats (one JSON object per line, UTF-8, LF endings):
+File formats (one JSON object per line, UTF-8, LF endings; lines are read
+with ``errors="surrogateescape"``, so a line holding bytes that are not
+valid UTF-8 becomes one "invalid UTF-8" diagnostic):
 
 * users file:  ``{"id": ..., "kind": "seed"|"regular", "category": ...,
   "followees": [...]}`` -- ``category`` only for seeds.
@@ -15,6 +17,7 @@ Unknown keys are ignored. Malformed lines yield diagnostics, never aborts.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -57,7 +60,16 @@ class IngestReport:
     tweets_dropped_dangling: int = 0
 
 
+# Readers decode with errors="surrogateescape", which turns each byte that is
+# not valid UTF-8 into one lone surrogate in U+DC80..U+DCFF.
+_UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def _parse_line(line: str, line_no: int) -> tuple[dict | None, ParseDiagnostic | None]:
+    # isascii() reads a flag CPython keeps on every str, so valid ASCII lines
+    # never reach the scan.
+    if not line.isascii() and _UNDECODED_BYTE.search(line):
+        return None, ParseDiagnostic(line_no, "invalid UTF-8")
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -185,6 +197,17 @@ def parse_spam(lines: Iterable[str]) -> set[str]:
     return {line.strip() for line in lines if line.strip()}
 
 
+def _first_by_id(tweets: list[TweetRecord]) -> list[TweetRecord]:
+    """Tweets in input order, keeping only the first occurrence of each id."""
+    kept: list[TweetRecord] = []
+    seen: set[str] = set()
+    for t in tweets:
+        if t.id not in seen:
+            seen.add(t.id)
+            kept.append(t)
+    return kept
+
+
 def filter_active_regulars(
     users: list[UserRecord],
     tweets: list[TweetRecord],
@@ -256,13 +279,7 @@ def build_dataset(
     if violations:
         raise IngestError(violations)
 
-    deduped: list[TweetRecord] = []
-    seen_tweet_ids: set[str] = set()
-    for t in tweets:
-        if t.id in seen_tweet_ids:
-            continue
-        seen_tweet_ids.add(t.id)
-        deduped.append(t)
+    deduped = _first_by_id(tweets)
 
     # Originals kept iff their author resolves; retweets must then point at a
     # kept original authored by a seed (cascaded drops count as dangling too).
@@ -303,13 +320,18 @@ def load_dataset(
     spam_ids: frozenset[str] | set[str] = frozenset(),
     min_retweets: int = 5,
 ) -> tuple[Dataset, IngestReport, list[ParseDiagnostic]]:
-    """Full ingest pipeline: parse, filter, build.
+    """Full ingest pipeline: parse, dedupe tweet ids, filter, build.
 
-    ``users_read``/``tweets_read`` count every attempted record line, so
-    users_read = retained + dropped_spam + dropped_threshold + malformed.
+    Tweet ids are deduplicated once, keeping the first occurrence, before
+    the activity filter, so the filter and the built dataset see the same
+    tweets. ``users_read``/``tweets_read`` count every attempted record
+    line, so users_read = retained + dropped_spam + dropped_threshold +
+    malformed, and tweets_read = kept + dropped_dangling + malformed +
+    duplicate ids.
     """
     users, user_diags = parse_users(user_lines)
-    tweets, tweet_diags = parse_tweets(tweet_lines)
+    parsed, tweet_diags = parse_tweets(tweet_lines)
+    tweets = _first_by_id(parsed)
     retained, dropped_spam, dropped_threshold = filter_active_regulars(
         users, tweets, spam_ids, min_retweets
     )
@@ -320,7 +342,7 @@ def load_dataset(
         users_read=len(users) + len(user_diags),
         users_dropped_spam=dropped_spam,
         users_dropped_threshold=dropped_threshold,
-        tweets_read=len(tweets) + len(tweet_diags),
+        tweets_read=len(parsed) + len(tweet_diags),
     )
     diagnostics = [*user_diags, *tweet_diags]
     return dataset, report, diagnostics

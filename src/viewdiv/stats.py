@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import betainc
-
 
 @dataclass(frozen=True)
 class MetricDistribution:
@@ -106,5 +104,9 @@ def welch_t_test(samples_a, samples_b, alpha: float = 0.01) -> TTestResult:
     if t == 0.0:
         p = 1.0
     else:
+        # Imported here so that importing viewdiv does not load scipy;
+        # only this branch needs it.
+        from scipy.special import betainc
+
         p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return TTestResult(t=t, df=df, p=p, alpha=alpha, significant=p < alpha)

@@ -118,6 +118,54 @@ def test_analyze_non_string_reply_target_is_a_line_diagnostic(tmp_path):
     assert summary["dataset"]["ingest"]["malformed_lines"] == 1
 
 
+def test_analyze_invalid_utf8_is_a_line_diagnostic(tmp_path):
+    tweets = tmp_path / "tweets.jsonl"
+    # The bad byte sits inside a JSON string, where a decoder that replaced
+    # or escaped it would still yield a parseable record.
+    tweets.write_bytes(
+        (TOY / "tweets.jsonl").read_bytes()
+        + b'{"id":"t\xff99","author_id":"s_red","kind":"original","timestamp":99}\n'
+    )
+    args = _analyze_args(tmp_path / "rep")
+    args[args.index("--tweets") + 1] = str(tweets)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+    assert summary["dataset"]["ingest"]["malformed_lines"] == 1
+    # Every other line still counts: the reports are the golden ones.
+    reports = _read_all(tmp_path / "rep")
+    expected = _read_all(TOY / "expected")
+    assert reports.pop("summary.json") != expected.pop("summary.json")
+    assert reports == expected
+
+
+def test_analyze_loads_neither_numpy_nor_scipy(tmp_path):
+    """analyze runs on click and the stdlib alone; synth/compare load the rest.
+
+    A subprocess, because this interpreter has imported scipy already.
+    """
+    import subprocess
+    import sys
+
+    check = (
+        "import sys\n"
+        "from viewdiv.cli import main\n"
+        "main(sys.argv[1:], standalone_mode=False)\n"
+        "heavy = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+        "assert not heavy, heavy\n"
+        "import viewdiv\n"
+        "assert viewdiv.generate is viewdiv.synth.generate\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", check] + _analyze_args(tmp_path / "rep"),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _read_all(tmp_path / "rep") == _read_all(TOY / "expected")
+
+
 def test_analyze_rerun_is_byte_identical(tmp_path):
     assert runner.invoke(main, _analyze_args(tmp_path / "a")).exit_code == 0
     assert runner.invoke(main, _analyze_args(tmp_path / "b")).exit_code == 0
@@ -275,3 +323,16 @@ def test_validate_reports_diagnostics(tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert "line 2" in result.output
+
+
+def test_validate_reports_invalid_utf8_line(tmp_path):
+    users = tmp_path / "users.jsonl"
+    toy_users = (TOY / "users.jsonl").read_bytes()
+    assert toy_users.split(b"\n")[4].startswith(b'{"id":"u_bob"')
+    users.write_bytes(toy_users.replace(b'"u_bob"', b'"u_b\xffob"', 1))
+    result = runner.invoke(main, [
+        "validate", "--config", str(TOY / "config.json"),
+        "--users", str(users), "--tweets", str(TOY / "tweets.jsonl"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert "line 5: invalid UTF-8" in result.output

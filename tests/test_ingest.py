@@ -4,10 +4,13 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import config, original, regular, retweet, seed
 from viewdiv import (
     IngestError,
+    TweetKind,
+    UserKind,
     build_dataset,
     filter_active_regulars,
     load_country_config,
@@ -290,3 +293,197 @@ def test_user_accounting_identity(rng_seed):
         + report.users_dropped_threshold + malformed_users
     )
     assert report.users_read >= report.users_dropped_spam + report.users_dropped_threshold
+
+
+# -- tweet ids are deduplicated once, before the activity filter -------------
+
+def _load_records(users: list[dict], tweets: list[dict], min_retweets: int = 5):
+    cfg = config({"a": "left", "b": "right"})
+    return load_dataset(
+        cfg, [json.dumps(u) for u in users], [json.dumps(t) for t in tweets],
+        min_retweets=min_retweets,
+    )
+
+
+_DEDUPE_USERS = [
+    {"id": "s1", "kind": "seed", "category": "a"},
+    {"id": "u1", "kind": "regular", "followees": ["s1"]},
+    {"id": "u2", "kind": "regular", "followees": ["s1"]},
+]
+
+
+def _orig(tid: str, author: str) -> dict:
+    return {"id": tid, "author_id": author, "kind": "original"}
+
+
+def _rt(tid: str, author: str, source: str) -> dict:
+    return {"id": tid, "author_id": author, "kind": "retweet", "source_tweet_id": source}
+
+
+@pytest.mark.parametrize("first_author", ["s1", "u2"])
+def test_load_dataset_reused_original_id_first_occurrence_wins(first_author):
+    """An original id re-used by another author resolves to its first line.
+
+    u1 retweets o1..o5. Only if the first "o1" is the seed's does u1 hold
+    five seed-original retweets, in the filter as in the built dataset.
+    """
+    other = "u2" if first_author == "s1" else "s1"
+    tweets = [_orig("o1", first_author)] + [_orig(f"o{i}", "s1") for i in range(2, 6)]
+    tweets += [_rt(f"r{i}", "u1", f"o{i}") for i in range(1, 6)]
+    tweets.append(_orig("o1", other))
+    ds, report, diags = _load_records(_DEDUPE_USERS, tweets)
+    assert diags == []
+    u1_retweets = [t.id for t in ds.tweets if t.author_id == "u1"]
+    if first_author == "s1":
+        assert "u1" in ds.users and len(u1_retweets) == 5
+        assert report.users_dropped_threshold == 1  # u2 only
+    else:
+        assert "u1" not in ds.users and u1_retweets == []
+        assert report.users_dropped_threshold == 2
+
+
+def test_load_dataset_reused_retweet_id_counts_first_source_only():
+    """A retweet id re-used with another source is one retweet, the first.
+
+    u1's five retweet lines name five seed originals, but "r1" comes twice,
+    so the dataset holds four distinct sources and u1 is under threshold.
+    """
+    tweets = [_orig(f"o{i}", "s1") for i in range(1, 6)]
+    tweets += [_rt(f"r{i}", "u1", f"o{i}") for i in range(1, 5)]
+    tweets.append(_rt("r1", "u1", "o5"))
+    ds, report, _ = _load_records(_DEDUPE_USERS, tweets)
+    assert "u1" not in ds.users
+    assert report.users_dropped_threshold == 2
+    assert report.tweets_read == 10
+    assert report.tweets_dropped_dangling == 4  # u1's kept retweets
+    assert [t.id for t in ds.tweets] == [f"o{i}" for i in range(1, 6)]
+
+
+# -- property: ingest accounting over noisy input ----------------------------
+
+_REGULARS = ["u1", "u2", "u3", "u4"]
+_TWEET_IDS = [f"t{i}" for i in range(16)]
+_BAD_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]
+_HOW = ["valid"] * 5 + ["truncated", "wrong_type", "non_object", "blank", "bad_utf8"]
+
+# A small valid crawl that every example shuffles its noise into, so that
+# some regulars clear the threshold unless the noise takes their tweets.
+_SEED_LINES = [
+    '{"id":"s1","kind":"seed","category":"a","followees":[]}',
+    '{"id":"s2","kind":"seed","category":"b","followees":[]}',
+]
+_BASE_USER_LINES = ['{"id":"u1","kind":"regular","followees":["s1"]}']
+_BASE_TWEET_LINES = [
+    json.dumps(r) for r in (
+        _orig("t0", "s1"), _orig("t1", "s2"), _rt("t10", "u1", "t0"), _rt("t11", "u1", "t1")
+    )
+]
+
+
+@st.composite
+def _user_record(draw) -> dict:
+    uid = draw(st.sampled_from(["s3"] + _REGULARS))
+    if uid == "s3":
+        # "c" is not a configured category: config validation must fail.
+        return {"id": uid, "kind": "seed", "category": draw(st.sampled_from("abbbc"))}
+    followees = draw(st.lists(st.sampled_from(["s1", "s2"]), unique=True))
+    return {"id": uid, "kind": "regular", "followees": followees}
+
+
+@st.composite
+def _tweet_record(draw) -> dict:
+    # Originals take the low ids and the rest the high ones, overlapping in
+    # t2..t3, so that ids are re-used within and across kinds.
+    kind = draw(st.sampled_from(["original", "retweet", "retweet", "reply"]))
+    if kind == "original":
+        tid = draw(st.sampled_from(_TWEET_IDS[:4]))
+        author = draw(st.sampled_from(["s1", "s2", "s3", "u1", "ghost"]))
+    else:
+        tid = draw(st.sampled_from(_TWEET_IDS[2:]))
+        author = draw(st.sampled_from(_REGULARS + ["s1", "ghost"]))
+    record = {"id": tid, "author_id": author, "kind": kind,
+              "timestamp": draw(st.integers(0, 99))}
+    if kind == "retweet":
+        record["source_tweet_id"] = draw(st.sampled_from(_TWEET_IDS[:4]))
+    if kind == "reply":
+        record["target_user_id"] = draw(st.sampled_from(["s1", "s2", "ghost"] + _REGULARS))
+    return record
+
+
+@st.composite
+def _noisy_line(draw, records) -> tuple[str, str]:
+    """One input line and how it was made from a valid record."""
+    record = draw(records)
+    line = json.dumps(record)
+    how = draw(st.sampled_from(_HOW))
+    if how == "truncated":
+        line = line[: draw(st.integers(0, len(line) - 1))]
+    elif how == "wrong_type":
+        key = draw(st.sampled_from(sorted(record)))
+        record[key] = draw(st.sampled_from([None, 7, True, ["x"], {"k": 1}]))
+        line = json.dumps(record)
+    elif how == "non_object":
+        line = json.dumps(draw(st.sampled_from([[], 3, "x", None, [record]])))
+    elif how == "blank":
+        line = draw(st.sampled_from(["", "   ", "\t"]))
+    elif how == "bad_utf8":
+        raw = line.encode("utf-8")
+        cut = draw(st.integers(0, len(raw)))
+        raw = raw[:cut] + draw(st.sampled_from(_BAD_BYTES)) + raw[cut:]
+        line = raw.decode("utf-8", errors="surrogateescape")
+    return line, how
+
+
+@st.composite
+def _input_file(draw, records, base: list[str], max_noisy: int) -> list[tuple[str, str]]:
+    lines = draw(st.lists(_noisy_line(records), max_size=max_noisy))
+    lines += [(line, "valid") for line in base]
+    return [(line + "\n", how) for line, how in draw(st.permutations(lines))]
+
+
+@settings(
+    max_examples=120, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    users=_input_file(_user_record(), _BASE_USER_LINES, 8),
+    tweets=_input_file(_tweet_record(), _BASE_TWEET_LINES, 25),
+    spam=st.sets(st.sampled_from(_REGULARS), max_size=1),
+)
+def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
+    cfg = config({"a": "left", "b": "right"})
+    user_lines = [line + "\n" for line in _SEED_LINES] + [line for line, _ in users]
+    tweet_lines = [line for line, _ in tweets]
+    try:
+        ds, report, diags = load_dataset(cfg, user_lines, tweet_lines, spam, min_retweets=2)
+    except IngestError:
+        return
+
+    _, user_diags = parse_users(user_lines)
+    parsed_tweets, tweet_diags = parse_tweets(tweet_lines)
+    assert len(diags) == len(user_diags) + len(tweet_diags)
+    invalid_utf8 = sum(1 for d in diags if d.message == "invalid UTF-8")
+    assert invalid_utf8 == sum(1 for _, how in users + tweets if how == "bad_utf8")
+
+    assert report.users_read == (
+        len(ds.users) + report.users_dropped_spam + report.users_dropped_threshold
+        + len(user_diags)
+    )
+    duplicates = len(parsed_tweets) - len({t.id for t in parsed_tweets})
+    assert report.tweets_read == (
+        len(ds.tweets) + report.tweets_dropped_dangling + len(tweet_diags) + duplicates
+    )
+
+    # The filter saw the tweets the dataset holds: every retained regular
+    # clears the threshold on the built dataset itself.
+    seed_originals = {
+        t.id for t in ds.tweets
+        if t.kind is TweetKind.ORIGINAL and ds.users[t.author_id].kind is UserKind.SEED
+    }
+    for u in ds.users.values():
+        if u.kind is UserKind.REGULAR:
+            sources = {
+                t.source_tweet_id for t in ds.tweets
+                if t.author_id == u.id and t.source_tweet_id in seed_originals
+            }
+            assert len(sources) >= 2, u.id
