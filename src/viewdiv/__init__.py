@@ -1,14 +1,6 @@
 """Viewpoint-diversity metrics for seed/follower social graphs."""
 
-from .exposure import (
-    CategoryHistogram,
-    ExposureIndex,
-    ExposureTimeline,
-    category_histogram,
-    direct_timeline,
-    indirect_timeline,
-    output_histograms,
-)
+from .exposure import ExposureIndex, ExposureTimeline
 from .ingest import (
     IngestError,
     IngestReport,
@@ -26,13 +18,8 @@ from .metrics import (
     UserMetrics,
     WingMatrix,
     compute_all,
-    io_correlation,
-    minority_exposure,
-    minority_reach,
     normalized_entropy,
-    output_diversity,
     seed_interaction_matrix,
-    source_diversity,
 )
 from .model import (
     CountryConfig,
@@ -43,7 +30,6 @@ from .model import (
     UserKind,
     UserRecord,
     Wing,
-    classify_wing,
     validate_config,
 )
 from .oracle import oracle_metrics
@@ -70,7 +56,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "CategoryHistogram",
     "CountryConfig",
     "Dataset",
     "ExposureIndex",
@@ -90,30 +75,20 @@ __all__ = [
     "Wing",
     "WingMatrix",
     "build_dataset",
-    "category_histogram",
-    "classify_wing",
     "compute_all",
-    "direct_timeline",
     "distribution",
     "filter_active_regulars",
     "fraction_below",
     "generate",
-    "indirect_timeline",
-    "io_correlation",
     "load_country_config",
     "load_dataset",
-    "minority_exposure",
-    "minority_reach",
     "normalized_entropy",
     "oracle_metrics",
-    "output_diversity",
-    "output_histograms",
     "parse_spam",
     "parse_tweets",
     "parse_users",
     "presets",
     "seed_interaction_matrix",
-    "source_diversity",
     "validate_config",
     "welch_t_test",
     "write_dataset",

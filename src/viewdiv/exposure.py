@@ -1,4 +1,4 @@
-"""Direct and indirect exposure timelines and their category histograms.
+"""Direct and indirect exposure: the per-seed index and user timelines.
 
 Timelines are sets of tweet ids: an original reaching a user along several
 paths counts once. Every timeline member is an original authored by a seed;
@@ -8,7 +8,6 @@ retweeter's.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .model import Dataset, TweetKind, UserKind
@@ -23,22 +22,6 @@ class ExposureTimeline:
     indirect: frozenset[str]
 
 
-@dataclass(frozen=True)
-class CategoryHistogram:
-    """Tweet counts per category id, normalized against the configured universe ``n``."""
-
-    counts: dict[str, int]
-    n: int
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def support(self) -> frozenset[str]:
-        return frozenset(c for c, v in self.counts.items() if v > 0)
-
-
 def _mask(positions) -> int:
     """Bitset with the given bit positions set."""
     bits = 0
@@ -51,10 +34,9 @@ class ExposureIndex:
     """Per-seed lookups shared across many timeline computations.
 
     Building the index costs one pass over the tweets; afterwards each
-    user's timeline is assembled from the per-seed pieces. All analysis of a
-    dataset of any size should go through one shared index (as
-    ``metrics.compute_all`` does) rather than the per-call convenience
-    functions below.
+    user's :meth:`timeline` is assembled from the per-seed pieces of its
+    followees, so build one index per dataset and share it (as
+    ``metrics.compute_all`` does).
 
     Besides the id sets, the index holds the surfaced part of exposure as
     Python-int bitsets. Bit ``i`` stands for ``source_ids[i]``, the i-th
@@ -115,86 +97,16 @@ class ExposureIndex:
                 self.minority_mask |= m
         self.category_masks = tuple(category_masks)
 
-    def direct_ids(self, user_id: str) -> frozenset[str]:
-        user = self.dataset.users[user_id]
-        out: set[str] = set()
-        for f in user.followees:
-            out |= self.originals_by_seed.get(f, frozenset())
-        return frozenset(out)
-
-    def surfaced_ids(self, user_id: str) -> frozenset[str]:
-        """Originals any followee retweeted (may overlap the direct part)."""
-        user = self.dataset.users[user_id]
-        out: set[str] = set()
-        for f in user.followees:
-            out |= self.retweeted_by_seed.get(f, frozenset())
-        return frozenset(out)
-
     def timeline(self, user_id: str) -> ExposureTimeline:
-        direct = self.direct_ids(user_id)
+        """The user's direct and indirect originals; one set union per followee.
+
+        An unknown user raises KeyError.
+        """
+        direct: set[str] = set()
+        surfaced: set[str] = set()
+        for f in self.dataset.users[user_id].followees:
+            direct |= self.originals_by_seed[f]
+            surfaced |= self.retweeted_by_seed[f]
         return ExposureTimeline(
-            user_id=user_id, direct=direct, indirect=direct | self.surfaced_ids(user_id)
+            user_id=user_id, direct=frozenset(direct), indirect=frozenset(direct | surfaced)
         )
-
-
-def direct_timeline(dataset: Dataset, user_id: str) -> ExposureTimeline:
-    """Direct-only exposure: originals published by followed seeds.
-
-    The returned timeline has no surfacing applied, so indirect == direct.
-    Unknown user raises KeyError.
-    """
-    direct = ExposureIndex(dataset).direct_ids(user_id)
-    return ExposureTimeline(user_id=user_id, direct=direct, indirect=direct)
-
-
-def indirect_timeline(dataset: Dataset, user_id: str) -> ExposureTimeline:
-    """Full exposure: direct plus originals surfaced by followees' retweets."""
-    return ExposureIndex(dataset).timeline(user_id)
-
-
-def category_histogram(dataset: Dataset, tweet_ids) -> CategoryHistogram:
-    """Histogram a set of seed-authored originals by author category.
-
-    Any member that is not a seed-authored original is a contract violation
-    and raises ValueError.
-    """
-    counts: Counter[str] = Counter()
-    for tid in tweet_ids:
-        t = dataset.tweet(tid)
-        author = dataset.users[t.author_id]
-        if t.kind is not TweetKind.ORIGINAL or author.kind is not UserKind.SEED:
-            raise ValueError(
-                f"tweet {tid!r} is not a seed-authored original; "
-                "timelines must contain only seed originals"
-            )
-        counts[author.category] += 1  # type: ignore[index]
-    return CategoryHistogram(counts=dict(counts), n=dataset.config.n_categories)
-
-
-def output_histograms(
-    dataset: Dataset, user_id: str
-) -> tuple[CategoryHistogram, CategoryHistogram]:
-    """Histograms of a user's outgoing behavior: (retweets, replies).
-
-    Retweets count the retweeted original's author category, one count per
-    retweet record. Replies count the target seed's category; replies to
-    non-seed users are excluded because they carry no category.
-    """
-    user = dataset.users[user_id]
-    retweet_counts: Counter[str] = Counter()
-    reply_counts: Counter[str] = Counter()
-    for t in dataset.tweets:
-        if t.author_id != user.id:
-            continue
-        if t.kind is TweetKind.RETWEET:
-            src_author = dataset.users[dataset.tweet(t.source_tweet_id).author_id]  # type: ignore[arg-type]
-            retweet_counts[src_author.category] += 1  # type: ignore[index]
-        elif t.kind is TweetKind.REPLY:
-            target = dataset.users.get(t.target_user_id or "")
-            if target is not None and target.kind is UserKind.SEED:
-                reply_counts[target.category] += 1  # type: ignore[index]
-    n = dataset.config.n_categories
-    return (
-        CategoryHistogram(counts=dict(retweet_counts), n=n),
-        CategoryHistogram(counts=dict(reply_counts), n=n),
-    )

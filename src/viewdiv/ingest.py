@@ -2,7 +2,8 @@
 
 File formats (one JSON object per line, UTF-8, LF endings; lines are read
 with ``errors="surrogateescape"``, so a line holding bytes that are not
-valid UTF-8 becomes one "invalid UTF-8" diagnostic):
+valid UTF-8, or a ``\\u`` escape of a lone surrogate, becomes one "invalid
+UTF-8" diagnostic):
 
 * users file:  ``{"id": ..., "kind": "seed"|"regular", "category": ...,
   "followees": [...]}`` -- ``category`` only for seeds.
@@ -61,19 +62,25 @@ class IngestReport:
 
 
 # Readers decode with errors="surrogateescape", which turns each byte that is
-# not valid UTF-8 into one lone surrogate in U+DC80..U+DCFF.
-_UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
+# not valid UTF-8 into one lone surrogate in U+DC80..U+DCFF, and a JSON
+# \u escape can decode to any lone surrogate. UTF-8 text holds neither.
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _parse_line(line: str, line_no: int) -> tuple[dict | None, ParseDiagnostic | None]:
     # isascii() reads a flag CPython keeps on every str, so valid ASCII lines
     # never reach the scan.
-    if not line.isascii() and _UNDECODED_BYTE.search(line):
+    if not line.isascii() and _LONE_SURROGATE.search(line):
         return None, ParseDiagnostic(line_no, "invalid UTF-8")
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         return None, ParseDiagnostic(line_no, f"invalid JSON: {exc.msg}")
+    # Only a line with a backslash can hold a \u escape. json.loads joins an
+    # escaped surrogate pair into one character, so any surrogate left in
+    # the decoded record was escaped alone.
+    if "\\" in line and _LONE_SURROGATE.search(json.dumps(obj, ensure_ascii=False)):
+        return None, ParseDiagnostic(line_no, "invalid UTF-8")
     if not isinstance(obj, dict):
         return None, ParseDiagnostic(line_no, "record is not an object")
     return obj, None
@@ -364,13 +371,18 @@ def load_country_config(path: str | Path) -> CountryConfig:
             PoliticalCategory(id=c["id"], wing=Wing(c["wing"]))
             for c in raw["categories"]
         )
+        if not all(isinstance(c.id, str) for c in categories):
+            raise ValueError("category ids must be strings")
+        name = raw.get("name", "")
+        if not isinstance(name, str):
+            raise ValueError("'name' must be a string")
         minority_ids = raw.get("minority_user_ids", [])
         if not isinstance(minority_ids, list) or not all(
             isinstance(m, str) for m in minority_ids
         ):
             raise ValueError("'minority_user_ids' must be a list of ids")
         return CountryConfig(
-            name=raw.get("name", ""),
+            name=name,
             categories=categories,
             minority_user_ids=frozenset(minority_ids),
         )

@@ -9,10 +9,10 @@ diversity.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .exposure import CategoryHistogram, ExposureIndex, output_histograms
+from .exposure import ExposureIndex
 from .model import Dataset, TweetKind, UserKind, Wing
 
 
@@ -53,130 +53,72 @@ class WingMatrix:
         raise ValueError("wing matrix has no unaligned row")
 
 
-def normalized_entropy(hist: CategoryHistogram) -> float | None:
+def normalized_entropy(counts: Sequence[int], n: int) -> float | None:
     """Shannon entropy of the category shares, normalized to [0, 1].
 
-    Computed as -sum(p_i * ln(p_i)) / ln(n) over categories with positive
-    count, where n is the configured category count (n >= 2 required). An
-    empty histogram is undefined. Exactly 1.0 iff all n categories have the
-    same positive count; exactly 0.0 iff a single category holds everything.
-    The log base cancels between numerator and denominator.
+    ``counts`` holds one tweet count per category and ``n`` is the size of
+    the configured category universe (n >= 2 required). Computed as
+    -sum(p_i * ln(p_i)) / ln(n) over the positive counts, summed in the
+    given order. All-zero counts are undefined. Exactly 1.0 iff all n
+    categories have the same positive count; exactly 0.0 iff a single
+    category holds everything. The log base cancels between numerator and
+    denominator.
     """
-    if hist.n < 2:
-        raise ValueError(f"normalized entropy needs n >= 2 categories, got {hist.n}")
-    positive = [c for c in hist.counts.values() if c > 0]
-    if any(c < 0 for c in hist.counts.values()):
+    if n < 2:
+        raise ValueError(f"normalized entropy needs n >= 2 categories, got {n}")
+    positive = [c for c in counts if c > 0]
+    if any(c < 0 for c in counts):
         raise ValueError("histogram counts must be non-negative")
     if not positive:
         return None
     if len(positive) == 1:
         return 0.0
-    if len(positive) == hist.n and len(set(positive)) == 1:
+    if len(positive) == n and len(set(positive)) == 1:
         return 1.0
     total = sum(positive)
     acc = 0.0
     for c in positive:
         p = c / total
         acc += p * math.log(p)
-    return min(1.0, max(0.0, -acc / math.log(hist.n)))
+    return min(1.0, max(0.0, -acc / math.log(n)))
 
 
-def _entropy_of_counts(counts: dict[str, int], n: int) -> float | None:
-    return normalized_entropy(CategoryHistogram(counts=counts, n=n))
-
-
-def source_diversity(dataset: Dataset, user_id: str, mode: str = "direct") -> float | None:
-    """Normalized entropy of the user's direct or indirect exposure histogram."""
-    if mode not in ("direct", "indirect"):
-        raise ValueError(f"mode must be 'direct' or 'indirect', got {mode!r}")
-    index = ExposureIndex(dataset)
-    timeline = index.timeline(user_id)
-    ids = timeline.direct if mode == "direct" else timeline.indirect
-    counts = Counter(
-        index.category_of_seed[index.original_author[t]] for t in ids
-    )
-    return _entropy_of_counts(dict(counts), dataset.config.n_categories)
-
-
-def output_diversity(dataset: Dataset, user_id: str, kind: str = "retweet") -> float | None:
-    """Normalized entropy of the user's retweet or reply output histogram."""
-    if kind not in ("retweet", "reply"):
-        raise ValueError(f"kind must be 'retweet' or 'reply', got {kind!r}")
-    retweet_hist, reply_hist = output_histograms(dataset, user_id)
-    return normalized_entropy(retweet_hist if kind == "retweet" else reply_hist)
-
-
-def minority_reach(dataset: Dataset, user_id: str) -> float | None:
-    """Fraction of all published minority originals present in the user's
-    indirect timeline; undefined when the dataset has no minority originals."""
-    index = ExposureIndex(dataset)
-    total_minority = len(index.minority_original_ids)
-    if total_minority == 0:
-        return None
-    received = len(index.timeline(user_id).indirect & index.minority_original_ids)
-    return received / total_minority
-
-
-def minority_exposure(dataset: Dataset, user_id: str) -> float | None:
-    """Share of the user's indirect timeline authored by minority seeds;
-    undefined on an empty timeline."""
-    index = ExposureIndex(dataset)
-    indirect = index.timeline(user_id).indirect
-    if not indirect:
-        return None
-    return len(indirect & index.minority_original_ids) / len(indirect)
-
-
-def _dominant(counts: dict[str, int]) -> tuple[str | None, float]:
-    """Unique argmax category and its share; (None, share) on a tie."""
-    total = sum(counts.values())
-    best = max(counts.values())
-    winners = [c for c, v in counts.items() if v == best]
+def _dominant(counts: list[int]) -> tuple[int | None, float]:
+    """Position of the unique largest count and its share; (None, share) on a tie."""
+    total = sum(counts)
+    best = max(counts)
+    winners = [i for i, v in enumerate(counts) if v == best]
     share = best / total
     return (winners[0] if len(winners) == 1 else None), share
 
 
 def _io_correlated(
-    input_counts: dict[str, int],
-    output_counts: dict[str, int],
+    input_counts: list[int],
+    output_counts: list[int],
     n: int,
     margin: float,
 ) -> bool | None:
-    input_counts = {c: v for c, v in input_counts.items() if v > 0}
-    output_counts = {c: v for c, v in output_counts.items() if v > 0}
-    if not input_counts or not output_counts:
+    """Whether the dominant received category equals the dominant retweeted one.
+
+    Both lists are per-category counts in config category order. Undefined
+    when either is all zero. With ``margin`` > 0, both dominant shares must
+    additionally be at least ``1/n + margin``, the reading used for the
+    "bias above 15%" variant.
+    """
+    if not any(input_counts) or not any(output_counts):
         return None
-    in_cat, in_share = _dominant(input_counts)
-    out_cat, out_share = _dominant(output_counts)
-    if in_cat is None or out_cat is None:
+    in_pos, in_share = _dominant(input_counts)
+    out_pos, out_share = _dominant(output_counts)
+    if in_pos is None or out_pos is None:
         # no single dominant category on a tie
         return False
-    if in_cat != out_cat:
+    if in_pos != out_pos:
         return False
     if margin > 0:
         floor = 1.0 / n + margin
         if in_share < floor or out_share < floor:
             return False
     return True
-
-
-def io_correlation(dataset: Dataset, user_id: str, margin: float = 0.0) -> bool | None:
-    """Whether the dominant received category equals the dominant retweeted one.
-
-    Input is the indirect exposure histogram; output is the retweet
-    histogram. Undefined when either is empty. With ``margin`` > 0, both
-    dominant shares must additionally be at least ``1/n + margin`` above the
-    uniform share, the reading used for the "bias above 15%" variant.
-    """
-    index = ExposureIndex(dataset)
-    indirect = index.timeline(user_id).indirect
-    input_counts = dict(
-        Counter(index.category_of_seed[index.original_author[t]] for t in indirect)
-    )
-    retweet_hist, _ = output_histograms(dataset, user_id)
-    return _io_correlated(
-        input_counts, retweet_hist.counts, dataset.config.n_categories, margin
-    )
 
 
 def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
@@ -253,7 +195,6 @@ def compute_all(
     index = ExposureIndex(dataset)
     config = dataset.config
     n = config.n_categories
-    category_ids = config.category_ids
     minority_seed_ids = config.minority_user_ids
     total_minority = len(index.minority_original_ids)
     seed_pos = index.category_pos_of_seed
@@ -307,26 +248,22 @@ def compute_all(
         indirect = [d + (new & m).bit_count() for d, m in zip(direct, category_masks)]
         indirect_total = sum(indirect)
         indirect_minority = direct_minority + (new & minority_mask).bit_count()
-
-        direct_hist = dict(zip(category_ids, direct))
-        indirect_hist = dict(zip(category_ids, indirect))
-        rt = dict(zip(category_ids, retweet_counts.get(uid, no_counts)))
-        rp = dict(zip(category_ids, reply_counts.get(uid, no_counts)))
+        rt = retweet_counts.get(uid, no_counts)
         results.append(
             UserMetrics(
                 user_id=uid,
-                direct_source_diversity=_entropy_of_counts(direct_hist, n),
-                indirect_source_diversity=_entropy_of_counts(indirect_hist, n),
-                retweet_diversity=_entropy_of_counts(rt, n),
-                reply_diversity=_entropy_of_counts(rp, n),
+                direct_source_diversity=normalized_entropy(direct, n),
+                indirect_source_diversity=normalized_entropy(indirect, n),
+                retweet_diversity=normalized_entropy(rt, n),
+                reply_diversity=normalized_entropy(reply_counts.get(uid, no_counts), n),
                 minority_reach=(
                     indirect_minority / total_minority if total_minority else None
                 ),
                 minority_exposure=(
                     indirect_minority / indirect_total if indirect_total else None
                 ),
-                io_correlated=_io_correlated(indirect_hist, rt, n, 0.0),
-                io_correlated_15=_io_correlated(indirect_hist, rt, n, io_margin),
+                io_correlated=_io_correlated(indirect, rt, n, 0.0),
+                io_correlated_15=_io_correlated(indirect, rt, n, io_margin),
             )
         )
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -114,20 +114,6 @@ class Dataset:
     config: CountryConfig
     users: dict[str, UserRecord]
     tweets: tuple[TweetRecord, ...]
-    # id -> record index for O(1) source-tweet resolution
-    _tweet_index: dict[str, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._tweet_index:
-            object.__setattr__(
-                self, "_tweet_index", {t.id: i for i, t in enumerate(self.tweets)}
-            )
-
-    def tweet(self, tweet_id: str) -> TweetRecord:
-        return self.tweets[self._tweet_index[tweet_id]]
-
-    def user(self, user_id: str) -> UserRecord:
-        return self.users[user_id]
 
     def seed_users(self) -> list[UserRecord]:
         return [u for u in self.users.values() if u.kind is UserKind.SEED]
@@ -177,8 +163,3 @@ def validate_config(config: CountryConfig, users: dict[str, UserRecord]) -> list
                 violations.append(f"user {u.id!r} follows non-seed {f!r}")
 
     return violations
-
-
-def classify_wing(category_id: str, config: CountryConfig) -> Wing:
-    """Map a category id to its configured wing. Unknown id raises KeyError."""
-    return config.wing_of(category_id)

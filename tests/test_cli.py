@@ -1,12 +1,14 @@
 """CLI behavior: exit codes, determinism, round trips, comparisons."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from viewdiv.cli import main
+from viewdiv.cli import METRIC_FIELDS, main
 
 TOY = Path(__file__).resolve().parent / "data" / "toy"
 
@@ -102,6 +104,53 @@ def test_analyze_string_minority_ids_exits_2(tmp_path):
     )
     assert result.exit_code == 2
     assert "malformed country config" in result.output
+
+
+@pytest.mark.parametrize(
+    "field, value", [("category_id", ["x"]), ("name", ["n"])], ids=["category_id", "name"]
+)
+def test_analyze_non_string_config_field_exits_2(tmp_path, field, value):
+    cfg = json.loads((TOY / "config.json").read_text())
+    if field == "name":
+        cfg["name"] = value
+    else:
+        cfg["categories"][0]["id"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    result = runner.invoke(
+        main,
+        ["analyze", "--config", str(bad), "--users", str(TOY / "users.jsonl"),
+         "--tweets", str(TOY / "tweets.jsonl"), "--out", str(tmp_path / "rep")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "malformed country config" in result.output
+    assert not (tmp_path / "rep").exists()
+
+
+def _escape_lone_surrogate(text: str, user_id: str) -> str:
+    """Rename ``user_id`` everywhere in ``text`` to itself plus a lone
+    surrogate, written as the JSON escape \\udcff (the text stays ASCII)."""
+    return text.replace(f'"{user_id}"', f'"{user_id}\\udcff"')
+
+
+def test_analyze_escaped_lone_surrogate_is_a_line_diagnostic(tmp_path):
+    users = tmp_path / "users.jsonl"
+    tweets = tmp_path / "tweets.jsonl"
+    users.write_text(_escape_lone_surrogate((TOY / "users.jsonl").read_text(), "u_bob"))
+    tweets.write_text(_escape_lone_surrogate((TOY / "tweets.jsonl").read_text(), "u_bob"))
+    bad_lines = users.read_text().count("\\udcff") + tweets.read_text().count("\\udcff")
+    assert bad_lines == 9
+    args = _analyze_args(tmp_path / "rep", users=users)
+    args[args.index("--tweets") + 1] = str(tweets)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+    assert summary["dataset"]["ingest"]["malformed_lines"] == bad_lines
+    # u_bob's lines are gone; u_alice's row is the golden one
+    expected_rows = (TOY / "expected" / "users_metrics.csv").read_text().splitlines()
+    assert (tmp_path / "rep" / "users_metrics.csv").read_text().splitlines() == [
+        row for row in expected_rows if not row.startswith("u_bob,")
+    ]
 
 
 def test_analyze_non_string_reply_target_is_a_line_diagnostic(tmp_path):
@@ -336,3 +385,107 @@ def test_validate_reports_invalid_utf8_line(tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert "line 5: invalid UTF-8" in result.output
+
+    users.write_text(_escape_lone_surrogate(toy_users.decode(), "u_bob"))
+    result = runner.invoke(main, [
+        "validate", "--config", str(TOY / "config.json"),
+        "--users", str(users), "--tweets", str(TOY / "tweets.jsonl"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert "line 5: invalid UTF-8" in result.output
+
+
+
+# -- property: analyze exits 0 or 2 on noisy inputs --------------------------
+
+_TOY_USER_LINES = (TOY / "users.jsonl").read_text().splitlines()
+_TOY_TWEET_LINES = (TOY / "tweets.jsonl").read_text().splitlines()
+# hypothesis draws early entries of sampled_from more often: the unhashable
+# values, which once reached code that hashed them, come first.
+_NOT_A_STRING = [["x"], {"k": 1}, None, 7, True]
+_BAD_BYTES = [b"\xff", b"\x80", b"\xed\xa0\x80"]
+REPORTS = {
+    "users_metrics.csv", "summary.json", "seed_matrix.csv",
+    *(f"dist_{m}.csv" for m in METRIC_FIELDS),
+}
+
+
+@st.composite
+def _damaged(draw, line: str) -> bytes:
+    """``line`` truncated, with a field of the wrong type, with a byte that
+    is not UTF-8, or with a string field holding an escaped lone surrogate."""
+    record = json.loads(line)
+    how = draw(st.sampled_from(["truncated", "wrong_type", "bad_utf8", "lone_surrogate"]))
+    if how == "truncated":
+        return line[: draw(st.integers(0, len(line) - 1))].encode()
+    if how == "bad_utf8":
+        raw = line.encode()
+        cut = draw(st.integers(0, len(raw)))
+        return raw[:cut] + draw(st.sampled_from(_BAD_BYTES)) + raw[cut:]
+    if how == "wrong_type":
+        record[draw(st.sampled_from(sorted(record)))] = draw(st.sampled_from(_NOT_A_STRING))
+    else:
+        key = draw(st.sampled_from(sorted(k for k, v in record.items() if isinstance(v, str))))
+        record[key] += "\udcff"
+    return json.dumps(record).encode()  # non-ASCII is written as \\u escapes
+
+
+@st.composite
+def _noisy_file(draw, lines: list[str], rename: str | None) -> bytes:
+    """The toy lines with up to four of them damaged; ``rename`` gives one
+    user id an escaped lone surrogate on every line that names it."""
+    out = [_escape_lone_surrogate(line, rename) if rename else line for line in lines]
+    damaged = draw(st.lists(st.integers(0, len(lines) - 1), max_size=4, unique=True))
+    encoded = [line.encode() for line in out]
+    for i in damaged:
+        encoded[i] = draw(_damaged(out[i]))
+    return b"".join(line + b"\n" for line in encoded)
+
+
+@st.composite
+def _noisy_config(draw) -> bytes:
+    cfg = json.loads((TOY / "config.json").read_text())
+    how = draw(st.sampled_from(["valid", "category_id", "valid", "name", "truncated"]))
+    if how == "category_id":
+        cfg["categories"][draw(st.integers(0, 2))]["id"] = draw(st.sampled_from(_NOT_A_STRING))
+    elif how == "name":
+        cfg["name"] = draw(st.sampled_from(_NOT_A_STRING))
+    text = json.dumps(cfg)
+    if how == "truncated":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text.encode()
+
+
+@st.composite
+def _noisy_inputs(draw) -> tuple[bytes, bytes, bytes]:
+    rename = draw(st.none() | st.sampled_from(["u_alice", "u_bob", "s_red", "s_green"]))
+    return (
+        draw(_noisy_config()),
+        draw(_noisy_file(_TOY_USER_LINES, rename)),
+        draw(_noisy_file(_TOY_TWEET_LINES, rename)),
+    )
+
+
+@settings(
+    max_examples=80, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(inputs=_noisy_inputs())
+def test_analyze_exits_0_or_2_on_noisy_inputs(tmp_path, inputs):
+    """Malformed input ends as a line diagnostic or as exit 2, never as an
+    internal error; exit 2 comes before any report is written."""
+    for name, data in zip(("config.json", "users.jsonl", "tweets.jsonl"), inputs):
+        (tmp_path / name).write_bytes(data)
+    out = tmp_path / "rep"
+    shutil.rmtree(out, ignore_errors=True)
+    result = runner.invoke(main, [
+        "analyze", "--config", str(tmp_path / "config.json"),
+        "--users", str(tmp_path / "users.jsonl"),
+        "--tweets", str(tmp_path / "tweets.jsonl"), "--out", str(out),
+    ])
+    assert result.exit_code in (0, 2), result.output
+    written = {p.name for p in out.iterdir()} if out.exists() else set()
+    assert written == (REPORTS if result.exit_code == 0 else set()), result.output
+    if result.exit_code == 0:
+        summary = json.loads((out / "summary.json").read_text())
+        assert isinstance(summary["dataset"]["name"], str)

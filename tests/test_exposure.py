@@ -1,16 +1,31 @@
 """Exposure timeline and histogram tests."""
 
+from collections import Counter
+
 import pytest
 
 from helpers import config, dataset, original, regular, reply, retweet, seed
 from viewdiv import (
+    ExposureIndex,
     SynthParams,
-    category_histogram,
-    direct_timeline,
+    compute_all,
     generate,
-    indirect_timeline,
-    output_histograms,
+    normalized_entropy,
 )
+
+
+def _timeline(ds, user_id):
+    return ExposureIndex(ds).timeline(user_id)
+
+
+def _by_user(ds):
+    per_user, _ = compute_all(ds)
+    return {m.user_id: m for m in per_user}
+
+
+def _category_counts(index, tweet_ids):
+    """Per-category counts of a set of originals, by author category."""
+    return Counter(index.category_of_seed[index.original_author[t]] for t in tweet_ids)
 
 
 def _basic():
@@ -21,6 +36,7 @@ def _basic():
         seed("s3", "c"),
         regular("u1", ["s1", "s2"]),
         regular("u2", []),
+        regular("u3", ["s1"]),
     ]
     tweets = [
         original("o1", "s1", 1),
@@ -36,29 +52,34 @@ def _basic():
 
 
 def test_direct_is_union_of_followee_originals():
-    ds = _basic()
-    tl = direct_timeline(ds, "u1")
+    tl = _timeline(_basic(), "u1")
     assert tl.direct == {"o1", "o2", "o3", "o4", "o5"}
-    assert tl.indirect == tl.direct  # no surfacing applied
 
 
 def test_direct_empty_without_followees():
-    assert direct_timeline(_basic(), "u2").direct == frozenset()
+    tl = _timeline(_basic(), "u2")
+    assert tl.direct == tl.indirect == frozenset()
 
 
 def test_direct_excludes_followee_retweets():
     # r1/r2 are retweets by followed seeds; only originals count as direct
-    tl = direct_timeline(_basic(), "u1")
+    tl = _timeline(_basic(), "u1")
     assert "r1" not in tl.direct and "o6" not in tl.direct
 
 
 def test_indirect_adds_surfaced_original_once():
     ds = _basic()
-    tl = indirect_timeline(ds, "u1")
+    tl = _timeline(ds, "u1")
     # o6 arrives only via s1's retweet; o1 was already direct so the
     # retweet by s2 changes nothing
     assert tl.indirect == tl.direct | {"o6"}
     assert len(tl.indirect) == 6
+    # The batch path agrees: counts (a, b, c) are (3, 2, 0) direct and
+    # (3, 2, 1) indirect; counting the surfaced o1 again would give (4, 2, 1).
+    u1 = _by_user(ds)["u1"]
+    assert u1.direct_source_diversity == normalized_entropy([3, 2, 0], 3)
+    assert u1.indirect_source_diversity == normalized_entropy([3, 2, 1], 3)
+    assert normalized_entropy([3, 2, 1], 3) != normalized_entropy([4, 2, 1], 3)
 
 
 def test_indirect_equals_direct_without_retweets():
@@ -68,38 +89,39 @@ def test_indirect_equals_direct_without_retweets():
         [seed("s1", "a"), regular("u1", ["s1"])],
         [original("o1", "s1")],
     )
-    tl = indirect_timeline(ds, "u1")
+    tl = _timeline(ds, "u1")
     assert tl.indirect == tl.direct == {"o1"}
 
 
 def test_unknown_user_raises():
     with pytest.raises(KeyError):
-        direct_timeline(_basic(), "nobody")
-    with pytest.raises(KeyError):
-        indirect_timeline(_basic(), "nobody")
+        _timeline(_basic(), "nobody")
 
 
 def test_histogram_uniform_hundred():
     cfg = config({f"c{i}": "left" if i % 2 else "right" for i in range(5)})
     users = [seed(f"s{i}", f"c{i}") for i in range(5)]
+    users.append(regular("u1", [f"s{i}" for i in range(5)]))
     tweets = [original(f"o{i}_{j}", f"s{i}") for i in range(5) for j in range(20)]
     ds = dataset(cfg, users, tweets)
-    hist = category_histogram(ds, {t.id for t in tweets})
-    assert hist.total == 100
-    assert all(hist.counts[f"c{i}"] == 20 for i in range(5))
+    index = ExposureIndex(ds)
+    tl = index.timeline("u1")
+    assert len(tl.direct) == 100
+    counts = _category_counts(index, tl.direct)
+    assert all(counts[f"c{i}"] == 20 for i in range(5))
+    assert _by_user(ds)["u1"].direct_source_diversity == 1.0
 
 
 def test_histogram_empty_and_single_category():
     ds = _basic()
-    assert category_histogram(ds, set()).total == 0
-    hist = category_histogram(ds, {"o1", "o2", "o3"})
-    assert hist.counts == {"a": 3} and hist.n == 3
-
-
-def test_histogram_rejects_non_seed_originals():
-    ds = _basic()
-    with pytest.raises(ValueError):
-        category_histogram(ds, {"r1"})  # a retweet, not an original
+    index = ExposureIndex(ds)
+    assert not _category_counts(index, index.timeline("u2").direct)
+    assert _by_user(ds)["u2"].direct_source_diversity is None
+    # u3 follows s1 alone: o1..o3, all in category "a" of n = 3
+    direct = index.timeline("u3").direct
+    assert direct == {"o1", "o2", "o3"}
+    assert _category_counts(index, direct) == {"a": 3} and ds.config.n_categories == 3
+    assert _by_user(ds)["u3"].direct_source_diversity == 0.0
 
 
 def test_output_histograms():
@@ -112,10 +134,18 @@ def test_output_histograms():
         reply("p2", "u1", "s2"),
         reply("p3", "u1", "u2"),  # reply to a regular: no category, excluded
     ]
-    ds = dataset(cfg, users, tweets)
-    rt_hist, reply_hist = output_histograms(ds, "u1")
-    assert rt_hist.counts == {"a": 10}
-    assert reply_hist.counts == {"b": 2}
+    u1 = _by_user(dataset(cfg, users, tweets))["u1"]
+    assert u1.retweet_diversity == normalized_entropy([10, 0], 2) == 0.0
+    assert u1.reply_diversity == normalized_entropy([0, 2], 2) == 0.0
+
+    # One more retweet of a "b" original and one more reply to an "a" seed
+    # make the counts show: (10, 1) retweets, one per record, and (1, 2)
+    # replies, the reply to the regular u2 still excluded.
+    tweets += [original("ob", "s2"), retweet("rb", "u1", "ob"), reply("p4", "u1", "s1")]
+    u1 = _by_user(dataset(cfg, users, tweets))["u1"]
+    assert u1.retweet_diversity == normalized_entropy([10, 1], 2)
+    assert u1.reply_diversity == normalized_entropy([1, 2], 2)
+    assert normalized_entropy([1, 2], 2) != normalized_entropy([1, 3], 2)
 
 
 def test_timeline_invariants_on_generated_datasets():
@@ -125,11 +155,13 @@ def test_timeline_invariants_on_generated_datasets():
                         homophily=0.5, tweets_per_seed=6, retweets_per_regular=5,
                         replies_per_regular=2)
         )
+        index = ExposureIndex(ds)
+        seeds = {u.id for u in ds.seed_users()}
         for u in ds.regular_users():
-            tl = indirect_timeline(ds, u.id)
+            tl = index.timeline(u.id)
             assert tl.direct <= tl.indirect
-            direct_hist = category_histogram(ds, tl.direct)
-            indirect_hist = category_histogram(ds, tl.indirect)
-            assert direct_hist.support <= indirect_hist.support
-            assert direct_hist.total == len(tl.direct)
-            assert indirect_hist.total == len(tl.indirect)
+            # every member is a seed-authored original
+            assert all(index.original_author[t] in seeds for t in tl.indirect)
+            assert set(_category_counts(index, tl.direct)) <= set(
+                _category_counts(index, tl.indirect)
+            )

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from helpers import config, original, regular, retweet, seed
 from viewdiv import (
     IngestError,
+    ParseDiagnostic,
     TweetKind,
     UserKind,
     build_dataset,
@@ -109,6 +110,54 @@ def test_parse_users_non_string_category_is_diagnosed(value):
     assert diags[0].message == "'category' must be a string"
 
 
+_USER = {"id": "s9", "kind": "seed", "category": "a", "followees": ["s1"]}
+_TWEETS = {
+    "id": {"id": "t1", "author_id": "s1", "kind": "original"},
+    "author_id": {"id": "t1", "author_id": "s1", "kind": "original"},
+    "source_tweet_id": {"id": "t1", "author_id": "u1", "kind": "retweet", "source_tweet_id": "o1"},
+    "target_user_id": {"id": "t1", "author_id": "u1", "kind": "reply", "target_user_id": "s1"},
+}
+
+
+def _with_escaped_suffix(record: dict, field: str, suffix: str) -> str:
+    """The record as a JSON line, ``suffix`` appended to a string field
+    (the first followee for "followees"); json.dumps writes any non-ASCII
+    character of the suffix as a \\u escape, so the line stays ASCII."""
+    record = json.loads(json.dumps(record))
+    if field == "followees":
+        record[field][0] += suffix
+    else:
+        record[field] += suffix
+    line = json.dumps(record)
+    assert line.isascii()
+    return line
+
+
+@pytest.mark.parametrize("field", ["id", "category", "followees"])
+@pytest.mark.parametrize("surrogate", ["\udcff", "\ud800"])
+def test_parse_users_escaped_lone_surrogate_is_invalid_utf8(field, surrogate):
+    users, diags = parse_users(
+        [USER_LINES[0], _with_escaped_suffix(_USER, field, surrogate)]
+    )
+    assert [u.id for u in users] == ["s1"]
+    assert diags == [ParseDiagnostic(2, "invalid UTF-8")]
+
+
+@pytest.mark.parametrize("field", sorted(_TWEETS))
+def test_parse_tweets_escaped_lone_surrogate_is_invalid_utf8(field):
+    tweets, diags = parse_tweets([_with_escaped_suffix(_TWEETS[field], field, "\udcff")])
+    assert tweets == [] and diags == [ParseDiagnostic(1, "invalid UTF-8")]
+
+
+def test_parse_escaped_surrogate_pair_and_backslash_are_accepted():
+    emoji = "\U0001f600"  # json.dumps writes it as the pair \ud83d\ude00
+    users, diags = parse_users([_with_escaped_suffix(_USER, "id", emoji)])
+    assert diags == [] and [u.id for u in users] == ["s9" + emoji]
+    # an escaped backslash before "udcff" is text, not a \u escape
+    tweets, diags = parse_tweets([_with_escaped_suffix(_TWEETS["id"], "id", "\\udcff")])
+    assert diags == [] and [t.id for t in tweets] == ["t1\\udcff"]
+
+
 def test_load_dataset_counts_non_string_fields_as_malformed():
     cfg = config({"a": "left", "b": "right"})
     user_lines = USER_LINES + ['{"id":"s3","kind":"seed","category":["b"],"followees":[]}']
@@ -204,7 +253,7 @@ def test_build_drops_dangling_and_dedupes():
     ]
     ds, report = build_dataset(cfg, users, tweets)
     assert [t.id for t in ds.tweets] == ["o1", "r1"]
-    assert ds.tweet("o1").timestamp == 1
+    assert ds.tweets[0].timestamp == 1
     assert report.tweets_dropped_dangling == 2
     assert report.tweets_read == 5
 

@@ -5,48 +5,45 @@ from hypothesis import given, strategies as st
 
 from helpers import config, dataset, original, regular, reply, retweet, seed
 from viewdiv import (
-    CategoryHistogram,
     Wing,
     compute_all,
-    io_correlation,
-    minority_exposure,
-    minority_reach,
     normalized_entropy,
-    output_diversity,
+    oracle_metrics,
     seed_interaction_matrix,
-    source_diversity,
 )
 
 
-def _hist(counts, n):
-    return CategoryHistogram(counts=dict(counts), n=n)
+def _by_user(ds, **kwargs):
+    """compute_all's per-user rows keyed by user id."""
+    per_user, _ = compute_all(ds, **kwargs)
+    return {m.user_id: m for m in per_user}
 
 
 def test_entropy_uniform_is_exactly_one():
-    assert normalized_entropy(_hist({f"c{i}": 20 for i in range(5)}, 5)) == 1.0
+    assert normalized_entropy([20] * 5, 5) == 1.0
 
 
 def test_entropy_single_support_is_exactly_zero():
-    assert normalized_entropy(_hist({"c0": 10}, 5)) == 0.0
+    assert normalized_entropy([10, 0, 0, 0, 0], 5) == 0.0
 
 
 def test_entropy_worked_value():
     # independent evaluation of -sum(p ln p)/ln n for counts (10, 10, 20)
-    value = normalized_entropy(_hist({"a": 10, "b": 10, "c": 20}, 3))
+    value = normalized_entropy([10, 10, 20], 3)
     assert value == pytest.approx(0.9464, abs=1e-4)
     assert value == pytest.approx(0.946394630357186, abs=1e-12)
 
 
 def test_entropy_rejects_degenerate_universe():
     with pytest.raises(ValueError):
-        normalized_entropy(_hist({"a": 1}, 1))
+        normalized_entropy([1], 1)
     with pytest.raises(ValueError):
-        normalized_entropy(_hist({"a": 3, "b": -1}, 2))
+        normalized_entropy([3, -1], 2)
 
 
 def test_entropy_empty_is_undefined():
-    assert normalized_entropy(_hist({}, 3)) is None
-    assert normalized_entropy(_hist({"a": 0, "b": 0}, 2)) is None
+    assert normalized_entropy([], 3) is None
+    assert normalized_entropy([0, 0], 2) is None
 
 
 @given(
@@ -58,8 +55,7 @@ def test_entropy_empty_is_undefined():
 )
 def test_entropy_invariants(counts, rnd, scale):
     n = len(counts)
-    hist = _hist({f"c{i}": v for i, v in enumerate(counts)}, n)
-    value = normalized_entropy(hist)
+    value = normalized_entropy(counts, n)
     positive = [v for v in counts if v > 0]
     if not positive:
         assert value is None
@@ -72,12 +68,10 @@ def test_entropy_invariants(counts, rnd, scale):
 
     shuffled = counts[:]
     rnd.shuffle(shuffled)
-    permuted = normalized_entropy(_hist({f"c{i}": v for i, v in enumerate(shuffled)}, n))
+    permuted = normalized_entropy(shuffled, n)
     assert permuted == pytest.approx(value, abs=1e-12)
 
-    scaled = normalized_entropy(
-        _hist({f"c{i}": v * scale for i, v in enumerate(counts)}, n)
-    )
+    scaled = normalized_entropy([v * scale for v in counts], n)
     assert scaled == pytest.approx(value, abs=1e-12)
 
 
@@ -96,13 +90,11 @@ def _diversity_ds():
 
 
 def test_source_diversity_degenerate_and_uniform():
-    ds = _diversity_ds()
-    assert source_diversity(ds, "one_seed", "direct") == 0.0
-    assert source_diversity(ds, "balanced", "direct") == 1.0
-    assert source_diversity(ds, "idle", "direct") is None
-    assert source_diversity(ds, "idle", "indirect") is None
-    with pytest.raises(ValueError):
-        source_diversity(ds, "one_seed", "sideways")
+    m = _by_user(_diversity_ds())
+    assert m["one_seed"].direct_source_diversity == 0.0
+    assert m["balanced"].direct_source_diversity == 1.0
+    assert m["idle"].direct_source_diversity is None
+    assert m["idle"].indirect_source_diversity is None
 
 
 def test_output_diversity_examples():
@@ -111,13 +103,12 @@ def test_output_diversity_examples():
     tweets = [original(f"oa{i}", "s1") for i in range(4)]
     tweets += [original(f"ob{i}", "s2") for i in range(4)]
     tweets += [retweet(f"r{i}", "u1", f"oa{i}") for i in range(4)]
-    ds = dataset(cfg, users, tweets)
-    assert output_diversity(ds, "u1", "retweet") == 0.0  # one category only
-    assert output_diversity(ds, "u1", "reply") is None  # no replies made
+    u1 = _by_user(dataset(cfg, users, tweets))["u1"]
+    assert u1.retweet_diversity == 0.0  # one category only
+    assert u1.reply_diversity is None  # no replies made
 
     tweets += [retweet(f"rb{i}", "u1", f"ob{i}") for i in range(4)]
-    ds2 = dataset(cfg, users, tweets)
-    assert output_diversity(ds2, "u1", "retweet") == 1.0
+    assert _by_user(dataset(cfg, users, tweets))["u1"].retweet_diversity == 1.0
 
 
 def _minority_ds():
@@ -137,9 +128,9 @@ def _minority_ds():
 
 
 def test_minority_reach_examples():
-    ds = _minority_ds()
-    assert minority_reach(ds, "u1") == pytest.approx(0.3)
-    assert minority_reach(ds, "all_min") == 1.0
+    m = _by_user(_minority_ds())
+    assert m["u1"].minority_reach == pytest.approx(0.3)
+    assert m["all_min"].minority_reach == 1.0
 
 
 def test_minority_reach_via_indirect_path_only():
@@ -151,14 +142,13 @@ def test_minority_reach_via_indirect_path_only():
         original("os_0", "s1", 3),
         retweet("r1", "s1", "om_0", 4),  # the only minority access u1 has
     ]
-    ds = dataset(cfg, users, tweets)
-    assert minority_reach(ds, "u1") == pytest.approx(1 / 2)
+    assert _by_user(dataset(cfg, users, tweets))["u1"].minority_reach == pytest.approx(1 / 2)
 
 
 def test_minority_reach_undefined_without_minority_tweets():
     cfg = config({"a": "left", "b": "right"})
     ds = dataset(cfg, [seed("s1", "a"), regular("u1", ["s1"])], [original("o1", "s1")])
-    assert minority_reach(ds, "u1") is None
+    assert _by_user(ds)["u1"].minority_reach is None
 
 
 def test_minority_exposure_examples():
@@ -166,16 +156,16 @@ def test_minority_exposure_examples():
     users = [seed("s1", "a"), seed("m1", "m"), regular("u1", ["s1", "m1"]), regular("idle", [])]
     tweets = [original(f"om_{i}", "m1", ts=i) for i in range(23)]
     tweets += [original(f"os_{i}", "s1", ts=100 + i) for i in range(77)]
-    ds = dataset(cfg, users, tweets)
-    assert minority_exposure(ds, "u1") == pytest.approx(0.23)
-    assert minority_exposure(ds, "idle") is None
+    m = _by_user(dataset(cfg, users, tweets))
+    assert m["u1"].minority_exposure == pytest.approx(0.23)
+    assert m["idle"].minority_exposure is None
 
     no_min = dataset(
         config({"a": "left", "b": "right"}),
         [seed("s1", "a"), regular("u1", ["s1"])],
         [original("o1", "s1")],
     )
-    assert minority_exposure(no_min, "u1") == 0.0
+    assert _by_user(no_min)["u1"].minority_exposure == 0.0
 
 
 def test_minority_monotone_in_followed_minority_seeds():
@@ -192,10 +182,10 @@ def test_minority_monotone_in_followed_minority_seeds():
     tweets = [original(f"om1_{i}", "m1", ts=i) for i in range(2)]
     tweets += [original(f"om2_{i}", "m2", ts=10 + i) for i in range(4)]
     tweets += [original(f"os_{i}", "s1", ts=20 + i) for i in range(6)]
-    before = dataset(cfg, users_before, tweets)
-    after = dataset(cfg, users_after, tweets)
-    assert minority_reach(after, "u1") >= minority_reach(before, "u1")
-    assert minority_exposure(after, "u1") >= minority_exposure(before, "u1")
+    before = _by_user(dataset(cfg, users_before, tweets))["u1"]
+    after = _by_user(dataset(cfg, users_after, tweets))["u1"]
+    assert after.minority_reach >= before.minority_reach
+    assert after.minority_exposure >= before.minority_exposure
 
 
 def _io_ds(input_counts, output_counts):
@@ -218,26 +208,33 @@ def _io_ds(input_counts, output_counts):
     return dataset(cfg, users, tweets)
 
 
+def _io(ds, user_id="u1", margin=0.0):
+    """The user's io correlation: the plain column, or the margin column."""
+    if margin == 0.0:
+        return _by_user(ds)[user_id].io_correlated
+    return _by_user(ds, io_margin=margin)[user_id].io_correlated_15
+
+
 def test_io_correlation_match_and_mismatch():
-    assert io_correlation(_io_ds({"a": 5, "b": 2}, {"a": 3, "b": 1}), "u1") is True
-    assert io_correlation(_io_ds({"a": 5, "b": 2}, {"a": 1, "b": 2}), "u1") is False
+    assert _io(_io_ds({"a": 5, "b": 2}, {"a": 3, "b": 1})) is True
+    assert _io(_io_ds({"a": 5, "b": 2}, {"a": 1, "b": 2})) is False
 
 
 def test_io_correlation_tie_is_false():
     ds = _io_ds({"a": 3, "b": 3}, {"a": 2, "b": 1})
-    assert io_correlation(ds, "u1") is False
+    assert _io(ds) is False
     ds2 = _io_ds({"a": 4, "b": 2}, {"a": 2, "b": 2})
-    assert io_correlation(ds2, "u1") is False
+    assert _io(ds2) is False
 
 
 def test_io_correlation_margin_requires_dominance():
     # input share 6/10 = 0.6 < 1/3 + 0.3; output share 1.0 passes alone
     ds = _io_ds({"a": 6, "b": 4}, {"a": 5})
-    assert io_correlation(ds, "u1", margin=0.0) is True
-    assert io_correlation(ds, "u1", margin=0.3) is False
+    assert _io(ds, margin=0.0) is True
+    assert _io(ds, margin=0.3) is False
     # comfortably dominant on both sides
     ds2 = _io_ds({"a": 9, "b": 1}, {"a": 5})
-    assert io_correlation(ds2, "u1", margin=0.3) is True
+    assert _io(ds2, margin=0.3) is True
 
 
 def test_io_correlation_undefined_cases():
@@ -247,14 +244,14 @@ def test_io_correlation_undefined_cases():
         [seed("s1", "a"), regular("u1", ["s1"]), regular("u2", [])],
         [original("o1", "s1")],
     )
-    assert io_correlation(ds, "u1") is None  # no retweets made
-    assert io_correlation(ds, "u2") is None  # empty timeline
+    assert _io(ds, "u1") is None  # no retweets made
+    assert _io(ds, "u2") is None  # empty timeline
 
 
 def test_io_correlation_scale_invariance():
     a = _io_ds({"a": 5, "b": 2}, {"a": 3, "b": 1})
     b = _io_ds({"a": 50, "b": 20}, {"a": 30, "b": 10})
-    assert io_correlation(a, "u1") is io_correlation(b, "u1")
+    assert _io(a) is _io(b)
 
 
 def _matrix_ds(left_to_left, left_to_right):
@@ -300,16 +297,9 @@ def test_compute_all_matches_per_op_results():
     ds = _minority_ds()
     per_user, matrix = compute_all(ds)
     assert [m.user_id for m in per_user] == ["all_min", "u1"]  # sorted ids
-    for m in per_user:
-        assert m.direct_source_diversity == source_diversity(ds, m.user_id, "direct")
-        assert m.indirect_source_diversity == source_diversity(ds, m.user_id, "indirect")
-        assert m.retweet_diversity == output_diversity(ds, m.user_id, "retweet")
-        assert m.reply_diversity == output_diversity(ds, m.user_id, "reply")
-        assert m.minority_reach == minority_reach(ds, m.user_id)
-        assert m.minority_exposure == minority_exposure(ds, m.user_id)
-        assert m.io_correlated == io_correlation(ds, m.user_id, 0.0)
-        assert m.io_correlated_15 == io_correlation(ds, m.user_id, 0.15)
-    assert matrix == seed_interaction_matrix(ds)
+    oracle_per_user, oracle_matrix = oracle_metrics(ds)
+    assert per_user == oracle_per_user
+    assert matrix == oracle_matrix == seed_interaction_matrix(ds)
 
 
 def test_compute_all_empty_regulars():

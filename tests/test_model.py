@@ -11,7 +11,6 @@ from viewdiv import (
     UserKind,
     UserRecord,
     Wing,
-    classify_wing,
     load_country_config,
     validate_config,
 )
@@ -103,17 +102,17 @@ def test_tweet_record_invariants():
 
 def test_classify_wing_identity_lookup():
     cfg = config({"left": "left", "right": "right", "centrist": "unaligned"})
-    assert classify_wing("left", cfg) is Wing.LEFT
-    assert classify_wing("centrist", cfg) is Wing.UNALIGNED
+    assert cfg.wing_of("left") is Wing.LEFT
+    assert cfg.wing_of("centrist") is Wing.UNALIGNED
     with pytest.raises(KeyError):
-        classify_wing("martian", cfg)
+        cfg.wing_of("martian")
 
 
 def test_classify_wing_on_shipped_configs():
     turkey = load_country_config(CONFIGS / "turkey.json")
     assert turkey.n_categories == 9
-    assert classify_wing("kurdish", turkey) is Wing.LEFT
+    assert turkey.wing_of("kurdish") is Wing.LEFT
     netherlands = load_country_config(CONFIGS / "netherlands.json")
     assert netherlands.n_categories == 5
-    assert classify_wing("green", netherlands) is Wing.LEFT
-    assert classify_wing("centrist", netherlands) is Wing.UNALIGNED
+    assert netherlands.wing_of("green") is Wing.LEFT
+    assert netherlands.wing_of("centrist") is Wing.UNALIGNED
