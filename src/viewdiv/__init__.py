@@ -5,8 +5,6 @@ from .ingest import (
     IngestError,
     IngestReport,
     ParseDiagnostic,
-    build_dataset,
-    filter_active_regulars,
     load_country_config,
     load_dataset,
     parse_spam,
@@ -74,10 +72,8 @@ __all__ = [
     "UserRecord",
     "Wing",
     "WingMatrix",
-    "build_dataset",
     "compute_all",
     "distribution",
-    "filter_active_regulars",
     "fraction_below",
     "generate",
     "load_country_config",

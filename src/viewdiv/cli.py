@@ -51,6 +51,10 @@ class RunConfig:
         for t in self.thresholds:
             if not 0.0 < t <= 1.0:
                 raise ValueError(f"threshold {t} outside (0, 1]")
+        # summary.json keys each threshold's fraction by this format
+        keys = [format(t, "g") for t in self.thresholds]
+        if len(set(keys)) < len(keys):
+            raise ValueError(f"repeated threshold in {','.join(keys)}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 <= self.io_margin < 1.0:
@@ -70,11 +74,8 @@ def _round4(x: float | None) -> float | None:
 
 
 def _read_lines(path: Path) -> list[str]:
-    try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            return fh.readlines()
-    except OSError as exc:
-        raise IngestError([f"cannot open {path}: {exc.strerror or exc}"]) from exc
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return fh.readlines()
 
 
 def _load(rc: RunConfig) -> tuple[Dataset, IngestReport, list[ParseDiagnostic]]:
@@ -289,8 +290,12 @@ def _input_errors(func):
             return func(*args, **kwargs)
         except IngestError as exc:
             _fail(str(exc), 2)
-        except (FileNotFoundError, NotADirectoryError) as exc:
-            _fail(f"cannot open {exc.filename}", 2)
+        except OSError as exc:
+            # One that names a file comes from a path on the command line.
+            if exc.filename is None:
+                _fail(f"internal: {exc!r}", 1)
+            else:
+                _fail(f"cannot open {exc.filename}: {exc.strerror or exc}", 2)
         except (ValueError, json.JSONDecodeError) as exc:
             _fail(str(exc), 2)
         except (click.ClickException, SystemExit):

@@ -61,7 +61,7 @@ class ExposureIndex:
                 self.original_author[t.id] = t.author_id
                 originals_by_seed[t.author_id].add(t.id)
             elif t.kind is TweetKind.RETWEET and t.author_id in seed_ids:
-                # build_dataset guarantees the source is a seed-authored original
+                # load_dataset keeps a retweet only of a seed-authored original
                 retweeted_by_seed[t.author_id].add(t.source_tweet_id)  # type: ignore[arg-type]
 
         self.originals_by_seed = {s: frozenset(v) for s, v in originals_by_seed.items()}

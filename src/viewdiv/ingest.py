@@ -218,27 +218,22 @@ def _first_by_id(tweets: list[TweetRecord]) -> list[TweetRecord]:
 def filter_active_regulars(
     users: list[UserRecord],
     tweets: list[TweetRecord],
+    seed_originals: set[str],
     spam_ids: frozenset[str] | set[str] = frozenset(),
     min_retweets: int = 5,
 ) -> tuple[list[UserRecord], int, int]:
     """Apply the activity inclusion filter to regular users.
 
     Seeds always pass. A regular passes iff it is not spam-listed, it
-    retweeted at least ``min_retweets`` distinct seed-authored originals, and
-    it follows at least one seed. Spam takes precedence over the threshold in
+    retweeted at least ``min_retweets`` distinct originals in
+    ``seed_originals`` (the ids of the seed-authored originals), and it
+    follows at least one seed. Spam takes precedence over the threshold in
     the drop counts. Returns ``(retained, dropped_spam, dropped_threshold)``.
     """
     seed_ids = {u.id for u in users if u.kind is UserKind.SEED}
-    original_author = {
-        t.id: t.author_id for t in tweets if t.kind is TweetKind.ORIGINAL
-    }
-
     distinct_seed_retweets: dict[str, set[str]] = {}
     for t in tweets:
-        if t.kind is not TweetKind.RETWEET:
-            continue
-        src_author = original_author.get(t.source_tweet_id or "")
-        if src_author in seed_ids:
+        if t.kind is TweetKind.RETWEET and t.source_tweet_id in seed_originals:
             distinct_seed_retweets.setdefault(t.author_id, set()).add(t.source_tweet_id)  # type: ignore[arg-type]
 
     retained: list[UserRecord] = []
@@ -264,19 +259,16 @@ def build_dataset(
     config: CountryConfig,
     users: list[UserRecord],
     tweets: list[TweetRecord],
-    *,
-    users_read: int | None = None,
-    users_dropped_spam: int = 0,
-    users_dropped_threshold: int = 0,
-    tweets_read: int | None = None,
-) -> tuple[Dataset, IngestReport]:
+    seed_originals: set[str],
+) -> tuple[Dataset, int]:
     """Assemble and validate an immutable Dataset from filtered collections.
 
-    Tweet ids deduplicate keeping the first occurrence. Tweets with dangling
-    references are dropped and counted: unknown author, retweet source that
-    is not a kept seed-authored original, or unknown reply target. Config
-    validation failure raises :class:`IngestError`. The optional keyword
-    counters let a pipeline thread parse/filter tallies into the report.
+    ``tweets`` must hold each id once and ``seed_originals`` the ids of its
+    originals authored by a seed in ``users``. A tweet is kept iff its
+    author is in ``users`` and, for a retweet, its source is in
+    ``seed_originals`` or, for a reply, its target is in ``users``; the
+    rest dangle. Config validation failure raises :class:`IngestError`.
+    Returns ``(dataset, tweets_dropped_dangling)``.
     """
     user_map: dict[str, UserRecord] = {}
     for u in users:
@@ -286,38 +278,15 @@ def build_dataset(
     if violations:
         raise IngestError(violations)
 
-    deduped = _first_by_id(tweets)
-
-    # Originals kept iff their author resolves; retweets must then point at a
-    # kept original authored by a seed (cascaded drops count as dangling too).
-    kept_original_author: dict[str, str] = {}
-    for t in deduped:
-        if t.kind is TweetKind.ORIGINAL and t.author_id in user_map:
-            kept_original_author[t.id] = t.author_id
-
-    kept: list[TweetRecord] = []
-    dropped_dangling = 0
-    for t in deduped:
-        ok = t.author_id in user_map
-        if ok and t.kind is TweetKind.RETWEET:
-            src_author = kept_original_author.get(t.source_tweet_id or "")
-            ok = src_author is not None and user_map[src_author].kind is UserKind.SEED
-        elif ok and t.kind is TweetKind.REPLY:
-            ok = t.target_user_id in user_map
-        if ok:
-            kept.append(t)
-        else:
-            dropped_dangling += 1
+    kept = [
+        t for t in tweets
+        if t.author_id in user_map
+        and (t.kind is not TweetKind.RETWEET or t.source_tweet_id in seed_originals)
+        and (t.kind is not TweetKind.REPLY or t.target_user_id in user_map)
+    ]
 
     dataset = Dataset(config=config, users=user_map, tweets=tuple(kept))
-    report = IngestReport(
-        users_read=len(users) if users_read is None else users_read,
-        users_dropped_spam=users_dropped_spam,
-        users_dropped_threshold=users_dropped_threshold,
-        tweets_read=len(tweets) if tweets_read is None else tweets_read,
-        tweets_dropped_dangling=dropped_dangling,
-    )
-    return dataset, report
+    return dataset, len(tweets) - len(kept)
 
 
 def load_dataset(
@@ -327,32 +296,36 @@ def load_dataset(
     spam_ids: frozenset[str] | set[str] = frozenset(),
     min_retweets: int = 5,
 ) -> tuple[Dataset, IngestReport, list[ParseDiagnostic]]:
-    """Full ingest pipeline: parse, dedupe tweet ids, filter, build.
+    """Full ingest pipeline: parse, resolve tweets once, filter, build.
 
-    Tweet ids are deduplicated once, keeping the first occurrence, before
-    the activity filter, so the filter and the built dataset see the same
-    tweets. ``users_read``/``tweets_read`` count every attempted record
-    line, so users_read = retained + dropped_spam + dropped_threshold +
+    Tweet ids are deduplicated once, keeping the first occurrence, and the
+    ids of the originals authored by a seed are collected once; the
+    activity filter and the build both read that one resolution, so a
+    retweet counts toward a regular's activity iff the dataset would keep
+    it. ``users_read``/``tweets_read`` count every attempted record line,
+    so users_read = retained + dropped_spam + dropped_threshold +
     malformed, and tweets_read = kept + dropped_dangling + malformed +
     duplicate ids.
     """
     users, user_diags = parse_users(user_lines)
     parsed, tweet_diags = parse_tweets(tweet_lines)
     tweets = _first_by_id(parsed)
+    seed_ids = {u.id for u in users if u.kind is UserKind.SEED}
+    seed_originals = {
+        t.id for t in tweets if t.kind is TweetKind.ORIGINAL and t.author_id in seed_ids
+    }
     retained, dropped_spam, dropped_threshold = filter_active_regulars(
-        users, tweets, spam_ids, min_retweets
+        users, tweets, seed_originals, spam_ids, min_retweets
     )
-    dataset, report = build_dataset(
-        config,
-        retained,
-        tweets,
+    dataset, dropped_dangling = build_dataset(config, retained, tweets, seed_originals)
+    report = IngestReport(
         users_read=len(users) + len(user_diags),
         users_dropped_spam=dropped_spam,
         users_dropped_threshold=dropped_threshold,
         tweets_read=len(parsed) + len(tweet_diags),
+        tweets_dropped_dangling=dropped_dangling,
     )
-    diagnostics = [*user_diags, *tweet_diags]
-    return dataset, report, diagnostics
+    return dataset, report, [*user_diags, *tweet_diags]
 
 
 # -- country config and dataset serialization --------------------------------
@@ -362,10 +335,15 @@ def load_country_config(path: str | Path) -> CountryConfig:
 
     Shape: ``{"name": str, "categories": [{"id": str, "wing":
     "left"|"right"|"unaligned"}, ...], "minority_user_ids": [str, ...]}``.
+    The file is held to the same rules as one input line: text that is not
+    valid UTF-8 (raw bytes or an escaped lone surrogate), invalid JSON or a
+    non-object make it a malformed config.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    raw, diag = _parse_line(text, 1)
+    if diag is not None:
+        raise ValueError(f"{path}: malformed country config ({diag.message})")
+    assert raw is not None
     try:
         categories = tuple(
             PoliticalCategory(id=c["id"], wing=Wing(c["wing"]))

@@ -106,9 +106,9 @@ class TweetRecord:
 class Dataset:
     """Immutable, reference-checked container for one country's crawl.
 
-    Construct through :func:`viewdiv.ingest.build_dataset`, which drops
-    dangling references and deduplicates tweet ids before validation; the
-    analysis modules assume every reference resolves.
+    Construct through :func:`viewdiv.ingest.load_dataset`, which
+    deduplicates tweet ids, drops dangling references and validates the
+    config; the analysis modules assume every reference resolves.
     """
 
     config: CountryConfig

@@ -68,6 +68,10 @@ def test_run_config_invariants(tmp_path):
         rc(thresholds=(0.0,))
     with pytest.raises(ValueError):
         rc(thresholds=(1.2,))
+    # summary.json keys fractions by format(t, "g"): one key per threshold
+    for repeated in [(0.05, 0.050, 0.5), (0.1234561, 0.1234562)]:
+        with pytest.raises(ValueError, match="repeated threshold"):
+            rc(thresholds=repeated)
     with pytest.raises(ValueError):
         rc(alpha=1.0)
     with pytest.raises(ValueError):
@@ -78,6 +82,19 @@ def test_analyze_missing_users_file_exits_2(tmp_path):
     result = runner.invoke(main, _analyze_args(tmp_path, users=tmp_path / "nope.jsonl"))
     assert result.exit_code == 2
     assert "cannot open" in result.output
+    assert "config validation failed" not in result.output
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_directory_config_exits_2(tmp_path, command):
+    args = [command, "--config", str(tmp_path), "--users", str(TOY / "users.jsonl"),
+            "--tweets", str(TOY / "tweets.jsonl")]
+    if command == "analyze":
+        args += ["--out", str(tmp_path / "rep")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"cannot open {tmp_path}: Is a directory" in result.output
+    assert not (tmp_path / "rep").exists()
 
 
 def test_analyze_invalid_config_exits_2(tmp_path):
@@ -124,6 +141,29 @@ def test_analyze_non_string_config_field_exits_2(tmp_path, field, value):
     )
     assert result.exit_code == 2, result.output
     assert "malformed country config" in result.output
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("field", ["name", "category_id", "minority_id"])
+def test_analyze_config_lone_surrogate_exits_2(tmp_path, field):
+    """Config strings follow the input lines' UTF-8 policy: an escaped lone
+    surrogate is a malformed config, not text copied into the reports."""
+    cfg = json.loads((TOY / "config.json").read_text())
+    if field == "name":
+        cfg["name"] += "\udcff"
+    elif field == "category_id":
+        cfg["categories"][0]["id"] += "\udcff"
+    else:
+        cfg["minority_user_ids"][0] += "\udcff"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))  # json.dumps writes the escape \udcff
+    result = runner.invoke(
+        main,
+        ["analyze", "--config", str(bad), "--users", str(TOY / "users.jsonl"),
+         "--tweets", str(TOY / "tweets.jsonl"), "--out", str(tmp_path / "rep")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "malformed country config (invalid UTF-8)" in result.output
     assert not (tmp_path / "rep").exists()
 
 

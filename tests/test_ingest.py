@@ -12,14 +12,13 @@ from viewdiv import (
     ParseDiagnostic,
     TweetKind,
     UserKind,
-    build_dataset,
-    filter_active_regulars,
     load_country_config,
     load_dataset,
     parse_spam,
     parse_tweets,
     parse_users,
 )
+from viewdiv.ingest import build_dataset, filter_active_regulars, tweet_to_line, user_to_line
 
 USER_LINES = [
     '{"id":"s1","kind":"seed","category":"a","followees":[]}',
@@ -195,6 +194,13 @@ def test_parse_spam():
     assert parse_spam(["a", "", " b ", "a"]) == {"a", "b"}
 
 
+def _seed_originals(users, tweets) -> set[str]:
+    """The ids of the originals authored by a seed in ``users``: the one set
+    load_dataset hands both the filter and the build."""
+    seeds = {u.id for u in users if u.kind is UserKind.SEED}
+    return {t.id for t in tweets if t.kind is TweetKind.ORIGINAL and t.author_id in seeds}
+
+
 def _activity(n_retweets: int):
     users = [seed("s1", "a"), regular("u1", ["s1"])]
     tweets = [original(f"o{i}", "s1", ts=i) for i in range(10)]
@@ -204,32 +210,36 @@ def _activity(n_retweets: int):
 
 def test_filter_keeps_regular_at_threshold():
     users, tweets = _activity(5)
-    retained, spam, thr = filter_active_regulars(users, tweets)
+    retained, spam, thr = filter_active_regulars(users, tweets, _seed_originals(users, tweets))
     assert {u.id for u in retained} == {"s1", "u1"} and (spam, thr) == (0, 0)
 
 
 def test_filter_drops_regular_below_threshold():
     users, tweets = _activity(4)
-    retained, spam, thr = filter_active_regulars(users, tweets)
+    retained, spam, thr = filter_active_regulars(users, tweets, _seed_originals(users, tweets))
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 
 def test_filter_counts_duplicate_retweets_once():
     users = [seed("s1", "a"), regular("u1", ["s1"])]
     tweets = [original("o1", "s1")] + [retweet(f"r{i}", "u1", "o1") for i in range(8)]
-    retained, _, thr = filter_active_regulars(users, tweets)
+    retained, _, thr = filter_active_regulars(users, tweets, _seed_originals(users, tweets))
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 
 def test_filter_spam_takes_precedence():
     users, tweets = _activity(10)
-    retained, spam, thr = filter_active_regulars(users, tweets, spam_ids={"u1"})
+    retained, spam, thr = filter_active_regulars(
+        users, tweets, _seed_originals(users, tweets), spam_ids={"u1"}
+    )
     assert {u.id for u in retained} == {"s1"} and (spam, thr) == (1, 0)
 
 
 def test_filter_never_drops_seeds():
     users, tweets = _activity(0)
-    retained, _, _ = filter_active_regulars(users, tweets, spam_ids={"s1"})
+    retained, _, _ = filter_active_regulars(
+        users, tweets, _seed_originals(users, tweets), spam_ids={"s1"}
+    )
     assert any(u.id == "s1" for u in retained)
 
 
@@ -237,7 +247,7 @@ def test_filter_requires_followed_seed():
     users = [seed("s1", "a"), regular("u1")]  # retweets but follows nobody
     tweets = [original(f"o{i}", "s1") for i in range(6)]
     tweets += [retweet(f"r{i}", "u1", f"o{i}") for i in range(6)]
-    retained, _, thr = filter_active_regulars(users, tweets)
+    retained, _, thr = filter_active_regulars(users, tweets, _seed_originals(users, tweets))
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 
@@ -251,37 +261,52 @@ def test_build_drops_dangling_and_dedupes():
         retweet("r2", "u1", "missing", ts=4),  # dangling source
         retweet("r3", "ghost", "o1", ts=5),  # dangling author
     ]
-    ds, report = build_dataset(cfg, users, tweets)
+    # load_dataset dedupes the ids; u1 has one seed retweet, so it passes
+    # the filter at min_retweets=1
+    ds, report, diags = load_dataset(
+        cfg, [user_to_line(u) for u in users], [tweet_to_line(t) for t in tweets],
+        min_retweets=1,
+    )
+    assert diags == []
     assert [t.id for t in ds.tweets] == ["o1", "r1"]
     assert ds.tweets[0].timestamp == 1
     assert report.tweets_dropped_dangling == 2
     assert report.tweets_read == 5
+    # build_dataset itself drops the dangling source and author
+    deduped = [tweets[0], *tweets[2:]]
+    ds, dropped = build_dataset(cfg, users, deduped, _seed_originals(users, deduped))
+    assert [t.id for t in ds.tweets] == ["o1", "r1"]
+    assert dropped == 2
 
 
 def test_build_drops_retweet_of_regular_original():
     cfg = config({"a": "left", "b": "right"})
     users = [seed("s1", "a"), regular("u1", ["s1"]), regular("u2", ["s1"])]
     tweets = [original("o1", "u1"), retweet("r1", "u2", "o1")]
-    ds, report = build_dataset(cfg, users, tweets)
+    ds, dropped = build_dataset(cfg, users, tweets, _seed_originals(users, tweets))
     # the regular's original is kept, but a retweet of it violates the
     # seed-original requirement and dangles
     assert [t.id for t in ds.tweets] == ["o1"]
-    assert report.tweets_dropped_dangling == 1
+    assert dropped == 1
 
 
 def test_build_clean_inputs_identity():
     cfg = config({"a": "left", "b": "right"})
     users = [seed("s1", "a"), seed("s2", "b")]
     tweets = [original("o1", "s1"), original("o2", "s2")]
-    ds, report = build_dataset(cfg, users, tweets)
-    assert len(ds.tweets) == 2 and report.tweets_dropped_dangling == 0
+    ds, dropped = build_dataset(cfg, users, tweets, _seed_originals(users, tweets))
+    assert len(ds.tweets) == 2 and dropped == 0
+    loaded, report, _ = load_dataset(
+        cfg, [user_to_line(u) for u in users], [tweet_to_line(t) for t in tweets]
+    )
+    assert loaded == ds
     assert report.users_read == 2 and report.tweets_read == 2
 
 
 def test_build_fails_on_invalid_config():
     cfg = config({"a": "left"})  # n < 2
     with pytest.raises(IngestError) as exc:
-        build_dataset(cfg, [seed("s1", "a")], [])
+        build_dataset(cfg, [seed("s1", "a")], [], set())
     assert any("n < 2" in v for v in exc.value.violations)
 
 
@@ -508,7 +533,7 @@ def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
     except IngestError:
         return
 
-    _, user_diags = parse_users(user_lines)
+    parsed_users, user_diags = parse_users(user_lines)
     parsed_tweets, tweet_diags = parse_tweets(tweet_lines)
     assert len(diags) == len(user_diags) + len(tweet_diags)
     invalid_utf8 = sum(1 for d in diags if d.message == "invalid UTF-8")
@@ -522,6 +547,20 @@ def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
     assert report.tweets_read == (
         len(ds.tweets) + report.tweets_dropped_dangling + len(tweet_diags) + duplicates
     )
+
+    # The kept tweets, from the definition: the first line of each id whose
+    # author is retained, whose retweet source is an original authored by a
+    # seed, and whose reply target is retained.
+    first = {}  # id -> first parsed tweet, in input order
+    for t in parsed_tweets:
+        first.setdefault(t.id, t)
+    by_seed = _seed_originals(parsed_users, first.values())
+    assert [t.id for t in ds.tweets] == [
+        t.id for t in first.values()
+        if t.author_id in ds.users
+        and (t.kind is not TweetKind.RETWEET or t.source_tweet_id in by_seed)
+        and (t.kind is not TweetKind.REPLY or t.target_user_id in ds.users)
+    ]
 
     # The filter saw the tweets the dataset holds: every retained regular
     # clears the threshold on the built dataset itself.
