@@ -1,0 +1,234 @@
+"""Metamorphic properties of ``analyze``: reorder or relabel the input, and
+no report byte may move.
+
+Each example takes a small crawl (the toy fixture or a generated one), adds
+crawl noise (re-delivered lines, re-used tweet ids with other content,
+truncated lines, spam-listed regulars), runs ``analyze`` on it, and runs it
+again on one transformed copy per property:
+
+* the user lines shuffled;
+* the tweet lines whose id occurs once shuffled among themselves (lines
+  that share an id keep their order, since the first one wins);
+* the tweet ids renamed by an order-preserving bijection;
+* the user ids renamed by an order-preserving bijection, everywhere they
+  occur, with the ``user_id`` column mapped back before comparing.
+
+So the order in which ingest meets ids never reaches a report.
+"""
+
+import functools
+import json
+import tempfile
+from pathlib import Path
+
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from viewdiv import SynthParams, generate, write_dataset
+from viewdiv.cli import main
+
+TOY = Path(__file__).resolve().parent / "data" / "toy"
+
+runner = CliRunner()
+
+
+@functools.lru_cache(maxsize=None)
+def _base(source) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """(config text, user lines, tweet lines) of a clean crawl."""
+    if source == "toy":
+        directory = TOY
+        return (
+            (directory / "config.json").read_text(),
+            tuple((directory / "users.jsonl").read_text().splitlines()),
+            tuple((directory / "tweets.jsonl").read_text().splitlines()),
+        )
+    params = SynthParams(
+        rng_seed=source, n_categories=4, n_seeds=8, n_regulars=20, homophily=0.5,
+        tweets_per_seed=6, retweets_per_regular=7, replies_per_regular=2,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_dataset(generate(params), tmp)
+        return (
+            paths["config"].read_text(),
+            tuple(paths["users"].read_text().splitlines()),
+            tuple(paths["tweets"].read_text().splitlines()),
+        )
+
+
+def _record(line: str) -> dict | None:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    return obj if isinstance(obj, dict) else None
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+@st.composite
+def _crawl(draw) -> tuple[str, list[str], list[str], list[str]]:
+    """A noisy crawl: (config text, user lines, tweet lines, spam ids)."""
+    config_text, user_lines, tweet_lines = _base(draw(st.sampled_from(["toy", 0, 1, 2])))
+    users = list(user_lines)
+    tweets = list(tweet_lines)
+    user_ids = [json.loads(line)["id"] for line in users]
+    regulars = [u for line, u in zip(users, user_ids) if '"regular"' in line]
+
+    n = len(tweets)
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        # re-delivered verbatim, somewhere after the first delivery
+        tweets.insert(draw(st.integers(i + 1, len(tweets))), tweets[i])
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        # the same id again with another author, later in the file
+        variant = json.loads(tweets[i])
+        variant["author_id"] = draw(st.sampled_from(user_ids + ["ghost"]))
+        tweets.insert(draw(st.integers(i + 1, len(tweets))), _dumps(variant))
+    for i in draw(st.lists(st.integers(0, len(tweets) - 1), max_size=3, unique=True)):
+        tweets[i] = tweets[i][: draw(st.integers(1, len(tweets[i]) - 1))]
+    for i in draw(st.lists(st.integers(0, len(users) - 1), max_size=1)):
+        if '"regular"' in users[i]:
+            users[i] = users[i][: draw(st.integers(1, len(users[i]) - 1))]
+    spam = draw(st.lists(st.sampled_from(regulars), max_size=2, unique=True))
+    return config_text, users, tweets, spam
+
+
+def _analyze(config_text: str, users: list[str], tweets: list[str], spam: list[str]) -> dict:
+    """The report files of one ``analyze`` run, by name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "config.json").write_text(config_text)
+        (d / "users.jsonl").write_text("".join(line + "\n" for line in users))
+        (d / "tweets.jsonl").write_text("".join(line + "\n" for line in tweets))
+        (d / "spam.txt").write_text("".join(u + "\n" for u in spam))
+        result = runner.invoke(main, [
+            "analyze", "--config", str(d / "config.json"),
+            "--users", str(d / "users.jsonl"), "--tweets", str(d / "tweets.jsonl"),
+            "--spam", str(d / "spam.txt"), "--out", str(d / "rep"),
+        ])
+        assert result.exit_code == 0, result.output
+        return {p.name: p.read_bytes() for p in sorted((d / "rep").iterdir())}
+
+
+def _order_preserving(old: set[str], prefix: str, gaps: list[int]) -> dict[str, str]:
+    """A bijection from ``old`` onto new ids that keeps their sorted order:
+    the k-th smallest id becomes ``prefix`` plus a zero-padded counter that
+    grows by a drawn gap at each step."""
+    mapping = {}
+    counter = 0
+    for k, name in enumerate(sorted(old)):
+        counter += gaps[k % len(gaps)]
+        mapping[name] = f"{prefix}{counter:09d}"
+    return mapping
+
+
+def _rename_tweet_ids(tweets: list[str], gaps: list[int]) -> list[str]:
+    records = [_record(line) for line in tweets]
+    ids = set()
+    for r in records:
+        if r is not None:
+            ids.update(r[k] for k in ("id", "source_tweet_id") if isinstance(r.get(k), str))
+    mapping = _order_preserving(ids, "T", gaps)
+    out = []
+    for line, r in zip(tweets, records):
+        if r is None:
+            out.append(line)
+            continue
+        for k in ("id", "source_tweet_id"):
+            if isinstance(r.get(k), str):
+                r[k] = mapping[r[k]]
+        out.append(_dumps(r))
+    return out
+
+
+def _rename_user_ids(config_text, users, tweets, spam, gaps):
+    """Every user id renamed; returns the renamed crawl and the inverse map."""
+    config = json.loads(config_text)
+    user_records = [_record(line) for line in users]
+    tweet_records = [_record(line) for line in tweets]
+    ids = set(config["minority_user_ids"]) | set(spam)
+    for r in user_records:
+        if r is not None:
+            ids.add(r["id"])
+            ids.update(r.get("followees", []))
+    for r in tweet_records:
+        if r is not None:
+            ids.update(r[k] for k in ("author_id", "target_user_id") if isinstance(r.get(k), str))
+    mapping = _order_preserving(ids, "U", gaps)
+
+    config["minority_user_ids"] = [mapping[m] for m in config["minority_user_ids"]]
+    new_users = []
+    for line, r in zip(users, user_records):
+        if r is None:
+            new_users.append(line)
+            continue
+        r["id"] = mapping[r["id"]]
+        if "followees" in r:
+            r["followees"] = [mapping[f] for f in r["followees"]]
+        new_users.append(_dumps(r))
+    new_tweets = []
+    for line, r in zip(tweets, tweet_records):
+        if r is None:
+            new_tweets.append(line)
+            continue
+        for k in ("author_id", "target_user_id"):
+            if isinstance(r.get(k), str):
+                r[k] = mapping[r[k]]
+        new_tweets.append(_dumps(r))
+    inverse = {v: k for k, v in mapping.items()}
+    return json.dumps(config), new_users, new_tweets, [mapping[s] for s in spam], inverse
+
+
+def _map_user_column(reports: dict, inverse: dict[str, str]) -> dict:
+    lines = reports["users_metrics.csv"].decode().splitlines()
+    mapped = [lines[0]]
+    for line in lines[1:]:
+        uid, rest = line.split(",", 1)
+        mapped.append(f"{inverse[uid]},{rest}")
+    return {**reports, "users_metrics.csv": ("\n".join(mapped) + "\n").encode()}
+
+
+def _shuffle_unique_tweet_lines(tweets: list[str], rnd) -> list[str]:
+    records = [_record(line) for line in tweets]
+    counts: dict = {}
+    for r in records:
+        if r is not None:
+            counts[r.get("id")] = counts.get(r.get("id"), 0) + 1
+    movable = [
+        i for i, r in enumerate(records)
+        if r is not None and isinstance(r.get("id"), str) and counts[r["id"]] == 1
+    ]
+    moved = [tweets[i] for i in movable]
+    rnd.shuffle(moved)
+    out = list(tweets)
+    for i, line in zip(movable, moved):
+        out[i] = line
+    return out
+
+
+@settings(
+    max_examples=30, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    crawl=_crawl(),
+    rnd=st.randoms(use_true_random=False),
+    gaps=st.lists(st.integers(1, 1000), min_size=1, max_size=8),
+)
+def test_reports_do_not_depend_on_input_order_or_id_spelling(crawl, rnd, gaps):
+    config_text, users, tweets, spam = crawl
+    base = _analyze(config_text, users, tweets, spam)
+
+    shuffled_users = list(users)
+    rnd.shuffle(shuffled_users)
+    assert _analyze(config_text, shuffled_users, tweets, spam) == base, "user lines shuffled"
+
+    shuffled_tweets = _shuffle_unique_tweet_lines(tweets, rnd)
+    assert _analyze(config_text, users, shuffled_tweets, spam) == base, "tweet lines shuffled"
+
+    renamed_tweets = _rename_tweet_ids(tweets, gaps)
+    assert _analyze(config_text, users, renamed_tweets, spam) == base, "tweet ids renamed"
+
+    *renamed, inverse = _rename_user_ids(config_text, users, tweets, spam, gaps)
+    assert _map_user_column(_analyze(*renamed), inverse) == base, "user ids renamed"
