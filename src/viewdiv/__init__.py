@@ -1,6 +1,6 @@
 """Viewpoint-diversity metrics for seed/follower social graphs."""
 
-from .exposure import ExposureIndex, ExposureTimeline
+from .exposure import ExposureIndex
 from .ingest import (
     IngestError,
     IngestReport,
@@ -25,6 +25,7 @@ from .model import (
     PoliticalCategory,
     TweetKind,
     TweetRecord,
+    TweetTable,
     UserKind,
     UserRecord,
     Wing,
@@ -57,7 +58,6 @@ __all__ = [
     "CountryConfig",
     "Dataset",
     "ExposureIndex",
-    "ExposureTimeline",
     "IngestError",
     "IngestReport",
     "MetricDistribution",
@@ -67,6 +67,7 @@ __all__ = [
     "TTestResult",
     "TweetKind",
     "TweetRecord",
+    "TweetTable",
     "UserKind",
     "UserMetrics",
     "UserRecord",

@@ -73,21 +73,20 @@ def _round4(x: float | None) -> float | None:
     return None if x is None else round(x, 4)
 
 
-def _read_lines(path: Path) -> list[str]:
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        return fh.readlines()
+def _open_lines(path: Path):
+    return open(path, encoding="utf-8", errors="surrogateescape")
 
 
 def _load(rc: RunConfig) -> tuple[Dataset, IngestReport, list[ParseDiagnostic]]:
+    """Ingest the run's inputs, parsing each file as it is read."""
     config = load_country_config(rc.config_path)
-    spam = (
-        ingest_mod.parse_spam(_read_lines(rc.spam_path))
-        if rc.spam_path is not None
-        else frozenset()
-    )
-    return ingest_mod.load_dataset(
-        config, _read_lines(rc.users_path), _read_lines(rc.tweets_path), spam
-    )
+    spam: frozenset[str] | set[str] = frozenset()
+    if rc.spam_path is not None:
+        with _open_lines(rc.spam_path) as fh:
+            spam = ingest_mod.parse_spam(fh)
+    # Both opened before either is read, so a bad path fails before parsing.
+    with _open_lines(rc.users_path) as users, _open_lines(rc.tweets_path) as tweets:
+        return ingest_mod.load_dataset(config, users, tweets, spam)
 
 
 def _defined(per_user: list[UserMetrics], field: str) -> list[float]:
@@ -102,11 +101,8 @@ def _summary_object(
     per_user: list[UserMetrics],
     matrix: WingMatrix,
 ) -> dict:
-    minority_originals = sum(
-        1
-        for t in dataset.tweets
-        if t.kind.value == "original" and t.author_id in dataset.config.minority_user_ids
-    )
+    originals = dataset.tweets.original_counts()
+    minority_originals = sum(originals[m] for m in dataset.config.minority_user_ids)
     metrics_obj = {}
     for field in METRIC_FIELDS:
         samples = _defined(per_user, field)

@@ -13,22 +13,30 @@ UTF-8" diagnostic):
 * spam list:   one user id per line.
 
 Unknown keys are ignored. Malformed lines yield diagnostics, never aborts.
+Lines are parsed as they are read, so any iterable of lines works, an open
+file included, and the tweets go straight into the columns of a
+:class:`~viewdiv.model.TweetTable`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterable
 
 from .model import (
+    ORIGINAL,
+    REPLY,
+    RETWEET,
     CountryConfig,
     Dataset,
     PoliticalCategory,
-    TweetKind,
     TweetRecord,
+    TweetTable,
     UserKind,
     UserRecord,
     Wing,
@@ -65,17 +73,33 @@ class IngestReport:
 # not valid UTF-8 into one lone surrogate in U+DC80..U+DCFF, and a JSON
 # \u escape can decode to any lone surrogate. UTF-8 text holds neither.
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+_raw_decode = json.JSONDecoder().raw_decode
+# What json.loads allows around a value: JSON's whitespace, not str.strip's.
+_JSON_WHITESPACE = " \t\n\r"
+_TWEET_KINDS = {"original": ORIGINAL, "retweet": RETWEET, "reply": REPLY}
 
 
 def _parse_line(line: str, line_no: int) -> tuple[dict | None, ParseDiagnostic | None]:
+    """One line as (record, None) or (None, diagnostic); a blank line fails
+    as invalid JSON, and the line readers skip it instead."""
     # isascii() reads a flag CPython keeps on every str, so valid ASCII lines
     # never reach the scan.
     if not line.isascii() and _LONE_SURROGATE.search(line):
         return None, ParseDiagnostic(line_no, "invalid UTF-8")
+    # raw_decode is json.loads without its checks on the text around the
+    # value; a line that starts with a value and ends in JSON whitespace
+    # decodes the same either way. Any other line goes to json.loads, so
+    # that an error carries json.loads's own message.
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        return None, ParseDiagnostic(line_no, f"invalid JSON: {exc.msg}")
+        obj, end = _raw_decode(line)
+        exact = end == len(line) or not line[end:].strip(_JSON_WHITESPACE)
+    except json.JSONDecodeError:
+        exact = False
+    if not exact:
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return None, ParseDiagnostic(line_no, f"invalid JSON: {exc.msg}")
     # Only a line with a backslash can hold a \u escape. json.loads joins an
     # escaped surrogate pair into one character, so any surrogate left in
     # the decoded record was escaped alone.
@@ -97,13 +121,11 @@ def parse_users(lines: Iterable[str]) -> tuple[list[UserRecord], list[ParseDiagn
     seen_ids: set[str] = set()
 
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         obj, diag = _parse_line(line, line_no)
-        if diag is not None:
-            diagnostics.append(diag)
+        if obj is None:
+            if line.strip():
+                diagnostics.append(diag)  # type: ignore[arg-type]
             continue
-        assert obj is not None
 
         uid = obj.get("id")
         kind_raw = obj.get("kind")
@@ -143,60 +165,76 @@ def parse_users(lines: Iterable[str]) -> tuple[list[UserRecord], list[ParseDiagn
     return records, diagnostics
 
 
-def parse_tweets(lines: Iterable[str]) -> tuple[list[TweetRecord], list[ParseDiagnostic]]:
-    """Parse tweet records; analogous to :func:`parse_users`."""
-    records: list[TweetRecord] = []
+def parse_tweets(lines: Iterable[str]) -> tuple[TweetTable, list[ParseDiagnostic]]:
+    """Parse tweet lines into one :class:`TweetTable`; analogous to
+    :func:`parse_users`.
+
+    Every well-formed line becomes a row, repeated ids included, so that
+    ``len(table)`` counts the parsed lines; :func:`load_dataset` keeps the
+    first row of each id.
+    """
+    table = TweetTable()
     diagnostics: list[ParseDiagnostic] = []
+    code = table.code
+    add_id = table.ids.append
+    add_kind = table.kinds.append
+    add_author = table.authors.append
+    add_source = table.sources.append
+    add_target = table.targets.append
+    add_timestamp = table.timestamps.append
 
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         obj, diag = _parse_line(line, line_no)
-        if diag is not None:
-            diagnostics.append(diag)
+        if obj is None:
+            if line.strip():
+                diagnostics.append(diag)  # type: ignore[arg-type]
             continue
-        assert obj is not None
 
-        tid = obj.get("id")
-        author = obj.get("author_id")
-        kind_raw = obj.get("kind")
+        get = obj.get
+        tid = get("id")
+        author = get("author_id")
+        kind_raw = get("kind")
         if not isinstance(tid, str) or not tid:
             diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'id'"))
             continue
         if not isinstance(author, str) or not author:
             diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'author_id'"))
             continue
-        if kind_raw not in ("original", "retweet", "reply"):
+        kind = _TWEET_KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
+        if kind is None:
             diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'kind'"))
             continue
-        timestamp = obj.get("timestamp", 0)
+        timestamp = get("timestamp", 0)
         if not isinstance(timestamp, int) or isinstance(timestamp, bool):
             diagnostics.append(ParseDiagnostic(line_no, "'timestamp' must be an integer"))
             continue
-        source = obj.get("source_tweet_id")
+        source = get("source_tweet_id")
         if source is not None and not isinstance(source, str):
             diagnostics.append(ParseDiagnostic(line_no, "'source_tweet_id' must be a string"))
             continue
-        target = obj.get("target_user_id")
+        target = get("target_user_id")
         if target is not None and not isinstance(target, str):
             diagnostics.append(ParseDiagnostic(line_no, "'target_user_id' must be a string"))
             continue
-
-        try:
-            record = TweetRecord(
-                id=tid,
-                author_id=author,
-                kind=TweetKind(kind_raw),
-                source_tweet_id=source,
-                target_user_id=target,
-                timestamp=timestamp,
-            )
-        except (ValueError, TypeError) as exc:
-            diagnostics.append(ParseDiagnostic(line_no, str(exc)))
+        # the TweetRecord invariants, with TweetRecord's messages
+        if kind == RETWEET and not source:
+            diagnostics.append(ParseDiagnostic(line_no, f"retweet {tid!r} requires source_tweet_id"))
             continue
-        records.append(record)
+        if kind == REPLY and not target:
+            diagnostics.append(ParseDiagnostic(line_no, f"reply {tid!r} requires target_user_id"))
+            continue
+        if timestamp < 0:
+            diagnostics.append(ParseDiagnostic(line_no, f"tweet {tid!r} has negative timestamp"))
+            continue
 
-    return records, diagnostics
+        add_id(tid)
+        add_kind(kind)
+        add_author(code(author))
+        add_source(source)
+        add_target(-1 if target is None else code(target))
+        add_timestamp(timestamp)
+
+    return table, diagnostics
 
 
 def parse_spam(lines: Iterable[str]) -> set[str]:
@@ -204,38 +242,33 @@ def parse_spam(lines: Iterable[str]) -> set[str]:
     return {line.strip() for line in lines if line.strip()}
 
 
-def _first_by_id(tweets: list[TweetRecord]) -> list[TweetRecord]:
-    """Tweets in input order, keeping only the first occurrence of each id."""
-    kept: list[TweetRecord] = []
-    seen: set[str] = set()
-    for t in tweets:
-        if t.id not in seen:
-            seen.add(t.id)
-            kept.append(t)
-    return kept
-
-
 def filter_active_regulars(
     users: list[UserRecord],
-    tweets: list[TweetRecord],
-    seed_originals: set[str],
+    tweets: TweetTable,
+    source_authors: array,
     spam_ids: frozenset[str] | set[str] = frozenset(),
     min_retweets: int = 5,
 ) -> tuple[list[UserRecord], int, int]:
     """Apply the activity inclusion filter to regular users.
 
     Seeds always pass. A regular passes iff it is not spam-listed, it
-    retweeted at least ``min_retweets`` distinct originals in
-    ``seed_originals`` (the ids of the seed-authored originals), and it
-    follows at least one seed. Spam takes precedence over the threshold in
-    the drop counts. Returns ``(retained, dropped_spam, dropped_threshold)``.
+    retweeted at least ``min_retweets`` distinct originals written by a
+    seed, and it follows at least one seed. ``tweets`` holds each id once
+    and ``source_authors`` is its resolution
+    (:meth:`~viewdiv.model.TweetTable.seed_source_authors`): a retweet
+    counts iff its source resolved to a seed. Spam takes precedence over
+    the threshold in the drop counts. Returns ``(retained, dropped_spam,
+    dropped_threshold)``.
     """
     seed_ids = {u.id for u in users if u.kind is UserKind.SEED}
-    distinct_seed_retweets: dict[str, set[str]] = {}
-    for t in tweets:
-        if t.kind is TweetKind.RETWEET and t.source_tweet_id in seed_originals:
-            distinct_seed_retweets.setdefault(t.author_id, set()).add(t.source_tweet_id)  # type: ignore[arg-type]
+    distinct_seed_retweets: dict[int, set[str]] = {}
+    for author, source, source_author in compress(
+        zip(tweets.authors, tweets.sources, source_authors), tweets.select(RETWEET)
+    ):
+        if source_author >= 0:
+            distinct_seed_retweets.setdefault(author, set()).add(source)  # type: ignore[arg-type]
 
+    codes = tweets.codes
     retained: list[UserRecord] = []
     dropped_spam = 0
     dropped_threshold = 0
@@ -246,8 +279,8 @@ def filter_active_regulars(
         if u.id in spam_ids:
             dropped_spam += 1
             continue
-        follows_seed = any(f in seed_ids for f in u.followees)
-        active = len(distinct_seed_retweets.get(u.id, ())) >= min_retweets
+        follows_seed = not u.followees.isdisjoint(seed_ids)
+        active = len(distinct_seed_retweets.get(codes.get(u.id, -1), ())) >= min_retweets
         if follows_seed and active:
             retained.append(u)
         else:
@@ -258,17 +291,17 @@ def filter_active_regulars(
 def build_dataset(
     config: CountryConfig,
     users: list[UserRecord],
-    tweets: list[TweetRecord],
-    seed_originals: set[str],
+    tweets: TweetTable,
+    source_authors: array,
 ) -> tuple[Dataset, int]:
     """Assemble and validate an immutable Dataset from filtered collections.
 
-    ``tweets`` must hold each id once and ``seed_originals`` the ids of its
-    originals authored by a seed in ``users``. A tweet is kept iff its
-    author is in ``users`` and, for a retweet, its source is in
-    ``seed_originals`` or, for a reply, its target is in ``users``; the
-    rest dangle. Config validation failure raises :class:`IngestError`.
-    Returns ``(dataset, tweets_dropped_dangling)``.
+    ``tweets`` must hold each id once and ``source_authors`` be its
+    resolution against the seeds in ``users``. A tweet is kept iff its
+    author is in ``users`` and, for a retweet, its source resolved to a
+    seed or, for a reply, its target is in ``users``; the rest dangle.
+    Config validation failure raises :class:`IngestError`. Returns
+    ``(dataset, tweets_dropped_dangling)``.
     """
     user_map: dict[str, UserRecord] = {}
     for u in users:
@@ -278,15 +311,21 @@ def build_dataset(
     if violations:
         raise IngestError(violations)
 
-    kept = [
-        t for t in tweets
-        if t.author_id in user_map
-        and (t.kind is not TweetKind.RETWEET or t.source_tweet_id in seed_originals)
-        and (t.kind is not TweetKind.REPLY or t.target_user_id in user_map)
+    retained = [name in user_map for name in tweets.names]
+    keep = [
+        i
+        for i, (author, kind, source_author, target) in enumerate(
+            zip(tweets.authors, tweets.kinds, source_authors, tweets.targets)
+        )
+        if retained[author]
+        and (kind != RETWEET or source_author >= 0)
+        and (kind != REPLY or retained[target])
     ]
-
-    dataset = Dataset(config=config, users=user_map, tweets=tuple(kept))
-    return dataset, len(tweets) - len(kept)
+    dropped = len(tweets) - len(keep)
+    if dropped:
+        tweets = tweets.take(keep)
+        source_authors = array("i", [source_authors[i] for i in keep])
+    return Dataset(config, user_map, tweets, source_authors), dropped
 
 
 def load_dataset(
@@ -298,26 +337,26 @@ def load_dataset(
 ) -> tuple[Dataset, IngestReport, list[ParseDiagnostic]]:
     """Full ingest pipeline: parse, resolve tweets once, filter, build.
 
-    Tweet ids are deduplicated once, keeping the first occurrence, and the
-    ids of the originals authored by a seed are collected once; the
-    activity filter and the build both read that one resolution, so a
-    retweet counts toward a regular's activity iff the dataset would keep
-    it. ``users_read``/``tweets_read`` count every attempted record line,
-    so users_read = retained + dropped_spam + dropped_threshold +
-    malformed, and tweets_read = kept + dropped_dangling + malformed +
-    duplicate ids.
+    The lines may be any iterables, read once each, users first. Tweet ids
+    are deduplicated once, keeping the first occurrence; the id -> row map
+    of that dedupe resolves each retweet's source to the seed that wrote
+    it, once, and the activity filter, the build and the analysis all read
+    that resolution, so a retweet counts toward a regular's activity iff
+    the dataset keeps it. ``users_read``/``tweets_read`` count every
+    attempted record line, so users_read = retained + dropped_spam +
+    dropped_threshold + malformed, and tweets_read = kept +
+    dropped_dangling + malformed + duplicate ids.
     """
     users, user_diags = parse_users(user_lines)
     parsed, tweet_diags = parse_tweets(tweet_lines)
-    tweets = _first_by_id(parsed)
+    tweets, row_of = parsed.first_by_id()
     seed_ids = {u.id for u in users if u.kind is UserKind.SEED}
-    seed_originals = {
-        t.id for t in tweets if t.kind is TweetKind.ORIGINAL and t.author_id in seed_ids
-    }
+    source_authors = tweets.seed_source_authors(row_of, seed_ids)
+    del row_of
     retained, dropped_spam, dropped_threshold = filter_active_regulars(
-        users, tweets, seed_originals, spam_ids, min_retweets
+        users, tweets, source_authors, spam_ids, min_retweets
     )
-    dataset, dropped_dangling = build_dataset(config, retained, tweets, seed_originals)
+    dataset, dropped_dangling = build_dataset(config, retained, tweets, source_authors)
     report = IngestReport(
         users_read=len(users) + len(user_diags),
         users_dropped_spam=dropped_spam,
@@ -386,12 +425,19 @@ def user_to_line(user: UserRecord) -> str:
 
 
 def tweet_to_line(tweet: TweetRecord) -> str:
-    obj: dict = {"id": tweet.id, "author_id": tweet.author_id, "kind": tweet.kind.value}
-    if tweet.source_tweet_id is not None:
-        obj["source_tweet_id"] = tweet.source_tweet_id
-    if tweet.target_user_id is not None:
-        obj["target_user_id"] = tweet.target_user_id
-    obj["timestamp"] = tweet.timestamp
+    return _tweet_line(
+        tweet.id, tweet.author_id, tweet.kind, tweet.source_tweet_id,
+        tweet.target_user_id, tweet.timestamp,
+    )
+
+
+def _tweet_line(tid, author_id, kind, source_tweet_id, target_user_id, timestamp) -> str:
+    obj: dict = {"id": tid, "author_id": author_id, "kind": kind.value}
+    if source_tweet_id is not None:
+        obj["source_tweet_id"] = source_tweet_id
+    if target_user_id is not None:
+        obj["target_user_id"] = target_user_id
+    obj["timestamp"] = timestamp
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -414,6 +460,6 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
         for uid in sorted(dataset.users):
             fh.write(user_to_line(dataset.users[uid]) + "\n")
     with open(paths["tweets"], "w", encoding="utf-8", newline="\n") as fh:
-        for t in dataset.tweets:
-            fh.write(tweet_to_line(t) + "\n")
+        for row in dataset.tweets.rows():
+            fh.write(_tweet_line(*row) + "\n")
     return paths

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 from .exposure import ExposureIndex
-from .model import Dataset, TweetKind, UserKind, Wing
+from .model import REPLY, RETWEET, Dataset, UserKind, Wing
 
 
 @dataclass(frozen=True)
@@ -121,52 +122,53 @@ def _io_correlated(
     return True
 
 
+def _by_code(dataset: Dataset, value_of: dict, default) -> list:
+    """``value_of`` (keyed by user id) as a list indexed by the user codes of
+    ``dataset.tweets``; ``default`` for the other codes and for code -1,
+    which indexes the extra last entry."""
+    values = [default] * (len(dataset.tweets.names) + 1)
+    for user_id, value in value_of.items():
+        code = dataset.tweets.codes.get(user_id)
+        if code is not None:
+            values[code] = value
+    return values
+
+
 def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
     """Left/right interaction shares over seed retweets and seed-to-seed replies.
 
     Requires the wing mapping to cover at least one Left and one Right
     category. Interactions whose actor or target is unaligned are skipped.
+    A retweet's target is the seed that wrote its source, as resolved in
+    ``dataset.source_authors``.
     """
-    wings = {c.wing for c in dataset.config.categories}
+    config = dataset.config
+    wings = {c.wing for c in config.categories}
     if Wing.LEFT not in wings or Wing.RIGHT not in wings:
         raise ValueError("wing mapping must cover at least one Left and one Right category")
 
-    seed_wing: dict[str, Wing] = {}
-    for u in dataset.users.values():
-        if u.kind is UserKind.SEED:
-            seed_wing[u.id] = dataset.config.wing_of(u.category)  # type: ignore[arg-type]
+    side = {Wing.LEFT: 0, Wing.RIGHT: 1}
+    side_of = _by_code(dataset, {
+        u.id: side.get(config.wing_of(u.category))  # type: ignore[arg-type]
+        for u in dataset.seed_users()
+    }, None)
+    cells = [[0, 0], [0, 0]]  # [actor side][target side], left = 0
+    tweets = dataset.tweets
+    for targets, kind in ((dataset.source_authors, RETWEET), (tweets.targets, REPLY)):
+        for author, target in compress(zip(tweets.authors, targets), tweets.select(kind)):
+            actor_side = side_of[author]
+            target_side = side_of[target]
+            if actor_side is not None and target_side is not None:
+                cells[actor_side][target_side] += 1
 
-    cells = {
-        (Wing.LEFT, Wing.LEFT): 0,
-        (Wing.LEFT, Wing.RIGHT): 0,
-        (Wing.RIGHT, Wing.LEFT): 0,
-        (Wing.RIGHT, Wing.RIGHT): 0,
-    }
-    original_author = {
-        t.id: t.author_id for t in dataset.tweets if t.kind is TweetKind.ORIGINAL
-    }
-    for t in dataset.tweets:
-        actor_wing = seed_wing.get(t.author_id)
-        if actor_wing is None or actor_wing is Wing.UNALIGNED:
-            continue
-        if t.kind is TweetKind.RETWEET:
-            target_id = original_author[t.source_tweet_id]  # type: ignore[index]
-        elif t.kind is TweetKind.REPLY:
-            target_id = t.target_user_id  # type: ignore[assignment]
-        else:
-            continue
-        target_wing = seed_wing.get(target_id or "")
-        if target_wing is None or target_wing is Wing.UNALIGNED:
-            continue
-        cells[(actor_wing, target_wing)] += 1
-
-    left_total = cells[(Wing.LEFT, Wing.LEFT)] + cells[(Wing.LEFT, Wing.RIGHT)]
-    right_total = cells[(Wing.RIGHT, Wing.LEFT)] + cells[(Wing.RIGHT, Wing.RIGHT)]
+    (ll, lr), (rl, rr) = cells
+    left_total = ll + lr
+    right_total = rl + rr
     return WingMatrix(
-        left_to_left=cells[(Wing.LEFT, Wing.LEFT)] / left_total if left_total else 0.0,
-        left_to_right=cells[(Wing.LEFT, Wing.RIGHT)] / left_total if left_total else 0.0,
-        right_to_left=cells[(Wing.RIGHT, Wing.LEFT)] / right_total if right_total else 0.0,
-        right_to_right=cells[(Wing.RIGHT, Wing.RIGHT)] / right_total if right_total else 0.0,
+        left_to_left=ll / left_total if left_total else 0.0,
+        left_to_right=lr / left_total if left_total else 0.0,
+        right_to_left=rl / right_total if right_total else 0.0,
+        right_to_right=rr / right_total if right_total else 0.0,
         left_interactions=left_total,
         right_interactions=right_total,
     )
@@ -181,59 +183,60 @@ def compute_all(
     byte-identical. ``io_margin`` parametrizes the ``io_correlated_15``
     column (default 0.15).
 
-    This is the batch path: it builds one :class:`ExposureIndex`, takes one
-    pass over the tweets for output histograms, and makes one pass over
-    each regular's followees. The direct parts of followed seeds never
-    overlap, so direct counts are sums of per-seed volumes. The surfaced
-    part is a bitset over the retweeted originals: the OR of the
-    followees' ``surfaced_mask``, minus the OR of their ``authored_mask``
-    (originals already received directly). Indirect counts per category
-    and for the minority are the direct ones plus ``bit_count`` of that
-    bitset under ``category_masks`` and ``minority_mask``. Every histogram
-    reaches the entropy in config category order.
+    This is the batch path: it builds one :class:`ExposureIndex`, reads
+    the regulars' retweets and replies once from the tweet table for the
+    output histograms, and makes one pass over each regular's followees.
+    The direct parts of followed seeds never overlap, so direct counts are
+    sums of per-seed volumes. The surfaced part is a bitset over the
+    retweeted originals: the OR of the followees' ``surfaced_mask``, minus
+    the OR of their ``authored_mask`` (originals already received
+    directly). Indirect counts per category and for the minority are the
+    direct ones plus ``bit_count`` of that bitset under ``category_masks``
+    and ``minority_mask``. Every histogram reaches the entropy in config
+    category order.
     """
     index = ExposureIndex(dataset)
     config = dataset.config
     n = config.n_categories
     minority_seed_ids = config.minority_user_ids
-    total_minority = len(index.minority_original_ids)
     seed_pos = index.category_pos_of_seed
 
     # per seed: (original volume, category position, minority volume,
     # surfaced bits, authored bits)
     per_seed = {
         s: (
-            len(ids),
+            volume,
             seed_pos[s],
-            len(ids) if s in minority_seed_ids else 0,
+            volume if s in minority_seed_ids else 0,
             index.surfaced_mask[s],
             index.authored_mask[s],
         )
-        for s, ids in index.originals_by_seed.items()
+        for s, volume in index.volume.items()
     }
+    total_minority = sum(minority for _, _, minority, _, _ in per_seed.values())
 
-    # one pass for every regular's output histograms
-    retweet_counts: dict[str, list[int]] = {}
-    reply_counts: dict[str, list[int]] = {}
-    regular_ids = {
-        u.id for u in dataset.users.values() if u.kind is UserKind.REGULAR
-    }
-    for t in dataset.tweets:
-        if t.author_id not in regular_ids:
-            continue
-        if t.kind is TweetKind.RETWEET:
-            by_cat = retweet_counts.setdefault(t.author_id, [0] * n)
-            by_cat[seed_pos[index.original_author[t.source_tweet_id]]] += 1  # type: ignore[index]
-        elif t.kind is TweetKind.REPLY:
-            target = dataset.users.get(t.target_user_id or "")
-            if target is not None and target.kind is UserKind.SEED:
-                reply_counts.setdefault(t.author_id, [0] * n)[seed_pos[target.id]] += 1
+    # the regulars' output histograms, from their retweets and replies
+    tweets = dataset.tweets
+    regular_ids = sorted(u.id for u in dataset.regular_users())
+    is_regular = _by_code(dataset, dict.fromkeys(regular_ids, True), False)
+    category_of = _by_code(dataset, seed_pos, None)
+    output_counts: list[dict[int, list[int]]] = []
+    for targets, kind in ((dataset.source_authors, RETWEET), (tweets.targets, REPLY)):
+        counts: dict[int, list[int]] = {}
+        for author, target in compress(zip(tweets.authors, targets), tweets.select(kind)):
+            pos = category_of[target]
+            # a reply to a regular has no category
+            if is_regular[author] and pos is not None:
+                counts.setdefault(author, [0] * n)[pos] += 1
+        output_counts.append(counts)
+    retweet_counts, reply_counts = output_counts
 
     no_counts = [0] * n
     category_masks = index.category_masks
     minority_mask = index.minority_mask
+    codes = tweets.codes
     results: list[UserMetrics] = []
-    for uid in sorted(regular_ids):
+    for uid in regular_ids:
         direct = [0] * n
         direct_minority = 0
         surfaced = 0
@@ -248,14 +251,17 @@ def compute_all(
         indirect = [d + (new & m).bit_count() for d, m in zip(direct, category_masks)]
         indirect_total = sum(indirect)
         indirect_minority = direct_minority + (new & minority_mask).bit_count()
-        rt = retweet_counts.get(uid, no_counts)
+        code = codes.get(uid)
+        rt = retweet_counts.get(code, no_counts)  # type: ignore[arg-type]
         results.append(
             UserMetrics(
                 user_id=uid,
                 direct_source_diversity=normalized_entropy(direct, n),
                 indirect_source_diversity=normalized_entropy(indirect, n),
                 retweet_diversity=normalized_entropy(rt, n),
-                reply_diversity=normalized_entropy(reply_counts.get(uid, no_counts), n),
+                reply_diversity=normalized_entropy(
+                    reply_counts.get(code, no_counts), n  # type: ignore[arg-type]
+                ),
                 minority_reach=(
                     indirect_minority / total_minority if total_minority else None
                 ),

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
+from typing import Iterable, Iterator
 
 
 class Wing(str, Enum):
@@ -102,18 +106,199 @@ class TweetRecord:
             raise ValueError(f"tweet {self.id!r} has negative timestamp")
 
 
+# Kind codes of TweetTable.kinds, in TweetKind order.
+ORIGINAL, RETWEET, REPLY = 0, 1, 2
+KIND_CODES = {TweetKind.ORIGINAL: ORIGINAL, TweetKind.RETWEET: RETWEET, TweetKind.REPLY: REPLY}
+_KINDS = tuple(KIND_CODES)
+# bytes.translate tables that turn the kinds column into a 0/1 selector.
+_SELECT = tuple(bytes(int(k == kind) for k in range(256)) for kind in range(len(_KINDS)))
+
+
+class TweetTable:
+    """Tweets as parallel columns, one row per tweet, in input order.
+
+    ``kinds`` holds kind codes (:data:`ORIGINAL`, :data:`RETWEET`,
+    :data:`REPLY`). ``authors`` and ``targets`` hold codes into ``names``,
+    the user ids the rows name, interned in first-seen order (``codes`` maps
+    them back); a row without a reply target has target -1. ``sources``
+    holds the source tweet ids as read (None when absent), and ``ids`` and
+    ``timestamps`` complete the record. The analysis reads the columns;
+    indexing or iterating the table gives :class:`TweetRecord` views.
+    """
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.kinds = bytearray()
+        self.authors = array("i")
+        self.sources: list[str | None] = []
+        self.targets = array("i")
+        self.timestamps: list[int] = []
+        self.names: list[str] = []
+        self.codes: dict[str, int] = {}
+
+    def code(self, user_id: str) -> int:
+        """The code of a user id, interned on first sight."""
+        code = self.codes.get(user_id)
+        if code is None:
+            code = self.codes[user_id] = len(self.names)
+            self.names.append(user_id)
+        return code
+
+    def append(
+        self,
+        tweet_id: str,
+        kind: int,
+        author_id: str,
+        source_tweet_id: str | None = None,
+        target_user_id: str | None = None,
+        timestamp: int = 0,
+    ) -> None:
+        """Add one row; ``kind`` is a kind code."""
+        self.ids.append(tweet_id)
+        self.kinds.append(kind)
+        self.authors.append(self.code(author_id))
+        self.sources.append(source_tweet_id)
+        self.targets.append(-1 if target_user_id is None else self.code(target_user_id))
+        self.timestamps.append(timestamp)
+
+    @classmethod
+    def from_records(cls, records: Iterable[TweetRecord]) -> TweetTable:
+        table = cls()
+        for t in records:
+            table.append(
+                t.id, KIND_CODES[t.kind], t.author_id, t.source_tweet_id,
+                t.target_user_id, t.timestamp,
+            )
+        return table
+
+    def take(self, rows: Iterable[int]) -> TweetTable:
+        """The given rows, in the given order, as a table sharing ``names``."""
+        rows = list(rows)
+        table = TweetTable()
+        table.names, table.codes = self.names, self.codes
+        table.ids = [self.ids[i] for i in rows]
+        table.kinds = bytearray(self.kinds[i] for i in rows)
+        table.authors = array("i", [self.authors[i] for i in rows])
+        table.sources = [self.sources[i] for i in rows]
+        table.targets = array("i", [self.targets[i] for i in rows])
+        table.timestamps = [self.timestamps[i] for i in rows]
+        return table
+
+    def first_by_id(self) -> tuple[TweetTable, dict[str, int]]:
+        """The rows that hold the first occurrence of their id, and the map
+        from each id to its row in that table."""
+        n = len(self.ids)
+        # Built back to front, so each id keeps its first row.
+        row_of = dict(zip(reversed(self.ids), range(n - 1, -1, -1)))
+        if len(row_of) == n:
+            return self, row_of
+        first = self.take(sorted(row_of.values()))
+        return first, dict(zip(first.ids, range(len(first))))
+
+    def seed_source_authors(self, row_of: dict[str, int], seed_ids) -> array:
+        """Per row, the code of the seed that wrote a retweet's source.
+
+        ``row_of`` maps ids to rows of this table. A retweet whose source
+        id is the row of an original written by a user in ``seed_ids`` gets
+        that author's code; every other row gets -1.
+        """
+        is_seed = [name in seed_ids for name in self.names]
+        n = len(self.ids)
+        # the author of each row that is a seed's original, else -1; the
+        # extra entry n is where an unknown source id lands
+        seed_author = [
+            a if k == ORIGINAL and is_seed[a] else -1
+            for k, a in zip(self.kinds, self.authors)
+        ]
+        seed_author.append(-1)
+        row = row_of.get
+        return array("i", [
+            seed_author[row(s, n)] if k == RETWEET else -1
+            for k, s in zip(self.kinds, self.sources)
+        ])
+
+    def select(self, kind: int) -> bytes:
+        """One byte per row, 1 where the row is of ``kind``: a selector
+        for :func:`itertools.compress`."""
+        return self.kinds.translate(_SELECT[kind])
+
+    def original_counts(self) -> Counter[str]:
+        """The number of originals per author id."""
+        counts = Counter(compress(self.authors, self.select(ORIGINAL)))
+        return Counter({self.names[a]: n for a, n in counts.items()})
+
+    def rows(self) -> Iterator[tuple]:
+        """Each row as a tuple in :class:`TweetRecord` field order."""
+        names = self.names
+        for tid, kind, author, source, target, timestamp in zip(
+            self.ids, self.kinds, self.authors, self.sources, self.targets, self.timestamps
+        ):
+            yield (
+                tid, names[author], _KINDS[kind], source,
+                None if target < 0 else names[target], timestamp,
+            )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> TweetRecord:
+        target = self.targets[i]
+        return TweetRecord(
+            self.ids[i], self.names[self.authors[i]], _KINDS[self.kinds[i]],
+            self.sources[i], None if target < 0 else self.names[target], self.timestamps[i],
+        )
+
+    def __iter__(self) -> Iterator[TweetRecord]:
+        return (TweetRecord(*row) for row in self.rows())
+
+    def __eq__(self, other) -> bool:
+        """Equal to a table or a list or tuple of the same records."""
+        if not isinstance(other, (TweetTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"TweetTable({len(self)} rows)"
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable, reference-checked container for one country's crawl.
 
-    Construct through :func:`viewdiv.ingest.load_dataset`, which
-    deduplicates tweet ids, drops dangling references and validates the
-    config; the analysis modules assume every reference resolves.
+    ``tweets`` is the column table of the kept tweets. ``source_authors``
+    holds, per row, the code (into ``tweets.names``) of the seed that wrote
+    a retweet's source original, resolved once when the dataset is built,
+    and -1 for the other rows. Construct through
+    :func:`viewdiv.ingest.load_dataset`, which deduplicates tweet ids,
+    drops dangling references and validates the config, or from data
+    already consistent through :meth:`from_records`/:meth:`from_table`; the
+    analysis modules assume every reference resolves.
     """
 
     config: CountryConfig
     users: dict[str, UserRecord]
-    tweets: tuple[TweetRecord, ...]
+    tweets: TweetTable
+    source_authors: array = field(compare=False, repr=False)
+
+    @classmethod
+    def from_table(
+        cls, config: CountryConfig, users: dict[str, UserRecord], tweets: TweetTable
+    ) -> Dataset:
+        """A dataset over tweets that hold each id once and resolve."""
+        seed_ids = {u.id for u in users.values() if u.kind is UserKind.SEED}
+        row_of = dict(zip(tweets.ids, range(len(tweets))))
+        return cls(config, users, tweets, tweets.seed_source_authors(row_of, seed_ids))
+
+    @classmethod
+    def from_records(
+        cls,
+        config: CountryConfig,
+        users: dict[str, UserRecord],
+        tweets: Iterable[TweetRecord],
+    ) -> Dataset:
+        return cls.from_table(config, users, TweetTable.from_records(tweets))
 
     def seed_users(self) -> list[UserRecord]:
         return [u for u in self.users.values() if u.kind is UserKind.SEED]
@@ -150,12 +335,16 @@ def validate_config(config: CountryConfig, users: dict[str, UserRecord]) -> list
         elif u.kind is not UserKind.SEED:
             violations.append(f"minority id {mid!r} must be a seed user")
 
+    seed_ids = {u.id for u in users.values() if u.kind is UserKind.SEED}
     for u in users.values():
         if u.kind is UserKind.SEED and u.category not in seen:
             violations.append(
                 f"seed {u.id!r} references unknown category {u.category!r}"
             )
-        for f in sorted(u.followees):
+        if u.followees <= seed_ids:
+            continue
+        # only a user with a violation pays for the sort that orders its messages
+        for f in sorted(u.followees - seed_ids):
             target = users.get(f)
             if target is None:
                 violations.append(f"user {u.id!r} follows unknown id {f!r}")

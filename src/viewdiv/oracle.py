@@ -10,11 +10,47 @@ point. Guarded to small datasets.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from .metrics import UserMetrics, WingMatrix
-from .model import Dataset, TweetKind, UserKind, Wing
+from .model import Dataset, TweetKind, TweetRecord, UserKind, UserRecord, Wing
 
 MAX_ORACLE_TWEETS = 10_000
+
+
+@dataclass(frozen=True)
+class ExposureTimeline:
+    """A user's potential exposure as tweet id sets: ``direct`` is always a
+    subset of ``indirect``."""
+
+    user_id: str
+    direct: frozenset[str]
+    indirect: frozenset[str]
+
+
+def exposure_timeline(dataset: Dataset, user_id: str) -> ExposureTimeline:
+    """The originals a user's followees wrote (direct), plus the ones they
+    retweeted (indirect).
+
+    An original reaching the user along several paths is one member. An
+    unknown user raises KeyError.
+    """
+    return _timeline(dataset.users[user_id], list(dataset.tweets))
+
+
+def _timeline(user: UserRecord, tweets: list[TweetRecord]) -> ExposureTimeline:
+    """:func:`exposure_timeline` by a scan of every tweet per followee."""
+    direct: set[str] = set()
+    surfaced: set[str] = set()
+    for f in user.followees:
+        for t in tweets:
+            if t.author_id != f:
+                continue
+            if t.kind is TweetKind.ORIGINAL:
+                direct.add(t.id)
+            elif t.kind is TweetKind.RETWEET:
+                surfaced.add(t.source_tweet_id)  # type: ignore[arg-type]
+    return ExposureTimeline(user.id, frozenset(direct), frozenset(direct | surfaced))
 
 
 def _entropy(counts: list[int], n: int) -> float | None:
@@ -53,10 +89,12 @@ def oracle_metrics(
 
     cfg = dataset.config
     n = cfg.n_categories
+    # every scan below reads these records, built once from the table
+    tweets = list(dataset.tweets)
     seeds = {u.id: u for u in dataset.users.values() if u.kind is UserKind.SEED}
 
     all_minority_originals = set()
-    for t in dataset.tweets:
+    for t in tweets:
         if (
             t.kind is TweetKind.ORIGINAL
             and t.author_id in seeds
@@ -64,15 +102,8 @@ def oracle_metrics(
         ):
             all_minority_originals.add(t.id)
 
-    def originals_of(seed_id: str) -> set[str]:
-        return {
-            t.id
-            for t in dataset.tweets
-            if t.kind is TweetKind.ORIGINAL and t.author_id == seed_id
-        }
-
     def author_of_original(tweet_id: str) -> str:
-        for t in dataset.tweets:
+        for t in tweets:
             if t.id == tweet_id:
                 return t.author_id
         raise KeyError(tweet_id)
@@ -88,24 +119,16 @@ def oracle_metrics(
         u.id for u in dataset.users.values() if u.kind is UserKind.REGULAR
     )
     for uid in regulars:
-        user = dataset.users[uid]
-
-        direct: set[str] = set()
-        for f in user.followees:
-            direct |= originals_of(f)
-
-        indirect = set(direct)
-        for f in user.followees:
-            for t in dataset.tweets:
-                if t.kind is TweetKind.RETWEET and t.author_id == f:
-                    indirect.add(t.source_tweet_id)
+        timeline = _timeline(dataset.users[uid], tweets)
+        direct = set(timeline.direct)
+        indirect = set(timeline.indirect)
 
         direct_hist = histogram(direct)
         indirect_hist = histogram(indirect)
 
         rt_by_cat = {c.id: 0 for c in cfg.categories}
         reply_by_cat = {c.id: 0 for c in cfg.categories}
-        for t in dataset.tweets:
+        for t in tweets:
             if t.author_id != uid:
                 continue
             if t.kind is TweetKind.RETWEET:
@@ -155,7 +178,7 @@ def oracle_metrics(
         (Wing.RIGHT, Wing.LEFT): 0,
         (Wing.RIGHT, Wing.RIGHT): 0,
     }
-    for t in dataset.tweets:
+    for t in tweets:
         actor = seeds.get(t.author_id)
         if actor is None:
             continue

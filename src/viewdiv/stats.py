@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class MetricDistribution:
+    """Bin counts of one metric's defined values; ``count`` is their number."""
+
     name: str
-    values: tuple[float, ...]
     bin_width: float
     bin_counts: tuple[int, ...]
-    mean: float | None
     count: int
 
     def bin_edges(self) -> list[tuple[float, float]]:
@@ -55,13 +55,10 @@ def distribution(samples, bin_width: float = 0.05, name: str = "") -> MetricDist
     for x in values:
         idx = min(int(x // bin_width), n_bins - 1)
         counts[idx] += 1
-    mean = math.fsum(values) / len(values) if values else None
     return MetricDistribution(
         name=name,
-        values=values,
         bin_width=bin_width,
         bin_counts=tuple(counts),
-        mean=mean,
         count=len(values),
     )
 

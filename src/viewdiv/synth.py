@@ -27,10 +27,12 @@ import numpy as np
 
 from .model import (
     CountryConfig,
+    ORIGINAL,
+    REPLY,
+    RETWEET,
     Dataset,
     PoliticalCategory,
-    TweetKind,
-    TweetRecord,
+    TweetTable,
     UserKind,
     UserRecord,
     Wing,
@@ -194,7 +196,7 @@ def generate(params: SynthParams) -> Dataset:
                 split = rng.multinomial(target, np.full(len(m_idx), 1.0 / len(m_idx)))
                 volumes[m_idx] = split
 
-    tweets: list[TweetRecord] = []
+    tweets = TweetTable()
     clock = 0
 
     def next_id() -> str:
@@ -206,9 +208,7 @@ def generate(params: SynthParams) -> Dataset:
         for _ in range(int(volumes[si])):
             clock += 1
             tid = next_id()
-            tweets.append(
-                TweetRecord(id=tid, author_id=sid, kind=TweetKind.ORIGINAL, timestamp=clock)
-            )
+            tweets.append(tid, ORIGINAL, sid, timestamp=clock)
             own.append(tid)
         originals_by_seed.append(own)
 
@@ -259,12 +259,7 @@ def generate(params: SynthParams) -> Dataset:
                 if src is None:
                     continue
                 clock += 1
-                tweets.append(
-                    TweetRecord(
-                        id=next_id(), author_id=sid, kind=TweetKind.RETWEET,
-                        source_tweet_id=src, timestamp=clock,
-                    )
-                )
+                tweets.append(next_id(), RETWEET, sid, source_tweet_id=src, timestamp=clock)
         usable_rp = np.array(
             [any(sj != si for sj in seeds_in_cat[ci]) for ci in range(n)]
         )
@@ -274,12 +269,7 @@ def generate(params: SynthParams) -> Dataset:
             for _ in range(int(cnt)):
                 target = seed_ids[cands[int(rng.integers(0, len(cands)))]]
                 clock += 1
-                tweets.append(
-                    TweetRecord(
-                        id=next_id(), author_id=sid, kind=TweetKind.REPLY,
-                        target_user_id=target, timestamp=clock,
-                    )
-                )
+                tweets.append(next_id(), REPLY, sid, target_user_id=target, timestamp=clock)
 
     # regulars: home category, Bernoulli follows, mixture-directed activity
     regular_ids = [f"u{i + 1:06d}" for i in range(p.n_regulars)]
@@ -327,10 +317,8 @@ def generate(params: SynthParams) -> Dataset:
                 k = int(rng.integers(0, volumes[si]))
                 clock += 1
                 tweets.append(
-                    TweetRecord(
-                        id=next_id(), author_id=rid, kind=TweetKind.RETWEET,
-                        source_tweet_id=originals_by_seed[si][k], timestamp=clock,
-                    )
+                    next_id(), RETWEET, rid,
+                    source_tweet_id=originals_by_seed[si][k], timestamp=clock,
                 )
 
         usable_rp = np.array([bool(followed_in_cat[ci]) for ci in range(n)])
@@ -340,12 +328,7 @@ def generate(params: SynthParams) -> Dataset:
             for _ in range(int(cnt)):
                 target = seed_ids[cands[int(rng.integers(0, len(cands)))]]
                 clock += 1
-                tweets.append(
-                    TweetRecord(
-                        id=next_id(), author_id=rid, kind=TweetKind.REPLY,
-                        target_user_id=target, timestamp=clock,
-                    )
-                )
+                tweets.append(next_id(), REPLY, rid, target_user_id=target, timestamp=clock)
 
         users[rid] = UserRecord(
             id=rid,
@@ -361,7 +344,7 @@ def generate(params: SynthParams) -> Dataset:
     violations = validate_config(config, users)
     if violations:  # pragma: no cover - generator invariant
         raise AssertionError(f"generator produced invalid dataset: {violations}")
-    return Dataset(config=config, users=users, tweets=tuple(tweets))
+    return Dataset.from_table(config, users, tweets)
 
 
 def presets() -> dict[str, SynthParams]:

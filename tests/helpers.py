@@ -51,4 +51,4 @@ def dataset(cfg: CountryConfig, users, tweets) -> Dataset:
     user_map = {u.id: u for u in users}
     violations = validate_config(cfg, user_map)
     assert not violations, violations
-    return Dataset(config=cfg, users=user_map, tweets=tuple(tweets))
+    return Dataset.from_records(cfg, user_map, tweets)

@@ -13,8 +13,8 @@ import pytest
 from scipy import stats as scipy_stats
 
 from viewdiv import (
-    ExposureIndex,
     SynthParams,
+    TweetKind,
     compute_all,
     fraction_below,
     generate,
@@ -25,7 +25,7 @@ from viewdiv import (
     write_dataset,
 )
 from viewdiv.cli import RunConfig, cmd_analyze, cmd_compare
-from viewdiv.oracle import MAX_ORACLE_TWEETS
+from viewdiv.oracle import MAX_ORACLE_TWEETS, exposure_timeline
 
 TOY = Path(__file__).resolve().parent / "data" / "toy"
 
@@ -149,13 +149,21 @@ def _dense_follow_oracle_dataset():
     )
     ds = generate(params)
     assert len(ds.seed_users()) >= 100 and len(ds.tweets) <= MAX_ORACLE_TWEETS
-    index = ExposureIndex(ds)
+    retweeted_by_seed = {}
+    for t in ds.tweets:
+        if t.kind is TweetKind.RETWEET:
+            retweeted_by_seed.setdefault(t.author_id, set()).add(t.source_tweet_id)
+    author = _original_authors(ds)
     for u in ds.regular_users():
         assert len(u.followees) >= 100
-        surfaced = [t for f in u.followees for t in index.retweeted_by_seed[f]]
+        surfaced = [t for f in u.followees for t in retweeted_by_seed.get(f, ())]
         assert len(surfaced) > len(set(surfaced))  # cross-followee duplicates
-        assert any(index.original_author[t] in u.followees for t in surfaced)
+        assert any(author[t] in u.followees for t in surfaced)
     return params.rng_seed, ds
+
+
+def _original_authors(ds) -> dict[str, str]:
+    return {t.id: t.author_id for t in ds.tweets if t.kind is TweetKind.ORIGINAL}
 
 
 def test_oracle_equivalence():
@@ -186,14 +194,12 @@ def test_exposure_invariants_on_generated_datasets():
     """direct <= indirect and support(direct) <= support(indirect) everywhere."""
     checked_users = 0
     for _, ds in _small_oracle_datasets():
-        index = ExposureIndex(ds)
+        author = _original_authors(ds)
         for u in ds.regular_users():
-            tl = index.timeline(u.id)
+            tl = exposure_timeline(ds, u.id)
             assert tl.direct <= tl.indirect
-            direct_support = {index.category_of_seed[index.original_author[t]] for t in tl.direct}
-            indirect_support = {
-                index.category_of_seed[index.original_author[t]] for t in tl.indirect
-            }
+            direct_support = {ds.users[author[t]].category for t in tl.direct}
+            indirect_support = {ds.users[author[t]].category for t in tl.indirect}
             assert direct_support <= indirect_support
             checked_users += 1
     assert checked_users > 0

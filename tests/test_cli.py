@@ -261,6 +261,24 @@ def test_analyze_rerun_is_byte_identical(tmp_path):
     assert _read_all(tmp_path / "a") == _read_all(tmp_path / "b")
 
 
+def test_summary_of_a_metric_without_samples_is_null(tmp_path):
+    """No regular replies to a seed: reply diversity has no defined value,
+    so its summary holds a zero count and nulls, never 0."""
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_text("".join(
+        line + "\n" for line in (TOY / "tweets.jsonl").read_text().splitlines()
+        if '"reply"' not in line
+    ))
+    args = _analyze_args(tmp_path / "rep")
+    args[args.index("--tweets") + 1] = str(tweets)
+    assert runner.invoke(main, args).exit_code == 0
+    summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+    assert summary["metrics"]["reply_diversity"] == {
+        "count": 0, "mean": None, "fraction_below": {"0.5": None, "0.05": None, "0.01": None},
+    }
+    assert summary["metrics"]["retweet_diversity"]["count"] == 2
+
+
 def test_analyze_threshold_and_margin_flags(tmp_path):
     result = runner.invoke(
         main, _analyze_args(tmp_path / "rep") + ["--thresholds", "0.9", "--io-margin", "0.4"]

@@ -1,4 +1,8 @@
-"""Exposure timeline and histogram tests."""
+"""Exposure timeline and histogram tests.
+
+The timelines are the oracle's set-level definition; the histogram checks
+compare them with what the fast path computes.
+"""
 
 from collections import Counter
 
@@ -6,16 +10,13 @@ import pytest
 
 from helpers import config, dataset, original, regular, reply, retweet, seed
 from viewdiv import (
-    ExposureIndex,
     SynthParams,
+    TweetKind,
     compute_all,
     generate,
     normalized_entropy,
 )
-
-
-def _timeline(ds, user_id):
-    return ExposureIndex(ds).timeline(user_id)
+from viewdiv.oracle import exposure_timeline as _timeline
 
 
 def _by_user(ds):
@@ -23,9 +24,14 @@ def _by_user(ds):
     return {m.user_id: m for m in per_user}
 
 
-def _category_counts(index, tweet_ids):
+def _original_authors(ds):
+    return {t.id: t.author_id for t in ds.tweets if t.kind is TweetKind.ORIGINAL}
+
+
+def _category_counts(ds, tweet_ids):
     """Per-category counts of a set of originals, by author category."""
-    return Counter(index.category_of_seed[index.original_author[t]] for t in tweet_ids)
+    author = _original_authors(ds)
+    return Counter(ds.users[author[t]].category for t in tweet_ids)
 
 
 def _basic():
@@ -104,23 +110,21 @@ def test_histogram_uniform_hundred():
     users.append(regular("u1", [f"s{i}" for i in range(5)]))
     tweets = [original(f"o{i}_{j}", f"s{i}") for i in range(5) for j in range(20)]
     ds = dataset(cfg, users, tweets)
-    index = ExposureIndex(ds)
-    tl = index.timeline("u1")
+    tl = _timeline(ds, "u1")
     assert len(tl.direct) == 100
-    counts = _category_counts(index, tl.direct)
+    counts = _category_counts(ds, tl.direct)
     assert all(counts[f"c{i}"] == 20 for i in range(5))
     assert _by_user(ds)["u1"].direct_source_diversity == 1.0
 
 
 def test_histogram_empty_and_single_category():
     ds = _basic()
-    index = ExposureIndex(ds)
-    assert not _category_counts(index, index.timeline("u2").direct)
+    assert not _category_counts(ds, _timeline(ds, "u2").direct)
     assert _by_user(ds)["u2"].direct_source_diversity is None
     # u3 follows s1 alone: o1..o3, all in category "a" of n = 3
-    direct = index.timeline("u3").direct
+    direct = _timeline(ds, "u3").direct
     assert direct == {"o1", "o2", "o3"}
-    assert _category_counts(index, direct) == {"a": 3} and ds.config.n_categories == 3
+    assert _category_counts(ds, direct) == {"a": 3} and ds.config.n_categories == 3
     assert _by_user(ds)["u3"].direct_source_diversity == 0.0
 
 
@@ -155,13 +159,13 @@ def test_timeline_invariants_on_generated_datasets():
                         homophily=0.5, tweets_per_seed=6, retweets_per_regular=5,
                         replies_per_regular=2)
         )
-        index = ExposureIndex(ds)
         seeds = {u.id for u in ds.seed_users()}
+        author = _original_authors(ds)
         for u in ds.regular_users():
-            tl = index.timeline(u.id)
+            tl = _timeline(ds, u.id)
             assert tl.direct <= tl.indirect
             # every member is a seed-authored original
-            assert all(index.original_author[t] in seeds for t in tl.indirect)
-            assert set(_category_counts(index, tl.direct)) <= set(
-                _category_counts(index, tl.indirect)
+            assert all(author[t] in seeds for t in tl.indirect)
+            assert set(_category_counts(ds, tl.direct)) <= set(
+                _category_counts(ds, tl.indirect)
             )

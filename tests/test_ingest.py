@@ -2,6 +2,7 @@
 
 import json
 import random
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -11,6 +12,7 @@ from viewdiv import (
     IngestError,
     ParseDiagnostic,
     TweetKind,
+    TweetTable,
     UserKind,
     load_country_config,
     load_dataset,
@@ -195,10 +197,18 @@ def test_parse_spam():
 
 
 def _seed_originals(users, tweets) -> set[str]:
-    """The ids of the originals authored by a seed in ``users``: the one set
-    load_dataset hands both the filter and the build."""
+    """The ids of the originals authored by a seed in ``users``."""
     seeds = {u.id for u in users if u.kind is UserKind.SEED}
     return {t.id for t in tweets if t.kind is TweetKind.ORIGINAL and t.author_id in seeds}
+
+
+def _resolved(users, tweets) -> tuple[TweetTable, array]:
+    """The tweets as a table holding each id once, and each retweet's
+    source resolved to the seed in ``users`` that wrote it: what
+    load_dataset hands both the filter and the build."""
+    table, row_of = TweetTable.from_records(tweets).first_by_id()
+    seeds = {u.id for u in users if u.kind is UserKind.SEED}
+    return table, table.seed_source_authors(row_of, seeds)
 
 
 def _activity(n_retweets: int):
@@ -210,27 +220,27 @@ def _activity(n_retweets: int):
 
 def test_filter_keeps_regular_at_threshold():
     users, tweets = _activity(5)
-    retained, spam, thr = filter_active_regulars(users, tweets, _seed_originals(users, tweets))
+    retained, spam, thr = filter_active_regulars(users, *_resolved(users, tweets))
     assert {u.id for u in retained} == {"s1", "u1"} and (spam, thr) == (0, 0)
 
 
 def test_filter_drops_regular_below_threshold():
     users, tweets = _activity(4)
-    retained, spam, thr = filter_active_regulars(users, tweets, _seed_originals(users, tweets))
+    retained, spam, thr = filter_active_regulars(users, *_resolved(users, tweets))
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 
 def test_filter_counts_duplicate_retweets_once():
     users = [seed("s1", "a"), regular("u1", ["s1"])]
     tweets = [original("o1", "s1")] + [retweet(f"r{i}", "u1", "o1") for i in range(8)]
-    retained, _, thr = filter_active_regulars(users, tweets, _seed_originals(users, tweets))
+    retained, _, thr = filter_active_regulars(users, *_resolved(users, tweets))
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 
 def test_filter_spam_takes_precedence():
     users, tweets = _activity(10)
     retained, spam, thr = filter_active_regulars(
-        users, tweets, _seed_originals(users, tweets), spam_ids={"u1"}
+        users, *_resolved(users, tweets), spam_ids={"u1"}
     )
     assert {u.id for u in retained} == {"s1"} and (spam, thr) == (1, 0)
 
@@ -238,7 +248,7 @@ def test_filter_spam_takes_precedence():
 def test_filter_never_drops_seeds():
     users, tweets = _activity(0)
     retained, _, _ = filter_active_regulars(
-        users, tweets, _seed_originals(users, tweets), spam_ids={"s1"}
+        users, *_resolved(users, tweets), spam_ids={"s1"}
     )
     assert any(u.id == "s1" for u in retained)
 
@@ -247,7 +257,7 @@ def test_filter_requires_followed_seed():
     users = [seed("s1", "a"), regular("u1")]  # retweets but follows nobody
     tweets = [original(f"o{i}", "s1") for i in range(6)]
     tweets += [retweet(f"r{i}", "u1", f"o{i}") for i in range(6)]
-    retained, _, thr = filter_active_regulars(users, tweets, _seed_originals(users, tweets))
+    retained, _, thr = filter_active_regulars(users, *_resolved(users, tweets))
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 
@@ -274,7 +284,7 @@ def test_build_drops_dangling_and_dedupes():
     assert report.tweets_read == 5
     # build_dataset itself drops the dangling source and author
     deduped = [tweets[0], *tweets[2:]]
-    ds, dropped = build_dataset(cfg, users, deduped, _seed_originals(users, deduped))
+    ds, dropped = build_dataset(cfg, users, *_resolved(users, deduped))
     assert [t.id for t in ds.tweets] == ["o1", "r1"]
     assert dropped == 2
 
@@ -283,7 +293,7 @@ def test_build_drops_retweet_of_regular_original():
     cfg = config({"a": "left", "b": "right"})
     users = [seed("s1", "a"), regular("u1", ["s1"]), regular("u2", ["s1"])]
     tweets = [original("o1", "u1"), retweet("r1", "u2", "o1")]
-    ds, dropped = build_dataset(cfg, users, tweets, _seed_originals(users, tweets))
+    ds, dropped = build_dataset(cfg, users, *_resolved(users, tweets))
     # the regular's original is kept, but a retweet of it violates the
     # seed-original requirement and dangles
     assert [t.id for t in ds.tweets] == ["o1"]
@@ -294,7 +304,7 @@ def test_build_clean_inputs_identity():
     cfg = config({"a": "left", "b": "right"})
     users = [seed("s1", "a"), seed("s2", "b")]
     tweets = [original("o1", "s1"), original("o2", "s2")]
-    ds, dropped = build_dataset(cfg, users, tweets, _seed_originals(users, tweets))
+    ds, dropped = build_dataset(cfg, users, *_resolved(users, tweets))
     assert len(ds.tweets) == 2 and dropped == 0
     loaded, report, _ = load_dataset(
         cfg, [user_to_line(u) for u in users], [tweet_to_line(t) for t in tweets]
@@ -306,7 +316,7 @@ def test_build_clean_inputs_identity():
 def test_build_fails_on_invalid_config():
     cfg = config({"a": "left"})  # n < 2
     with pytest.raises(IngestError) as exc:
-        build_dataset(cfg, [seed("s1", "a")], [], set())
+        build_dataset(cfg, [seed("s1", "a")], *_resolved([], []))
     assert any("n < 2" in v for v in exc.value.violations)
 
 

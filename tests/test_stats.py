@@ -24,7 +24,7 @@ def test_distribution_last_bin_closed_at_one():
 
 def test_distribution_empty():
     dist = distribution([], bin_width=0.05)
-    assert dist.count == 0 and sum(dist.bin_counts) == 0 and dist.mean is None
+    assert dist.count == 0 and dist.bin_counts == (0,) * 20
 
 
 def test_distribution_rejects_out_of_range():
