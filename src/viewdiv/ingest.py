@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import compress
@@ -154,7 +155,8 @@ def parse_users(lines: Iterable[str]) -> tuple[list[UserRecord], list[ParseDiagn
                 id=uid,
                 kind=UserKind(kind_raw),
                 category=category,
-                followees=frozenset(followees_raw),
+                # one str object per followed id, however many lists name it
+                followees=frozenset(map(sys.intern, followees_raw)),
             )
         except (ValueError, TypeError) as exc:
             diagnostics.append(ParseDiagnostic(line_no, str(exc)))
@@ -313,18 +315,18 @@ def build_dataset(
 
     retained = [name in user_map for name in tweets.names]
     keep = [
-        i
-        for i, (author, kind, source_author, target) in enumerate(
-            zip(tweets.authors, tweets.kinds, source_authors, tweets.targets)
-        )
-        if retained[author]
+        retained[author]
         and (kind != RETWEET or source_author >= 0)
         and (kind != REPLY or retained[target])
+        for author, kind, source_author, target in zip(
+            tweets.authors, tweets.kinds, source_authors, tweets.targets
+        )
     ]
-    dropped = len(tweets) - len(keep)
+    dropped = keep.count(False)
     if dropped:
-        tweets = tweets.take(keep)
-        source_authors = array("i", [source_authors[i] for i in keep])
+        rows = list(compress(range(len(keep)), keep))
+        tweets = tweets.take(rows)
+        source_authors = array("i", [source_authors[i] for i in rows])
     return Dataset(config, user_map, tweets, source_authors), dropped
 
 
@@ -338,21 +340,20 @@ def load_dataset(
     """Full ingest pipeline: parse, resolve tweets once, filter, build.
 
     The lines may be any iterables, read once each, users first. Tweet ids
-    are deduplicated once, keeping the first occurrence; the id -> row map
-    of that dedupe resolves each retweet's source to the seed that wrote
-    it, once, and the activity filter, the build and the analysis all read
-    that resolution, so a retweet counts toward a regular's activity iff
-    the dataset keeps it. ``users_read``/``tweets_read`` count every
+    are deduplicated once, keeping the first occurrence, and each
+    retweet's source is resolved once to the seed that wrote it
+    (``Dataset.source_authors``); the activity filter, the build and the
+    analysis all read that resolution, so a retweet counts toward a
+    regular's activity iff the dataset keeps it. ``users_read``/``tweets_read`` count every
     attempted record line, so users_read = retained + dropped_spam +
     dropped_threshold + malformed, and tweets_read = kept +
     dropped_dangling + malformed + duplicate ids.
     """
     users, user_diags = parse_users(user_lines)
     parsed, tweet_diags = parse_tweets(tweet_lines)
-    tweets, row_of = parsed.first_by_id()
+    tweets = parsed.first_by_id()
     seed_ids = {u.id for u in users if u.kind is UserKind.SEED}
-    source_authors = tweets.seed_source_authors(row_of, seed_ids)
-    del row_of
+    source_authors = tweets.seed_source_authors(seed_ids)
     retained, dropped_spam, dropped_threshold = filter_active_regulars(
         users, tweets, source_authors, spam_ids, min_retweets
     )

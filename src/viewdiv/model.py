@@ -184,37 +184,33 @@ class TweetTable:
         table.timestamps = [self.timestamps[i] for i in rows]
         return table
 
-    def first_by_id(self) -> tuple[TweetTable, dict[str, int]]:
-        """The rows that hold the first occurrence of their id, and the map
-        from each id to its row in that table."""
-        n = len(self.ids)
+    def first_by_id(self) -> TweetTable:
+        """The rows that hold the first occurrence of their id: the table
+        itself when no id repeats."""
+        ids = self.ids
+        if len(set(ids)) == len(ids):
+            return self
         # Built back to front, so each id keeps its first row.
-        row_of = dict(zip(reversed(self.ids), range(n - 1, -1, -1)))
-        if len(row_of) == n:
-            return self, row_of
-        first = self.take(sorted(row_of.values()))
-        return first, dict(zip(first.ids, range(len(first))))
+        first_row = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+        return self.take(sorted(first_row.values()))
 
-    def seed_source_authors(self, row_of: dict[str, int], seed_ids) -> array:
+    def seed_source_authors(self, seed_ids) -> array:
         """Per row, the code of the seed that wrote a retweet's source.
 
-        ``row_of`` maps ids to rows of this table. A retweet whose source
-        id is the row of an original written by a user in ``seed_ids`` gets
-        that author's code; every other row gets -1.
+        Ids must be unique. A retweet whose source is the id of an original
+        written by a user in ``seed_ids`` gets that author's code; every
+        other row gets -1.
         """
         is_seed = [name in seed_ids for name in self.names]
-        n = len(self.ids)
-        # the author of each row that is a seed's original, else -1; the
-        # extra entry n is where an unknown source id lands
-        seed_author = [
-            a if k == ORIGINAL and is_seed[a] else -1
-            for k, a in zip(self.kinds, self.authors)
-        ]
-        seed_author.append(-1)
-        row = row_of.get
+        seed_author_of = {
+            tid: author
+            for tid, author in compress(zip(self.ids, self.authors), self.select(ORIGINAL))
+            if is_seed[author]
+        }
+        author_of = seed_author_of.get
         return array("i", [
-            seed_author[row(s, n)] if k == RETWEET else -1
-            for k, s in zip(self.kinds, self.sources)
+            author_of(source, -1) if kind == RETWEET else -1  # type: ignore[arg-type]
+            for kind, source in zip(self.kinds, self.sources)
         ])
 
     def select(self, kind: int) -> bytes:
@@ -288,8 +284,7 @@ class Dataset:
     ) -> Dataset:
         """A dataset over tweets that hold each id once and resolve."""
         seed_ids = {u.id for u in users.values() if u.kind is UserKind.SEED}
-        row_of = dict(zip(tweets.ids, range(len(tweets))))
-        return cls(config, users, tweets, tweets.seed_source_authors(row_of, seed_ids))
+        return cls(config, users, tweets, tweets.seed_source_authors(seed_ids))
 
     @classmethod
     def from_records(

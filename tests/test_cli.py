@@ -85,6 +85,21 @@ def test_analyze_missing_users_file_exits_2(tmp_path):
     assert "config validation failed" not in result.output
 
 
+@pytest.mark.parametrize("bad", ["missing", "directory"])
+def test_unreadable_tweets_path_exits_2(tmp_path, bad):
+    """The tweets file is read as it is parsed; a path that cannot be
+    opened still fails as an input error, before any report is written."""
+    path = tmp_path / "tweets"
+    if bad == "directory":
+        path.mkdir()
+    args = _analyze_args(tmp_path / "rep")
+    args[args.index("--tweets") + 1] = str(path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"cannot open {path}" in result.output
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "validate"])
 def test_directory_config_exits_2(tmp_path, command):
     args = [command, "--config", str(tmp_path), "--users", str(TOY / "users.jsonl"),

@@ -206,9 +206,9 @@ def _resolved(users, tweets) -> tuple[TweetTable, array]:
     """The tweets as a table holding each id once, and each retweet's
     source resolved to the seed in ``users`` that wrote it: what
     load_dataset hands both the filter and the build."""
-    table, row_of = TweetTable.from_records(tweets).first_by_id()
+    table = TweetTable.from_records(tweets).first_by_id()
     seeds = {u.id for u in users if u.kind is UserKind.SEED}
-    return table, table.seed_source_authors(row_of, seeds)
+    return table, table.seed_source_authors(seeds)
 
 
 def _activity(n_retweets: int):
@@ -336,6 +336,35 @@ def test_load_dataset_is_deterministic():
     first = load_dataset(cfg, user_lines, tweet_lines)
     second = load_dataset(cfg, user_lines, tweet_lines)
     assert first[0] == second[0] and first[1] == second[1] and first[2] == second[2]
+
+
+def test_load_dataset_reads_one_pass_iterators():
+    """Lines given as generators, each read once, load exactly as lists do:
+    the same dataset, report and diagnostics, noise included."""
+    cfg = config({"a": "left", "b": "right"})
+    user_lines = USER_LINES + ["", "{broken", '{"id":"u2","kind":"regular","followees":["s2"]}']
+    tweet_lines = [
+        json.dumps({"id": f"o{i}", "author_id": "s1", "kind": "original", "timestamp": i})
+        for i in range(6)
+    ] + [
+        json.dumps({"id": f"r{i}", "author_id": "u1", "kind": "retweet",
+                    "source_tweet_id": f"o{i}", "timestamp": 10 + i})
+        for i in range(6)
+    ] + [
+        '{"id":"o0","author_id":"s2","kind":"original"}',  # re-used id: dropped
+        '{"id":"p1","author_id":"u1","kind":"reply","target_user_id":"s2"}',
+        '{"id":"p2","author_id":"u1","kind":"reply"}',  # malformed
+        "\n",
+        '{"id":"x1","author_id":"ghost","kind":"original"}',  # dangling
+    ]
+    from_lists = load_dataset(cfg, user_lines, tweet_lines)
+    from_iterators = load_dataset(
+        cfg, (line for line in user_lines), (line + "\n" for line in tweet_lines)
+    )
+    assert from_iterators == from_lists
+    ds, report, diags = from_iterators
+    assert len(ds.tweets) == 13 and len(diags) == 2
+    assert report.tweets_read == 16 and report.tweets_dropped_dangling == 1
 
 
 @pytest.mark.parametrize("rng_seed", range(6))

@@ -71,6 +71,21 @@ def test_validate_rejects_dangling_and_nonseed_followees():
     assert any("non-seed 'u1'" in v for v in violations)
 
 
+def test_validate_reports_bad_followees_in_sorted_order():
+    """Each bad followee of a user is one message, in sorted followee order,
+    whatever order the follow list holds them in."""
+    cfg = config({"a": "left", "b": "right"})
+    users = {
+        "s1": seed("s1", "a"),
+        "u1": regular("u1", ["s1"]),
+        "u2": regular("u2", ["zed", "s1", "u1"]),
+    }
+    assert validate_config(cfg, users) == [
+        "user 'u2' follows non-seed 'u1'",
+        "user 'u2' follows unknown id 'zed'",
+    ]
+
+
 def test_validate_rejects_seed_with_unknown_category():
     cfg = config({"a": "left", "b": "right"})
     users = {"s1": seed("s1", "zz")}
