@@ -54,11 +54,7 @@ class ExposureIndex:
         originals = tweets.original_counts()
         self.volume = {u.id: originals[u.id] for u in seeds}
 
-        is_seed = [False] * len(tweets.names)
-        for u in seeds:
-            code = tweets.codes.get(u.id)
-            if code is not None:
-                is_seed[code] = True
+        is_seed = tweets.by_code(dict.fromkeys(self.volume, True), False)
         position: dict[str, int] = {}
         surfaced: dict[int, list[int]] = {}
         authored: dict[int, list[int]] = {}

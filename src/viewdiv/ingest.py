@@ -41,6 +41,7 @@ from .model import (
     UserKind,
     UserRecord,
     Wing,
+    tweet_violation,
     validate_config,
 )
 
@@ -218,15 +219,9 @@ def parse_tweets(lines: Iterable[str]) -> tuple[TweetTable, list[ParseDiagnostic
         if target is not None and not isinstance(target, str):
             diagnostics.append(ParseDiagnostic(line_no, "'target_user_id' must be a string"))
             continue
-        # the TweetRecord invariants, with TweetRecord's messages
-        if kind == RETWEET and not source:
-            diagnostics.append(ParseDiagnostic(line_no, f"retweet {tid!r} requires source_tweet_id"))
-            continue
-        if kind == REPLY and not target:
-            diagnostics.append(ParseDiagnostic(line_no, f"reply {tid!r} requires target_user_id"))
-            continue
-        if timestamp < 0:
-            diagnostics.append(ParseDiagnostic(line_no, f"tweet {tid!r} has negative timestamp"))
+        problem = tweet_violation(tid, kind, source, target, timestamp)
+        if problem is not None:
+            diagnostics.append(ParseDiagnostic(line_no, problem))
             continue
 
         add_id(tid)
@@ -344,10 +339,10 @@ def load_dataset(
     retweet's source is resolved once to the seed that wrote it
     (``Dataset.source_authors``); the activity filter, the build and the
     analysis all read that resolution, so a retweet counts toward a
-    regular's activity iff the dataset keeps it. ``users_read``/``tweets_read`` count every
-    attempted record line, so users_read = retained + dropped_spam +
-    dropped_threshold + malformed, and tweets_read = kept +
-    dropped_dangling + malformed + duplicate ids.
+    regular's activity iff the dataset keeps it. ``users_read`` and
+    ``tweets_read`` count every attempted record line, so users_read =
+    retained + dropped_spam + dropped_threshold + malformed, and
+    tweets_read = kept + dropped_dangling + malformed + duplicate ids.
     """
     users, user_diags = parse_users(user_lines)
     parsed, tweet_diags = parse_tweets(tweet_lines)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .exposure import ExposureIndex
-from .model import REPLY, RETWEET, Dataset, UserKind, Wing
+from .model import REPLY, RETWEET, Dataset, Wing
 
 
 @dataclass(frozen=True)
@@ -122,18 +122,6 @@ def _io_correlated(
     return True
 
 
-def _by_code(dataset: Dataset, value_of: dict, default) -> list:
-    """``value_of`` (keyed by user id) as a list indexed by the user codes of
-    ``dataset.tweets``; ``default`` for the other codes and for code -1,
-    which indexes the extra last entry."""
-    values = [default] * (len(dataset.tweets.names) + 1)
-    for user_id, value in value_of.items():
-        code = dataset.tweets.codes.get(user_id)
-        if code is not None:
-            values[code] = value
-    return values
-
-
 def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
     """Left/right interaction shares over seed retweets and seed-to-seed replies.
 
@@ -148,12 +136,12 @@ def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
         raise ValueError("wing mapping must cover at least one Left and one Right category")
 
     side = {Wing.LEFT: 0, Wing.RIGHT: 1}
-    side_of = _by_code(dataset, {
+    tweets = dataset.tweets
+    side_of = tweets.by_code({
         u.id: side.get(config.wing_of(u.category))  # type: ignore[arg-type]
         for u in dataset.seed_users()
     }, None)
     cells = [[0, 0], [0, 0]]  # [actor side][target side], left = 0
-    tweets = dataset.tweets
     for targets, kind in ((dataset.source_authors, RETWEET), (tweets.targets, REPLY)):
         for author, target in compress(zip(tweets.authors, targets), tweets.select(kind)):
             actor_side = side_of[author]
@@ -218,8 +206,8 @@ def compute_all(
     # the regulars' output histograms, from their retweets and replies
     tweets = dataset.tweets
     regular_ids = sorted(u.id for u in dataset.regular_users())
-    is_regular = _by_code(dataset, dict.fromkeys(regular_ids, True), False)
-    category_of = _by_code(dataset, seed_pos, None)
+    is_regular = tweets.by_code(dict.fromkeys(regular_ids, True), False)
+    category_of = tweets.by_code(seed_pos, None)
     output_counts: list[dict[int, list[int]]] = []
     for targets, kind in ((dataset.source_authors, RETWEET), (tweets.targets, REPLY)):
         counts: dict[int, list[int]] = {}

@@ -29,6 +29,14 @@ class TweetKind(str, Enum):
     REPLY = "reply"
 
 
+# Kind codes of TweetTable.kinds, in TweetKind order.
+ORIGINAL, RETWEET, REPLY = 0, 1, 2
+_KIND_CODES = {TweetKind.ORIGINAL: ORIGINAL, TweetKind.RETWEET: RETWEET, TweetKind.REPLY: REPLY}
+_KINDS = tuple(_KIND_CODES)
+# bytes.translate tables that turn the kinds column into a 0/1 selector.
+_SELECT = tuple(bytes(int(k == kind) for k in range(256)) for kind in range(len(_KINDS)))
+
+
 @dataclass(frozen=True)
 class PoliticalCategory:
     """One category of the political spectrum, e.g. "left" or "kurdish"."""
@@ -98,20 +106,30 @@ class TweetRecord:
     timestamp: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind is TweetKind.RETWEET and not self.source_tweet_id:
-            raise ValueError(f"retweet {self.id!r} requires source_tweet_id")
-        if self.kind is TweetKind.REPLY and not self.target_user_id:
-            raise ValueError(f"reply {self.id!r} requires target_user_id")
-        if self.timestamp < 0:
-            raise ValueError(f"tweet {self.id!r} has negative timestamp")
+        problem = tweet_violation(
+            self.id, _KIND_CODES[self.kind], self.source_tweet_id, self.target_user_id,
+            self.timestamp,
+        )
+        if problem is not None:
+            raise ValueError(problem)
 
 
-# Kind codes of TweetTable.kinds, in TweetKind order.
-ORIGINAL, RETWEET, REPLY = 0, 1, 2
-KIND_CODES = {TweetKind.ORIGINAL: ORIGINAL, TweetKind.RETWEET: RETWEET, TweetKind.REPLY: REPLY}
-_KINDS = tuple(KIND_CODES)
-# bytes.translate tables that turn the kinds column into a 0/1 selector.
-_SELECT = tuple(bytes(int(k == kind) for k in range(256)) for kind in range(len(_KINDS)))
+def tweet_violation(
+    tweet_id: str,
+    kind: int,
+    source_tweet_id: str | None,
+    target_user_id: str | None,
+    timestamp: int,
+) -> str | None:
+    """What makes a tweet with these fields invalid, or None if nothing
+    does; ``kind`` is a kind code."""
+    if kind == RETWEET and not source_tweet_id:
+        return f"retweet {tweet_id!r} requires source_tweet_id"
+    if kind == REPLY and not target_user_id:
+        return f"reply {tweet_id!r} requires target_user_id"
+    if timestamp < 0:
+        return f"tweet {tweet_id!r} has negative timestamp"
+    return None
 
 
 class TweetTable:
@@ -166,14 +184,13 @@ class TweetTable:
         table = cls()
         for t in records:
             table.append(
-                t.id, KIND_CODES[t.kind], t.author_id, t.source_tweet_id,
+                t.id, _KIND_CODES[t.kind], t.author_id, t.source_tweet_id,
                 t.target_user_id, t.timestamp,
             )
         return table
 
-    def take(self, rows: Iterable[int]) -> TweetTable:
+    def take(self, rows: list[int]) -> TweetTable:
         """The given rows, in the given order, as a table sharing ``names``."""
-        rows = list(rows)
         table = TweetTable()
         table.names, table.codes = self.names, self.codes
         table.ids = [self.ids[i] for i in rows]
@@ -212,6 +229,17 @@ class TweetTable:
             author_of(source, -1) if kind == RETWEET else -1  # type: ignore[arg-type]
             for kind, source in zip(self.kinds, self.sources)
         ])
+
+    def by_code(self, value_of: dict, default) -> list:
+        """``value_of`` (keyed by user id) as a list indexed by user code:
+        ``default`` for the other codes and for code -1, which indexes the
+        extra last entry."""
+        values = [default] * (len(self.names) + 1)
+        for user_id, value in value_of.items():
+            code = self.codes.get(user_id)
+            if code is not None:
+                values[code] = value
+        return values
 
     def select(self, kind: int) -> bytes:
         """One byte per row, 1 where the row is of ``kind``: a selector
@@ -261,7 +289,8 @@ class TweetTable:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable, reference-checked container for one country's crawl.
+    """Reference-checked container for one country's crawl; the analysis
+    only reads it.
 
     ``tweets`` is the column table of the kept tweets. ``source_authors``
     holds, per row, the code (into ``tweets.names``) of the seed that wrote

@@ -1,10 +1,12 @@
 """Brute-force metric recomputation by exhaustive enumeration.
 
 Ground truth for equivalence testing: every metric is recomputed directly
-from its definition with plain loops over the tweet list, sharing nothing
-with the metrics/exposure modules except the domain types and result
-shapes. Deliberately unoptimized; duplication with the fast path is the
-point. Guarded to small datasets.
+from its definition with plain loops over the tweet records (the record
+view of the dataset's tweet table), sharing nothing with the
+metrics/exposure modules except the domain types and result shapes. The
+set-level exposure view, :func:`exposure_timeline`, lives here for the
+same reason. Deliberately unoptimized; duplication with the fast path is
+the point. Guarded to small datasets.
 """
 
 from __future__ import annotations
