@@ -412,12 +412,16 @@ def config_to_json(config: CountryConfig) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# json.dumps(obj, separators=(",", ":")) without building an encoder per line
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def user_to_line(user: UserRecord) -> str:
     obj: dict = {"id": user.id, "kind": user.kind.value}
     if user.category is not None:
         obj["category"] = user.category
     obj["followees"] = sorted(user.followees)
-    return json.dumps(obj, separators=(",", ":"))
+    return _compact_json(obj)
 
 
 def tweet_to_line(tweet: TweetRecord) -> str:
@@ -434,7 +438,7 @@ def _tweet_line(tid, author_id, kind, source_tweet_id, target_user_id, timestamp
     if target_user_id is not None:
         obj["target_user_id"] = target_user_id
     obj["timestamp"] = timestamp
-    return json.dumps(obj, separators=(",", ":"))
+    return _compact_json(obj)
 
 
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
