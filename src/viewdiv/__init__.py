@@ -1,6 +1,5 @@
 """Viewpoint-diversity metrics for seed/follower social graphs."""
 
-from .exposure import ExposureIndex
 from .ingest import (
     IngestError,
     IngestReport,
@@ -57,7 +56,6 @@ def __getattr__(name: str):
 __all__ = [
     "CountryConfig",
     "Dataset",
-    "ExposureIndex",
     "IngestError",
     "IngestReport",
     "MetricDistribution",

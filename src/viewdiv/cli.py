@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import click
@@ -130,14 +130,7 @@ def _summary_object(
             "regular_users": len(dataset.regular_users()),
             "tweets": len(dataset.tweets),
             "minority_originals": minority_originals,
-            "ingest": {
-                "users_read": report.users_read,
-                "users_dropped_spam": report.users_dropped_spam,
-                "users_dropped_threshold": report.users_dropped_threshold,
-                "tweets_read": report.tweets_read,
-                "tweets_dropped_dangling": report.tweets_dropped_dangling,
-                "malformed_lines": len(diagnostics),
-            },
+            "ingest": {**asdict(report), "malformed_lines": len(diagnostics)},
         },
         "metrics": metrics_obj,
         "io_correlation": {

@@ -39,8 +39,8 @@ class ExposureIndex:
     ``category_masks`` (config category order) and ``minority_mask`` group
     the bits by original author. A user's surfaced-new originals are the OR
     of its followees' ``surfaced_mask`` minus the OR of their
-    ``authored_mask``. Each retweet's source author is read from
-    ``dataset.source_authors``, the resolution ingest made once.
+    ``authored_mask``. Each retweet's source author is its target in the
+    tweet table, the resolution ingest made once.
     """
 
     def __init__(self, dataset: Dataset):
@@ -59,8 +59,7 @@ class ExposureIndex:
         surfaced: dict[int, list[int]] = {}
         authored: dict[int, list[int]] = {}
         for author, source, source_author in compress(
-            zip(tweets.authors, tweets.sources, dataset.source_authors),
-            tweets.select(RETWEET),
+            zip(tweets.authors, tweets.sources, tweets.targets), tweets.select(RETWEET)
         ):
             if not is_seed[author]:
                 continue

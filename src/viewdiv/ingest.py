@@ -9,7 +9,8 @@ UTF-8" diagnostic):
   "followees": [...]}`` -- ``category`` only for seeds.
 * tweets file: ``{"id": ..., "author_id": ..., "kind":
   "original"|"retweet"|"reply", "source_tweet_id": ..., "target_user_id":
-  ..., "timestamp": ...}``.
+  ..., "timestamp": ...}`` -- ``source_tweet_id`` kept for retweets only,
+  ``target_user_id`` for replies only.
 * spam list:   one user id per line.
 
 Unknown keys are ignored. Malformed lines yield diagnostics, never aborts.
@@ -23,7 +24,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from array import array
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -88,25 +88,33 @@ def _parse_line(line: str, line_no: int) -> tuple[dict | None, ParseDiagnostic |
     # never reach the scan.
     if not line.isascii() and _LONE_SURROGATE.search(line):
         return None, ParseDiagnostic(line_no, "invalid UTF-8")
-    # raw_decode is json.loads without its checks on the text around the
-    # value; a line that starts with a value and ends in JSON whitespace
-    # decodes the same either way. Any other line goes to json.loads, so
-    # that an error carries json.loads's own message.
     try:
-        obj, end = _raw_decode(line)
-        exact = end == len(line) or not line[end:].strip(_JSON_WHITESPACE)
-    except json.JSONDecodeError:
-        exact = False
-    if not exact:
+        # raw_decode is json.loads without its checks on the text around the
+        # value; a line that starts with a value and ends in JSON whitespace
+        # decodes the same either way. Any other line goes to json.loads, so
+        # that an error carries json.loads's own message.
         try:
+            obj, end = _raw_decode(line)
+            exact = end == len(line) or not line[end:].strip(_JSON_WHITESPACE)
+        except json.JSONDecodeError:
+            exact = False
+        if not exact:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return None, ParseDiagnostic(line_no, f"invalid JSON: {exc.msg}")
-    # Only a line with a backslash can hold a \u escape. json.loads joins an
-    # escaped surrogate pair into one character, so any surrogate left in
-    # the decoded record was escaped alone.
-    if "\\" in line and _LONE_SURROGATE.search(json.dumps(obj, ensure_ascii=False)):
-        return None, ParseDiagnostic(line_no, "invalid UTF-8")
+        # Only a line with a backslash can hold a \u escape. json.loads joins
+        # an escaped surrogate pair into one character, so any surrogate left
+        # in the decoded record was escaped alone.
+        if "\\" in line and _LONE_SURROGATE.search(json.dumps(obj, ensure_ascii=False)):
+            return None, ParseDiagnostic(line_no, "invalid UTF-8")
+    except json.JSONDecodeError as exc:
+        return None, ParseDiagnostic(line_no, f"invalid JSON: {exc.msg}")
+    except RecursionError:
+        # Nesting deeper than the interpreter's recursion limit, hit while
+        # decoding or while encoding the record again for the surrogate check.
+        return None, ParseDiagnostic(line_no, "invalid JSON: nested too deeply")
+    except ValueError:
+        # The one other ValueError decoding raises: int() refuses a literal
+        # longer than sys.get_int_max_str_digits().
+        return None, ParseDiagnostic(line_no, "invalid JSON: integer too long")
     if not isinstance(obj, dict):
         return None, ParseDiagnostic(line_no, "record is not an object")
     return obj, None
@@ -174,7 +182,10 @@ def parse_tweets(lines: Iterable[str]) -> tuple[TweetTable, list[ParseDiagnostic
 
     Every well-formed line becomes a row, repeated ids included, so that
     ``len(table)`` counts the parsed lines; :func:`load_dataset` keeps the
-    first row of each id.
+    first row of each id. ``source_tweet_id`` and ``target_user_id`` are
+    type-checked on every line, but a row keeps the source only for a
+    retweet and the target only for a reply: on other kinds they are
+    dropped like unknown keys.
     """
     table = TweetTable()
     diagnostics: list[ParseDiagnostic] = []
@@ -224,11 +235,12 @@ def parse_tweets(lines: Iterable[str]) -> tuple[TweetTable, list[ParseDiagnostic
             diagnostics.append(ParseDiagnostic(line_no, problem))
             continue
 
+        # the same per-kind rule as TweetTable.append, inline for speed
         add_id(tid)
         add_kind(kind)
         add_author(code(author))
-        add_source(source)
-        add_target(-1 if target is None else code(target))
+        add_source(source if kind == RETWEET else None)
+        add_target(code(target) if kind == REPLY else -1)
         add_timestamp(timestamp)
 
     return table, diagnostics
@@ -242,7 +254,6 @@ def parse_spam(lines: Iterable[str]) -> set[str]:
 def filter_active_regulars(
     users: list[UserRecord],
     tweets: TweetTable,
-    source_authors: array,
     spam_ids: frozenset[str] | set[str] = frozenset(),
     min_retweets: int = 5,
 ) -> tuple[list[UserRecord], int, int]:
@@ -251,18 +262,18 @@ def filter_active_regulars(
     Seeds always pass. A regular passes iff it is not spam-listed, it
     retweeted at least ``min_retweets`` distinct originals written by a
     seed, and it follows at least one seed. ``tweets`` holds each id once
-    and ``source_authors`` is its resolution
-    (:meth:`~viewdiv.model.TweetTable.seed_source_authors`): a retweet
-    counts iff its source resolved to a seed. Spam takes precedence over
-    the threshold in the drop counts. Returns ``(retained, dropped_spam,
+    and its retweets are resolved
+    (:meth:`~viewdiv.model.TweetTable.resolve_sources`): a retweet counts
+    iff it points at a seed. Spam takes precedence over the threshold in
+    the drop counts. Returns ``(retained, dropped_spam,
     dropped_threshold)``.
     """
     seed_ids = {u.id for u in users if u.kind is UserKind.SEED}
     distinct_seed_retweets: dict[int, set[str]] = {}
-    for author, source, source_author in compress(
-        zip(tweets.authors, tweets.sources, source_authors), tweets.select(RETWEET)
+    for author, source, target in compress(
+        zip(tweets.authors, tweets.sources, tweets.targets), tweets.select(RETWEET)
     ):
-        if source_author >= 0:
+        if target >= 0:
             distinct_seed_retweets.setdefault(author, set()).add(source)  # type: ignore[arg-type]
 
     codes = tweets.codes
@@ -289,16 +300,15 @@ def build_dataset(
     config: CountryConfig,
     users: list[UserRecord],
     tweets: TweetTable,
-    source_authors: array,
 ) -> tuple[Dataset, int]:
     """Assemble and validate an immutable Dataset from filtered collections.
 
-    ``tweets`` must hold each id once and ``source_authors`` be its
-    resolution against the seeds in ``users``. A tweet is kept iff its
-    author is in ``users`` and, for a retweet, its source resolved to a
-    seed or, for a reply, its target is in ``users``; the rest dangle.
-    Config validation failure raises :class:`IngestError`. Returns
-    ``(dataset, tweets_dropped_dangling)``.
+    ``tweets`` must hold each id once and its retweets be resolved against
+    the seeds in ``users``. An original is kept iff its author is in
+    ``users``; a retweet or reply is kept iff its author and the user it
+    points at are in ``users``; the rest dangle. Config validation failure
+    raises :class:`IngestError`. Returns ``(dataset,
+    tweets_dropped_dangling)``.
     """
     user_map: dict[str, UserRecord] = {}
     for u in users:
@@ -308,21 +318,15 @@ def build_dataset(
     if violations:
         raise IngestError(violations)
 
-    retained = [name in user_map for name in tweets.names]
+    retained = tweets.by_code(dict.fromkeys(user_map, True), False)
     keep = [
-        retained[author]
-        and (kind != RETWEET or source_author >= 0)
-        and (kind != REPLY or retained[target])
-        for author, kind, source_author, target in zip(
-            tweets.authors, tweets.kinds, source_authors, tweets.targets
-        )
+        retained[author] and (kind == ORIGINAL or retained[target])
+        for author, kind, target in zip(tweets.authors, tweets.kinds, tweets.targets)
     ]
     dropped = keep.count(False)
     if dropped:
-        rows = list(compress(range(len(keep)), keep))
-        tweets = tweets.take(rows)
-        source_authors = array("i", [source_authors[i] for i in rows])
-    return Dataset(config, user_map, tweets, source_authors), dropped
+        tweets = tweets.take(list(compress(range(len(keep)), keep)))
+    return Dataset(config, user_map, tweets), dropped
 
 
 def load_dataset(
@@ -335,24 +339,23 @@ def load_dataset(
     """Full ingest pipeline: parse, resolve tweets once, filter, build.
 
     The lines may be any iterables, read once each, users first. Tweet ids
-    are deduplicated once, keeping the first occurrence, and each
-    retweet's source is resolved once to the seed that wrote it
-    (``Dataset.source_authors``); the activity filter, the build and the
-    analysis all read that resolution, so a retweet counts toward a
-    regular's activity iff the dataset keeps it. ``users_read`` and
-    ``tweets_read`` count every attempted record line, so users_read =
-    retained + dropped_spam + dropped_threshold + malformed, and
-    tweets_read = kept + dropped_dangling + malformed + duplicate ids.
+    are deduplicated once, keeping the first occurrence, and each retweet
+    is resolved once to the seed that wrote its source, its target in the
+    tweet table; the activity filter, the build and the analysis all read
+    that resolution, so a retweet counts toward a regular's activity iff
+    the dataset keeps it. ``users_read`` and ``tweets_read`` count every
+    attempted record line, so users_read = retained + dropped_spam +
+    dropped_threshold + malformed, and tweets_read = kept +
+    dropped_dangling + malformed + duplicate ids.
     """
     users, user_diags = parse_users(user_lines)
     parsed, tweet_diags = parse_tweets(tweet_lines)
     tweets = parsed.first_by_id()
-    seed_ids = {u.id for u in users if u.kind is UserKind.SEED}
-    source_authors = tweets.seed_source_authors(seed_ids)
+    tweets.resolve_sources({u.id for u in users if u.kind is UserKind.SEED})
     retained, dropped_spam, dropped_threshold = filter_active_regulars(
-        users, tweets, source_authors, spam_ids, min_retweets
+        users, tweets, spam_ids, min_retweets
     )
-    dataset, dropped_dangling = build_dataset(config, retained, tweets, source_authors)
+    dataset, dropped_dangling = build_dataset(config, retained, tweets)
     report = IngestReport(
         users_read=len(users) + len(user_diags),
         users_dropped_spam=dropped_spam,

@@ -128,7 +128,7 @@ def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
     Requires the wing mapping to cover at least one Left and one Right
     category. Interactions whose actor or target is unaligned are skipped.
     A retweet's target is the seed that wrote its source, as resolved in
-    ``dataset.source_authors``.
+    the tweet table.
     """
     config = dataset.config
     wings = {c.wing for c in config.categories}
@@ -142,12 +142,12 @@ def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
         for u in dataset.seed_users()
     }, None)
     cells = [[0, 0], [0, 0]]  # [actor side][target side], left = 0
-    for targets, kind in ((dataset.source_authors, RETWEET), (tweets.targets, REPLY)):
-        for author, target in compress(zip(tweets.authors, targets), tweets.select(kind)):
-            actor_side = side_of[author]
-            target_side = side_of[target]
-            if actor_side is not None and target_side is not None:
-                cells[actor_side][target_side] += 1
+    # an original's target, -1, has side None
+    for author, target in zip(tweets.authors, tweets.targets):
+        actor_side = side_of[author]
+        target_side = side_of[target]
+        if actor_side is not None and target_side is not None:
+            cells[actor_side][target_side] += 1
 
     (ll, lr), (rl, rr) = cells
     left_total = ll + lr
@@ -209,9 +209,9 @@ def compute_all(
     is_regular = tweets.by_code(dict.fromkeys(regular_ids, True), False)
     category_of = tweets.by_code(seed_pos, None)
     output_counts: list[dict[int, list[int]]] = []
-    for targets, kind in ((dataset.source_authors, RETWEET), (tweets.targets, REPLY)):
+    for kind in (RETWEET, REPLY):
         counts: dict[int, list[int]] = {}
-        for author, target in compress(zip(tweets.authors, targets), tweets.select(kind)):
+        for author, target in compress(zip(tweets.authors, tweets.targets), tweets.select(kind)):
             pos = category_of[target]
             # a reply to a regular has no category
             if is_regular[author] and pos is not None:

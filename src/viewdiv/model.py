@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from typing import Iterable, Iterator
@@ -138,10 +138,13 @@ class TweetTable:
     ``kinds`` holds kind codes (:data:`ORIGINAL`, :data:`RETWEET`,
     :data:`REPLY`). ``authors`` and ``targets`` hold codes into ``names``,
     the user ids the rows name, interned in first-seen order (``codes`` maps
-    them back); a row without a reply target has target -1. ``sources``
-    holds the source tweet ids as read (None when absent), and ``ids`` and
-    ``timestamps`` complete the record. The analysis reads the columns;
-    indexing or iterating the table gives :class:`TweetRecord` views.
+    them back). ``targets`` is the user a row points at: a reply's target,
+    a retweet's source author once :meth:`resolve_sources` has run, and -1
+    otherwise (an original, or a retweet whose source is no seed's
+    original). ``sources`` holds a retweet's source tweet id as read and
+    None for the other kinds, and ``ids`` and ``timestamps`` complete the
+    record. The analysis reads the columns; iterating the table gives
+    :class:`TweetRecord` views.
     """
 
     def __init__(self) -> None:
@@ -171,12 +174,14 @@ class TweetTable:
         target_user_id: str | None = None,
         timestamp: int = 0,
     ) -> None:
-        """Add one row; ``kind`` is a kind code."""
+        """Add one row; ``kind`` is a kind code. Only a retweet keeps its
+        ``source_tweet_id`` and only a reply its ``target_user_id``."""
         self.ids.append(tweet_id)
         self.kinds.append(kind)
         self.authors.append(self.code(author_id))
-        self.sources.append(source_tweet_id)
-        self.targets.append(-1 if target_user_id is None else self.code(target_user_id))
+        self.sources.append(source_tweet_id if kind == RETWEET else None)
+        target = self.code(target_user_id) if kind == REPLY else -1  # type: ignore[arg-type]
+        self.targets.append(target)
         self.timestamps.append(timestamp)
 
     @classmethod
@@ -211,12 +216,12 @@ class TweetTable:
         first_row = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
         return self.take(sorted(first_row.values()))
 
-    def seed_source_authors(self, seed_ids) -> array:
-        """Per row, the code of the seed that wrote a retweet's source.
+    def resolve_sources(self, seed_ids) -> None:
+        """Point each retweet at the seed that wrote its source, in place.
 
         Ids must be unique. A retweet whose source is the id of an original
-        written by a user in ``seed_ids`` gets that author's code; every
-        other row gets -1.
+        written by a user in ``seed_ids`` gets that author's code as its
+        target; every other retweet gets -1. Other rows keep theirs.
         """
         is_seed = [name in seed_ids for name in self.names]
         seed_author_of = {
@@ -225,9 +230,9 @@ class TweetTable:
             if is_seed[author]
         }
         author_of = seed_author_of.get
-        return array("i", [
-            author_of(source, -1) if kind == RETWEET else -1  # type: ignore[arg-type]
-            for kind, source in zip(self.kinds, self.sources)
+        self.targets = array("i", [
+            author_of(source, -1) if kind == RETWEET else target  # type: ignore[arg-type]
+            for kind, source, target in zip(self.kinds, self.sources, self.targets)
         ])
 
     def by_code(self, value_of: dict, default) -> list:
@@ -259,18 +264,11 @@ class TweetTable:
         ):
             yield (
                 tid, names[author], _KINDS[kind], source,
-                None if target < 0 else names[target], timestamp,
+                names[target] if kind == REPLY else None, timestamp,
             )
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i: int) -> TweetRecord:
-        target = self.targets[i]
-        return TweetRecord(
-            self.ids[i], self.names[self.authors[i]], _KINDS[self.kinds[i]],
-            self.sources[i], None if target < 0 else self.names[target], self.timestamps[i],
-        )
 
     def __iter__(self) -> Iterator[TweetRecord]:
         return (TweetRecord(*row) for row in self.rows())
@@ -292,12 +290,10 @@ class Dataset:
     """Reference-checked container for one country's crawl; the analysis
     only reads it.
 
-    ``tweets`` is the column table of the kept tweets. ``source_authors``
-    holds, per row, the code (into ``tweets.names``) of the seed that wrote
-    a retweet's source original, resolved once when the dataset is built,
-    and -1 for the other rows. Construct through
-    :func:`viewdiv.ingest.load_dataset`, which deduplicates tweet ids,
-    drops dangling references and validates the config, or from data
+    ``tweets`` is the column table of the kept tweets, its retweets
+    resolved: each points at the seed that wrote its source. Construct
+    through :func:`viewdiv.ingest.load_dataset`, which deduplicates tweet
+    ids, drops dangling references and validates the config, or from data
     already consistent through :meth:`from_records`/:meth:`from_table`; the
     analysis modules assume every reference resolves.
     """
@@ -305,15 +301,15 @@ class Dataset:
     config: CountryConfig
     users: dict[str, UserRecord]
     tweets: TweetTable
-    source_authors: array = field(compare=False, repr=False)
 
     @classmethod
     def from_table(
         cls, config: CountryConfig, users: dict[str, UserRecord], tweets: TweetTable
     ) -> Dataset:
-        """A dataset over tweets that hold each id once and resolve."""
-        seed_ids = {u.id for u in users.values() if u.kind is UserKind.SEED}
-        return cls(config, users, tweets, tweets.seed_source_authors(seed_ids))
+        """A dataset over tweets that hold each id once and resolve; the
+        table's retweets are resolved in place."""
+        tweets.resolve_sources({u.id for u in users.values() if u.kind is UserKind.SEED})
+        return cls(config, users, tweets)
 
     @classmethod
     def from_records(

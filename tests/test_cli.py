@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from viewdiv import parse_tweets
 from viewdiv.cli import METRIC_FIELDS, main
 
 TOY = Path(__file__).resolve().parent / "data" / "toy"
@@ -222,25 +223,68 @@ def test_analyze_non_string_reply_target_is_a_line_diagnostic(tmp_path):
     assert summary["dataset"]["ingest"]["malformed_lines"] == 1
 
 
-def test_analyze_invalid_utf8_is_a_line_diagnostic(tmp_path):
+def _assert_one_malformed_tweet_line(tmp_path, line: bytes) -> None:
+    """analyze on the toy tweets plus ``line`` exits 0 with one malformed
+    line, and every other line still counts: the other reports are the
+    golden ones."""
     tweets = tmp_path / "tweets.jsonl"
-    # The bad byte sits inside a JSON string, where a decoder that replaced
-    # or escaped it would still yield a parseable record.
-    tweets.write_bytes(
-        (TOY / "tweets.jsonl").read_bytes()
-        + b'{"id":"t\xff99","author_id":"s_red","kind":"original","timestamp":99}\n'
-    )
+    tweets.write_bytes((TOY / "tweets.jsonl").read_bytes() + line + b"\n")
     args = _analyze_args(tmp_path / "rep")
     args[args.index("--tweets") + 1] = str(tweets)
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
     assert summary["dataset"]["ingest"]["malformed_lines"] == 1
-    # Every other line still counts: the reports are the golden ones.
     reports = _read_all(tmp_path / "rep")
     expected = _read_all(TOY / "expected")
     assert reports.pop("summary.json") != expected.pop("summary.json")
     assert reports == expected
+
+
+def test_analyze_invalid_utf8_is_a_line_diagnostic(tmp_path):
+    # The bad byte sits inside a JSON string, where a decoder that replaced
+    # or escaped it would still yield a parseable record.
+    _assert_one_malformed_tweet_line(
+        tmp_path, b'{"id":"t\xff99","author_id":"s_red","kind":"original","timestamp":99}'
+    )
+
+
+@pytest.mark.parametrize("line", [
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"id":"t99","author_id":"s_red","kind":"original","timestamp":' + b"9" * 5000 + b"}",
+], ids=["nested_too_deeply", "integer_too_long"])
+def test_analyze_undecodable_json_is_a_line_diagnostic(tmp_path, line):
+    _assert_one_malformed_tweet_line(tmp_path, line)
+
+
+def test_references_of_other_kinds_are_dropped(tmp_path):
+    """Only a retweet keeps ``source_tweet_id`` and only a reply
+    ``target_user_id``: on other kinds they are dropped like unknown keys,
+    in the records and in every report."""
+    extra = {
+        "t01": ',"target_user_id":"s_blue"',   # an original by s_red, left -> right
+        "t18": ',"target_user_id":"u_ghost"',  # u_alice's retweet of t01
+        "t23": ',"source_tweet_id":"t06"',     # u_alice's reply to s_red
+    }
+    lines = []
+    for line in _TOY_TWEET_LINES:
+        tid = json.loads(line)["id"]
+        lines.append(line[:-1] + extra.get(tid, "") + "}")
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_text("".join(line + "\n" for line in lines))
+
+    table, diags = parse_tweets(lines)
+    records = {t.id: t for t in table}
+    assert diags == [] and len(records) == len(lines)
+    assert records["t01"].target_user_id is None and records["t01"].source_tweet_id is None
+    assert records["t18"].target_user_id is None and records["t18"].source_tweet_id == "t01"
+    assert records["t23"].source_tweet_id is None and records["t23"].target_user_id == "s_red"
+
+    args = _analyze_args(tmp_path / "rep")
+    args[args.index("--tweets") + 1] = str(tweets)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert _read_all(tmp_path / "rep") == _read_all(TOY / "expected")
 
 
 def test_analyze_loads_neither_numpy_nor_scipy(tmp_path):
@@ -477,6 +521,7 @@ _TOY_TWEET_LINES = (TOY / "tweets.jsonl").read_text().splitlines()
 # values, which once reached code that hashed them, come first.
 _NOT_A_STRING = [["x"], {"k": 1}, None, 7, True]
 _BAD_BYTES = [b"\xff", b"\x80", b"\xed\xa0\x80"]
+_UNDECODABLE = {"too_deep": "[" * 100_000 + "]" * 100_000, "too_long": "1" * 5000}
 REPORTS = {
     "users_metrics.csv", "summary.json", "seed_matrix.csv",
     *(f"dist_{m}.csv" for m in METRIC_FIELDS),
@@ -486,11 +531,17 @@ REPORTS = {
 @st.composite
 def _damaged(draw, line: str) -> bytes:
     """``line`` truncated, with a field of the wrong type, with a byte that
-    is not UTF-8, or with a string field holding an escaped lone surrogate."""
+    is not UTF-8, with a string field holding an escaped lone surrogate, or
+    with JSON the decoder cannot hold: nesting past the recursion limit or
+    an integer longer than int() converts."""
     record = json.loads(line)
-    how = draw(st.sampled_from(["truncated", "wrong_type", "bad_utf8", "lone_surrogate"]))
+    how = draw(st.sampled_from([
+        "truncated", "wrong_type", "bad_utf8", "lone_surrogate", "too_deep", "too_long",
+    ]))
     if how == "truncated":
         return line[: draw(st.integers(0, len(line) - 1))].encode()
+    if how in _UNDECODABLE:
+        return (line[:-1] + ',"x":' + _UNDECODABLE[how] + "}").encode()
     if how == "bad_utf8":
         raw = line.encode()
         cut = draw(st.integers(0, len(raw)))
@@ -518,7 +569,11 @@ def _noisy_file(draw, lines: list[str], rename: str | None) -> bytes:
 @st.composite
 def _noisy_config(draw) -> bytes:
     cfg = json.loads((TOY / "config.json").read_text())
-    how = draw(st.sampled_from(["valid", "category_id", "valid", "name", "truncated"]))
+    how = draw(st.sampled_from(
+        ["valid", "category_id", "valid", "name", "truncated", "too_deep", "too_long"]
+    ))
+    if how in _UNDECODABLE:
+        return (json.dumps(cfg)[:-1] + ', "x": ' + _UNDECODABLE[how] + "}").encode()
     if how == "category_id":
         cfg["categories"][draw(st.integers(0, 2))]["id"] = draw(st.sampled_from(_NOT_A_STRING))
     elif how == "name":

@@ -2,7 +2,7 @@
 
 import json
 import random
-from array import array
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -159,6 +159,40 @@ def test_parse_escaped_surrogate_pair_and_backslash_are_accepted():
     assert diags == [] and [t.id for t in tweets] == ["t1\\udcff"]
 
 
+# Valid JSON that the decoder cannot hold: nesting past the recursion limit
+# and an integer longer than int() converts.
+_TOO_DEEP = "[" * 100_000 + "]" * 100_000
+_TOO_LONG = '{"id":"t9","author_id":"s1","kind":"original","timestamp":' + "1" * 5000 + "}"
+
+
+def test_parse_nested_json_is_a_diagnostic_at_every_depth():
+    """Each depth decodes to a record or fails as nested too deeply, also
+    where the decode fits under the recursion limit but encoding the record
+    again, for the escaped-surrogate check (the line holds a \\u escape),
+    does not."""
+    messages = set()
+    for depth in range(1, sys.getrecursionlimit() + 1):
+        line = '{"id":"s\\u00e9","kind":"seed","category":"a","x":%s%s}' % (
+            "[" * depth, "]" * depth
+        )
+        users, diags = parse_users([line])
+        assert len(users) + len(diags) == 1
+        messages.update(d.message for d in diags)
+    assert messages == {"invalid JSON: nested too deeply"}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(_TOO_DEEP, "nested too deeply"), (_TOO_LONG, "integer too long")],
+)
+def test_load_country_config_undecodable_json_is_malformed(tmp_path, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_country_config(path)
+    assert str(exc.value) == f"{path}: malformed country config (invalid JSON: {message})"
+
+
 def test_load_dataset_counts_non_string_fields_as_malformed():
     cfg = config({"a": "left", "b": "right"})
     user_lines = USER_LINES + ['{"id":"s3","kind":"seed","category":["b"],"followees":[]}']
@@ -196,19 +230,22 @@ def test_parse_spam():
     assert parse_spam(["a", "", " b ", "a"]) == {"a", "b"}
 
 
-def _seed_originals(users, tweets) -> set[str]:
-    """The ids of the originals authored by a seed in ``users``."""
+def _seed_originals(users, tweets) -> dict[str, str]:
+    """The originals authored by a seed in ``users``: id -> author id."""
     seeds = {u.id for u in users if u.kind is UserKind.SEED}
-    return {t.id for t in tweets if t.kind is TweetKind.ORIGINAL and t.author_id in seeds}
+    return {
+        t.id: t.author_id for t in tweets
+        if t.kind is TweetKind.ORIGINAL and t.author_id in seeds
+    }
 
 
-def _resolved(users, tweets) -> tuple[TweetTable, array]:
-    """The tweets as a table holding each id once, and each retweet's
-    source resolved to the seed in ``users`` that wrote it: what
-    load_dataset hands both the filter and the build."""
+def _resolved(users, tweets) -> TweetTable:
+    """The tweets as a table holding each id once, each retweet pointing at
+    the seed in ``users`` that wrote its source: what load_dataset hands
+    both the filter and the build."""
     table = TweetTable.from_records(tweets).first_by_id()
-    seeds = {u.id for u in users if u.kind is UserKind.SEED}
-    return table, table.seed_source_authors(seeds)
+    table.resolve_sources({u.id for u in users if u.kind is UserKind.SEED})
+    return table
 
 
 def _activity(n_retweets: int):
@@ -220,27 +257,27 @@ def _activity(n_retweets: int):
 
 def test_filter_keeps_regular_at_threshold():
     users, tweets = _activity(5)
-    retained, spam, thr = filter_active_regulars(users, *_resolved(users, tweets))
+    retained, spam, thr = filter_active_regulars(users, _resolved(users, tweets))
     assert {u.id for u in retained} == {"s1", "u1"} and (spam, thr) == (0, 0)
 
 
 def test_filter_drops_regular_below_threshold():
     users, tweets = _activity(4)
-    retained, spam, thr = filter_active_regulars(users, *_resolved(users, tweets))
+    retained, spam, thr = filter_active_regulars(users, _resolved(users, tweets))
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 
 def test_filter_counts_duplicate_retweets_once():
     users = [seed("s1", "a"), regular("u1", ["s1"])]
     tweets = [original("o1", "s1")] + [retweet(f"r{i}", "u1", "o1") for i in range(8)]
-    retained, _, thr = filter_active_regulars(users, *_resolved(users, tweets))
+    retained, _, thr = filter_active_regulars(users, _resolved(users, tweets))
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 
 def test_filter_spam_takes_precedence():
     users, tweets = _activity(10)
     retained, spam, thr = filter_active_regulars(
-        users, *_resolved(users, tweets), spam_ids={"u1"}
+        users, _resolved(users, tweets), spam_ids={"u1"}
     )
     assert {u.id for u in retained} == {"s1"} and (spam, thr) == (1, 0)
 
@@ -248,7 +285,7 @@ def test_filter_spam_takes_precedence():
 def test_filter_never_drops_seeds():
     users, tweets = _activity(0)
     retained, _, _ = filter_active_regulars(
-        users, *_resolved(users, tweets), spam_ids={"s1"}
+        users, _resolved(users, tweets), spam_ids={"s1"}
     )
     assert any(u.id == "s1" for u in retained)
 
@@ -257,7 +294,7 @@ def test_filter_requires_followed_seed():
     users = [seed("s1", "a"), regular("u1")]  # retweets but follows nobody
     tweets = [original(f"o{i}", "s1") for i in range(6)]
     tweets += [retweet(f"r{i}", "u1", f"o{i}") for i in range(6)]
-    retained, _, thr = filter_active_regulars(users, *_resolved(users, tweets))
+    retained, _, thr = filter_active_regulars(users, _resolved(users, tweets))
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 
@@ -279,12 +316,12 @@ def test_build_drops_dangling_and_dedupes():
     )
     assert diags == []
     assert [t.id for t in ds.tweets] == ["o1", "r1"]
-    assert ds.tweets[0].timestamp == 1
+    assert next(iter(ds.tweets)).timestamp == 1
     assert report.tweets_dropped_dangling == 2
     assert report.tweets_read == 5
     # build_dataset itself drops the dangling source and author
     deduped = [tweets[0], *tweets[2:]]
-    ds, dropped = build_dataset(cfg, users, *_resolved(users, deduped))
+    ds, dropped = build_dataset(cfg, users, _resolved(users, deduped))
     assert [t.id for t in ds.tweets] == ["o1", "r1"]
     assert dropped == 2
 
@@ -293,7 +330,7 @@ def test_build_drops_retweet_of_regular_original():
     cfg = config({"a": "left", "b": "right"})
     users = [seed("s1", "a"), regular("u1", ["s1"]), regular("u2", ["s1"])]
     tweets = [original("o1", "u1"), retweet("r1", "u2", "o1")]
-    ds, dropped = build_dataset(cfg, users, *_resolved(users, tweets))
+    ds, dropped = build_dataset(cfg, users, _resolved(users, tweets))
     # the regular's original is kept, but a retweet of it violates the
     # seed-original requirement and dangles
     assert [t.id for t in ds.tweets] == ["o1"]
@@ -304,7 +341,7 @@ def test_build_clean_inputs_identity():
     cfg = config({"a": "left", "b": "right"})
     users = [seed("s1", "a"), seed("s2", "b")]
     tweets = [original("o1", "s1"), original("o2", "s2")]
-    ds, dropped = build_dataset(cfg, users, *_resolved(users, tweets))
+    ds, dropped = build_dataset(cfg, users, _resolved(users, tweets))
     assert len(ds.tweets) == 2 and dropped == 0
     loaded, report, _ = load_dataset(
         cfg, [user_to_line(u) for u in users], [tweet_to_line(t) for t in tweets]
@@ -316,7 +353,7 @@ def test_build_clean_inputs_identity():
 def test_build_fails_on_invalid_config():
     cfg = config({"a": "left"})  # n < 2
     with pytest.raises(IngestError) as exc:
-        build_dataset(cfg, [seed("s1", "a")], *_resolved([], []))
+        build_dataset(cfg, [seed("s1", "a")], _resolved([], []))
     assert any("n < 2" in v for v in exc.value.violations)
 
 
@@ -477,7 +514,9 @@ def test_load_dataset_reused_retweet_id_counts_first_source_only():
 _REGULARS = ["u1", "u2", "u3", "u4"]
 _TWEET_IDS = [f"t{i}" for i in range(16)]
 _BAD_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]
-_HOW = ["valid"] * 5 + ["truncated", "wrong_type", "non_object", "blank", "bad_utf8"]
+_HOW = ["valid"] * 5 + [
+    "truncated", "wrong_type", "non_object", "blank", "bad_utf8", "too_deep", "too_long",
+]
 
 # A small valid crawl that every example shuffles its noise into, so that
 # some regulars clear the threshold unless the noise takes their tweets.
@@ -539,6 +578,10 @@ def _noisy_line(draw, records) -> tuple[str, str]:
         line = json.dumps(draw(st.sampled_from([[], 3, "x", None, [record]])))
     elif how == "blank":
         line = draw(st.sampled_from(["", "   ", "\t"]))
+    elif how == "too_deep":
+        line = _TOO_DEEP
+    elif how == "too_long":
+        line = line[:-1] + ', "n": ' + "1" * 5000 + "}"
     elif how == "bad_utf8":
         raw = line.encode("utf-8")
         cut = draw(st.integers(0, len(raw)))
@@ -575,8 +618,13 @@ def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
     parsed_users, user_diags = parse_users(user_lines)
     parsed_tweets, tweet_diags = parse_tweets(tweet_lines)
     assert len(diags) == len(user_diags) + len(tweet_diags)
-    invalid_utf8 = sum(1 for d in diags if d.message == "invalid UTF-8")
-    assert invalid_utf8 == sum(1 for _, how in users + tweets if how == "bad_utf8")
+    for message, how in (
+        ("invalid UTF-8", "bad_utf8"),
+        ("invalid JSON: nested too deeply", "too_deep"),
+        ("invalid JSON: integer too long", "too_long"),
+    ):
+        made = sum(1 for _, made_how in users + tweets if made_how == how)
+        assert sum(1 for d in diags if d.message == message) == made, message
 
     assert report.users_read == (
         len(ds.users) + report.users_dropped_spam + report.users_dropped_threshold
@@ -600,6 +648,17 @@ def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
         and (t.kind is not TweetKind.RETWEET or t.source_tweet_id in by_seed)
         and (t.kind is not TweetKind.REPLY or t.target_user_id in ds.users)
     ]
+
+    # The one target column: a kept retweet points at the seed that wrote
+    # its source, a kept reply at its retained target, an original at none.
+    names = ds.tweets.names
+    for t, target in zip(ds.tweets, ds.tweets.targets, strict=True):
+        if t.kind is TweetKind.RETWEET:
+            assert names[target] == by_seed[t.source_tweet_id]
+        elif t.kind is TweetKind.REPLY:
+            assert names[target] == t.target_user_id and t.target_user_id in ds.users
+        else:
+            assert target == -1
 
     # The filter saw the tweets the dataset holds: every retained regular
     # clears the threshold on the built dataset itself.
