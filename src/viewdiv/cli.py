@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -380,6 +381,39 @@ def compare_command(
         )
 
 
+def _fits(value, hint) -> bool:
+    """Whether a decoded JSON value has a synth params field's type: an int
+    (not a bool), a float (any JSON number), a tuple (a list), or None."""
+    if hint is int:
+        return type(value) is int
+    if hint is float:
+        return type(value) in (int, float)
+    if hint is type(None):
+        return value is None
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    return any(_fits(value, arm) for arm in typing.get_args(hint))
+
+
+def _read_synth_params(path: Path, params_type):
+    """A ``params_type`` (``SynthParams``) from a JSON object file, held to
+    the same rules as one input line and to the fields' types."""
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    raw, diag = ingest_mod._parse_line(text, 1)
+    if diag is not None:
+        raise ValueError(f"{path}: malformed synth params ({diag.message})")
+    assert raw is not None
+    hints = typing.get_type_hints(params_type)
+    unknown = set(raw) - set(hints)
+    if unknown:
+        raise ValueError(f"{path}: malformed synth params (unknown keys: {sorted(unknown)})")
+    for f in fields(params_type):
+        if f.name in raw and not _fits(raw[f.name], hints[f.name]):
+            raise ValueError(f"{path}: malformed synth params ('{f.name}' must be {f.type})")
+    return params_type(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+
+
 @main.command("synth")
 @click.option("--preset", default=None, help="Named preset (see `presets`).")
 @click.option("--params", "params_path", default=None, help="SynthParams JSON file.")
@@ -401,15 +435,7 @@ def synth_command(preset, params_path, rng_seed, out_dir) -> None:
                 + ", ".join(sorted(synth_mod.presets()))
             ) from None
     else:
-        raw = json.loads(Path(params_path).read_text(encoding="utf-8"))
-        known = {f.name for f in fields(synth_mod.SynthParams)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown synth params: {sorted(unknown)}")
-        for key in ("category_weights", "minority_categories"):
-            if isinstance(raw.get(key), list):
-                raw[key] = tuple(raw[key])
-        params = synth_mod.SynthParams(**raw)
+        params = _read_synth_params(Path(params_path), synth_mod.SynthParams)
     if rng_seed is not None:
         params = replace(params, rng_seed=rng_seed)
 

@@ -80,6 +80,20 @@ _raw_decode = json.JSONDecoder().raw_decode
 _JSON_WHITESPACE = " \t\n\r"
 _TWEET_KINDS = {"original": ORIGINAL, "retweet": RETWEET, "reply": REPLY}
 
+# Exactly the compact line _tweet_line writes, followed by JSON whitespace.
+# A string is printable ASCII without '"' or '\', so it holds no escape and
+# decodes to itself, and it is never empty; a timestamp has no leading zero
+# and at most 18 digits. Any line this matches decodes, as JSON, to the
+# groups and passes every field check and tweet_violation, so parse_tweets
+# reads it from the groups. Groups: id, author, source (retweets only),
+# target (replies only), timestamp.
+_STR = r'"([ !#-\[\]-~]+)"'
+_CANONICAL_TWEET = re.compile(
+    rf'\{{"id":{_STR},"author_id":{_STR},"kind":'
+    rf'(?:"original"|"retweet","source_tweet_id":{_STR}|"reply","target_user_id":{_STR})'
+    r',"timestamp":(0|[1-9][0-9]{0,17})\}[ \t\r\n]*'
+)
+
 
 def _parse_line(line: str, line_no: int) -> tuple[dict | None, ParseDiagnostic | None]:
     """One line as (record, None) or (None, diagnostic); a blank line fails
@@ -197,43 +211,51 @@ def parse_tweets(lines: Iterable[str]) -> tuple[TweetTable, list[ParseDiagnostic
     add_target = table.targets.append
     add_timestamp = table.timestamps.append
 
-    for line_no, line in enumerate(lines, start=1):
-        obj, diag = _parse_line(line, line_no)
-        if obj is None:
-            if line.strip():
-                diagnostics.append(diag)  # type: ignore[arg-type]
-            continue
+    canonical = _CANONICAL_TWEET.fullmatch
 
-        get = obj.get
-        tid = get("id")
-        author = get("author_id")
-        kind_raw = get("kind")
-        if not isinstance(tid, str) or not tid:
-            diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'id'"))
-            continue
-        if not isinstance(author, str) or not author:
-            diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'author_id'"))
-            continue
-        kind = _TWEET_KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
-        if kind is None:
-            diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'kind'"))
-            continue
-        timestamp = get("timestamp", 0)
-        if not isinstance(timestamp, int) or isinstance(timestamp, bool):
-            diagnostics.append(ParseDiagnostic(line_no, "'timestamp' must be an integer"))
-            continue
-        source = get("source_tweet_id")
-        if source is not None and not isinstance(source, str):
-            diagnostics.append(ParseDiagnostic(line_no, "'source_tweet_id' must be a string"))
-            continue
-        target = get("target_user_id")
-        if target is not None and not isinstance(target, str):
-            diagnostics.append(ParseDiagnostic(line_no, "'target_user_id' must be a string"))
-            continue
-        problem = tweet_violation(tid, kind, source, target, timestamp)
-        if problem is not None:
-            diagnostics.append(ParseDiagnostic(line_no, problem))
-            continue
+    for line_no, line in enumerate(lines, start=1):
+        m = canonical(line)
+        if m is not None:
+            tid, author, source, target, timestamp = m.groups()
+            kind = RETWEET if source is not None else REPLY if target is not None else ORIGINAL
+            timestamp = int(timestamp)
+        else:
+            obj, diag = _parse_line(line, line_no)
+            if obj is None:
+                if line.strip():
+                    diagnostics.append(diag)  # type: ignore[arg-type]
+                continue
+
+            get = obj.get
+            tid = get("id")
+            author = get("author_id")
+            kind_raw = get("kind")
+            if not isinstance(tid, str) or not tid:
+                diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'id'"))
+                continue
+            if not isinstance(author, str) or not author:
+                diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'author_id'"))
+                continue
+            kind = _TWEET_KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
+            if kind is None:
+                diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'kind'"))
+                continue
+            timestamp = get("timestamp", 0)
+            if not isinstance(timestamp, int) or isinstance(timestamp, bool):
+                diagnostics.append(ParseDiagnostic(line_no, "'timestamp' must be an integer"))
+                continue
+            source = get("source_tweet_id")
+            if source is not None and not isinstance(source, str):
+                diagnostics.append(ParseDiagnostic(line_no, "'source_tweet_id' must be a string"))
+                continue
+            target = get("target_user_id")
+            if target is not None and not isinstance(target, str):
+                diagnostics.append(ParseDiagnostic(line_no, "'target_user_id' must be a string"))
+                continue
+            problem = tweet_violation(tid, kind, source, target, timestamp)
+            if problem is not None:
+                diagnostics.append(ParseDiagnostic(line_no, problem))
+                continue
 
         # the same per-kind rule as TweetTable.append, inline for speed
         add_id(tid)
