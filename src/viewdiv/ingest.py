@@ -17,6 +17,15 @@ Unknown keys are ignored. Malformed lines yield diagnostics, never aborts.
 Lines are parsed as they are read, so any iterable of lines works, an open
 file included, and the tweets go straight into the columns of a
 :class:`~viewdiv.model.TweetTable`.
+
+A tweet line is read by its shape. One in exactly the compact form that
+:func:`write_dataset` writes (``{"id":"t1","author_id":"u1","kind":
+"retweet","source_tweet_id":"t0","timestamp":5}``: printable-ASCII strings
+without escapes, keys in this order, no spaces, an integer timestamp of at
+most 18 digits without a leading zero) is read from one compiled pattern,
+``_CANONICAL_TWEET``. Every other line is decoded as JSON and checked field
+by field. Both paths give the same row, and only the second can give a
+diagnostic.
 """
 
 from __future__ import annotations
@@ -200,6 +209,12 @@ def parse_tweets(lines: Iterable[str]) -> tuple[TweetTable, list[ParseDiagnostic
     type-checked on every line, but a row keeps the source only for a
     retweet and the target only for a reply: on other kinds they are
     dropped like unknown keys.
+
+    A line that ``_CANONICAL_TWEET`` matches in full, the compact form
+    :func:`write_dataset` writes, is read from the match groups; any other
+    line is decoded as JSON and checked field by field. A line the pattern
+    matches passes every one of those checks and decodes to its groups, so
+    the path a line takes never changes its row or its diagnostic.
     """
     table = TweetTable()
     diagnostics: list[ParseDiagnostic] = []
