@@ -449,6 +449,36 @@ def test_synth_params_file_and_bad_weights(tmp_path):
     assert "sum" in result.output
 
 
+_MALFORMED_PARAMS = {
+    "not_an_object": ("5", "record is not an object"),
+    "weights_not_a_list": (
+        '{"category_weights": 5}', "'category_weights' must be tuple[float, ...] | None"
+    ),
+    "minority_not_strings": (
+        '{"minority_categories": ["cat1", 2]}',
+        "'minority_categories' must be tuple[str, ...] | None",
+    ),
+    "int_as_string": ('{"n_seeds": "x"}', "'n_seeds' must be int"),
+    "int_as_bool": ('{"n_seeds": true}', "'n_seeds' must be int"),
+    "int_as_float": ('{"n_seeds": 5.0}', "'n_seeds' must be int"),
+    "float_as_bool": ('{"homophily": false}', "'homophily' must be float"),
+    "unknown_key": ('{"n_seedz": 5}', "unknown keys: ['n_seedz']"),
+    "nested_too_deeply": ("[" * 100_000 + "]" * 100_000, "invalid JSON: nested too deeply"),
+    "integer_too_long": ('{"n_seeds": ' + "1" * 5000 + "}", "invalid JSON: integer too long"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_PARAMS))
+def test_synth_malformed_params_file_exits_2(tmp_path, case):
+    text, problem = _MALFORMED_PARAMS[case]
+    params = tmp_path / "params.json"
+    params.write_text(text)
+    result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {params}: malformed synth params ({problem})\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_unknown_preset_exits_2(tmp_path):
     result = runner.invoke(main, ["synth", "--preset", "wat", "--out", str(tmp_path)])
     assert result.exit_code == 2

@@ -12,6 +12,7 @@ from viewdiv import (
     IngestError,
     ParseDiagnostic,
     TweetKind,
+    TweetRecord,
     TweetTable,
     UserKind,
     load_country_config,
@@ -20,7 +21,13 @@ from viewdiv import (
     parse_tweets,
     parse_users,
 )
-from viewdiv.ingest import build_dataset, filter_active_regulars, tweet_to_line, user_to_line
+from viewdiv.ingest import (
+    _CANONICAL_TWEET,
+    build_dataset,
+    filter_active_regulars,
+    tweet_to_line,
+    user_to_line,
+)
 
 USER_LINES = [
     '{"id":"s1","kind":"seed","category":"a","followees":[]}',
@@ -191,6 +198,166 @@ def test_load_country_config_undecodable_json_is_malformed(tmp_path, text, messa
     with pytest.raises(ValueError) as exc:
         load_country_config(path)
     assert str(exc.value) == f"{path}: malformed country config (invalid JSON: {message})"
+
+
+# -- the canonical-line pattern and the JSON path ------------------------------
+#
+# parse_tweets reads a line that _CANONICAL_TWEET matches from the match and
+# decodes any other line as JSON. A leading space makes a line miss the
+# pattern without changing what it decodes to, so a line and " " + line must
+# give the same rows and the same diagnostics.
+
+# The characters a canonical string may hold: printable ASCII but '"' and
+# '\', which JSON writes as escapes.
+_PLAIN = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) not in '"\\')
+_plain_ids = st.text(st.sampled_from(_PLAIN), min_size=1, max_size=6)
+_STRING_FIELDS = ("id", "author_id", "source_tweet_id", "target_user_id")
+
+
+def _assert_paths_agree(line: str) -> None:
+    fast, fast_diags = parse_tweets([line])
+    slow, slow_diags = parse_tweets([" " + line])
+    assert list(fast.rows()) == list(slow.rows())
+    assert fast_diags == slow_diags
+
+
+@st.composite
+def _canonical_record(draw) -> dict:
+    kind = draw(st.sampled_from(["original", "retweet", "reply"]))
+    record = {"id": draw(_plain_ids), "author_id": draw(_plain_ids), "kind": kind}
+    if kind == "retweet":
+        record["source_tweet_id"] = draw(_plain_ids)
+    if kind == "reply":
+        record["target_user_id"] = draw(_plain_ids)
+    record["timestamp"] = draw(st.integers(0, 10**18 - 1))
+    return record
+
+
+def _compact(record: dict, ensure_ascii: bool = True) -> str:
+    return json.dumps(record, separators=(",", ":"), ensure_ascii=ensure_ascii)
+
+
+def _with_timestamp_text(record: dict, text: str) -> str:
+    """The record's compact line with ``text`` as the timestamp literal."""
+    return _compact({**record, "timestamp": 0}).replace('"timestamp":0', '"timestamp":' + text)
+
+
+_ODD_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\xe9", "\udcff", "\ud83d", "\U0001f600", "a"]
+_MUTATIONS = [
+    "none", "odd_string", "empty_string", "timestamp", "timestamp_text", "extra_key",
+    "wrong_reference", "crlf", "trailing", "too_deep",
+]
+
+
+@st.composite
+def _mutated_tweet_line(draw) -> str:
+    """A canonical tweet line, changed in one of the ways that can send it
+    down the JSON path or make it malformed."""
+    record = draw(_canonical_record())
+    how = draw(st.sampled_from(_MUTATIONS))
+    fields = [f for f in _STRING_FIELDS if f in record]
+    if how == "odd_string":
+        field = draw(st.sampled_from(fields))
+        odd = draw(st.text(st.sampled_from(_ODD_CHARS), min_size=1, max_size=3))
+        at = draw(st.integers(0, len(record[field])))
+        record[field] = record[field][:at] + odd + record[field][at:]
+        return _compact(record, ensure_ascii=draw(st.booleans()))
+    if how == "empty_string":
+        record[draw(st.sampled_from(fields))] = ""
+    elif how == "timestamp":
+        record["timestamp"] = draw(st.sampled_from(
+            [-1, -(10**17), 10**17, 10**18 - 1, 10**18, 10**19 - 1, 1.5, 0.0, True, False, None, "7"]
+        ))
+    elif how == "timestamp_text":
+        return _with_timestamp_text(record, draw(st.sampled_from(
+            ["00", "01", "-0", "0" + "1" * 17, "1" * 18, "1" * 19, "1" * 5000, "1e3", "1.0"]
+        )))
+    elif how == "extra_key":
+        value = draw(st.sampled_from([1, "x", None, [], {"k": 1}]))
+        record = {"x": value, **record} if draw(st.booleans()) else {**record, "x": value}
+    elif how == "wrong_reference":
+        # an original with a source, a retweet with a target, a reply with a
+        # source, each ahead of the timestamp
+        extra = {"original": "source_tweet_id", "retweet": "target_user_id",
+                 "reply": "source_tweet_id"}[record["kind"]]
+        timestamp = record.pop("timestamp")
+        record[extra] = draw(st.sampled_from(["o1", 7, None]))
+        record["timestamp"] = timestamp
+    line = _compact(record)
+    if how == "crlf":
+        return line + "\r\n"
+    if how == "trailing":
+        return line + draw(st.sampled_from(["x", "}", ",", " 1", "\x0c", "\t\n", " \n"]))
+    if how == "too_deep":
+        return line[:-1] + ',"x":' + _TOO_DEEP + "}"
+    return line + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(line=_mutated_tweet_line())
+def test_pattern_and_json_paths_agree_on_mutated_lines(line):
+    _assert_paths_agree(line)
+
+
+_RT = {"id": "t1", "author_id": "u1", "kind": "retweet", "source_tweet_id": "o1", "timestamp": 5}
+_RP = {"id": "t1", "author_id": "u1", "kind": "reply", "target_user_id": "s1", "timestamp": 5}
+_OR = {"id": "t1", "author_id": "s1", "kind": "original", "timestamp": 5}
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param(_compact(_RT), id="canonical_retweet"),
+    pytest.param(_compact(_RP), id="canonical_reply"),
+    pytest.param(_compact(_OR) + "\r\n", id="crlf"),
+    pytest.param(_compact({**_RT, "id": 't"1'}), id="escaped_quote"),
+    pytest.param(_compact({**_RT, "id": "t\\1"}), id="escaped_backslash"),
+    pytest.param(_compact({**_RT, "author_id": "u\x01"}), id="control_character"),
+    pytest.param(_compact({**_RT, "author_id": "u\x7f"}), id="delete_character"),
+    pytest.param(_compact({**_RP, "target_user_id": "s\xe9"}, False), id="raw_non_ascii"),
+    pytest.param(_compact({**_RP, "target_user_id": "s\xe9"}), id="escaped_non_ascii"),
+    pytest.param(_compact({**_RT, "source_tweet_id": "o\udcff"}), id="escaped_lone_surrogate"),
+    pytest.param(_compact({**_RT, "source_tweet_id": "o\udcff"}, False), id="raw_lone_surrogate"),
+    pytest.param(_compact({**_OR, "id": ""}), id="empty_id"),
+    pytest.param(_compact({**_OR, "author_id": ""}), id="empty_author"),
+    pytest.param(_compact({**_RT, "source_tweet_id": ""}), id="empty_source"),
+    pytest.param(_compact({**_RP, "target_user_id": ""}), id="empty_target"),
+    pytest.param(_compact({**_OR, "timestamp": -1}), id="negative_timestamp"),
+    pytest.param(_with_timestamp_text(_OR, "05"), id="leading_zero_timestamp"),
+    pytest.param(_compact({**_OR, "timestamp": 10**18 - 1}), id="timestamp_18_digits"),
+    pytest.param(_compact({**_OR, "timestamp": 10**18}), id="timestamp_19_digits"),
+    pytest.param(_with_timestamp_text(_OR, "1" * 5000), id="timestamp_5000_digits"),
+    pytest.param(_compact({**_OR, "timestamp": 5.0}), id="float_timestamp"),
+    pytest.param(_compact({**_OR, "timestamp": True}), id="bool_timestamp"),
+    pytest.param(_compact({**_OR, "x": 1}), id="extra_key"),
+    pytest.param(_compact({"author_id": "s1", **_OR}), id="other_key_order"),
+    pytest.param(json.dumps(_OR), id="default_spacing"),
+    pytest.param(
+        _compact({"id": "t1", "author_id": "s1", "kind": "original", "source_tweet_id": "o1",
+                  "timestamp": 5}),
+        id="original_with_source",
+    ),
+    pytest.param(
+        _compact({"id": "t1", "author_id": "u1", "kind": "retweet", "source_tweet_id": "o1",
+                  "target_user_id": "s1", "timestamp": 5}),
+        id="retweet_with_target",
+    ),
+    pytest.param(_compact(_OR) + "x", id="trailing_garbage"),
+    pytest.param(_compact(_OR)[:-1] + ',"x":' + _TOO_DEEP + "}", id="too_deep"),
+])
+def test_pattern_and_json_paths_agree_on_named_lines(line):
+    _assert_paths_agree(line)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(record=_canonical_record())
+def test_written_tweet_lines_take_the_pattern_path(record):
+    """A change to the writer's format would put every written file back
+    on the JSON path."""
+    tweet = TweetRecord(
+        record["id"], record["author_id"], TweetKind(record["kind"]),
+        record.get("source_tweet_id"), record.get("target_user_id"), record["timestamp"],
+    )
+    line = tweet_to_line(tweet)
+    assert _CANONICAL_TWEET.fullmatch(line) and _CANONICAL_TWEET.fullmatch(line + "\n")
 
 
 def test_load_dataset_counts_non_string_fields_as_malformed():

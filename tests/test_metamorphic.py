@@ -11,9 +11,14 @@ again on one transformed copy per property:
   that share an id keep their order, since the first one wins);
 * the tweet ids renamed by an order-preserving bijection;
 * the user ids renamed by an order-preserving bijection, everywhere they
-  occur, with the ``user_id`` column mapped back before comparing.
+  occur, with the ``user_id`` column mapped back before comparing;
+* every decodable tweet line written again with ``json.dumps``'s default
+  separators, a spelling that ingest's canonical-line pattern never
+  matches, so every tweet line is decoded as JSON (truncated lines stay
+  as they are).
 
-So the order in which ingest meets ids never reaches a report.
+So the order in which ingest meets ids, and the way a line is spelled,
+never reach a report.
 """
 
 import functools
@@ -189,6 +194,14 @@ def _map_user_column(reports: dict, inverse: dict[str, str]) -> dict:
     return {**reports, "users_metrics.csv": ("\n".join(mapped) + "\n").encode()}
 
 
+def _spaced(tweets: list[str]) -> list[str]:
+    out = []
+    for line in tweets:
+        r = _record(line)
+        out.append(line if r is None else json.dumps(r))
+    return out
+
+
 def _shuffle_unique_tweet_lines(tweets: list[str], rnd) -> list[str]:
     records = [_record(line) for line in tweets]
     counts: dict = {}
@@ -232,3 +245,5 @@ def test_reports_do_not_depend_on_input_order_or_id_spelling(crawl, rnd, gaps):
 
     *renamed, inverse = _rename_user_ids(config_text, users, tweets, spam, gaps)
     assert _map_user_column(_analyze(*renamed), inverse) == base, "user ids renamed"
+
+    assert _analyze(config_text, users, _spaced(tweets), spam) == base, "tweet lines spaced"
