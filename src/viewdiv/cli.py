@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-import typing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -381,37 +380,41 @@ def compare_command(
         )
 
 
-def _fits(value, hint) -> bool:
-    """Whether a decoded JSON value has a synth params field's type: an int
-    (not a bool), a float (any JSON number), a tuple (a list), or None."""
-    if hint is int:
-        return type(value) is int
-    if hint is float:
-        return type(value) in (int, float)
-    if hint is type(None):
-        return value is None
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return isinstance(value, list) and all(_fits(v, item) for v in value)
-    return any(_fits(value, arm) for arm in typing.get_args(hint))
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
 
 
-def _read_synth_params(path: Path, params_type):
-    """A ``params_type`` (``SynthParams``) from a JSON object file, held to
-    the same rules as one input line and to the fields' types."""
+# A check per SynthParams field type (as spelled under postponed
+# annotations). A JSON list stands for a tuple; an int field takes no bool
+# and no float, a float field any JSON number but no bool.
+_SYNTH_PARAM_CHECKS = {
+    "int": lambda v: type(v) is int,
+    "float": _is_number,
+    "tuple[float, ...] | None": lambda v: v is None
+    or (type(v) is list and all(_is_number(x) for x in v)),
+    "tuple[str, ...] | None": lambda v: v is None
+    or (type(v) is list and all(type(x) is str for x in v)),
+}
+
+
+def _read_synth_params(path: Path):
+    """``SynthParams`` from a JSON object file, held to the same rules as
+    one input line and to the fields' types."""
+    from .synth import SynthParams
+
     text = path.read_text(encoding="utf-8", errors="surrogateescape")
     raw, diag = ingest_mod._parse_line(text, 1)
     if diag is not None:
         raise ValueError(f"{path}: malformed synth params ({diag.message})")
     assert raw is not None
-    hints = typing.get_type_hints(params_type)
-    unknown = set(raw) - set(hints)
+    types = {f.name: f.type for f in fields(SynthParams)}
+    unknown = set(raw) - set(types)
     if unknown:
         raise ValueError(f"{path}: malformed synth params (unknown keys: {sorted(unknown)})")
-    for f in fields(params_type):
-        if f.name in raw and not _fits(raw[f.name], hints[f.name]):
-            raise ValueError(f"{path}: malformed synth params ('{f.name}' must be {f.type})")
-    return params_type(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+    for name, value in raw.items():
+        if not _SYNTH_PARAM_CHECKS[types[name]](value):
+            raise ValueError(f"{path}: malformed synth params ('{name}' must be {types[name]})")
+    return SynthParams(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
 @main.command("synth")
@@ -435,7 +438,7 @@ def synth_command(preset, params_path, rng_seed, out_dir) -> None:
                 + ", ".join(sorted(synth_mod.presets()))
             ) from None
     else:
-        params = _read_synth_params(Path(params_path), synth_mod.SynthParams)
+        params = _read_synth_params(Path(params_path))
     if rng_seed is not None:
         params = replace(params, rng_seed=rng_seed)
 

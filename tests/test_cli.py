@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -438,7 +439,7 @@ def test_synth_params_file_and_bad_weights(tmp_path):
     params.write_text(json.dumps({
         "rng_seed": 1, "n_categories": 3, "n_seeds": 5, "n_regulars": 4,
         "homophily": 0.3, "tweets_per_seed": 5,
-        "category_weights": [0.5, 0.25, 0.25],
+        "category_weights": [0.5, 0.25, 0.25], "minority_categories": ["cat3"],
     }))
     result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(tmp_path / "ok")])
     assert result.exit_code == 0, result.output
@@ -466,6 +467,13 @@ _MALFORMED_PARAMS = {
     "nested_too_deeply": ("[" * 100_000 + "]" * 100_000, "invalid JSON: nested too deeply"),
     "integer_too_long": ('{"n_seeds": ' + "1" * 5000 + "}", "invalid JSON: integer too long"),
 }
+
+
+def test_every_synth_param_type_has_a_check():
+    from viewdiv.cli import _SYNTH_PARAM_CHECKS
+    from viewdiv.synth import SynthParams
+
+    assert {f.type for f in fields(SynthParams)} <= set(_SYNTH_PARAM_CHECKS)
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_PARAMS))
