@@ -1,4 +1,4 @@
-"""Command-line pipeline: ingest -> exposure -> metrics -> stats -> reports.
+"""Command-line pipeline: ingest -> metrics -> stats -> reports.
 
 Exit codes: 0 success, 1 internal error, 2 input/configuration error.
 All numeric report fields use fixed 4-decimal formatting (CSV) or values
@@ -93,6 +93,11 @@ def _defined(per_user: list[UserMetrics], field: str) -> list[float]:
     return [v for m in per_user if (v := getattr(m, field)) is not None]
 
 
+def _mean(values) -> float | None:
+    """The mean of ``values``; None when there are none."""
+    return sum(values) / len(values) if values else None
+
+
 def _summary_object(
     rc: RunConfig,
     dataset: Dataset,
@@ -108,7 +113,7 @@ def _summary_object(
         samples = _defined(per_user, field)
         metrics_obj[field] = {
             "count": len(samples),
-            "mean": _round4(sum(samples) / len(samples)) if samples else None,
+            "mean": _round4(_mean(samples)),
             "fraction_below": {
                 format(t, "g"): _round4(fraction_below(samples, t))
                 for t in rc.thresholds
@@ -135,14 +140,8 @@ def _summary_object(
         "metrics": metrics_obj,
         "io_correlation": {
             "defined": len(io_defined),
-            "share_correlated": (
-                _round4(sum(io_defined) / len(io_defined)) if io_defined else None
-            ),
-            "share_correlated_margin": (
-                _round4(sum(io_margin_defined) / len(io_margin_defined))
-                if io_margin_defined
-                else None
-            ),
+            "share_correlated": _round4(_mean(io_defined)),
+            "share_correlated_margin": _round4(_mean(io_margin_defined)),
         },
         "seed_matrix": {
             "left": {
@@ -196,7 +195,7 @@ def _write_reports(
     _write_text(out / "seed_matrix.csv", "\n".join(matrix_lines) + "\n")
 
     for field in METRIC_FIELDS:
-        dist = distribution(_defined(per_user, field), rc.bin_width, name=field)
+        dist = distribution(_defined(per_user, field), rc.bin_width)
         rows = ["bin_start,bin_end,count"]
         for (lo, hi), count in zip(dist.bin_edges(), dist.bin_counts):
             rows.append(f"{lo:.4f},{hi:.4f},{count}")
@@ -238,9 +237,9 @@ def cmd_compare(rc_a: RunConfig, rc_b: RunConfig, out_dir: Path) -> list[dict]:
         row: dict = {
             "metric": field,
             "count_a": len(samples_a),
-            "mean_a": sum(samples_a) / len(samples_a) if samples_a else None,
+            "mean_a": _mean(samples_a),
             "count_b": len(samples_b),
-            "mean_b": sum(samples_b) / len(samples_b) if samples_b else None,
+            "mean_b": _mean(samples_b),
             "t": None,
             "df": None,
             "p": None,
@@ -285,9 +284,9 @@ def _input_errors(func):
                 _fail(f"internal: {exc!r}", 1)
             else:
                 _fail(f"cannot open {exc.filename}: {exc.strerror or exc}", 2)
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             _fail(str(exc), 2)
-        except (click.ClickException, SystemExit):
+        except click.ClickException:
             raise
         except Exception as exc:  # internal error
             _fail(f"internal: {exc!r}", 1)

@@ -1,5 +1,12 @@
 """Per-user viewpoint-diversity metrics and the seed interaction matrix.
 
+A user's direct exposure is the originals its followees wrote; its indirect
+exposure adds the originals its followees retweeted, each counted once
+however many paths reach it, and attributed to the original author's
+category, never the retweeter's. The set-level definition lives in
+:mod:`viewdiv.oracle`; :class:`ExposureIndex` holds the counts and bitsets
+the fast path needs.
+
 All unit-interval metrics are ``None`` ("undefined") when the underlying
 activity is empty; undefined values are excluded from population statistics
 rather than coerced to 0, which would conflate inactivity with zero
@@ -13,7 +20,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 
-from .exposure import ExposureIndex
 from .model import REPLY, RETWEET, Dataset, Wing
 
 
@@ -45,13 +51,6 @@ class WingMatrix:
     right_to_right: float
     left_interactions: int
     right_interactions: int
-
-    def row(self, wing: Wing) -> tuple[float, float]:
-        if wing is Wing.LEFT:
-            return (self.left_to_left, self.left_to_right)
-        if wing is Wing.RIGHT:
-            return (self.right_to_left, self.right_to_right)
-        raise ValueError("wing matrix has no unaligned row")
 
 
 def normalized_entropy(counts: Sequence[int], n: int) -> float | None:
@@ -162,6 +161,67 @@ def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
     )
 
 
+class ExposureIndex:
+    """Per-seed pieces of every user's exposure, from one read of the table.
+
+    ``seeds`` maps each seed id to the row a user's followee loop adds up:
+    ``(volume, category position, minority volume, surfaced bits, authored
+    bits)``. The volume is the number of originals the seed wrote, its
+    whole direct contribution (followed seeds' originals never overlap);
+    the minority volume is the same number for a minority seed and 0
+    otherwise. The bits are Python-int bitsets over the originals some seed
+    retweeted, bit ``i`` for the i-th distinct one in table order: the ones
+    the seed retweeted, and the ones it wrote. Each retweet's source author
+    is its target in the tweet table, the resolution ingest made once.
+
+    ``category_of`` is each user code's category position in config order,
+    ``None`` for a non-seed and for code -1. ``category_masks`` (config
+    category order) and ``minority_mask`` group the bits by original author.
+    """
+
+    def __init__(self, dataset: Dataset):
+        config = dataset.config
+        tweets = dataset.tweets
+        category_pos = {c: i for i, c in enumerate(config.category_ids)}
+        seed_pos = {
+            u.id: category_pos[u.category]  # type: ignore[index]
+            for u in dataset.seed_users()
+        }
+        self.category_of = category_of = tweets.by_code(seed_pos, None)
+
+        position: dict[str, int] = {}
+        surfaced: dict[int, int] = {}
+        authored: dict[int, int] = {}
+        for author, source, source_author in compress(
+            zip(tweets.authors, tweets.sources, tweets.targets), tweets.select(RETWEET)
+        ):
+            if category_of[author] is None:
+                continue
+            bit = position.get(source)  # type: ignore[arg-type]
+            if bit is None:
+                bit = position[source] = len(position)  # type: ignore[index]
+                authored[source_author] = authored.get(source_author, 0) | 1 << bit
+            surfaced[author] = surfaced.get(author, 0) | 1 << bit
+
+        originals = tweets.original_counts()
+        category_masks = [0] * config.n_categories
+        self.minority_mask = 0
+        self.seeds: dict[str, tuple[int, int, int, int, int]] = {}
+        for s, pos in seed_pos.items():
+            code = tweets.codes.get(s)
+            volume = originals[s]
+            a_bits = authored.get(code, 0)  # type: ignore[arg-type]
+            category_masks[pos] |= a_bits
+            minority = s in config.minority_user_ids
+            if minority:
+                self.minority_mask |= a_bits
+            self.seeds[s] = (
+                volume, pos, volume if minority else 0,
+                surfaced.get(code, 0), a_bits,  # type: ignore[arg-type]
+            )
+        self.category_masks = tuple(category_masks)
+
+
 def compute_all(
     dataset: Dataset, io_margin: float = 0.15
 ) -> tuple[list[UserMetrics], WingMatrix]:
@@ -173,41 +233,24 @@ def compute_all(
 
     This is the batch path: it builds one :class:`ExposureIndex`, reads
     the regulars' retweets and replies once from the tweet table for the
-    output histograms, and makes one pass over each regular's followees.
-    The direct parts of followed seeds never overlap, so direct counts are
-    sums of per-seed volumes. The surfaced part is a bitset over the
-    retweeted originals: the OR of the followees' ``surfaced_mask``, minus
-    the OR of their ``authored_mask`` (originals already received
-    directly). Indirect counts per category and for the minority are the
-    direct ones plus ``bit_count`` of that bitset under ``category_masks``
-    and ``minority_mask``. Every histogram reaches the entropy in config
-    category order.
+    output histograms, and makes one pass over each regular's followees,
+    adding up their rows. A user's surfaced-new originals are the OR of its
+    followees' surfaced bits minus the OR of their authored bits (originals
+    already received directly); its indirect counts per category and for
+    the minority are the direct ones plus ``bit_count`` of that bitset
+    under ``category_masks`` and ``minority_mask``. Every histogram reaches
+    the entropy in config category order.
     """
     index = ExposureIndex(dataset)
-    config = dataset.config
-    n = config.n_categories
-    minority_seed_ids = config.minority_user_ids
-    seed_pos = index.category_pos_of_seed
-
-    # per seed: (original volume, category position, minority volume,
-    # surfaced bits, authored bits)
-    per_seed = {
-        s: (
-            volume,
-            seed_pos[s],
-            volume if s in minority_seed_ids else 0,
-            index.surfaced_mask[s],
-            index.authored_mask[s],
-        )
-        for s, volume in index.volume.items()
-    }
-    total_minority = sum(minority for _, _, minority, _, _ in per_seed.values())
+    n = dataset.config.n_categories
+    seeds = index.seeds
+    total_minority = sum(row[2] for row in seeds.values())
 
     # the regulars' output histograms, from their retweets and replies
     tweets = dataset.tweets
     regular_ids = sorted(u.id for u in dataset.regular_users())
     is_regular = tweets.by_code(dict.fromkeys(regular_ids, True), False)
-    category_of = tweets.by_code(seed_pos, None)
+    category_of = index.category_of
     output_counts: list[dict[int, list[int]]] = []
     for kind in (RETWEET, REPLY):
         counts: dict[int, list[int]] = {}
@@ -230,7 +273,7 @@ def compute_all(
         surfaced = 0
         authored = 0
         for f in dataset.users[uid].followees:
-            volume, pos, minority, s_bits, a_bits = per_seed[f]
+            volume, pos, minority, s_bits, a_bits = seeds[f]
             direct[pos] += volume
             direct_minority += minority
             surfaced |= s_bits

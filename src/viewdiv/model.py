@@ -347,6 +347,9 @@ def validate_config(config: CountryConfig, users: dict[str, UserRecord]) -> list
         elif c.id in seen:
             violations.append(f"duplicate category id: {c.id!r}")
         seen.add(c.id)
+    wings = {c.wing for c in config.categories}
+    if Wing.LEFT not in wings or Wing.RIGHT not in wings:
+        violations.append("wing mapping must cover at least one Left and one Right category")
 
     for mid in sorted(config.minority_user_ids):
         u = users.get(mid)

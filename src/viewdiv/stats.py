@@ -14,7 +14,6 @@ from dataclasses import dataclass
 class MetricDistribution:
     """Bin counts of one metric's defined values; ``count`` is their number."""
 
-    name: str
     bin_width: float
     bin_counts: tuple[int, ...]
     count: int
@@ -37,7 +36,7 @@ class TTestResult:
     significant: bool
 
 
-def distribution(samples, bin_width: float = 0.05, name: str = "") -> MetricDistribution:
+def distribution(samples, bin_width: float = 0.05) -> MetricDistribution:
     """Histogram unit-interval samples into right-open bins [k*w, (k+1)*w).
 
     The last bin is closed at 1.0. Bin membership is floor(x / width) on
@@ -56,7 +55,6 @@ def distribution(samples, bin_width: float = 0.05, name: str = "") -> MetricDist
         idx = min(int(x // bin_width), n_bins - 1)
         counts[idx] += 1
     return MetricDistribution(
-        name=name,
         bin_width=bin_width,
         bin_counts=tuple(counts),
         count=len(values),

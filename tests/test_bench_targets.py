@@ -1,0 +1,47 @@
+"""The benchmark's traced stage names still name live calls.
+
+``bench/tracing.py`` wraps module attributes by name and reports a target a
+refactor removed as absent, not as a failure. This runs the tracer on the
+toy fixture and checks that every span it targets was recorded, so a
+rename, or a call that no longer goes through the wrapped module global,
+shows here.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
+TOY = ROOT / "tests" / "data" / "toy"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while they are built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_traced_target_is_recorded(tmp_path):
+    tracing = _load_tracing()
+    spans_path = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(TRACING), str(spans_path), "1",
+         str(TOY / "config.json"), str(TOY / "users.jsonl"), str(TOY / "tweets.jsonl"),
+         "-", str(tmp_path / "rep")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans, _, absent, _ = tracing.load(spans_path)
+    recorded = {s.name for s in spans}
+    missing = [name for _, _, name in tracing.TARGETS if name not in recorded]
+    assert not missing, f"traced targets never called: {missing}; absent: {absent}"

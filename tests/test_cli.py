@@ -529,6 +529,27 @@ def test_validate_reports_diagnostics(tmp_path):
     assert "line 2" in result.output
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_config_without_both_wings_exits_2(tmp_path, command):
+    cfg = json.loads((TOY / "config.json").read_text())
+    for c in cfg["categories"]:
+        if c["id"] == "blue":
+            c["wing"] = "unaligned"
+    left_only = tmp_path / "config.json"
+    left_only.write_text(json.dumps(cfg))
+    args = [command, "--config", str(left_only), "--users", str(TOY / "users.jsonl"),
+            "--tweets", str(TOY / "tweets.jsonl")]
+    if command == "analyze":
+        args += ["--out", str(tmp_path / "rep")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert (
+        "config validation failed: wing mapping must cover at least one Left and "
+        "one Right category" in result.output
+    )
+    assert not (tmp_path / "rep").exists()
+
+
 def test_validate_reports_invalid_utf8_line(tmp_path):
     users = tmp_path / "users.jsonl"
     toy_users = (TOY / "users.jsonl").read_bytes()

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from helpers import config, dataset, original, regular, reply, retweet, seed
 from viewdiv import (
-    Wing,
+    Dataset,
     compute_all,
     normalized_entropy,
     oracle_metrics,
@@ -276,19 +276,21 @@ def _matrix_ds(left_to_left, left_to_right):
 
 def test_matrix_pure_left_degenerate():
     m = seed_interaction_matrix(_matrix_ds(4, 0))
-    assert m.row(Wing.LEFT) == (1.0, 0.0)
+    assert (m.left_to_left, m.left_to_right) == (1.0, 0.0)
 
 
 def test_matrix_seventy_three_twenty_seven():
     m = seed_interaction_matrix(_matrix_ds(73, 27))
-    assert m.row(Wing.LEFT) == pytest.approx((0.73, 0.27))
+    assert (m.left_to_left, m.left_to_right) == pytest.approx((0.73, 0.27))
     assert m.left_interactions == 100
-    assert m.row(Wing.RIGHT) == (1.0, 0.0)
+    assert (m.right_to_left, m.right_to_right) == (1.0, 0.0)
 
 
 def test_matrix_requires_both_wings():
+    # validate_config rejects this config, so build it unvalidated, as
+    # Dataset.from_records allows
     cfg = config({"a": "left", "b": "left"})
-    ds = dataset(cfg, [seed("s1", "a")], [])
+    ds = Dataset.from_records(cfg, {"s1": seed("s1", "a")}, [])
     with pytest.raises(ValueError):
         seed_interaction_matrix(ds)
 

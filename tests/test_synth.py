@@ -8,7 +8,6 @@ from helpers import config, dataset, original, regular, retweet, seed
 from viewdiv import (
     SynthParams,
     TweetKind,
-    Wing,
     compute_all,
     generate,
     load_dataset,
@@ -167,5 +166,5 @@ def test_oracle_single_user_hand_computation():
     assert m.io_correlated_15 is True
     # s1's retweet of om is one left-to-right seed interaction
     assert matrix.left_interactions == 1
-    assert matrix.row(Wing.LEFT) == (0.0, 1.0)
+    assert (matrix.left_to_left, matrix.left_to_right) == (0.0, 1.0)
     assert matrix.right_interactions == 0
