@@ -1,5 +1,6 @@
 """Generator determinism, calibration hooks, and oracle behavior."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -16,7 +17,7 @@ from viewdiv import (
     seed_interaction_matrix,
     validate_config,
 )
-from viewdiv.ingest import tweet_to_line, user_to_line
+from viewdiv.ingest import tweet_to_line, user_to_line, write_dataset
 
 SMALL = SynthParams(
     rng_seed=5, n_categories=3, n_seeds=6, n_regulars=6, homophily=0.5,
@@ -33,6 +34,82 @@ def _serialize(ds):
 
 def test_same_seed_gives_identical_datasets():
     assert _serialize(generate(SMALL)) == _serialize(generate(SMALL))
+
+
+# Small parameter sets that, with the two presets below, run every branch of
+# the generator: two weighted minority categories at h = 1 with a zero
+# weight and a positively weighted category that gets no seed (so a regular
+# takes the guaranteed followee, and seeds and regulars both reach the
+# uniform fallback of split_by_mixture), zero-volume seeds, minority share
+# 1.0 without regulars, and minority share 0 with the guaranteed followee.
+PINNED_PARAMS = {
+    "uniform": presets()["uniform"],
+    "segregated": presets()["segregated"],
+    "weighted": SynthParams(
+        rng_seed=3, n_categories=5, category_weights=(0.5, 0.1, 0.0, 0.2, 0.2),
+        n_seeds=5, n_regulars=20, homophily=1.0,
+        minority_categories=("cat4", "cat5"), tweets_per_seed=1.5,
+        retweets_per_regular=4, replies_per_regular=2,
+    ),
+    "all_minority": SynthParams(
+        rng_seed=4, n_categories=2, n_seeds=4, n_regulars=0,
+        minority_categories=("cat1", "cat2"), minority_tweet_share=1.0,
+        tweets_per_seed=3, retweets_per_regular=4, replies_per_regular=2,
+    ),
+    "no_minority": SynthParams(
+        rng_seed=5, n_categories=2, n_seeds=4, n_regulars=10, homophily=0.0,
+        minority_categories=(), minority_tweet_share=0.0,
+        tweets_per_seed=3, retweets_per_regular=4, replies_per_regular=2,
+    ),
+}
+_UNIVERSE5 = "285fc62c3e0394f54db6ffec3819fe2c02390902a8f8cdd30d237b43b3930527"
+PINNED_SHA256 = {
+    "uniform": (
+        _UNIVERSE5,
+        "5db5cda40dcf7d08369febe49c54a4862b301a61be7bdbec187afa7350777ac3",
+        "d8d003df56505d6568303b34e43d9de69c0fa5f1602e475c4efe1b759c965d12",
+    ),
+    "segregated": (
+        _UNIVERSE5,
+        "8bf7cde473aec7a68beb896f0aa97bfcacb15bbc54e894c43f64d91e802fe8ea",
+        "8c23f547a3da7c3bbe2ae00e02627467935d079adbd8e8276c5ade2680622daa",
+    ),
+    "weighted": (
+        "6a41c965858fa245a571e28901f14c784b5050cbd8300636b344dd47e1693c1c",
+        "7db38aea8d4d33094042281c625286ffac00c2ed8f62157e30e02079a1b7f180",
+        "bb71bd6ae6c948380c9b8e59684cf97f27b78fde98a4050a229117dfe3d183d7",
+    ),
+    "all_minority": (
+        "fadbe8e0428ddb61a5b0f32d5a562f7fde3b7860d61e14d264261c894005fe4c",
+        "57d3469bc293417e759dfa4f07469f3ab7eeaf15ad1286dd55dafa9944dd12da",
+        "e3b1980321acc1fba8007c35e20b5648e08adec82146ab685aa5adc2864433e2",
+    ),
+    "no_minority": (
+        "e729ced837a31282285dbfda94750093550f7b32c6f5222301b7ad4469e87b51",
+        "7ea714be0465ecc9114028c22b6cf268cd6f803f3bce9c622e814abcf83ac106",
+        "c793f282e9dcddd0ff31527955ae0e1ec0bdd263e6829f6e889b574436d87e3a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PARAMS))
+def test_generated_files_are_pinned(name, tmp_path):
+    """The sha256 of config.json, users.jsonl and tweets.jsonl as
+    write_dataset writes them.
+
+    The benchmark writes its inputs with the generator under test, so a
+    change to the draws would silently change what both sides of a
+    benchmark pair measure; this pins them. numpy keeps a Generator's
+    stream stable only within one numpy version (NEP 19; pinned under
+    numpy 2.4.6), so after a numpy upgrade re-pin the digests in a commit
+    of their own.
+    """
+    paths = write_dataset(generate(PINNED_PARAMS[name]), tmp_path)
+    digests = tuple(
+        hashlib.sha256(paths[k].read_bytes()).hexdigest()
+        for k in ("config", "users", "tweets")
+    )
+    assert digests == PINNED_SHA256[name]
 
 
 def test_different_seed_gives_different_datasets():
