@@ -1,18 +1,26 @@
 """Synthetic population generator with controllable homophily.
 
-The generative model is a simple mixture: each regular user has a "home"
-category, and any category-directed choice (who to follow, what to retweet,
-whom to reply to) puts probability mass h on the home category and spreads
-1 - h uniformly over all n categories. h = 0 gives category-blind behavior,
-h = 1 a fully segregated population. Seeds use the same mixture around
-their own category for retweets and replies, which is what shapes the wing
-interaction matrix.
+The generative model is a simple mixture: each user has a "home" category
+(a seed its own, a regular a draw from the category weights), and any
+category-directed choice (who to follow, what to retweet, whom to reply
+to) puts probability mass h on the home category and spreads 1 - h
+uniformly over all n categories. h = 0 gives category-blind behavior,
+h = 1 a fully segregated population.
 
 Volume model: non-minority seeds draw their original-tweet counts from
 Poisson(tweets_per_seed); the minority pool's total volume is set so the
 minority share of all originals hits ``minority_tweet_share`` (within
 integer rounding) and is split multinomially across minority seeds.
-Per-user retweet and reply counts are Poisson around the configured means.
+
+Activity has one rule for seeds and regulars alike. Retweet and reply
+counts are Poisson around the configured means times a factor and are
+split over the categories by the user's mixture; a retweet picks a
+reachable seed weighted by its volume, then one of its originals
+uniformly, and a reply picks a reachable seed uniformly. A seed reaches
+every other seed at ``SEED_ACTIVITY_FACTOR``, which is what shapes the
+wing interaction matrix; a regular reaches the seeds it follows at 1.
+Tweet ids (``t00000001``, ...) and timestamps both number the tweets from
+1 in generation order.
 
 Generation is single-threaded and fully deterministic for a fixed
 ``rng_seed``: one numpy Generator, fixed draw order.
@@ -197,39 +205,23 @@ def generate(params: SynthParams) -> Dataset:
                 volumes[m_idx] = split
 
     tweets = TweetTable()
-    clock = 0
 
-    def next_id() -> str:
-        return f"t{len(tweets) + 1:08d}"
+    def post(kind: int, author: str, source: str | None = None, target: str | None = None) -> str:
+        """Append one tweet; its id and timestamp both number it from 1."""
+        row = len(tweets.ids) + 1
+        tid = f"t{row:08d}"
+        tweets.append(tid, kind, author, source, target, row)
+        return tid
 
-    originals_by_seed: list[list[str]] = []
-    for si, sid in enumerate(seed_ids):
-        own: list[str] = []
-        for _ in range(int(volumes[si])):
-            clock += 1
-            tid = next_id()
-            tweets.append(tid, ORIGINAL, sid, timestamp=clock)
-            own.append(tid)
-        originals_by_seed.append(own)
+    originals_by_seed = [
+        [post(ORIGINAL, sid) for _ in range(int(volumes[si]))]
+        for si, sid in enumerate(seed_ids)
+    ]
 
-    # per-category candidate structure: seed indexes and their volumes
+    # per-category candidate structure: seed indexes in seed order
     seeds_in_cat: list[list[int]] = [[] for _ in range(n)]
     for si, ci in enumerate(seed_cat_idx):
         seeds_in_cat[ci].append(si)
-
-    def draw_original(cat: int, exclude_seed: int | None) -> str | None:
-        """Volume-weighted seed choice within a category, then a uniform
-        original of that seed; None when the category has no candidates."""
-        cands = [
-            si for si in seeds_in_cat[cat]
-            if si != exclude_seed and volumes[si] > 0
-        ]
-        if not cands:
-            return None
-        vols = np.array([volumes[si] for si in cands], dtype=float)
-        si = cands[int(rng.choice(len(cands), p=vols / vols.sum()))]
-        k = int(rng.integers(0, volumes[si]))
-        return originals_by_seed[si][k]
 
     def split_by_mixture(k: int, mix: np.ndarray, usable: np.ndarray) -> np.ndarray:
         """Split k draws over categories by the mixture restricted to usable
@@ -243,35 +235,35 @@ def generate(params: SynthParams) -> Dataset:
             total = w.sum()
         return rng.multinomial(k, w / total)
 
-    # seed activity: retweets of other seeds' originals, replies to other seeds
-    for si, sid in enumerate(seed_ids):
-        mix = _mixture(seed_cat_idx[si], h, n)
-        usable_rt = np.array(
-            [
-                any(volumes[sj] > 0 and sj != si for sj in seeds_in_cat[ci])
-                for ci in range(n)
-            ]
-        )
-        k_rt = int(rng.poisson(SEED_ACTIVITY_FACTOR * p.retweets_per_regular))
-        for ci, cnt in enumerate(split_by_mixture(k_rt, mix, usable_rt)):
+    def act(author: str, home: int, reach: list[list[int]], factor: float) -> None:
+        """Retweets and replies of ``author`` by the one activity rule;
+        ``reach`` holds, per category, the seed indexes it can act on."""
+        mix = _mixture(home, h, n)
+        usable = np.array([any(volumes[si] > 0 for si in seeds) for seeds in reach])
+        k = int(rng.poisson(factor * p.retweets_per_regular))
+        for seeds, cnt in zip(reach, split_by_mixture(k, mix, usable)):
+            if not cnt:
+                continue
+            cands = [si for si in seeds if volumes[si] > 0]
+            vols = np.array([volumes[si] for si in cands], dtype=float)
             for _ in range(int(cnt)):
-                src = draw_original(ci, exclude_seed=si)
-                if src is None:
-                    continue
-                clock += 1
-                tweets.append(next_id(), RETWEET, sid, source_tweet_id=src, timestamp=clock)
-        usable_rp = np.array(
-            [any(sj != si for sj in seeds_in_cat[ci]) for ci in range(n)]
-        )
-        k_rp = int(rng.poisson(SEED_ACTIVITY_FACTOR * p.replies_per_regular))
-        for ci, cnt in enumerate(split_by_mixture(k_rp, mix, usable_rp)):
-            cands = [sj for sj in seeds_in_cat[ci] if sj != si]
+                si = cands[int(rng.choice(len(cands), p=vols / vols.sum()))]
+                original = originals_by_seed[si][int(rng.integers(0, volumes[si]))]
+                post(RETWEET, author, source=original)
+        usable = np.array([bool(seeds) for seeds in reach])
+        k = int(rng.poisson(factor * p.replies_per_regular))
+        for seeds, cnt in zip(reach, split_by_mixture(k, mix, usable)):
             for _ in range(int(cnt)):
-                target = seed_ids[cands[int(rng.integers(0, len(cands)))]]
-                clock += 1
-                tweets.append(next_id(), REPLY, sid, target_user_id=target, timestamp=clock)
+                post(REPLY, author, target=seed_ids[seeds[int(rng.integers(0, len(seeds)))]])
 
-    # regulars: home category, Bernoulli follows, mixture-directed activity
+    # seeds act on every other seed
+    for si, sid in enumerate(seed_ids):
+        home = seed_cat_idx[si]
+        reach = list(seeds_in_cat)
+        reach[home] = [sj for sj in reach[home] if sj != si]
+        act(sid, home, reach, SEED_ACTIVITY_FACTOR)
+
+    # regulars: home category, Bernoulli follows, then activity on the followed seeds
     regular_ids = [f"u{i + 1:06d}" for i in range(p.n_regulars)]
     home_draws = rng.choice(n, size=p.n_regulars, p=weights) if p.n_regulars else []
     followees_of: list[list[int]] = []
@@ -297,39 +289,10 @@ def generate(params: SynthParams) -> Dataset:
 
     for ri, rid in enumerate(regular_ids):
         follows = followees_of[ri]
-        home = int(home_draws[ri])
-        mix = _mixture(home, h, n)
-        followed_in_cat: list[list[int]] = [[] for _ in range(n)]
+        reach = [[] for _ in range(n)]
         for si in follows:
-            followed_in_cat[seed_cat_idx[si]].append(si)
-
-        usable_rt = np.array(
-            [any(volumes[si] > 0 for si in followed_in_cat[ci]) for ci in range(n)]
-        )
-        k_rt = int(rng.poisson(p.retweets_per_regular))
-        for ci, cnt in enumerate(split_by_mixture(k_rt, mix, usable_rt)):
-            cands = [si for si in followed_in_cat[ci] if volumes[si] > 0]
-            if not cands:
-                continue
-            vols = np.array([volumes[si] for si in cands], dtype=float)
-            for _ in range(int(cnt)):
-                si = cands[int(rng.choice(len(cands), p=vols / vols.sum()))]
-                k = int(rng.integers(0, volumes[si]))
-                clock += 1
-                tweets.append(
-                    next_id(), RETWEET, rid,
-                    source_tweet_id=originals_by_seed[si][k], timestamp=clock,
-                )
-
-        usable_rp = np.array([bool(followed_in_cat[ci]) for ci in range(n)])
-        k_rp = int(rng.poisson(p.replies_per_regular))
-        for ci, cnt in enumerate(split_by_mixture(k_rp, mix, usable_rp)):
-            cands = followed_in_cat[ci]
-            for _ in range(int(cnt)):
-                target = seed_ids[cands[int(rng.integers(0, len(cands)))]]
-                clock += 1
-                tweets.append(next_id(), REPLY, rid, target_user_id=target, timestamp=clock)
-
+            reach[seed_cat_idx[si]].append(si)
+        act(rid, int(home_draws[ri]), reach, 1.0)
         users[rid] = UserRecord(
             id=rid,
             kind=UserKind.REGULAR,
