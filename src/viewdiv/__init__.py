@@ -1,7 +1,6 @@
 """Viewpoint-diversity metrics for seed/follower social graphs."""
 
 from .ingest import (
-    IngestError,
     IngestReport,
     ParseDiagnostic,
     load_country_config,
@@ -21,6 +20,7 @@ from .metrics import (
 from .model import (
     CountryConfig,
     Dataset,
+    IngestError,
     PoliticalCategory,
     TweetKind,
     TweetRecord,

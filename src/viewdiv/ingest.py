@@ -44,6 +44,7 @@ from .model import (
     RETWEET,
     CountryConfig,
     Dataset,
+    IngestError,
     PoliticalCategory,
     TweetRecord,
     TweetTable,
@@ -53,14 +54,6 @@ from .model import (
     tweet_violation,
     validate_config,
 )
-
-
-class IngestError(Exception):
-    """Fatal ingest failure (config validation), carrying the violations."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("config validation failed: " + "; ".join(violations))
-        self.violations = violations
 
 
 @dataclass(frozen=True)
@@ -300,7 +293,7 @@ def filter_active_regulars(
     retweeted at least ``min_retweets`` distinct originals written by a
     seed, and it follows at least one seed. ``tweets`` holds each id once
     and its retweets are resolved
-    (:meth:`~viewdiv.model.TweetTable.resolve_sources`): a retweet counts
+    (:meth:`~viewdiv.model.TweetTable.resolve`): a retweet counts
     iff it points at a seed. Spam takes precedence over the threshold in
     the drop counts. Returns ``(retained, dropped_spam,
     dropped_threshold)``.
@@ -387,8 +380,7 @@ def load_dataset(
     """
     users, user_diags = parse_users(user_lines)
     parsed, tweet_diags = parse_tweets(tweet_lines)
-    tweets = parsed.first_by_id()
-    tweets.resolve_sources({u.id for u in users if u.kind is UserKind.SEED})
+    tweets = parsed.resolve({u.id for u in users if u.kind is UserKind.SEED})
     retained, dropped_spam, dropped_threshold = filter_active_regulars(
         users, tweets, spam_ids, min_retweets
     )

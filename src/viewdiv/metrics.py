@@ -124,16 +124,11 @@ def _io_correlated(
 def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
     """Left/right interaction shares over seed retweets and seed-to-seed replies.
 
-    Requires the wing mapping to cover at least one Left and one Right
-    category. Interactions whose actor or target is unaligned are skipped.
+    Interactions whose actor or target is unaligned are skipped.
     A retweet's target is the seed that wrote its source, as resolved in
     the tweet table.
     """
     config = dataset.config
-    wings = {c.wing for c in config.categories}
-    if Wing.LEFT not in wings or Wing.RIGHT not in wings:
-        raise ValueError("wing mapping must cover at least one Left and one Right category")
-
     side = {Wing.LEFT: 0, Wing.RIGHT: 1}
     tweets = dataset.tweets
     side_of = tweets.by_code({

@@ -37,6 +37,14 @@ _KINDS = tuple(_KIND_CODES)
 _SELECT = tuple(bytes(int(k == kind) for k in range(256)) for kind in range(len(_KINDS)))
 
 
+class IngestError(Exception):
+    """Config validation failure, carrying the violations."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("config validation failed: " + "; ".join(violations))
+        self.violations = violations
+
+
 @dataclass(frozen=True)
 class PoliticalCategory:
     """One category of the political spectrum, e.g. "left" or "kurdish"."""
@@ -139,7 +147,7 @@ class TweetTable:
     :data:`REPLY`). ``authors`` and ``targets`` hold codes into ``names``,
     the user ids the rows name, interned in first-seen order (``codes`` maps
     them back). ``targets`` is the user a row points at: a reply's target,
-    a retweet's source author once :meth:`resolve_sources` has run, and -1
+    a retweet's source author once :meth:`resolve` has run, and -1
     otherwise (an original, or a retweet whose source is no seed's
     original). ``sources`` holds a retweet's source tweet id as read and
     None for the other kinds, and ``ids`` and ``timestamps`` complete the
@@ -206,34 +214,33 @@ class TweetTable:
         table.timestamps = [self.timestamps[i] for i in rows]
         return table
 
-    def first_by_id(self) -> TweetTable:
-        """The rows that hold the first occurrence of their id: the table
-        itself when no id repeats."""
-        ids = self.ids
-        if len(set(ids)) == len(ids):
-            return self
-        # Built back to front, so each id keeps its first row.
-        first_row = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
-        return self.take(sorted(first_row.values()))
+    def resolve(self, seed_ids) -> TweetTable:
+        """The rows that hold the first occurrence of their id, each retweet
+        pointing at the seed that wrote its source: the table itself,
+        resolved in place, when no id repeats.
 
-    def resolve_sources(self, seed_ids) -> None:
-        """Point each retweet at the seed that wrote its source, in place.
-
-        Ids must be unique. A retweet whose source is the id of an original
-        written by a user in ``seed_ids`` gets that author's code as its
-        target; every other retweet gets -1. Other rows keep theirs.
+        A retweet whose source is the id of a kept original written by a
+        user in ``seed_ids`` gets that author's code as its target; every
+        other retweet gets -1. Other rows keep theirs.
         """
-        is_seed = [name in seed_ids for name in self.names]
+        ids = self.ids
+        table = self
+        if len(set(ids)) != len(ids):
+            # Built back to front, so each id keeps its first row.
+            first_row = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+            table = self.take(sorted(first_row.values()))
+        is_seed = [name in seed_ids for name in table.names]
         seed_author_of = {
             tid: author
-            for tid, author in compress(zip(self.ids, self.authors), self.select(ORIGINAL))
+            for tid, author in compress(zip(table.ids, table.authors), table.select(ORIGINAL))
             if is_seed[author]
         }
         author_of = seed_author_of.get
-        self.targets = array("i", [
+        table.targets = array("i", [
             author_of(source, -1) if kind == RETWEET else target  # type: ignore[arg-type]
-            for kind, source, target in zip(self.kinds, self.sources, self.targets)
+            for kind, source, target in zip(table.kinds, table.sources, table.targets)
         ])
+        return table
 
     def by_code(self, value_of: dict, default) -> list:
         """``value_of`` (keyed by user id) as a list indexed by user code:
@@ -290,12 +297,14 @@ class Dataset:
     """Reference-checked container for one country's crawl; the analysis
     only reads it.
 
-    ``tweets`` is the column table of the kept tweets, its retweets
-    resolved: each points at the seed that wrote its source. Construct
-    through :func:`viewdiv.ingest.load_dataset`, which deduplicates tweet
-    ids, drops dangling references and validates the config, or from data
-    already consistent through :meth:`from_records`/:meth:`from_table`; the
-    analysis modules assume every reference resolves.
+    ``tweets`` is the column table of the kept tweets, each id once and its
+    retweets resolved: each points at the seed that wrote its source.
+    Construct through :func:`viewdiv.ingest.load_dataset`, which also drops
+    dangling references, or from data whose references resolve through
+    :meth:`from_records`/:meth:`from_table`. All of them keep the first row
+    of each tweet id and raise :class:`IngestError` when the config fails
+    :func:`validate_config`; the analysis modules assume every reference
+    resolves.
     """
 
     config: CountryConfig
@@ -306,10 +315,15 @@ class Dataset:
     def from_table(
         cls, config: CountryConfig, users: dict[str, UserRecord], tweets: TweetTable
     ) -> Dataset:
-        """A dataset over tweets that hold each id once and resolve; the
-        table's retweets are resolved in place."""
-        tweets.resolve_sources({u.id for u in users.values() if u.kind is UserKind.SEED})
-        return cls(config, users, tweets)
+        """A validated dataset over ``tweets`` resolved by
+        :meth:`TweetTable.resolve`, which resolves the table in place when
+        no id repeats."""
+        violations = validate_config(config, users)
+        if violations:
+            raise IngestError(violations)
+        return cls(config, users, tweets.resolve(
+            {u.id for u in users.values() if u.kind is UserKind.SEED}
+        ))
 
     @classmethod
     def from_records(

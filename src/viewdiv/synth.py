@@ -44,7 +44,6 @@ from .model import (
     UserKind,
     UserRecord,
     Wing,
-    validate_config,
 )
 
 # Base follow probability at h = 0; scaled by the mixture so that a home
@@ -304,9 +303,6 @@ def generate(params: SynthParams) -> Dataset:
         categories=categories,
         minority_user_ids=minority_user_ids,
     )
-    violations = validate_config(config, users)
-    if violations:  # pragma: no cover - generator invariant
-        raise AssertionError(f"generator produced invalid dataset: {violations}")
     return Dataset.from_table(config, users, tweets)
 
 

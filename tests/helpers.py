@@ -11,7 +11,6 @@ from viewdiv import (
     UserKind,
     UserRecord,
     Wing,
-    validate_config,
 )
 
 WINGS = {"left": Wing.LEFT, "right": Wing.RIGHT, "unaligned": Wing.UNALIGNED}
@@ -47,8 +46,5 @@ def reply(tid: str, author: str, target: str, ts: int = 0) -> TweetRecord:
 
 
 def dataset(cfg: CountryConfig, users, tweets) -> Dataset:
-    """Assemble a Dataset, asserting the inputs are internally consistent."""
-    user_map = {u.id: u for u in users}
-    violations = validate_config(cfg, user_map)
-    assert not violations, violations
-    return Dataset.from_records(cfg, user_map, tweets)
+    """Assemble a Dataset; Dataset.from_records validates the config."""
+    return Dataset.from_records(cfg, {u.id: u for u in users}, tweets)

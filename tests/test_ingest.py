@@ -410,9 +410,9 @@ def _resolved(users, tweets) -> TweetTable:
     """The tweets as a table holding each id once, each retweet pointing at
     the seed in ``users`` that wrote its source: what load_dataset hands
     both the filter and the build."""
-    table = TweetTable.from_records(tweets).first_by_id()
-    table.resolve_sources({u.id for u in users if u.kind is UserKind.SEED})
-    return table
+    return TweetTable.from_records(tweets).resolve(
+        {u.id for u in users if u.kind is UserKind.SEED}
+    )
 
 
 def _activity(n_retweets: int):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from helpers import config, dataset, original, regular, reply, retweet, seed
 from viewdiv import (
     Dataset,
+    IngestError,
     compute_all,
     normalized_entropy,
     oracle_metrics,
@@ -287,12 +288,11 @@ def test_matrix_seventy_three_twenty_seven():
 
 
 def test_matrix_requires_both_wings():
-    # validate_config rejects this config, so build it unvalidated, as
-    # Dataset.from_records allows
+    # the seed matrix needs a Left and a Right category; every Dataset
+    # constructor refuses a config without them
     cfg = config({"a": "left", "b": "left"})
-    ds = Dataset.from_records(cfg, {"s1": seed("s1", "a")}, [])
-    with pytest.raises(ValueError):
-        seed_interaction_matrix(ds)
+    with pytest.raises(IngestError, match="wing mapping"):
+        Dataset.from_records(cfg, {"s1": seed("s1", "a")}, [])
 
 
 def test_compute_all_matches_per_op_results():
@@ -302,6 +302,18 @@ def test_compute_all_matches_per_op_results():
     oracle_per_user, oracle_matrix = oracle_metrics(ds)
     assert per_user == oracle_per_user
     assert matrix == oracle_matrix == seed_interaction_matrix(ds)
+
+
+def test_repeated_tweet_id_keeps_first_row():
+    # o1 is written by s1 first and by s2 again; the dataset keeps the
+    # first, as load_dataset does, so r2 surfaces s1's category only
+    cfg = config({"a": "left", "b": "right"})
+    users = [seed("s1", "a"), seed("s2", "b"), regular("u1", ["s1"])]
+    first = original("o1", "s1")
+    rest = [retweet("r1", "s1", "o1"), retweet("r2", "u1", "o1")]
+    ds = dataset(cfg, users, [first, original("o1", "s2"), *rest])
+    assert compute_all(ds) == oracle_metrics(ds)
+    assert ds == dataset(cfg, users, [first, *rest])
 
 
 def test_compute_all_empty_regulars():
