@@ -401,11 +401,7 @@ def _read_synth_params(path: Path):
     one input line and to the fields' types."""
     from .synth import SynthParams
 
-    text = path.read_text(encoding="utf-8", errors="surrogateescape")
-    raw, diag = ingest_mod._parse_line(text, 1)
-    if diag is not None:
-        raise ValueError(f"{path}: malformed synth params ({diag.message})")
-    assert raw is not None
+    raw = ingest_mod.read_json_object(path, "synth params")
     types = {f.name: f.type for f in fields(SynthParams)}
     unknown = set(raw) - set(types)
     if unknown:

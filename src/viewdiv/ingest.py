@@ -397,20 +397,26 @@ def load_dataset(
 
 # -- country config and dataset serialization --------------------------------
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object a file holds, held to the same rules as one input
+    line: text that is not valid UTF-8 (raw bytes or an escaped lone
+    surrogate), invalid JSON or a non-object raise ``ValueError("<path>:
+    malformed <what> (<reason>)")``."""
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    raw, diag = _parse_line(text, 1)
+    if diag is not None:
+        raise ValueError(f"{path}: malformed {what} ({diag.message})")
+    return raw  # type: ignore[return-value]
+
+
 def load_country_config(path: str | Path) -> CountryConfig:
     """Read a country config JSON file.
 
     Shape: ``{"name": str, "categories": [{"id": str, "wing":
     "left"|"right"|"unaligned"}, ...], "minority_user_ids": [str, ...]}``.
-    The file is held to the same rules as one input line: text that is not
-    valid UTF-8 (raw bytes or an escaped lone surrogate), invalid JSON or a
-    non-object make it a malformed config.
+    The file is read by :func:`read_json_object`.
     """
-    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
-    raw, diag = _parse_line(text, 1)
-    if diag is not None:
-        raise ValueError(f"{path}: malformed country config ({diag.message})")
-    assert raw is not None
+    raw = read_json_object(path, "country config")
     try:
         categories = tuple(
             PoliticalCategory(id=c["id"], wing=Wing(c["wing"]))
