@@ -226,9 +226,11 @@ class TweetTable:
         ids = self.ids
         table = self
         if len(set(ids)) != len(ids):
-            # Built back to front, so each id keeps its first row.
-            first_row = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
-            table = self.take(sorted(first_row.values()))
+            # Built back to front, so each id keeps its first row; the dict
+            # is a temporary, freed before the resolution below peaks.
+            table = self.take(sorted(
+                dict(zip(reversed(ids), range(len(ids) - 1, -1, -1))).values()
+            ))
         is_seed = [name in seed_ids for name in table.names]
         seed_author_of = {
             tid: author
