@@ -1,6 +1,7 @@
 """Viewpoint-diversity metrics for seed/follower social graphs."""
 
 from .ingest import (
+    IngestError,
     IngestReport,
     ParseDiagnostic,
     load_country_config,
@@ -20,7 +21,6 @@ from .metrics import (
 from .model import (
     CountryConfig,
     Dataset,
-    IngestError,
     PoliticalCategory,
     TweetKind,
     TweetRecord,

@@ -73,19 +73,24 @@ def _round4(x: float | None) -> float | None:
     return None if x is None else round(x, 4)
 
 
-def _open_lines(path: Path):
+def _open_lines(path: str | Path):
     return open(path, encoding="utf-8", errors="surrogateescape")
 
 
-def _load(rc: RunConfig) -> tuple[Dataset, IngestReport, list[ParseDiagnostic]]:
-    """Ingest the run's inputs, parsing each file as it is read."""
-    config = load_country_config(rc.config_path)
+def _load(
+    config_path: str | Path,
+    users_path: str | Path,
+    tweets_path: str | Path,
+    spam_path: str | Path | None,
+) -> tuple[Dataset, IngestReport, list[ParseDiagnostic]]:
+    """Ingest one dataset's inputs, parsing each file as it is read."""
+    config = load_country_config(config_path)
     spam: frozenset[str] | set[str] = frozenset()
-    if rc.spam_path is not None:
-        with _open_lines(rc.spam_path) as fh:
+    if spam_path is not None:
+        with _open_lines(spam_path) as fh:
             spam = ingest_mod.parse_spam(fh)
     # Both opened before either is read, so a bad path fails before parsing.
-    with _open_lines(rc.users_path) as users, _open_lines(rc.tweets_path) as tweets:
+    with _open_lines(users_path) as users, _open_lines(tweets_path) as tweets:
         return ingest_mod.load_dataset(config, users, tweets, spam)
 
 
@@ -208,7 +213,9 @@ def _write_reports(
 
 def cmd_analyze(rc: RunConfig) -> dict:
     """Run the full pipeline and emit all report files; returns the summary."""
-    dataset, report, diagnostics = _load(rc)
+    dataset, report, diagnostics = _load(
+        rc.config_path, rc.users_path, rc.tweets_path, rc.spam_path
+    )
     per_user, matrix = compute_all(dataset, io_margin=rc.io_margin)
     return _write_reports(rc, dataset, report, diagnostics, per_user, matrix)
 
@@ -219,16 +226,18 @@ def cmd_compare(rc_a: RunConfig, rc_b: RunConfig, out_dir: Path) -> list[dict]:
     Metrics where the test precondition fails (e.g. both sides constant)
     get NA statistics and are never flagged significant.
     """
-    dataset_a, _, _ = _load(rc_a)
-    dataset_b, _, _ = _load(rc_b)
+    dataset_a, dataset_b = (
+        _load(rc.config_path, rc.users_path, rc.tweets_path, rc.spam_path)[0]
+        for rc in (rc_a, rc_b)
+    )
     universe_a = [(c.id, c.wing) for c in dataset_a.config.categories]
     universe_b = [(c.id, c.wing) for c in dataset_b.config.categories]
     if universe_a != universe_b:
         raise IngestError(
             ["datasets have different category universes; comparison is undefined"]
         )
-    per_a, _ = compute_all(dataset_a, io_margin=rc_a.io_margin)
-    per_b, _ = compute_all(dataset_b, io_margin=rc_b.io_margin)
+    per_a, _ = compute_all(dataset_a)
+    per_b, _ = compute_all(dataset_b)
 
     rows: list[dict] = []
     for field in METRIC_FIELDS:
@@ -347,11 +356,10 @@ def analyze_command(
 @click.option("--tweets", "tweets_paths", required=True, multiple=True)
 @click.option("--spam", "spam_paths", multiple=True)
 @click.option("--out", "out_dir", required=True)
-@click.option("--io-margin", default=0.15, show_default=True)
 @click.option("--alpha", default=0.01, show_default=True)
 @_input_errors
 def compare_command(
-    config_paths, users_paths, tweets_paths, spam_paths, out_dir, io_margin, alpha
+    config_paths, users_paths, tweets_paths, spam_paths, out_dir, alpha
 ) -> None:
     """Compare two datasets (give --config/--users/--tweets twice: A then B)."""
     if not (len(config_paths) == len(users_paths) == len(tweets_paths) == 2):
@@ -366,7 +374,6 @@ def compare_command(
             tweets_path=Path(tweets_paths[i]),
             spam_path=Path(spam_paths[i]) if spam_paths else None,
             out_dir=Path(out_dir),
-            io_margin=io_margin,
             alpha=alpha,
         )
 
@@ -453,14 +460,10 @@ def synth_command(preset, params_path, rng_seed, out_dir) -> None:
 @_input_errors
 def validate_command(config_path, users_path, tweets_path, spam_path) -> None:
     """Ingest and validate without computing metrics; prints the report."""
-    rc = RunConfig(
-        config_path=Path(config_path),
-        users_path=Path(users_path),
-        tweets_path=Path(tweets_path),
-        spam_path=Path(spam_path) if spam_path else None,
-        out_dir=Path("."),
+    # paths as given, so that every message names a file as the user did
+    dataset, report, diagnostics = _load(
+        config_path, users_path, tweets_path, spam_path or None
     )
-    dataset, report, diagnostics = _load(rc)
     click.echo(
         f"ok: {len(dataset.seed_users())} seeds, "
         f"{len(dataset.regular_users())} regulars, {len(dataset.tweets)} tweets"
@@ -471,8 +474,9 @@ def validate_command(config_path, users_path, tweets_path, spam_path) -> None:
         f"tweets_read={report.tweets_read} "
         f"tweets_dropped_dangling={report.tweets_dropped_dangling}"
     )
+    paths = {"users": users_path, "tweets": tweets_path}
     for d in diagnostics:
-        click.echo(f"line {d.line_no}: {d.message}", err=True)
+        click.echo(f"{paths[d.file]}:{d.line_no}: {d.message}", err=True)
 
 
 if __name__ == "__main__":

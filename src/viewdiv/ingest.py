@@ -44,7 +44,6 @@ from .model import (
     RETWEET,
     CountryConfig,
     Dataset,
-    IngestError,
     PoliticalCategory,
     TweetRecord,
     TweetTable,
@@ -56,12 +55,23 @@ from .model import (
 )
 
 
+class IngestError(Exception):
+    """Config validation failure, carrying the violations."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("config validation failed: " + "; ".join(violations))
+        self.violations = violations
+
+
 @dataclass(frozen=True)
 class ParseDiagnostic:
-    """One skipped input line: 1-based line number plus reason."""
+    """One skipped input line: 1-based line number plus reason, and the
+    input it is in (``"users"`` or ``"tweets"``) once :func:`load_dataset`
+    has named it; the parse functions leave ``file`` empty."""
 
     line_no: int
     message: str
+    file: str = ""
 
 
 @dataclass(frozen=True)
@@ -328,21 +338,21 @@ def filter_active_regulars(
 
 def build_dataset(
     config: CountryConfig,
-    users: list[UserRecord],
+    users: Iterable[UserRecord],
     tweets: TweetTable,
 ) -> tuple[Dataset, int]:
-    """Assemble and validate an immutable Dataset from filtered collections.
+    """Assemble and validate an immutable Dataset: the one constructor of
+    a :class:`~viewdiv.model.Dataset`.
 
+    ``users`` names each id once, as :func:`parse_users` gives them.
     ``tweets`` must hold each id once and its retweets be resolved against
-    the seeds in ``users``. An original is kept iff its author is in
-    ``users``; a retweet or reply is kept iff its author and the user it
-    points at are in ``users``; the rest dangle. Config validation failure
-    raises :class:`IngestError`. Returns ``(dataset,
-    tweets_dropped_dangling)``.
+    the seeds in ``users`` (:meth:`~viewdiv.model.TweetTable.resolve`). An
+    original is kept iff its author is in ``users``; a retweet or reply is
+    kept iff its author and the user it points at are in ``users``; the
+    rest dangle. Config validation failure raises :class:`IngestError`.
+    Returns ``(dataset, tweets_dropped_dangling)``.
     """
-    user_map: dict[str, UserRecord] = {}
-    for u in users:
-        user_map.setdefault(u.id, u)
+    user_map = {u.id: u for u in users}
 
     violations = validate_config(config, user_map)
     if violations:
@@ -376,7 +386,8 @@ def load_dataset(
     the dataset keeps it. ``users_read`` and ``tweets_read`` count every
     attempted record line, so users_read = retained + dropped_spam +
     dropped_threshold + malformed, and tweets_read = kept +
-    dropped_dangling + malformed + duplicate ids.
+    dropped_dangling + malformed + duplicate ids. The diagnostics come
+    users first, each naming its file.
     """
     users, user_diags = parse_users(user_lines)
     parsed, tweet_diags = parse_tweets(tweet_lines)
@@ -392,7 +403,9 @@ def load_dataset(
         tweets_read=len(parsed) + len(tweet_diags),
         tweets_dropped_dangling=dropped_dangling,
     )
-    return dataset, report, [*user_diags, *tweet_diags]
+    diagnostics = [ParseDiagnostic(d.line_no, d.message, "users") for d in user_diags]
+    diagnostics += [ParseDiagnostic(d.line_no, d.message, "tweets") for d in tweet_diags]
+    return dataset, report, diagnostics
 
 
 # -- country config and dataset serialization --------------------------------

@@ -37,14 +37,6 @@ _KINDS = tuple(_KIND_CODES)
 _SELECT = tuple(bytes(int(k == kind) for k in range(256)) for kind in range(len(_KINDS)))
 
 
-class IngestError(Exception):
-    """Config validation failure, carrying the violations."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("config validation failed: " + "; ".join(violations))
-        self.violations = violations
-
-
 @dataclass(frozen=True)
 class PoliticalCategory:
     """One category of the political spectrum, e.g. "left" or "kurdish"."""
@@ -301,40 +293,16 @@ class Dataset:
 
     ``tweets`` is the column table of the kept tweets, each id once and its
     retweets resolved: each points at the seed that wrote its source.
-    Construct through :func:`viewdiv.ingest.load_dataset`, which also drops
-    dangling references, or from data whose references resolve through
-    :meth:`from_records`/:meth:`from_table`. All of them keep the first row
-    of each tweet id and raise :class:`IngestError` when the config fails
-    :func:`validate_config`; the analysis modules assume every reference
-    resolves.
+    :func:`viewdiv.ingest.build_dataset` builds every dataset, from lines
+    through :func:`viewdiv.ingest.load_dataset` or from a table resolved by
+    :meth:`TweetTable.resolve`. It validates the config and drops every
+    tweet whose references dangle, so the analysis modules assume every
+    reference resolves.
     """
 
     config: CountryConfig
     users: dict[str, UserRecord]
     tweets: TweetTable
-
-    @classmethod
-    def from_table(
-        cls, config: CountryConfig, users: dict[str, UserRecord], tweets: TweetTable
-    ) -> Dataset:
-        """A validated dataset over ``tweets`` resolved by
-        :meth:`TweetTable.resolve`, which resolves the table in place when
-        no id repeats."""
-        violations = validate_config(config, users)
-        if violations:
-            raise IngestError(violations)
-        return cls(config, users, tweets.resolve(
-            {u.id for u in users.values() if u.kind is UserKind.SEED}
-        ))
-
-    @classmethod
-    def from_records(
-        cls,
-        config: CountryConfig,
-        users: dict[str, UserRecord],
-        tweets: Iterable[TweetRecord],
-    ) -> Dataset:
-        return cls.from_table(config, users, TweetTable.from_records(tweets))
 
     def seed_users(self) -> list[UserRecord]:
         return [u for u in self.users.values() if u.kind is UserKind.SEED]

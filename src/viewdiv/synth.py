@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .ingest import build_dataset
 from .model import (
     CountryConfig,
     ORIGINAL,
@@ -154,7 +155,9 @@ def _mixture(home_idx: int, h: float, n: int) -> np.ndarray:
 
 
 def generate(params: SynthParams) -> Dataset:
-    """Generate a validated Dataset; byte-identical for identical params."""
+    """Generate a validated Dataset; byte-identical for identical params.
+    Ids never repeat and every reference resolves, so
+    :func:`~viewdiv.ingest.build_dataset` drops nothing."""
     p, cat_ids, seeds_per_cat = _resolve(params)
     n = p.n_categories
     h = p.homophily
@@ -303,7 +306,7 @@ def generate(params: SynthParams) -> Dataset:
         categories=categories,
         minority_user_ids=minority_user_ids,
     )
-    return Dataset.from_table(config, users, tweets)
+    return build_dataset(config, users.values(), tweets.resolve(set(seed_ids)))[0]
 
 
 def presets() -> dict[str, SynthParams]:

@@ -8,10 +8,12 @@ from viewdiv import (
     PoliticalCategory,
     TweetKind,
     TweetRecord,
+    TweetTable,
     UserKind,
     UserRecord,
     Wing,
 )
+from viewdiv.ingest import build_dataset
 
 WINGS = {"left": Wing.LEFT, "right": Wing.RIGHT, "unaligned": Wing.UNALIGNED}
 
@@ -46,5 +48,9 @@ def reply(tid: str, author: str, target: str, ts: int = 0) -> TweetRecord:
 
 
 def dataset(cfg: CountryConfig, users, tweets) -> Dataset:
-    """Assemble a Dataset; Dataset.from_records validates the config."""
-    return Dataset.from_records(cfg, {u.id: u for u in users}, tweets)
+    """Assemble a Dataset as load_dataset does without its activity filter:
+    resolve the tweets against the seeds, then build, which validates the
+    config and drops dangling tweets."""
+    users = list(users)
+    seed_ids = {u.id for u in users if u.kind is UserKind.SEED}
+    return build_dataset(cfg, users, TweetTable.from_records(tweets).resolve(seed_ids))[0]

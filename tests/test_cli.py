@@ -526,7 +526,23 @@ def test_validate_reports_diagnostics(tmp_path):
         "--users", str(users), "--tweets", str(tweets),
     ])
     assert result.exit_code == 0, result.output
-    assert "line 2" in result.output
+    assert f"{users}:2: invalid JSON" in result.output
+
+
+def test_validate_names_the_file_of_each_diagnostic(tmp_path):
+    users = tmp_path / "users.jsonl"
+    tweets = tmp_path / "tweets.jsonl"
+    users.write_text((TOY / "users.jsonl").read_text() + "{bad\n")
+    tweets.write_text((TOY / "tweets.jsonl").read_text() + "{bad\n")
+    result = runner.invoke(main, [
+        "validate", "--config", str(TOY / "config.json"),
+        "--users", str(users), "--tweets", str(tweets),
+    ])
+    assert result.exit_code == 0, result.output
+    diagnostics = [line for line in result.output.splitlines() if "invalid JSON" in line]
+    assert [line.split(": invalid JSON")[0] for line in diagnostics] == [
+        f"{users}:7", f"{tweets}:36",
+    ]
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate"])
@@ -560,7 +576,7 @@ def test_validate_reports_invalid_utf8_line(tmp_path):
         "--users", str(users), "--tweets", str(TOY / "tweets.jsonl"),
     ])
     assert result.exit_code == 0, result.output
-    assert "line 5: invalid UTF-8" in result.output
+    assert f"{users}:5: invalid UTF-8" in result.output
 
     users.write_text(_escape_lone_surrogate(toy_users.decode(), "u_bob"))
     result = runner.invoke(main, [
@@ -568,7 +584,7 @@ def test_validate_reports_invalid_utf8_line(tmp_path):
         "--users", str(users), "--tweets", str(TOY / "tweets.jsonl"),
     ])
     assert result.exit_code == 0, result.output
-    assert "line 5: invalid UTF-8" in result.output
+    assert f"{users}:5: invalid UTF-8" in result.output
 
 
 

@@ -1,17 +1,19 @@
 """Metric definitions: entropy, diversity, minority access, io correlation."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import config, dataset, original, regular, reply, retweet, seed
+from test_acceptance import _assert_metrics_match
 from viewdiv import (
-    Dataset,
     IngestError,
     compute_all,
+    load_dataset,
     normalized_entropy,
     oracle_metrics,
     seed_interaction_matrix,
 )
+from viewdiv.ingest import tweet_to_line, user_to_line
 
 
 def _by_user(ds, **kwargs):
@@ -288,11 +290,11 @@ def test_matrix_seventy_three_twenty_seven():
 
 
 def test_matrix_requires_both_wings():
-    # the seed matrix needs a Left and a Right category; every Dataset
-    # constructor refuses a config without them
+    # the seed matrix needs a Left and a Right category; build_dataset,
+    # which builds every Dataset, refuses a config without them
     cfg = config({"a": "left", "b": "left"})
     with pytest.raises(IngestError, match="wing mapping"):
-        Dataset.from_records(cfg, {"s1": seed("s1", "a")}, [])
+        dataset(cfg, [seed("s1", "a")], [])
 
 
 def test_compute_all_matches_per_op_results():
@@ -314,6 +316,81 @@ def test_repeated_tweet_id_keeps_first_row():
     ds = dataset(cfg, users, [first, original("o1", "s2"), *rest])
     assert compute_all(ds) == oracle_metrics(ds)
     assert ds == dataset(cfg, users, [first, *rest])
+
+
+# -- one contract: every dataset drops its dangling tweets -------------------
+
+def _assert_oracle_agrees(ds) -> None:
+    fast, _ = compute_all(ds)
+    slow, _ = oracle_metrics(ds)
+    _assert_metrics_match(fast, slow, "fast path vs oracle")
+
+
+def _assert_dropped(dangling) -> None:
+    """A dataset with the ``dangling`` retweet is the one without it."""
+    cfg = config({"a": "left", "b": "right"})
+    users = [seed("s1", "a"), seed("s2", "b"), regular("u1", ["s1"])]
+    ds = dataset(cfg, users, [original("o1", "u1"), dangling])
+    assert ds == dataset(cfg, users, [original("o1", "u1")])
+    _assert_oracle_agrees(ds)
+
+
+def test_retweet_of_a_regulars_original_is_dropped():
+    _assert_dropped(retweet("r1", "s1", "o1"))
+
+
+def test_retweet_of_a_missing_source_is_dropped():
+    _assert_dropped(retweet("r1", "s1", "missing"))
+
+
+_TWEET_IDS = tuple(f"t{i}" for i in range(10))
+
+
+@st.composite
+def _crawl(draw):
+    """2-3 seeds, 0-3 regulars that each follow a seed, and up to 14 tweets
+    whose ids repeat and whose authors, reply targets and retweet sources
+    include ids that name nothing."""
+    seeds = [
+        seed(f"s{i}", draw(st.sampled_from("ab"))) for i in range(draw(st.integers(2, 3)))
+    ]
+    seed_ids = [s.id for s in seeds]
+    regulars = [
+        regular(f"u{i}", draw(st.sets(st.sampled_from(seed_ids), min_size=1)))
+        for i in range(draw(st.integers(0, 3)))
+    ]
+    users = seeds + regulars
+    names = [u.id for u in users] + ["ghost"]
+    minorities = draw(st.sets(st.sampled_from(seed_ids)))
+    tweets = []
+    for _ in range(draw(st.integers(0, 14))):
+        tid = draw(st.sampled_from(_TWEET_IDS))
+        author = draw(st.sampled_from(names))
+        ts = draw(st.integers(0, 3))
+        kind = draw(st.sampled_from([original, retweet, reply]))
+        if kind is original:
+            tweets.append(original(tid, author, ts))
+        elif kind is retweet:
+            source = draw(st.sampled_from(_TWEET_IDS + ("missing",)))
+            tweets.append(retweet(tid, author, source, ts))
+        else:
+            tweets.append(reply(tid, author, draw(st.sampled_from(names)), ts))
+    return config({"a": "left", "b": "right"}, minorities), users, tweets
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(crawl=_crawl())
+def test_records_assemble_as_lines_do(crawl):
+    # with no activity threshold every regular here passes the filter, so
+    # the lines and the records must give the same dataset
+    cfg, users, tweets = crawl
+    ds = dataset(cfg, users, tweets)
+    loaded, _, diags = load_dataset(
+        cfg, map(user_to_line, users), map(tweet_to_line, tweets), min_retweets=0
+    )
+    assert diags == []
+    assert ds == loaded
+    _assert_oracle_agrees(ds)
 
 
 def test_compute_all_empty_regulars():
