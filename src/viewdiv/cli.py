@@ -17,7 +17,7 @@ import click
 
 from . import ingest as ingest_mod
 from .ingest import IngestError, IngestReport, ParseDiagnostic, load_country_config
-from .metrics import UserMetrics, WingMatrix, compute_all
+from .metrics import IO_MARGIN, UserMetrics, WingMatrix, compute_all
 from .model import Dataset
 from .stats import distribution, fraction_below, welch_t_test
 
@@ -33,16 +33,15 @@ METRIC_FIELDS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One analysis run: input paths plus statistics knobs."""
+    """One analysis run: input paths as typed, plus statistics knobs."""
 
-    config_path: Path
-    users_path: Path
-    tweets_path: Path
-    spam_path: Path | None
-    out_dir: Path
+    config_path: str | Path
+    users_path: str | Path
+    tweets_path: str | Path
+    spam_path: str | Path | None
+    out_dir: str | Path
     bin_width: float = 0.05
     thresholds: tuple[float, ...] = (0.5, 0.05, 0.01)
-    io_margin: float = 0.15
     alpha: float = 0.01
 
     def __post_init__(self) -> None:
@@ -57,8 +56,6 @@ class RunConfig:
             raise ValueError(f"repeated threshold in {','.join(keys)}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 0.0 <= self.io_margin < 1.0:
-            raise ValueError(f"io margin must be in [0, 1), got {self.io_margin}")
 
 
 def _fmt(x: float | None) -> str:
@@ -73,6 +70,14 @@ def _round4(x: float | None) -> float | None:
     return None if x is None else round(x, 4)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one RFC 4180 field: quoted, with inner quotes doubled,
+    only when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _open_lines(path: str | Path):
     return open(path, encoding="utf-8", errors="surrogateescape")
 
@@ -83,10 +88,11 @@ def _load(
     tweets_path: str | Path,
     spam_path: str | Path | None,
 ) -> tuple[Dataset, IngestReport, list[ParseDiagnostic]]:
-    """Ingest one dataset's inputs, parsing each file as it is read."""
+    """Ingest one dataset's inputs, parsing each file as it is read. An
+    empty or absent ``spam_path`` means no spam list."""
     config = load_country_config(config_path)
     spam: frozenset[str] | set[str] = frozenset()
-    if spam_path is not None:
+    if spam_path:
         with _open_lines(spam_path) as fh:
             spam = ingest_mod.parse_spam(fh)
     # Both opened before either is read, so a bad path fails before parsing.
@@ -124,14 +130,12 @@ def _summary_object(
                 for t in rc.thresholds
             },
         }
-    io_defined = [m.io_correlated for m in per_user if m.io_correlated is not None]
-    io_margin_defined = [
-        m.io_correlated_15 for m in per_user if m.io_correlated_15 is not None
-    ]
+    io_defined = _defined(per_user, "io_correlated")
+    io_15_defined = _defined(per_user, "io_correlated_15")
     return {
         "alpha": rc.alpha,
         "bin_width": rc.bin_width,
-        "io_margin": rc.io_margin,
+        "io_margin": IO_MARGIN,
         "thresholds": list(rc.thresholds),
         "dataset": {
             "name": dataset.config.name,
@@ -146,7 +150,7 @@ def _summary_object(
         "io_correlation": {
             "defined": len(io_defined),
             "share_correlated": _round4(_mean(io_defined)),
-            "share_correlated_margin": _round4(_mean(io_margin_defined)),
+            "share_correlated_margin": _round4(_mean(io_15_defined)),
         },
         "seed_matrix": {
             "left": {
@@ -177,7 +181,7 @@ def _write_reports(
     matrix: WingMatrix,
 ) -> dict:
     """Write every report file to ``rc.out_dir``; returns the summary object."""
-    out = rc.out_dir
+    out = Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     header = "user_id," + ",".join(METRIC_FIELDS) + ",io_correlated,io_correlated_15"
@@ -185,7 +189,7 @@ def _write_reports(
     for m in per_user:
         lines.append(
             ",".join(
-                [m.user_id]
+                [_csv_field(m.user_id)]
                 + [_fmt(getattr(m, f)) for f in METRIC_FIELDS]
                 + [_fmt_bool(m.io_correlated), _fmt_bool(m.io_correlated_15)]
             )
@@ -216,11 +220,11 @@ def cmd_analyze(rc: RunConfig) -> dict:
     dataset, report, diagnostics = _load(
         rc.config_path, rc.users_path, rc.tweets_path, rc.spam_path
     )
-    per_user, matrix = compute_all(dataset, io_margin=rc.io_margin)
+    per_user, matrix = compute_all(dataset)
     return _write_reports(rc, dataset, report, diagnostics, per_user, matrix)
 
 
-def cmd_compare(rc_a: RunConfig, rc_b: RunConfig, out_dir: Path) -> list[dict]:
+def cmd_compare(rc_a: RunConfig, rc_b: RunConfig, out_dir: str | Path) -> list[dict]:
     """Side-by-side means plus Welch t-tests; writes comparison.csv.
 
     Metrics where the test precondition fails (e.g. both sides constant)
@@ -261,7 +265,7 @@ def cmd_compare(rc_a: RunConfig, rc_b: RunConfig, out_dir: Path) -> list[dict]:
             pass
         rows.append(row)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     lines = ["metric,count_a,mean_a,count_b,mean_b,t,df,p,significant"]
     for r in rows:
         lines.append(
@@ -269,7 +273,7 @@ def cmd_compare(rc_a: RunConfig, rc_b: RunConfig, out_dir: Path) -> list[dict]:
             f"{_fmt(r['mean_b'])},{_fmt(r['t'])},{_fmt(r['df'])},{_fmt(r['p'])},"
             f"{'true' if r['significant'] else 'false'}"
         )
-    _write_text(out_dir / "comparison.csv", "\n".join(lines) + "\n")
+    _write_text(Path(out_dir) / "comparison.csv", "\n".join(lines) + "\n")
     return rows
 
 
@@ -323,23 +327,21 @@ def main() -> None:
 @click.option("--out", "out_dir", required=True, help="Report output directory.")
 @click.option("--bin-width", default=0.05, show_default=True)
 @click.option("--thresholds", default="0.5,0.05,0.01", show_default=True)
-@click.option("--io-margin", default=0.15, show_default=True)
 @click.option("--alpha", default=0.01, show_default=True)
 @_input_errors
 def analyze_command(
     config_path, users_path, tweets_path, spam_path, out_dir, bin_width,
-    thresholds, io_margin, alpha,
+    thresholds, alpha,
 ) -> None:
     """Compute per-user metrics, population summary, and distributions."""
     rc = RunConfig(
-        config_path=Path(config_path),
-        users_path=Path(users_path),
-        tweets_path=Path(tweets_path),
-        spam_path=Path(spam_path) if spam_path else None,
-        out_dir=Path(out_dir),
+        config_path=config_path,
+        users_path=users_path,
+        tweets_path=tweets_path,
+        spam_path=spam_path,
+        out_dir=out_dir,
         bin_width=bin_width,
         thresholds=_parse_thresholds(thresholds),
-        io_margin=io_margin,
         alpha=alpha,
     )
     summary = cmd_analyze(rc)
@@ -369,15 +371,15 @@ def compare_command(
 
     def rc_for(i: int) -> RunConfig:
         return RunConfig(
-            config_path=Path(config_paths[i]),
-            users_path=Path(users_paths[i]),
-            tweets_path=Path(tweets_paths[i]),
-            spam_path=Path(spam_paths[i]) if spam_paths else None,
-            out_dir=Path(out_dir),
+            config_path=config_paths[i],
+            users_path=users_paths[i],
+            tweets_path=tweets_paths[i],
+            spam_path=spam_paths[i] if spam_paths else None,
+            out_dir=out_dir,
             alpha=alpha,
         )
 
-    rows = cmd_compare(rc_for(0), rc_for(1), Path(out_dir))
+    rows = cmd_compare(rc_for(0), rc_for(1), out_dir)
     for r in rows:
         flag = "significant" if r["significant"] else "not significant"
         click.echo(
@@ -461,9 +463,7 @@ def synth_command(preset, params_path, rng_seed, out_dir) -> None:
 def validate_command(config_path, users_path, tweets_path, spam_path) -> None:
     """Ingest and validate without computing metrics; prints the report."""
     # paths as given, so that every message names a file as the user did
-    dataset, report, diagnostics = _load(
-        config_path, users_path, tweets_path, spam_path or None
-    )
+    dataset, report, diagnostics = _load(config_path, users_path, tweets_path, spam_path)
     click.echo(
         f"ok: {len(dataset.seed_users())} seeds, "
         f"{len(dataset.regular_users())} regulars, {len(dataset.tweets)} tweets"

@@ -22,6 +22,8 @@ from itertools import compress
 
 from .model import REPLY, RETWEET, Dataset, Wing
 
+IO_MARGIN = 0.15  # the "bias above 15%" of io_correlated_15
+
 
 @dataclass(frozen=True)
 class UserMetrics:
@@ -102,8 +104,8 @@ def _io_correlated(
 
     Both lists are per-category counts in config category order. Undefined
     when either is all zero. With ``margin`` > 0, both dominant shares must
-    additionally be at least ``1/n + margin``, the reading used for the
-    "bias above 15%" variant.
+    additionally be at least ``1/n + margin``; ``io_correlated_15`` passes
+    :data:`IO_MARGIN`.
     """
     if not any(input_counts) or not any(output_counts):
         return None
@@ -217,14 +219,11 @@ class ExposureIndex:
         self.category_masks = tuple(category_masks)
 
 
-def compute_all(
-    dataset: Dataset, io_margin: float = 0.15
-) -> tuple[list[UserMetrics], WingMatrix]:
+def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     """All metrics for every regular user plus the seed interaction matrix.
 
     Output order is sorted by user id, so reruns on the same dataset are
-    byte-identical. ``io_margin`` parametrizes the ``io_correlated_15``
-    column (default 0.15).
+    byte-identical.
 
     This is the batch path: it builds one :class:`ExposureIndex`, reads
     the regulars' retweets and replies once from the tweet table for the
@@ -295,7 +294,7 @@ def compute_all(
                     indirect_minority / indirect_total if indirect_total else None
                 ),
                 io_correlated=_io_correlated(indirect, rt, n, 0.0),
-                io_correlated_15=_io_correlated(indirect, rt, n, io_margin),
+                io_correlated_15=_io_correlated(indirect, rt, n, IO_MARGIN),
             )
         )
 

@@ -2,9 +2,9 @@
 
 Ground truth for equivalence testing: every metric is recomputed directly
 from its definition with plain loops over the tweet records (the record
-view of the dataset's tweet table), sharing nothing with the metrics
-module (its exposure index included) except the domain types and result
-shapes. The set-level exposure view, :func:`exposure_timeline`, lives
+view of the dataset's tweet table), sharing nothing with the metrics module
+(its exposure index included) except the domain types, result shapes and
+``IO_MARGIN``. The set-level exposure view, :func:`exposure_timeline`, lives
 here for the same reason. Deliberately unoptimized; duplication with the
 fast path is the point. Guarded to small datasets.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .metrics import UserMetrics, WingMatrix
+from .metrics import IO_MARGIN, UserMetrics, WingMatrix
 from .model import Dataset, TweetKind, TweetRecord, UserKind, UserRecord, Wing
 
 MAX_ORACLE_TWEETS = 10_000
@@ -79,9 +79,7 @@ def _argmax_unique(by_cat: dict[str, int]) -> str | None:
     return None if tied else best
 
 
-def oracle_metrics(
-    dataset: Dataset, io_margin: float = 0.15
-) -> tuple[list[UserMetrics], WingMatrix]:
+def oracle_metrics(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     """Recompute everything ``metrics.compute_all`` produces, the slow way."""
     if len(dataset.tweets) > MAX_ORACLE_TWEETS:
         raise ValueError(
@@ -170,7 +168,7 @@ def oracle_metrics(
                 minority_reach=reach,
                 minority_exposure=exposure,
                 io_correlated=io(0.0),
-                io_correlated_15=io(io_margin),
+                io_correlated_15=io(IO_MARGIN),
             )
         )
 

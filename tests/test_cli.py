@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, determinism, round trips, comparisons."""
 
+import csv
 import json
 import shutil
 from dataclasses import fields
@@ -17,14 +18,21 @@ TOY = Path(__file__).resolve().parent / "data" / "toy"
 runner = CliRunner()
 
 
-def _analyze_args(out_dir, users=None):
-    return [
-        "analyze",
-        "--config", str(TOY / "config.json"),
+def _command_args(command, out_dir, config=None, users=None, spam=None):
+    """Toy-fixture arguments for ``command``; ``compare`` gets them twice."""
+    one = [
+        "--config", str(config or TOY / "config.json"),
         "--users", str(users or TOY / "users.jsonl"),
         "--tweets", str(TOY / "tweets.jsonl"),
-        "--out", str(out_dir),
     ]
+    if spam is not None:
+        one += ["--spam", spam]
+    args = [command] + one * (2 if command == "compare" else 1)
+    return args if command == "validate" else args + ["--out", str(out_dir)]
+
+
+def _analyze_args(out_dir, users=None):
+    return _command_args("analyze", out_dir, users=users)
 
 
 def _read_all(out_dir: Path) -> dict:
@@ -340,14 +348,61 @@ def test_summary_of_a_metric_without_samples_is_null(tmp_path):
 
 
 def test_analyze_threshold_and_margin_flags(tmp_path):
-    result = runner.invoke(
-        main, _analyze_args(tmp_path / "rep") + ["--thresholds", "0.9", "--io-margin", "0.4"]
-    )
+    """--thresholds sets the reported fractions; the io margin is a fixed
+    0.15, so there is no --io-margin to set."""
+    result = runner.invoke(main, _analyze_args(tmp_path / "rep") + ["--thresholds", "0.9"])
     assert result.exit_code == 0, result.output
     summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
     assert summary["thresholds"] == [0.9]
     assert list(summary["metrics"]["minority_reach"]["fraction_below"]) == ["0.9"]
-    assert summary["io_margin"] == 0.4
+    assert summary["io_margin"] == 0.15
+    result = runner.invoke(main, _analyze_args(tmp_path / "other") + ["--io-margin", "0.4"])
+    assert result.exit_code == 2
+    assert "No such option '--io-margin'" in result.output
+    assert not (tmp_path / "other").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "validate"])
+def test_messages_name_paths_as_typed(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text('{"name": "x"}')
+    result = runner.invoke(main, _command_args(command, tmp_path / "rep", config="./bad.json"))
+    assert result.exit_code == 2, result.output
+    assert "error: ./bad.json: malformed country config" in result.output
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "validate"])
+def test_empty_spam_path_means_no_spam_list(tmp_path, command):
+    runs = []
+    for spam in (None, ""):
+        result = runner.invoke(main, _command_args(command, tmp_path / "rep", spam=spam))
+        assert result.exit_code == 0, result.output
+        runs.append((result.output, {} if command == "validate" else _read_all(tmp_path / "rep")))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("user_id", ["u,alice", 'u"alice', "u\nalice", "u\ralice"])
+def test_users_metrics_quotes_unusual_ids(tmp_path, user_id):
+    """An id holding a comma, a quote or a line break is one quoted field;
+    every other row keeps the golden bytes."""
+    paths = {}
+    for name in ("users.jsonl", "tweets.jsonl"):
+        paths[name] = tmp_path / name
+        paths[name].write_text((TOY / name).read_text().replace('"u_alice"', json.dumps(user_id)))
+    args = _analyze_args(tmp_path / "rep", users=paths["users.jsonl"])
+    args[args.index("--tweets") + 1] = str(paths["tweets.jsonl"])
+    assert runner.invoke(main, args).exit_code == 0
+    report = tmp_path / "rep" / "users_metrics.csv"
+    with open(report, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(row) for row in rows} == {9}
+    assert user_id in [row[0] for row in rows]
+    text = report.read_bytes().decode("utf-8")
+    assert '\n"' + user_id.replace('"', '""') + '",' in text
+    expected = (TOY / "expected" / "users_metrics.csv").read_text().splitlines()
+    assert set(expected) - set(text.split("\n")) == {
+        line for line in expected if line.startswith("u_alice,")
+    }
 
 
 def test_compare_dataset_with_itself(tmp_path):

@@ -14,11 +14,12 @@ from viewdiv import (
     seed_interaction_matrix,
 )
 from viewdiv.ingest import tweet_to_line, user_to_line
+from viewdiv.metrics import IO_MARGIN
 
 
-def _by_user(ds, **kwargs):
+def _by_user(ds):
     """compute_all's per-user rows keyed by user id."""
-    per_user, _ = compute_all(ds, **kwargs)
+    per_user, _ = compute_all(ds)
     return {m.user_id: m for m in per_user}
 
 
@@ -191,10 +192,13 @@ def test_minority_monotone_in_followed_minority_seeds():
     assert after.minority_exposure >= before.minority_exposure
 
 
-def _io_ds(input_counts, output_counts):
+IO_CATS = {"a": "left", "b": "right", "c": "unaligned"}
+TWO_CATS = {"a": "left", "b": "right"}
+
+
+def _io_ds(input_counts, output_counts, cats=IO_CATS):
     """Dataset where u1's indirect histogram is input_counts (via direct
     follows) and the retweet histogram is output_counts."""
-    cats = {"a": "left", "b": "right", "c": "unaligned"}
     cfg = config(cats)
     users = [seed(f"s_{c}", c) for c in cats] + [
         regular("u1", [f"s_{c}" for c, v in input_counts.items() if v > 0])
@@ -211,11 +215,10 @@ def _io_ds(input_counts, output_counts):
     return dataset(cfg, users, tweets)
 
 
-def _io(ds, user_id="u1", margin=0.0):
+def _io(ds, user_id="u1", margin=False):
     """The user's io correlation: the plain column, or the margin column."""
-    if margin == 0.0:
-        return _by_user(ds)[user_id].io_correlated
-    return _by_user(ds, io_margin=margin)[user_id].io_correlated_15
+    m = _by_user(ds)[user_id]
+    return m.io_correlated_15 if margin else m.io_correlated
 
 
 def test_io_correlation_match_and_mismatch():
@@ -231,13 +234,30 @@ def test_io_correlation_tie_is_false():
 
 
 def test_io_correlation_margin_requires_dominance():
-    # input share 6/10 = 0.6 < 1/3 + 0.3; output share 1.0 passes alone
-    ds = _io_ds({"a": 6, "b": 4}, {"a": 5})
-    assert _io(ds, margin=0.0) is True
-    assert _io(ds, margin=0.3) is False
+    # input share 6/10 = 0.6 < 1/2 + IO_MARGIN; output share 1.0 passes alone
+    ds = _io_ds({"a": 6, "b": 4}, {"a": 5}, TWO_CATS)
+    assert _io(ds) is True
+    assert _io(ds, margin=True) is False
     # comfortably dominant on both sides
-    ds2 = _io_ds({"a": 9, "b": 1}, {"a": 5})
-    assert _io(ds2, margin=0.3) is True
+    ds2 = _io_ds({"a": 9, "b": 1}, {"a": 5}, TWO_CATS)
+    assert _io(ds2, margin=True) is True
+
+
+@pytest.mark.parametrize("side", ["input", "output"])
+@pytest.mark.parametrize("dominant, expected", [(13, True), (12, False)])
+def test_io_correlation_margin_boundary(side, dominant, expected):
+    """At n = 2 a dominant share of exactly 13/20 meets the 1/2 + IO_MARGIN
+    floor and 12/20 misses it, on either side; the oracle agrees."""
+    assert 13 / 20 == 1 / 2 + IO_MARGIN
+    at_boundary = {"a": dominant, "b": 20 - dominant}
+    if side == "input":
+        ds = _io_ds(at_boundary, {"a": 5}, TWO_CATS)
+    else:
+        # input share 16/24 clears the floor; b has enough originals to retweet
+        ds = _io_ds({"a": 16, "b": 8}, at_boundary, TWO_CATS)
+    assert _io(ds, margin=True) is expected
+    oracle = {m.user_id: m for m in oracle_metrics(ds)[0]}
+    assert oracle["u1"].io_correlated_15 is expected
 
 
 def test_io_correlation_undefined_cases():
