@@ -27,6 +27,7 @@ from .model import (
     TweetTable,
     UserKind,
     UserRecord,
+    UserTable,
     Wing,
     validate_config,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "UserKind",
     "UserMetrics",
     "UserRecord",
+    "UserTable",
     "Wing",
     "WingMatrix",
     "compute_all",

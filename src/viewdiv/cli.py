@@ -18,7 +18,7 @@ import click
 from . import ingest as ingest_mod
 from .ingest import IngestError, IngestReport, ParseDiagnostic, load_country_config
 from .metrics import IO_MARGIN, UserMetrics, WingMatrix, compute_all
-from .model import Dataset
+from .model import REGULAR, SEED, Dataset
 from .stats import distribution, fraction_below, welch_t_test
 
 METRIC_FIELDS = (
@@ -54,8 +54,12 @@ class RunConfig:
         keys = [format(t, "g") for t in self.thresholds]
         if len(set(keys)) < len(keys):
             raise ValueError(f"repeated threshold in {','.join(keys)}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def _fmt(x: float | None) -> str:
@@ -140,8 +144,8 @@ def _summary_object(
         "dataset": {
             "name": dataset.config.name,
             "n_categories": dataset.config.n_categories,
-            "seed_users": len(dataset.seed_users()),
-            "regular_users": len(dataset.regular_users()),
+            "seed_users": dataset.users.kinds.count(SEED),
+            "regular_users": dataset.users.kinds.count(REGULAR),
             "tweets": len(dataset.tweets),
             "minority_originals": minority_originals,
             "ingest": {**asdict(report), "malformed_lines": len(diagnostics)},
@@ -224,16 +228,22 @@ def cmd_analyze(rc: RunConfig) -> dict:
     return _write_reports(rc, dataset, report, diagnostics, per_user, matrix)
 
 
-def cmd_compare(rc_a: RunConfig, rc_b: RunConfig, out_dir: str | Path) -> list[dict]:
-    """Side-by-side means plus Welch t-tests; writes comparison.csv.
+Inputs = tuple[str | Path, str | Path, str | Path, str | Path | None]
 
-    Metrics where the test precondition fails (e.g. both sides constant)
-    get NA statistics and are never flagged significant.
+
+def cmd_compare(
+    inputs_a: Inputs, inputs_b: Inputs, out_dir: str | Path, alpha: float = 0.01
+) -> list[dict]:
+    """Side-by-side means plus Welch t-tests at ``alpha``; writes
+    comparison.csv to ``out_dir``.
+
+    Each side's inputs are its ``(config, users, tweets, spam)`` paths, as
+    :func:`cmd_analyze` reads them; spam may be None. Metrics where the
+    test precondition fails (e.g. both sides constant) get NA statistics
+    and are never flagged significant.
     """
-    dataset_a, dataset_b = (
-        _load(rc.config_path, rc.users_path, rc.tweets_path, rc.spam_path)[0]
-        for rc in (rc_a, rc_b)
-    )
+    _check_alpha(alpha)
+    dataset_a, dataset_b = (_load(*inputs)[0] for inputs in (inputs_a, inputs_b))
     universe_a = [(c.id, c.wing) for c in dataset_a.config.categories]
     universe_b = [(c.id, c.wing) for c in dataset_b.config.categories]
     if universe_a != universe_b:
@@ -259,7 +269,7 @@ def cmd_compare(rc_a: RunConfig, rc_b: RunConfig, out_dir: str | Path) -> list[d
             "significant": False,
         }
         try:
-            result = welch_t_test(samples_a, samples_b, alpha=rc_a.alpha)
+            result = welch_t_test(samples_a, samples_b, alpha=alpha)
             row.update(t=result.t, df=result.df, p=result.p, significant=result.significant)
         except ValueError:
             pass
@@ -369,17 +379,11 @@ def compare_command(
     if spam_paths and len(spam_paths) != 2:
         raise ValueError("give --spam either zero or two times")
 
-    def rc_for(i: int) -> RunConfig:
-        return RunConfig(
-            config_path=config_paths[i],
-            users_path=users_paths[i],
-            tweets_path=tweets_paths[i],
-            spam_path=spam_paths[i] if spam_paths else None,
-            out_dir=out_dir,
-            alpha=alpha,
-        )
-
-    rows = cmd_compare(rc_for(0), rc_for(1), out_dir)
+    inputs_a, inputs_b = (
+        (config_paths[i], users_paths[i], tweets_paths[i], spam_paths[i] if spam_paths else None)
+        for i in (0, 1)
+    )
+    rows = cmd_compare(inputs_a, inputs_b, out_dir, alpha)
     for r in rows:
         flag = "significant" if r["significant"] else "not significant"
         click.echo(
@@ -465,8 +469,8 @@ def validate_command(config_path, users_path, tweets_path, spam_path) -> None:
     # paths as given, so that every message names a file as the user did
     dataset, report, diagnostics = _load(config_path, users_path, tweets_path, spam_path)
     click.echo(
-        f"ok: {len(dataset.seed_users())} seeds, "
-        f"{len(dataset.regular_users())} regulars, {len(dataset.tweets)} tweets"
+        f"ok: {dataset.users.kinds.count(SEED)} seeds, "
+        f"{dataset.users.kinds.count(REGULAR)} regulars, {len(dataset.tweets)} tweets"
     )
     click.echo(
         f"users_read={report.users_read} dropped_spam={report.users_dropped_spam} "

@@ -32,25 +32,29 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from dataclasses import dataclass
 from itertools import compress
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
 from .model import (
     ORIGINAL,
+    REGULAR,
     REPLY,
     RETWEET,
+    SEED,
     CountryConfig,
     Dataset,
     PoliticalCategory,
     TweetRecord,
     TweetTable,
-    UserKind,
     UserRecord,
+    UserTable,
     Wing,
+    intern_follows,
     tweet_violation,
+    user_violation,
     validate_config,
 )
 
@@ -91,6 +95,10 @@ _raw_decode = json.JSONDecoder().raw_decode
 # What json.loads allows around a value: JSON's whitespace, not str.strip's.
 _JSON_WHITESPACE = " \t\n\r"
 _TWEET_KINDS = {"original": ORIGINAL, "retweet": RETWEET, "reply": REPLY}
+_USER_KINDS = {"seed": SEED, "regular": REGULAR}
+# The element types of a follow list that holds only ids: JSON decodes a
+# string to exactly str.
+_STR_TYPE = frozenset({str})
 
 # Exactly the compact line _tweet_line writes, followed by JSON whitespace.
 # A string is printable ASCII without '"' or '\', so it holds no escape and
@@ -146,13 +154,21 @@ def _parse_line(line: str, line_no: int) -> tuple[dict | None, ParseDiagnostic |
     return obj, None
 
 
-def parse_users(lines: Iterable[str]) -> tuple[list[UserRecord], list[ParseDiagnostic]]:
-    """Parse user records; malformed lines become diagnostics, not failures.
+def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]:
+    """Parse user lines into one :class:`UserTable`; malformed lines become
+    diagnostics, not failures.
 
     Duplicate user ids keep the first occurrence and flag the later line.
-    Blank lines are skipped silently.
+    Blank lines are skipped silently. A follow list may name an id more
+    than once, or before that id's own line: each followed id is interned
+    to an int code as it is read, and the codes become seed positions
+    once the last line is in (:meth:`UserTable.from_codes`).
     """
-    records: list[UserRecord] = []
+    ids: list[str] = []
+    kinds = bytearray()
+    categories: list[str | None] = []
+    follows: list = []
+    codes: dict[str, int] = {}
     diagnostics: list[ParseDiagnostic] = []
     seen_ids: set[str] = set()
 
@@ -165,16 +181,15 @@ def parse_users(lines: Iterable[str]) -> tuple[list[UserRecord], list[ParseDiagn
 
         uid = obj.get("id")
         kind_raw = obj.get("kind")
+        kind = _USER_KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
         if not isinstance(uid, str) or not uid:
             diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'id'"))
             continue
-        if kind_raw not in ("seed", "regular"):
+        if kind is None:
             diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'kind'"))
             continue
-        followees_raw = obj.get("followees", [])
-        if not isinstance(followees_raw, list) or not all(
-            isinstance(f, str) for f in followees_raw
-        ):
+        followees = obj.get("followees", [])
+        if not isinstance(followees, list) or not set(map(type, followees)) <= _STR_TYPE:
             diagnostics.append(ParseDiagnostic(line_no, "'followees' must be a list of ids"))
             continue
         category = obj.get("category")
@@ -184,22 +199,22 @@ def parse_users(lines: Iterable[str]) -> tuple[list[UserRecord], list[ParseDiagn
         if uid in seen_ids:
             diagnostics.append(ParseDiagnostic(line_no, f"duplicate user id {uid!r}"))
             continue
-
-        try:
-            record = UserRecord(
-                id=uid,
-                kind=UserKind(kind_raw),
-                category=category,
-                # one str object per followed id, however many lists name it
-                followees=frozenset(map(sys.intern, followees_raw)),
-            )
-        except (ValueError, TypeError) as exc:
-            diagnostics.append(ParseDiagnostic(line_no, str(exc)))
+        problem = user_violation(uid, kind, category)
+        if problem is not None:
+            diagnostics.append(ParseDiagnostic(line_no, problem))
             continue
-        seen_ids.add(uid)
-        records.append(record)
 
-    return records, diagnostics
+        seen_ids.add(uid)
+        if kind == SEED:
+            # seeds interned as their lines come, so a file that lists them
+            # first, sorted, needs no remapping of the follow lists
+            codes.setdefault(uid, len(codes))
+        ids.append(uid)
+        kinds.append(kind)
+        categories.append(category)
+        follows.append(intern_follows(followees, codes))
+
+    return UserTable.from_codes(ids, kinds, categories, follows, codes), diagnostics
 
 
 def parse_tweets(lines: Iterable[str]) -> tuple[TweetTable, list[ParseDiagnostic]]:
@@ -292,11 +307,11 @@ def parse_spam(lines: Iterable[str]) -> set[str]:
 
 
 def filter_active_regulars(
-    users: list[UserRecord],
+    users: UserTable,
     tweets: TweetTable,
     spam_ids: frozenset[str] | set[str] = frozenset(),
     min_retweets: int = 5,
-) -> tuple[list[UserRecord], int, int]:
+) -> tuple[UserTable, int, int]:
     """Apply the activity inclusion filter to regular users.
 
     Seeds always pass. A regular passes iff it is not spam-listed, it
@@ -306,9 +321,8 @@ def filter_active_regulars(
     (:meth:`~viewdiv.model.TweetTable.resolve`): a retweet counts
     iff it points at a seed. Spam takes precedence over the threshold in
     the drop counts. Returns ``(retained, dropped_spam,
-    dropped_threshold)``.
+    dropped_threshold)``, the retained users a table over the same seeds.
     """
-    seed_ids = {u.id for u in users if u.kind is UserKind.SEED}
     distinct_seed_retweets: dict[int, set[str]] = {}
     for author, source, target in compress(
         zip(tweets.authors, tweets.sources, tweets.targets), tweets.select(RETWEET)
@@ -317,48 +331,48 @@ def filter_active_regulars(
             distinct_seed_retweets.setdefault(author, set()).add(source)  # type: ignore[arg-type]
 
     codes = tweets.codes
-    retained: list[UserRecord] = []
+    retained: list[int] = []
     dropped_spam = 0
     dropped_threshold = 0
-    for u in users:
-        if u.kind is UserKind.SEED:
-            retained.append(u)
+    for row, (uid, kind, follows) in enumerate(zip(users.ids, users.kinds, users.follows)):
+        if kind == SEED:
+            retained.append(row)
             continue
-        if u.id in spam_ids:
+        if uid in spam_ids:
             dropped_spam += 1
             continue
-        follows_seed = not u.followees.isdisjoint(seed_ids)
-        active = len(distinct_seed_retweets.get(codes.get(u.id, -1), ())) >= min_retweets
-        if follows_seed and active:
-            retained.append(u)
+        # a follow list holds the seeds a user follows, so one that follows
+        # a seed is not empty
+        active = len(distinct_seed_retweets.get(codes.get(uid, -1), ())) >= min_retweets
+        if follows and active:
+            retained.append(row)
         else:
             dropped_threshold += 1
-    return retained, dropped_spam, dropped_threshold
+    return users.take(retained), dropped_spam, dropped_threshold
 
 
 def build_dataset(
     config: CountryConfig,
-    users: Iterable[UserRecord],
+    users: UserTable,
     tweets: TweetTable,
 ) -> tuple[Dataset, int]:
     """Assemble and validate an immutable Dataset: the one constructor of
     a :class:`~viewdiv.model.Dataset`.
 
-    ``users`` names each id once, as :func:`parse_users` gives them.
-    ``tweets`` must hold each id once and its retweets be resolved against
-    the seeds in ``users`` (:meth:`~viewdiv.model.TweetTable.resolve`). An
-    original is kept iff its author is in ``users``; a retweet or reply is
-    kept iff its author and the user it points at are in ``users``; the
-    rest dangle. Config validation failure raises :class:`IngestError`.
+    ``users`` is a table as :func:`parse_users` or
+    :meth:`~viewdiv.model.UserTable.from_records` builds it. ``tweets``
+    must hold each id once and its retweets be resolved against the seeds
+    in ``users`` (:meth:`~viewdiv.model.TweetTable.resolve`). An original
+    is kept iff its author is in ``users``; a retweet or reply is kept iff
+    its author and the user it points at are in ``users``; the rest
+    dangle. Config validation failure raises :class:`IngestError`.
     Returns ``(dataset, tweets_dropped_dangling)``.
     """
-    user_map = {u.id: u for u in users}
-
-    violations = validate_config(config, user_map)
+    violations = validate_config(config, users)
     if violations:
         raise IngestError(violations)
 
-    retained = tweets.by_code(dict.fromkeys(user_map, True), False)
+    retained = tweets.by_code(dict.fromkeys(users.ids, True), False)
     keep = [
         retained[author] and (kind == ORIGINAL or retained[target])
         for author, kind, target in zip(tweets.authors, tweets.kinds, tweets.targets)
@@ -366,7 +380,7 @@ def build_dataset(
     dropped = keep.count(False)
     if dropped:
         tweets = tweets.take(list(compress(range(len(keep)), keep)))
-    return Dataset(config, user_map, tweets), dropped
+    return Dataset(config, users, tweets), dropped
 
 
 def load_dataset(
@@ -391,7 +405,7 @@ def load_dataset(
     """
     users, user_diags = parse_users(user_lines)
     parsed, tweet_diags = parse_tweets(tweet_lines)
-    tweets = parsed.resolve({u.id for u in users if u.kind is UserKind.SEED})
+    tweets = parsed.resolve(set(users.seed_ids))
     retained, dropped_spam, dropped_threshold = filter_active_regulars(
         users, tweets, spam_ids, min_retweets
     )
@@ -495,7 +509,8 @@ def _tweet_line(tid, author_id, kind, source_tweet_id, target_user_id, timestamp
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     """Write config.json, users.jsonl, tweets.jsonl; returns the paths.
 
-    Users are written in sorted id order; tweets keep dataset order. Output
+    Users are written in sorted id order, each follow list sorted; tweets
+    keep dataset order. Output
     round-trips through :func:`load_dataset` byte-for-byte deterministically.
     """
     out = Path(out_dir)
@@ -508,8 +523,8 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     with open(paths["config"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write(config_to_json(dataset.config))
     with open(paths["users"], "w", encoding="utf-8", newline="\n") as fh:
-        for uid in sorted(dataset.users):
-            fh.write(user_to_line(dataset.users[uid]) + "\n")
+        for user in sorted(dataset.users, key=attrgetter("id")):
+            fh.write(user_to_line(user) + "\n")
     with open(paths["tweets"], "w", encoding="utf-8", newline="\n") as fh:
         for row in dataset.tweets.rows():
             fh.write(_tweet_line(*row) + "\n")

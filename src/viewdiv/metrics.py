@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 
-from .model import REPLY, RETWEET, Dataset, Wing
+from .model import REGULAR, REPLY, RETWEET, Dataset, Wing
 
 IO_MARGIN = 0.15  # the "bias above 15%" of io_correlated_15
 
@@ -134,8 +134,8 @@ def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
     side = {Wing.LEFT: 0, Wing.RIGHT: 1}
     tweets = dataset.tweets
     side_of = tweets.by_code({
-        u.id: side.get(config.wing_of(u.category))  # type: ignore[arg-type]
-        for u in dataset.seed_users()
+        seed_id: side.get(config.wing_of(category))
+        for seed_id, category in dataset.users.seeds()
     }, None)
     cells = [[0, 0], [0, 0]]  # [actor side][target side], left = 0
     # an original's target, -1, has side None
@@ -161,15 +161,17 @@ def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
 class ExposureIndex:
     """Per-seed pieces of every user's exposure, from one read of the table.
 
-    ``seeds`` maps each seed id to the row a user's followee loop adds up:
-    ``(volume, category position, minority volume, surfaced bits, authored
-    bits)``. The volume is the number of originals the seed wrote, its
-    whole direct contribution (followed seeds' originals never overlap);
-    the minority volume is the same number for a minority seed and 0
-    otherwise. The bits are Python-int bitsets over the originals some seed
-    retweeted, bit ``i`` for the i-th distinct one in table order: the ones
-    the seed retweeted, and the ones it wrote. Each retweet's source author
-    is its target in the tweet table, the resolution ingest made once.
+    ``seeds`` holds, for each seed position (the seed's index in
+    ``dataset.users.seed_ids``, what a follow list holds), the row a
+    user's followee loop adds up: ``(volume, category position, minority
+    volume, surfaced bits, authored bits)``. The volume is the number of
+    originals the seed wrote, its whole direct contribution (followed
+    seeds' originals never overlap); the minority volume is the same number
+    for a minority seed and 0 otherwise. The bits are Python-int bitsets
+    over the originals some seed retweeted, bit ``i`` for the i-th distinct
+    one in table order: the ones the seed retweeted, and the ones it wrote.
+    Each retweet's source author is its target in the tweet table, the
+    resolution ingest made once.
 
     ``category_of`` is each user code's category position in config order,
     ``None`` for a non-seed and for code -1. ``category_masks`` (config
@@ -180,11 +182,10 @@ class ExposureIndex:
         config = dataset.config
         tweets = dataset.tweets
         category_pos = {c: i for i, c in enumerate(config.category_ids)}
-        seed_pos = {
-            u.id: category_pos[u.category]  # type: ignore[index]
-            for u in dataset.seed_users()
-        }
-        self.category_of = category_of = tweets.by_code(seed_pos, None)
+        seeds = [
+            (seed_id, category_pos[category]) for seed_id, category in dataset.users.seeds()
+        ]
+        self.category_of = category_of = tweets.by_code(dict(seeds), None)
 
         position: dict[str, int] = {}
         surfaced: dict[int, int] = {}
@@ -203,8 +204,8 @@ class ExposureIndex:
         originals = tweets.original_counts()
         category_masks = [0] * config.n_categories
         self.minority_mask = 0
-        self.seeds: dict[str, tuple[int, int, int, int, int]] = {}
-        for s, pos in seed_pos.items():
+        self.seeds: list[tuple[int, int, int, int, int]] = []
+        for s, pos in seeds:
             code = tweets.codes.get(s)
             volume = originals[s]
             a_bits = authored.get(code, 0)  # type: ignore[arg-type]
@@ -212,10 +213,10 @@ class ExposureIndex:
             minority = s in config.minority_user_ids
             if minority:
                 self.minority_mask |= a_bits
-            self.seeds[s] = (
+            self.seeds.append((
                 volume, pos, volume if minority else 0,
                 surfaced.get(code, 0), a_bits,  # type: ignore[arg-type]
-            )
+            ))
         self.category_masks = tuple(category_masks)
 
 
@@ -227,8 +228,8 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
 
     This is the batch path: it builds one :class:`ExposureIndex`, reads
     the regulars' retweets and replies once from the tweet table for the
-    output histograms, and makes one pass over each regular's followees,
-    adding up their rows. A user's surfaced-new originals are the OR of its
+    output histograms, and makes one pass over each regular's follow list,
+    adding up the rows of the seed positions it holds. A user's surfaced-new originals are the OR of its
     followees' surfaced bits minus the OR of their authored bits (originals
     already received directly); its indirect counts per category and for
     the minority are the direct ones plus ``bit_count`` of that bitset
@@ -238,12 +239,14 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     index = ExposureIndex(dataset)
     n = dataset.config.n_categories
     seeds = index.seeds
-    total_minority = sum(row[2] for row in seeds.values())
+    total_minority = sum(row[2] for row in seeds)
 
     # the regulars' output histograms, from their retweets and replies
     tweets = dataset.tweets
-    regular_ids = sorted(u.id for u in dataset.regular_users())
-    is_regular = tweets.by_code(dict.fromkeys(regular_ids, True), False)
+    users = dataset.users
+    # (id, follow list) by id; ids are unique, so no two lists are compared
+    regulars = sorted(compress(zip(users.ids, users.follows), users.select(REGULAR)))
+    is_regular = tweets.by_code({uid: True for uid, _ in regulars}, False)
     category_of = index.category_of
     output_counts: list[dict[int, list[int]]] = []
     for kind in (RETWEET, REPLY):
@@ -261,12 +264,12 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     minority_mask = index.minority_mask
     codes = tweets.codes
     results: list[UserMetrics] = []
-    for uid in regular_ids:
+    for uid, follows in regulars:
         direct = [0] * n
         direct_minority = 0
         surfaced = 0
         authored = 0
-        for f in dataset.users[uid].followees:
+        for f in follows:
             volume, pos, minority, s_bits, a_bits = seeds[f]
             direct[pos] += volume
             direct_minority += minority

@@ -1,8 +1,15 @@
-"""Core domain model: categories, users, tweets, and the validated dataset."""
+"""Core domain model: categories, users, tweets, and the validated dataset.
+
+Users and tweets are each held as a column table (:class:`UserTable`,
+:class:`TweetTable`) that the analysis reads; :class:`UserRecord` and
+:class:`TweetRecord` are their record views, for the oracle, the generator,
+the writer and the tests.
+"""
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -28,6 +35,11 @@ class TweetKind(str, Enum):
     RETWEET = "retweet"
     REPLY = "reply"
 
+
+# Kind codes of UserTable.kinds, in UserKind order.
+SEED, REGULAR = 0, 1
+_USER_KIND_CODES = {UserKind.SEED: SEED, UserKind.REGULAR: REGULAR}
+_USER_KINDS = tuple(_USER_KIND_CODES)
 
 # Kind codes of TweetTable.kinds, in TweetKind order.
 ORIGINAL, RETWEET, REPLY = 0, 1, 2
@@ -88,10 +100,19 @@ class UserRecord:
     followees: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.kind is UserKind.SEED and not self.category:
-            raise ValueError(f"seed user {self.id!r} requires a category")
-        if self.kind is UserKind.REGULAR and self.category is not None:
-            raise ValueError(f"regular user {self.id!r} must not carry a category")
+        problem = user_violation(self.id, _USER_KIND_CODES[self.kind], self.category)
+        if problem is not None:
+            raise ValueError(problem)
+
+
+def user_violation(user_id: str, kind: int, category: str | None) -> str | None:
+    """What makes a user with these fields invalid, or None if nothing
+    does; ``kind`` is a kind code."""
+    if kind == SEED and not category:
+        return f"seed user {user_id!r} requires a category"
+    if kind == REGULAR and category is not None:
+        return f"regular user {user_id!r} must not carry a category"
+    return None
 
 
 @dataclass(frozen=True)
@@ -286,33 +307,209 @@ class TweetTable:
         return f"TweetTable({len(self)} rows)"
 
 
+def intern_follows(followees: Iterable[str], codes: dict[str, int]) -> array:
+    """The distinct ids in ``followees`` as an ascending ``array("i")`` of
+    their codes in ``codes``, which interns each id on first sight: its
+    code is the number of ids interned before it. Input for
+    :meth:`UserTable.from_codes`."""
+    code = codes.__getitem__
+    try:
+        return array("i", sorted(set(map(code, followees))))
+    except KeyError:
+        new = set(followees).difference(codes)
+        codes.update(zip(new, range(len(codes), len(codes) + len(new))))
+        return array("i", sorted(set(map(code, followees))))
+
+
+class UserTable:
+    """Users as parallel columns, one row per user id, in input order.
+
+    ``ids``, ``kinds`` (kind codes :data:`SEED` and :data:`REGULAR`) and
+    ``categories`` (a seed's category, None for a regular) describe each
+    user. ``seed_ids`` holds the seeds' ids sorted; a seed's *position* is
+    its index there, so the order of the user lines never reaches an
+    output. ``follows`` holds each user's follow list as an ``array("i")``
+    of the positions of the seeds it follows, each once, ascending. The
+    followed ids that are no seed of the table (unknown ids and regulars)
+    are kept apart in ``non_seed_follows``, row -> sorted ids, and only for
+    the rows that have some, so that :func:`validate_config` can name them.
+    ``rows`` maps each id to its row.
+
+    The analysis reads the columns. Iterating the table gives
+    :class:`UserRecord` views; ``user_id in table`` and ``table[user_id]``
+    look a user up by id.
+    """
+
+    def __init__(
+        self,
+        ids: list[str],
+        kinds: bytearray,
+        categories: list[str | None],
+        follows: list[array],
+        non_seed_follows: dict[int, tuple[str, ...]],
+        seed_ids: list[str],
+    ) -> None:
+        self.ids = ids
+        self.kinds = kinds
+        self.categories = categories
+        self.follows = follows
+        self.non_seed_follows = non_seed_follows
+        self.seed_ids = seed_ids
+        self.rows = dict(zip(ids, range(len(ids))))
+
+    @classmethod
+    def from_codes(
+        cls,
+        ids: list[str],
+        kinds: bytearray,
+        categories: list[str | None],
+        follows: list[array],
+        codes: dict[str, int],
+    ) -> UserTable:
+        """The table of these columns, where ``follows[row]`` holds the
+        codes that :func:`intern_follows` gave the ids a user follows. Once
+        every user is known, this turns the codes into seed positions, in
+        place in ``follows``, so seeds need not come first. ``ids`` must
+        name each user once.
+
+        Every code gets a position: a seed its index in ``seed_ids``, any
+        other id one past the seeds, in code order. When ``codes`` interned
+        the seeds first and in sorted order, as
+        :func:`~viewdiv.ingest.parse_users` does on a file that lists them
+        so (:func:`~viewdiv.ingest.write_dataset` writes one), each code is
+        its own position and the arrays are kept as they are.
+        """
+        seed_ids = sorted(compress(ids, kinds.translate(_SELECT[SEED])))
+        n_seeds = len(seed_ids)
+        position = [-1] * len(codes)
+        for p, seed_id in enumerate(seed_ids):
+            code = codes.get(seed_id)
+            if code is not None:
+                position[code] = p
+        names = list(seed_ids)  # the id at each position
+        for name, code in codes.items():
+            if position[code] < 0:
+                position[code] = len(names)
+                names.append(name)
+        remap = position != list(range(len(position)))
+        position_of = position.__getitem__
+        non_seed: dict[int, tuple[str, ...]] = {}
+        for row, coded in enumerate(follows):
+            if remap:
+                coded = follows[row] = array("i", sorted(map(position_of, coded)))
+            # ascending, so an id past the seeds ends the array
+            if coded and coded[-1] >= n_seeds:
+                split = bisect_left(coded, n_seeds)
+                non_seed[row] = tuple(sorted(names[p] for p in coded[split:]))
+                del coded[split:]
+        return cls(ids, kinds, categories, follows, non_seed, seed_ids)
+
+    @classmethod
+    def from_records(cls, records: Iterable[UserRecord]) -> UserTable:
+        """The table of these users, in the given order; an id given twice
+        raises ValueError."""
+        ids: list[str] = []
+        kinds = bytearray()
+        categories: list[str | None] = []
+        follows: list[array] = []
+        codes: dict[str, int] = {}
+        seen: set[str] = set()
+        for u in records:
+            if u.id in seen:
+                raise ValueError(f"duplicate user id {u.id!r}")
+            seen.add(u.id)
+            ids.append(u.id)
+            kinds.append(_USER_KIND_CODES[u.kind])
+            categories.append(u.category)
+            follows.append(intern_follows(u.followees, codes))
+        return cls.from_codes(ids, kinds, categories, follows, codes)
+
+    def take(self, rows: list[int]) -> UserTable:
+        """The given rows, in the given order, as a table over the same seed
+        positions; ``rows`` must hold the row of every seed."""
+        non_seed = self.non_seed_follows
+        return UserTable(
+            [self.ids[r] for r in rows],
+            bytearray(self.kinds[r] for r in rows),
+            [self.categories[r] for r in rows],
+            [self.follows[r] for r in rows],
+            {new: non_seed[old] for new, old in enumerate(rows) if old in non_seed},
+            self.seed_ids,
+        )
+
+    def select(self, kind: int) -> bytes:
+        """One byte per row, 1 where the user is of ``kind``: a selector
+        for :func:`itertools.compress`."""
+        return self.kinds.translate(_SELECT[kind])
+
+    def seeds(self) -> list[tuple[str, str]]:
+        """Each seed's ``(id, category)``, in position order."""
+        return sorted(compress(zip(self.ids, self.categories), self.select(SEED)))  # type: ignore[arg-type]
+
+    def _record(self, row: int) -> UserRecord:
+        seed_ids = self.seed_ids
+        followees = [seed_ids[p] for p in self.follows[row]]
+        followees += self.non_seed_follows.get(row, ())
+        return UserRecord(
+            self.ids[row], _USER_KINDS[self.kinds[row]], self.categories[row],
+            frozenset(followees),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[UserRecord]:
+        return map(self._record, range(len(self.ids)))
+
+    def __contains__(self, user_id) -> bool:
+        return user_id in self.rows
+
+    def __getitem__(self, user_id: str) -> UserRecord:
+        """The record view of the user with this id; KeyError if none."""
+        return self._record(self.rows[user_id])
+
+    def __eq__(self, other) -> bool:
+        """Equal to a table or a list or tuple of the same records, in any
+        order: ids are unique, so a table is a set of users."""
+        if not isinstance(other, (UserTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and {u.id: u for u in self} == {u.id: u for u in other}
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"UserTable({len(self)} users)"
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Reference-checked container for one country's crawl; the analysis
     only reads it.
 
-    ``tweets`` is the column table of the kept tweets, each id once and its
-    retweets resolved: each points at the seed that wrote its source.
+    ``users`` is the table of the retained users and ``tweets`` the column
+    table of the kept tweets, each id once and its retweets resolved: each
+    points at the seed that wrote its source.
     :func:`viewdiv.ingest.build_dataset` builds every dataset, from lines
-    through :func:`viewdiv.ingest.load_dataset` or from a table resolved by
+    through :func:`viewdiv.ingest.load_dataset` or from tables built by
+    :meth:`UserTable.from_records` and resolved by
     :meth:`TweetTable.resolve`. It validates the config and drops every
     tweet whose references dangle, so the analysis modules assume every
     reference resolves.
     """
 
     config: CountryConfig
-    users: dict[str, UserRecord]
+    users: UserTable
     tweets: TweetTable
 
     def seed_users(self) -> list[UserRecord]:
-        return [u for u in self.users.values() if u.kind is UserKind.SEED]
+        return [u for u in self.users if u.kind is UserKind.SEED]
 
     def regular_users(self) -> list[UserRecord]:
-        return [u for u in self.users.values() if u.kind is UserKind.REGULAR]
+        return [u for u in self.users if u.kind is UserKind.REGULAR]
 
 
-def validate_config(config: CountryConfig, users: dict[str, UserRecord]) -> list[str]:
-    """Check a config against a user collection.
+def validate_config(config: CountryConfig, users: UserTable) -> list[str]:
+    """Check a config against a user table.
 
     Returns a list of violation messages; an empty list means the config is
     valid. Violations are data, not faults: nothing raises here.
@@ -335,27 +532,24 @@ def validate_config(config: CountryConfig, users: dict[str, UserRecord]) -> list
     if Wing.LEFT not in wings or Wing.RIGHT not in wings:
         violations.append("wing mapping must cover at least one Left and one Right category")
 
+    rows = users.rows
     for mid in sorted(config.minority_user_ids):
-        u = users.get(mid)
-        if u is None:
+        row = rows.get(mid)
+        if row is None:
             violations.append(f"minority id {mid!r} does not resolve to any user")
-        elif u.kind is not UserKind.SEED:
+        elif users.kinds[row] != SEED:
             violations.append(f"minority id {mid!r} must be a seed user")
 
-    seed_ids = {u.id for u in users.values() if u.kind is UserKind.SEED}
-    for u in users.values():
-        if u.kind is UserKind.SEED and u.category not in seen:
-            violations.append(
-                f"seed {u.id!r} references unknown category {u.category!r}"
-            )
-        if u.followees <= seed_ids:
-            continue
-        # only a user with a violation pays for the sort that orders its messages
-        for f in sorted(u.followees - seed_ids):
-            target = users.get(f)
-            if target is None:
-                violations.append(f"user {u.id!r} follows unknown id {f!r}")
-            elif target.kind is not UserKind.SEED:
-                violations.append(f"user {u.id!r} follows non-seed {f!r}")
+    non_seed = users.non_seed_follows
+    for row, (uid, category) in enumerate(zip(users.ids, users.categories)):
+        # a seed's category is a string, a regular's None
+        if category is not None and category not in seen:
+            violations.append(f"seed {uid!r} references unknown category {category!r}")
+        # a followed id that is no seed is a user of the table or no one
+        for f in non_seed.get(row, ()):
+            if f in rows:
+                violations.append(f"user {uid!r} follows non-seed {f!r}")
+            else:
+                violations.append(f"user {uid!r} follows unknown id {f!r}")
 
     return violations

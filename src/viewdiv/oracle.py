@@ -1,10 +1,11 @@
 """Brute-force metric recomputation by exhaustive enumeration.
 
 Ground truth for equivalence testing: every metric is recomputed directly
-from its definition with plain loops over the tweet records (the record
-view of the dataset's tweet table), sharing nothing with the metrics module
-(its exposure index included) except the domain types, result shapes and
-``IO_MARGIN``. The set-level exposure view, :func:`exposure_timeline`, lives
+from its definition with plain loops over the user and tweet records (the
+record views of the dataset's user and tweet tables: follow lists as sets
+of seed ids, never the seed positions), sharing nothing with the metrics
+module (its exposure index included) except the domain types, result
+shapes and ``IO_MARGIN``. The set-level exposure view, :func:`exposure_timeline`, lives
 here for the same reason. Deliberately unoptimized; duplication with the
 fast path is the point. Guarded to small datasets.
 """
@@ -91,7 +92,8 @@ def oracle_metrics(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     n = cfg.n_categories
     # every scan below reads these records, built once from the table
     tweets = list(dataset.tweets)
-    seeds = {u.id: u for u in dataset.users.values() if u.kind is UserKind.SEED}
+    users = list(dataset.users)
+    seeds = {u.id: u for u in users if u.kind is UserKind.SEED}
 
     all_minority_originals = set()
     for t in tweets:
@@ -116,10 +118,11 @@ def oracle_metrics(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
 
     results: list[UserMetrics] = []
     regulars = sorted(
-        u.id for u in dataset.users.values() if u.kind is UserKind.REGULAR
+        (u for u in users if u.kind is UserKind.REGULAR), key=lambda u: u.id
     )
-    for uid in regulars:
-        timeline = _timeline(dataset.users[uid], tweets)
+    for user in regulars:
+        uid = user.id
+        timeline = _timeline(user, tweets)
         direct = set(timeline.direct)
         indirect = set(timeline.indirect)
 

@@ -44,6 +44,7 @@ from .model import (
     TweetTable,
     UserKind,
     UserRecord,
+    UserTable,
     Wing,
 )
 
@@ -306,7 +307,9 @@ def generate(params: SynthParams) -> Dataset:
         categories=categories,
         minority_user_ids=minority_user_ids,
     )
-    return build_dataset(config, users.values(), tweets.resolve(set(seed_ids)))[0]
+    return build_dataset(
+        config, UserTable.from_records(users.values()), tweets.resolve(set(seed_ids))
+    )[0]
 
 
 def presets() -> dict[str, SynthParams]:

@@ -11,6 +11,7 @@ from viewdiv import (
     TweetTable,
     UserKind,
     UserRecord,
+    UserTable,
     Wing,
 )
 from viewdiv.ingest import build_dataset
@@ -51,6 +52,7 @@ def dataset(cfg: CountryConfig, users, tweets) -> Dataset:
     """Assemble a Dataset as load_dataset does without its activity filter:
     resolve the tweets against the seeds, then build, which validates the
     config and drops dangling tweets."""
-    users = list(users)
-    seed_ids = {u.id for u in users if u.kind is UserKind.SEED}
-    return build_dataset(cfg, users, TweetTable.from_records(tweets).resolve(seed_ids))[0]
+    table = UserTable.from_records(users)
+    return build_dataset(
+        cfg, table, TweetTable.from_records(tweets).resolve(set(table.seed_ids))
+    )[0]

@@ -235,7 +235,7 @@ def test_qualitative_minority_reach_reproduction(tmp_path):
     start = time.perf_counter()
     all_presets = presets()
     fractions = {}
-    run_configs = {}
+    inputs = {}
     for name in ("pluralist", "polarized"):
         params = all_presets[name]
         assert params.n_regulars == 2000
@@ -245,19 +245,13 @@ def test_qualitative_minority_reach_reproduction(tmp_path):
         fractions[name] = fraction_below(reach, 0.05)
         data_dir = tmp_path / name
         write_dataset(ds, data_dir)
-        run_configs[name] = RunConfig(
-            config_path=data_dir / "config.json",
-            users_path=data_dir / "users.jsonl",
-            tweets_path=data_dir / "tweets.jsonl",
-            spam_path=None,
-            out_dir=tmp_path / f"{name}_report",
+        inputs[name] = (
+            data_dir / "config.json", data_dir / "users.jsonl", data_dir / "tweets.jsonl", None,
         )
     assert fractions["polarized"] > 0.50, fractions
     assert fractions["pluralist"] < 0.25, fractions
 
-    rows = cmd_compare(
-        run_configs["pluralist"], run_configs["polarized"], tmp_path / "cmp"
-    )
+    rows = cmd_compare(inputs["pluralist"], inputs["polarized"], tmp_path / "cmp", alpha=0.01)
     reach_row = next(r for r in rows if r["metric"] == "minority_reach")
     assert reach_row["significant"], reach_row
     assert reach_row["p"] < 0.01

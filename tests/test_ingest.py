@@ -15,6 +15,7 @@ from viewdiv import (
     TweetRecord,
     TweetTable,
     UserKind,
+    UserTable,
     load_country_config,
     load_dataset,
     parse_spam,
@@ -39,7 +40,7 @@ USER_LINES = [
 def test_parse_users_wellformed():
     users, diags = parse_users(USER_LINES)
     assert len(users) == 3 and diags == []
-    assert users[2].followees == frozenset({"s1"})
+    assert list(users)[2].followees == frozenset({"s1"})
 
 
 def test_parse_users_missing_kind_is_diagnosed():
@@ -60,8 +61,40 @@ def test_parse_users_duplicate_id_keeps_first():
         '{"id":"u1","kind":"regular","followees":[]}',
     ]
     users, diags = parse_users(lines)
-    assert len(users) == 1 and users[0].followees == frozenset({"s1"})
+    assert len(users) == 1 and users["u1"].followees == frozenset({"s1"})
     assert len(diags) == 1 and "duplicate" in diags[0].message
+
+
+def test_parse_users_repeated_followee_is_one_edge():
+    lines = USER_LINES[:2] + ['{"id":"u1","kind":"regular","followees":["s1","s1"]}']
+    users, diags = parse_users(lines)
+    assert diags == [] and users.seed_ids == ["s1", "s2"]
+    assert [list(f) for f in users.follows] == [[], [], [0]]
+    assert users == parse_users(USER_LINES)[0]
+
+
+def test_parse_users_seeds_after_regulars_give_the_same_table():
+    """Positions are taken once the last line is in, so a file listing every
+    regular before the seeds parses to the same users and follow arrays."""
+    regulars_first = [
+        '{"id":"u2","kind":"regular","followees":["s2","ghost","s1"]}',
+        USER_LINES[2],
+        *USER_LINES[:2],
+    ]
+    seeds_first = [*USER_LINES, '{"id":"u2","kind":"regular","followees":["s2","ghost","s1"]}']
+    (late, late_diags), (early, early_diags) = parse_users(regulars_first), parse_users(seeds_first)
+    assert late_diags == early_diags == []
+    assert late == early and late.seed_ids == early.seed_ids == ["s1", "s2"]
+
+    def by_id(table):
+        return {
+            uid: (list(table.follows[row]), table.non_seed_follows.get(row))
+            for uid, row in table.rows.items()
+        }
+
+    assert by_id(late) == by_id(early) == {
+        "s1": ([], None), "s2": ([], None), "u1": ([0], None), "u2": ([0, 1], ("ghost",)),
+    }
 
 
 def test_parse_users_ignores_unknown_keys_and_blank_lines():
@@ -424,27 +457,27 @@ def _activity(n_retweets: int):
 
 def test_filter_keeps_regular_at_threshold():
     users, tweets = _activity(5)
-    retained, spam, thr = filter_active_regulars(users, _resolved(users, tweets))
+    retained, spam, thr = filter_active_regulars(UserTable.from_records(users), _resolved(users, tweets))
     assert {u.id for u in retained} == {"s1", "u1"} and (spam, thr) == (0, 0)
 
 
 def test_filter_drops_regular_below_threshold():
     users, tweets = _activity(4)
-    retained, spam, thr = filter_active_regulars(users, _resolved(users, tweets))
+    retained, spam, thr = filter_active_regulars(UserTable.from_records(users), _resolved(users, tweets))
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 
 def test_filter_counts_duplicate_retweets_once():
     users = [seed("s1", "a"), regular("u1", ["s1"])]
     tweets = [original("o1", "s1")] + [retweet(f"r{i}", "u1", "o1") for i in range(8)]
-    retained, _, thr = filter_active_regulars(users, _resolved(users, tweets))
+    retained, _, thr = filter_active_regulars(UserTable.from_records(users), _resolved(users, tweets))
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 
 def test_filter_spam_takes_precedence():
     users, tweets = _activity(10)
     retained, spam, thr = filter_active_regulars(
-        users, _resolved(users, tweets), spam_ids={"u1"}
+        UserTable.from_records(users), _resolved(users, tweets), spam_ids={"u1"}
     )
     assert {u.id for u in retained} == {"s1"} and (spam, thr) == (1, 0)
 
@@ -452,7 +485,7 @@ def test_filter_spam_takes_precedence():
 def test_filter_never_drops_seeds():
     users, tweets = _activity(0)
     retained, _, _ = filter_active_regulars(
-        users, _resolved(users, tweets), spam_ids={"s1"}
+        UserTable.from_records(users), _resolved(users, tweets), spam_ids={"s1"}
     )
     assert any(u.id == "s1" for u in retained)
 
@@ -461,7 +494,7 @@ def test_filter_requires_followed_seed():
     users = [seed("s1", "a"), regular("u1")]  # retweets but follows nobody
     tweets = [original(f"o{i}", "s1") for i in range(6)]
     tweets += [retweet(f"r{i}", "u1", f"o{i}") for i in range(6)]
-    retained, _, thr = filter_active_regulars(users, _resolved(users, tweets))
+    retained, _, thr = filter_active_regulars(UserTable.from_records(users), _resolved(users, tweets))
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 
@@ -488,7 +521,7 @@ def test_build_drops_dangling_and_dedupes():
     assert report.tweets_read == 5
     # build_dataset itself drops the dangling source and author
     deduped = [tweets[0], *tweets[2:]]
-    ds, dropped = build_dataset(cfg, users, _resolved(users, deduped))
+    ds, dropped = build_dataset(cfg, UserTable.from_records(users), _resolved(users, deduped))
     assert [t.id for t in ds.tweets] == ["o1", "r1"]
     assert dropped == 2
 
@@ -497,7 +530,7 @@ def test_build_drops_retweet_of_regular_original():
     cfg = config({"a": "left", "b": "right"})
     users = [seed("s1", "a"), regular("u1", ["s1"]), regular("u2", ["s1"])]
     tweets = [original("o1", "u1"), retweet("r1", "u2", "o1")]
-    ds, dropped = build_dataset(cfg, users, _resolved(users, tweets))
+    ds, dropped = build_dataset(cfg, UserTable.from_records(users), _resolved(users, tweets))
     # the regular's original is kept, but a retweet of it violates the
     # seed-original requirement and dangles
     assert [t.id for t in ds.tweets] == ["o1"]
@@ -508,7 +541,7 @@ def test_build_clean_inputs_identity():
     cfg = config({"a": "left", "b": "right"})
     users = [seed("s1", "a"), seed("s2", "b")]
     tweets = [original("o1", "s1"), original("o2", "s2")]
-    ds, dropped = build_dataset(cfg, users, _resolved(users, tweets))
+    ds, dropped = build_dataset(cfg, UserTable.from_records(users), _resolved(users, tweets))
     assert len(ds.tweets) == 2 and dropped == 0
     loaded, report, _ = load_dataset(
         cfg, [user_to_line(u) for u in users], [tweet_to_line(t) for t in tweets]
@@ -520,7 +553,7 @@ def test_build_clean_inputs_identity():
 def test_build_fails_on_invalid_config():
     cfg = config({"a": "left"})  # n < 2
     with pytest.raises(IngestError) as exc:
-        build_dataset(cfg, [seed("s1", "a")], _resolved([], []))
+        build_dataset(cfg, UserTable.from_records([seed("s1", "a")]), _resolved([], []))
     assert any("n < 2" in v for v in exc.value.violations)
 
 
@@ -833,7 +866,7 @@ def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
         t.id for t in ds.tweets
         if t.kind is TweetKind.ORIGINAL and ds.users[t.author_id].kind is UserKind.SEED
     }
-    for u in ds.users.values():
+    for u in ds.users:
         if u.kind is UserKind.REGULAR:
             sources = {
                 t.source_tweet_id for t in ds.tweets

@@ -15,10 +15,11 @@ again on one transformed copy per property:
 * every decodable tweet line written again with ``json.dumps``'s default
   separators, a spelling that ingest's canonical-line pattern never
   matches, so every tweet line is decoded as JSON (truncated lines stay
-  as they are).
+  as they are);
+* every follow list reversed, with one of its entries repeated.
 
-So the order in which ingest meets ids, and the way a line is spelled,
-never reach a report.
+So the order in which ingest meets ids, the way a line is spelled, and the
+order and repeats within a follow list never reach a report.
 """
 
 import functools
@@ -202,6 +203,21 @@ def _spaced(tweets: list[str]) -> list[str]:
     return out
 
 
+def _reversed_follows(users: list[str], rnd) -> list[str]:
+    """Each follow list reversed, one entry of it (drawn) written twice."""
+    out = []
+    for line in users:
+        r = _record(line)
+        followees = r.get("followees") if r is not None else None
+        if not followees:
+            out.append(line)
+            continue
+        followees = followees[::-1]
+        followees.insert(rnd.randrange(len(followees) + 1), rnd.choice(followees))
+        out.append(_dumps({**r, "followees": followees}))
+    return out
+
+
 def _shuffle_unique_tweet_lines(tweets: list[str], rnd) -> list[str]:
     records = [_record(line) for line in tweets]
     counts: dict = {}
@@ -247,3 +263,6 @@ def test_reports_do_not_depend_on_input_order_or_id_spelling(crawl, rnd, gaps):
     assert _map_user_column(_analyze(*renamed), inverse) == base, "user ids renamed"
 
     assert _analyze(config_text, users, _spaced(tweets), spam) == base, "tweet lines spaced"
+
+    reversed_follows = _reversed_follows(users, rnd)
+    assert _analyze(config_text, reversed_follows, tweets, spam) == base, "follow lists reversed"

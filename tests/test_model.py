@@ -8,14 +8,21 @@ from helpers import config, regular, seed
 from viewdiv import (
     TweetKind,
     TweetRecord,
+    TweetTable,
     UserKind,
     UserRecord,
+    UserTable,
     Wing,
     load_country_config,
     validate_config,
 )
+from viewdiv.ingest import filter_active_regulars
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _users(*records) -> UserTable:
+    return UserTable.from_records(records)
 
 
 def test_validate_wellformed_config_passes():
@@ -23,26 +30,26 @@ def test_validate_wellformed_config_passes():
         {"a": "left", "b": "left", "c": "right", "d": "right", "e": "unaligned"},
         minorities=["s1"],
     )
-    users = {"s1": seed("s1", "a"), "u1": regular("u1", ["s1"])}
+    users = _users(seed("s1", "a"), regular("u1", ["s1"]))
     assert validate_config(cfg, users) == []
 
 
 def test_validate_rejects_single_category():
     cfg = config({"only": "left"})
-    violations = validate_config(cfg, {})
+    violations = validate_config(cfg, _users())
     assert any("n < 2" in v for v in violations)
 
 
 def test_validate_rejects_regular_minority():
     cfg = config({"a": "left", "b": "right"}, minorities=["u1"])
-    users = {"u1": regular("u1")}
+    users = _users(regular("u1"))
     violations = validate_config(cfg, users)
     assert any("must be a seed" in v for v in violations)
 
 
 def test_validate_rejects_unresolved_minority():
     cfg = config({"a": "left", "b": "right"}, minorities=["ghost"])
-    violations = validate_config(cfg, {})
+    violations = validate_config(cfg, _users())
     assert any("ghost" in v for v in violations)
 
 
@@ -56,30 +63,46 @@ def test_validate_rejects_duplicate_category_ids():
             PoliticalCategory("a", Wing.RIGHT),
         ),
     )
-    assert any("duplicate category id" in v for v in validate_config(cfg, {}))
+    assert any("duplicate category id" in v for v in validate_config(cfg, _users()))
 
 
 def test_validate_rejects_dangling_and_nonseed_followees():
+    """One message per bad followee, users in table order; once the filter
+    drops a regular, its own follow list is not checked and a follower of
+    it follows an unknown id."""
     cfg = config({"a": "left", "b": "right"})
-    users = {
-        "s1": seed("s1", "a"),
-        "u1": regular("u1", ["nobody"]),
-        "u2": regular("u2", ["u1"]),
-    }
-    violations = validate_config(cfg, users)
-    assert any("unknown id 'nobody'" in v for v in violations)
-    assert any("non-seed 'u1'" in v for v in violations)
+    users = _users(
+        seed("s1", "a"),
+        regular("u1", ["nobody"]),
+        regular("u2", ["u1"]),
+    )
+    assert validate_config(cfg, users) == [
+        "user 'u1' follows unknown id 'nobody'",
+        "user 'u2' follows non-seed 'u1'",
+    ]
+    # min_retweets=0 keeps exactly the regulars that follow a seed: u3
+    users = _users(
+        seed("s1", "a"),
+        regular("u1", ["nobody"]),
+        regular("u3", ["u1", "s1", "zed"]),
+    )
+    retained, _, dropped = filter_active_regulars(users, TweetTable(), min_retweets=0)
+    assert [u.id for u in retained] == ["s1", "u3"] and dropped == 1
+    assert validate_config(cfg, retained) == [
+        "user 'u3' follows unknown id 'u1'",
+        "user 'u3' follows unknown id 'zed'",
+    ]
 
 
 def test_validate_reports_bad_followees_in_sorted_order():
     """Each bad followee of a user is one message, in sorted followee order,
     whatever order the follow list holds them in."""
     cfg = config({"a": "left", "b": "right"})
-    users = {
-        "s1": seed("s1", "a"),
-        "u1": regular("u1", ["s1"]),
-        "u2": regular("u2", ["zed", "s1", "u1"]),
-    }
+    users = _users(
+        seed("s1", "a"),
+        regular("u1", ["s1"]),
+        regular("u2", ["zed", "s1", "u1"]),
+    )
     assert validate_config(cfg, users) == [
         "user 'u2' follows non-seed 'u1'",
         "user 'u2' follows unknown id 'zed'",
@@ -88,13 +111,12 @@ def test_validate_reports_bad_followees_in_sorted_order():
 
 def test_validate_rejects_seed_with_unknown_category():
     cfg = config({"a": "left", "b": "right"})
-    users = {"s1": seed("s1", "zz")}
-    assert any("unknown category 'zz'" in v for v in validate_config(cfg, {"s1": users["s1"]}))
+    assert any("unknown category 'zz'" in v for v in validate_config(cfg, _users(seed("s1", "zz"))))
 
 
 def test_validation_is_idempotent():
     cfg = config({"a": "left", "b": "right"}, minorities=["u1"])
-    users = {"u1": regular("u1", ["nope"])}
+    users = _users(regular("u1", ["nope"]))
     first = validate_config(cfg, users)
     assert first == validate_config(cfg, users)
 

@@ -27,7 +27,7 @@ SMALL = SynthParams(
 
 def _serialize(ds):
     return (
-        [user_to_line(ds.users[u]) for u in sorted(ds.users)],
+        [user_to_line(ds.users[u]) for u in sorted(ds.users.ids)],
         [tweet_to_line(t) for t in ds.tweets],
     )
 
