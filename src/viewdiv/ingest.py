@@ -15,8 +15,10 @@ UTF-8" diagnostic):
 
 Unknown keys are ignored. Malformed lines yield diagnostics, never aborts.
 Lines are parsed as they are read, so any iterable of lines works, an open
-file included, and the tweets go straight into the columns of a
-:class:`~viewdiv.model.TweetTable`.
+file included. The users go into the columns of a
+:class:`~viewdiv.model.UserTable`, each follow list as int codes that
+become seed positions after the last line, and the tweets straight into
+the columns of a :class:`~viewdiv.model.TweetTable`.
 
 A tweet line is read by its shape. One in exactly the compact form that
 :func:`write_dataset` writes (``{"id":"t1","author_id":"u1","kind":
@@ -34,7 +36,6 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -482,10 +483,14 @@ _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def user_to_line(user: UserRecord) -> str:
-    obj: dict = {"id": user.id, "kind": user.kind.value}
-    if user.category is not None:
-        obj["category"] = user.category
-    obj["followees"] = sorted(user.followees)
+    return _user_line(user.id, user.kind, user.category, sorted(user.followees))
+
+
+def _user_line(uid, kind, category, followees) -> str:
+    obj: dict = {"id": uid, "kind": kind.value}
+    if category is not None:
+        obj["category"] = category
+    obj["followees"] = followees
     return _compact_json(obj)
 
 
@@ -523,8 +528,9 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     with open(paths["config"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write(config_to_json(dataset.config))
     with open(paths["users"], "w", encoding="utf-8", newline="\n") as fh:
-        for user in sorted(dataset.users, key=attrgetter("id")):
-            fh.write(user_to_line(user) + "\n")
+        # ids are unique, so the sort never compares two follow lists
+        for row in sorted(dataset.users.rows()):
+            fh.write(_user_line(*row) + "\n")
     with open(paths["tweets"], "w", encoding="utf-8", newline="\n") as fh:
         for row in dataset.tweets.rows():
             fh.write(_tweet_line(*row) + "\n")

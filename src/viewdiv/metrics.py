@@ -5,7 +5,8 @@ exposure adds the originals its followees retweeted, each counted once
 however many paths reach it, and attributed to the original author's
 category, never the retweeter's. The set-level definition lives in
 :mod:`viewdiv.oracle`; :class:`ExposureIndex` holds the counts and bitsets
-the fast path needs.
+the fast path needs, one row per seed position, and the fast path reads
+each follow list as the seed positions the user table holds.
 
 All unit-interval metrics are ``None`` ("undefined") when the underlying
 activity is empty; undefined values are excluded from population statistics
@@ -229,11 +230,12 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     This is the batch path: it builds one :class:`ExposureIndex`, reads
     the regulars' retweets and replies once from the tweet table for the
     output histograms, and makes one pass over each regular's follow list,
-    adding up the rows of the seed positions it holds. A user's surfaced-new originals are the OR of its
-    followees' surfaced bits minus the OR of their authored bits (originals
-    already received directly); its indirect counts per category and for
-    the minority are the direct ones plus ``bit_count`` of that bitset
-    under ``category_masks`` and ``minority_mask``. Every histogram reaches
+    adding up the rows of the seed positions it holds. A user's
+    surfaced-new originals are the OR of its followees' surfaced bits minus
+    the OR of their authored bits (originals already received directly);
+    its indirect counts per category and for the minority are the direct
+    ones plus ``bit_count`` of that bitset under ``category_masks`` and
+    ``minority_mask``. Every histogram reaches
     the entropy in config category order.
     """
     index = ExposureIndex(dataset)

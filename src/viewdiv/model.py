@@ -45,7 +45,7 @@ _USER_KINDS = tuple(_USER_KIND_CODES)
 ORIGINAL, RETWEET, REPLY = 0, 1, 2
 _KIND_CODES = {TweetKind.ORIGINAL: ORIGINAL, TweetKind.RETWEET: RETWEET, TweetKind.REPLY: REPLY}
 _KINDS = tuple(_KIND_CODES)
-# bytes.translate tables that turn the kinds column into a 0/1 selector.
+# bytes.translate tables that turn a kinds column into a 0/1 selector.
 _SELECT = tuple(bytes(int(k == kind) for k in range(256)) for kind in range(len(_KINDS)))
 
 
@@ -333,7 +333,7 @@ class UserTable:
     followed ids that are no seed of the table (unknown ids and regulars)
     are kept apart in ``non_seed_follows``, row -> sorted ids, and only for
     the rows that have some, so that :func:`validate_config` can name them.
-    ``rows`` maps each id to its row.
+    ``row_of`` maps each id to its row.
 
     The analysis reads the columns. Iterating the table gives
     :class:`UserRecord` views; ``user_id in table`` and ``table[user_id]``
@@ -355,7 +355,7 @@ class UserTable:
         self.follows = follows
         self.non_seed_follows = non_seed_follows
         self.seed_ids = seed_ids
-        self.rows = dict(zip(ids, range(len(ids))))
+        self.row_of = dict(zip(ids, range(len(ids))))
 
     @classmethod
     def from_codes(
@@ -444,29 +444,39 @@ class UserTable:
 
     def seeds(self) -> list[tuple[str, str]]:
         """Each seed's ``(id, category)``, in position order."""
-        return sorted(compress(zip(self.ids, self.categories), self.select(SEED)))  # type: ignore[arg-type]
+        seeds = compress(zip(self.ids, self.categories), self.select(SEED))
+        return sorted(seeds)  # type: ignore[arg-type]
 
-    def _record(self, row: int) -> UserRecord:
+    def _row(self, row: int) -> tuple:
         seed_ids = self.seed_ids
+        # ascending positions over sorted ids, so already in id order
         followees = [seed_ids[p] for p in self.follows[row]]
-        followees += self.non_seed_follows.get(row, ())
-        return UserRecord(
-            self.ids[row], _USER_KINDS[self.kinds[row]], self.categories[row],
-            frozenset(followees),
-        )
+        others = self.non_seed_follows.get(row)
+        if others:
+            followees = sorted(followees + list(others))
+        return self.ids[row], _USER_KINDS[self.kinds[row]], self.categories[row], followees
+
+    def rows(self) -> Iterator[tuple]:
+        """Each user as a tuple in :class:`UserRecord` field order, its
+        followees a sorted list of ids."""
+        return map(self._row, range(len(self.ids)))
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __iter__(self) -> Iterator[UserRecord]:
-        return map(self._record, range(len(self.ids)))
+        return (
+            UserRecord(uid, kind, category, frozenset(followees))
+            for uid, kind, category, followees in self.rows()
+        )
 
     def __contains__(self, user_id) -> bool:
-        return user_id in self.rows
+        return user_id in self.row_of
 
     def __getitem__(self, user_id: str) -> UserRecord:
         """The record view of the user with this id; KeyError if none."""
-        return self._record(self.rows[user_id])
+        uid, kind, category, followees = self._row(self.row_of[user_id])
+        return UserRecord(uid, kind, category, frozenset(followees))
 
     def __eq__(self, other) -> bool:
         """Equal to a table or a list or tuple of the same records, in any
@@ -501,12 +511,6 @@ class Dataset:
     users: UserTable
     tweets: TweetTable
 
-    def seed_users(self) -> list[UserRecord]:
-        return [u for u in self.users if u.kind is UserKind.SEED]
-
-    def regular_users(self) -> list[UserRecord]:
-        return [u for u in self.users if u.kind is UserKind.REGULAR]
-
 
 def validate_config(config: CountryConfig, users: UserTable) -> list[str]:
     """Check a config against a user table.
@@ -532,9 +536,9 @@ def validate_config(config: CountryConfig, users: UserTable) -> list[str]:
     if Wing.LEFT not in wings or Wing.RIGHT not in wings:
         violations.append("wing mapping must cover at least one Left and one Right category")
 
-    rows = users.rows
+    row_of = users.row_of
     for mid in sorted(config.minority_user_ids):
-        row = rows.get(mid)
+        row = row_of.get(mid)
         if row is None:
             violations.append(f"minority id {mid!r} does not resolve to any user")
         elif users.kinds[row] != SEED:
@@ -547,7 +551,7 @@ def validate_config(config: CountryConfig, users: UserTable) -> list[str]:
             violations.append(f"seed {uid!r} references unknown category {category!r}")
         # a followed id that is no seed is a user of the table or no one
         for f in non_seed.get(row, ()):
-            if f in rows:
+            if f in row_of:
                 violations.append(f"user {uid!r} follows non-seed {f!r}")
             else:
                 violations.append(f"user {uid!r} follows unknown id {f!r}")

@@ -2,12 +2,13 @@
 
 Ground truth for equivalence testing: every metric is recomputed directly
 from its definition with plain loops over the user and tweet records (the
-record views of the dataset's user and tweet tables: follow lists as sets
-of seed ids, never the seed positions), sharing nothing with the metrics
-module (its exposure index included) except the domain types, result
-shapes and ``IO_MARGIN``. The set-level exposure view, :func:`exposure_timeline`, lives
-here for the same reason. Deliberately unoptimized; duplication with the
-fast path is the point. Guarded to small datasets.
+record views of the dataset's user and tweet tables: a follow list is a
+set of seed ids, never the seed positions), sharing nothing with the
+metrics module (its exposure index included) except the domain types,
+result shapes and ``IO_MARGIN``. The set-level exposure view,
+:func:`exposure_timeline`, lives here for the same reason. Deliberately
+unoptimized; duplication with the fast path is the point. Guarded to small
+datasets.
 """
 
 from __future__ import annotations
@@ -117,12 +118,9 @@ def oracle_metrics(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
         return by_cat
 
     results: list[UserMetrics] = []
-    regulars = sorted(
-        (u for u in users if u.kind is UserKind.REGULAR), key=lambda u: u.id
-    )
-    for user in regulars:
-        uid = user.id
-        timeline = _timeline(user, tweets)
+    regulars = sorted(u.id for u in users if u.kind is UserKind.REGULAR)
+    for uid in regulars:
+        timeline = _timeline(dataset.users[uid], tweets)
         direct = set(timeline.direct)
         indirect = set(timeline.indirect)
 

@@ -29,6 +29,7 @@ Generation is single-threaded and fully deterministic for a fixed
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,13 +38,13 @@ from .ingest import build_dataset
 from .model import (
     CountryConfig,
     ORIGINAL,
+    REGULAR,
     REPLY,
     RETWEET,
+    SEED,
     Dataset,
     PoliticalCategory,
     TweetTable,
-    UserKind,
-    UserRecord,
     UserTable,
     Wing,
 )
@@ -286,30 +287,27 @@ def generate(params: SynthParams) -> Dataset:
             follows = [seeds_in_cat[ci][int(rng.integers(0, len(seeds_in_cat[ci])))]]
         followees_of.append(follows)
 
-    users: dict[str, UserRecord] = {}
-    for si, sid in enumerate(seed_ids):
-        users[sid] = UserRecord(id=sid, kind=UserKind.SEED, category=cat_ids[seed_cat_idx[si]])
-
     for ri, rid in enumerate(regular_ids):
-        follows = followees_of[ri]
         reach = [[] for _ in range(n)]
-        for si in follows:
+        for si in followees_of[ri]:
             reach[seed_cat_idx[si]].append(si)
         act(rid, int(home_draws[ri]), reach, 1.0)
-        users[rid] = UserRecord(
-            id=rid,
-            kind=UserKind.REGULAR,
-            followees=frozenset(seed_ids[si] for si in follows),
-        )
 
+    # The users as table columns, each follow list as seed indices: the
+    # codes of the seed ids in index order, ascending as each list is drawn.
+    users = UserTable.from_codes(
+        seed_ids + regular_ids,
+        bytearray([SEED] * len(seed_ids) + [REGULAR] * len(regular_ids)),
+        [cat_ids[ci] for ci in seed_cat_idx] + [None] * len(regular_ids),
+        [array("i") for _ in seed_ids] + [array("i", follows) for follows in followees_of],
+        {sid: si for si, sid in enumerate(seed_ids)},
+    )
     config = CountryConfig(
         name="synthetic",
         categories=categories,
         minority_user_ids=minority_user_ids,
     )
-    return build_dataset(
-        config, UserTable.from_records(users.values()), tweets.resolve(set(seed_ids))
-    )[0]
+    return build_dataset(config, users, tweets.resolve(set(seed_ids)))[0]
 
 
 def presets() -> dict[str, SynthParams]:

@@ -36,6 +36,11 @@ def regular(uid: str, followees=()) -> UserRecord:
     return UserRecord(uid, UserKind.REGULAR, followees=frozenset(followees))
 
 
+def regular_users(ds: Dataset) -> list[UserRecord]:
+    """The record views of a dataset's regulars, in table order."""
+    return [u for u in ds.users if u.kind is UserKind.REGULAR]
+
+
 def original(tid: str, author: str, ts: int = 0) -> TweetRecord:
     return TweetRecord(tid, author, TweetKind.ORIGINAL, timestamp=ts)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from scipy import stats as scipy_stats
 
+from helpers import regular_users
 from viewdiv import (
     SynthParams,
     TweetKind,
@@ -148,13 +149,13 @@ def _dense_follow_oracle_dataset():
         tweets_per_seed=6, retweets_per_regular=16, replies_per_regular=2,
     )
     ds = generate(params)
-    assert len(ds.seed_users()) >= 100 and len(ds.tweets) <= MAX_ORACLE_TWEETS
+    assert len(ds.users.seed_ids) >= 100 and len(ds.tweets) <= MAX_ORACLE_TWEETS
     retweeted_by_seed = {}
     for t in ds.tweets:
         if t.kind is TweetKind.RETWEET:
             retweeted_by_seed.setdefault(t.author_id, set()).add(t.source_tweet_id)
     author = _original_authors(ds)
-    for u in ds.regular_users():
+    for u in regular_users(ds):
         assert len(u.followees) >= 100
         surfaced = [t for f in u.followees for t in retweeted_by_seed.get(f, ())]
         assert len(surfaced) > len(set(surfaced))  # cross-followee duplicates
@@ -195,7 +196,7 @@ def test_exposure_invariants_on_generated_datasets():
     checked_users = 0
     for _, ds in _small_oracle_datasets():
         author = _original_authors(ds)
-        for u in ds.regular_users():
+        for u in regular_users(ds):
             tl = exposure_timeline(ds, u.id)
             assert tl.direct <= tl.indirect
             direct_support = {ds.users[author[t]].category for t in tl.direct}
@@ -294,7 +295,7 @@ def test_pipeline_determinism_and_throughput(tmp_path):
         tweets_per_seed=400.0, retweets_per_regular=28.0, replies_per_regular=3.0,
     )
     ds = generate(params)
-    assert len(ds.tweets) >= 100_000 and len(ds.regular_users()) == 2000
+    assert len(ds.tweets) >= 100_000 and len(regular_users(ds)) == 2000
     data_dir = tmp_path / "data"
     write_dataset(ds, data_dir)
 

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import config, dataset, original, regular, reply, retweet, seed
+from helpers import config, dataset, original, regular, regular_users, reply, retweet, seed
 from viewdiv import (
     SynthParams,
     TweetKind,
@@ -159,9 +159,9 @@ def test_timeline_invariants_on_generated_datasets():
                         homophily=0.5, tweets_per_seed=6, retweets_per_regular=5,
                         replies_per_regular=2)
         )
-        seeds = {u.id for u in ds.seed_users()}
+        seeds = set(ds.users.seed_ids)
         author = _original_authors(ds)
-        for u in ds.regular_users():
+        for u in regular_users(ds):
             tl = _timeline(ds, u.id)
             assert tl.direct <= tl.indirect
             # every member is a seed-authored original

@@ -82,14 +82,15 @@ def test_parse_users_seeds_after_regulars_give_the_same_table():
         *USER_LINES[:2],
     ]
     seeds_first = [*USER_LINES, '{"id":"u2","kind":"regular","followees":["s2","ghost","s1"]}']
-    (late, late_diags), (early, early_diags) = parse_users(regulars_first), parse_users(seeds_first)
+    late, late_diags = parse_users(regulars_first)
+    early, early_diags = parse_users(seeds_first)
     assert late_diags == early_diags == []
     assert late == early and late.seed_ids == early.seed_ids == ["s1", "s2"]
 
     def by_id(table):
         return {
             uid: (list(table.follows[row]), table.non_seed_follows.get(row))
-            for uid, row in table.rows.items()
+            for uid, row in table.row_of.items()
         }
 
     assert by_id(late) == by_id(early) == {
@@ -448,6 +449,14 @@ def _resolved(users, tweets) -> TweetTable:
     )
 
 
+def _filter(users, tweets, **kwargs):
+    """filter_active_regulars on the table of ``users`` and the resolved
+    table of ``tweets``."""
+    return filter_active_regulars(
+        UserTable.from_records(users), _resolved(users, tweets), **kwargs
+    )
+
+
 def _activity(n_retweets: int):
     users = [seed("s1", "a"), regular("u1", ["s1"])]
     tweets = [original(f"o{i}", "s1", ts=i) for i in range(10)]
@@ -457,36 +466,32 @@ def _activity(n_retweets: int):
 
 def test_filter_keeps_regular_at_threshold():
     users, tweets = _activity(5)
-    retained, spam, thr = filter_active_regulars(UserTable.from_records(users), _resolved(users, tweets))
+    retained, spam, thr = _filter(users, tweets)
     assert {u.id for u in retained} == {"s1", "u1"} and (spam, thr) == (0, 0)
 
 
 def test_filter_drops_regular_below_threshold():
     users, tweets = _activity(4)
-    retained, spam, thr = filter_active_regulars(UserTable.from_records(users), _resolved(users, tweets))
+    retained, spam, thr = _filter(users, tweets)
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 
 def test_filter_counts_duplicate_retweets_once():
     users = [seed("s1", "a"), regular("u1", ["s1"])]
     tweets = [original("o1", "s1")] + [retweet(f"r{i}", "u1", "o1") for i in range(8)]
-    retained, _, thr = filter_active_regulars(UserTable.from_records(users), _resolved(users, tweets))
+    retained, _, thr = _filter(users, tweets)
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 
 def test_filter_spam_takes_precedence():
     users, tweets = _activity(10)
-    retained, spam, thr = filter_active_regulars(
-        UserTable.from_records(users), _resolved(users, tweets), spam_ids={"u1"}
-    )
+    retained, spam, thr = _filter(users, tweets, spam_ids={"u1"})
     assert {u.id for u in retained} == {"s1"} and (spam, thr) == (1, 0)
 
 
 def test_filter_never_drops_seeds():
     users, tweets = _activity(0)
-    retained, _, _ = filter_active_regulars(
-        UserTable.from_records(users), _resolved(users, tweets), spam_ids={"s1"}
-    )
+    retained, _, _ = _filter(users, tweets, spam_ids={"s1"})
     assert any(u.id == "s1" for u in retained)
 
 
@@ -494,7 +499,7 @@ def test_filter_requires_followed_seed():
     users = [seed("s1", "a"), regular("u1")]  # retweets but follows nobody
     tweets = [original(f"o{i}", "s1") for i in range(6)]
     tweets += [retweet(f"r{i}", "u1", f"o{i}") for i in range(6)]
-    retained, _, thr = filter_active_regulars(UserTable.from_records(users), _resolved(users, tweets))
+    retained, _, thr = _filter(users, tweets)
     assert {u.id for u in retained} == {"s1"} and thr == 1
 
 

@@ -111,7 +111,8 @@ def test_validate_reports_bad_followees_in_sorted_order():
 
 def test_validate_rejects_seed_with_unknown_category():
     cfg = config({"a": "left", "b": "right"})
-    assert any("unknown category 'zz'" in v for v in validate_config(cfg, _users(seed("s1", "zz"))))
+    violations = validate_config(cfg, _users(seed("s1", "zz")))
+    assert any("unknown category 'zz'" in v for v in violations)
 
 
 def test_validation_is_idempotent():
