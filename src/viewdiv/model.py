@@ -313,6 +313,7 @@ def intern_follows(followees: Iterable[str], codes: dict[str, int]) -> array:
     code is the number of ids interned before it. Input for
     :meth:`UserTable.from_codes`."""
     code = codes.__getitem__
+    # most lists name only ids interned before, so look them up first
     try:
         return array("i", sorted(set(map(code, followees))))
     except KeyError:
