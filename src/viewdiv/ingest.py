@@ -48,8 +48,10 @@ from .model import (
     CountryConfig,
     Dataset,
     PoliticalCategory,
+    TweetKind,
     TweetRecord,
     TweetTable,
+    UserKind,
     UserRecord,
     UserTable,
     Wing,
@@ -478,8 +480,12 @@ def config_to_json(config: CountryConfig) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# json.dumps(obj, separators=(",", ":")) without building an encoder per line
-_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+# json.dumps(obj, separators=(",", ":")) spells a string with this function
+# (ensure_ascii is its default) and an int with int.__repr__, so the lines
+# below are byte for byte what dumping each record as a dict would give.
+_quote = json.encoder.encode_basestring_ascii
+# A kind's value as json.dumps spells it; Enum.value is slow to look up.
+_KIND_TEXT = {kind: _quote(kind.value) for kind in (*UserKind, *TweetKind)}
 
 
 def user_to_line(user: UserRecord) -> str:
@@ -487,11 +493,11 @@ def user_to_line(user: UserRecord) -> str:
 
 
 def _user_line(uid, kind, category, followees) -> str:
-    obj: dict = {"id": uid, "kind": kind.value}
-    if category is not None:
-        obj["category"] = category
-    obj["followees"] = followees
-    return _compact_json(obj)
+    category_text = "" if category is None else ',"category":' + _quote(category)
+    return (
+        f'{{"id":{_quote(uid)},"kind":{_KIND_TEXT[kind]}{category_text}'
+        f',"followees":[{",".join(map(_quote, followees))}]}}'
+    )
 
 
 def tweet_to_line(tweet: TweetRecord) -> str:
@@ -502,13 +508,15 @@ def tweet_to_line(tweet: TweetRecord) -> str:
 
 
 def _tweet_line(tid, author_id, kind, source_tweet_id, target_user_id, timestamp) -> str:
-    obj: dict = {"id": tid, "author_id": author_id, "kind": kind.value}
+    reference = ""
     if source_tweet_id is not None:
-        obj["source_tweet_id"] = source_tweet_id
+        reference = ',"source_tweet_id":' + _quote(source_tweet_id)
     if target_user_id is not None:
-        obj["target_user_id"] = target_user_id
-    obj["timestamp"] = timestamp
-    return _compact_json(obj)
+        reference += ',"target_user_id":' + _quote(target_user_id)
+    return (
+        f'{{"id":{_quote(tid)},"author_id":{_quote(author_id)},"kind":{_KIND_TEXT[kind]}'
+        f'{reference},"timestamp":{int.__repr__(timestamp)}}}'
+    )
 
 
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:

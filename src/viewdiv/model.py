@@ -127,6 +127,10 @@ class TweetRecord:
     timestamp: int = 0
 
     def __post_init__(self) -> None:
+        # A record holds only what a tweet line can: the writer would spell a
+        # bool or a float as JSON that parse_tweets rejects with this message.
+        if not isinstance(self.timestamp, int) or isinstance(self.timestamp, bool):
+            raise ValueError("'timestamp' must be an integer")
         problem = tweet_violation(
             self.id, _KIND_CODES[self.kind], self.source_tweet_id, self.target_user_id,
             self.timestamp,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -156,6 +157,23 @@ def _mixture(home_idx: int, h: float, n: int) -> np.ndarray:
     return m
 
 
+def _choice_cdf(weights: np.ndarray) -> list[float]:
+    """The cumulative shares that ``Generator.choice(len(weights), p=weights
+    / weights.sum())`` searches, computed as choice computes them."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _choice_draw(cdf: list[float], rng: np.random.Generator) -> int:
+    """One index drawn as ``Generator.choice`` draws it from the shares of
+    ``cdf`` (see :func:`_choice_cdf`): one ``random()``, then choice's
+    ``searchsorted(..., side="right")``, which on the ascending ``cdf`` is
+    ``bisect_right``. The same stream gives the same index as choice, without
+    choice's checks and sum of ``p`` on every call."""
+    return bisect_right(cdf, rng.random())
+
+
 def generate(params: SynthParams) -> Dataset:
     """Generate a validated Dataset; byte-identical for identical params.
     Ids never repeat and every reference resolves, so
@@ -166,6 +184,7 @@ def generate(params: SynthParams) -> Dataset:
     weights = np.asarray(p.category_weights, dtype=float)
     minority_cats = set(p.minority_categories or ())
     rng = np.random.default_rng(p.rng_seed)
+    mixtures = [_mixture(ci, h, n) for ci in range(n)]  # by home category
 
     categories = tuple(
         PoliticalCategory(cid, Wing.LEFT if i % 2 == 0 else Wing.RIGHT)
@@ -217,8 +236,9 @@ def generate(params: SynthParams) -> Dataset:
         tweets.append(tid, kind, author, source, target, row)
         return tid
 
+    vol = volumes.tolist()
     originals_by_seed = [
-        [post(ORIGINAL, sid) for _ in range(int(volumes[si]))]
+        [post(ORIGINAL, sid) for _ in range(vol[si])]
         for si, sid in enumerate(seed_ids)
     ]
 
@@ -242,17 +262,18 @@ def generate(params: SynthParams) -> Dataset:
     def act(author: str, home: int, reach: list[list[int]], factor: float) -> None:
         """Retweets and replies of ``author`` by the one activity rule;
         ``reach`` holds, per category, the seed indexes it can act on."""
-        mix = _mixture(home, h, n)
-        usable = np.array([any(volumes[si] > 0 for si in seeds) for seeds in reach])
+        mix = mixtures[home]
+        # per category, the reachable seeds with originals to retweet
+        cands_in = [[si for si in seeds if vol[si] > 0] for seeds in reach]
+        usable = np.array([bool(cands) for cands in cands_in])
         k = int(rng.poisson(factor * p.retweets_per_regular))
-        for seeds, cnt in zip(reach, split_by_mixture(k, mix, usable)):
+        for cands, cnt in zip(cands_in, split_by_mixture(k, mix, usable)):
             if not cnt:
                 continue
-            cands = [si for si in seeds if volumes[si] > 0]
-            vols = np.array([volumes[si] for si in cands], dtype=float)
+            cdf = _choice_cdf(np.array([vol[si] for si in cands], dtype=float))
             for _ in range(int(cnt)):
-                si = cands[int(rng.choice(len(cands), p=vols / vols.sum()))]
-                original = originals_by_seed[si][int(rng.integers(0, volumes[si]))]
+                si = cands[_choice_draw(cdf, rng)]
+                original = originals_by_seed[si][int(rng.integers(0, vol[si]))]
                 post(RETWEET, author, source=original)
         usable = np.array([bool(seeds) for seeds in reach])
         k = int(rng.poisson(factor * p.replies_per_regular))
@@ -270,17 +291,18 @@ def generate(params: SynthParams) -> Dataset:
     # regulars: home category, Bernoulli follows, then activity on the followed seeds
     regular_ids = [f"u{i + 1:06d}" for i in range(p.n_regulars)]
     home_draws = rng.choice(n, size=p.n_regulars, p=weights) if p.n_regulars else []
+    # per home category, each seed's follow probability
+    follow_p_of_seed = [
+        np.minimum(1.0, FOLLOW_DENSITY * n * mix)[seed_cat_idx] for mix in mixtures
+    ]
     followees_of: list[list[int]] = []
     for ri in range(p.n_regulars):
         home = int(home_draws[ri])
-        mix = _mixture(home, h, n)
-        follow_p = np.minimum(1.0, FOLLOW_DENSITY * n * mix)
-        draws = rng.random(len(seed_ids))
-        follows = [si for si in range(len(seed_ids)) if draws[si] < follow_p[seed_cat_idx[si]]]
+        follows = np.flatnonzero(rng.random(len(seed_ids)) < follow_p_of_seed[home]).tolist()
         if not follows:
             # guarantee at least one followee so direct exposure is defined
             usable = np.array([bool(seeds_in_cat[ci]) for ci in range(n)])
-            w = mix * usable
+            w = mixtures[home] * usable
             if w.sum() <= 0:
                 w = usable.astype(float)
             ci = int(rng.choice(n, p=w / w.sum()))

@@ -15,6 +15,7 @@ from viewdiv import (
     TweetRecord,
     TweetTable,
     UserKind,
+    UserRecord,
     UserTable,
     load_country_config,
     load_dataset,
@@ -392,6 +393,75 @@ def test_written_tweet_lines_take_the_pattern_path(record):
     )
     line = tweet_to_line(tweet)
     assert _CANONICAL_TWEET.fullmatch(line) and _CANONICAL_TWEET.fullmatch(line + "\n")
+
+
+# Any text, including the characters JSON escapes and a lone surrogate.
+_odd_text = st.text(st.sampled_from(_ODD_CHARS) | st.characters(), max_size=8)
+_timestamps = st.one_of(
+    st.integers(0, 10**6),
+    st.integers(10**18, 10**19 - 1),  # 19 digits, past the compact pattern
+    st.integers(10**4999, 10**5000 - 1),  # past int's str-conversion limit
+)
+
+
+def _dumped(obj) -> str:
+    """``json.dumps`` of ``obj`` in the compact form, or the message of the
+    ValueError it raises."""
+    try:
+        return json.dumps(obj, separators=(",", ":"))
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def _written(to_line, record) -> str:
+    try:
+        return to_line(record)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@st.composite
+def _any_tweet(draw) -> TweetRecord:
+    kind = draw(st.sampled_from(TweetKind))
+    source = draw(_odd_text.filter(bool) if kind == TweetKind.RETWEET else st.none() | _odd_text)
+    target = draw(_odd_text.filter(bool) if kind == TweetKind.REPLY else st.none() | _odd_text)
+    return TweetRecord(draw(_odd_text), draw(_odd_text), kind, source, target, draw(_timestamps))
+
+
+@st.composite
+def _any_user(draw) -> UserRecord:
+    kind = draw(st.sampled_from(UserKind))
+    category = draw(_odd_text.filter(bool)) if kind == UserKind.SEED else None
+    followees = draw(st.frozensets(_odd_text, max_size=3))
+    if draw(st.booleans()):
+        # many ids, cheaply: one drawn stem, numbered
+        stem = draw(_odd_text)
+        followees |= {f"{stem}{i}" for i in range(draw(st.integers(100, 1000)))}
+    return UserRecord(draw(_odd_text), kind, category, followees)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(tweet=_any_tweet())
+def test_tweet_line_is_json_dumps_of_the_record(tweet):
+    obj: dict = {"id": tweet.id, "author_id": tweet.author_id, "kind": tweet.kind.value}
+    if tweet.source_tweet_id is not None:
+        obj["source_tweet_id"] = tweet.source_tweet_id
+    if tweet.target_user_id is not None:
+        obj["target_user_id"] = tweet.target_user_id
+    obj["timestamp"] = tweet.timestamp
+    assert _written(tweet_to_line, tweet) == _dumped(obj)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(user=_any_user())
+def test_user_line_is_json_dumps_of_the_record(user):
+    obj: dict = {"id": user.id, "kind": user.kind.value}
+    if user.category is not None:
+        obj["category"] = user.category
+    obj["followees"] = sorted(user.followees)
+    assert _written(user_to_line, user) == _dumped(obj)
 
 
 def test_load_dataset_counts_non_string_fields_as_malformed():

@@ -1,5 +1,6 @@
 """Domain model and config validation tests."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from viewdiv import (
     UserTable,
     Wing,
     load_country_config,
+    parse_tweets,
     validate_config,
 )
 from viewdiv.ingest import filter_active_regulars
@@ -136,6 +138,17 @@ def test_tweet_record_invariants():
         TweetRecord("t1", "a", TweetKind.REPLY)  # no target
     with pytest.raises(ValueError):
         TweetRecord("t1", "a", TweetKind.ORIGINAL, timestamp=-1)
+
+
+@pytest.mark.parametrize("timestamp", [True, False, 3.0, "3", None], ids=repr)
+def test_tweet_record_rejects_a_timestamp_a_line_cannot_hold(timestamp):
+    """The writer would spell it as JSON that parse_tweets refuses, so the
+    record refuses it with the parse path's message."""
+    line = json.dumps({"id": "t1", "author_id": "a", "kind": "original", "timestamp": timestamp})
+    _, diagnostics = parse_tweets([line])
+    with pytest.raises(ValueError) as raised:
+        TweetRecord("t1", "a", TweetKind.ORIGINAL, timestamp=timestamp)
+    assert [str(raised.value)] == [d.message for d in diagnostics]
 
 
 def test_classify_wing_identity_lookup():

@@ -3,6 +3,7 @@
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from helpers import config, dataset, original, regular, retweet, seed
@@ -18,6 +19,7 @@ from viewdiv import (
     validate_config,
 )
 from viewdiv.ingest import tweet_to_line, user_to_line, write_dataset
+from viewdiv.synth import _choice_cdf, _choice_draw
 
 SMALL = SynthParams(
     rng_seed=5, n_categories=3, n_seeds=6, n_regulars=6, homophily=0.5,
@@ -110,6 +112,26 @@ def test_generated_files_are_pinned(name, tmp_path):
         for k in ("config", "users", "tweets")
     )
     assert digests == PINNED_SHA256[name]
+
+
+@pytest.mark.parametrize("weights", [
+    pytest.param([7.0], id="one_candidate"),
+    pytest.param([3.0] * 6, id="tied"),
+    pytest.param([1.0, 2.0e6, 1.0, 5.0], id="skewed"),
+    pytest.param([1e-300, 1.0, 1e300], id="extreme"),
+    pytest.param([0.0, 4.0, 0.0, 4.0], id="zero_weights"),
+])
+def test_choice_draw_matches_generator_choice(weights):
+    """Draw for draw, the generator's pick is Generator.choice's: two
+    generators seeded alike give the same index, and each then gives the
+    same integers() draw, as a retweet's pick of an original follows its
+    pick of a seed."""
+    w = np.array(weights)
+    ours, theirs = np.random.default_rng(17), np.random.default_rng(17)
+    cdf = _choice_cdf(w)
+    for _ in range(500):
+        assert _choice_draw(cdf, ours) == theirs.choice(len(w), p=w / w.sum())
+        assert ours.integers(0, 9) == theirs.integers(0, 9)
 
 
 def test_different_seed_gives_different_datasets():
