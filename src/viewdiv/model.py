@@ -127,8 +127,8 @@ class TweetRecord:
     timestamp: int = 0
 
     def __post_init__(self) -> None:
-        # A record holds only what a tweet line can: the writer would spell a
-        # bool or a float as JSON that parse_tweets rejects with this message.
+        # Only what parse_tweets reads from a line, so that every record
+        # round-trips through the writer; the message is the parse path's.
         if not isinstance(self.timestamp, int) or isinstance(self.timestamp, bool):
             raise ValueError("'timestamp' must be an integer")
         problem = tweet_violation(
