@@ -42,7 +42,6 @@ class RunConfig:
     out_dir: str | Path
     bin_width: float = 0.05
     thresholds: tuple[float, ...] = (0.5, 0.05, 0.01)
-    alpha: float = 0.01
 
     def __post_init__(self) -> None:
         if not 0.0 < self.bin_width <= 1.0:
@@ -54,12 +53,6 @@ class RunConfig:
         keys = [format(t, "g") for t in self.thresholds]
         if len(set(keys)) < len(keys):
             raise ValueError(f"repeated threshold in {','.join(keys)}")
-        _check_alpha(self.alpha)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def _fmt(x: float | None) -> str:
@@ -137,7 +130,6 @@ def _summary_object(
     io_defined = _defined(per_user, "io_correlated")
     io_15_defined = _defined(per_user, "io_correlated_15")
     return {
-        "alpha": rc.alpha,
         "bin_width": rc.bin_width,
         "io_margin": IO_MARGIN,
         "thresholds": list(rc.thresholds),
@@ -242,7 +234,8 @@ def cmd_compare(
     test precondition fails (e.g. both sides constant) get NA statistics
     and are never flagged significant.
     """
-    _check_alpha(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     dataset_a, dataset_b = (_load(*inputs)[0] for inputs in (inputs_a, inputs_b))
     universe_a = [(c.id, c.wing) for c in dataset_a.config.categories]
     universe_b = [(c.id, c.wing) for c in dataset_b.config.categories]
@@ -337,11 +330,9 @@ def main() -> None:
 @click.option("--out", "out_dir", required=True, help="Report output directory.")
 @click.option("--bin-width", default=0.05, show_default=True)
 @click.option("--thresholds", default="0.5,0.05,0.01", show_default=True)
-@click.option("--alpha", default=0.01, show_default=True)
 @_input_errors
 def analyze_command(
-    config_path, users_path, tweets_path, spam_path, out_dir, bin_width,
-    thresholds, alpha,
+    config_path, users_path, tweets_path, spam_path, out_dir, bin_width, thresholds,
 ) -> None:
     """Compute per-user metrics, population summary, and distributions."""
     rc = RunConfig(
@@ -352,7 +343,6 @@ def analyze_command(
         out_dir=out_dir,
         bin_width=bin_width,
         thresholds=_parse_thresholds(thresholds),
-        alpha=alpha,
     )
     summary = cmd_analyze(rc)
     ds = summary["dataset"]

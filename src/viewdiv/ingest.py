@@ -13,20 +13,23 @@ UTF-8" diagnostic):
   ``target_user_id`` for replies only.
 * spam list:   one user id per line.
 
-Unknown keys are ignored. Malformed lines yield diagnostics, never aborts.
-Lines are parsed as they are read, so any iterable of lines works, an open
-file included. The users go into the columns of a
-:class:`~viewdiv.model.UserTable`, each follow list as int codes that
-become seed positions after the last line, and the tweets straight into
-the columns of a :class:`~viewdiv.model.TweetTable`.
+Unknown keys are ignored. Malformed lines yield diagnostics, never aborts:
+a line is held to :func:`~viewdiv.model.user_violation` or
+:func:`~viewdiv.model.tweet_violation`, the one rule the records are held
+to as well, and its diagnostic is the rule's message. Lines are parsed
+as they are read, so any iterable of lines works, an open file included.
+The users go into the columns of a :class:`~viewdiv.model.UserTable`, each
+follow list as int codes that become seed positions after the last line,
+and the tweets straight into the columns of a
+:class:`~viewdiv.model.TweetTable`.
 
 A tweet line is read by its shape. One in exactly the compact form that
 :func:`write_dataset` writes (``{"id":"t1","author_id":"u1","kind":
 "retweet","source_tweet_id":"t0","timestamp":5}``: printable-ASCII strings
 without escapes, keys in this order, no spaces, an integer timestamp of at
 most 18 digits without a leading zero) is read from one compiled pattern,
-``_CANONICAL_TWEET``. Every other line is decoded as JSON and checked field
-by field. Both paths give the same row, and only the second can give a
+``_CANONICAL_TWEET``. Every other line is decoded as JSON and held to the
+rule. Both paths give the same row, and only the second can give a
 diagnostic.
 """
 
@@ -41,10 +44,11 @@ from typing import Iterable
 
 from .model import (
     ORIGINAL,
-    REGULAR,
     REPLY,
     RETWEET,
     SEED,
+    TWEET_KIND_CODES,
+    USER_KIND_CODES,
     CountryConfig,
     Dataset,
     PoliticalCategory,
@@ -97,19 +101,14 @@ _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 _raw_decode = json.JSONDecoder().raw_decode
 # What json.loads allows around a value: JSON's whitespace, not str.strip's.
 _JSON_WHITESPACE = " \t\n\r"
-_TWEET_KINDS = {"original": ORIGINAL, "retweet": RETWEET, "reply": REPLY}
-_USER_KINDS = {"seed": SEED, "regular": REGULAR}
-# The element types of a follow list that holds only ids: JSON decodes a
-# string to exactly str.
-_STR_TYPE = frozenset({str})
 
 # Exactly the compact line _tweet_line writes, followed by JSON whitespace.
 # A string is printable ASCII without '"' or '\', so it holds no escape and
 # decodes to itself, and it is never empty; a timestamp has no leading zero
 # and at most 18 digits. Any line this matches decodes, as JSON, to the
-# groups and passes every field check and tweet_violation, so parse_tweets
-# reads it from the groups. Groups: id, author, source (retweets only),
-# target (replies only), timestamp.
+# groups and passes tweet_violation, so parse_tweets reads it from the
+# groups. Groups: id, author, source (retweets only), target (replies only),
+# timestamp.
 _STR = r'"([ !#-\[\]-~]+)"'
 _CANONICAL_TWEET = re.compile(
     rf'\{{"id":{_STR},"author_id":{_STR},"kind":'
@@ -182,31 +181,14 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
                 diagnostics.append(diag)  # type: ignore[arg-type]
             continue
 
-        uid = obj.get("id")
-        kind_raw = obj.get("kind")
-        kind = _USER_KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
-        if not isinstance(uid, str) or not uid:
-            diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'id'"))
-            continue
-        if kind is None:
-            diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'kind'"))
-            continue
-        followees = obj.get("followees", [])
-        if not isinstance(followees, list) or not set(map(type, followees)) <= _STR_TYPE:
-            diagnostics.append(ParseDiagnostic(line_no, "'followees' must be a list of ids"))
-            continue
-        category = obj.get("category")
-        if category is not None and not isinstance(category, str):
-            diagnostics.append(ParseDiagnostic(line_no, "'category' must be a string"))
-            continue
-        if uid in seen_ids:
-            diagnostics.append(ParseDiagnostic(line_no, f"duplicate user id {uid!r}"))
-            continue
-        problem = user_violation(uid, kind, category)
+        get = obj.get
+        uid, kind, category = get("id"), get("kind"), get("category")
+        followees = get("followees", [])
+        problem = user_violation(uid, kind, category, followees, seen_ids)
         if problem is not None:
             diagnostics.append(ParseDiagnostic(line_no, problem))
             continue
-
+        kind = USER_KIND_CODES[kind]
         seen_ids.add(uid)
         if kind == SEED:
             # seeds interned as their lines come, so a file that lists them
@@ -233,9 +215,10 @@ def parse_tweets(lines: Iterable[str]) -> tuple[TweetTable, list[ParseDiagnostic
 
     A line that ``_CANONICAL_TWEET`` matches in full, the compact form
     :func:`write_dataset` writes, is read from the match groups; any other
-    line is decoded as JSON and checked field by field. A line the pattern
-    matches passes every one of those checks and decodes to its groups, so
-    the path a line takes never changes its row or its diagnostic.
+    line is decoded as JSON and held to
+    :func:`~viewdiv.model.tweet_violation`. A line the pattern matches
+    passes that rule and decodes to its groups, so the path a line takes
+    never changes its row or its diagnostic.
     """
     table = TweetTable()
     diagnostics: list[ParseDiagnostic] = []
@@ -263,35 +246,14 @@ def parse_tweets(lines: Iterable[str]) -> tuple[TweetTable, list[ParseDiagnostic
                 continue
 
             get = obj.get
-            tid = get("id")
-            author = get("author_id")
-            kind_raw = get("kind")
-            if not isinstance(tid, str) or not tid:
-                diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'id'"))
-                continue
-            if not isinstance(author, str) or not author:
-                diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'author_id'"))
-                continue
-            kind = _TWEET_KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
-            if kind is None:
-                diagnostics.append(ParseDiagnostic(line_no, "missing or invalid 'kind'"))
-                continue
+            tid, author, kind = get("id"), get("author_id"), get("kind")
+            source, target = get("source_tweet_id"), get("target_user_id")
             timestamp = get("timestamp", 0)
-            if not isinstance(timestamp, int) or isinstance(timestamp, bool):
-                diagnostics.append(ParseDiagnostic(line_no, "'timestamp' must be an integer"))
-                continue
-            source = get("source_tweet_id")
-            if source is not None and not isinstance(source, str):
-                diagnostics.append(ParseDiagnostic(line_no, "'source_tweet_id' must be a string"))
-                continue
-            target = get("target_user_id")
-            if target is not None and not isinstance(target, str):
-                diagnostics.append(ParseDiagnostic(line_no, "'target_user_id' must be a string"))
-                continue
-            problem = tweet_violation(tid, kind, source, target, timestamp)
+            problem = tweet_violation(tid, author, kind, source, target, timestamp)
             if problem is not None:
                 diagnostics.append(ParseDiagnostic(line_no, problem))
                 continue
+            kind = TWEET_KIND_CODES[kind]
 
         # the same per-kind rule as TweetTable.append, inline for speed
         add_id(tid)

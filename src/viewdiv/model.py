@@ -4,6 +4,11 @@ Users and tweets are each held as a column table (:class:`UserTable`,
 :class:`TweetTable`) that the analysis reads; :class:`UserRecord` and
 :class:`TweetRecord` are their record views, for the oracle, the generator,
 the writer and the tests.
+
+:func:`user_violation` and :func:`tweet_violation` are the one rule of a
+user and a tweet, held to each line by the parsers and to each record by
+the record itself, so a record refuses what a line refuses, with the same
+message.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 
 class Wing(str, Enum):
@@ -36,15 +41,15 @@ class TweetKind(str, Enum):
     REPLY = "reply"
 
 
-# Kind codes of UserTable.kinds, in UserKind order.
+# Kind codes of UserTable.kinds and TweetTable.kinds, in kind order. A kind
+# is a str that equals and hashes as its value, so each table also looks up
+# a line's "seed" or "retweet".
 SEED, REGULAR = 0, 1
-_USER_KIND_CODES = {UserKind.SEED: SEED, UserKind.REGULAR: REGULAR}
-_USER_KINDS = tuple(_USER_KIND_CODES)
-
-# Kind codes of TweetTable.kinds, in TweetKind order.
+USER_KIND_CODES = {kind: code for code, kind in enumerate(UserKind)}
+_USER_KINDS = tuple(UserKind)
 ORIGINAL, RETWEET, REPLY = 0, 1, 2
-_KIND_CODES = {TweetKind.ORIGINAL: ORIGINAL, TweetKind.RETWEET: RETWEET, TweetKind.REPLY: REPLY}
-_KINDS = tuple(_KIND_CODES)
+TWEET_KIND_CODES = {kind: code for code, kind in enumerate(TweetKind)}
+_KINDS = tuple(TweetKind)
 # bytes.translate tables that turn a kinds column into a 0/1 selector.
 _SELECT = tuple(bytes(int(k == kind) for k in range(256)) for kind in range(len(_KINDS)))
 
@@ -92,6 +97,7 @@ class UserRecord:
 
     Seeds carry exactly one category; regulars carry none and their stance is
     only ever inferred from behavior. Followees reference seed ids only.
+    The fields are held to :func:`user_violation`.
     """
 
     id: str
@@ -100,24 +106,43 @@ class UserRecord:
     followees: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        problem = user_violation(self.id, _USER_KIND_CODES[self.kind], self.category)
+        problem = user_violation(self.id, self.kind, self.category, self.followees)
         if problem is not None:
             raise ValueError(problem)
 
 
-def user_violation(user_id: str, kind: int, category: str | None) -> str | None:
+def user_violation(user_id, kind, category, followees, seen: Container[str] = ()) -> str | None:
     """What makes a user with these fields invalid, or None if nothing
-    does; ``kind`` is a kind code."""
-    if kind == SEED and not category:
+    does; a line's fields may be anything JSON decodes to. ``kind`` is a
+    :class:`UserKind` or its value, ``followees`` a line's list or a
+    record's frozenset, and ``seen`` the ids this one must not repeat."""
+    if not isinstance(user_id, str) or not user_id:
+        return "missing or invalid 'id'"
+    code = USER_KIND_CODES.get(kind) if isinstance(kind, str) else None
+    if code is None:
+        return "missing or invalid 'kind'"
+    # type(), not isinstance: JSON decodes a string to exactly str
+    if not isinstance(followees, (list, frozenset)) or not set(map(type, followees)) <= {str}:
+        return "'followees' must be a list of ids"
+    if category is not None and not isinstance(category, str):
+        return "'category' must be a string"
+    if user_id in seen:
+        return f"duplicate user id {user_id!r}"
+    if code == SEED and not category:
         return f"seed user {user_id!r} requires a category"
-    if kind == REGULAR and category is not None:
+    if code == REGULAR and category is not None:
         return f"regular user {user_id!r} must not carry a category"
     return None
 
 
 @dataclass(frozen=True)
 class TweetRecord:
-    """An original tweet, a retweet of an original, or a reply to a user."""
+    """An original tweet, a retweet of an original, or a reply to a user.
+
+    The fields are held to :func:`tweet_violation`. A record also refuses a
+    reference its kind does not keep, which a line may carry and its row
+    drops: the record could not round-trip.
+    """
 
     id: str
     author_id: str
@@ -127,30 +152,42 @@ class TweetRecord:
     timestamp: int = 0
 
     def __post_init__(self) -> None:
-        # Only what parse_tweets reads from a line, so that every record
-        # round-trips through the writer; the message is the parse path's.
-        if not isinstance(self.timestamp, int) or isinstance(self.timestamp, bool):
-            raise ValueError("'timestamp' must be an integer")
         problem = tweet_violation(
-            self.id, _KIND_CODES[self.kind], self.source_tweet_id, self.target_user_id,
+            self.id, self.author_id, self.kind, self.source_tweet_id, self.target_user_id,
             self.timestamp,
         )
+        if problem is None:
+            kind = TweetKind(self.kind)
+            if self.source_tweet_id is not None and kind is not TweetKind.RETWEET:
+                problem = f"{kind.value} {self.id!r} must not carry source_tweet_id"
+            elif self.target_user_id is not None and kind is not TweetKind.REPLY:
+                problem = f"{kind.value} {self.id!r} must not carry target_user_id"
         if problem is not None:
             raise ValueError(problem)
 
 
 def tweet_violation(
-    tweet_id: str,
-    kind: int,
-    source_tweet_id: str | None,
-    target_user_id: str | None,
-    timestamp: int,
+    tweet_id, author_id, kind, source_tweet_id, target_user_id, timestamp
 ) -> str | None:
     """What makes a tweet with these fields invalid, or None if nothing
-    does; ``kind`` is a kind code."""
-    if kind == RETWEET and not source_tweet_id:
+    does; a line's fields may be anything JSON decodes to. ``kind`` is a
+    :class:`TweetKind` or its value."""
+    if not isinstance(tweet_id, str) or not tweet_id:
+        return "missing or invalid 'id'"
+    if not isinstance(author_id, str) or not author_id:
+        return "missing or invalid 'author_id'"
+    code = TWEET_KIND_CODES.get(kind) if isinstance(kind, str) else None
+    if code is None:
+        return "missing or invalid 'kind'"
+    if not isinstance(timestamp, int) or isinstance(timestamp, bool):
+        return "'timestamp' must be an integer"
+    if source_tweet_id is not None and not isinstance(source_tweet_id, str):
+        return "'source_tweet_id' must be a string"
+    if target_user_id is not None and not isinstance(target_user_id, str):
+        return "'target_user_id' must be a string"
+    if code == RETWEET and not source_tweet_id:
         return f"retweet {tweet_id!r} requires source_tweet_id"
-    if kind == REPLY and not target_user_id:
+    if code == REPLY and not target_user_id:
         return f"reply {tweet_id!r} requires target_user_id"
     if timestamp < 0:
         return f"tweet {tweet_id!r} has negative timestamp"
@@ -214,7 +251,7 @@ class TweetTable:
         table = cls()
         for t in records:
             table.append(
-                t.id, _KIND_CODES[t.kind], t.author_id, t.source_tweet_id,
+                t.id, TWEET_KIND_CODES[t.kind], t.author_id, t.source_tweet_id,
                 t.target_user_id, t.timestamp,
             )
         return table
@@ -412,7 +449,7 @@ class UserTable:
     @classmethod
     def from_records(cls, records: Iterable[UserRecord]) -> UserTable:
         """The table of these users, in the given order; an id given twice
-        raises ValueError."""
+        raises ValueError with the message a repeated user line gets."""
         ids: list[str] = []
         kinds = bytearray()
         categories: list[str | None] = []
@@ -420,11 +457,12 @@ class UserTable:
         codes: dict[str, int] = {}
         seen: set[str] = set()
         for u in records:
-            if u.id in seen:
-                raise ValueError(f"duplicate user id {u.id!r}")
+            problem = user_violation(u.id, u.kind, u.category, u.followees, seen)
+            if problem is not None:
+                raise ValueError(problem)
             seen.add(u.id)
             ids.append(u.id)
-            kinds.append(_USER_KIND_CODES[u.kind])
+            kinds.append(USER_KIND_CODES[u.kind])
             categories.append(u.category)
             follows.append(intern_follows(u.followees, codes))
         return cls.from_codes(ids, kinds, categories, follows, codes)

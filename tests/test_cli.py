@@ -59,7 +59,7 @@ def test_report_headers_are_machine_checkable(tmp_path):
     for dist in rep.glob("dist_*.csv"):
         assert dist.read_text().splitlines()[0] == "bin_start,bin_end,count"
     summary = json.loads((rep / "summary.json").read_text())
-    assert {"alpha", "dataset", "metrics", "io_correlation", "seed_matrix"} <= set(summary)
+    assert {"bin_width", "dataset", "metrics", "io_correlation", "seed_matrix"} <= set(summary)
 
 
 def test_run_config_invariants(tmp_path):
@@ -82,8 +82,6 @@ def test_run_config_invariants(tmp_path):
     for repeated in [(0.05, 0.050, 0.5), (0.1234561, 0.1234562)]:
         with pytest.raises(ValueError, match="repeated threshold"):
             rc(thresholds=repeated)
-    with pytest.raises(ValueError):
-        rc(alpha=1.0)
     with pytest.raises(ValueError):
         rc(bin_width=0.0)
 
@@ -424,6 +422,12 @@ def test_compare_dataset_with_itself(tmp_path):
         # identical populations: t is 0 (or NA when both sides are constant)
         assert cols[5] in ("0.0000", "-0.0000", "NA")
         assert cols[-1] == "false"
+
+
+def test_compare_rejects_alpha_outside_the_open_unit_interval(tmp_path):
+    result = runner.invoke(main, _command_args("compare", tmp_path) + ["--alpha", "1.5"])
+    assert result.exit_code == 2
+    assert "alpha must be in (0, 1), got 1.5" in result.output
 
 
 def test_compare_rejects_mismatched_universes(tmp_path):

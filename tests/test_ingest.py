@@ -413,24 +413,29 @@ def _outcome(f, arg) -> str:
         return f"ValueError: {e}"
 
 
+_odd_id = _odd_text.filter(bool)
+
+
 @st.composite
 def _any_tweet(draw) -> TweetRecord:
+    """Any tweet a record can hold: ids are not empty, and only a retweet
+    has a source and only a reply a target."""
     kind = draw(st.sampled_from(TweetKind))
-    source = draw(_odd_text.filter(bool) if kind == TweetKind.RETWEET else st.none() | _odd_text)
-    target = draw(_odd_text.filter(bool) if kind == TweetKind.REPLY else st.none() | _odd_text)
-    return TweetRecord(draw(_odd_text), draw(_odd_text), kind, source, target, draw(_timestamps))
+    source = draw(_odd_id) if kind == TweetKind.RETWEET else None
+    target = draw(_odd_id) if kind == TweetKind.REPLY else None
+    return TweetRecord(draw(_odd_id), draw(_odd_id), kind, source, target, draw(_timestamps))
 
 
 @st.composite
 def _any_user(draw) -> UserRecord:
     kind = draw(st.sampled_from(UserKind))
-    category = draw(_odd_text.filter(bool)) if kind == UserKind.SEED else None
+    category = draw(_odd_id) if kind == UserKind.SEED else None
     followees = draw(st.frozensets(_odd_text, max_size=3))
     if draw(st.booleans()):
         # many ids, cheaply: one drawn stem, numbered
         stem = draw(_odd_text)
         followees |= {f"{stem}{i}" for i in range(draw(st.integers(100, 1000)))}
-    return UserRecord(draw(_odd_text), kind, category, followees)
+    return UserRecord(draw(_odd_id), kind, category, followees)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -453,6 +458,115 @@ def test_user_line_is_json_dumps_of_the_record(user):
         obj["category"] = user.category
     obj["followees"] = sorted(user.followees)
     assert _outcome(user_to_line, user) == _outcome(_compact, obj)
+
+
+# -- a record is held to the rule of a line ---------------------------------
+# Field values JSON can hold. Strings hold no lone surrogate: a line that
+# does is invalid UTF-8 before any field is read, and a record may hold one.
+_json_text = st.text(st.characters(exclude_categories=["Cs"]), max_size=3)
+_json_scalars = [st.none(), st.booleans(), st.integers(-3, 3), st.floats(-1e3, 1e3), _json_text]
+_json_values = st.one_of(*_json_scalars, st.lists(st.one_of(*_json_scalars), max_size=3))
+_json_ids = st.text(st.characters(exclude_categories=["Cs"]), min_size=1, max_size=3)
+
+
+def _kind_spellings(kinds) -> st.SearchStrategy:
+    """Each kind, its value, its name, a near miss, or any JSON value."""
+    spellings = [k for kind in kinds for k in (kind, kind.value, kind.name, kind.value + " ")]
+    return st.sampled_from(spellings) | _json_values
+
+
+@st.composite
+def _fields(draw, plausible: dict, kinds) -> dict:
+    """Fields of the right types, with up to two of them set to any value."""
+    fields = dict(plausible)
+    for name in draw(st.sets(st.sampled_from(sorted(fields)), max_size=2)):
+        fields[name] = draw(_kind_spellings(kinds) if name == "kind" else _json_values)
+    return fields
+
+
+# Kinds and references drawn apart, so that each kind rule is met and broken.
+_json_refs = st.none() | _json_ids
+
+
+@st.composite
+def _tweet_fields(draw) -> dict:
+    plausible = {
+        "id": draw(_json_ids), "author_id": draw(_json_ids),
+        "kind": draw(st.sampled_from([*TweetKind, *(k.value for k in TweetKind)])),
+        "source_tweet_id": draw(_json_refs), "target_user_id": draw(_json_refs),
+        "timestamp": draw(st.integers(-2, 10**6)),
+    }
+    return draw(_fields(plausible, TweetKind))
+
+
+@st.composite
+def _user_fields(draw) -> dict:
+    plausible = {
+        "id": draw(_json_ids),
+        "kind": draw(st.sampled_from([*UserKind, *(k.value for k in UserKind)])),
+        "category": draw(_json_refs), "followees": draw(st.lists(_json_ids, max_size=3)),
+    }
+    return draw(_fields(plausible, UserKind))
+
+
+def _refusal(make, **fields) -> str | None:
+    """The message of the ValueError ``make(**fields)`` raises, or None."""
+    try:
+        make(**fields)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(fields=_tweet_fields())
+def test_tweet_record_refuses_what_its_line_refuses(fields):
+    """A record refuses exactly the fields its line gets a diagnostic for,
+    with the same message, and a reference the line may carry but its kind
+    drops; each record that constructs round-trips through its line."""
+    parsed, diags = parse_tweets([json.dumps(fields)])
+    refusal = _refusal(TweetRecord, **fields)
+    if diags:
+        assert [refusal] == [d.message for d in diags]
+        return
+    kind = TweetKind(fields["kind"])
+    owners = {"source_tweet_id": TweetKind.RETWEET, "target_user_id": TweetKind.REPLY}
+    stray = [f for f, own in owners.items() if fields[f] is not None and kind != own]
+    if stray:
+        assert refusal == f"{kind.value} {fields['id']!r} must not carry {stray[0]}"
+        return
+    assert refusal is None
+    record = TweetRecord(**fields)
+    assert list(parsed) == [record]
+    assert parse_tweets([tweet_to_line(record)]) == ([record], [])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(fields=_user_fields())
+def test_user_record_refuses_what_its_line_refuses(fields):
+    """A record refuses exactly the fields its line gets a diagnostic for,
+    with the same message; each record that constructs round-trips through
+    its line. A line's follow list is a record's frozenset."""
+    parsed, diags = parse_users([json.dumps(fields)])
+    followees = fields["followees"]
+    if isinstance(followees, list):
+        followees = frozenset(followees)
+    refusal = _refusal(UserRecord, **{**fields, "followees": followees})
+    if diags:
+        assert [refusal] == [d.message for d in diags]
+        return
+    assert refusal is None
+    record = UserRecord(**{**fields, "followees": followees})
+    assert list(parsed) == [record]
+    assert parse_users([user_to_line(record)]) == ([record], [])
+
+
+def test_parse_users_reports_a_repeated_id_before_the_seed_rule():
+    """The duplicate-id check comes before the kind rules: a repeated seed
+    line without a category is reported as the repeat."""
+    users, diags = parse_users([USER_LINES[0], '{"id":"s1","kind":"seed","followees":[]}'])
+    assert len(users) == 1
+    assert [(d.line_no, d.message) for d in diags] == [(2, "duplicate user id 's1'")]
 
 
 def test_load_dataset_counts_non_string_fields_as_malformed():

@@ -140,6 +140,24 @@ def test_tweet_record_invariants():
         TweetRecord("t1", "a", TweetKind.ORIGINAL, timestamp=-1)
 
 
+@pytest.mark.parametrize("kind, references, stray", [
+    (TweetKind.ORIGINAL, {"source_tweet_id": "o1"}, "source_tweet_id"),
+    (TweetKind.ORIGINAL, {"target_user_id": "s1"}, "target_user_id"),
+    (TweetKind.RETWEET, {"source_tweet_id": "o1", "target_user_id": "s1"}, "target_user_id"),
+    (TweetKind.REPLY, {"source_tweet_id": "o1", "target_user_id": "s1"}, "source_tweet_id"),
+])
+def test_tweet_record_refuses_a_reference_its_kind_drops(kind, references, stray):
+    """A line may carry it, but its table row drops it, so a record holding
+    it could not round-trip."""
+    with pytest.raises(ValueError, match=f"^{kind.value} 't1' must not carry {stray}$"):
+        TweetRecord("t1", "a", kind, **references)
+
+
+def test_user_table_refuses_a_repeated_id_with_the_line_message():
+    with pytest.raises(ValueError, match="^duplicate user id 'u1'$"):
+        _users(regular("u1"), regular("u1", ["s1"]))
+
+
 @pytest.mark.parametrize("timestamp", [True, False, 3.0, "3", None], ids=repr)
 def test_tweet_record_rejects_a_timestamp_a_line_cannot_hold(timestamp):
     """The writer would spell it as JSON that parse_tweets refuses, so the
