@@ -31,7 +31,6 @@ from .model import (
     Wing,
     validate_config,
 )
-from .oracle import oracle_metrics
 from .stats import (
     MetricDistribution,
     TTestResult,
@@ -42,15 +41,21 @@ from .stats import (
 
 __version__ = "0.1.0"
 
-# The generator needs numpy, which analyze never uses; load it on first use.
-_SYNTH_NAMES = frozenset({"SynthParams", "generate", "presets"})
+# Names whose module analyze never imports, loaded on first use: the
+# generator needs numpy, and the oracle only checks the fast path.
+_LAZY_MODULES = {
+    "SynthParams": "synth",
+    "generate": "synth",
+    "presets": "synth",
+    "oracle_metrics": "oracle",
+}
 
 
 def __getattr__(name: str):
-    if name in _SYNTH_NAMES:
-        from . import synth
+    if name in _LAZY_MODULES:
+        from importlib import import_module
 
-        return getattr(synth, name)
+        return getattr(import_module(f".{_LAZY_MODULES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -1,25 +1,24 @@
 """Command-line pipeline: ingest -> metrics -> stats -> reports.
 
-Exit codes: 0 success, 1 internal error, 2 input/configuration error.
+``main(argv)`` parses with argparse and returns the exit code: 0 success,
+1 internal error, 2 input/configuration or usage error.
 All numeric report fields use fixed 4-decimal formatting (CSV) or values
 rounded to 4 decimals (summary.json) so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-import click
-
 from . import ingest as ingest_mod
 from .ingest import IngestError, IngestReport, ParseDiagnostic, load_country_config
 from .metrics import IO_MARGIN, UserMetrics, WingMatrix, compute_all
 from .model import REGULAR, SEED, Dataset
-from .stats import distribution, fraction_below, welch_t_test
+from .stats import check_bin_width, distribution, fraction_below, welch_t_test
 
 METRIC_FIELDS = (
     "direct_source_diversity",
@@ -44,8 +43,7 @@ class RunConfig:
     thresholds: tuple[float, ...] = (0.5, 0.05, 0.01)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.bin_width <= 1.0:
-            raise ValueError(f"bin width must be in (0, 1], got {self.bin_width}")
+        check_bin_width(self.bin_width)
         for t in self.thresholds:
             if not 0.0 < t <= 1.0:
                 raise ValueError(f"threshold {t} outside (0, 1]")
@@ -280,36 +278,6 @@ def cmd_compare(
     return rows
 
 
-def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def _input_errors(func):
-    """Map input/configuration problems to exit 2, anything else to exit 1."""
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except IngestError as exc:
-            _fail(str(exc), 2)
-        except OSError as exc:
-            # One that names a file comes from a path on the command line.
-            if exc.filename is None:
-                _fail(f"internal: {exc!r}", 1)
-            else:
-                _fail(f"cannot open {exc.filename}: {exc.strerror or exc}", 2)
-        except ValueError as exc:
-            _fail(str(exc), 2)
-        except click.ClickException:
-            raise
-        except Exception as exc:  # internal error
-            _fail(f"internal: {exc!r}", 1)
-
-    return wrapper
-
-
 def _parse_thresholds(raw: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in raw.split(",") if x.strip())
@@ -317,68 +285,42 @@ def _parse_thresholds(raw: str) -> tuple[float, ...]:
         raise ValueError(f"cannot parse thresholds {raw!r}") from exc
 
 
-@click.group()
-def main() -> None:
-    """Viewpoint-diversity analytics over seed/follower tweet datasets."""
-
-
-@main.command("analyze")
-@click.option("--config", "config_path", required=True, help="Country config JSON.")
-@click.option("--users", "users_path", required=True, help="Users JSONL file.")
-@click.option("--tweets", "tweets_path", required=True, help="Tweets JSONL file.")
-@click.option("--spam", "spam_path", default=None, help="Spam id list, one per line.")
-@click.option("--out", "out_dir", required=True, help="Report output directory.")
-@click.option("--bin-width", default=0.05, show_default=True)
-@click.option("--thresholds", default="0.5,0.05,0.01", show_default=True)
-@_input_errors
-def analyze_command(
-    config_path, users_path, tweets_path, spam_path, out_dir, bin_width, thresholds,
-) -> None:
+def _analyze(args: argparse.Namespace) -> None:
     """Compute per-user metrics, population summary, and distributions."""
     rc = RunConfig(
-        config_path=config_path,
-        users_path=users_path,
-        tweets_path=tweets_path,
-        spam_path=spam_path,
-        out_dir=out_dir,
-        bin_width=bin_width,
-        thresholds=_parse_thresholds(thresholds),
+        config_path=args.config,
+        users_path=args.users,
+        tweets_path=args.tweets,
+        spam_path=args.spam,
+        out_dir=args.out,
+        bin_width=args.bin_width,
+        thresholds=_parse_thresholds(args.thresholds),
     )
     summary = cmd_analyze(rc)
     ds = summary["dataset"]
-    click.echo(
+    print(
         f"analyzed {ds['regular_users']} regular users "
         f"({ds['seed_users']} seeds, {ds['tweets']} tweets) -> {rc.out_dir}"
     )
 
 
-@main.command("compare")
-@click.option("--config", "config_paths", required=True, multiple=True)
-@click.option("--users", "users_paths", required=True, multiple=True)
-@click.option("--tweets", "tweets_paths", required=True, multiple=True)
-@click.option("--spam", "spam_paths", multiple=True)
-@click.option("--out", "out_dir", required=True)
-@click.option("--alpha", default=0.01, show_default=True)
-@_input_errors
-def compare_command(
-    config_paths, users_paths, tweets_paths, spam_paths, out_dir, alpha
-) -> None:
+def _compare(args: argparse.Namespace) -> None:
     """Compare two datasets (give --config/--users/--tweets twice: A then B)."""
-    if not (len(config_paths) == len(users_paths) == len(tweets_paths) == 2):
+    if not (len(args.config) == len(args.users) == len(args.tweets) == 2):
         raise ValueError("compare needs --config, --users and --tweets exactly twice")
-    if spam_paths and len(spam_paths) != 2:
+    if args.spam and len(args.spam) != 2:
         raise ValueError("give --spam either zero or two times")
 
     inputs_a, inputs_b = (
-        (config_paths[i], users_paths[i], tweets_paths[i], spam_paths[i] if spam_paths else None)
+        (args.config[i], args.users[i], args.tweets[i], args.spam[i] if args.spam else None)
         for i in (0, 1)
     )
-    rows = cmd_compare(inputs_a, inputs_b, out_dir, alpha)
+    rows = cmd_compare(inputs_a, inputs_b, args.out, args.alpha)
     for r in rows:
         flag = "significant" if r["significant"] else "not significant"
-        click.echo(
+        print(
             f"{r['metric']}: mean_a={_fmt(r['mean_a'])} mean_b={_fmt(r['mean_b'])} "
-            f"t={_fmt(r['t'])} p={_fmt(r['p'])} ({flag} at alpha={alpha:g})"
+            f"t={_fmt(r['t'])} p={_fmt(r['p'])} ({flag} at alpha={args.alpha:g})"
         )
 
 
@@ -415,63 +357,116 @@ def _read_synth_params(path: Path):
     return SynthParams(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
-@main.command("synth")
-@click.option("--preset", default=None, help="Named preset (see `presets`).")
-@click.option("--params", "params_path", default=None, help="SynthParams JSON file.")
-@click.option("--rng-seed", default=None, type=int, help="Override the RNG seed.")
-@click.option("--out", "out_dir", required=True)
-@_input_errors
-def synth_command(preset, params_path, rng_seed, out_dir) -> None:
+def _synth(args: argparse.Namespace) -> None:
     """Generate a synthetic dataset as ingest-compatible files."""
     from . import synth as synth_mod  # numpy; only this command needs it
 
-    if (preset is None) == (params_path is None):
+    if (args.preset is None) == (args.params is None):
         raise ValueError("give exactly one of --preset or --params")
-    if preset is not None:
+    if args.preset is not None:
         try:
-            params = synth_mod.presets()[preset]
+            params = synth_mod.presets()[args.preset]
         except KeyError:
             raise ValueError(
-                f"unknown preset {preset!r}; available: "
+                f"unknown preset {args.preset!r}; available: "
                 + ", ".join(sorted(synth_mod.presets()))
             ) from None
     else:
-        params = _read_synth_params(Path(params_path))
-    if rng_seed is not None:
-        params = replace(params, rng_seed=rng_seed)
+        params = _read_synth_params(Path(args.params))
+    if args.rng_seed is not None:
+        params = replace(params, rng_seed=args.rng_seed)
 
     dataset = synth_mod.generate(params)
-    paths = ingest_mod.write_dataset(dataset, Path(out_dir))
-    click.echo(
+    paths = ingest_mod.write_dataset(dataset, Path(args.out))
+    print(
         f"wrote {len(dataset.users)} users, {len(dataset.tweets)} tweets "
         f"to {paths['users'].parent}"
     )
 
 
-@main.command("validate")
-@click.option("--config", "config_path", required=True)
-@click.option("--users", "users_path", required=True)
-@click.option("--tweets", "tweets_path", required=True)
-@click.option("--spam", "spam_path", default=None)
-@_input_errors
-def validate_command(config_path, users_path, tweets_path, spam_path) -> None:
+def _validate(args: argparse.Namespace) -> None:
     """Ingest and validate without computing metrics; prints the report."""
     # paths as given, so that every message names a file as the user did
-    dataset, report, diagnostics = _load(config_path, users_path, tweets_path, spam_path)
-    click.echo(
+    dataset, report, diagnostics = _load(args.config, args.users, args.tweets, args.spam)
+    print(
         f"ok: {dataset.users.kinds.count(SEED)} seeds, "
         f"{dataset.users.kinds.count(REGULAR)} regulars, {len(dataset.tweets)} tweets"
     )
-    click.echo(
+    print(
         f"users_read={report.users_read} dropped_spam={report.users_dropped_spam} "
         f"dropped_threshold={report.users_dropped_threshold} "
         f"tweets_read={report.tweets_read} "
         f"tweets_dropped_dangling={report.tweets_dropped_dangling}"
     )
-    paths = {"users": users_path, "tweets": tweets_path}
+    paths = {"users": args.users, "tweets": args.tweets}
     for d in diagnostics:
-        click.echo(f"{paths[d.file]}:{d.line_no}: {d.message}", err=True)
+        print(f"{paths[d.file]}:{d.line_no}: {d.message}", file=sys.stderr)
+
+
+def _parser() -> argparse.ArgumentParser:
+    """``viewdiv COMMAND --option VALUE ...``; a parsed line runs ``args.run``.
+    No parser takes an abbreviated option, nor ``-h`` for ``--help``."""
+    parser = argparse.ArgumentParser(
+        "viewdiv", description="Viewpoint-diversity analytics over seed/follower tweet datasets.",
+        allow_abbrev=False, add_help=False,
+    )
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(run, name: str, inputs: str | None = "store") -> argparse.ArgumentParser:
+        """A subcommand; ``inputs`` is its input paths' action, None for none."""
+        sub = commands.add_parser(
+            name, help=run.__doc__, description=run.__doc__, allow_abbrev=False, add_help=False
+        )
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        sub.set_defaults(run=run)
+        if inputs:
+            sub.add_argument("--config", required=True, action=inputs, help="Country config JSON.")
+            sub.add_argument("--users", required=True, action=inputs, help="Users JSONL file.")
+            sub.add_argument("--tweets", required=True, action=inputs, help="Tweets JSONL file.")
+            sub.add_argument("--spam", action=inputs, help="Spam id list, one per line.")
+        return sub
+
+    analyze = command(_analyze, "analyze")
+    analyze.add_argument("--out", required=True, help="Report output directory.")
+    analyze.add_argument("--bin-width", type=float, default=0.05, help="(default: %(default)s)")
+    analyze.add_argument("--thresholds", default="0.5,0.05,0.01", help="(default: %(default)s)")
+
+    compare = command(_compare, "compare", inputs="append")
+    compare.add_argument("--out", required=True)
+    compare.add_argument("--alpha", type=float, default=0.01, help="(default: %(default)s)")
+
+    synth = command(_synth, "synth", inputs=None)
+    synth.add_argument("--preset", help="Named preset (see `presets`).")
+    synth.add_argument("--params", help="SynthParams JSON file.")
+    synth.add_argument("--rng-seed", type=int, help="Override the RNG seed.")
+    synth.add_argument("--out", required=True)
+
+    command(_validate, "validate")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line (``sys.argv[1:]`` by default) and return its
+    exit code. Input and configuration problems exit 2, anything else 1; a
+    usage error exits 2 from the parser, before any input is read."""
+    args = _parser().parse_args(argv)
+    try:
+        args.run(args)
+        return 0
+    except (IngestError, ValueError) as exc:
+        problem, code = str(exc), 2
+    except OSError as exc:
+        # One that names a file comes from a path on the command line.
+        if exc.filename is None:
+            problem, code = f"internal: {exc!r}", 1
+        else:
+            problem, code = f"cannot open {exc.filename}: {exc.strerror or exc}", 2
+    except Exception as exc:  # internal error
+        problem, code = f"internal: {exc!r}", 1
+    print(f"error: {problem}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

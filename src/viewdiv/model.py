@@ -97,7 +97,8 @@ class UserRecord:
 
     Seeds carry exactly one category; regulars carry none and their stance is
     only ever inferred from behavior. Followees reference seed ids only.
-    The fields are held to :func:`user_violation`.
+    The fields are held to :func:`user_violation`, and the followees must
+    be a frozenset, so that a record hashes and round-trips through its line.
     """
 
     id: str
@@ -107,6 +108,8 @@ class UserRecord:
 
     def __post_init__(self) -> None:
         problem = user_violation(self.id, self.kind, self.category, self.followees)
+        if problem is None and not isinstance(self.followees, frozenset):
+            problem = "a record's 'followees' must be a frozenset of ids"
         if problem is not None:
             raise ValueError(problem)
 

@@ -36,6 +36,17 @@ class TTestResult:
     significant: bool
 
 
+# The narrowest bin a distribution takes: at most 10,000 bins, so that no
+# width allocates in proportion to how small it is.
+MIN_BIN_WIDTH = 1e-4
+
+
+def check_bin_width(bin_width: float) -> None:
+    """Refuse a bin width outside [MIN_BIN_WIDTH, 1] with a ValueError."""
+    if not MIN_BIN_WIDTH <= bin_width <= 1.0:
+        raise ValueError(f"bin width must be in [{MIN_BIN_WIDTH:g}, 1], got {bin_width}")
+
+
 def distribution(samples, bin_width: float = 0.05) -> MetricDistribution:
     """Histogram unit-interval samples into right-open bins [k*w, (k+1)*w).
 
@@ -43,8 +54,7 @@ def distribution(samples, bin_width: float = 0.05) -> MetricDistribution:
     IEEE doubles, so values exactly on a representable boundary go to the
     upper bin. Out-of-range samples are a contract violation.
     """
-    if not 0.0 < bin_width <= 1.0:
-        raise ValueError(f"bin_width must be in (0, 1], got {bin_width}")
+    check_bin_width(bin_width)
     values = tuple(float(x) for x in samples)
     for x in values:
         if not 0.0 <= x <= 1.0:

@@ -1,6 +1,10 @@
-"""Small constructors for in-memory test datasets."""
+"""Small constructors for in-memory test datasets, and a CLI runner."""
 
 from __future__ import annotations
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple
 
 from viewdiv import (
     CountryConfig,
@@ -14,6 +18,7 @@ from viewdiv import (
     UserTable,
     Wing,
 )
+from viewdiv.cli import main
 from viewdiv.ingest import build_dataset
 
 WINGS = {"left": Wing.LEFT, "right": Wing.RIGHT, "unaligned": Wing.UNALIGNED}
@@ -61,3 +66,20 @@ def dataset(cfg: CountryConfig, users, tweets) -> Dataset:
     return build_dataset(
         cfg, table, TweetTable.from_records(tweets).resolve(set(table.seed_ids))
     )[0]
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr, interleaved as written
+
+
+def run_cli(argv) -> CliResult:
+    """``main(argv)`` in this process, with a usage error's SystemExit
+    caught as its exit code."""
+    output = io.StringIO()
+    with redirect_stdout(output), redirect_stderr(output):
+        try:
+            code = main([str(arg) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return CliResult(code, output.getvalue())

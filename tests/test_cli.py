@@ -7,15 +7,14 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from viewdiv import parse_tweets
-from viewdiv.cli import METRIC_FIELDS, main
+from viewdiv.cli import METRIC_FIELDS
+
+from helpers import run_cli
 
 TOY = Path(__file__).resolve().parent / "data" / "toy"
-
-runner = CliRunner()
 
 
 def _command_args(command, out_dir, config=None, users=None, spam=None):
@@ -40,7 +39,7 @@ def _read_all(out_dir: Path) -> dict:
 
 
 def test_analyze_writes_expected_files(tmp_path):
-    result = runner.invoke(main, _analyze_args(tmp_path / "rep"))
+    result = run_cli(_analyze_args(tmp_path / "rep"))
     assert result.exit_code == 0, result.output
     names = {p.name for p in (tmp_path / "rep").iterdir()}
     assert {"users_metrics.csv", "summary.json", "seed_matrix.csv"} <= names
@@ -48,7 +47,7 @@ def test_analyze_writes_expected_files(tmp_path):
 
 
 def test_report_headers_are_machine_checkable(tmp_path):
-    runner.invoke(main, _analyze_args(tmp_path / "rep"))
+    run_cli(_analyze_args(tmp_path / "rep"))
     rep = tmp_path / "rep"
     assert (rep / "users_metrics.csv").read_text().splitlines()[0] == (
         "user_id,direct_source_diversity,indirect_source_diversity,"
@@ -84,10 +83,15 @@ def test_run_config_invariants(tmp_path):
             rc(thresholds=repeated)
     with pytest.raises(ValueError):
         rc(bin_width=0.0)
+    # at most 10,000 bins: a narrower width is refused before it allocates
+    for narrow in (1e-300, 1e-5):
+        with pytest.raises(ValueError, match=r"^bin width must be in \[0.0001, 1\]"):
+            rc(bin_width=narrow)
+    rc(bin_width=1e-4)
 
 
 def test_analyze_missing_users_file_exits_2(tmp_path):
-    result = runner.invoke(main, _analyze_args(tmp_path, users=tmp_path / "nope.jsonl"))
+    result = run_cli(_analyze_args(tmp_path, users=tmp_path / "nope.jsonl"))
     assert result.exit_code == 2
     assert "cannot open" in result.output
     assert "config validation failed" not in result.output
@@ -102,7 +106,7 @@ def test_unreadable_tweets_path_exits_2(tmp_path, bad):
         path.mkdir()
     args = _analyze_args(tmp_path / "rep")
     args[args.index("--tweets") + 1] = str(path)
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 2, result.output
     assert f"cannot open {path}" in result.output
     assert not (tmp_path / "rep").exists()
@@ -114,7 +118,7 @@ def test_directory_config_exits_2(tmp_path, command):
             "--tweets", str(TOY / "tweets.jsonl")]
     if command == "analyze":
         args += ["--out", str(tmp_path / "rep")]
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 2, result.output
     assert f"cannot open {tmp_path}: Is a directory" in result.output
     assert not (tmp_path / "rep").exists()
@@ -123,8 +127,7 @@ def test_directory_config_exits_2(tmp_path, command):
 def test_analyze_invalid_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": "x", "categories": [{"id": "only", "wing": "left"}]}')
-    result = runner.invoke(
-        main,
+    result = run_cli(
         ["analyze", "--config", str(bad), "--users", str(TOY / "users.jsonl"),
          "--tweets", str(TOY / "tweets.jsonl"), "--out", str(tmp_path / "rep")],
     )
@@ -137,8 +140,7 @@ def test_analyze_string_minority_ids_exits_2(tmp_path):
     cfg["minority_user_ids"] = "s_green"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
-    result = runner.invoke(
-        main,
+    result = run_cli(
         ["analyze", "--config", str(bad), "--users", str(TOY / "users.jsonl"),
          "--tweets", str(TOY / "tweets.jsonl"), "--out", str(tmp_path / "rep")],
     )
@@ -157,8 +159,7 @@ def test_analyze_non_string_config_field_exits_2(tmp_path, field, value):
         cfg["categories"][0]["id"] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
-    result = runner.invoke(
-        main,
+    result = run_cli(
         ["analyze", "--config", str(bad), "--users", str(TOY / "users.jsonl"),
          "--tweets", str(TOY / "tweets.jsonl"), "--out", str(tmp_path / "rep")],
     )
@@ -180,8 +181,7 @@ def test_analyze_config_lone_surrogate_exits_2(tmp_path, field):
         cfg["minority_user_ids"][0] += "\udcff"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))  # json.dumps writes the escape \udcff
-    result = runner.invoke(
-        main,
+    result = run_cli(
         ["analyze", "--config", str(bad), "--users", str(TOY / "users.jsonl"),
          "--tweets", str(TOY / "tweets.jsonl"), "--out", str(tmp_path / "rep")],
     )
@@ -205,7 +205,7 @@ def test_analyze_escaped_lone_surrogate_is_a_line_diagnostic(tmp_path):
     assert bad_lines == 9
     args = _analyze_args(tmp_path / "rep", users=users)
     args[args.index("--tweets") + 1] = str(tweets)
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 0, result.output
     summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
     assert summary["dataset"]["ingest"]["malformed_lines"] == bad_lines
@@ -224,7 +224,7 @@ def test_analyze_non_string_reply_target_is_a_line_diagnostic(tmp_path):
     )
     args = _analyze_args(tmp_path / "rep")
     args[args.index("--tweets") + 1] = str(tweets)
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 0, result.output
     summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
     assert summary["dataset"]["ingest"]["malformed_lines"] == 1
@@ -238,7 +238,7 @@ def _assert_one_malformed_tweet_line(tmp_path, line: bytes) -> None:
     tweets.write_bytes((TOY / "tweets.jsonl").read_bytes() + line + b"\n")
     args = _analyze_args(tmp_path / "rep")
     args[args.index("--tweets") + 1] = str(tweets)
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 0, result.output
     summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
     assert summary["dataset"]["ingest"]["malformed_lines"] == 1
@@ -289,25 +289,32 @@ def test_references_of_other_kinds_are_dropped(tmp_path):
 
     args = _analyze_args(tmp_path / "rep")
     args[args.index("--tweets") + 1] = str(tweets)
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 0, result.output
     assert _read_all(tmp_path / "rep") == _read_all(TOY / "expected")
 
 
 def test_analyze_loads_neither_numpy_nor_scipy(tmp_path):
-    """analyze runs on click and the stdlib alone; synth/compare load the rest.
+    """analyze runs on the stdlib alone, and imports neither the generator
+    nor the oracle; synth/compare load the rest.
 
-    A subprocess, because this interpreter has imported scipy already.
+    A subprocess, because this interpreter has imported scipy already. Any
+    module the run imports from outside the stdlib and viewdiv fails it: an
+    argument parser, numpy and scipy alike.
     """
     import subprocess
     import sys
 
     check = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from viewdiv.cli import main\n"
-        "main(sys.argv[1:], standalone_mode=False)\n"
-        "heavy = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
-        "assert not heavy, heavy\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "own = sys.stdlib_module_names | {'viewdiv'}\n"
+        "foreign = sorted(m for m in set(sys.modules) - before if m.split('.')[0] not in own)\n"
+        "assert not foreign, foreign\n"
+        "lazy = sorted(m for m in ('viewdiv.oracle', 'viewdiv.synth') if m in sys.modules)\n"
+        "assert not lazy, lazy\n"
         "import viewdiv\n"
         "assert viewdiv.generate is viewdiv.synth.generate\n"
         "assert 'numpy' in sys.modules\n"
@@ -322,8 +329,8 @@ def test_analyze_loads_neither_numpy_nor_scipy(tmp_path):
 
 
 def test_analyze_rerun_is_byte_identical(tmp_path):
-    assert runner.invoke(main, _analyze_args(tmp_path / "a")).exit_code == 0
-    assert runner.invoke(main, _analyze_args(tmp_path / "b")).exit_code == 0
+    assert run_cli(_analyze_args(tmp_path / "a")).exit_code == 0
+    assert run_cli(_analyze_args(tmp_path / "b")).exit_code == 0
     assert _read_all(tmp_path / "a") == _read_all(tmp_path / "b")
 
 
@@ -337,7 +344,7 @@ def test_summary_of_a_metric_without_samples_is_null(tmp_path):
     ))
     args = _analyze_args(tmp_path / "rep")
     args[args.index("--tweets") + 1] = str(tweets)
-    assert runner.invoke(main, args).exit_code == 0
+    assert run_cli(args).exit_code == 0
     summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
     assert summary["metrics"]["reply_diversity"] == {
         "count": 0, "mean": None, "fraction_below": {"0.5": None, "0.05": None, "0.01": None},
@@ -348,15 +355,15 @@ def test_summary_of_a_metric_without_samples_is_null(tmp_path):
 def test_analyze_threshold_and_margin_flags(tmp_path):
     """--thresholds sets the reported fractions; the io margin is a fixed
     0.15, so there is no --io-margin to set."""
-    result = runner.invoke(main, _analyze_args(tmp_path / "rep") + ["--thresholds", "0.9"])
+    result = run_cli(_analyze_args(tmp_path / "rep") + ["--thresholds", "0.9"])
     assert result.exit_code == 0, result.output
     summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
     assert summary["thresholds"] == [0.9]
     assert list(summary["metrics"]["minority_reach"]["fraction_below"]) == ["0.9"]
     assert summary["io_margin"] == 0.15
-    result = runner.invoke(main, _analyze_args(tmp_path / "other") + ["--io-margin", "0.4"])
+    result = run_cli(_analyze_args(tmp_path / "other") + ["--io-margin", "0.4"])
     assert result.exit_code == 2
-    assert "No such option '--io-margin'" in result.output
+    assert "unrecognized arguments: --io-margin" in result.output
     assert not (tmp_path / "other").exists()
 
 
@@ -364,7 +371,7 @@ def test_analyze_threshold_and_margin_flags(tmp_path):
 def test_messages_name_paths_as_typed(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     Path("bad.json").write_text('{"name": "x"}')
-    result = runner.invoke(main, _command_args(command, tmp_path / "rep", config="./bad.json"))
+    result = run_cli(_command_args(command, tmp_path / "rep", config="./bad.json"))
     assert result.exit_code == 2, result.output
     assert "error: ./bad.json: malformed country config" in result.output
 
@@ -373,7 +380,7 @@ def test_messages_name_paths_as_typed(tmp_path, monkeypatch, command):
 def test_empty_spam_path_means_no_spam_list(tmp_path, command):
     runs = []
     for spam in (None, ""):
-        result = runner.invoke(main, _command_args(command, tmp_path / "rep", spam=spam))
+        result = run_cli(_command_args(command, tmp_path / "rep", spam=spam))
         assert result.exit_code == 0, result.output
         runs.append((result.output, {} if command == "validate" else _read_all(tmp_path / "rep")))
     assert runs[0] == runs[1]
@@ -389,7 +396,7 @@ def test_users_metrics_quotes_unusual_ids(tmp_path, user_id):
         paths[name].write_text((TOY / name).read_text().replace('"u_alice"', json.dumps(user_id)))
     args = _analyze_args(tmp_path / "rep", users=paths["users.jsonl"])
     args[args.index("--tweets") + 1] = str(paths["tweets.jsonl"])
-    assert runner.invoke(main, args).exit_code == 0
+    assert run_cli(args).exit_code == 0
     report = tmp_path / "rep" / "users_metrics.csv"
     with open(report, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -412,7 +419,7 @@ def test_compare_dataset_with_itself(tmp_path):
             "--tweets", str(TOY / "tweets.jsonl"),
         ]
     args += ["--out", str(tmp_path)]
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 0, result.output
     assert "significant" in result.output
     rows = (tmp_path / "comparison.csv").read_text().strip().splitlines()
@@ -425,7 +432,7 @@ def test_compare_dataset_with_itself(tmp_path):
 
 
 def test_compare_rejects_alpha_outside_the_open_unit_interval(tmp_path):
-    result = runner.invoke(main, _command_args("compare", tmp_path) + ["--alpha", "1.5"])
+    result = run_cli(_command_args("compare", tmp_path) + ["--alpha", "1.5"])
     assert result.exit_code == 2
     assert "alpha must be in (0, 1), got 1.5" in result.output
 
@@ -456,16 +463,16 @@ def test_compare_rejects_mismatched_universes(tmp_path):
         "--tweets", str(other_tweets),
         "--out", str(tmp_path),
     ]
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 2
     assert "category universes" in result.output
 
 
 def test_synth_round_trips_through_validate_and_analyze(tmp_path):
     data = tmp_path / "data"
-    result = runner.invoke(main, ["synth", "--preset", "uniform", "--out", str(data)])
+    result = run_cli(["synth", "--preset", "uniform", "--out", str(data)])
     assert result.exit_code == 0, result.output
-    result = runner.invoke(main, [
+    result = run_cli([
         "validate",
         "--config", str(data / "config.json"),
         "--users", str(data / "users.jsonl"),
@@ -473,7 +480,7 @@ def test_synth_round_trips_through_validate_and_analyze(tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert result.output.startswith("ok:")
-    result = runner.invoke(main, [
+    result = run_cli([
         "analyze",
         "--config", str(data / "config.json"),
         "--users", str(data / "users.jsonl"),
@@ -485,7 +492,7 @@ def test_synth_round_trips_through_validate_and_analyze(tmp_path):
 
 def test_synth_seed_reproducibility(tmp_path):
     for d in ("a", "b"):
-        result = runner.invoke(main, [
+        result = run_cli([
             "synth", "--preset", "segregated", "--rng-seed", "99",
             "--out", str(tmp_path / d),
         ])
@@ -500,11 +507,11 @@ def test_synth_params_file_and_bad_weights(tmp_path):
         "homophily": 0.3, "tweets_per_seed": 5,
         "category_weights": [0.5, 0.25, 0.25], "minority_categories": ["cat3"],
     }))
-    result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(tmp_path / "ok")])
+    result = run_cli(["synth", "--params", str(params), "--out", str(tmp_path / "ok")])
     assert result.exit_code == 0, result.output
 
     params.write_text(json.dumps({"n_categories": 3, "category_weights": [0.9, 0.9, 0.9]}))
-    result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(tmp_path / "bad")])
+    result = run_cli(["synth", "--params", str(params), "--out", str(tmp_path / "bad")])
     assert result.exit_code == 2
     assert "sum" in result.output
 
@@ -540,14 +547,14 @@ def test_synth_malformed_params_file_exits_2(tmp_path, case):
     text, problem = _MALFORMED_PARAMS[case]
     params = tmp_path / "params.json"
     params.write_text(text)
-    result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(tmp_path / "o")])
+    result = run_cli(["synth", "--params", str(params), "--out", str(tmp_path / "o")])
     assert result.exit_code == 2, result.output
     assert result.output == f"error: {params}: malformed synth params ({problem})\n"
     assert not (tmp_path / "o").exists()
 
 
 def test_synth_unknown_preset_exits_2(tmp_path):
-    result = runner.invoke(main, ["synth", "--preset", "wat", "--out", str(tmp_path)])
+    result = run_cli(["synth", "--preset", "wat", "--out", str(tmp_path)])
     assert result.exit_code == 2
     assert "unknown preset" in result.output
 
@@ -580,7 +587,7 @@ def test_validate_reports_diagnostics(tmp_path):
     )
     tweets = tmp_path / "tweets.jsonl"
     tweets.write_text("")
-    result = runner.invoke(main, [
+    result = run_cli([
         "validate", "--config", str(cfg),
         "--users", str(users), "--tweets", str(tweets),
     ])
@@ -593,7 +600,7 @@ def test_validate_names_the_file_of_each_diagnostic(tmp_path):
     tweets = tmp_path / "tweets.jsonl"
     users.write_text((TOY / "users.jsonl").read_text() + "{bad\n")
     tweets.write_text((TOY / "tweets.jsonl").read_text() + "{bad\n")
-    result = runner.invoke(main, [
+    result = run_cli([
         "validate", "--config", str(TOY / "config.json"),
         "--users", str(users), "--tweets", str(tweets),
     ])
@@ -616,7 +623,7 @@ def test_config_without_both_wings_exits_2(tmp_path, command):
             "--tweets", str(TOY / "tweets.jsonl")]
     if command == "analyze":
         args += ["--out", str(tmp_path / "rep")]
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 2, result.output
     assert (
         "config validation failed: wing mapping must cover at least one Left and "
@@ -630,7 +637,7 @@ def test_validate_reports_invalid_utf8_line(tmp_path):
     toy_users = (TOY / "users.jsonl").read_bytes()
     assert toy_users.split(b"\n")[4].startswith(b'{"id":"u_bob"')
     users.write_bytes(toy_users.replace(b'"u_bob"', b'"u_b\xffob"', 1))
-    result = runner.invoke(main, [
+    result = run_cli([
         "validate", "--config", str(TOY / "config.json"),
         "--users", str(users), "--tweets", str(TOY / "tweets.jsonl"),
     ])
@@ -638,7 +645,7 @@ def test_validate_reports_invalid_utf8_line(tmp_path):
     assert f"{users}:5: invalid UTF-8" in result.output
 
     users.write_text(_escape_lone_surrogate(toy_users.decode(), "u_bob"))
-    result = runner.invoke(main, [
+    result = run_cli([
         "validate", "--config", str(TOY / "config.json"),
         "--users", str(users), "--tweets", str(TOY / "tweets.jsonl"),
     ])
@@ -740,7 +747,7 @@ def test_analyze_exits_0_or_2_on_noisy_inputs(tmp_path, inputs):
         (tmp_path / name).write_bytes(data)
     out = tmp_path / "rep"
     shutil.rmtree(out, ignore_errors=True)
-    result = runner.invoke(main, [
+    result = run_cli([
         "analyze", "--config", str(tmp_path / "config.json"),
         "--users", str(tmp_path / "users.jsonl"),
         "--tweets", str(tmp_path / "tweets.jsonl"), "--out", str(out),
@@ -751,3 +758,60 @@ def test_analyze_exits_0_or_2_on_noisy_inputs(tmp_path, inputs):
     if result.exit_code == 0:
         summary = json.loads((out / "summary.json").read_text())
         assert isinstance(summary["dataset"]["name"], str)
+
+
+# -- property: every flag value exits 0 or 2 ----------------------------------
+
+# Each flag's drawn values, then those of them its command accepts. No width
+# in (0, 1e-4) but 1e-300 is drawn: without the bin bound, such a width
+# allocated its bins, while 1e-300 failed at once.
+_FLAG_VALUES = {
+    "--bin-width": (
+        ["1e-300", "0", "-0.05", "1e-4", "0.05", "1", "1.5", "nan", "inf", "abc"],
+        {"1e-4", "0.05", "1"},
+    ),
+    "--thresholds": (["", "0.5", "0,1", "1,1.0", "nan", "a"], {"", "0.5"}),
+    "--alpha": (["0.01", "0", "1", "nan", "x"], {"0.01"}),
+    "--rng-seed": (["0", "-1", str(2**64), "x"], {"0", str(2**64)}),
+}
+
+
+def _flag(name: str):
+    return st.sampled_from(_FLAG_VALUES[name][0])
+
+
+@settings(
+    max_examples=30, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    bin_width=_flag("--bin-width"), thresholds=_flag("--thresholds"),
+    alpha=_flag("--alpha"), rng_seed=_flag("--rng-seed"),
+)
+def test_flags_exit_0_or_2(tmp_path, bin_width, thresholds, alpha, rng_seed):
+    """A flag value the command accepts leaves the exit code to the inputs,
+    as validate gives it; a refused one exits 2 before any file is written.
+    Never an internal error."""
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    validated = run_cli(_command_args("validate", None))
+    assert validated.exit_code == 0, validated.output
+    runs = [
+        (_command_args("analyze", out / "rep"),
+         {"--bin-width": bin_width, "--thresholds": thresholds}),
+        (_command_args("compare", out / "cmp"), {"--alpha": alpha}),
+        (["synth", "--preset", "uniform", "--out", out / "data"], {"--rng-seed": rng_seed}),
+    ]
+    for args, flags in runs:
+        result = run_cli(args + [part for flag in flags.items() for part in flag])
+        accepted = all(value in _FLAG_VALUES[flag][1] for flag, value in flags.items())
+        assert result.exit_code == (validated.exit_code if accepted else 2), result.output
+        assert "internal:" not in result.output
+        assert Path(args[-1]).exists() == accepted
+    if (out / "data").exists():
+        # validate and analyze agree on the generated crawl too
+        d = out / "data"
+        inputs = ["--config", d / "config.json", "--users", d / "users.jsonl",
+                  "--tweets", d / "tweets.jsonl"]
+        analyzed = run_cli(["analyze", *inputs, "--out", out / "drep"])
+        assert analyzed.exit_code == run_cli(["validate", *inputs]).exit_code, analyzed.output

@@ -27,15 +27,13 @@ import json
 import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from viewdiv import SynthParams, generate, write_dataset
-from viewdiv.cli import main
+
+from helpers import run_cli
 
 TOY = Path(__file__).resolve().parent / "data" / "toy"
-
-runner = CliRunner()
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,7 +106,7 @@ def _analyze(config_text: str, users: list[str], tweets: list[str], spam: list[s
         (d / "users.jsonl").write_text("".join(line + "\n" for line in users))
         (d / "tweets.jsonl").write_text("".join(line + "\n" for line in tweets))
         (d / "spam.txt").write_text("".join(u + "\n" for u in spam))
-        result = runner.invoke(main, [
+        result = run_cli([
             "analyze", "--config", str(d / "config.json"),
             "--users", str(d / "users.jsonl"), "--tweets", str(d / "tweets.jsonl"),
             "--spam", str(d / "spam.txt"), "--out", str(d / "rep"),

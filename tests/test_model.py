@@ -16,9 +16,10 @@ from viewdiv import (
     Wing,
     load_country_config,
     parse_tweets,
+    parse_users,
     validate_config,
 )
-from viewdiv.ingest import filter_active_regulars
+from viewdiv.ingest import filter_active_regulars, user_to_line
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -129,6 +130,18 @@ def test_user_record_invariants():
         UserRecord("s1", UserKind.SEED)  # seed needs a category
     with pytest.raises(ValueError):
         UserRecord("u1", UserKind.REGULAR, category="a")
+
+
+def test_user_record_holds_its_followees_as_a_frozenset():
+    """A line's follow list becomes a record's frozenset. A record given a
+    list would neither hash nor equal its parsed line, so it refuses one."""
+    with pytest.raises(ValueError, match="^a record's 'followees' must be a frozenset of ids$"):
+        UserRecord("u1", UserKind.REGULAR, followees=["s1", "s1"])
+    record = UserRecord("u1", UserKind.REGULAR, followees=frozenset({"s1"}))
+    assert hash(record) == hash(UserRecord("u1", UserKind.REGULAR, followees=frozenset(["s1"])))
+    line = '{"id":"u1","kind":"regular","followees":["s1","s1"]}'
+    assert parse_users([line]) == ([record], [])
+    assert parse_users([user_to_line(record)]) == ([record], [])
 
 
 def test_tweet_record_invariants():
