@@ -19,7 +19,7 @@ a line is held to :func:`~viewdiv.model.user_violation` or
 to as well, and its diagnostic is the rule's message. Lines are parsed
 as they are read, so any iterable of lines works, an open file included.
 The users go into the columns of a :class:`~viewdiv.model.UserTable`, each
-follow list as int codes that become seed positions after the last line,
+follow list as the int codes its ids are interned to as they are read,
 and the tweets straight into the columns of a
 :class:`~viewdiv.model.TweetTable`.
 
@@ -162,9 +162,10 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
 
     Duplicate user ids keep the first occurrence and flag the later line.
     Blank lines are skipped silently. A follow list may name an id more
-    than once, or before that id's own line: each followed id is interned
-    to an int code as it is read, and the codes become seed positions
-    once the last line is in (:meth:`UserTable.from_codes`).
+    than once, or before that id's own line: each seed's id and each
+    followed id is interned to an int code as it is read
+    (:func:`~viewdiv.model.intern_follows`), and the follow list holds
+    those codes, whatever order the lines come in.
     """
     ids: list[str] = []
     kinds = bytearray()
@@ -191,15 +192,14 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
         kind = USER_KIND_CODES[kind]
         seen_ids.add(uid)
         if kind == SEED:
-            # seeds interned as their lines come, so a file that lists them
-            # first, sorted, needs no remapping of the follow lists
+            # every seed has a code, followed or not
             codes.setdefault(uid, len(codes))
         ids.append(uid)
         kinds.append(kind)
         categories.append(category)
         follows.append(intern_follows(followees, codes))
 
-    return UserTable.from_codes(ids, kinds, categories, follows, codes), diagnostics
+    return UserTable(ids, kinds, categories, follows, codes), diagnostics
 
 
 def parse_tweets(lines: Iterable[str]) -> tuple[TweetTable, list[ParseDiagnostic]]:
@@ -296,6 +296,7 @@ def filter_active_regulars(
             distinct_seed_retweets.setdefault(author, set()).add(source)  # type: ignore[arg-type]
 
     codes = tweets.codes
+    is_seed = users.seed_mask()
     retained: list[int] = []
     dropped_spam = 0
     dropped_threshold = 0
@@ -306,10 +307,8 @@ def filter_active_regulars(
         if uid in spam_ids:
             dropped_spam += 1
             continue
-        # a follow list holds the seeds a user follows, so one that follows
-        # a seed is not empty
         active = len(distinct_seed_retweets.get(codes.get(uid, -1), ())) >= min_retweets
-        if follows and active:
+        if active and any(map(is_seed.__getitem__, follows)):
             retained.append(row)
         else:
             dropped_threshold += 1

@@ -5,8 +5,8 @@ exposure adds the originals its followees retweeted, each counted once
 however many paths reach it, and attributed to the original author's
 category, never the retweeter's. The set-level definition lives in
 :mod:`viewdiv.oracle`; :class:`ExposureIndex` holds the counts and bitsets
-the fast path needs, one row per seed position, and the fast path reads
-each follow list as the seed positions the user table holds.
+the fast path needs, one row per follow code, and the fast path reads
+each follow list as the follow codes the user table holds.
 
 All unit-interval metrics are ``None`` ("undefined") when the underlying
 activity is empty; undefined values are excluded from population statistics
@@ -162,21 +162,22 @@ def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
 class ExposureIndex:
     """Per-seed pieces of every user's exposure, from one read of the table.
 
-    ``seeds`` holds, for each seed position (the seed's index in
-    ``dataset.users.seed_ids``, what a follow list holds), the row a
-    user's followee loop adds up: ``(volume, category position, minority
-    volume, surfaced bits, authored bits)``. The volume is the number of
-    originals the seed wrote, its whole direct contribution (followed
-    seeds' originals never overlap); the minority volume is the same number
-    for a minority seed and 0 otherwise. The bits are Python-int bitsets
-    over the originals some seed retweeted, bit ``i`` for the i-th distinct
-    one in table order: the ones the seed retweeted, and the ones it wrote.
-    Each retweet's source author is its target in the tweet table, the
-    resolution ingest made once.
+    ``seeds`` holds, for each follow code of ``dataset.users`` (what a
+    follow list holds), the row a user's followee loop adds up:
+    ``(volume, category position, minority volume, surfaced bits, authored
+    bits)``, all 0 for a code that names no seed. The volume is the number
+    of originals the seed wrote, its whole direct contribution (followed
+    seeds' originals never overlap); the minority volume is the same
+    number for a minority seed and 0 otherwise. The bits are Python-int
+    bitsets over the originals some seed retweeted, bit ``i`` for the i-th
+    distinct one in table order: the ones the seed retweeted, and the ones
+    it wrote. Each retweet's source author is its target in the tweet
+    table, the resolution ingest made once.
 
-    ``category_of`` is each user code's category position in config order,
-    ``None`` for a non-seed and for code -1. ``category_masks`` (config
-    category order) and ``minority_mask`` group the bits by original author.
+    ``category_of`` is each tweet-table user code's category position in
+    config order, ``None`` for a non-seed and for code -1.
+    ``category_masks`` (config category order) and ``minority_mask`` group
+    the bits by original author.
     """
 
     def __init__(self, dataset: Dataset):
@@ -205,7 +206,8 @@ class ExposureIndex:
         originals = tweets.original_counts()
         category_masks = [0] * config.n_categories
         self.minority_mask = 0
-        self.seeds: list[tuple[int, int, int, int, int]] = []
+        follow_codes = dataset.users.codes
+        self.seeds = [(0, 0, 0, 0, 0)] * len(follow_codes)
         for s, pos in seeds:
             code = tweets.codes.get(s)
             volume = originals[s]
@@ -214,10 +216,10 @@ class ExposureIndex:
             minority = s in config.minority_user_ids
             if minority:
                 self.minority_mask |= a_bits
-            self.seeds.append((
+            self.seeds[follow_codes[s]] = (
                 volume, pos, volume if minority else 0,
                 surfaced.get(code, 0), a_bits,  # type: ignore[arg-type]
-            ))
+            )
         self.category_masks = tuple(category_masks)
 
 
@@ -230,7 +232,7 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     This is the batch path: it builds one :class:`ExposureIndex`, reads
     the regulars' retweets and replies once from the tweet table for the
     output histograms, and makes one pass over each regular's follow list,
-    adding up the rows of the seed positions it holds. A user's
+    adding up the rows of the follow codes it holds. A user's
     surfaced-new originals are the OR of its followees' surfaced bits minus
     the OR of their authored bits (originals already received directly);
     its indirect counts per category and for the minority are the direct

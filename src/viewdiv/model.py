@@ -14,7 +14,6 @@ message.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -354,8 +353,8 @@ class TweetTable:
 def intern_follows(followees: Iterable[str], codes: dict[str, int]) -> array:
     """The distinct ids in ``followees`` as an ascending ``array("i")`` of
     their codes in ``codes``, which interns each id on first sight: its
-    code is the number of ids interned before it. Input for
-    :meth:`UserTable.from_codes`."""
+    code is the number of ids interned before it. A follow list of a
+    :class:`UserTable`."""
     code = codes.__getitem__
     # most lists name only ids interned before, so look them up first
     try:
@@ -371,14 +370,15 @@ class UserTable:
 
     ``ids``, ``kinds`` (kind codes :data:`SEED` and :data:`REGULAR`) and
     ``categories`` (a seed's category, None for a regular) describe each
-    user. ``seed_ids`` holds the seeds' ids sorted; a seed's *position* is
-    its index there, so the order of the user lines never reaches an
-    output. ``follows`` holds each user's follow list as an ``array("i")``
-    of the positions of the seeds it follows, each once, ascending. The
-    followed ids that are no seed of the table (unknown ids and regulars)
-    are kept apart in ``non_seed_follows``, row -> sorted ids, and only for
-    the rows that have some, so that :func:`validate_config` can name them.
-    ``row_of`` maps each id to its row.
+    user. ``codes`` maps every seed's id and every followed id to its
+    *follow code*, the number of ids interned before it, as
+    :func:`intern_follows` hands them out; ``names`` maps a code back to
+    its id. ``follows`` holds each user's follow list as an ``array("i")``
+    of the codes of the ids it follows, each once, ascending: seeds of the
+    table, and any other id as read (:func:`validate_config` names those).
+    The codes follow the order in which the lines name ids, so nothing
+    that reaches an output may depend on them. ``seed_ids`` holds the
+    seeds' ids sorted, and ``row_of`` maps each id to its row.
 
     The analysis reads the columns. Iterating the table gives
     :class:`UserRecord` views; ``user_id in table`` and ``table[user_id]``
@@ -391,63 +391,16 @@ class UserTable:
         kinds: bytearray,
         categories: list[str | None],
         follows: list[array],
-        non_seed_follows: dict[int, tuple[str, ...]],
-        seed_ids: list[str],
+        codes: dict[str, int],
     ) -> None:
         self.ids = ids
         self.kinds = kinds
         self.categories = categories
         self.follows = follows
-        self.non_seed_follows = non_seed_follows
-        self.seed_ids = seed_ids
+        self.codes = codes
+        self.names = list(codes)  # codes were handed out in insertion order
+        self.seed_ids = sorted(compress(ids, kinds.translate(_SELECT[SEED])))
         self.row_of = dict(zip(ids, range(len(ids))))
-
-    @classmethod
-    def from_codes(
-        cls,
-        ids: list[str],
-        kinds: bytearray,
-        categories: list[str | None],
-        follows: list[array],
-        codes: dict[str, int],
-    ) -> UserTable:
-        """The table of these columns, where ``follows[row]`` holds the
-        codes that :func:`intern_follows` gave the ids a user follows. Once
-        every user is known, this turns the codes into seed positions, in
-        place in ``follows``, so seeds need not come first. ``ids`` must
-        name each user once.
-
-        Every code gets a position: a seed its index in ``seed_ids``, any
-        other id one past the seeds, in code order. When ``codes`` interned
-        the seeds first and in sorted order, as
-        :func:`~viewdiv.ingest.parse_users` does on a file that lists them
-        so (:func:`~viewdiv.ingest.write_dataset` writes one), each code is
-        its own position and the arrays are kept as they are.
-        """
-        seed_ids = sorted(compress(ids, kinds.translate(_SELECT[SEED])))
-        n_seeds = len(seed_ids)
-        position = [-1] * len(codes)
-        for p, seed_id in enumerate(seed_ids):
-            code = codes.get(seed_id)
-            if code is not None:
-                position[code] = p
-        names = list(seed_ids)  # the id at each position
-        for name, code in codes.items():
-            if position[code] < 0:
-                position[code] = len(names)
-                names.append(name)
-        remap = position != list(range(len(position)))
-        position_of = position.__getitem__
-        non_seed: dict[int, tuple[str, ...]] = {}
-        for row, coded in enumerate(follows):
-            if remap:
-                coded = follows[row] = array("i", sorted(map(position_of, coded)))
-            # ascending, so an id past the seeds ends the array
-            if coded and coded[-1] >= n_seeds:
-                split = bisect_left(coded, n_seeds)
-                non_seed[row] = tuple(sorted(names[p] for p in coded[split:]))
-                del coded[split:]
-        return cls(ids, kinds, categories, follows, non_seed, seed_ids)
 
     @classmethod
     def from_records(cls, records: Iterable[UserRecord]) -> UserTable:
@@ -464,24 +417,31 @@ class UserTable:
             if problem is not None:
                 raise ValueError(problem)
             seen.add(u.id)
+            kind = USER_KIND_CODES[u.kind]
+            if kind == SEED:
+                codes.setdefault(u.id, len(codes))
             ids.append(u.id)
-            kinds.append(USER_KIND_CODES[u.kind])
+            kinds.append(kind)
             categories.append(u.category)
             follows.append(intern_follows(u.followees, codes))
-        return cls.from_codes(ids, kinds, categories, follows, codes)
+        return cls(ids, kinds, categories, follows, codes)
 
     def take(self, rows: list[int]) -> UserTable:
-        """The given rows, in the given order, as a table over the same seed
-        positions; ``rows`` must hold the row of every seed."""
-        non_seed = self.non_seed_follows
+        """The given rows, in the given order, as a table over the same
+        follow codes; ``rows`` must hold the row of every seed."""
         return UserTable(
             [self.ids[r] for r in rows],
             bytearray(self.kinds[r] for r in rows),
             [self.categories[r] for r in rows],
             [self.follows[r] for r in rows],
-            {new: non_seed[old] for new, old in enumerate(rows) if old in non_seed},
-            self.seed_ids,
+            self.codes,
         )
+
+    def seed_mask(self) -> list[bool]:
+        """One flag per follow code, True where the code names a seed of
+        the table."""
+        seeds = set(self.seed_ids)
+        return [name in seeds for name in self.names]
 
     def select(self, kind: int) -> bytes:
         """One byte per row, 1 where the user is of ``kind``: a selector
@@ -489,17 +449,12 @@ class UserTable:
         return self.kinds.translate(_SELECT[kind])
 
     def seeds(self) -> list[tuple[str, str]]:
-        """Each seed's ``(id, category)``, in position order."""
+        """Each seed's ``(id, category)``, in row order."""
         seeds = compress(zip(self.ids, self.categories), self.select(SEED))
-        return sorted(seeds)  # type: ignore[arg-type]
+        return list(seeds)  # type: ignore[arg-type]
 
     def _row(self, row: int) -> tuple:
-        seed_ids = self.seed_ids
-        # ascending positions over sorted ids, so already in id order
-        followees = [seed_ids[p] for p in self.follows[row]]
-        others = self.non_seed_follows.get(row)
-        if others:
-            followees = sorted(followees + list(others))
+        followees = sorted(map(self.names.__getitem__, self.follows[row]))
         return self.ids[row], _USER_KINDS[self.kinds[row]], self.categories[row], followees
 
     def rows(self) -> Iterator[tuple]:
@@ -590,13 +545,15 @@ def validate_config(config: CountryConfig, users: UserTable) -> list[str]:
         elif users.kinds[row] != SEED:
             violations.append(f"minority id {mid!r} must be a seed user")
 
-    non_seed = users.non_seed_follows
-    for row, (uid, category) in enumerate(zip(users.ids, users.categories)):
+    non_seed = {code for code, seed in enumerate(users.seed_mask()) if not seed}
+    names = users.names
+    for uid, category, follows in zip(users.ids, users.categories, users.follows):
         # a seed's category is a string, a regular's None
         if category is not None and category not in seen:
             violations.append(f"seed {uid!r} references unknown category {category!r}")
         # a followed id that is no seed is a user of the table or no one
-        for f in non_seed.get(row, ()):
+        others = non_seed.intersection(follows) if non_seed else ()
+        for f in sorted(names[c] for c in others):
             if f in row_of:
                 violations.append(f"user {uid!r} follows non-seed {f!r}")
             else:

@@ -3,7 +3,7 @@
 Ground truth for equivalence testing: every metric is recomputed directly
 from its definition with plain loops over the user and tweet records (the
 record views of the dataset's user and tweet tables: a follow list is a
-set of seed ids, never the seed positions), sharing nothing with the
+set of seed ids, never the follow codes), sharing nothing with the
 metrics module (its exposure index included) except the domain types,
 result shapes and ``IO_MARGIN``. The set-level exposure view,
 :func:`exposure_timeline`, lives here for the same reason. Deliberately

@@ -115,8 +115,11 @@ def _resolve(params: SynthParams) -> tuple[SynthParams, list[str], list[int]]:
         raise ValueError(f"homophily must be in [0, 1], got {p.homophily}")
     if not 0.0 <= p.minority_tweet_share <= 1.0:
         raise ValueError("minority_tweet_share must be in [0, 1]")
-    if min(p.tweets_per_seed, p.retweets_per_regular, p.replies_per_regular) < 0:
-        raise ValueError("volume means must be non-negative")
+    for name in ("tweets_per_seed", "retweets_per_regular", "replies_per_regular"):
+        mean = getattr(p, name)
+        # NaN compares false, so a range check alone would let it through
+        if not math.isfinite(mean) or mean < 0:
+            raise ValueError(f"{name} must be finite and non-negative, got {mean}")
     if p.rng_seed < 0:
         raise ValueError("rng_seed must be non-negative")
 
@@ -130,6 +133,8 @@ def _resolve(params: SynthParams) -> tuple[SynthParams, list[str], list[int]]:
                 f"category_weights has {len(weights)} entries for "
                 f"{p.n_categories} categories"
             )
+        if not all(map(math.isfinite, weights)):
+            raise ValueError(f"category_weights must be finite, got {list(weights)}")
         if any(w < 0 for w in weights):
             raise ValueError("category_weights must be non-negative")
         if abs(sum(weights) - 1.0) > 1e-9:
@@ -324,9 +329,9 @@ def generate(params: SynthParams) -> Dataset:
             reach[seed_cat_idx[si]].append(si)
         act(rid, int(home_draws[ri]), reach, 1.0)
 
-    # The users as table columns, each follow list as seed indices: the
-    # codes of the seed ids in index order, ascending as each list is drawn.
-    users = UserTable.from_codes(
+    # The users as table columns, each follow list as follow codes: a
+    # seed's code is its index, ascending as each list is drawn.
+    users = UserTable(
         seed_ids + regular_ids,
         bytearray([SEED] * len(seed_ids) + [REGULAR] * len(regular_ids)),
         [cat_ids[ci] for ci in seed_cat_idx] + [None] * len(regular_ids),

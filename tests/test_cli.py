@@ -553,6 +553,34 @@ def test_synth_malformed_params_file_exits_2(tmp_path, case):
     assert not (tmp_path / "o").exists()
 
 
+_NON_FINITE_PARAMS = {
+    "weight_nan": (
+        '{"category_weights": [0.2, 0.2, 0.2, 0.2, NaN]}',
+        "category_weights must be finite, got [0.2, 0.2, 0.2, 0.2, nan]",
+    ),
+    "tweets_per_seed_nan": (
+        '{"tweets_per_seed": NaN}', "tweets_per_seed must be finite and non-negative, got nan"
+    ),
+    "replies_per_regular_infinite": (
+        '{"replies_per_regular": Infinity}',
+        "replies_per_regular must be finite and non-negative, got inf",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_PARAMS))
+def test_synth_non_finite_params_exit_2_naming_the_field(tmp_path, case):
+    """JSON's NaN and Infinity pass a range check, since NaN compares false;
+    each is refused by name before anything is generated or written."""
+    text, problem = _NON_FINITE_PARAMS[case]
+    params = tmp_path / "params.json"
+    params.write_text(text)
+    result = run_cli(["synth", "--params", str(params), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {problem}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_unknown_preset_exits_2(tmp_path):
     result = run_cli(["synth", "--preset", "wat", "--out", str(tmp_path)])
     assert result.exit_code == 2

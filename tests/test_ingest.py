@@ -1,13 +1,15 @@
 """Ingest pipeline tests: parsing, filtering, assembly, accounting."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import config, original, regular, retweet, seed
+from helpers import config, original, regular, reply, retweet, seed
 from viewdiv import (
     IngestError,
     ParseDiagnostic,
@@ -17,6 +19,7 @@ from viewdiv import (
     UserKind,
     UserRecord,
     UserTable,
+    compute_all,
     load_country_config,
     load_dataset,
     parse_spam,
@@ -30,6 +33,7 @@ from viewdiv.ingest import (
     tweet_to_line,
     user_to_line,
 )
+from viewdiv.model import validate_config
 
 USER_LINES = [
     '{"id":"s1","kind":"seed","category":"a","followees":[]}',
@@ -75,8 +79,9 @@ def test_parse_users_repeated_followee_is_one_edge():
 
 
 def test_parse_users_seeds_after_regulars_give_the_same_table():
-    """Positions are taken once the last line is in, so a file listing every
-    regular before the seeds parses to the same users and follow arrays."""
+    """Codes follow the order the lines name ids in, so a file listing every
+    regular before the seeds numbers them otherwise, yet each user follows
+    the same ids, a non-seed id included."""
     regulars_first = [
         '{"id":"u2","kind":"regular","followees":["s2","ghost","s1"]}',
         USER_LINES[2],
@@ -90,13 +95,94 @@ def test_parse_users_seeds_after_regulars_give_the_same_table():
 
     def by_id(table):
         return {
-            uid: (list(table.follows[row]), table.non_seed_follows.get(row))
+            uid: sorted(table.names[c] for c in table.follows[row])
             for uid, row in table.row_of.items()
         }
 
     assert by_id(late) == by_id(early) == {
-        "s1": ([], None), "s2": ([], None), "u1": ([0], None), "u2": ([0, 1], ("ghost",)),
+        "s1": [], "s2": [], "u1": ["s1"], "u2": ["ghost", "s1", "s2"],
     }
+
+
+def _mask_crawl() -> tuple[dict, list[str], list[str]]:
+    """(config object, user lines in written order, tweet lines): u2 follows
+    a ghost id and the regular u1, and retweets too few seed originals to be
+    kept; u1 and u3 follow seeds only."""
+    cfg = {
+        "name": "mask",
+        "categories": [{"id": "a", "wing": "left"}, {"id": "b", "wing": "right"}],
+        "minority_user_ids": ["s3"],
+    }
+    users = [
+        {"id": "s1", "kind": "seed", "category": "a", "followees": ["s2"]},
+        {"id": "s2", "kind": "seed", "category": "b", "followees": []},
+        {"id": "s3", "kind": "seed", "category": "b", "followees": []},
+        {"id": "u1", "kind": "regular", "followees": ["s1", "s2"]},
+        {"id": "u2", "kind": "regular", "followees": ["ghost", "s3", "u1"]},
+        {"id": "u3", "kind": "regular", "followees": ["s3", "s2", "s1"]},
+    ]
+    tweets = [
+        original(f"{s}o{i}", s, ts=i) for s in ("s1", "s2", "s3") for i in (1, 2, 3)
+    ]
+    retweets = {
+        "s1": ["s2o1"], "s2": ["s3o1", "s1o2"],
+        "u1": ["s1o1", "s1o2", "s2o1", "s2o2", "s3o1"],
+        "u2": ["s1o1", "s2o1", "s3o1", "s3o2"],
+        "u3": ["s1o3", "s2o3", "s3o2", "s3o3", "s2o1"],
+    }
+    for author, sources in retweets.items():
+        tweets += [retweet(f"{author}r{i}", author, src, ts=9) for i, src in enumerate(sources)]
+    tweets += [
+        reply("s3p", "s3", "s1", ts=10), reply("u1p", "u1", "s2", ts=10),
+        reply("u3p", "u3", "s3", ts=10),
+    ]
+    return cfg, [json.dumps(u) for u in users], [tweet_to_line(t) for t in tweets]
+
+
+def test_follow_codes_never_reach_an_output(tmp_path):
+    """A users file listing the seeds after the regulars, in reverse-sorted
+    order, numbers the followed ids otherwise: each new id of one follow
+    list gets its code in set order, which the hash seed changes. The seed
+    mask that validation and the filter read must still mark each seed, so
+    the messages, the metrics and the report bytes equal the written
+    order's."""
+    cfg_obj, written, tweet_lines = _mask_crawl()
+    reversed_users = written[::-1]
+    (tmp_path / "config.json").write_text(json.dumps(cfg_obj))
+    (tmp_path / "tweets.jsonl").write_text("".join(line + "\n" for line in tweet_lines))
+    cfg = load_country_config(tmp_path / "config.json")
+    results = []
+    for lines in (written, reversed_users):
+        users, diags = parse_users(lines)
+        assert diags == []
+        assert validate_config(cfg, users) == [
+            "user 'u2' follows unknown id 'ghost'",
+            "user 'u2' follows non-seed 'u1'",
+        ]
+        ds, report, _ = load_dataset(cfg, lines, tweet_lines)
+        assert report.users_dropped_threshold == 1
+        results.append(compute_all(ds))
+    assert results[0] == results[1]
+    assert [m.user_id for m in results[0][0]] == ["u1", "u3"]
+
+    reports = []
+    for name, lines in (("written", written), ("reversed", reversed_users)):
+        users_path = tmp_path / f"{name}.jsonl"
+        users_path.write_text("".join(line + "\n" for line in lines))
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"{name}-{hash_seed}"
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "viewdiv.cli", "analyze",
+                    "--config", str(tmp_path / "config.json"), "--users", str(users_path),
+                    "--tweets", str(tmp_path / "tweets.jsonl"), "--out", str(out),
+                ],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(reports[0]) == 9 and all(r == reports[0] for r in reports)
 
 
 def test_parse_users_ignores_unknown_keys_and_blank_lines():

@@ -20,6 +20,12 @@ again on one transformed copy per property:
 
 So the order in which ingest meets ids, the way a line is spelled, and the
 order and repeats within a follow list never reach a report.
+
+A second property adds input that a drop policy must discard, one kind at a
+time: a spam-listed regular with its tweets, a regular under the retweet
+threshold with its tweets, and tweets by authors that are no user. Each
+moves the ingest counts of ``summary.json`` by exactly what it added, and
+no other report byte.
 """
 
 import functools
@@ -264,3 +270,104 @@ def test_reports_do_not_depend_on_input_order_or_id_spelling(crawl, rnd, gaps):
 
     reversed_follows = _reversed_follows(users, rnd)
     assert _analyze(config_text, reversed_follows, tweets, spam) == base, "follow lists reversed"
+
+
+# A prefix no crawl above uses, so every id made with it is fresh.
+_NEW = "zz-added-"
+
+
+def _insert(data, lines: list[str], added: list[str]) -> list[str]:
+    """``lines`` with each of ``added`` inserted at a drawn place."""
+    out = list(lines)
+    for line in added:
+        out.insert(data.draw(st.integers(0, len(out))), line)
+    return out
+
+
+def _new_tweets(data, label, authors, sources, targets, max_retweets) -> list[str]:
+    """Lines of tweets with fresh ids by ``authors``: one to three originals,
+    at most ``max_retweets`` retweets of ``sources`` and up to three replies
+    to ``targets``."""
+    counts = {
+        "original": data.draw(st.integers(1, 3)),
+        "retweet": data.draw(st.integers(0, max_retweets)),
+        "reply": data.draw(st.integers(0, 3)),
+    }
+    lines = []
+    for kind, count in counts.items():
+        for _ in range(count):
+            record = {
+                "id": f"{_NEW}{label}-{len(lines)}",
+                "author_id": data.draw(st.sampled_from(authors)),
+                "kind": kind,
+            }
+            if kind == "retweet":
+                record["source_tweet_id"] = data.draw(st.sampled_from(sources))
+            elif kind == "reply":
+                record["target_user_id"] = data.draw(st.sampled_from(targets))
+            record["timestamp"] = data.draw(st.integers(0, 100))
+            lines.append(_dumps(record))
+    return lines
+
+
+def _with_counts(reports: dict, **deltas: int) -> dict:
+    """``reports`` with the ingest counts of ``summary.json`` moved by
+    ``deltas``, spelled as ``analyze`` writes the file."""
+    summary = json.loads(reports["summary.json"])
+    ingest = summary["dataset"]["ingest"]
+    for key, delta in deltas.items():
+        ingest[key] += delta
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    return {**reports, "summary.json": text.encode()}
+
+
+@settings(
+    max_examples=20, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(crawl=_crawl(), data=st.data())
+def test_dropped_input_moves_only_the_ingest_counts(crawl, data):
+    config_text, users, tweets, spam = crawl
+    base = _analyze(config_text, users, tweets, spam)
+    assert _with_counts(base) == base, "summary.json spelled as analyze writes it"
+
+    user_records = [r for r in map(_record, users) if r is not None]
+    user_ids = [r["id"] for r in user_records]
+    seeds = [r["id"] for r in user_records if r["kind"] == "seed"]
+    sources = sorted({r["id"] for r in map(_record, tweets) if r is not None})
+    sources.append(f"{_NEW}never-crawled")
+    followees = st.lists(st.sampled_from(user_ids + ["ghost"]), max_size=4)
+
+    spammer = _NEW + "spammer"
+    line = _dumps({"id": spammer, "kind": "regular", "followees": data.draw(followees)})
+    added = _new_tweets(data, "spam", [spammer], sources, user_ids, max_retweets=8)
+    after = _analyze(
+        config_text, _insert(data, users, [line]), _insert(data, tweets, added),
+        spam + [spammer],
+    )
+    assert after == _with_counts(
+        base, users_read=1, users_dropped_spam=1,
+        tweets_read=len(added), tweets_dropped_dangling=len(added),
+    ), "spam-listed regular"
+
+    # it follows a seed and retweets at most 4 originals, under the threshold of 5
+    quiet = _NEW + "quiet"
+    line = _dumps({
+        "id": quiet, "kind": "regular",
+        "followees": [data.draw(st.sampled_from(seeds))] + data.draw(followees),
+    })
+    added = _new_tweets(data, "quiet", [quiet], sources, user_ids, max_retweets=4)
+    after = _analyze(
+        config_text, _insert(data, users, [line]), _insert(data, tweets, added), spam
+    )
+    assert after == _with_counts(
+        base, users_read=1, users_dropped_threshold=1,
+        tweets_read=len(added), tweets_dropped_dangling=len(added),
+    ), "regular under the threshold"
+
+    strangers = [_NEW + "stranger-1", _NEW + "stranger-2"]
+    added = _new_tweets(data, "stranger", strangers, sources, user_ids, max_retweets=8)
+    after = _analyze(config_text, users, _insert(data, tweets, added), spam)
+    assert after == _with_counts(
+        base, tweets_read=len(added), tweets_dropped_dangling=len(added)
+    ), "tweets by unknown authors"
