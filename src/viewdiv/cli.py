@@ -113,7 +113,8 @@ def _summary_object(
     matrix: WingMatrix,
 ) -> dict:
     originals = dataset.tweets.original_counts()
-    minority_originals = sum(originals[m] for m in dataset.config.minority_user_ids)
+    codes = dataset.users.codes
+    minority_originals = sum(originals[codes[m]] for m in dataset.config.minority_user_ids)
     metrics_obj = {}
     for field in METRIC_FIELDS:
         samples = _defined(per_user, field)

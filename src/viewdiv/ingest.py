@@ -19,9 +19,10 @@ a line is held to :func:`~viewdiv.model.user_violation` or
 to as well, and its diagnostic is the rule's message. Lines are parsed
 as they are read, so any iterable of lines works, an open file included.
 The users go into the columns of a :class:`~viewdiv.model.UserTable`, each
-follow list as the int codes its ids are interned to as they are read,
-and the tweets straight into the columns of a
-:class:`~viewdiv.model.TweetTable`.
+id and each follow list as the int codes of its
+:class:`~viewdiv.model.CodeMap`, and the tweets straight into the columns
+of a :class:`~viewdiv.model.TweetTable` over the same map: one code per
+user id, from parse to kernel.
 
 A tweet line is read by its shape. One in exactly the compact form that
 :func:`write_dataset` writes (``{"id":"t1","author_id":"u1","kind":
@@ -38,7 +39,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -48,7 +49,7 @@ from .model import (
     RETWEET,
     SEED,
     TWEET_KIND_CODES,
-    USER_KIND_CODES,
+    CodeMap,
     CountryConfig,
     Dataset,
     PoliticalCategory,
@@ -59,7 +60,6 @@ from .model import (
     UserRecord,
     UserTable,
     Wing,
-    intern_follows,
     tweet_violation,
     user_violation,
     validate_config,
@@ -162,18 +162,13 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
 
     Duplicate user ids keep the first occurrence and flag the later line.
     Blank lines are skipped silently. A follow list may name an id more
-    than once, or before that id's own line: each seed's id and each
-    followed id is interned to an int code as it is read
-    (:func:`~viewdiv.model.intern_follows`), and the follow list holds
+    than once, or before that id's own line: each user's id and each
+    followed id gets an int code in the table's code map as it is read
+    (:meth:`~viewdiv.model.UserTable.append`), and the follow list holds
     those codes, whatever order the lines come in.
     """
-    ids: list[str] = []
-    kinds = bytearray()
-    categories: list[str | None] = []
-    follows: list = []
-    codes: dict[str, int] = {}
+    users = UserTable([], bytearray(), [], [], CodeMap())
     diagnostics: list[ParseDiagnostic] = []
-    seen_ids: set[str] = set()
 
     for line_no, line in enumerate(lines, start=1):
         obj, diag = _parse_line(line, line_no)
@@ -185,26 +180,20 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
         get = obj.get
         uid, kind, category = get("id"), get("kind"), get("category")
         followees = get("followees", [])
-        problem = user_violation(uid, kind, category, followees, seen_ids)
+        problem = user_violation(uid, kind, category, followees, users.row_of)
         if problem is not None:
             diagnostics.append(ParseDiagnostic(line_no, problem))
             continue
-        kind = USER_KIND_CODES[kind]
-        seen_ids.add(uid)
-        if kind == SEED:
-            # every seed has a code, followed or not
-            codes.setdefault(uid, len(codes))
-        ids.append(uid)
-        kinds.append(kind)
-        categories.append(category)
-        follows.append(intern_follows(followees, codes))
+        users.append(uid, kind, category, followees)
 
-    return UserTable(ids, kinds, categories, follows, codes), diagnostics
+    return users, diagnostics
 
 
-def parse_tweets(lines: Iterable[str]) -> tuple[TweetTable, list[ParseDiagnostic]]:
-    """Parse tweet lines into one :class:`TweetTable`; analogous to
-    :func:`parse_users`.
+def parse_tweets(lines: Iterable[str], codes: CodeMap) -> tuple[TweetTable, list[ParseDiagnostic]]:
+    """Parse tweet lines into one :class:`TweetTable` over ``codes``, the
+    code map of the users they are read with (``users.codes``); analogous
+    to :func:`parse_users`. An author or reply target that no user line
+    names is interned into ``codes`` as it is read.
 
     Every well-formed line becomes a row, repeated ids included, so that
     ``len(table)`` counts the parsed lines; :func:`load_dataset` keeps the
@@ -220,9 +209,9 @@ def parse_tweets(lines: Iterable[str]) -> tuple[TweetTable, list[ParseDiagnostic
     passes that rule and decodes to its groups, so the path a line takes
     never changes its row or its diagnostic.
     """
-    table = TweetTable()
+    table = TweetTable(codes)
     diagnostics: list[ParseDiagnostic] = []
-    code = table.code
+    code = codes.__getitem__
     add_id = table.ids.append
     add_kind = table.kinds.append
     add_author = table.authors.append
@@ -295,19 +284,20 @@ def filter_active_regulars(
         if target >= 0:
             distinct_seed_retweets.setdefault(author, set()).add(source)  # type: ignore[arg-type]
 
-    codes = tweets.codes
     is_seed = users.seed_mask()
     retained: list[int] = []
     dropped_spam = 0
     dropped_threshold = 0
-    for row, (uid, kind, follows) in enumerate(zip(users.ids, users.kinds, users.follows)):
+    for row, (uid, code, kind, follows) in enumerate(
+        zip(users.ids, users.user_codes, users.kinds, users.follows)
+    ):
         if kind == SEED:
             retained.append(row)
             continue
         if uid in spam_ids:
             dropped_spam += 1
             continue
-        active = len(distinct_seed_retweets.get(codes.get(uid, -1), ())) >= min_retweets
+        active = len(distinct_seed_retweets.get(code, ())) >= min_retweets
         if active and any(map(is_seed.__getitem__, follows)):
             retained.append(row)
         else:
@@ -325,18 +315,21 @@ def build_dataset(
 
     ``users`` is a table as :func:`parse_users` or
     :meth:`~viewdiv.model.UserTable.from_records` builds it. ``tweets``
-    must hold each id once and its retweets be resolved against the seeds
-    in ``users`` (:meth:`~viewdiv.model.TweetTable.resolve`). An original
-    is kept iff its author is in ``users``; a retweet or reply is kept iff
-    its author and the user it points at are in ``users``; the rest
-    dangle. Config validation failure raises :class:`IngestError`.
-    Returns ``(dataset, tweets_dropped_dangling)``.
+    must be a table over the same code map, ``users.codes`` (else
+    ValueError), hold each id once and have its retweets resolved against
+    ``users`` (:meth:`~viewdiv.model.TweetTable.resolve`). An original is
+    kept iff its author is in ``users``; a retweet or reply is kept iff its
+    author and the user it points at are in ``users``; the rest dangle.
+    Config validation failure raises :class:`IngestError`. Returns
+    ``(dataset, tweets_dropped_dangling)``.
     """
+    if tweets.codes is not users.codes:
+        raise ValueError("the tweet table is not over the user table's code map")
     violations = validate_config(config, users)
     if violations:
         raise IngestError(violations)
 
-    retained = tweets.by_code(dict.fromkeys(users.ids, True), False)
+    retained = users.per_code(repeat(True), False)
     keep = [
         retained[author] and (kind == ORIGINAL or retained[target])
         for author, kind, target in zip(tweets.authors, tweets.kinds, tweets.targets)
@@ -368,8 +361,8 @@ def load_dataset(
     users first, each naming its file.
     """
     users, user_diags = parse_users(user_lines)
-    parsed, tweet_diags = parse_tweets(tweet_lines)
-    tweets = parsed.resolve(set(users.seed_ids))
+    parsed, tweet_diags = parse_tweets(tweet_lines, users.codes)
+    tweets = parsed.resolve(users)
     retained, dropped_spam, dropped_threshold = filter_active_regulars(
         users, tweets, spam_ids, min_retweets
     )

@@ -5,8 +5,9 @@ exposure adds the originals its followees retweeted, each counted once
 however many paths reach it, and attributed to the original author's
 category, never the retweeter's. The set-level definition lives in
 :mod:`viewdiv.oracle`; :class:`ExposureIndex` holds the counts and bitsets
-the fast path needs, one row per follow code, and the fast path reads
-each follow list as the follow codes the user table holds.
+the fast path needs, one row per user code, and the fast path reads each
+follow list and each tweet's author and target as codes of the one code
+map the user and tweet tables share.
 
 All unit-interval metrics are ``None`` ("undefined") when the underlying
 activity is empty; undefined values are excluded from population statistics
@@ -21,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 
-from .model import REGULAR, REPLY, RETWEET, Dataset, Wing
+from .model import REGULAR, REPLY, RETWEET, SEED, Dataset, Wing
 
 IO_MARGIN = 0.15  # the "bias above 15%" of io_correlated_15
 
@@ -131,13 +132,11 @@ def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
     A retweet's target is the seed that wrote its source, as resolved in
     the tweet table.
     """
-    config = dataset.config
     side = {Wing.LEFT: 0, Wing.RIGHT: 1}
+    side_of_category = {c.id: side.get(c.wing) for c in dataset.config.categories}
     tweets = dataset.tweets
-    side_of = tweets.by_code({
-        seed_id: side.get(config.wing_of(category))
-        for seed_id, category in dataset.users.seeds()
-    }, None)
+    # a regular's category, None, has no side
+    side_of = dataset.users.per_code(map(side_of_category.get, dataset.users.categories), None)
     cells = [[0, 0], [0, 0]]  # [actor side][target side], left = 0
     # an original's target, -1, has side None
     for author, target in zip(tweets.authors, tweets.targets):
@@ -162,32 +161,32 @@ def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
 class ExposureIndex:
     """Per-seed pieces of every user's exposure, from one read of the table.
 
-    ``seeds`` holds, for each follow code of ``dataset.users`` (what a
-    follow list holds), the row a user's followee loop adds up:
-    ``(volume, category position, minority volume, surfaced bits, authored
-    bits)``, all 0 for a code that names no seed. The volume is the number
-    of originals the seed wrote, its whole direct contribution (followed
-    seeds' originals never overlap); the minority volume is the same
-    number for a minority seed and 0 otherwise. The bits are Python-int
-    bitsets over the originals some seed retweeted, bit ``i`` for the i-th
-    distinct one in table order: the ones the seed retweeted, and the ones
-    it wrote. Each retweet's source author is its target in the tweet
-    table, the resolution ingest made once.
+    ``seeds`` holds, for each code of the dataset's code map (what a
+    follow list and the tweet table hold), the row a user's followee loop
+    adds up: ``(volume, category position, minority volume, surfaced bits,
+    authored bits)``, all 0 for a code that names no seed. The volume is
+    the number of originals the seed wrote, its whole direct contribution
+    (followed seeds' originals never overlap); the minority volume is the
+    same number for a minority seed and 0 otherwise. The bits are
+    Python-int bitsets over the originals some seed retweeted, bit ``i``
+    for the i-th distinct one in table order: the ones the seed retweeted,
+    and the ones it wrote. Each retweet's source author is its target in
+    the tweet table, the resolution ingest made once.
 
-    ``category_of`` is each tweet-table user code's category position in
-    config order, ``None`` for a non-seed and for code -1.
-    ``category_masks`` (config category order) and ``minority_mask`` group
-    the bits by original author.
+    ``category_of`` is each code's category position in config order,
+    ``None`` for a non-seed and for code -1. ``category_masks`` (config
+    category order) and ``minority_mask`` group the bits by original
+    author.
     """
 
     def __init__(self, dataset: Dataset):
         config = dataset.config
+        users = dataset.users
         tweets = dataset.tweets
         category_pos = {c: i for i, c in enumerate(config.category_ids)}
-        seeds = [
-            (seed_id, category_pos[category]) for seed_id, category in dataset.users.seeds()
-        ]
-        self.category_of = category_of = tweets.by_code(dict(seeds), None)
+        # a regular's category, None, has no position
+        category_of = users.per_code(map(category_pos.get, users.categories), None)
+        self.category_of = category_of
 
         position: dict[str, int] = {}
         surfaced: dict[int, int] = {}
@@ -206,19 +205,17 @@ class ExposureIndex:
         originals = tweets.original_counts()
         category_masks = [0] * config.n_categories
         self.minority_mask = 0
-        follow_codes = dataset.users.codes
-        self.seeds = [(0, 0, 0, 0, 0)] * len(follow_codes)
-        for s, pos in seeds:
-            code = tweets.codes.get(s)
-            volume = originals[s]
-            a_bits = authored.get(code, 0)  # type: ignore[arg-type]
+        self.seeds = [(0, 0, 0, 0, 0)] * len(users.codes)
+        for s, code in compress(zip(users.ids, users.user_codes), users.select(SEED)):
+            pos = category_of[code]
+            volume = originals[code]
+            a_bits = authored.get(code, 0)
             category_masks[pos] |= a_bits
             minority = s in config.minority_user_ids
             if minority:
                 self.minority_mask |= a_bits
-            self.seeds[follow_codes[s]] = (
-                volume, pos, volume if minority else 0,
-                surfaced.get(code, 0), a_bits,  # type: ignore[arg-type]
+            self.seeds[code] = (
+                volume, pos, volume if minority else 0, surfaced.get(code, 0), a_bits,
             )
         self.category_masks = tuple(category_masks)
 
@@ -248,9 +245,11 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     # the regulars' output histograms, from their retweets and replies
     tweets = dataset.tweets
     users = dataset.users
-    # (id, follow list) by id; ids are unique, so no two lists are compared
-    regulars = sorted(compress(zip(users.ids, users.follows), users.select(REGULAR)))
-    is_regular = tweets.by_code({uid: True for uid, _ in regulars}, False)
+    # (id, code, follow list) by id; ids are unique, so no two codes are compared
+    regulars = sorted(compress(
+        zip(users.ids, users.user_codes, users.follows), users.select(REGULAR)
+    ))
+    is_regular = users.per_code([kind == REGULAR for kind in users.kinds], False)
     category_of = index.category_of
     output_counts: list[dict[int, list[int]]] = []
     for kind in (RETWEET, REPLY):
@@ -266,9 +265,8 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     no_counts = [0] * n
     category_masks = index.category_masks
     minority_mask = index.minority_mask
-    codes = tweets.codes
     results: list[UserMetrics] = []
-    for uid, follows in regulars:
+    for uid, code, follows in regulars:
         direct = [0] * n
         direct_minority = 0
         surfaced = 0
@@ -283,17 +281,14 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
         indirect = [d + (new & m).bit_count() for d, m in zip(direct, category_masks)]
         indirect_total = sum(indirect)
         indirect_minority = direct_minority + (new & minority_mask).bit_count()
-        code = codes.get(uid)
-        rt = retweet_counts.get(code, no_counts)  # type: ignore[arg-type]
+        rt = retweet_counts.get(code, no_counts)
         results.append(
             UserMetrics(
                 user_id=uid,
                 direct_source_diversity=normalized_entropy(direct, n),
                 indirect_source_diversity=normalized_entropy(indirect, n),
                 retweet_diversity=normalized_entropy(rt, n),
-                reply_diversity=normalized_entropy(
-                    reply_counts.get(code, no_counts), n  # type: ignore[arg-type]
-                ),
+                reply_diversity=normalized_entropy(reply_counts.get(code, no_counts), n),
                 minority_reach=(
                     indirect_minority / total_minority if total_minority else None
                 ),

@@ -3,7 +3,9 @@
 Users and tweets are each held as a column table (:class:`UserTable`,
 :class:`TweetTable`) that the analysis reads; :class:`UserRecord` and
 :class:`TweetRecord` are their record views, for the oracle, the generator,
-the writer and the tests.
+the writer and the tests. Both tables name users by the int codes of one
+:class:`CodeMap`, which the user table owns and its tweet tables share, so
+no stage translates a code through an id.
 
 :func:`user_violation` and :func:`tweet_violation` are the one rule of a
 user and a tweet, held to each line by the parsers and to each record by
@@ -196,38 +198,50 @@ def tweet_violation(
     return None
 
 
+class CodeMap(dict):
+    """The one code space of a crawl: each user id to its *code*, the
+    number of ids interned before it. Looking up an id the map lacks
+    interns it, so ``codes[user_id]`` is always a code; ``names`` maps a
+    code back to its id. A :class:`UserTable` owns one, and every
+    :class:`TweetTable` over its users shares it, so a code names the same
+    user in both. ``ids`` are interned in the given order."""
+
+    def __init__(self, ids: Iterable[str] = ()) -> None:
+        self.names: list[str] = list(dict.fromkeys(ids))
+        super().__init__(zip(self.names, range(len(self.names))))
+
+    def __missing__(self, user_id: str) -> int:
+        code = self[user_id] = len(self.names)
+        self.names.append(user_id)
+        return code
+
+
 class TweetTable:
-    """Tweets as parallel columns, one row per tweet, in input order.
+    """Tweets as parallel columns, one row per tweet, in input order, over
+    a :class:`CodeMap`.
 
     ``kinds`` holds kind codes (:data:`ORIGINAL`, :data:`RETWEET`,
-    :data:`REPLY`). ``authors`` and ``targets`` hold codes into ``names``,
-    the user ids the rows name, interned in first-seen order (``codes`` maps
-    them back). ``targets`` is the user a row points at: a reply's target,
-    a retweet's source author once :meth:`resolve` has run, and -1
-    otherwise (an original, or a retweet whose source is no seed's
-    original). ``sources`` holds a retweet's source tweet id as read and
-    None for the other kinds, and ``ids`` and ``timestamps`` complete the
-    record. The analysis reads the columns; iterating the table gives
-    :class:`TweetRecord` views.
+    :data:`REPLY`). ``authors`` and ``targets`` hold user codes in
+    ``codes``, the code map of the user table the tweets are read with; an
+    id no user line names is interned into it on first sight, and
+    ``names`` (the map's own list) maps every code back. ``targets`` is the
+    user a row points at: a reply's target, a retweet's source author once
+    :meth:`resolve` has run, and -1 otherwise (an original, or a retweet
+    whose source is no seed's original). ``sources`` holds a retweet's
+    source tweet id as read and None for the other kinds, and ``ids`` and
+    ``timestamps`` complete the record. The analysis reads the columns;
+    iterating the table gives :class:`TweetRecord` views.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, codes: CodeMap) -> None:
         self.ids: list[str] = []
         self.kinds = bytearray()
         self.authors = array("i")
         self.sources: list[str | None] = []
         self.targets = array("i")
         self.timestamps: list[int] = []
-        self.names: list[str] = []
-        self.codes: dict[str, int] = {}
-
-    def code(self, user_id: str) -> int:
-        """The code of a user id, interned on first sight."""
-        code = self.codes.get(user_id)
-        if code is None:
-            code = self.codes[user_id] = len(self.names)
-            self.names.append(user_id)
-        return code
+        self.codes = codes
+        self.names = codes.names
 
     def append(
         self,
@@ -242,15 +256,15 @@ class TweetTable:
         ``source_tweet_id`` and only a reply its ``target_user_id``."""
         self.ids.append(tweet_id)
         self.kinds.append(kind)
-        self.authors.append(self.code(author_id))
+        self.authors.append(self.codes[author_id])
         self.sources.append(source_tweet_id if kind == RETWEET else None)
-        target = self.code(target_user_id) if kind == REPLY else -1  # type: ignore[arg-type]
-        self.targets.append(target)
+        self.targets.append(self.codes[target_user_id] if kind == REPLY else -1)
         self.timestamps.append(timestamp)
 
     @classmethod
-    def from_records(cls, records: Iterable[TweetRecord]) -> TweetTable:
-        table = cls()
+    def from_records(cls, records: Iterable[TweetRecord], codes: CodeMap) -> TweetTable:
+        """The table of these tweets, in the given order, over ``codes``."""
+        table = cls(codes)
         for t in records:
             table.append(
                 t.id, TWEET_KIND_CODES[t.kind], t.author_id, t.source_tweet_id,
@@ -259,9 +273,8 @@ class TweetTable:
         return table
 
     def take(self, rows: list[int]) -> TweetTable:
-        """The given rows, in the given order, as a table sharing ``names``."""
-        table = TweetTable()
-        table.names, table.codes = self.names, self.codes
+        """The given rows, in the given order, as a table over the same codes."""
+        table = TweetTable(self.codes)
         table.ids = [self.ids[i] for i in rows]
         table.kinds = bytearray(self.kinds[i] for i in rows)
         table.authors = array("i", [self.authors[i] for i in rows])
@@ -270,15 +283,18 @@ class TweetTable:
         table.timestamps = [self.timestamps[i] for i in rows]
         return table
 
-    def resolve(self, seed_ids) -> TweetTable:
+    def resolve(self, users: UserTable) -> TweetTable:
         """The rows that hold the first occurrence of their id, each retweet
         pointing at the seed that wrote its source: the table itself,
         resolved in place, when no id repeats.
 
         A retweet whose source is the id of a kept original written by a
-        user in ``seed_ids`` gets that author's code as its target; every
-        other retweet gets -1. Other rows keep theirs.
+        seed of ``users`` gets that author's code as its target; every
+        other retweet gets -1. Other rows keep theirs. ``users`` must be
+        the table over the same code map (else ValueError).
         """
+        if users.codes is not self.codes:
+            raise ValueError("the tweet table is not over the user table's code map")
         ids = self.ids
         table = self
         if len(set(ids)) != len(ids):
@@ -287,7 +303,7 @@ class TweetTable:
             table = self.take(sorted(
                 dict(zip(reversed(ids), range(len(ids) - 1, -1, -1))).values()
             ))
-        is_seed = [name in seed_ids for name in table.names]
+        is_seed = users.seed_mask()
         seed_author_of = {
             tid: author
             for tid, author in compress(zip(table.ids, table.authors), table.select(ORIGINAL))
@@ -300,26 +316,14 @@ class TweetTable:
         ])
         return table
 
-    def by_code(self, value_of: dict, default) -> list:
-        """``value_of`` (keyed by user id) as a list indexed by user code:
-        ``default`` for the other codes and for code -1, which indexes the
-        extra last entry."""
-        values = [default] * (len(self.names) + 1)
-        for user_id, value in value_of.items():
-            code = self.codes.get(user_id)
-            if code is not None:
-                values[code] = value
-        return values
-
     def select(self, kind: int) -> bytes:
         """One byte per row, 1 where the row is of ``kind``: a selector
         for :func:`itertools.compress`."""
         return self.kinds.translate(_SELECT[kind])
 
-    def original_counts(self) -> Counter[str]:
-        """The number of originals per author id."""
-        counts = Counter(compress(self.authors, self.select(ORIGINAL)))
-        return Counter({self.names[a]: n for a, n in counts.items()})
+    def original_counts(self) -> Counter[int]:
+        """The number of originals per author code."""
+        return Counter(compress(self.authors, self.select(ORIGINAL)))
 
     def rows(self) -> Iterator[tuple]:
         """Each row as a tuple in :class:`TweetRecord` field order."""
@@ -350,35 +354,20 @@ class TweetTable:
         return f"TweetTable({len(self)} rows)"
 
 
-def intern_follows(followees: Iterable[str], codes: dict[str, int]) -> array:
-    """The distinct ids in ``followees`` as an ascending ``array("i")`` of
-    their codes in ``codes``, which interns each id on first sight: its
-    code is the number of ids interned before it. A follow list of a
-    :class:`UserTable`."""
-    code = codes.__getitem__
-    # most lists name only ids interned before, so look them up first
-    try:
-        return array("i", sorted(set(map(code, followees))))
-    except KeyError:
-        new = set(followees).difference(codes)
-        codes.update(zip(new, range(len(codes), len(codes) + len(new))))
-        return array("i", sorted(set(map(code, followees))))
-
-
 class UserTable:
     """Users as parallel columns, one row per user id, in input order.
 
     ``ids``, ``kinds`` (kind codes :data:`SEED` and :data:`REGULAR`) and
     ``categories`` (a seed's category, None for a regular) describe each
-    user. ``codes`` maps every seed's id and every followed id to its
-    *follow code*, the number of ids interned before it, as
-    :func:`intern_follows` hands them out; ``names`` maps a code back to
-    its id. ``follows`` holds each user's follow list as an ``array("i")``
-    of the codes of the ids it follows, each once, ascending: seeds of the
-    table, and any other id as read (:func:`validate_config` names those).
-    The codes follow the order in which the lines name ids, so nothing
-    that reaches an output may depend on them. ``seed_ids`` holds the
-    seeds' ids sorted, and ``row_of`` maps each id to its row.
+    user. ``codes`` is the table's :class:`CodeMap`: every user's id has a
+    code, held in ``user_codes`` by row, and so has every followed id and
+    every id a tweet table over the same map names; ``names`` maps a code
+    back to its id. ``follows`` holds each user's follow list as an
+    ``array("i")`` of the codes of the ids it follows, each once,
+    ascending: seeds of the table, and any other id as read
+    (:func:`validate_config` names those). The codes follow the order in
+    which the lines name ids, so nothing that reaches an output may depend
+    on them. ``row_of`` maps each id to its row.
 
     The analysis reads the columns. Iterating the table gives
     :class:`UserRecord` views; ``user_id in table`` and ``table[user_id]``
@@ -391,44 +380,45 @@ class UserTable:
         kinds: bytearray,
         categories: list[str | None],
         follows: list[array],
-        codes: dict[str, int],
+        codes: CodeMap,
     ) -> None:
         self.ids = ids
         self.kinds = kinds
         self.categories = categories
         self.follows = follows
         self.codes = codes
-        self.names = list(codes)  # codes were handed out in insertion order
-        self.seed_ids = sorted(compress(ids, kinds.translate(_SELECT[SEED])))
+        self.names = codes.names
+        self.user_codes = array("i", map(codes.__getitem__, ids))
         self.row_of = dict(zip(ids, range(len(ids))))
+
+    def append(self, user_id: str, kind, category: str | None, followees) -> None:
+        """Add one user, its fields held to :func:`user_violation` by the
+        caller; ``kind`` is a :class:`UserKind` or its value. Its id and
+        each id it follows get a code, on first sight."""
+        self.row_of[user_id] = len(self.ids)
+        self.ids.append(user_id)
+        self.kinds.append(USER_KIND_CODES[kind])
+        self.categories.append(category)
+        code = self.codes.__getitem__
+        self.user_codes.append(code(user_id))
+        self.follows.append(array("i", sorted(set(map(code, followees)))))
 
     @classmethod
     def from_records(cls, records: Iterable[UserRecord]) -> UserTable:
-        """The table of these users, in the given order; an id given twice
-        raises ValueError with the message a repeated user line gets."""
-        ids: list[str] = []
-        kinds = bytearray()
-        categories: list[str | None] = []
-        follows: list[array] = []
-        codes: dict[str, int] = {}
-        seen: set[str] = set()
+        """The table of these users, in the given order, over a new code
+        map; an id given twice raises ValueError with the message a
+        repeated user line gets."""
+        table = cls([], bytearray(), [], [], CodeMap())
         for u in records:
-            problem = user_violation(u.id, u.kind, u.category, u.followees, seen)
+            problem = user_violation(u.id, u.kind, u.category, u.followees, table.row_of)
             if problem is not None:
                 raise ValueError(problem)
-            seen.add(u.id)
-            kind = USER_KIND_CODES[u.kind]
-            if kind == SEED:
-                codes.setdefault(u.id, len(codes))
-            ids.append(u.id)
-            kinds.append(kind)
-            categories.append(u.category)
-            follows.append(intern_follows(u.followees, codes))
-        return cls(ids, kinds, categories, follows, codes)
+            table.append(u.id, u.kind, u.category, u.followees)
+        return table
 
     def take(self, rows: list[int]) -> UserTable:
         """The given rows, in the given order, as a table over the same
-        follow codes; ``rows`` must hold the row of every seed."""
+        codes; ``rows`` must hold the row of every seed."""
         return UserTable(
             [self.ids[r] for r in rows],
             bytearray(self.kinds[r] for r in rows),
@@ -437,21 +427,28 @@ class UserTable:
             self.codes,
         )
 
+    @property
+    def seed_ids(self) -> list[str]:
+        """The seeds' ids, sorted."""
+        return sorted(compress(self.ids, self.select(SEED)))
+
+    def per_code(self, values: Iterable, default) -> list:
+        """``values``, one per row, as a list indexed by code: ``default``
+        at the codes of no row, and at code -1, which indexes the extra last
+        entry."""
+        out = [default] * (len(self.codes) + 1)
+        for code, value in zip(self.user_codes, values):
+            out[code] = value
+        return out
+
     def seed_mask(self) -> list[bool]:
-        """One flag per follow code, True where the code names a seed of
-        the table."""
-        seeds = set(self.seed_ids)
-        return [name in seeds for name in self.names]
+        """One flag per code, True where the code names a seed of the table."""
+        return self.per_code([kind == SEED for kind in self.kinds], False)
 
     def select(self, kind: int) -> bytes:
         """One byte per row, 1 where the user is of ``kind``: a selector
         for :func:`itertools.compress`."""
         return self.kinds.translate(_SELECT[kind])
-
-    def seeds(self) -> list[tuple[str, str]]:
-        """Each seed's ``(id, category)``, in row order."""
-        seeds = compress(zip(self.ids, self.categories), self.select(SEED))
-        return list(seeds)  # type: ignore[arg-type]
 
     def _row(self, row: int) -> tuple:
         followees = sorted(map(self.names.__getitem__, self.follows[row]))
@@ -501,11 +498,11 @@ class Dataset:
     table of the kept tweets, each id once and its retweets resolved: each
     points at the seed that wrote its source.
     :func:`viewdiv.ingest.build_dataset` builds every dataset, from lines
-    through :func:`viewdiv.ingest.load_dataset` or from tables built by
-    :meth:`UserTable.from_records` and resolved by
-    :meth:`TweetTable.resolve`. It validates the config and drops every
-    tweet whose references dangle, so the analysis modules assume every
-    reference resolves.
+    through :func:`viewdiv.ingest.load_dataset` or from a table built by
+    :meth:`UserTable.from_records` and a tweet table over its codes
+    (:meth:`TweetTable.from_records`) resolved by :meth:`TweetTable.resolve`.
+    It validates the config and drops every tweet whose references dangle,
+    so the analysis modules assume every reference resolves.
     """
 
     config: CountryConfig
@@ -552,8 +549,7 @@ def validate_config(config: CountryConfig, users: UserTable) -> list[str]:
         if category is not None and category not in seen:
             violations.append(f"seed {uid!r} references unknown category {category!r}")
         # a followed id that is no seed is a user of the table or no one
-        others = non_seed.intersection(follows) if non_seed else ()
-        for f in sorted(names[c] for c in others):
+        for f in sorted(names[c] for c in non_seed.intersection(follows)):
             if f in row_of:
                 violations.append(f"user {uid!r} follows non-seed {f!r}")
             else:

@@ -46,6 +46,7 @@ import numpy as np
 
 from .ingest import build_dataset
 from .model import (
+    CodeMap,
     CountryConfig,
     ORIGINAL,
     REGULAR,
@@ -67,6 +68,11 @@ FOLLOW_DENSITY = 0.5
 # Seed retweets are what surface tweets into followers' indirect timelines,
 # so this also sets the strength of indirect exposure.
 SEED_ACTIVITY_FACTOR = 0.5
+
+# The largest volume mean (tweets_per_seed, retweets_per_regular,
+# replies_per_regular) generate accepts: far above any preset, yet it keeps
+# the draws, and the tweets they post, from growing without bound.
+MAX_VOLUME_MEAN = 1e6
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,8 @@ def _resolve(params: SynthParams) -> tuple[SynthParams, list[str], list[int]]:
         # NaN compares false, so a range check alone would let it through
         if not math.isfinite(mean) or mean < 0:
             raise ValueError(f"{name} must be finite and non-negative, got {mean}")
+        if mean > MAX_VOLUME_MEAN:
+            raise ValueError(f"{name} must be at most {MAX_VOLUME_MEAN:g}, got {mean}")
     if p.rng_seed < 0:
         raise ValueError("rng_seed must be non-negative")
 
@@ -241,7 +249,10 @@ def generate(params: SynthParams) -> Dataset:
                 split = rng.multinomial(target, np.full(len(m_idx), 1.0 / len(m_idx)))
                 volumes[m_idx] = split
 
-    tweets = TweetTable()
+    # one code map for every id, so a seed's code is its index
+    regular_ids = [f"u{i + 1:06d}" for i in range(p.n_regulars)]
+    codes = CodeMap(seed_ids + regular_ids)
+    tweets = TweetTable(codes)
 
     def post(kind: int, author: str, source: str | None = None, target: str | None = None) -> str:
         """Append one tweet; its id and timestamp both number it from 1."""
@@ -303,7 +314,6 @@ def generate(params: SynthParams) -> Dataset:
         act(sid, home, reach, SEED_ACTIVITY_FACTOR)
 
     # regulars: home category, Bernoulli follows, then activity on the followed seeds
-    regular_ids = [f"u{i + 1:06d}" for i in range(p.n_regulars)]
     home_draws = rng.choice(n, size=p.n_regulars, p=weights) if p.n_regulars else []
     # per home category, each seed's follow probability
     follow_p_of_seed = [
@@ -329,21 +339,21 @@ def generate(params: SynthParams) -> Dataset:
             reach[seed_cat_idx[si]].append(si)
         act(rid, int(home_draws[ri]), reach, 1.0)
 
-    # The users as table columns, each follow list as follow codes: a
-    # seed's code is its index, ascending as each list is drawn.
+    # The users as table columns, each follow list as codes: a seed's code
+    # is its index, ascending as each list is drawn.
     users = UserTable(
         seed_ids + regular_ids,
         bytearray([SEED] * len(seed_ids) + [REGULAR] * len(regular_ids)),
         [cat_ids[ci] for ci in seed_cat_idx] + [None] * len(regular_ids),
         [array("i") for _ in seed_ids] + [array("i", follows) for follows in followees_of],
-        {sid: si for si, sid in enumerate(seed_ids)},
+        codes,
     )
     config = CountryConfig(
         name="synthetic",
         categories=categories,
         minority_user_ids=minority_user_ids,
     )
-    return build_dataset(config, users, tweets.resolve(set(seed_ids)))[0]
+    return build_dataset(config, users, tweets.resolve(users))[0]
 
 
 def presets() -> dict[str, SynthParams]:

@@ -64,7 +64,7 @@ def dataset(cfg: CountryConfig, users, tweets) -> Dataset:
     config and drops dangling tweets."""
     table = UserTable.from_records(users)
     return build_dataset(
-        cfg, table, TweetTable.from_records(tweets).resolve(set(table.seed_ids))
+        cfg, table, TweetTable.from_records(tweets, table.codes).resolve(table)
     )[0]
 
 

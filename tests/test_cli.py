@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from viewdiv import parse_tweets
 from viewdiv.cli import METRIC_FIELDS
+from viewdiv.model import CodeMap
 
 from helpers import run_cli
 
@@ -280,7 +281,7 @@ def test_references_of_other_kinds_are_dropped(tmp_path):
     tweets = tmp_path / "tweets.jsonl"
     tweets.write_text("".join(line + "\n" for line in lines))
 
-    table, diags = parse_tweets(lines)
+    table, diags = parse_tweets(lines, CodeMap())
     records = {t.id: t for t in table}
     assert diags == [] and len(records) == len(lines)
     assert records["t01"].target_user_id is None and records["t01"].source_tweet_id is None
@@ -581,6 +582,22 @@ def test_synth_non_finite_params_exit_2_naming_the_field(tmp_path, case):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "field", ["tweets_per_seed", "retweets_per_regular", "replies_per_regular"]
+)
+@pytest.mark.parametrize("mean", ["1e300", "1000000.5"])
+def test_synth_volume_mean_above_the_bound_exits_2(tmp_path, field, mean):
+    """A finite mean above synth.MAX_VOLUME_MEAN is refused by name before
+    anything is drawn; 1e300 used to reach numpy's own "lam value too
+    large"."""
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({field: float(mean)}))
+    result = run_cli(["synth", "--params", str(params), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {field} must be at most 1e+06, got {float(mean)}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_unknown_preset_exits_2(tmp_path):
     result = run_cli(["synth", "--preset", "wat", "--out", str(tmp_path)])
     assert result.exit_code == 2
@@ -843,3 +860,84 @@ def test_flags_exit_0_or_2(tmp_path, bin_width, thresholds, alpha, rng_seed):
                   "--tweets", d / "tweets.jsonl"]
         analyzed = run_cli(["analyze", *inputs, "--out", out / "drep"])
         assert analyzed.exit_code == run_cli(["validate", *inputs]).exit_code, analyzed.output
+
+
+# -- property: analyze and validate agree on mutated input files --------------
+
+_TOY_SPAM = b"u_carol\nnobody\n"
+# A value of another JSON type than the key's own, per type of the value.
+_OTHER_TYPE = {str: 7, list: "x", dict: ["x"], int: "7", type(None): {"k": 1}}
+
+
+def _wrong_type(data: bytes, line: int, key: int) -> bytes:
+    """The ``line``-th line of ``data`` with its ``key``-th key's value of
+    another JSON type; the file as it was if that line is no JSON object."""
+    lines = data.split(b"\n")
+    i = line % len(lines)
+    try:
+        record = json.loads(lines[i])
+    except ValueError:
+        return data
+    if not isinstance(record, dict) or not record:
+        return data
+    name = sorted(record)[key % len(record)]
+    record[name] = _OTHER_TYPE.get(type(record[name]), None)
+    lines[i] = json.dumps(record).encode()
+    return b"\n".join(lines)
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """``data`` unchanged, empty, with one byte flipped, truncated, with a
+    line repeated or deleted, or with one key of a line given a value of the
+    wrong JSON type."""
+    how = draw(st.sampled_from(
+        ["same", "empty", "flip", "truncate", "duplicate", "delete", "wrong_type"]
+    ))
+    if how == "empty":
+        return b""
+    if how == "flip":
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + bytes([data[i] ^ draw(st.sampled_from([1, 0x20, 0x80]))]) + data[i + 1:]
+    if how == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    lines = data.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    if how == "duplicate":
+        return b"".join(lines[: i + 1] + lines[i:])
+    if how == "delete":
+        return b"".join(lines[:i] + lines[i + 1:])
+    if how == "wrong_type":
+        return _wrong_type(data, i, draw(st.integers(0, 5)))
+    return data
+
+
+@settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    config=_mutated((TOY / "config.json").read_bytes()),
+    users=_mutated((TOY / "users.jsonl").read_bytes()),
+    tweets=_mutated((TOY / "tweets.jsonl").read_bytes()),
+    spam=_mutated(_TOY_SPAM),
+)
+def test_mutated_files_exit_0_or_2_and_commands_agree(tmp_path, config, users, tweets, spam):
+    """Whatever is done to the bytes of the four input files, analyze and
+    validate each exit 0 or 2, never with an internal error, and both give
+    the same one of the two."""
+    inputs = []
+    for flag, name, data in (
+        ("--config", "config.json", config), ("--users", "users.jsonl", users),
+        ("--tweets", "tweets.jsonl", tweets), ("--spam", "spam.txt", spam),
+    ):
+        (tmp_path / name).write_bytes(data)
+        inputs += [flag, str(tmp_path / name)]
+    out = tmp_path / "rep"
+    shutil.rmtree(out, ignore_errors=True)
+    analyzed = run_cli(["analyze", *inputs, "--out", str(out)])
+    validated = run_cli(["validate", *inputs])
+    for result in (analyzed, validated):
+        assert result.exit_code in (0, 2), result.output
+        assert "internal:" not in result.output
+    assert analyzed.exit_code == validated.exit_code, (analyzed.output, validated.output)

@@ -33,7 +33,7 @@ from viewdiv.ingest import (
     tweet_to_line,
     user_to_line,
 )
-from viewdiv.model import validate_config
+from viewdiv.model import CodeMap, validate_config
 
 USER_LINES = [
     '{"id":"s1","kind":"seed","category":"a","followees":[]}',
@@ -107,7 +107,9 @@ def test_parse_users_seeds_after_regulars_give_the_same_table():
 def _mask_crawl() -> tuple[dict, list[str], list[str]]:
     """(config object, user lines in written order, tweet lines): u2 follows
     a ghost id and the regular u1, and retweets too few seed originals to be
-    kept; u1 and u3 follow seeds only."""
+    kept; u1 and u3 follow seeds only. Three tweets name ids no user line
+    names, and dangle: an original and a retweet by the unknown author
+    "nobody", and u1's reply to the ghost."""
     cfg = {
         "name": "mask",
         "categories": [{"id": "a", "wing": "left"}, {"id": "b", "wing": "right"}],
@@ -135,54 +137,65 @@ def _mask_crawl() -> tuple[dict, list[str], list[str]]:
     tweets += [
         reply("s3p", "s3", "s1", ts=10), reply("u1p", "u1", "s2", ts=10),
         reply("u3p", "u3", "s3", ts=10),
+        original("xo", "nobody", ts=11), retweet("xr", "nobody", "s1o1", ts=11),
+        reply("u1g", "u1", "ghost", ts=12),
     ]
     return cfg, [json.dumps(u) for u in users], [tweet_to_line(t) for t in tweets]
 
 
 def test_follow_codes_never_reach_an_output(tmp_path):
     """A users file listing the seeds after the regulars, in reverse-sorted
-    order, numbers the followed ids otherwise: each new id of one follow
-    list gets its code in set order, which the hash seed changes. The seed
-    mask that validation and the filter read must still mark each seed, so
-    the messages, the metrics and the report bytes equal the written
-    order's."""
+    order, numbers the followed ids otherwise, and a tweets file in reverse
+    order interns its unknown ids otherwise: every id of one line gets its
+    code in the order the line names it, and the tweets hand out codes in
+    the users' code map too. The seed mask that validation and the filter
+    read must still mark each seed, so the messages, the metrics and the
+    report bytes equal the written order's."""
     cfg_obj, written, tweet_lines = _mask_crawl()
-    reversed_users = written[::-1]
+    users_files = {"written": written, "reversed": written[::-1]}
+    tweets_files = {"written": tweet_lines, "reversed": tweet_lines[::-1]}
     (tmp_path / "config.json").write_text(json.dumps(cfg_obj))
-    (tmp_path / "tweets.jsonl").write_text("".join(line + "\n" for line in tweet_lines))
+    for kind, files in (("users", users_files), ("tweets", tweets_files)):
+        for name, lines in files.items():
+            (tmp_path / f"{kind}-{name}.jsonl").write_text("".join(f"{x}\n" for x in lines))
     cfg = load_country_config(tmp_path / "config.json")
     results = []
-    for lines in (written, reversed_users):
-        users, diags = parse_users(lines)
+    for user_lines in users_files.values():
+        users, diags = parse_users(user_lines)
         assert diags == []
         assert validate_config(cfg, users) == [
             "user 'u2' follows unknown id 'ghost'",
             "user 'u2' follows non-seed 'u1'",
         ]
-        ds, report, _ = load_dataset(cfg, lines, tweet_lines)
-        assert report.users_dropped_threshold == 1
-        results.append(compute_all(ds))
-    assert results[0] == results[1]
+        for lines in tweets_files.values():
+            ds, report, _ = load_dataset(cfg, user_lines, lines)
+            assert report.users_dropped_threshold == 1
+            # u2's four retweets, the unknown author's two and the reply to the ghost
+            assert report.tweets_dropped_dangling == 7
+            results.append(compute_all(ds))
+    assert all(r == results[0] for r in results)
     assert [m.user_id for m in results[0][0]] == ["u1", "u3"]
 
     reports = []
-    for name, lines in (("written", written), ("reversed", reversed_users)):
-        users_path = tmp_path / f"{name}.jsonl"
-        users_path.write_text("".join(line + "\n" for line in lines))
-        for hash_seed in ("0", "1"):
-            out = tmp_path / f"{name}-{hash_seed}"
-            proc = subprocess.run(
-                [
-                    sys.executable, "-m", "viewdiv.cli", "analyze",
-                    "--config", str(tmp_path / "config.json"), "--users", str(users_path),
-                    "--tweets", str(tmp_path / "tweets.jsonl"), "--out", str(out),
-                ],
-                capture_output=True, text=True,
-                env={**os.environ, "PYTHONHASHSEED": hash_seed},
-            )
-            assert proc.returncode == 0, proc.stderr
-            reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(reports[0]) == 9 and all(r == reports[0] for r in reports)
+    for users_name in users_files:
+        for tweets_name in tweets_files:
+            for hash_seed in ("0", "1"):
+                out = tmp_path / f"{users_name}-{tweets_name}-{hash_seed}"
+                proc = subprocess.run(
+                    [
+                        sys.executable, "-m", "viewdiv.cli", "analyze",
+                        "--config", str(tmp_path / "config.json"),
+                        "--users", str(tmp_path / f"users-{users_name}.jsonl"),
+                        "--tweets", str(tmp_path / f"tweets-{tweets_name}.jsonl"),
+                        "--out", str(out),
+                    ],
+                    capture_output=True, text=True,
+                    env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                )
+                assert proc.returncode == 0, proc.stderr
+                reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(reports) == 8 and len(reports[0]) == 9
+    assert all(r == reports[0] for r in reports)
 
 
 def test_parse_users_ignores_unknown_keys_and_blank_lines():
@@ -198,16 +211,20 @@ def test_parse_users_invalid_json():
 
 def test_parse_tweets_retweet_requires_source():
     ok, diags = parse_tweets(
-        ['{"id":"t1","author_id":"u1","kind":"retweet","source_tweet_id":"t0","timestamp":1}']
+        ['{"id":"t1","author_id":"u1","kind":"retweet","source_tweet_id":"t0","timestamp":1}'],
+        CodeMap(),
     )
     assert len(ok) == 1 and diags == []
-    bad, diags = parse_tweets(['{"id":"t1","author_id":"u1","kind":"retweet","timestamp":1}'])
+    bad, diags = parse_tweets(
+        ['{"id":"t1","author_id":"u1","kind":"retweet","timestamp":1}'], CodeMap()
+    )
     assert bad == [] and len(diags) == 1
 
 
 def test_parse_tweets_reply_requires_target():
     ok, diags = parse_tweets(
-        ['{"id":"t1","author_id":"u1","kind":"reply","target_user_id":"s1","timestamp":1}']
+        ['{"id":"t1","author_id":"u1","kind":"reply","target_user_id":"s1","timestamp":1}'],
+        CodeMap(),
     )
     assert len(ok) == 1 and diags == []
 
@@ -218,7 +235,7 @@ def test_parse_tweets_non_string_reference_is_diagnosed(field, value):
     kind = "retweet" if field == "source_tweet_id" else "reply"
     line = json.dumps({"id": "t1", "author_id": "u1", "kind": kind, field: value})
     ok_line = json.dumps({"id": "t2", "author_id": "u1", "kind": kind, field: "x"})
-    tweets, diags = parse_tweets([ok_line, line])
+    tweets, diags = parse_tweets([ok_line, line], CodeMap())
     assert [t.id for t in tweets] == ["t2"]
     assert len(diags) == 1 and diags[0].line_no == 2
     assert diags[0].message == f"'{field}' must be a string"
@@ -226,7 +243,7 @@ def test_parse_tweets_non_string_reference_is_diagnosed(field, value):
 
 def test_parse_tweets_non_string_reference_on_original_is_diagnosed():
     line = '{"id":"t1","author_id":"s1","kind":"original","target_user_id":["s2"]}'
-    tweets, diags = parse_tweets([line])
+    tweets, diags = parse_tweets([line], CodeMap())
     assert tweets == [] and len(diags) == 1
 
 
@@ -274,7 +291,8 @@ def test_parse_users_escaped_lone_surrogate_is_invalid_utf8(field, surrogate):
 
 @pytest.mark.parametrize("field", sorted(_TWEETS))
 def test_parse_tweets_escaped_lone_surrogate_is_invalid_utf8(field):
-    tweets, diags = parse_tweets([_with_escaped_suffix(_TWEETS[field], field, "\udcff")])
+    line = _with_escaped_suffix(_TWEETS[field], field, "\udcff")
+    tweets, diags = parse_tweets([line], CodeMap())
     assert tweets == [] and diags == [ParseDiagnostic(1, "invalid UTF-8")]
 
 
@@ -283,7 +301,8 @@ def test_parse_escaped_surrogate_pair_and_backslash_are_accepted():
     users, diags = parse_users([_with_escaped_suffix(_USER, "id", emoji)])
     assert diags == [] and [u.id for u in users] == ["s9" + emoji]
     # an escaped backslash before "udcff" is text, not a \u escape
-    tweets, diags = parse_tweets([_with_escaped_suffix(_TWEETS["id"], "id", "\\udcff")])
+    line = _with_escaped_suffix(_TWEETS["id"], "id", "\\udcff")
+    tweets, diags = parse_tweets([line], CodeMap())
     assert diags == [] and [t.id for t in tweets] == ["t1\\udcff"]
 
 
@@ -336,8 +355,8 @@ _STRING_FIELDS = ("id", "author_id", "source_tweet_id", "target_user_id")
 
 
 def _assert_paths_agree(line: str) -> None:
-    fast, fast_diags = parse_tweets([line])
-    slow, slow_diags = parse_tweets([" " + line])
+    fast, fast_diags = parse_tweets([line], CodeMap())
+    slow, slow_diags = parse_tweets([" " + line], CodeMap())
     assert list(fast.rows()) == list(slow.rows())
     assert fast_diags == slow_diags
 
@@ -610,7 +629,7 @@ def test_tweet_record_refuses_what_its_line_refuses(fields):
     """A record refuses exactly the fields its line gets a diagnostic for,
     with the same message, and a reference the line may carry but its kind
     drops; each record that constructs round-trips through its line."""
-    parsed, diags = parse_tweets([json.dumps(fields)])
+    parsed, diags = parse_tweets([json.dumps(fields)], CodeMap())
     refusal = _refusal(TweetRecord, **fields)
     if diags:
         assert [refusal] == [d.message for d in diags]
@@ -624,7 +643,7 @@ def test_tweet_record_refuses_what_its_line_refuses(fields):
     assert refusal is None
     record = TweetRecord(**fields)
     assert list(parsed) == [record]
-    assert parse_tweets([tweet_to_line(record)]) == ([record], [])
+    assert parse_tweets([tweet_to_line(record)], CodeMap()) == ([record], [])
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -701,21 +720,19 @@ def _seed_originals(users, tweets) -> dict[str, str]:
     }
 
 
-def _resolved(users, tweets) -> TweetTable:
-    """The tweets as a table holding each id once, each retweet pointing at
-    the seed in ``users`` that wrote its source: what load_dataset hands
-    both the filter and the build."""
-    return TweetTable.from_records(tweets).resolve(
-        {u.id for u in users if u.kind is UserKind.SEED}
-    )
+def _tables(users, tweets) -> tuple[UserTable, TweetTable]:
+    """The table of ``users``, and the tweets as a table over its codes
+    holding each id once, each retweet pointing at the seed in ``users``
+    that wrote its source: what load_dataset hands both the filter and the
+    build."""
+    table = UserTable.from_records(users)
+    return table, TweetTable.from_records(tweets, table.codes).resolve(table)
 
 
 def _filter(users, tweets, **kwargs):
     """filter_active_regulars on the table of ``users`` and the resolved
     table of ``tweets``."""
-    return filter_active_regulars(
-        UserTable.from_records(users), _resolved(users, tweets), **kwargs
-    )
+    return filter_active_regulars(*_tables(users, tweets), **kwargs)
 
 
 def _activity(n_retweets: int):
@@ -787,7 +804,7 @@ def test_build_drops_dangling_and_dedupes():
     assert report.tweets_read == 5
     # build_dataset itself drops the dangling source and author
     deduped = [tweets[0], *tweets[2:]]
-    ds, dropped = build_dataset(cfg, UserTable.from_records(users), _resolved(users, deduped))
+    ds, dropped = build_dataset(cfg, *_tables(users, deduped))
     assert [t.id for t in ds.tweets] == ["o1", "r1"]
     assert dropped == 2
 
@@ -796,7 +813,7 @@ def test_build_drops_retweet_of_regular_original():
     cfg = config({"a": "left", "b": "right"})
     users = [seed("s1", "a"), regular("u1", ["s1"]), regular("u2", ["s1"])]
     tweets = [original("o1", "u1"), retweet("r1", "u2", "o1")]
-    ds, dropped = build_dataset(cfg, UserTable.from_records(users), _resolved(users, tweets))
+    ds, dropped = build_dataset(cfg, *_tables(users, tweets))
     # the regular's original is kept, but a retweet of it violates the
     # seed-original requirement and dangles
     assert [t.id for t in ds.tweets] == ["o1"]
@@ -807,7 +824,7 @@ def test_build_clean_inputs_identity():
     cfg = config({"a": "left", "b": "right"})
     users = [seed("s1", "a"), seed("s2", "b")]
     tweets = [original("o1", "s1"), original("o2", "s2")]
-    ds, dropped = build_dataset(cfg, UserTable.from_records(users), _resolved(users, tweets))
+    ds, dropped = build_dataset(cfg, *_tables(users, tweets))
     assert len(ds.tweets) == 2 and dropped == 0
     loaded, report, _ = load_dataset(
         cfg, [user_to_line(u) for u in users], [tweet_to_line(t) for t in tweets]
@@ -816,10 +833,32 @@ def test_build_clean_inputs_identity():
     assert report.users_read == 2 and report.tweets_read == 2
 
 
+def test_tables_over_another_code_map_are_refused():
+    """A code names a user only in its own map: tables built apart, even
+    from the same records, are refused by the resolution and the build
+    before anything is read. Resolving against a table listing the same
+    users in another order would keep a retweet of a regular's original
+    and drop one of a seed's."""
+    cfg = config({"a": "left", "b": "right"})
+    users = [seed("s1", "a"), seed("s2", "b"), regular("u1", ["s1"])]
+    tweets = [original("o1", "s1"), retweet("r1", "u1", "o1"), original("o2", "u1")]
+    table, resolved = _tables(users, tweets)
+    reordered = UserTable.from_records(users[::-1])
+    with pytest.raises(ValueError, match="not over the user table's code map"):
+        TweetTable.from_records(tweets, table.codes).resolve(reordered)
+    for other_users, other_tweets in (
+        (reordered, resolved),
+        (table, TweetTable.from_records(tweets, CodeMap())),
+    ):
+        with pytest.raises(ValueError, match="not over the user table's code map"):
+            build_dataset(cfg, other_users, other_tweets)
+    assert [t.id for t in build_dataset(cfg, table, resolved)[0].tweets] == ["o1", "r1", "o2"]
+
+
 def test_build_fails_on_invalid_config():
     cfg = config({"a": "left"})  # n < 2
     with pytest.raises(IngestError) as exc:
-        build_dataset(cfg, UserTable.from_records([seed("s1", "a")]), _resolved([], []))
+        build_dataset(cfg, *_tables([seed("s1", "a")], []))
     assert any("n < 2" in v for v in exc.value.violations)
 
 
@@ -1082,7 +1121,7 @@ def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
         return
 
     parsed_users, user_diags = parse_users(user_lines)
-    parsed_tweets, tweet_diags = parse_tweets(tweet_lines)
+    parsed_tweets, tweet_diags = parse_tweets(tweet_lines, parsed_users.codes)
     assert len(diags) == len(user_diags) + len(tweet_diags)
     for message, how in (
         ("invalid UTF-8", "bad_utf8"),

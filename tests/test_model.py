@@ -20,6 +20,7 @@ from viewdiv import (
     validate_config,
 )
 from viewdiv.ingest import filter_active_regulars, user_to_line
+from viewdiv.model import CodeMap
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -89,7 +90,7 @@ def test_validate_rejects_dangling_and_nonseed_followees():
         regular("u1", ["nobody"]),
         regular("u3", ["u1", "s1", "zed"]),
     )
-    retained, _, dropped = filter_active_regulars(users, TweetTable(), min_retweets=0)
+    retained, _, dropped = filter_active_regulars(users, TweetTable(users.codes), min_retweets=0)
     assert [u.id for u in retained] == ["s1", "u3"] and dropped == 1
     assert validate_config(cfg, retained) == [
         "user 'u3' follows unknown id 'u1'",
@@ -176,7 +177,7 @@ def test_tweet_record_rejects_a_timestamp_a_line_cannot_hold(timestamp):
     """The writer would spell it as JSON that parse_tweets refuses, so the
     record refuses it with the parse path's message."""
     line = json.dumps({"id": "t1", "author_id": "a", "kind": "original", "timestamp": timestamp})
-    _, diagnostics = parse_tweets([line])
+    _, diagnostics = parse_tweets([line], CodeMap())
     with pytest.raises(ValueError) as raised:
         TweetRecord("t1", "a", TweetKind.ORIGINAL, timestamp=timestamp)
     assert [str(raised.value)] == [d.message for d in diagnostics]

@@ -19,7 +19,7 @@ from viewdiv import (
     validate_config,
 )
 from viewdiv.ingest import tweet_to_line, user_to_line, write_dataset
-from viewdiv.synth import _choice_cdf, _choice_draw
+from viewdiv.synth import MAX_VOLUME_MEAN, _choice_cdf, _choice_draw, _resolve
 
 SMALL = SynthParams(
     rng_seed=5, n_categories=3, n_seeds=6, n_regulars=6, homophily=0.5,
@@ -188,6 +188,18 @@ def test_infeasible_params_rejected():
                           minority_tweet_share=1.0))
     assert all(t.author_id in ds.config.minority_user_ids
                for t in ds.tweets if t.kind is TweetKind.ORIGINAL)
+
+
+_VOLUME_MEANS = ("tweets_per_seed", "retweets_per_regular", "replies_per_regular")
+
+
+@pytest.mark.parametrize("field", _VOLUME_MEANS)
+def test_volume_mean_bound_is_accepted(field):
+    """The bound itself resolves; nothing is generated at it, since that
+    would draw in proportion to the mean."""
+    resolved, _, _ = _resolve(replace(SMALL, **{field: MAX_VOLUME_MEAN}))
+    assert getattr(resolved, field) == MAX_VOLUME_MEAN
+    assert max(getattr(p, f) for p in presets().values() for f in _VOLUME_MEANS) < 1e4
 
 
 def test_presets_names_and_extremes():
