@@ -224,33 +224,32 @@ def parse_tweets(lines: Iterable[str], codes: CodeMap) -> tuple[TweetTable, list
     for line_no, line in enumerate(lines, start=1):
         m = canonical(line)
         if m is not None:
+            # the pattern gives a source only on a retweet and a target only
+            # on a reply, so the groups are the row's columns as they come
             tid, author, source, target, timestamp = m.groups()
-            kind = RETWEET if source is not None else REPLY if target is not None else ORIGINAL
-            timestamp = int(timestamp)
-        else:
-            obj, diag = _parse_line(line, line_no)
-            if obj is None:
-                if line.strip():
-                    diagnostics.append(diag)  # type: ignore[arg-type]
-                continue
+            add_id(tid)
+            add_kind(RETWEET if source is not None else REPLY if target is not None else ORIGINAL)
+            add_author(code(author))
+            add_source(source)
+            add_target(-1 if target is None else code(target))
+            add_timestamp(int(timestamp))
+            continue
 
-            get = obj.get
-            tid, author, kind = get("id"), get("author_id"), get("kind")
-            source, target = get("source_tweet_id"), get("target_user_id")
-            timestamp = get("timestamp", 0)
-            problem = tweet_violation(tid, author, kind, source, target, timestamp)
-            if problem is not None:
-                diagnostics.append(ParseDiagnostic(line_no, problem))
-                continue
-            kind = TWEET_KIND_CODES[kind]
+        obj, diag = _parse_line(line, line_no)
+        if obj is None:
+            if line.strip():
+                diagnostics.append(diag)  # type: ignore[arg-type]
+            continue
 
-        # the same per-kind rule as TweetTable.append, inline for speed
-        add_id(tid)
-        add_kind(kind)
-        add_author(code(author))
-        add_source(source if kind == RETWEET else None)
-        add_target(code(target) if kind == REPLY else -1)
-        add_timestamp(timestamp)
+        get = obj.get
+        tid, author, kind = get("id"), get("author_id"), get("kind")
+        source, target = get("source_tweet_id"), get("target_user_id")
+        timestamp = get("timestamp", 0)
+        problem = tweet_violation(tid, author, kind, source, target, timestamp)
+        if problem is not None:
+            diagnostics.append(ParseDiagnostic(line_no, problem))
+            continue
+        table.append(tid, TWEET_KIND_CODES[kind], author, source, target, timestamp)
 
     return table, diagnostics
 

@@ -96,33 +96,26 @@ def _dominant(counts: list[int]) -> tuple[int | None, float]:
     return (winners[0] if len(winners) == 1 else None), share
 
 
-def _io_correlated(
-    input_counts: list[int],
-    output_counts: list[int],
-    n: int,
-    margin: float,
-) -> bool | None:
-    """Whether the dominant received category equals the dominant retweeted one.
+def _io_correlation(
+    input_counts: list[int], output_counts: list[int], n: int
+) -> tuple[bool | None, bool | None]:
+    """``(io_correlated, io_correlated_15)`` from one dominance pass.
 
-    Both lists are per-category counts in config category order. Undefined
-    when either is all zero. With ``margin`` > 0, both dominant shares must
-    additionally be at least ``1/n + margin``; ``io_correlated_15`` passes
-    :data:`IO_MARGIN`.
+    The first flag says whether the dominant received category equals the
+    dominant retweeted one; the second also asks both dominant shares to be
+    at least ``1/n +`` :data:`IO_MARGIN`. Both lists are per-category counts
+    in config category order. Both flags are undefined when either list is
+    all zero.
     """
     if not any(input_counts) or not any(output_counts):
-        return None
+        return None, None
     in_pos, in_share = _dominant(input_counts)
     out_pos, out_share = _dominant(output_counts)
-    if in_pos is None or out_pos is None:
-        # no single dominant category on a tie
-        return False
-    if in_pos != out_pos:
-        return False
-    if margin > 0:
-        floor = 1.0 / n + margin
-        if in_share < floor or out_share < floor:
-            return False
-    return True
+    if in_pos is None or in_pos != out_pos:
+        # no single dominant category on a tie, or two different ones
+        return False, False
+    floor = 1.0 / n + IO_MARGIN
+    return True, in_share >= floor and out_share >= floor
 
 
 def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
@@ -282,6 +275,7 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
         indirect_total = sum(indirect)
         indirect_minority = direct_minority + (new & minority_mask).bit_count()
         rt = retweet_counts.get(code, no_counts)
+        io_correlated, io_correlated_15 = _io_correlation(indirect, rt, n)
         results.append(
             UserMetrics(
                 user_id=uid,
@@ -295,8 +289,8 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
                 minority_exposure=(
                     indirect_minority / indirect_total if indirect_total else None
                 ),
-                io_correlated=_io_correlated(indirect, rt, n, 0.0),
-                io_correlated_15=_io_correlated(indirect, rt, n, IO_MARGIN),
+                io_correlated=io_correlated,
+                io_correlated_15=io_correlated_15,
             )
         )
 

@@ -1,11 +1,14 @@
 """Core domain model: categories, users, tweets, and the validated dataset.
 
 Users and tweets are each held as a column table (:class:`UserTable`,
-:class:`TweetTable`) that the analysis reads; :class:`UserRecord` and
-:class:`TweetRecord` are their record views, for the oracle, the generator,
-the writer and the tests. Both tables name users by the int codes of one
-:class:`CodeMap`, which the user table owns and its tweet tables share, so
-no stage translates a code through an id.
+:class:`TweetTable`) that the analysis reads. Each table has one record
+view: iterating it gives :class:`UserRecord` or :class:`TweetRecord`
+values, for the oracle and the tests, and ``rows()`` gives the same fields
+as tuples, for the writer and for table equality. A table has no lookup
+by id: a caller that needs one builds it once from the view, or reads the
+columns at ``UserTable.row_of``. Both tables name users by the int codes
+of one :class:`CodeMap`, which the user table owns and its tweet tables
+share, so no stage translates a code through an id.
 
 :func:`user_violation` and :func:`tweet_violation` are the one rule of a
 user and a tweet, held to each line by the parsers and to each record by
@@ -97,9 +100,11 @@ class UserRecord:
     """A seed (categorized content source) or regular (analyzed follower) user.
 
     Seeds carry exactly one category; regulars carry none and their stance is
-    only ever inferred from behavior. Followees reference seed ids only.
-    The fields are held to :func:`user_violation`, and the followees must
-    be a frozenset, so that a record hashes and round-trips through its line.
+    only ever inferred from behavior. Followees are the ids the user follows,
+    as read, seeds or not; a dataset's users follow seeds only, since
+    :func:`validate_config` names every other followed id. The fields are
+    held to :func:`user_violation`, and the followees must be a frozenset,
+    so that a record hashes and round-trips through its line.
     """
 
     id: str
@@ -343,10 +348,10 @@ class TweetTable:
         return (TweetRecord(*row) for row in self.rows())
 
     def __eq__(self, other) -> bool:
-        """Equal to a table or a list or tuple of the same records."""
-        if not isinstance(other, (TweetTable, list, tuple)):
+        """Equal to a table of the same rows, in the same order."""
+        if not isinstance(other, TweetTable):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return list(self.rows()) == list(other.rows())
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -367,11 +372,11 @@ class UserTable:
     ascending: seeds of the table, and any other id as read
     (:func:`validate_config` names those). The codes follow the order in
     which the lines name ids, so nothing that reaches an output may depend
-    on them. ``row_of`` maps each id to its row.
+    on them. ``row_of`` maps each id to its row, so an id names a user of
+    the table iff it is in ``row_of``.
 
-    The analysis reads the columns. Iterating the table gives
-    :class:`UserRecord` views; ``user_id in table`` and ``table[user_id]``
-    look a user up by id.
+    The analysis reads the columns; iterating the table gives
+    :class:`UserRecord` views, and nothing looks one up by id.
     """
 
     def __init__(
@@ -427,11 +432,6 @@ class UserTable:
             self.codes,
         )
 
-    @property
-    def seed_ids(self) -> list[str]:
-        """The seeds' ids, sorted."""
-        return sorted(compress(self.ids, self.select(SEED)))
-
     def per_code(self, values: Iterable, default) -> list:
         """``values``, one per row, as a list indexed by code: ``default``
         at the codes of no row, and at code -1, which indexes the extra last
@@ -450,14 +450,14 @@ class UserTable:
         for :func:`itertools.compress`."""
         return self.kinds.translate(_SELECT[kind])
 
-    def _row(self, row: int) -> tuple:
-        followees = sorted(map(self.names.__getitem__, self.follows[row]))
-        return self.ids[row], _USER_KINDS[self.kinds[row]], self.categories[row], followees
-
     def rows(self) -> Iterator[tuple]:
         """Each user as a tuple in :class:`UserRecord` field order, its
         followees a sorted list of ids."""
-        return map(self._row, range(len(self.ids)))
+        name = self.names.__getitem__
+        for uid, kind, category, follows in zip(
+            self.ids, self.kinds, self.categories, self.follows
+        ):
+            yield uid, _USER_KINDS[kind], category, sorted(map(name, follows))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -468,20 +468,12 @@ class UserTable:
             for uid, kind, category, followees in self.rows()
         )
 
-    def __contains__(self, user_id) -> bool:
-        return user_id in self.row_of
-
-    def __getitem__(self, user_id: str) -> UserRecord:
-        """The record view of the user with this id; KeyError if none."""
-        uid, kind, category, followees = self._row(self.row_of[user_id])
-        return UserRecord(uid, kind, category, frozenset(followees))
-
     def __eq__(self, other) -> bool:
-        """Equal to a table or a list or tuple of the same records, in any
-        order: ids are unique, so a table is a set of users."""
-        if not isinstance(other, (UserTable, list, tuple)):
+        """Equal to a table of the same users, in any order: ids are unique,
+        so a table is a set of users, and its rows sort by id."""
+        if not isinstance(other, UserTable):
             return NotImplemented
-        return len(self) == len(other) and {u.id: u for u in self} == {u.id: u for u in other}
+        return sorted(self.rows()) == sorted(other.rows())
 
     __hash__ = None  # type: ignore[assignment]
 

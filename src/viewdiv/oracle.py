@@ -39,7 +39,7 @@ def exposure_timeline(dataset: Dataset, user_id: str) -> ExposureTimeline:
     An original reaching the user along several paths is one member. An
     unknown user raises KeyError.
     """
-    return _timeline(dataset.users[user_id], list(dataset.tweets))
+    return _timeline({u.id: u for u in dataset.users}[user_id], list(dataset.tweets))
 
 
 def _timeline(user: UserRecord, tweets: list[TweetRecord]) -> ExposureTimeline:
@@ -91,10 +91,10 @@ def oracle_metrics(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
 
     cfg = dataset.config
     n = cfg.n_categories
-    # every scan below reads these records, built once from the table
+    # every scan below reads these records, built once from the tables
     tweets = list(dataset.tweets)
-    users = list(dataset.users)
-    seeds = {u.id: u for u in users if u.kind is UserKind.SEED}
+    users = {u.id: u for u in dataset.users}
+    seeds = {uid: u for uid, u in users.items() if u.kind is UserKind.SEED}
 
     all_minority_originals = set()
     for t in tweets:
@@ -118,9 +118,9 @@ def oracle_metrics(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
         return by_cat
 
     results: list[UserMetrics] = []
-    regulars = sorted(u.id for u in users if u.kind is UserKind.REGULAR)
+    regulars = sorted(uid for uid, u in users.items() if u.kind is UserKind.REGULAR)
     for uid in regulars:
-        timeline = _timeline(dataset.users[uid], tweets)
+        timeline = _timeline(users[uid], tweets)
         direct = set(timeline.direct)
         indirect = set(timeline.indirect)
 

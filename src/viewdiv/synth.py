@@ -74,6 +74,11 @@ SEED_ACTIVITY_FACTOR = 0.5
 # the draws, and the tweets they post, from growing without bound.
 MAX_VOLUME_MEAN = 1e6
 
+# The largest n_categories generate accepts: it builds one mixture of n
+# floats per category, so 1,000 categories hold 8 MB of mixtures. The
+# largest universe in use has 9 (configs/turkey.json).
+MAX_CATEGORIES = 1_000
+
 
 @dataclass(frozen=True)
 class SynthParams:
@@ -113,6 +118,8 @@ def _resolve(params: SynthParams) -> tuple[SynthParams, list[str], list[int]]:
     p = params
     if p.n_categories < 2:
         raise ValueError(f"n_categories must be >= 2, got {p.n_categories}")
+    if p.n_categories > MAX_CATEGORIES:
+        raise ValueError(f"n_categories must be at most {MAX_CATEGORIES}, got {p.n_categories}")
     if p.n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     if p.n_regulars < 0:

@@ -26,6 +26,7 @@ from viewdiv import (
     write_dataset,
 )
 from viewdiv.cli import RunConfig, cmd_analyze, cmd_compare
+from viewdiv.model import SEED
 from viewdiv.oracle import MAX_ORACLE_TWEETS, exposure_timeline
 
 TOY = Path(__file__).resolve().parent / "data" / "toy"
@@ -149,7 +150,7 @@ def _dense_follow_oracle_dataset():
         tweets_per_seed=6, retweets_per_regular=16, replies_per_regular=2,
     )
     ds = generate(params)
-    assert len(ds.users.seed_ids) >= 100 and len(ds.tweets) <= MAX_ORACLE_TWEETS
+    assert ds.users.kinds.count(SEED) >= 100 and len(ds.tweets) <= MAX_ORACLE_TWEETS
     retweeted_by_seed = {}
     for t in ds.tweets:
         if t.kind is TweetKind.RETWEET:
@@ -196,11 +197,12 @@ def test_exposure_invariants_on_generated_datasets():
     checked_users = 0
     for _, ds in _small_oracle_datasets():
         author = _original_authors(ds)
+        category = dict(zip(ds.users.ids, ds.users.categories))
         for u in regular_users(ds):
             tl = exposure_timeline(ds, u.id)
             assert tl.direct <= tl.indirect
-            direct_support = {ds.users[author[t]].category for t in tl.direct}
-            indirect_support = {ds.users[author[t]].category for t in tl.indirect}
+            direct_support = {category[author[t]] for t in tl.direct}
+            indirect_support = {category[author[t]] for t in tl.indirect}
             assert direct_support <= indirect_support
             checked_users += 1
     assert checked_users > 0

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from viewdiv import parse_tweets
 from viewdiv.cli import METRIC_FIELDS
 from viewdiv.model import CodeMap
+from viewdiv.synth import MAX_CATEGORIES, MAX_VOLUME_MEAN
 
 from helpers import run_cli
 
@@ -598,6 +599,20 @@ def test_synth_volume_mean_above_the_bound_exits_2(tmp_path, field, mean):
     assert not (tmp_path / "o").exists()
 
 
+def test_synth_category_count_above_the_bound_exits_2(tmp_path):
+    """n_categories above synth.MAX_CATEGORIES is refused by name before
+    anything is built: generate holds n floats per category, so 100,000
+    categories would ask for 10^10 floats."""
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"n_categories": MAX_CATEGORIES + 1, "minority_tweet_share": 0}))
+    result = run_cli(["synth", "--params", str(params), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.output == (
+        f"error: n_categories must be at most {MAX_CATEGORIES}, got {MAX_CATEGORIES + 1}\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_unknown_preset_exits_2(tmp_path):
     result = run_cli(["synth", "--preset", "wat", "--out", str(tmp_path)])
     assert result.exit_code == 2
@@ -860,6 +875,55 @@ def test_flags_exit_0_or_2(tmp_path, bin_width, thresholds, alpha, rng_seed):
                   "--tweets", d / "tweets.jsonl"]
         analyzed = run_cli(["analyze", *inputs, "--out", out / "drep"])
         assert analyzed.exit_code == run_cli(["validate", *inputs]).exit_code, analyzed.output
+
+
+# -- property: every synth --params object exits 0 or 2 ---------------------
+
+_NAN, _INF = float("nan"), float("inf")
+# Per SynthParams field, the values an object may give it: small valid ones
+# first, then a wrong JSON type, NaN or Infinity, a negative number and the
+# value just above the field's bound. A valid draw stays tiny: at most 10
+# seeds, 20 regulars and a volume mean of 10; a key left out takes its
+# default (50 seeds, 200 regulars), which is small too.
+_PARAM_VALUES = {
+    "rng_seed": [0, 3, "7", 1.5, -1],
+    "n_categories": [2, 3, "3", _NAN, 1, -2, MAX_CATEGORIES + 1],
+    "category_weights": [None, [0.5, 0.5], [0.2, 0.3, 0.5], "x", [_NAN, 1.0], [-0.5, 1.5]],
+    "n_seeds": [1, 4, 10, True, 2.0, 0, -1],
+    "n_regulars": [0, 5, 20, None, -1],
+    "homophily": [0, 0.5, 1.0, "x", _NAN, _INF, -0.1, 1.5],
+    "minority_categories": [None, ["cat1"], ["cat2", "cat3"], "cat1", [1], ["nope"]],
+    "minority_tweet_share": [0, 0.15, 1.0, [0.1], _NAN, -0.1, 1.01],
+    "tweets_per_seed": [0, 3.5, 10, "5", _NAN, _INF, -1, MAX_VOLUME_MEAN + 0.5],
+    "retweets_per_regular": [0, 4, 10, None, _NAN, -1, MAX_VOLUME_MEAN + 0.5],
+    "replies_per_regular": [0, 2, 10, [], _INF, -0.5, MAX_VOLUME_MEAN + 0.5],
+    "n_seedz": [5],  # no such field
+}
+
+
+@st.composite
+def _params_objects(draw) -> dict:
+    """A --params object of 0 to 4 keys, each with one of its values."""
+    keys = draw(st.lists(st.sampled_from(sorted(_PARAM_VALUES)), max_size=4, unique=True))
+    return {key: draw(st.sampled_from(_PARAM_VALUES[key])) for key in keys}
+
+
+@settings(
+    max_examples=100, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(params=_params_objects())
+def test_synth_params_exit_0_or_2(tmp_path, params):
+    """Whatever a --params object holds, synth exits 0 or 2, never with an
+    internal error, and writes its --out directory iff it exits 0."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))  # NaN and Infinity as JSON's extension spells them
+    out = tmp_path / "data"
+    shutil.rmtree(out, ignore_errors=True)
+    result = run_cli(["synth", "--params", path, "--out", out])
+    assert result.exit_code in (0, 2), (params, result.output)
+    assert "internal:" not in result.output
+    assert out.exists() == (result.exit_code == 0), (params, result.output)
 
 
 # -- property: analyze and validate agree on mutated input files --------------

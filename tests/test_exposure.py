@@ -5,6 +5,7 @@ compare them with what the fast path computes.
 """
 
 from collections import Counter
+from itertools import compress
 
 import pytest
 
@@ -16,6 +17,7 @@ from viewdiv import (
     generate,
     normalized_entropy,
 )
+from viewdiv.model import SEED
 from viewdiv.oracle import exposure_timeline as _timeline
 
 
@@ -31,7 +33,8 @@ def _original_authors(ds):
 def _category_counts(ds, tweet_ids):
     """Per-category counts of a set of originals, by author category."""
     author = _original_authors(ds)
-    return Counter(ds.users[author[t]].category for t in tweet_ids)
+    category = dict(zip(ds.users.ids, ds.users.categories))
+    return Counter(category[author[t]] for t in tweet_ids)
 
 
 def _basic():
@@ -159,7 +162,7 @@ def test_timeline_invariants_on_generated_datasets():
                         homophily=0.5, tweets_per_seed=6, retweets_per_regular=5,
                         replies_per_regular=2)
         )
-        seeds = set(ds.users.seed_ids)
+        seeds = set(compress(ds.users.ids, ds.users.select(SEED)))
         author = _original_authors(ds)
         for u in regular_users(ds):
             tl = _timeline(ds, u.id)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import compress
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -33,13 +34,18 @@ from viewdiv.ingest import (
     tweet_to_line,
     user_to_line,
 )
-from viewdiv.model import CodeMap, validate_config
+from viewdiv.model import SEED, CodeMap, validate_config
 
 USER_LINES = [
     '{"id":"s1","kind":"seed","category":"a","followees":[]}',
     '{"id":"s2","kind":"seed","category":"b","followees":[]}',
     '{"id":"u1","kind":"regular","followees":["s1"]}',
 ]
+
+
+def _seed_ids(users):
+    """The ids of a table's seeds, sorted."""
+    return sorted(compress(users.ids, users.select(SEED)))
 
 
 def test_parse_users_wellformed():
@@ -57,7 +63,8 @@ def test_parse_users_missing_kind_is_diagnosed():
 
 
 def test_parse_users_empty_stream():
-    assert parse_users([]) == ([], [])
+    users, diags = parse_users([])
+    assert list(users) == [] and diags == []
 
 
 def test_parse_users_duplicate_id_keeps_first():
@@ -66,14 +73,14 @@ def test_parse_users_duplicate_id_keeps_first():
         '{"id":"u1","kind":"regular","followees":[]}',
     ]
     users, diags = parse_users(lines)
-    assert len(users) == 1 and users["u1"].followees == frozenset({"s1"})
+    assert len(users) == 1 and {u.id: u.followees for u in users} == {"u1": frozenset({"s1"})}
     assert len(diags) == 1 and "duplicate" in diags[0].message
 
 
 def test_parse_users_repeated_followee_is_one_edge():
     lines = USER_LINES[:2] + ['{"id":"u1","kind":"regular","followees":["s1","s1"]}']
     users, diags = parse_users(lines)
-    assert diags == [] and users.seed_ids == ["s1", "s2"]
+    assert diags == [] and _seed_ids(users) == ["s1", "s2"]
     assert [list(f) for f in users.follows] == [[], [], [0]]
     assert users == parse_users(USER_LINES)[0]
 
@@ -91,7 +98,7 @@ def test_parse_users_seeds_after_regulars_give_the_same_table():
     late, late_diags = parse_users(regulars_first)
     early, early_diags = parse_users(seeds_first)
     assert late_diags == early_diags == []
-    assert late == early and late.seed_ids == early.seed_ids == ["s1", "s2"]
+    assert late == early and _seed_ids(late) == _seed_ids(early) == ["s1", "s2"]
 
     def by_id(table):
         return {
@@ -206,7 +213,7 @@ def test_parse_users_ignores_unknown_keys_and_blank_lines():
 
 def test_parse_users_invalid_json():
     users, diags = parse_users(["{nope"])
-    assert users == [] and len(diags) == 1 and "invalid JSON" in diags[0].message
+    assert list(users) == [] and len(diags) == 1 and "invalid JSON" in diags[0].message
 
 
 def test_parse_tweets_retweet_requires_source():
@@ -218,7 +225,7 @@ def test_parse_tweets_retweet_requires_source():
     bad, diags = parse_tweets(
         ['{"id":"t1","author_id":"u1","kind":"retweet","timestamp":1}'], CodeMap()
     )
-    assert bad == [] and len(diags) == 1
+    assert list(bad) == [] and len(diags) == 1
 
 
 def test_parse_tweets_reply_requires_target():
@@ -244,7 +251,7 @@ def test_parse_tweets_non_string_reference_is_diagnosed(field, value):
 def test_parse_tweets_non_string_reference_on_original_is_diagnosed():
     line = '{"id":"t1","author_id":"s1","kind":"original","target_user_id":["s2"]}'
     tweets, diags = parse_tweets([line], CodeMap())
-    assert tweets == [] and len(diags) == 1
+    assert list(tweets) == [] and len(diags) == 1
 
 
 @pytest.mark.parametrize("value", [["a"], 3, {"a": 1}])
@@ -293,7 +300,7 @@ def test_parse_users_escaped_lone_surrogate_is_invalid_utf8(field, surrogate):
 def test_parse_tweets_escaped_lone_surrogate_is_invalid_utf8(field):
     line = _with_escaped_suffix(_TWEETS[field], field, "\udcff")
     tweets, diags = parse_tweets([line], CodeMap())
-    assert tweets == [] and diags == [ParseDiagnostic(1, "invalid UTF-8")]
+    assert list(tweets) == [] and diags == [ParseDiagnostic(1, "invalid UTF-8")]
 
 
 def test_parse_escaped_surrogate_pair_and_backslash_are_accepted():
@@ -643,7 +650,8 @@ def test_tweet_record_refuses_what_its_line_refuses(fields):
     assert refusal is None
     record = TweetRecord(**fields)
     assert list(parsed) == [record]
-    assert parse_tweets([tweet_to_line(record)], CodeMap()) == ([record], [])
+    reparsed, diags = parse_tweets([tweet_to_line(record)], CodeMap())
+    assert list(reparsed) == [record] and diags == []
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -663,7 +671,8 @@ def test_user_record_refuses_what_its_line_refuses(fields):
     assert refusal is None
     record = UserRecord(**{**fields, "followees": followees})
     assert list(parsed) == [record]
-    assert parse_users([user_to_line(record)]) == ([record], [])
+    reparsed, diags = parse_users([user_to_line(record)])
+    assert list(reparsed) == [record] and diags == []
 
 
 def test_parse_users_reports_a_repeated_id_before_the_seed_rule():
@@ -685,7 +694,7 @@ def test_load_dataset_counts_non_string_fields_as_malformed():
     ds, report, diags = load_dataset(cfg, user_lines, tweet_lines)
     assert len(diags) == 3
     assert report.users_read == 4 and report.tweets_read == 3
-    assert "s3" not in ds.users and [t.id for t in ds.tweets] == ["o1"]
+    assert "s3" not in ds.users.row_of and [t.id for t in ds.tweets] == ["o1"]
 
 
 @pytest.mark.parametrize(
@@ -990,10 +999,10 @@ def test_load_dataset_reused_original_id_first_occurrence_wins(first_author):
     assert diags == []
     u1_retweets = [t.id for t in ds.tweets if t.author_id == "u1"]
     if first_author == "s1":
-        assert "u1" in ds.users and len(u1_retweets) == 5
+        assert "u1" in ds.users.row_of and len(u1_retweets) == 5
         assert report.users_dropped_threshold == 1  # u2 only
     else:
-        assert "u1" not in ds.users and u1_retweets == []
+        assert "u1" not in ds.users.row_of and u1_retweets == []
         assert report.users_dropped_threshold == 2
 
 
@@ -1007,7 +1016,7 @@ def test_load_dataset_reused_retweet_id_counts_first_source_only():
     tweets += [_rt(f"r{i}", "u1", f"o{i}") for i in range(1, 5)]
     tweets.append(_rt("r1", "u1", "o5"))
     ds, report, _ = _load_records(_DEDUPE_USERS, tweets)
-    assert "u1" not in ds.users
+    assert "u1" not in ds.users.row_of
     assert report.users_dropped_threshold == 2
     assert report.tweets_read == 10
     assert report.tweets_dropped_dangling == 4  # u1's kept retweets
@@ -1149,9 +1158,9 @@ def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
     by_seed = _seed_originals(parsed_users, first.values())
     assert [t.id for t in ds.tweets] == [
         t.id for t in first.values()
-        if t.author_id in ds.users
+        if t.author_id in ds.users.row_of
         and (t.kind is not TweetKind.RETWEET or t.source_tweet_id in by_seed)
-        and (t.kind is not TweetKind.REPLY or t.target_user_id in ds.users)
+        and (t.kind is not TweetKind.REPLY or t.target_user_id in ds.users.row_of)
     ]
 
     # The one target column: a kept retweet points at the seed that wrote
@@ -1161,15 +1170,16 @@ def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
         if t.kind is TweetKind.RETWEET:
             assert names[target] == by_seed[t.source_tweet_id]
         elif t.kind is TweetKind.REPLY:
-            assert names[target] == t.target_user_id and t.target_user_id in ds.users
+            assert names[target] == t.target_user_id and t.target_user_id in ds.users.row_of
         else:
             assert target == -1
 
     # The filter saw the tweets the dataset holds: every retained regular
     # clears the threshold on the built dataset itself.
+    kind_of = {u.id: u.kind for u in ds.users}
     seed_originals = {
         t.id for t in ds.tweets
-        if t.kind is TweetKind.ORIGINAL and ds.users[t.author_id].kind is UserKind.SEED
+        if t.kind is TweetKind.ORIGINAL and kind_of[t.author_id] is UserKind.SEED
     }
     for u in ds.users:
         if u.kind is UserKind.REGULAR:

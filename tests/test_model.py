@@ -141,8 +141,9 @@ def test_user_record_holds_its_followees_as_a_frozenset():
     record = UserRecord("u1", UserKind.REGULAR, followees=frozenset({"s1"}))
     assert hash(record) == hash(UserRecord("u1", UserKind.REGULAR, followees=frozenset(["s1"])))
     line = '{"id":"u1","kind":"regular","followees":["s1","s1"]}'
-    assert parse_users([line]) == ([record], [])
-    assert parse_users([user_to_line(record)]) == ([record], [])
+    for text in (line, user_to_line(record)):
+        users, diags = parse_users([text])
+        assert list(users) == [record] and diags == []
 
 
 def test_tweet_record_invariants():

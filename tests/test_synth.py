@@ -19,7 +19,7 @@ from viewdiv import (
     validate_config,
 )
 from viewdiv.ingest import tweet_to_line, user_to_line, write_dataset
-from viewdiv.synth import MAX_VOLUME_MEAN, _choice_cdf, _choice_draw, _resolve
+from viewdiv.synth import MAX_CATEGORIES, MAX_VOLUME_MEAN, _choice_cdf, _choice_draw, _resolve
 
 SMALL = SynthParams(
     rng_seed=5, n_categories=3, n_seeds=6, n_regulars=6, homophily=0.5,
@@ -29,7 +29,7 @@ SMALL = SynthParams(
 
 def _serialize(ds):
     return (
-        [user_to_line(ds.users[u]) for u in sorted(ds.users.ids)],
+        [user_to_line(u) for u in sorted(ds.users, key=lambda u: u.id)],
         [tweet_to_line(t) for t in ds.tweets],
     )
 
@@ -200,6 +200,17 @@ def test_volume_mean_bound_is_accepted(field):
     resolved, _, _ = _resolve(replace(SMALL, **{field: MAX_VOLUME_MEAN}))
     assert getattr(resolved, field) == MAX_VOLUME_MEAN
     assert max(getattr(p, f) for p in presets().values() for f in _VOLUME_MEANS) < 1e4
+
+
+def test_category_bound_is_accepted():
+    """MAX_CATEGORIES itself resolves, one more does not; nothing is
+    generated at the bound, since generate holds n floats per category."""
+    at_bound = replace(SMALL, n_categories=MAX_CATEGORIES, minority_tweet_share=0.0)
+    resolved, cat_ids, _ = _resolve(at_bound)
+    assert resolved.n_categories == len(cat_ids) == MAX_CATEGORIES
+    with pytest.raises(ValueError, match=f"^n_categories must be at most {MAX_CATEGORIES}, got"):
+        _resolve(replace(at_bound, n_categories=MAX_CATEGORIES + 1))
+    assert max(p.n_categories for p in presets().values()) < 10
 
 
 def test_presets_names_and_extremes():
