@@ -17,7 +17,7 @@ from pathlib import Path
 from . import ingest as ingest_mod
 from .ingest import IngestError, IngestReport, ParseDiagnostic, load_country_config
 from .metrics import IO_MARGIN, UserMetrics, WingMatrix, compute_all
-from .model import REGULAR, SEED, Dataset
+from .model import Dataset
 from .stats import check_bin_width, distribution, fraction_below, welch_t_test
 
 METRIC_FIELDS = (
@@ -104,6 +104,12 @@ def _mean(values) -> float | None:
     return sum(values) / len(values) if values else None
 
 
+def _user_counts(dataset: Dataset) -> tuple[int, int]:
+    """The dataset's seeds and regulars: a regular is a user without a category."""
+    regulars = dataset.users.categories.count(None)
+    return len(dataset.users) - regulars, regulars
+
+
 def _summary_object(
     rc: RunConfig,
     dataset: Dataset,
@@ -115,6 +121,7 @@ def _summary_object(
     originals = dataset.tweets.original_counts()
     codes = dataset.users.codes
     minority_originals = sum(originals[codes[m]] for m in dataset.config.minority_user_ids)
+    seeds, regulars = _user_counts(dataset)
     metrics_obj = {}
     for field in METRIC_FIELDS:
         samples = _defined(per_user, field)
@@ -135,8 +142,8 @@ def _summary_object(
         "dataset": {
             "name": dataset.config.name,
             "n_categories": dataset.config.n_categories,
-            "seed_users": dataset.users.kinds.count(SEED),
-            "regular_users": dataset.users.kinds.count(REGULAR),
+            "seed_users": seeds,
+            "regular_users": regulars,
             "tweets": len(dataset.tweets),
             "minority_originals": minority_originals,
             "ingest": {**asdict(report), "malformed_lines": len(diagnostics)},
@@ -389,10 +396,8 @@ def _validate(args: argparse.Namespace) -> None:
     """Ingest and validate without computing metrics; prints the report."""
     # paths as given, so that every message names a file as the user did
     dataset, report, diagnostics = _load(args.config, args.users, args.tweets, args.spam)
-    print(
-        f"ok: {dataset.users.kinds.count(SEED)} seeds, "
-        f"{dataset.users.kinds.count(REGULAR)} regulars, {len(dataset.tweets)} tweets"
-    )
+    seeds, regulars = _user_counts(dataset)
+    print(f"ok: {seeds} seeds, {regulars} regulars, {len(dataset.tweets)} tweets")
     print(
         f"users_read={report.users_read} dropped_spam={report.users_dropped_spam} "
         f"dropped_threshold={report.users_dropped_threshold} "

@@ -47,7 +47,6 @@ from .model import (
     ORIGINAL,
     REPLY,
     RETWEET,
-    SEED,
     TWEET_KIND_CODES,
     CodeMap,
     CountryConfig,
@@ -167,7 +166,7 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
     (:meth:`~viewdiv.model.UserTable.append`), and the follow list holds
     those codes, whatever order the lines come in.
     """
-    users = UserTable([], bytearray(), [], [], CodeMap())
+    users = UserTable([], [], [], CodeMap())
     diagnostics: list[ParseDiagnostic] = []
 
     for line_no, line in enumerate(lines, start=1):
@@ -184,7 +183,7 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
         if problem is not None:
             diagnostics.append(ParseDiagnostic(line_no, problem))
             continue
-        users.append(uid, kind, category, followees)
+        users.append(uid, category, followees)
 
     return users, diagnostics
 
@@ -287,10 +286,10 @@ def filter_active_regulars(
     retained: list[int] = []
     dropped_spam = 0
     dropped_threshold = 0
-    for row, (uid, code, kind, follows) in enumerate(
-        zip(users.ids, users.user_codes, users.kinds, users.follows)
+    for row, (uid, code, category, follows) in enumerate(
+        zip(users.ids, users.user_codes, users.categories, users.follows)
     ):
-        if kind == SEED:
+        if category is not None:  # only a seed has a category
             retained.append(row)
             continue
         if uid in spam_ids:

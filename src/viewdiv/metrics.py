@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 
-from .model import REGULAR, REPLY, RETWEET, SEED, Dataset, Wing
+from .model import REPLY, RETWEET, Dataset, Wing
 
 IO_MARGIN = 0.15  # the "bias above 15%" of io_correlated_15
 
@@ -199,7 +199,8 @@ class ExposureIndex:
         category_masks = [0] * config.n_categories
         self.minority_mask = 0
         self.seeds = [(0, 0, 0, 0, 0)] * len(users.codes)
-        for s, code in compress(zip(users.ids, users.user_codes), users.select(SEED)):
+        # a seed's category is a non-empty string, a regular's None
+        for s, code in compress(zip(users.ids, users.user_codes), users.categories):
             pos = category_of[code]
             volume = originals[code]
             a_bits = authored.get(code, 0)
@@ -238,11 +239,11 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     # the regulars' output histograms, from their retweets and replies
     tweets = dataset.tweets
     users = dataset.users
+    # a regular is a user without a category
+    regular = [c is None for c in users.categories]
     # (id, code, follow list) by id; ids are unique, so no two codes are compared
-    regulars = sorted(compress(
-        zip(users.ids, users.user_codes, users.follows), users.select(REGULAR)
-    ))
-    is_regular = users.per_code([kind == REGULAR for kind in users.kinds], False)
+    regulars = sorted(compress(zip(users.ids, users.user_codes, users.follows), regular))
+    is_regular = users.per_code(regular, False)
     category_of = index.category_of
     output_counts: list[dict[int, list[int]]] = []
     for kind in (RETWEET, REPLY):

@@ -13,7 +13,9 @@ share, so no stage translates a code through an id.
 :func:`user_violation` and :func:`tweet_violation` are the one rule of a
 user and a tweet, held to each line by the parsers and to each record by
 the record itself, so a record refuses what a line refuses, with the same
-message.
+message. That rule makes a seed exactly a user with a category, so a
+:class:`UserTable` keeps no kind: its ``categories`` column says who is a
+seed, and its record view reads each user's kind from there.
 """
 
 from __future__ import annotations
@@ -45,12 +47,8 @@ class TweetKind(str, Enum):
     REPLY = "reply"
 
 
-# Kind codes of UserTable.kinds and TweetTable.kinds, in kind order. A kind
-# is a str that equals and hashes as its value, so each table also looks up
-# a line's "seed" or "retweet".
-SEED, REGULAR = 0, 1
-USER_KIND_CODES = {kind: code for code, kind in enumerate(UserKind)}
-_USER_KINDS = tuple(UserKind)
+# Kind codes of TweetTable.kinds, in kind order. A kind is a str that equals
+# and hashes as its value, so the table also looks up a line's "retweet".
 ORIGINAL, RETWEET, REPLY = 0, 1, 2
 TWEET_KIND_CODES = {kind: code for code, kind in enumerate(TweetKind)}
 _KINDS = tuple(TweetKind)
@@ -127,8 +125,8 @@ def user_violation(user_id, kind, category, followees, seen: Container[str] = ()
     record's frozenset, and ``seen`` the ids this one must not repeat."""
     if not isinstance(user_id, str) or not user_id:
         return "missing or invalid 'id'"
-    code = USER_KIND_CODES.get(kind) if isinstance(kind, str) else None
-    if code is None:
+    # a UserKind is a str that equals its value, so a line's "seed" matches
+    if kind not in (UserKind.SEED, UserKind.REGULAR):
         return "missing or invalid 'kind'"
     # type(), not isinstance: JSON decodes a string to exactly str
     if not isinstance(followees, (list, frozenset)) or not set(map(type, followees)) <= {str}:
@@ -137,9 +135,9 @@ def user_violation(user_id, kind, category, followees, seen: Container[str] = ()
         return "'category' must be a string"
     if user_id in seen:
         return f"duplicate user id {user_id!r}"
-    if code == SEED and not category:
+    if kind == UserKind.SEED and not category:
         return f"seed user {user_id!r} requires a category"
-    if code == REGULAR and category is not None:
+    if kind == UserKind.REGULAR and category is not None:
         return f"regular user {user_id!r} must not carry a category"
     return None
 
@@ -229,7 +227,7 @@ class TweetTable:
     :data:`REPLY`). ``authors`` and ``targets`` hold user codes in
     ``codes``, the code map of the user table the tweets are read with; an
     id no user line names is interned into it on first sight, and
-    ``names`` (the map's own list) maps every code back. ``targets`` is the
+    ``codes.names`` maps every code back. ``targets`` is the
     user a row points at: a reply's target, a retweet's source author once
     :meth:`resolve` has run, and -1 otherwise (an original, or a retweet
     whose source is no seed's original). ``sources`` holds a retweet's
@@ -246,7 +244,6 @@ class TweetTable:
         self.targets = array("i")
         self.timestamps: list[int] = []
         self.codes = codes
-        self.names = codes.names
 
     def append(
         self,
@@ -332,7 +329,7 @@ class TweetTable:
 
     def rows(self) -> Iterator[tuple]:
         """Each row as a tuple in :class:`TweetRecord` field order."""
-        names = self.names
+        names = self.codes.names
         for tid, kind, author, source, target, timestamp in zip(
             self.ids, self.kinds, self.authors, self.sources, self.targets, self.timestamps
         ):
@@ -362,18 +359,19 @@ class TweetTable:
 class UserTable:
     """Users as parallel columns, one row per user id, in input order.
 
-    ``ids``, ``kinds`` (kind codes :data:`SEED` and :data:`REGULAR`) and
-    ``categories`` (a seed's category, None for a regular) describe each
-    user. ``codes`` is the table's :class:`CodeMap`: every user's id has a
-    code, held in ``user_codes`` by row, and so has every followed id and
-    every id a tweet table over the same map names; ``names`` maps a code
-    back to its id. ``follows`` holds each user's follow list as an
-    ``array("i")`` of the codes of the ids it follows, each once,
-    ascending: seeds of the table, and any other id as read
-    (:func:`validate_config` names those). The codes follow the order in
-    which the lines name ids, so nothing that reaches an output may depend
-    on them. ``row_of`` maps each id to its row, so an id names a user of
-    the table iff it is in ``row_of``.
+    ``ids`` and ``categories`` describe each user. A seed is a user with a
+    category, a non-empty string, and a regular one with None
+    (:func:`user_violation`), so ``categories`` is the one record of who is
+    a seed; :meth:`seed_mask` gives it by code. ``codes`` is the table's
+    :class:`CodeMap`: every user's id has a code, held in ``user_codes`` by
+    row, and so has every followed id and every id a tweet table over the
+    same map names; ``codes.names`` maps a code back to its id.
+    ``follows`` holds each user's follow list as an ``array("i")`` of the
+    codes of the ids it follows, each once, ascending: seeds of the table,
+    and any other id as read (:func:`validate_config` names those). The
+    codes follow the order in which the lines name ids, so nothing that
+    reaches an output may depend on them. ``row_of`` maps each id to its
+    row, so an id names a user of the table iff it is in ``row_of``.
 
     The analysis reads the columns; iterating the table gives
     :class:`UserRecord` views, and nothing looks one up by id.
@@ -382,27 +380,23 @@ class UserTable:
     def __init__(
         self,
         ids: list[str],
-        kinds: bytearray,
         categories: list[str | None],
         follows: list[array],
         codes: CodeMap,
     ) -> None:
         self.ids = ids
-        self.kinds = kinds
         self.categories = categories
         self.follows = follows
         self.codes = codes
-        self.names = codes.names
         self.user_codes = array("i", map(codes.__getitem__, ids))
         self.row_of = dict(zip(ids, range(len(ids))))
 
-    def append(self, user_id: str, kind, category: str | None, followees) -> None:
+    def append(self, user_id: str, category: str | None, followees) -> None:
         """Add one user, its fields held to :func:`user_violation` by the
-        caller; ``kind`` is a :class:`UserKind` or its value. Its id and
-        each id it follows get a code, on first sight."""
+        caller, so a seed's ``category`` is a string and a regular's None.
+        Its id and each id it follows get a code, on first sight."""
         self.row_of[user_id] = len(self.ids)
         self.ids.append(user_id)
-        self.kinds.append(USER_KIND_CODES[kind])
         self.categories.append(category)
         code = self.codes.__getitem__
         self.user_codes.append(code(user_id))
@@ -413,12 +407,12 @@ class UserTable:
         """The table of these users, in the given order, over a new code
         map; an id given twice raises ValueError with the message a
         repeated user line gets."""
-        table = cls([], bytearray(), [], [], CodeMap())
+        table = cls([], [], [], CodeMap())
         for u in records:
             problem = user_violation(u.id, u.kind, u.category, u.followees, table.row_of)
             if problem is not None:
                 raise ValueError(problem)
-            table.append(u.id, u.kind, u.category, u.followees)
+            table.append(u.id, u.category, u.followees)
         return table
 
     def take(self, rows: list[int]) -> UserTable:
@@ -426,7 +420,6 @@ class UserTable:
         codes; ``rows`` must hold the row of every seed."""
         return UserTable(
             [self.ids[r] for r in rows],
-            bytearray(self.kinds[r] for r in rows),
             [self.categories[r] for r in rows],
             [self.follows[r] for r in rows],
             self.codes,
@@ -442,22 +435,17 @@ class UserTable:
         return out
 
     def seed_mask(self) -> list[bool]:
-        """One flag per code, True where the code names a seed of the table."""
-        return self.per_code([kind == SEED for kind in self.kinds], False)
-
-    def select(self, kind: int) -> bytes:
-        """One byte per row, 1 where the user is of ``kind``: a selector
-        for :func:`itertools.compress`."""
-        return self.kinds.translate(_SELECT[kind])
+        """One flag per code, True where the code names a seed of the
+        table: a user with a category."""
+        return self.per_code([c is not None for c in self.categories], False)
 
     def rows(self) -> Iterator[tuple]:
         """Each user as a tuple in :class:`UserRecord` field order, its
-        followees a sorted list of ids."""
-        name = self.names.__getitem__
-        for uid, kind, category, follows in zip(
-            self.ids, self.kinds, self.categories, self.follows
-        ):
-            yield uid, _USER_KINDS[kind], category, sorted(map(name, follows))
+        followees a sorted list of ids; its kind is read from its category."""
+        name = self.codes.names.__getitem__
+        for uid, category, follows in zip(self.ids, self.categories, self.follows):
+            kind = UserKind.REGULAR if category is None else UserKind.SEED
+            yield uid, kind, category, sorted(map(name, follows))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -503,7 +491,9 @@ class Dataset:
 
 
 def validate_config(config: CountryConfig, users: UserTable) -> list[str]:
-    """Check a config against a user table.
+    """Check a config against a user table: its categories and wings, that
+    every minority id names a seed (a user with a category), that every
+    seed's category is in the config, and that every followed id is a seed.
 
     Returns a list of violation messages; an empty list means the config is
     valid. Violations are data, not faults: nothing raises here.
@@ -531,11 +521,11 @@ def validate_config(config: CountryConfig, users: UserTable) -> list[str]:
         row = row_of.get(mid)
         if row is None:
             violations.append(f"minority id {mid!r} does not resolve to any user")
-        elif users.kinds[row] != SEED:
+        elif users.categories[row] is None:  # only a seed has a category
             violations.append(f"minority id {mid!r} must be a seed user")
 
     non_seed = {code for code, seed in enumerate(users.seed_mask()) if not seed}
-    names = users.names
+    names = users.codes.names
     for uid, category, follows in zip(users.ids, users.categories, users.follows):
         # a seed's category is a string, a regular's None
         if category is not None and category not in seen:

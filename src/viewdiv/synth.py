@@ -49,10 +49,8 @@ from .model import (
     CodeMap,
     CountryConfig,
     ORIGINAL,
-    REGULAR,
     REPLY,
     RETWEET,
-    SEED,
     Dataset,
     PoliticalCategory,
     TweetTable,
@@ -78,6 +76,21 @@ MAX_VOLUME_MEAN = 1e6
 # floats per category, so 1,000 categories hold 8 MB of mixtures. The
 # largest universe in use has 9 (configs/turkey.json).
 MAX_CATEGORIES = 1_000
+
+# The largest sizes generate accepts, each about 5x the largest in use
+# (1,000 seeds in the dense_follow benchmark workload; 20,100 users, 2.01M
+# draws and 997,929 tweets at the 1M-tweet point above). MAX_USERS bounds
+# n_seeds + n_regulars. MAX_DRAWS bounds n_seeds * (n_seeds + n_regulars):
+# each regular draws once per seed to pick its follows, and each user's
+# reach lists name up to every seed. MAX_TWEETS bounds the tweet count the
+# means give before any draw (_expected_tweets). Measured at 1/2 to 1/100
+# of the bounds (Python 3.11.7, numpy 2.4.6), a user holds about 700 bytes,
+# a follow 50 and a tweet 180 until the dataset is written, so the bounds
+# allow about 70 MB of users, 0.5 GB of follows and 1.8 GB of tweets:
+# about 2.4 GB in all.
+MAX_USERS = 100_000
+MAX_DRAWS = 10_000_000
+MAX_TWEETS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -176,8 +189,35 @@ def _resolve(params: SynthParams) -> tuple[SynthParams, list[str], list[int]]:
             "minority_tweet_share of 1.0 requires every seed to be minority"
         )
 
+    users = p.n_seeds + p.n_regulars
+    if users > MAX_USERS:
+        raise ValueError(f"n_seeds + n_regulars must be at most {MAX_USERS}, got {users}")
+    if p.n_seeds * users > MAX_DRAWS:
+        raise ValueError(
+            f"n_seeds * (n_seeds + n_regulars) must be at most {MAX_DRAWS}, "
+            f"got {p.n_seeds * users}"
+        )
+    tweets = _expected_tweets(p, minority_seats)
+    if tweets > MAX_TWEETS:
+        raise ValueError(
+            f"the expected tweet count must be at most {MAX_TWEETS}, got {round(tweets)}"
+        )
+
     resolved = replace(p, category_weights=weights, minority_categories=minority)
     return resolved, cat_ids, seeds_per_cat
+
+
+def _expected_tweets(p: SynthParams, minority_seats: int) -> float:
+    """The tweet count the means give, before any draw: the originals,
+    whose minority pool is sized to hit ``minority_tweet_share``, plus
+    every user's retweets and replies."""
+    share = p.minority_tweet_share
+    if share >= 1.0:
+        originals = minority_seats * p.tweets_per_seed
+    else:
+        originals = (p.n_seeds - minority_seats) * p.tweets_per_seed / (1.0 - share)
+    activity = SEED_ACTIVITY_FACTOR * p.n_seeds + p.n_regulars
+    return originals + activity * (p.retweets_per_regular + p.replies_per_regular)
 
 
 def _mixture(home_idx: int, h: float, n: int) -> np.ndarray:
@@ -347,10 +387,10 @@ def generate(params: SynthParams) -> Dataset:
         act(rid, int(home_draws[ri]), reach, 1.0)
 
     # The users as table columns, each follow list as codes: a seed's code
-    # is its index, ascending as each list is drawn.
+    # is its index, ascending as each list is drawn. A seed has a category
+    # and a regular None.
     users = UserTable(
         seed_ids + regular_ids,
-        bytearray([SEED] * len(seed_ids) + [REGULAR] * len(regular_ids)),
         [cat_ids[ci] for ci in seed_cat_idx] + [None] * len(regular_ids),
         [array("i") for _ in seed_ids] + [array("i", follows) for follows in followees_of],
         codes,

@@ -1,9 +1,13 @@
-"""Small constructors for in-memory test datasets, and a CLI runner."""
+"""Small constructors for in-memory test datasets, a CLI runner, and a
+loader for the benchmark's scripts."""
 
 from __future__ import annotations
 
+import importlib.util
 import io
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from typing import NamedTuple
 
 from viewdiv import (
@@ -83,3 +87,17 @@ def run_cli(argv) -> CliResult:
         except SystemExit as exc:
             code = exc.code
     return CliResult(code, output.getvalue())
+
+
+def load_bench_module(name: str):
+    """The module ``bench/<name>.py``, which is no package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while they are built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module

@@ -26,7 +26,6 @@ from viewdiv import (
     write_dataset,
 )
 from viewdiv.cli import RunConfig, cmd_analyze, cmd_compare
-from viewdiv.model import SEED
 from viewdiv.oracle import MAX_ORACLE_TWEETS, exposure_timeline
 
 TOY = Path(__file__).resolve().parent / "data" / "toy"
@@ -150,7 +149,8 @@ def _dense_follow_oracle_dataset():
         tweets_per_seed=6, retweets_per_regular=16, replies_per_regular=2,
     )
     ds = generate(params)
-    assert ds.users.kinds.count(SEED) >= 100 and len(ds.tweets) <= MAX_ORACLE_TWEETS
+    seeds = len(ds.users) - ds.users.categories.count(None)
+    assert seeds >= 100 and len(ds.tweets) <= MAX_ORACLE_TWEETS
     retweeted_by_seed = {}
     for t in ds.tweets:
         if t.kind is TweetKind.RETWEET:

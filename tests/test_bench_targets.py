@@ -7,31 +7,20 @@ rename, or a call that no longer goes through the wrapped module global,
 shows here.
 """
 
-import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from helpers import load_bench_module
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
 TOY = ROOT / "tests" / "data" / "toy"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules while they are built
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 def test_every_traced_target_is_recorded(tmp_path):
-    tracing = _load_tracing()
+    tracing = load_bench_module("tracing")
     spans_path = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from viewdiv import parse_tweets
 from viewdiv.cli import METRIC_FIELDS
 from viewdiv.model import CodeMap
-from viewdiv.synth import MAX_CATEGORIES, MAX_VOLUME_MEAN
+from viewdiv.synth import MAX_CATEGORIES, MAX_USERS, MAX_VOLUME_MEAN
 
 from helpers import run_cli
 
@@ -388,6 +388,27 @@ def test_empty_spam_path_means_no_spam_list(tmp_path, command):
     assert runs[0] == runs[1]
 
 
+# validate's whole output on the toy fixture
+_TOY_VALIDATE_OUTPUT = (
+    "ok: 3 seeds, 2 regulars, 31 tweets\n"
+    "users_read=6 dropped_spam=0 dropped_threshold=1 tweets_read=35 tweets_dropped_dangling=4\n"
+)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_validate_prints_the_toy_counts(tmp_path, reverse):
+    """The seed and regular counts and the ingest report, also with the
+    user lines reversed, regulars before seeds."""
+    users = TOY / "users.jsonl"
+    if reverse:
+        lines = users.read_text().splitlines(keepends=True)
+        users = tmp_path / "users.jsonl"
+        users.write_text("".join(reversed(lines)))
+    result = run_cli(_command_args("validate", None, users=users))
+    assert result.exit_code == 0, result.output
+    assert result.output == _TOY_VALIDATE_OUTPUT
+
+
 @pytest.mark.parametrize("user_id", ["u,alice", 'u"alice', "u\nalice", "u\ralice"])
 def test_users_metrics_quotes_unusual_ids(tmp_path, user_id):
     """An id holding a comma, a quote or a line break is one quoted field;
@@ -609,6 +630,19 @@ def test_synth_category_count_above_the_bound_exits_2(tmp_path):
     assert result.exit_code == 2, result.output
     assert result.output == (
         f"error: n_categories must be at most {MAX_CATEGORIES}, got {MAX_CATEGORIES + 1}\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_synth_user_count_above_the_bound_exits_2(tmp_path):
+    """A 26-byte object that asks for 10^9 regulars is refused by name
+    before any id is built, rather than running out of memory."""
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"n_regulars": 10**9}))
+    result = run_cli(["synth", "--params", str(params), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert result.output == (
+        f"error: n_seeds + n_regulars must be at most {MAX_USERS}, got {10**9 + 50}\n"
     )
     assert not (tmp_path / "o").exists()
 
@@ -881,19 +915,22 @@ def test_flags_exit_0_or_2(tmp_path, bin_width, thresholds, alpha, rng_seed):
 
 _NAN, _INF = float("nan"), float("inf")
 # Per SynthParams field, the values an object may give it: small valid ones
-# first, then a wrong JSON type, NaN or Infinity, a negative number and the
-# value just above the field's bound. A valid draw stays tiny: at most 10
-# seeds, 20 regulars and a volume mean of 10; a key left out takes its
-# default (50 seeds, 200 regulars), which is small too.
+# first, then a wrong JSON type, NaN or Infinity, a negative number, the
+# value just above the field's bound and, for the sizes, one far above the
+# size bounds: 10^9 users, or a minority share that asks for ~10^10 tweets
+# (or, with no non-minority originals, one that generate refuses). A valid
+# draw stays tiny: at most 10 seeds, 20 regulars and a volume mean of 10; a
+# key left out takes its default (50 seeds, 200 regulars), which is small
+# too.
 _PARAM_VALUES = {
     "rng_seed": [0, 3, "7", 1.5, -1],
     "n_categories": [2, 3, "3", _NAN, 1, -2, MAX_CATEGORIES + 1],
     "category_weights": [None, [0.5, 0.5], [0.2, 0.3, 0.5], "x", [_NAN, 1.0], [-0.5, 1.5]],
-    "n_seeds": [1, 4, 10, True, 2.0, 0, -1],
-    "n_regulars": [0, 5, 20, None, -1],
+    "n_seeds": [1, 4, 10, True, 2.0, 0, -1, 10**9],
+    "n_regulars": [0, 5, 20, None, -1, 10**9],
     "homophily": [0, 0.5, 1.0, "x", _NAN, _INF, -0.1, 1.5],
     "minority_categories": [None, ["cat1"], ["cat2", "cat3"], "cat1", [1], ["nope"]],
-    "minority_tweet_share": [0, 0.15, 1.0, [0.1], _NAN, -0.1, 1.01],
+    "minority_tweet_share": [0, 0.15, 1.0, [0.1], _NAN, -0.1, 1.01, 0.9999999],
     "tweets_per_seed": [0, 3.5, 10, "5", _NAN, _INF, -1, MAX_VOLUME_MEAN + 0.5],
     "retweets_per_regular": [0, 4, 10, None, _NAN, -1, MAX_VOLUME_MEAN + 0.5],
     "replies_per_regular": [0, 2, 10, [], _INF, -0.5, MAX_VOLUME_MEAN + 0.5],

@@ -17,7 +17,6 @@ from viewdiv import (
     generate,
     normalized_entropy,
 )
-from viewdiv.model import SEED
 from viewdiv.oracle import exposure_timeline as _timeline
 
 
@@ -162,7 +161,7 @@ def test_timeline_invariants_on_generated_datasets():
                         homophily=0.5, tweets_per_seed=6, retweets_per_regular=5,
                         replies_per_regular=2)
         )
-        seeds = set(compress(ds.users.ids, ds.users.select(SEED)))
+        seeds = set(compress(ds.users.ids, ds.users.categories))
         author = _original_authors(ds)
         for u in regular_users(ds):
             tl = _timeline(ds, u.id)

@@ -34,7 +34,7 @@ from viewdiv.ingest import (
     tweet_to_line,
     user_to_line,
 )
-from viewdiv.model import SEED, CodeMap, validate_config
+from viewdiv.model import CodeMap, validate_config
 
 USER_LINES = [
     '{"id":"s1","kind":"seed","category":"a","followees":[]}',
@@ -45,7 +45,7 @@ USER_LINES = [
 
 def _seed_ids(users):
     """The ids of a table's seeds, sorted."""
-    return sorted(compress(users.ids, users.select(SEED)))
+    return sorted(compress(users.ids, users.categories))
 
 
 def test_parse_users_wellformed():
@@ -102,7 +102,7 @@ def test_parse_users_seeds_after_regulars_give_the_same_table():
 
     def by_id(table):
         return {
-            uid: sorted(table.names[c] for c in table.follows[row])
+            uid: sorted(table.codes.names[c] for c in table.follows[row])
             for uid, row in table.row_of.items()
         }
 
@@ -1165,7 +1165,7 @@ def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
 
     # The one target column: a kept retweet points at the seed that wrote
     # its source, a kept reply at its retained target, an original at none.
-    names = ds.tweets.names
+    names = ds.tweets.codes.names
     for t, target in zip(ds.tweets, ds.tweets.targets, strict=True):
         if t.kind is TweetKind.RETWEET:
             assert names[target] == by_seed[t.source_tweet_id]

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import config, dataset, original, regular, retweet, seed
+from helpers import config, dataset, load_bench_module, original, regular, retweet, seed
 from viewdiv import (
     SynthParams,
     TweetKind,
@@ -19,7 +19,17 @@ from viewdiv import (
     validate_config,
 )
 from viewdiv.ingest import tweet_to_line, user_to_line, write_dataset
-from viewdiv.synth import MAX_CATEGORIES, MAX_VOLUME_MEAN, _choice_cdf, _choice_draw, _resolve
+from viewdiv.synth import (
+    MAX_CATEGORIES,
+    MAX_DRAWS,
+    MAX_TWEETS,
+    MAX_USERS,
+    MAX_VOLUME_MEAN,
+    _choice_cdf,
+    _choice_draw,
+    _expected_tweets,
+    _resolve,
+)
 
 SMALL = SynthParams(
     rng_seed=5, n_categories=3, n_seeds=6, n_regulars=6, homophily=0.5,
@@ -211,6 +221,87 @@ def test_category_bound_is_accepted():
     with pytest.raises(ValueError, match=f"^n_categories must be at most {MAX_CATEGORIES}, got"):
         _resolve(replace(at_bound, n_categories=MAX_CATEGORIES + 1))
     assert max(p.n_categories for p in presets().values()) < 10
+
+
+# The throughput test's parameters at 20,100 users and 997,929 tweets.
+_1M_POINT = SynthParams(
+    rng_seed=90210, n_categories=5, n_seeds=100, n_regulars=20000,
+    homophily=0.6, minority_tweet_share=0.15,
+    tweets_per_seed=4000.0, retweets_per_regular=28.0, replies_per_regular=3.0,
+)
+
+
+def test_every_size_in_use_resolves():
+    """Every preset, every benchmark workload and the 1M-tweet point are
+    within the size bounds, with room to spare; nothing is generated."""
+    in_use = [*presets().values(), _1M_POINT]
+    for workload in load_bench_module("workloads").WORKLOADS.values():
+        in_use += [workload.params, workload.oracle_params]
+    for params in in_use:
+        resolved, cat_ids, seeds_per_cat = _resolve(params)
+        minority = resolved.minority_categories
+        seats = sum(c for c, cid in zip(seeds_per_cat, cat_ids) if cid in minority)
+        users = params.n_seeds + params.n_regulars
+        assert users * 4 < MAX_USERS
+        assert params.n_seeds * users * 4 < MAX_DRAWS
+        assert _expected_tweets(resolved, seats) * 4 < MAX_TWEETS
+
+
+# At each bound: the users with one seed, the draws with 1,000 seeds, and
+# the tweets from 5 non-minority seeds at the volume bound (5 * 10^6
+# originals) and 10 seeds retweeting at half the bound (5 * 10^6 retweets).
+_USERS_AT_BOUND = replace(SMALL, n_seeds=1, n_regulars=MAX_USERS - 1, minority_tweet_share=0.0)
+_DRAWS_AT_BOUND = replace(SMALL, n_seeds=1000, n_regulars=MAX_DRAWS // 1000 - 1000)
+_TWEETS_AT_BOUND = replace(
+    SMALL, n_categories=2, n_seeds=10, n_regulars=0, minority_tweet_share=0.0,
+    tweets_per_seed=MAX_VOLUME_MEAN, retweets_per_regular=MAX_VOLUME_MEAN, replies_per_regular=0,
+)
+
+
+def test_size_bounds_are_accepted():
+    """Each size bound itself resolves; nothing is generated at it."""
+    for params in (_USERS_AT_BOUND, _DRAWS_AT_BOUND, _TWEETS_AT_BOUND):
+        _resolve(params)
+    assert _USERS_AT_BOUND.n_seeds + _USERS_AT_BOUND.n_regulars == MAX_USERS
+    seeds, regulars = _DRAWS_AT_BOUND.n_seeds, _DRAWS_AT_BOUND.n_regulars
+    assert seeds * (seeds + regulars) == MAX_DRAWS
+    assert _expected_tweets(_TWEETS_AT_BOUND, 5) == MAX_TWEETS
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        # one user, one draw, one tweet above each bound
+        (replace(_USERS_AT_BOUND, n_regulars=MAX_USERS),
+         f"n_seeds + n_regulars must be at most {MAX_USERS}, got {MAX_USERS + 1}"),
+        (replace(_DRAWS_AT_BOUND, n_regulars=_DRAWS_AT_BOUND.n_regulars + 1),
+         f"n_seeds * (n_seeds + n_regulars) must be at most {MAX_DRAWS}, got {MAX_DRAWS + 1000}"),
+        (replace(_TWEETS_AT_BOUND, replies_per_regular=0.2),
+         f"the expected tweet count must be at most {MAX_TWEETS}, got {MAX_TWEETS + 1}"),
+        # small objects that would each ask for 10^8 or more of something
+        (SynthParams(n_regulars=10**9),
+         f"n_seeds + n_regulars must be at most {MAX_USERS}, got {10**9 + 50}"),
+        (SynthParams(n_seeds=10**9),
+         f"n_seeds + n_regulars must be at most {MAX_USERS}, got {10**9 + 200}"),
+        (SynthParams(retweets_per_regular=MAX_VOLUME_MEAN),
+         f"the expected tweet count must be at most {MAX_TWEETS}, got "),
+        (SynthParams(minority_tweet_share=0.9999999),
+         f"the expected tweet count must be at most {MAX_TWEETS}, got "),
+    ],
+)
+def test_size_bounds_refuse_by_name(params, message):
+    """Above a bound, _resolve refuses before anything is drawn."""
+    with pytest.raises(ValueError) as excinfo:
+        _resolve(params)
+    assert str(excinfo.value).startswith(message)
+
+
+def test_expected_tweets_is_near_the_generated_count():
+    """The count the bound reads is within 3% of what each preset posts."""
+    for params in presets().values():
+        ds = generate(params)
+        seats = len(ds.config.minority_user_ids)
+        assert _expected_tweets(params, seats) == pytest.approx(len(ds.tweets), rel=0.03)
 
 
 def test_presets_names_and_extremes():
