@@ -39,9 +39,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, islice, repeat, starmap
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import (
     ORIGINAL,
@@ -471,6 +471,19 @@ def _tweet_line(tid, author_id, kind, source_tweet_id, target_user_id, timestamp
     )
 
 
+# Lines per write. One write call per line took about a tenth longer to
+# write the tweet_log benchmark crawl's tweets; 8,192 of its tweet lines
+# are under 1 MB of text.
+_WRITE_ROWS = 8192
+
+
+def _write_lines(fh, lines: Iterator[str]) -> None:
+    """Write each line with a newline after it, ``_WRITE_ROWS`` at a time."""
+    while chunk := list(islice(lines, _WRITE_ROWS)):
+        fh.write("\n".join(chunk))
+        fh.write("\n")
+
+
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     """Write config.json, users.jsonl, tweets.jsonl; returns the paths.
 
@@ -489,9 +502,8 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
         fh.write(config_to_json(dataset.config))
     with open(paths["users"], "w", encoding="utf-8", newline="\n") as fh:
         # ids are unique, so the sort never compares two follow lists
-        for row in sorted(dataset.users.rows()):
-            fh.write(_user_line(*row) + "\n")
+        _write_lines(fh, starmap(_user_line, sorted(dataset.users.rows())))
     with open(paths["tweets"], "w", encoding="utf-8", newline="\n") as fh:
-        for row in dataset.tweets.rows():
-            fh.write(_tweet_line(*row) + "\n")
+        _write_lines(fh, starmap(_tweet_line, dataset.tweets.rows()))
     return paths
+

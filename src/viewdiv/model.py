@@ -480,9 +480,11 @@ class Dataset:
     :func:`viewdiv.ingest.build_dataset` builds every dataset, from lines
     through :func:`viewdiv.ingest.load_dataset` or from a table built by
     :meth:`UserTable.from_records` and a tweet table over its codes
-    (:meth:`TweetTable.from_records`) resolved by :meth:`TweetTable.resolve`.
-    It validates the config and drops every tweet whose references dangle,
-    so the analysis modules assume every reference resolves.
+    (:meth:`TweetTable.from_records`) resolved by :meth:`TweetTable.resolve`,
+    or from the tables :func:`viewdiv.synth.generate` fills, whose retweets
+    get their targets as they are drawn. It validates the config and drops
+    every tweet whose references dangle, so the analysis modules assume
+    every reference resolves.
     """
 
     config: CountryConfig

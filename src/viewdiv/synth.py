@@ -28,11 +28,13 @@ seed from cumulative shares computed once per (author, category) group,
 with ``Generator.choice``'s own algorithm (:func:`_choice_draw`), so the
 draws, and the files :func:`~viewdiv.ingest.write_dataset` writes, are the
 ones a ``choice`` call per retweet gives (``tests/test_synth.py`` pins them
-by sha256). At 997,929 tweets (the throughput test's parameters with
-``n_regulars=20000`` and ``tweets_per_seed=4000``) that brings generating
-and writing from 27.7 s to 11.6 s (medians of 3 alternating runs on a
-2-vCPU Linux VM, Python 3.11.7, numpy 2.4.6; the writer's share went from
-6.7 to 2.4 s).
+by sha256). The tweets go straight into the table's columns, each seed's
+originals as one run of rows, and each retweet gets its target, the seed
+it drew, as it is drawn. At 997,929 tweets (the throughput test's
+parameters with ``n_regulars=20000`` and ``tweets_per_seed=4000``),
+generating and writing take 6.1 s, against 7.2 s when each tweet was
+posted and written on its own (medians of 3 alternating runs on a 2-vCPU
+Linux VM, Python 3.11.7, numpy 2.4.6; generating 4.4 against 5.4 s).
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import repeat
+from typing import Iterable
 
 import numpy as np
 
@@ -82,8 +86,11 @@ MAX_CATEGORIES = 1_000
 # draws and 997,929 tweets at the 1M-tweet point above). MAX_USERS bounds
 # n_seeds + n_regulars. MAX_DRAWS bounds n_seeds * (n_seeds + n_regulars):
 # each regular draws once per seed to pick its follows, and each user's
-# reach lists name up to every seed. MAX_TWEETS bounds the tweet count the
-# means give before any draw (_expected_tweets). Measured at 1/2 to 1/100
+# reach lists name up to every seed. It also bounds n_categories *
+# (n_seeds + n_regulars): each user's activity walks every category, at
+# about 1.3 us a walk (measured at 1,000 categories), so the bound allows
+# about 15 s of walks. MAX_TWEETS bounds the tweet count the means give
+# before any draw (_expected_tweets). Measured at 1/2 to 1/100
 # of the bounds (Python 3.11.7, numpy 2.4.6), a user holds about 700 bytes,
 # a follow 50 and a tweet 180 until the dataset is written, so the bounds
 # allow about 70 MB of users, 0.5 GB of follows and 1.8 GB of tweets:
@@ -197,6 +204,11 @@ def _resolve(params: SynthParams) -> tuple[SynthParams, list[str], list[int]]:
             f"n_seeds * (n_seeds + n_regulars) must be at most {MAX_DRAWS}, "
             f"got {p.n_seeds * users}"
         )
+    if p.n_categories * users > MAX_DRAWS:
+        raise ValueError(
+            f"n_categories * (n_seeds + n_regulars) must be at most {MAX_DRAWS}, "
+            f"got {p.n_categories * users}"
+        )
     tweets = _expected_tweets(p, minority_seats)
     if tweets > MAX_TWEETS:
         raise ValueError(
@@ -296,69 +308,94 @@ def generate(params: SynthParams) -> Dataset:
                 split = rng.multinomial(target, np.full(len(m_idx), 1.0 / len(m_idx)))
                 volumes[m_idx] = split
 
-    # one code map for every id, so a seed's code is its index
+    # One code map for every id, so a seed's code is its index and a
+    # regular's n_seeds plus its index. Ids never repeat, and a retweet's
+    # target is the seed it drew, which wrote its source, as
+    # TweetTable.resolve would set it; so the table needs no resolve.
     regular_ids = [f"u{i + 1:06d}" for i in range(p.n_regulars)]
     codes = CodeMap(seed_ids + regular_ids)
     tweets = TweetTable(codes)
+    ids = tweets.ids
 
-    def post(kind: int, author: str, source: str | None = None, target: str | None = None) -> str:
-        """Append one tweet; its id and timestamp both number it from 1."""
-        row = len(tweets.ids) + 1
-        tid = f"t{row:08d}"
-        tweets.append(tid, kind, author, source, target, row)
-        return tid
+    def post(kind: int, author: int, sources: Iterable[str | None], targets: list[int]) -> None:
+        """Append one row per target, each a ``kind`` tweet by ``author``
+        with its source from ``sources``; a row's id and timestamp both
+        number it from 1."""
+        start = len(ids) + 1
+        stop = start + len(targets)
+        ids.extend(map("t%08d".__mod__, range(start, stop)))
+        tweets.kinds.extend(bytes([kind]) * len(targets))
+        tweets.authors.extend(repeat(author, len(targets)))
+        tweets.sources.extend(sources)
+        tweets.targets.extend(targets)
+        tweets.timestamps.extend(range(start, stop))
 
+    # each seed's originals as one run of rows, from first_row[si]
     vol = volumes.tolist()
-    originals_by_seed = [
-        [post(ORIGINAL, sid) for _ in range(vol[si])]
-        for si, sid in enumerate(seed_ids)
-    ]
+    first_row = []
+    for si, v in enumerate(vol):
+        first_row.append(len(ids))
+        post(ORIGINAL, si, repeat(None, v), [-1] * v)
 
-    # per-category candidate structure: seed indexes in seed order
+    # per category, the seeds in seed order, and those with originals to
+    # retweet
     seeds_in_cat: list[list[int]] = [[] for _ in range(n)]
     for si, ci in enumerate(seed_cat_idx):
         seeds_in_cat[ci].append(si)
+    cands_in_cat = [[si for si in seeds if vol[si] > 0] for seeds in seeds_in_cat]
 
     def split_by_mixture(k: int, mix: np.ndarray, usable: np.ndarray) -> np.ndarray:
         """Split k draws over categories by the mixture restricted to usable
-        ones (uniform fallback when the restricted mass is zero)."""
+        ones (uniform fallback when the restricted mass is zero). With k = 0
+        nothing is drawn: multinomial(0, p) takes nothing from the stream."""
+        if k == 0:
+            return np.zeros(n, dtype=int)
         w = mix * usable
         total = w.sum()
         if total <= 0.0:
-            if not usable.any() or k == 0:
+            if not usable.any():
                 return np.zeros(n, dtype=int)
             w = usable.astype(float)
             total = w.sum()
         return rng.multinomial(k, w / total)
 
-    def act(author: str, home: int, reach: list[list[int]], factor: float) -> None:
-        """Retweets and replies of ``author`` by the one activity rule;
-        ``reach`` holds, per category, the seed indexes it can act on."""
+    def act(
+        author: int, home: int, reach: list[list[int]], cands_in: list[list[int]], factor: float
+    ) -> None:
+        """Retweets and replies of the user coded ``author`` by the one
+        activity rule; per category, ``reach`` holds the seed indexes it
+        can act on and ``cands_in`` those of them with originals."""
         mix = mixtures[home]
-        # per category, the reachable seeds with originals to retweet
-        cands_in = [[si for si in seeds if vol[si] > 0] for seeds in reach]
         usable = np.array([bool(cands) for cands in cands_in])
         k = int(rng.poisson(factor * p.retweets_per_regular))
-        for cands, cnt in zip(cands_in, split_by_mixture(k, mix, usable)):
+        sources: list[str] = []
+        targets: list[int] = []
+        for cands, cnt in zip(cands_in, split_by_mixture(k, mix, usable).tolist()):
             if not cnt:
                 continue
             cdf = _choice_cdf(np.array([vol[si] for si in cands], dtype=float))
-            for _ in range(int(cnt)):
+            for _ in range(cnt):
                 si = cands[_choice_draw(cdf, rng)]
-                original = originals_by_seed[si][int(rng.integers(0, vol[si]))]
-                post(RETWEET, author, source=original)
+                sources.append(ids[first_row[si] + int(rng.integers(0, vol[si]))])
+                targets.append(si)
+        post(RETWEET, author, sources, targets)
         usable = np.array([bool(seeds) for seeds in reach])
         k = int(rng.poisson(factor * p.replies_per_regular))
-        for seeds, cnt in zip(reach, split_by_mixture(k, mix, usable)):
-            for _ in range(int(cnt)):
-                post(REPLY, author, target=seed_ids[seeds[int(rng.integers(0, len(seeds)))]])
+        targets = [
+            seeds[int(rng.integers(0, len(seeds)))]
+            for seeds, cnt in zip(reach, split_by_mixture(k, mix, usable).tolist())
+            for _ in range(cnt)
+        ]
+        post(REPLY, author, repeat(None, len(targets)), targets)
 
     # seeds act on every other seed
-    for si, sid in enumerate(seed_ids):
+    for si in range(len(seed_ids)):
         home = seed_cat_idx[si]
         reach = list(seeds_in_cat)
         reach[home] = [sj for sj in reach[home] if sj != si]
-        act(sid, home, reach, SEED_ACTIVITY_FACTOR)
+        cands_in = list(cands_in_cat)
+        cands_in[home] = [sj for sj in cands_in[home] if sj != si]
+        act(si, home, reach, cands_in, SEED_ACTIVITY_FACTOR)
 
     # regulars: home category, Bernoulli follows, then activity on the followed seeds
     home_draws = rng.choice(n, size=p.n_regulars, p=weights) if p.n_regulars else []
@@ -380,11 +417,12 @@ def generate(params: SynthParams) -> Dataset:
             follows = [seeds_in_cat[ci][int(rng.integers(0, len(seeds_in_cat[ci])))]]
         followees_of.append(follows)
 
-    for ri, rid in enumerate(regular_ids):
+    for ri, follows in enumerate(followees_of):
         reach = [[] for _ in range(n)]
-        for si in followees_of[ri]:
+        for si in follows:
             reach[seed_cat_idx[si]].append(si)
-        act(rid, int(home_draws[ri]), reach, 1.0)
+        cands_in = [[si for si in seeds if vol[si] > 0] for seeds in reach]
+        act(len(seed_ids) + ri, int(home_draws[ri]), reach, cands_in, 1.0)
 
     # The users as table columns, each follow list as codes: a seed's code
     # is its index, ascending as each list is drawn. A seed has a category
@@ -400,7 +438,7 @@ def generate(params: SynthParams) -> Dataset:
         categories=categories,
         minority_user_ids=minority_user_ids,
     )
-    return build_dataset(config, users, tweets.resolve(users))[0]
+    return build_dataset(config, users, tweets)[0]
 
 
 def presets() -> dict[str, SynthParams]:

@@ -10,7 +10,7 @@ from itertools import compress
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import config, original, regular, reply, retweet, seed
+from helpers import config, dataset, original, regular, reply, retweet, seed
 from viewdiv import (
     IngestError,
     ParseDiagnostic,
@@ -29,10 +29,12 @@ from viewdiv import (
 )
 from viewdiv.ingest import (
     _CANONICAL_TWEET,
+    _WRITE_ROWS,
     build_dataset,
     filter_active_regulars,
     tweet_to_line,
     user_to_line,
+    write_dataset,
 )
 from viewdiv.model import CodeMap, validate_config
 
@@ -570,6 +572,41 @@ def test_user_line_is_json_dumps_of_the_record(user):
         obj["category"] = user.category
     obj["followees"] = sorted(user.followees)
     assert _outcome(user_to_line, user) == _outcome(_compact, obj)
+
+
+@pytest.mark.parametrize("rows", [_WRITE_ROWS, 2 * _WRITE_ROWS + 1])
+def test_write_dataset_writes_each_records_line(rows, tmp_path):
+    """write_dataset writes the lines in chunks of _WRITE_ROWS; each
+    written line is still tweet_to_line of its record, in table order, and
+    user_to_line of each user, by id. Ids hold a quote, a backslash and
+    non-ASCII text, every kind is there, a timestamp is above 2^63, and the
+    rows fill one chunk or run into a third."""
+    seeds = ['s"1', "s\\2", "sé3"]
+    users = [
+        seed(seeds[0], "a"), seed(seeds[1], "b", [seeds[0]]), seed(seeds[2], "a"),
+        regular('u"ü\\', seeds), regular("u2", [seeds[2]]),
+    ]
+    authors = [u.id for u in users]
+    tweets = [original('t"0', seeds[0], 2**63 + 1)]
+    for i in range(1, rows):
+        author = authors[i % len(authors)]
+        ts = 2**63 + i if i < 4 else i  # one of each kind above 2^63
+        if i % 3 == 0:
+            tweets.append(original(f'o"{i}é', seeds[i % 2], ts))
+        elif i % 3 == 1:
+            tweets.append(retweet(f"r\\{i}", author, 't"0', ts))
+        else:
+            tweets.append(reply(f"p{i}ü", author, authors[(i + 1) % len(authors)], ts))
+    ds = dataset(config({"a": "left", "b": "right"}, minorities=[seeds[1]]), users, tweets)
+    assert len(ds.tweets) == rows  # nothing dangles
+
+    paths = write_dataset(ds, tmp_path)
+    assert paths["tweets"].read_bytes().decode("utf-8") == "".join(
+        tweet_to_line(t) + "\n" for t in tweets
+    )
+    assert paths["users"].read_bytes().decode("utf-8") == "".join(
+        user_to_line(u) + "\n" for u in sorted(users, key=lambda u: u.id)
+    )
 
 
 # -- a record is held to the rule of a line ---------------------------------

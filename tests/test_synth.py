@@ -144,6 +144,24 @@ def test_choice_draw_matches_generator_choice(weights):
         assert ours.integers(0, 9) == theirs.integers(0, 9)
 
 
+@pytest.mark.parametrize("p", [
+    pytest.param([0.2] * 5, id="uniform"),
+    pytest.param([0.92, 0.02, 0.02, 0.02, 0.02], id="mixture"),
+    pytest.param([0.0, 0.5, 0.0, 0.5], id="zero_shares"),
+    pytest.param([1.0], id="one_category"),
+])
+def test_multinomial_of_zero_leaves_the_stream_alone(p):
+    """generate skips the multinomial split of k = 0 draws; that gives the
+    same stream only because numpy's multinomial(0, p) draws nothing. The
+    first integers() call leaves half of a 64-bit draw buffered, which is
+    state too."""
+    rng = np.random.default_rng(17)
+    rng.integers(0, 9)
+    state = rng.bit_generator.state
+    assert rng.multinomial(0, p).tolist() == [0] * len(p)
+    assert rng.bit_generator.state == state
+
+
 def test_different_seed_gives_different_datasets():
     assert _serialize(generate(SMALL)) != _serialize(generate(replace(SMALL, rng_seed=6)))
 
@@ -244,6 +262,7 @@ def test_every_size_in_use_resolves():
         users = params.n_seeds + params.n_regulars
         assert users * 4 < MAX_USERS
         assert params.n_seeds * users * 4 < MAX_DRAWS
+        assert params.n_categories * users * 4 < MAX_DRAWS
         assert _expected_tweets(resolved, seats) * 4 < MAX_TWEETS
 
 
@@ -252,6 +271,11 @@ def test_every_size_in_use_resolves():
 # originals) and 10 seeds retweeting at half the bound (5 * 10^6 retweets).
 _USERS_AT_BOUND = replace(SMALL, n_seeds=1, n_regulars=MAX_USERS - 1, minority_tweet_share=0.0)
 _DRAWS_AT_BOUND = replace(SMALL, n_seeds=1000, n_regulars=MAX_DRAWS // 1000 - 1000)
+# The category walks at the bound: 1,000 categories over 10,000 users.
+_WALKS_AT_BOUND = replace(
+    SMALL, n_categories=MAX_CATEGORIES, n_seeds=10,
+    n_regulars=MAX_DRAWS // MAX_CATEGORIES - 10, minority_tweet_share=0.0,
+)
 _TWEETS_AT_BOUND = replace(
     SMALL, n_categories=2, n_seeds=10, n_regulars=0, minority_tweet_share=0.0,
     tweets_per_seed=MAX_VOLUME_MEAN, retweets_per_regular=MAX_VOLUME_MEAN, replies_per_regular=0,
@@ -260,11 +284,13 @@ _TWEETS_AT_BOUND = replace(
 
 def test_size_bounds_are_accepted():
     """Each size bound itself resolves; nothing is generated at it."""
-    for params in (_USERS_AT_BOUND, _DRAWS_AT_BOUND, _TWEETS_AT_BOUND):
+    for params in (_USERS_AT_BOUND, _DRAWS_AT_BOUND, _WALKS_AT_BOUND, _TWEETS_AT_BOUND):
         _resolve(params)
     assert _USERS_AT_BOUND.n_seeds + _USERS_AT_BOUND.n_regulars == MAX_USERS
     seeds, regulars = _DRAWS_AT_BOUND.n_seeds, _DRAWS_AT_BOUND.n_regulars
     assert seeds * (seeds + regulars) == MAX_DRAWS
+    walks = _WALKS_AT_BOUND
+    assert walks.n_categories * (walks.n_seeds + walks.n_regulars) == MAX_DRAWS
     assert _expected_tweets(_TWEETS_AT_BOUND, 5) == MAX_TWEETS
 
 
@@ -287,6 +313,13 @@ def test_size_bounds_are_accepted():
          f"the expected tweet count must be at most {MAX_TWEETS}, got "),
         (SynthParams(minority_tweet_share=0.9999999),
          f"the expected tweet count must be at most {MAX_TWEETS}, got "),
+        # one category walk above its bound, and an object that asks for
+        # 10^8 walks with every other size within its bound
+        (replace(_WALKS_AT_BOUND, n_regulars=_WALKS_AT_BOUND.n_regulars + 1),
+         f"n_categories * (n_seeds + n_regulars) must be at most {MAX_DRAWS}, "
+         f"got {MAX_DRAWS + MAX_CATEGORIES}"),
+        (SynthParams(n_categories=1000, n_seeds=100, n_regulars=99900, minority_tweet_share=0),
+         f"n_categories * (n_seeds + n_regulars) must be at most {MAX_DRAWS}, got {10**8}"),
     ],
 )
 def test_size_bounds_refuse_by_name(params, message):
@@ -341,6 +374,31 @@ def test_round_trip_through_ingest():
     assert rebuilt.users == ds.users
     assert rebuilt.tweets == ds.tweets
     assert _serialize(rebuilt) == (users_lines, tweet_lines)
+
+
+_ROUND_TRIP_PARAMS = {**presets(), **PINNED_PARAMS}
+
+
+def _target_names(tweets) -> list[str | None]:
+    """Each row's target as a user id, None for -1."""
+    names = tweets.codes.names
+    return [names[t] if t >= 0 else None for t in tweets.targets]
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_TRIP_PARAMS))
+def test_targets_survive_the_round_trip(name, tmp_path):
+    """generate sets each retweet's target as it draws it; load_dataset
+    resolves it from the written source. The two name the same users, and
+    compute_all, which reads the targets, agrees. rows(), table equality
+    and the sha256 pins all leave a retweet's target out."""
+    ds = generate(_ROUND_TRIP_PARAMS[name])
+    paths = write_dataset(ds, tmp_path)
+    with open(paths["users"], encoding="utf-8") as users, \
+            open(paths["tweets"], encoding="utf-8") as tweets:
+        rebuilt, report, diags = load_dataset(ds.config, users, tweets, min_retweets=0)
+    assert diags == [] and report.tweets_dropped_dangling == 0
+    assert _target_names(rebuilt.tweets) == _target_names(ds.tweets)
+    assert compute_all(rebuilt) == compute_all(ds)
 
 
 def test_oracle_refuses_large_datasets():
