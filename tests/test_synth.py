@@ -54,6 +54,10 @@ def test_same_seed_gives_identical_datasets():
 # takes the guaranteed followee, and seeds and regulars both reach the
 # uniform fallback of split_by_mixture), zero-volume seeds, minority share
 # 1.0 without regulars, and minority share 0 with the guaranteed followee.
+# "dense" has every seed retweet into the shared category lists and into its
+# own category without itself, with 3 zero-volume seeds; in "homophilous"
+# regulars follow the whole of their home category, 4 of whose seeds post
+# nothing.
 PINNED_PARAMS = {
     "uniform": presets()["uniform"],
     "segregated": presets()["segregated"],
@@ -72,6 +76,15 @@ PINNED_PARAMS = {
         rng_seed=5, n_categories=2, n_seeds=4, n_regulars=10, homophily=0.0,
         minority_categories=(), minority_tweet_share=0.0,
         tweets_per_seed=3, retweets_per_regular=4, replies_per_regular=2,
+    ),
+    "dense": SynthParams(
+        rng_seed=6, n_categories=5, n_seeds=60, n_regulars=40, homophily=0.0,
+        tweets_per_seed=3, retweets_per_regular=10, replies_per_regular=2,
+    ),
+    "homophilous": SynthParams(
+        rng_seed=7, n_categories=9, n_seeds=30, n_regulars=60, homophily=0.85,
+        minority_tweet_share=0.10, tweets_per_seed=1.5, retweets_per_regular=3,
+        replies_per_regular=3,
     ),
 }
 _UNIVERSE5 = "285fc62c3e0394f54db6ffec3819fe2c02390902a8f8cdd30d237b43b3930527"
@@ -100,6 +113,16 @@ PINNED_SHA256 = {
         "e729ced837a31282285dbfda94750093550f7b32c6f5222301b7ad4469e87b51",
         "7ea714be0465ecc9114028c22b6cf268cd6f803f3bce9c622e814abcf83ac106",
         "c793f282e9dcddd0ff31527955ae0e1ec0bdd263e6829f6e889b574436d87e3a",
+    ),
+    "dense": (
+        "cafdc7056d3047c3f9b586af6b63c805d45a804cba030dd775765819f386c77e",
+        "08a29ebdd848a3314bf963247e8e380dde7417ffaa65f47ebab993d130279a8e",
+        "608f39729ab6b399961f4103c39a3e444bf091e91e32707a2b20355e72274c05",
+    ),
+    "homophilous": (
+        "0cb27cecd8635d81f40fa7951db1f31f37f241d14f3f8c1afc0db9e7080b0f1a",
+        "65d20030dfff7b1a79020f33d3e6ecc9cedcc1fce68309272a73a05ee50e4d29",
+        "702dfbe7270b7ad89732956038a555086f4cd7fe6153f86088cefbe628e781aa",
     ),
 }
 
