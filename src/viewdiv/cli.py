@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import ingest as ingest_mod
@@ -332,39 +332,6 @@ def _compare(args: argparse.Namespace) -> None:
         )
 
 
-def _is_number(v) -> bool:
-    return type(v) in (int, float)
-
-
-# A check per SynthParams field type (as spelled under postponed
-# annotations). A JSON list stands for a tuple; an int field takes no bool
-# and no float, a float field any JSON number but no bool.
-_SYNTH_PARAM_CHECKS = {
-    "int": lambda v: type(v) is int,
-    "float": _is_number,
-    "tuple[float, ...] | None": lambda v: v is None
-    or (type(v) is list and all(_is_number(x) for x in v)),
-    "tuple[str, ...] | None": lambda v: v is None
-    or (type(v) is list and all(type(x) is str for x in v)),
-}
-
-
-def _read_synth_params(path: Path):
-    """``SynthParams`` from a JSON object file, held to the same rules as
-    one input line and to the fields' types."""
-    from .synth import SynthParams
-
-    raw = ingest_mod.read_json_object(path, "synth params")
-    types = {f.name: f.type for f in fields(SynthParams)}
-    unknown = set(raw) - set(types)
-    if unknown:
-        raise ValueError(f"{path}: malformed synth params (unknown keys: {sorted(unknown)})")
-    for name, value in raw.items():
-        if not _SYNTH_PARAM_CHECKS[types[name]](value):
-            raise ValueError(f"{path}: malformed synth params ('{name}' must be {types[name]})")
-    return SynthParams(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
-
-
 def _synth(args: argparse.Namespace) -> None:
     """Generate a synthetic dataset as ingest-compatible files."""
     from . import synth as synth_mod  # numpy; only this command needs it
@@ -380,7 +347,9 @@ def _synth(args: argparse.Namespace) -> None:
                 + ", ".join(sorted(synth_mod.presets()))
             ) from None
     else:
-        params = _read_synth_params(Path(args.params))
+        path = Path(args.params)
+        raw = ingest_mod.read_json_object(path, "synth params")
+        params = synth_mod.params_from_object(raw, path)
     if args.rng_seed is not None:
         params = replace(params, rng_seed=args.rng_seed)
 

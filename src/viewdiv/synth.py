@@ -24,11 +24,14 @@ Tweet ids (``t00000001``, ...) and timestamps both number the tweets from
 
 Generation is single-threaded and fully deterministic for a fixed
 ``rng_seed``: one numpy Generator, fixed draw order. A retweet picks its
-seed from cumulative shares computed once per (author, category) group,
-with ``Generator.choice``'s own algorithm (:func:`_choice_draw`), so the
-draws, and the files :func:`~viewdiv.ingest.write_dataset` writes, are the
-ones a ``choice`` call per retweet gives (``tests/test_synth.py`` pins them
-by sha256). The tweets go straight into the table's columns, each seed's
+seed from cumulative shares with ``Generator.choice``'s own algorithm
+(:func:`_choice_draw`), so the draws, and the files
+:func:`~viewdiv.ingest.write_dataset` writes, are the ones a ``choice``
+call per retweet gives (``tests/test_synth.py`` pins them by sha256). The
+shares are computed once per category, once per seed for its own category
+less itself, and once per regular only for a category it follows in part;
+the mixture split of a draw count is computed once per home category and
+set of usable categories. The tweets go straight into the table's columns, each seed's
 originals as one run of rows, and each retweet gets its target, the seed
 it drew, as it is drawn. At 997,929 tweets (the throughput test's
 parameters with ``n_regulars=20000`` and ``tweets_per_seed=4000``),
@@ -42,8 +45,9 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import repeat
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -93,8 +97,11 @@ MAX_CATEGORIES = 1_000
 # before any draw (_expected_tweets). Measured at 1/2 to 1/100
 # of the bounds (Python 3.11.7, numpy 2.4.6), a user holds about 700 bytes,
 # a follow 50 and a tweet 180 until the dataset is written, so the bounds
-# allow about 70 MB of users, 0.5 GB of follows and 1.8 GB of tweets:
-# about 2.4 GB in all.
+# allow about 70 MB of users, 0.5 GB of follows and 1.8 GB of tweets. The
+# mixture splits are cached, at most two per user (retweets and replies),
+# each about 10 bytes per category (9.7 KB at 1,000 categories, by
+# tracemalloc), so the n_categories bound on MAX_DRAWS holds them to about
+# 0.2 GB; the benchmark workloads cache 5 to 1,221. About 2.6 GB in all.
 MAX_USERS = 100_000
 MAX_DRAWS = 10_000_000
 MAX_TWEETS = 10_000_000
@@ -116,6 +123,38 @@ class SynthParams:
     tweets_per_seed: float = 30.0
     retweets_per_regular: float = 10.0
     replies_per_regular: float = 4.0
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+# A check per SynthParams field type (as spelled under postponed
+# annotations). A JSON list stands for a tuple; an int field takes no bool
+# and no float, a float field any JSON number but no bool.
+_PARAM_CHECKS = {
+    "int": lambda v: type(v) is int,
+    "float": _is_number,
+    "tuple[float, ...] | None": lambda v: v is None
+    or (type(v) is list and all(_is_number(x) for x in v)),
+    "tuple[str, ...] | None": lambda v: v is None
+    or (type(v) is list and all(type(x) is str for x in v)),
+}
+
+
+def params_from_object(raw: dict, source: str | Path) -> SynthParams:
+    """``SynthParams`` from a decoded JSON object, held to the fields'
+    types; a key that is no field or a value of another type raises
+    ``ValueError("<source>: malformed synth params (<reason>)")``. Ranges
+    and sizes are :func:`generate`'s to check."""
+    types = {f.name: f.type for f in fields(SynthParams)}
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise ValueError(f"{source}: malformed synth params (unknown keys: {sorted(unknown)})")
+    for name, value in raw.items():
+        if not _PARAM_CHECKS[types[name]](value):
+            raise ValueError(f"{source}: malformed synth params ('{name}' must be {types[name]})")
+    return SynthParams(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
 def _category_ids(n: int) -> list[str]:
@@ -255,6 +294,12 @@ def _choice_draw(cdf: list[float], rng: np.random.Generator) -> int:
     return bisect_right(cdf, rng.random())
 
 
+def _without(seq: list[int], x: int) -> list[int]:
+    """``seq`` less its one ``x``."""
+    i = seq.index(x)
+    return seq[:i] + seq[i + 1:]
+
+
 def generate(params: SynthParams) -> Dataset:
     """Generate a validated Dataset; byte-identical for identical params.
     Ids never repeat and every reference resolves, so
@@ -344,58 +389,80 @@ def generate(params: SynthParams) -> Dataset:
         seeds_in_cat[ci].append(si)
     cands_in_cat = [[si for si in seeds if vol[si] > 0] for seeds in seeds_in_cat]
 
-    def split_by_mixture(k: int, mix: np.ndarray, usable: np.ndarray) -> np.ndarray:
-        """Split k draws over categories by the mixture restricted to usable
-        ones (uniform fallback when the restricted mass is zero). With k = 0
+    def volume_cdf(cands: list[int]) -> list[float]:
+        return _choice_cdf(np.array([vol[si] for si in cands], dtype=float))
+
+    # per category, the cdf over all its seeds with originals
+    cat_cdfs = [volume_cdf(cands) if cands else None for cands in cands_in_cat]
+
+    # the mixture shares restricted to the usable categories, by (home
+    # category, bytes of the usable flags); None when none is usable
+    shares_of: dict[tuple[int, bytes], np.ndarray | None] = {}
+
+    def split_by_mixture(k: int, home: int, lists: list[list[int]]) -> list[int]:
+        """Split k draws over the categories by the home category's mixture
+        restricted to those whose list is non-empty (uniform over them when
+        the restricted mass is zero, nothing when none is). With k = 0
         nothing is drawn: multinomial(0, p) takes nothing from the stream."""
         if k == 0:
-            return np.zeros(n, dtype=int)
-        w = mix * usable
-        total = w.sum()
-        if total <= 0.0:
-            if not usable.any():
-                return np.zeros(n, dtype=int)
-            w = usable.astype(float)
+            return [0] * n
+        key = (home, bytes(map(bool, lists)))
+        if key not in shares_of:
+            usable = np.frombuffer(key[1], dtype=bool)
+            w = mixtures[home] * usable
             total = w.sum()
-        return rng.multinomial(k, w / total)
+            if total <= 0.0 and usable.any():
+                w = usable.astype(float)
+                total = w.sum()
+            shares_of[key] = w / total if total > 0.0 else None
+        shares = shares_of[key]
+        return [0] * n if shares is None else rng.multinomial(k, shares).tolist()
 
     def act(
-        author: int, home: int, reach: list[list[int]], cands_in: list[list[int]], factor: float
+        author: int,
+        home: int,
+        reach: list[list[int]],
+        cands_in: list[list[int]],
+        cdfs: list[list[float] | None],
+        factor: float,
     ) -> None:
         """Retweets and replies of the user coded ``author`` by the one
         activity rule; per category, ``reach`` holds the seed indexes it
-        can act on and ``cands_in`` those of them with originals."""
-        mix = mixtures[home]
-        usable = np.array([bool(cands) for cands in cands_in])
+        can act on, ``cands_in`` those of them with originals and ``cdfs``
+        their cdf, or None where it is built here when a retweet lands."""
         k = int(rng.poisson(factor * p.retweets_per_regular))
         sources: list[str] = []
         targets: list[int] = []
-        for cands, cnt in zip(cands_in, split_by_mixture(k, mix, usable).tolist()):
+        for cands, cdf, cnt in zip(cands_in, cdfs, split_by_mixture(k, home, cands_in)):
             if not cnt:
                 continue
-            cdf = _choice_cdf(np.array([vol[si] for si in cands], dtype=float))
+            if cdf is None:
+                cdf = volume_cdf(cands)
             for _ in range(cnt):
                 si = cands[_choice_draw(cdf, rng)]
                 sources.append(ids[first_row[si] + int(rng.integers(0, vol[si]))])
                 targets.append(si)
         post(RETWEET, author, sources, targets)
-        usable = np.array([bool(seeds) for seeds in reach])
         k = int(rng.poisson(factor * p.replies_per_regular))
         targets = [
             seeds[int(rng.integers(0, len(seeds)))]
-            for seeds, cnt in zip(reach, split_by_mixture(k, mix, usable).tolist())
+            for seeds, cnt in zip(reach, split_by_mixture(k, home, reach))
             for _ in range(cnt)
         ]
         post(REPLY, author, repeat(None, len(targets)), targets)
 
-    # seeds act on every other seed
+    # seeds act on every other seed: the category lists and cdfs, less the
+    # seed itself in its own category
     for si in range(len(seed_ids)):
         home = seed_cat_idx[si]
         reach = list(seeds_in_cat)
-        reach[home] = [sj for sj in reach[home] if sj != si]
+        reach[home] = _without(seeds_in_cat[home], si)
         cands_in = list(cands_in_cat)
-        cands_in[home] = [sj for sj in cands_in[home] if sj != si]
-        act(si, home, reach, cands_in, SEED_ACTIVITY_FACTOR)
+        cdfs = list(cat_cdfs)
+        if vol[si]:
+            cands_in[home] = _without(cands_in_cat[home], si)
+            cdfs[home] = None
+        act(si, home, reach, cands_in, cdfs, SEED_ACTIVITY_FACTOR)
 
     # regulars: home category, Bernoulli follows, then activity on the followed seeds
     home_draws = rng.choice(n, size=p.n_regulars, p=weights) if p.n_regulars else []
@@ -422,7 +489,12 @@ def generate(params: SynthParams) -> Dataset:
         for si in follows:
             reach[seed_cat_idx[si]].append(si)
         cands_in = [[si for si in seeds if vol[si] > 0] for seeds in reach]
-        act(len(seed_ids) + ri, int(home_draws[ri]), reach, cands_in, 1.0)
+        # a category's candidates are its whole list when none is missing
+        cdfs = [
+            cdf if len(cands) == len(whole) else None
+            for cands, whole, cdf in zip(cands_in, cands_in_cat, cat_cdfs)
+        ]
+        act(len(seed_ids) + ri, int(home_draws[ri]), reach, cands_in, cdfs, 1.0)
 
     # The users as table columns, each follow list as codes: a seed's code
     # is its index, ascending as each list is drawn. A seed has a category

@@ -559,10 +559,9 @@ _MALFORMED_PARAMS = {
 
 
 def test_every_synth_param_type_has_a_check():
-    from viewdiv.cli import _SYNTH_PARAM_CHECKS
-    from viewdiv.synth import SynthParams
+    from viewdiv.synth import _PARAM_CHECKS, SynthParams
 
-    assert {f.type for f in fields(SynthParams)} <= set(_SYNTH_PARAM_CHECKS)
+    assert {f.type for f in fields(SynthParams)} <= set(_PARAM_CHECKS)
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_PARAMS))

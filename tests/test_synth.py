@@ -18,6 +18,7 @@ from viewdiv import (
     seed_interaction_matrix,
     validate_config,
 )
+from viewdiv import synth as synth_mod
 from viewdiv.ingest import tweet_to_line, user_to_line, write_dataset
 from viewdiv.synth import (
     MAX_CATEGORIES,
@@ -183,6 +184,38 @@ def test_multinomial_of_zero_leaves_the_stream_alone(p):
     state = rng.bit_generator.state
     assert rng.multinomial(0, p).tolist() == [0] * len(p)
     assert rng.bit_generator.state == state
+
+
+def _cdf_builds(monkeypatch, params) -> int:
+    """How many retweet cdfs generate builds for ``params``."""
+    builds = []
+    monkeypatch.setattr(synth_mod, "_choice_cdf", lambda w: builds.append(w) or _choice_cdf(w))
+    generate(params)
+    return len(builds)
+
+
+def test_seeds_share_the_category_cdfs(monkeypatch):
+    """Every seed retweets from the category cdfs built once; only its own
+    category, without itself, is built per seed. The seeds act before any
+    regular draws, so a run without regulars counts their builds alone."""
+    dense = PINNED_PARAMS["dense"]
+    assert _cdf_builds(monkeypatch, replace(dense, n_regulars=0)) <= (
+        dense.n_categories + dense.n_seeds
+    )
+
+
+def test_a_wholly_followed_category_reuses_its_cdf(monkeypatch):
+    """At h = 1 a regular follows every seed of its home category and
+    retweets only there, so the regulars build no cdf."""
+    segregated = replace(PINNED_PARAMS["dense"], homophily=1.0)
+    regular_retweets = [
+        t for t in generate(segregated).tweets
+        if t.kind is TweetKind.RETWEET and t.author_id.startswith("u")
+    ]
+    assert regular_retweets
+    assert _cdf_builds(monkeypatch, segregated) == _cdf_builds(
+        monkeypatch, replace(segregated, n_regulars=0)
+    )
 
 
 def test_different_seed_gives_different_datasets():
