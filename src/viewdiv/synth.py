@@ -31,13 +31,15 @@ call per retweet gives (``tests/test_synth.py`` pins them by sha256). The
 shares are computed once per category, once per seed for its own category
 less itself, and once per regular only for a category it follows in part;
 the mixture split of a draw count is computed once per home category and
-set of usable categories. The tweets go straight into the table's columns, each seed's
-originals as one run of rows, and each retweet gets its target, the seed
-it drew, as it is drawn. At 997,929 tweets (the throughput test's
-parameters with ``n_regulars=20000`` and ``tweets_per_seed=4000``),
-generating and writing take 6.1 s, against 7.2 s when each tweet was
-posted and written on its own (medians of 3 alternating runs on a 2-vCPU
-Linux VM, Python 3.11.7, numpy 2.4.6; generating 4.4 against 5.4 s).
+set of usable categories. The tweets go straight into the table's
+columns, each seed's originals as one run of rows, and each retweet gets
+its target, the seed it drew, as it is drawn. At 997,929 tweets (the
+throughput test's parameters with ``n_regulars=20000`` and
+``tweets_per_seed=4000``), generating and writing take 4.3 s (generating
+2.9-3.3 s, writing 1.1-1.4 s) and peak at 188 MiB, against 4.6 s
+(3.2-4.0 s and 1.0-1.2 s) and the same peak when every (user, category)
+pair built its own shares (medians and ranges of 3 alternating runs on a
+2-vCPU Linux VM, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
