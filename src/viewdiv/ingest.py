@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .model import (
+    LONE_SURROGATE,
     ORIGINAL,
     REPLY,
     RETWEET,
@@ -93,10 +94,6 @@ class IngestReport:
     tweets_dropped_dangling: int = 0
 
 
-# Readers decode with errors="surrogateescape", which turns each byte that is
-# not valid UTF-8 into one lone surrogate in U+DC80..U+DCFF, and a JSON
-# \u escape can decode to any lone surrogate. UTF-8 text holds neither.
-_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 _raw_decode = json.JSONDecoder().raw_decode
 # What json.loads allows around a value: JSON's whitespace, not str.strip's.
 _JSON_WHITESPACE = " \t\n\r"
@@ -121,7 +118,7 @@ def _parse_line(line: str, line_no: int) -> tuple[dict | None, ParseDiagnostic |
     as invalid JSON, and the line readers skip it instead."""
     # isascii() reads a flag CPython keeps on every str, so valid ASCII lines
     # never reach the scan.
-    if not line.isascii() and _LONE_SURROGATE.search(line):
+    if not line.isascii() and LONE_SURROGATE.search(line):
         return None, ParseDiagnostic(line_no, "invalid UTF-8")
     try:
         # raw_decode is json.loads without its checks on the text around the
@@ -138,7 +135,7 @@ def _parse_line(line: str, line_no: int) -> tuple[dict | None, ParseDiagnostic |
         # Only a line with a backslash can hold a \u escape. json.loads joins
         # an escaped surrogate pair into one character, so any surrogate left
         # in the decoded record was escaped alone.
-        if "\\" in line and _LONE_SURROGATE.search(json.dumps(obj, ensure_ascii=False)):
+        if "\\" in line and LONE_SURROGATE.search(json.dumps(obj, ensure_ascii=False)):
             return None, ParseDiagnostic(line_no, "invalid UTF-8")
     except json.JSONDecodeError as exc:
         return None, ParseDiagnostic(line_no, f"invalid JSON: {exc.msg}")
@@ -248,7 +245,13 @@ def parse_tweets(lines: Iterable[str], codes: CodeMap) -> tuple[TweetTable, list
         if problem is not None:
             diagnostics.append(ParseDiagnostic(line_no, problem))
             continue
-        table.append(tid, TWEET_KIND_CODES[kind], author, source, target, timestamp)
+        kind = TWEET_KIND_CODES[kind]
+        add_id(tid)
+        add_kind(kind)
+        add_author(code(author))
+        add_source(source if kind == RETWEET else None)
+        add_target(code(target) if kind == REPLY else -1)
+        add_timestamp(timestamp)
 
     return table, diagnostics
 
@@ -311,13 +314,13 @@ def build_dataset(
     """Assemble and validate an immutable Dataset: the one constructor of
     a :class:`~viewdiv.model.Dataset`.
 
-    ``users`` is a table as :func:`parse_users` or
-    :meth:`~viewdiv.model.UserTable.from_records` builds it. ``tweets``
-    must be a table over the same code map, ``users.codes`` (else
-    ValueError), hold each id once and have its retweets resolved against
-    ``users`` (:meth:`~viewdiv.model.TweetTable.resolve`). An original is
-    kept iff its author is in ``users``; a retweet or reply is kept iff its
-    author and the user it points at are in ``users``; the rest dangle.
+    ``users`` is a table as :func:`parse_users` builds it or
+    :func:`~viewdiv.synth.generate` fills it. ``tweets`` must be a table
+    over the same code map, ``users.codes`` (else ValueError), hold each id
+    once and have its retweets resolved against ``users``
+    (:meth:`~viewdiv.model.TweetTable.resolve`). An original is kept iff its
+    author is in ``users``; a retweet or reply is kept iff its author and
+    the user it points at are in ``users``; the rest dangle.
     Config validation failure raises :class:`IngestError`. Returns
     ``(dataset, tweets_dropped_dangling)``.
     """

@@ -1,25 +1,31 @@
 """Core domain model: categories, users, tweets, and the validated dataset.
 
 Users and tweets are each held as a column table (:class:`UserTable`,
-:class:`TweetTable`) that the analysis reads. Each table has one record
-view: iterating it gives :class:`UserRecord` or :class:`TweetRecord`
-values, for the oracle and the tests, and ``rows()`` gives the same fields
-as tuples, for the writer and for table equality. A table has no lookup
-by id: a caller that needs one builds it once from the view, or reads the
-columns at ``UserTable.row_of``. Both tables name users by the int codes
-of one :class:`CodeMap`, which the user table owns and its tweet tables
-share, so no stage translates a code through an id.
+:class:`TweetTable`) that the analysis reads. Tables come from lines, by
+:func:`viewdiv.ingest.parse_users` and :func:`viewdiv.ingest.parse_tweets`,
+or from the columns :func:`viewdiv.synth.generate` fills, and ``take``
+selects rows of either. Each table has one record view: iterating it
+gives :class:`UserRecord` or :class:`TweetRecord` values, for the oracle
+and the tests, and ``rows()`` gives the same fields as tuples, for the
+writer and for table equality. A table has no lookup by id: a caller that
+needs one builds it once from the view, or reads the columns at
+``UserTable.row_of``. Both tables name users by the int codes of one
+:class:`CodeMap`, which the user table owns and its tweet tables share, so
+no stage translates a code through an id.
 
 :func:`user_violation` and :func:`tweet_violation` are the one rule of a
 user and a tweet, held to each line by the parsers and to each record by
 the record itself, so a record refuses what a line refuses, with the same
-message. That rule makes a seed exactly a user with a category, so a
-:class:`UserTable` keeps no kind: its ``categories`` column says who is a
-seed, and its record view reads each user's kind from there.
+message; a record also refuses a lone surrogate in a string field, which
+no UTF-8 line holds, as "invalid UTF-8". That rule makes a seed exactly a
+user with a category, so a :class:`UserTable` keeps no kind: its
+``categories`` column says who is a seed, and its record view reads each
+user's kind from there.
 """
 
 from __future__ import annotations
 
+import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -93,6 +99,23 @@ class CountryConfig:
         raise KeyError(f"unknown category id: {category_id!r}")
 
 
+# Readers decode with errors="surrogateescape", which turns each byte that is
+# not valid UTF-8 into one lone surrogate in U+DC80..U+DCFF, and a JSON
+# \u escape can decode to any lone surrogate. UTF-8 text holds neither.
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _invalid_utf8(*fields) -> bool:
+    """Whether a str among ``fields`` holds a lone surrogate, for which a
+    line holding it gets "invalid UTF-8"."""
+    # isascii() reads a flag CPython keeps on every str, so ASCII skips the
+    # scan; a plain loop, since a generator for any() costs a frame per call
+    for f in fields:
+        if isinstance(f, str) and not f.isascii() and LONE_SURROGATE.search(f):
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class UserRecord:
     """A seed (categorized content source) or regular (analyzed follower) user.
@@ -111,6 +134,9 @@ class UserRecord:
     followees: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        followees = self.followees if isinstance(self.followees, (list, frozenset)) else ()
+        if _invalid_utf8(self.id, self.kind, self.category, *followees):
+            raise ValueError("invalid UTF-8")
         problem = user_violation(self.id, self.kind, self.category, self.followees)
         if problem is None and not isinstance(self.followees, frozenset):
             problem = "a record's 'followees' must be a frozenset of ids"
@@ -159,6 +185,10 @@ class TweetRecord:
     timestamp: int = 0
 
     def __post_init__(self) -> None:
+        if _invalid_utf8(
+            self.id, self.author_id, self.kind, self.source_tweet_id, self.target_user_id
+        ):
+            raise ValueError("invalid UTF-8")
         problem = tweet_violation(
             self.id, self.author_id, self.kind, self.source_tweet_id, self.target_user_id,
             self.timestamp,
@@ -244,35 +274,6 @@ class TweetTable:
         self.targets = array("i")
         self.timestamps: list[int] = []
         self.codes = codes
-
-    def append(
-        self,
-        tweet_id: str,
-        kind: int,
-        author_id: str,
-        source_tweet_id: str | None = None,
-        target_user_id: str | None = None,
-        timestamp: int = 0,
-    ) -> None:
-        """Add one row; ``kind`` is a kind code. Only a retweet keeps its
-        ``source_tweet_id`` and only a reply its ``target_user_id``."""
-        self.ids.append(tweet_id)
-        self.kinds.append(kind)
-        self.authors.append(self.codes[author_id])
-        self.sources.append(source_tweet_id if kind == RETWEET else None)
-        self.targets.append(self.codes[target_user_id] if kind == REPLY else -1)
-        self.timestamps.append(timestamp)
-
-    @classmethod
-    def from_records(cls, records: Iterable[TweetRecord], codes: CodeMap) -> TweetTable:
-        """The table of these tweets, in the given order, over ``codes``."""
-        table = cls(codes)
-        for t in records:
-            table.append(
-                t.id, TWEET_KIND_CODES[t.kind], t.author_id, t.source_tweet_id,
-                t.target_user_id, t.timestamp,
-            )
-        return table
 
     def take(self, rows: list[int]) -> TweetTable:
         """The given rows, in the given order, as a table over the same codes."""
@@ -402,19 +403,6 @@ class UserTable:
         self.user_codes.append(code(user_id))
         self.follows.append(array("i", sorted(set(map(code, followees)))))
 
-    @classmethod
-    def from_records(cls, records: Iterable[UserRecord]) -> UserTable:
-        """The table of these users, in the given order, over a new code
-        map; an id given twice raises ValueError with the message a
-        repeated user line gets."""
-        table = cls([], [], [], CodeMap())
-        for u in records:
-            problem = user_violation(u.id, u.kind, u.category, u.followees, table.row_of)
-            if problem is not None:
-                raise ValueError(problem)
-            table.append(u.id, u.category, u.followees)
-        return table
-
     def take(self, rows: list[int]) -> UserTable:
         """The given rows, in the given order, as a table over the same
         codes; ``rows`` must hold the row of every seed."""
@@ -477,11 +465,10 @@ class Dataset:
     ``users`` is the table of the retained users and ``tweets`` the column
     table of the kept tweets, each id once and its retweets resolved: each
     points at the seed that wrote its source.
-    :func:`viewdiv.ingest.build_dataset` builds every dataset, from lines
-    through :func:`viewdiv.ingest.load_dataset` or from a table built by
-    :meth:`UserTable.from_records` and a tweet table over its codes
-    (:meth:`TweetTable.from_records`) resolved by :meth:`TweetTable.resolve`,
-    or from the tables :func:`viewdiv.synth.generate` fills, whose retweets
+    :func:`viewdiv.ingest.build_dataset` builds every dataset: from the
+    parsed lines, through :func:`viewdiv.ingest.load_dataset` or through
+    ``parse_users``, ``parse_tweets`` and :meth:`TweetTable.resolve`, or
+    from the tables :func:`viewdiv.synth.generate` fills, whose retweets
     get their targets as they are drawn. It validates the config and drops
     every tweet whose references dangle, so the analysis modules assume
     every reference resolves.

@@ -100,10 +100,11 @@ MAX_CATEGORIES = 1_000
 # of the bounds (Python 3.11.7, numpy 2.4.6), a user holds about 700 bytes,
 # a follow 50 and a tweet 180 until the dataset is written, so the bounds
 # allow about 70 MB of users, 0.5 GB of follows and 1.8 GB of tweets. The
-# mixture splits are cached, at most two per user (retweets and replies),
-# each about 10 bytes per category (9.7 KB at 1,000 categories, by
-# tracemalloc), so the n_categories bound on MAX_DRAWS holds them to about
-# 0.2 GB; the benchmark workloads cache 5 to 1,221. About 2.6 GB in all.
+# mixture shares are cached, at most two per user (retweets and replies)
+# and one per home category (the guaranteed followee), each about 10 bytes
+# per category (9.7 KB at 1,000 categories, by tracemalloc), so the
+# n_categories bound on MAX_DRAWS holds them to about 0.2 GB; the benchmark
+# workloads cache 5 to 1,221. About 2.6 GB in all.
 MAX_USERS = 100_000
 MAX_DRAWS = 10_000_000
 MAX_TWEETS = 10_000_000
@@ -401,13 +402,10 @@ def generate(params: SynthParams) -> Dataset:
     # category, bytes of the usable flags); None when none is usable
     shares_of: dict[tuple[int, bytes], np.ndarray | None] = {}
 
-    def split_by_mixture(k: int, home: int, lists: list[list[int]]) -> list[int]:
-        """Split k draws over the categories by the home category's mixture
-        restricted to those whose list is non-empty (uniform over them when
-        the restricted mass is zero, nothing when none is). With k = 0
-        nothing is drawn: multinomial(0, p) takes nothing from the stream."""
-        if k == 0:
-            return [0] * n
+    def restricted_shares(home: int, lists: list[list[int]]) -> np.ndarray | None:
+        """The home category's mixture restricted to the categories whose
+        list is non-empty, uniform over them when the restricted mass is
+        zero; None when none is."""
         key = (home, bytes(map(bool, lists)))
         if key not in shares_of:
             usable = np.frombuffer(key[1], dtype=bool)
@@ -417,7 +415,13 @@ def generate(params: SynthParams) -> Dataset:
                 w = usable.astype(float)
                 total = w.sum()
             shares_of[key] = w / total if total > 0.0 else None
-        shares = shares_of[key]
+        return shares_of[key]
+
+    def split_by_mixture(k: int, home: int, lists: list[list[int]]) -> list[int]:
+        """Split k draws over the categories by :func:`restricted_shares`,
+        nothing when it is None. With k = 0 nothing is drawn:
+        multinomial(0, p) takes nothing from the stream."""
+        shares = restricted_shares(home, lists) if k else None
         return [0] * n if shares is None else rng.multinomial(k, shares).tolist()
 
     def act(
@@ -478,11 +482,7 @@ def generate(params: SynthParams) -> Dataset:
         follows = np.flatnonzero(rng.random(len(seed_ids)) < follow_p_of_seed[home]).tolist()
         if not follows:
             # guarantee at least one followee so direct exposure is defined
-            usable = np.array([bool(seeds_in_cat[ci]) for ci in range(n)])
-            w = mixtures[home] * usable
-            if w.sum() <= 0:
-                w = usable.astype(float)
-            ci = int(rng.choice(n, p=w / w.sum()))
+            ci = int(rng.choice(n, p=restricted_shares(home, seeds_in_cat)))
             follows = [seeds_in_cat[ci][int(rng.integers(0, len(seeds_in_cat[ci])))]]
         followees_of.append(follows)
 

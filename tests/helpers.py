@@ -23,7 +23,9 @@ from viewdiv import (
     Wing,
 )
 from viewdiv.cli import main
-from viewdiv.ingest import build_dataset
+from viewdiv.ingest import (
+    build_dataset, parse_tweets, parse_users, tweet_to_line, user_to_line,
+)
 
 WINGS = {"left": Wing.LEFT, "right": Wing.RIGHT, "unaligned": Wing.UNALIGNED}
 
@@ -62,14 +64,35 @@ def reply(tid: str, author: str, target: str, ts: int = 0) -> TweetRecord:
     return TweetRecord(tid, author, TweetKind.REPLY, target_user_id=target, timestamp=ts)
 
 
+def _refuse(diagnostics) -> None:
+    if diagnostics:
+        raise ValueError("; ".join(f"line {d.line_no}: {d.message}" for d in diagnostics))
+
+
+def user_table(users) -> UserTable:
+    """The table of these user records, parsed from their lines as input
+    arrives; a line's diagnostic raises ValueError."""
+    table, diagnostics = parse_users(map(user_to_line, users))
+    _refuse(diagnostics)
+    return table
+
+
+def tables(users, tweets) -> tuple[UserTable, TweetTable]:
+    """The table of ``users``, and the tweets parsed from their lines as a
+    table over its codes holding each id once, each retweet pointing at the
+    seed in ``users`` that wrote its source: what load_dataset hands both
+    the filter and the build. A line's diagnostic raises ValueError."""
+    table = user_table(users)
+    parsed, diagnostics = parse_tweets(map(tweet_to_line, tweets), table.codes)
+    _refuse(diagnostics)
+    return table, parsed.resolve(table)
+
+
 def dataset(cfg: CountryConfig, users, tweets) -> Dataset:
     """Assemble a Dataset as load_dataset does without its activity filter:
-    resolve the tweets against the seeds, then build, which validates the
-    config and drops dangling tweets."""
-    table = UserTable.from_records(users)
-    return build_dataset(
-        cfg, table, TweetTable.from_records(tweets, table.codes).resolve(table)
-    )[0]
+    parse the lines, resolve the tweets against the seeds, then build,
+    which validates the config and drops dangling tweets."""
+    return build_dataset(cfg, *tables(users, tweets))[0]
 
 
 class CliResult(NamedTuple):

@@ -460,6 +460,37 @@ def test_compare_rejects_alpha_outside_the_open_unit_interval(tmp_path):
     assert "alpha must be in (0, 1), got 1.5" in result.output
 
 
+_USAGE_REFUSALS = {
+    "compare_inputs_once": (
+        lambda out: ["compare", *_command_args("analyze", out)[1:]],
+        "compare needs --config, --users and --tweets exactly twice",
+    ),
+    "compare_spam_once": (
+        lambda out: _command_args("compare", out) + ["--spam", str(TOY / "users.jsonl")],
+        "give --spam either zero or two times",
+    ),
+    "synth_preset_and_params": (
+        lambda out: ["synth", "--preset", "uniform", "--params", TOY / "config.json", "--out", out],
+        "give exactly one of --preset or --params",
+    ),
+    "synth_neither": (
+        lambda out: ["synth", "--out", out], "give exactly one of --preset or --params"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_USAGE_REFUSALS))
+def test_usage_refusals_exit_2_before_writing(tmp_path, case):
+    """Option counts that argparse cannot check are refused by the command
+    itself, before anything is read or written."""
+    args, problem = _USAGE_REFUSALS[case]
+    out = tmp_path / "o"
+    result = run_cli(args(out))
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {problem}\n"
+    assert not out.exists()
+
+
 def test_compare_rejects_mismatched_universes(tmp_path):
     other_cfg = tmp_path / "other.json"
     other_cfg.write_text(json.dumps({

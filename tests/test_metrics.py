@@ -341,9 +341,10 @@ def test_repeated_tweet_id_keeps_first_row():
 # -- one contract: every dataset drops its dangling tweets -------------------
 
 def _assert_oracle_agrees(ds) -> None:
-    fast, _ = compute_all(ds)
-    slow, _ = oracle_metrics(ds)
+    fast, fast_matrix = compute_all(ds)
+    slow, slow_matrix = oracle_metrics(ds)
     _assert_metrics_match(fast, slow, "fast path vs oracle")
+    assert fast_matrix == slow_matrix
 
 
 def _assert_dropped(dangling) -> None:
@@ -368,11 +369,12 @@ _TWEET_IDS = tuple(f"t{i}" for i in range(10))
 
 @st.composite
 def _crawl(draw):
-    """2-3 seeds, 0-3 regulars that each follow a seed, and up to 14 tweets
-    whose ids repeat and whose authors, reply targets and retweet sources
-    include ids that name nothing."""
+    """2-3 seeds of a left, a right and an unaligned category, 0-3 regulars
+    that each follow a seed, and up to 14 tweets whose ids repeat and whose
+    authors, reply targets and retweet sources include ids that name
+    nothing."""
     seeds = [
-        seed(f"s{i}", draw(st.sampled_from("ab"))) for i in range(draw(st.integers(2, 3)))
+        seed(f"s{i}", draw(st.sampled_from("abc"))) for i in range(draw(st.integers(2, 3)))
     ]
     seed_ids = [s.id for s in seeds]
     regulars = [
@@ -395,14 +397,16 @@ def _crawl(draw):
             tweets.append(retweet(tid, author, source, ts))
         else:
             tweets.append(reply(tid, author, draw(st.sampled_from(names)), ts))
-    return config({"a": "left", "b": "right"}, minorities), users, tweets
+    return config({"a": "left", "b": "right", "c": "unaligned"}, minorities), users, tweets
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(crawl=_crawl())
 def test_records_assemble_as_lines_do(crawl):
-    # with no activity threshold every regular here passes the filter, so
-    # the lines and the records must give the same dataset
+    """Every regular here follows a seed, so at min_retweets=0 the activity
+    filter keeps them all: load_dataset gives the dataset that the build
+    alone gives, and the fast path and the oracle agree on it, matrix
+    included."""
     cfg, users, tweets = crawl
     ds = dataset(cfg, users, tweets)
     loaded, _, diags = load_dataset(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import config, regular, seed
+from helpers import config, regular, seed, user_table
 from viewdiv import (
     TweetKind,
     TweetRecord,
@@ -26,7 +26,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _users(*records) -> UserTable:
-    return UserTable.from_records(records)
+    return user_table(records)
 
 
 def test_validate_wellformed_config_passes():
@@ -168,9 +168,39 @@ def test_tweet_record_refuses_a_reference_its_kind_drops(kind, references, stray
         TweetRecord("t1", "a", kind, **references)
 
 
-def test_user_table_refuses_a_repeated_id_with_the_line_message():
-    with pytest.raises(ValueError, match="^duplicate user id 'u1'$"):
-        _users(regular("u1"), regular("u1", ["s1"]))
+_LONE_SURROGATE_FIELDS = {
+    "user_id_and_followee": (UserRecord, {
+        "id": "u\udc80", "kind": UserKind.REGULAR, "followees": frozenset({"s\ud800"}),
+    }),
+    "user_category": (UserRecord, {"id": "s1", "kind": UserKind.SEED, "category": "a\udfff"}),
+    "followee": (UserRecord, {
+        "id": "u1", "kind": UserKind.REGULAR, "followees": frozenset({"s1", "s\ud800"}),
+    }),
+    "tweet_id": (TweetRecord, {"id": "t\udc80", "author_id": "a", "kind": TweetKind.ORIGINAL}),
+    "author_id": (TweetRecord, {"id": "t1", "author_id": "a\udfff", "kind": TweetKind.ORIGINAL}),
+    "source_tweet_id": (TweetRecord, {
+        "id": "t1", "author_id": "a", "kind": TweetKind.RETWEET, "source_tweet_id": "o\ud800",
+    }),
+    "target_user_id": (TweetRecord, {
+        "id": "t1", "author_id": "a", "kind": TweetKind.REPLY, "target_user_id": "s\udc80",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONE_SURROGATE_FIELDS))
+def test_record_refuses_a_lone_surrogate_as_its_line_does(case):
+    """No UTF-8 text holds a lone surrogate, so the line of a record holding
+    one in any string field is invalid UTF-8, and the record refuses it with
+    that message."""
+    record_type, fields = _LONE_SURROGATE_FIELDS[case]
+    line = json.dumps({k: sorted(v) if k == "followees" else v for k, v in fields.items()})
+    if record_type is UserRecord:
+        _, diagnostics = parse_users([line])
+    else:
+        _, diagnostics = parse_tweets([line], CodeMap())
+    with pytest.raises(ValueError) as raised:
+        record_type(**fields)
+    assert [str(raised.value)] == [d.message for d in diagnostics] == ["invalid UTF-8"]
 
 
 @pytest.mark.parametrize("timestamp", [True, False, 3.0, "3", None], ids=repr)
