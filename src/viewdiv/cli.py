@@ -429,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.run(args)
         return 0
-    except (IngestError, ValueError) as exc:
+    except ValueError as exc:
         problem, code = str(exc), 2
     except OSError as exc:
         # One that names a file comes from a path on the command line.

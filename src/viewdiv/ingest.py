@@ -66,7 +66,7 @@ from .model import (
 )
 
 
-class IngestError(Exception):
+class IngestError(ValueError):
     """Config validation failure, carrying the violations."""
 
     def __init__(self, violations: list[str]):
@@ -165,6 +165,7 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
     """
     users = UserTable([], [], [], CodeMap())
     diagnostics: list[ParseDiagnostic] = []
+    seen: set[str] = set()
 
     for line_no, line in enumerate(lines, start=1):
         obj, diag = _parse_line(line, line_no)
@@ -176,10 +177,11 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
         get = obj.get
         uid, kind, category = get("id"), get("kind"), get("category")
         followees = get("followees", [])
-        problem = user_violation(uid, kind, category, followees, users.row_of)
+        problem = user_violation(uid, kind, category, followees, seen)
         if problem is not None:
             diagnostics.append(ParseDiagnostic(line_no, problem))
             continue
+        seen.add(uid)
         users.append(uid, category, followees)
 
     return users, diagnostics

@@ -8,10 +8,10 @@ selects rows of either. Each table has one record view: iterating it
 gives :class:`UserRecord` or :class:`TweetRecord` values, for the oracle
 and the tests, and ``rows()`` gives the same fields as tuples, for the
 writer and for table equality. A table has no lookup by id: a caller that
-needs one builds it once from the view, or reads the columns at
-``UserTable.row_of``. Both tables name users by the int codes of one
-:class:`CodeMap`, which the user table owns and its tweet tables share, so
-no stage translates a code through an id.
+needs one builds it once, such as ``set(users.ids)``, or works on codes
+through :meth:`UserTable.per_code`. Both tables name users by the int codes
+of one :class:`CodeMap`, which the user table owns and its tweet tables
+share, so no stage translates a code through an id.
 
 :func:`user_violation` and :func:`tweet_violation` are the one rule of a
 user and a tweet, held to each line by the parsers and to each record by
@@ -30,7 +30,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import compress, repeat
 from typing import Container, Iterable, Iterator
 
 
@@ -371,8 +371,9 @@ class UserTable:
     codes of the ids it follows, each once, ascending: seeds of the table,
     and any other id as read (:func:`validate_config` names those). The
     codes follow the order in which the lines name ids, so nothing that
-    reaches an output may depend on them. ``row_of`` maps each id to its
-    row, so an id names a user of the table iff it is in ``row_of``.
+    reaches an output may depend on them. An id in ``codes`` need not name
+    a user of the table: :meth:`per_code` over the rows tells which codes
+    do.
 
     The analysis reads the columns; iterating the table gives
     :class:`UserRecord` views, and nothing looks one up by id.
@@ -390,13 +391,11 @@ class UserTable:
         self.follows = follows
         self.codes = codes
         self.user_codes = array("i", map(codes.__getitem__, ids))
-        self.row_of = dict(zip(ids, range(len(ids))))
 
     def append(self, user_id: str, category: str | None, followees) -> None:
         """Add one user, its fields held to :func:`user_violation` by the
         caller, so a seed's ``category`` is a string and a regular's None.
         Its id and each id it follows get a code, on first sight."""
-        self.row_of[user_id] = len(self.ids)
         self.ids.append(user_id)
         self.categories.append(category)
         code = self.codes.__getitem__
@@ -505,25 +504,25 @@ def validate_config(config: CountryConfig, users: UserTable) -> list[str]:
     if Wing.LEFT not in wings or Wing.RIGHT not in wings:
         violations.append("wing mapping must cover at least one Left and one Right category")
 
-    row_of = users.row_of
+    is_user = users.per_code(repeat(True), False)
+    is_seed = users.seed_mask()
     for mid in sorted(config.minority_user_ids):
-        row = row_of.get(mid)
-        if row is None:
+        # an id the code map lacks reads code -1, the default entry of both
+        code = users.codes.get(mid, -1)
+        if not is_user[code]:
             violations.append(f"minority id {mid!r} does not resolve to any user")
-        elif users.categories[row] is None:  # only a seed has a category
+        elif not is_seed[code]:
             violations.append(f"minority id {mid!r} must be a seed user")
 
-    non_seed = {code for code, seed in enumerate(users.seed_mask()) if not seed}
+    non_seed = {c for c, seed in enumerate(is_seed) if not seed}
     names = users.codes.names
     for uid, category, follows in zip(users.ids, users.categories, users.follows):
         # a seed's category is a string, a regular's None
         if category is not None and category not in seen:
             violations.append(f"seed {uid!r} references unknown category {category!r}")
-        # a followed id that is no seed is a user of the table or no one
-        for f in sorted(names[c] for c in non_seed.intersection(follows)):
-            if f in row_of:
-                violations.append(f"user {uid!r} follows non-seed {f!r}")
-            else:
-                violations.append(f"user {uid!r} follows unknown id {f!r}")
+        # a followed code that is no seed is a user of the table or no one
+        for c in sorted(non_seed.intersection(follows), key=names.__getitem__):
+            what = "non-seed" if is_user[c] else "unknown id"
+            violations.append(f"user {uid!r} follows {what} {names[c]!r}")
 
     return violations

@@ -429,21 +429,21 @@ def generate(params: SynthParams) -> Dataset:
         home: int,
         reach: list[list[int]],
         cands_in: list[list[int]],
-        cdfs: list[list[float] | None],
         factor: float,
     ) -> None:
         """Retweets and replies of the user coded ``author`` by the one
         activity rule; per category, ``reach`` holds the seed indexes it
-        can act on, ``cands_in`` those of them with originals and ``cdfs``
-        their cdf, or None where it is built here when a retweet lands."""
+        can act on and ``cands_in`` those with originals, in seed order: a
+        sub-list of ``cands_in_cat``'s, so it is that whole list, and draws
+        from the shared ``cat_cdfs`` entry, exactly when it is as long."""
         k = int(rng.poisson(factor * p.retweets_per_regular))
         sources: list[str] = []
         targets: list[int] = []
-        for cands, cdf, cnt in zip(cands_in, cdfs, split_by_mixture(k, home, cands_in)):
+        for ci, cnt in enumerate(split_by_mixture(k, home, cands_in)):
             if not cnt:
                 continue
-            if cdf is None:
-                cdf = volume_cdf(cands)
+            cands = cands_in[ci]
+            cdf = cat_cdfs[ci] if len(cands) == len(cands_in_cat[ci]) else volume_cdf(cands)
             for _ in range(cnt):
                 si = cands[_choice_draw(cdf, rng)]
                 sources.append(ids[first_row[si] + int(rng.integers(0, vol[si]))])
@@ -457,18 +457,16 @@ def generate(params: SynthParams) -> Dataset:
         ]
         post(REPLY, author, repeat(None, len(targets)), targets)
 
-    # seeds act on every other seed: the category lists and cdfs, less the
-    # seed itself in its own category
+    # seeds act on every other seed: the category lists, less the seed
+    # itself in its own category
     for si in range(len(seed_ids)):
         home = seed_cat_idx[si]
         reach = list(seeds_in_cat)
         reach[home] = _without(seeds_in_cat[home], si)
         cands_in = list(cands_in_cat)
-        cdfs = list(cat_cdfs)
         if vol[si]:
             cands_in[home] = _without(cands_in_cat[home], si)
-            cdfs[home] = None
-        act(si, home, reach, cands_in, cdfs, SEED_ACTIVITY_FACTOR)
+        act(si, home, reach, cands_in, SEED_ACTIVITY_FACTOR)
 
     # regulars: home category, Bernoulli follows, then activity on the followed seeds
     home_draws = rng.choice(n, size=p.n_regulars, p=weights) if p.n_regulars else []
@@ -491,12 +489,7 @@ def generate(params: SynthParams) -> Dataset:
         for si in follows:
             reach[seed_cat_idx[si]].append(si)
         cands_in = [[si for si in seeds if vol[si] > 0] for seeds in reach]
-        # a category's candidates are its whole list when none is missing
-        cdfs = [
-            cdf if len(cands) == len(whole) else None
-            for cands, whole, cdf in zip(cands_in, cands_in_cat, cat_cdfs)
-        ]
-        act(len(seed_ids) + ri, int(home_draws[ri]), reach, cands_in, cdfs, 1.0)
+        act(len(seed_ids) + ri, int(home_draws[ri]), reach, cands_in, 1.0)
 
     # The users as table columns, each follow list as codes: a seed's code
     # is its index, ascending as each list is drawn. A seed has a category

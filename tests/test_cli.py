@@ -126,15 +126,48 @@ def test_directory_config_exits_2(tmp_path, command):
     assert not (tmp_path / "rep").exists()
 
 
-def test_analyze_invalid_config_exits_2(tmp_path):
+@pytest.mark.parametrize(
+    "config_text, message",
+    [
+        ('{"name": "x", "categories": [{"id": "only", "wing": "left"}]}', "n < 2"),
+        (
+            '{"name": "x", "categories": [{"id": "", "wing": "left"}, '
+            '{"id": "b", "wing": "right"}]}',
+            "error: config validation failed: empty category id; ",
+        ),
+    ],
+    ids=["one_category", "empty_category_id"],
+)
+def test_analyze_invalid_config_exits_2(tmp_path, config_text, message):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"name": "x", "categories": [{"id": "only", "wing": "left"}]}')
+    bad.write_text(config_text)
     result = run_cli(
         ["analyze", "--config", str(bad), "--users", str(TOY / "users.jsonl"),
          "--tweets", str(TOY / "tweets.jsonl"), "--out", str(tmp_path / "rep")],
     )
     assert result.exit_code == 2
-    assert "n < 2" in result.output
+    assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (RuntimeError("boom"), "error: internal: RuntimeError('boom')"),
+        (OSError(5, "Input/output error"), "error: internal: OSError(5, 'Input/output error')"),
+    ],
+    ids=["runtime_error", "oserror_without_filename"],
+)
+def test_analyze_internal_error_exits_1(tmp_path, monkeypatch, exc, message):
+    """A fault of the program, or an OSError that names no file, is no
+    problem of the input: exit 1."""
+
+    def fail(rc):
+        raise exc
+
+    monkeypatch.setattr("viewdiv.cli.cmd_analyze", fail)
+    result = run_cli(_analyze_args(tmp_path / "rep"))
+    assert result.exit_code == 1
+    assert message in result.output
 
 
 def test_analyze_string_minority_ids_exits_2(tmp_path):

@@ -105,7 +105,7 @@ def test_parse_users_seeds_after_regulars_give_the_same_table():
     def by_id(table):
         return {
             uid: sorted(table.codes.names[c] for c in table.follows[row])
-            for uid, row in table.row_of.items()
+            for row, uid in enumerate(table.ids)
         }
 
     assert by_id(late) == by_id(early) == {
@@ -740,7 +740,7 @@ def test_load_dataset_counts_non_string_fields_as_malformed():
     ds, report, diags = load_dataset(cfg, user_lines, tweet_lines)
     assert len(diags) == 3
     assert report.users_read == 4 and report.tweets_read == 3
-    assert "s3" not in ds.users.row_of and [t.id for t in ds.tweets] == ["o1"]
+    assert "s3" not in ds.users.ids and [t.id for t in ds.tweets] == ["o1"]
 
 
 @pytest.mark.parametrize(
@@ -1037,10 +1037,10 @@ def test_load_dataset_reused_original_id_first_occurrence_wins(first_author):
     assert diags == []
     u1_retweets = [t.id for t in ds.tweets if t.author_id == "u1"]
     if first_author == "s1":
-        assert "u1" in ds.users.row_of and len(u1_retweets) == 5
+        assert "u1" in ds.users.ids and len(u1_retweets) == 5
         assert report.users_dropped_threshold == 1  # u2 only
     else:
-        assert "u1" not in ds.users.row_of and u1_retweets == []
+        assert "u1" not in ds.users.ids and u1_retweets == []
         assert report.users_dropped_threshold == 2
 
 
@@ -1054,7 +1054,7 @@ def test_load_dataset_reused_retweet_id_counts_first_source_only():
     tweets += [_rt(f"r{i}", "u1", f"o{i}") for i in range(1, 5)]
     tweets.append(_rt("r1", "u1", "o5"))
     ds, report, _ = _load_records(_DEDUPE_USERS, tweets)
-    assert "u1" not in ds.users.row_of
+    assert "u1" not in ds.users.ids
     assert report.users_dropped_threshold == 2
     assert report.tweets_read == 10
     assert report.tweets_dropped_dangling == 4  # u1's kept retweets
@@ -1194,11 +1194,12 @@ def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
     for t in parsed_tweets:
         first.setdefault(t.id, t)
     by_seed = _seed_originals(parsed_users, first.values())
+    retained = set(ds.users.ids)
     assert [t.id for t in ds.tweets] == [
         t.id for t in first.values()
-        if t.author_id in ds.users.row_of
+        if t.author_id in retained
         and (t.kind is not TweetKind.RETWEET or t.source_tweet_id in by_seed)
-        and (t.kind is not TweetKind.REPLY or t.target_user_id in ds.users.row_of)
+        and (t.kind is not TweetKind.REPLY or t.target_user_id in retained)
     ]
 
     # The one target column: a kept retweet points at the seed that wrote
@@ -1208,7 +1209,7 @@ def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
         if t.kind is TweetKind.RETWEET:
             assert names[target] == by_seed[t.source_tweet_id]
         elif t.kind is TweetKind.REPLY:
-            assert names[target] == t.target_user_id and t.target_user_id in ds.users.row_of
+            assert names[target] == t.target_user_id and t.target_user_id in retained
         else:
             assert target == -1
 

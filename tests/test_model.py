@@ -70,6 +70,16 @@ def test_validate_rejects_duplicate_category_ids():
     assert any("duplicate category id" in v for v in validate_config(cfg, _users()))
 
 
+def test_validate_rejects_an_empty_category_id():
+    from viewdiv import CountryConfig, PoliticalCategory
+
+    cfg = CountryConfig(
+        name="empty",
+        categories=(PoliticalCategory("", Wing.LEFT), PoliticalCategory("b", Wing.RIGHT)),
+    )
+    assert "empty category id" in validate_config(cfg, _users())
+
+
 def test_validate_rejects_dangling_and_nonseed_followees():
     """One message per bad followee, users in table order; once the filter
     drops a regular, its own follow list is not checked and a follower of

@@ -267,6 +267,10 @@ def test_infeasible_params_rejected():
         generate(replace(SMALL, n_categories=1))
     with pytest.raises(ValueError):
         generate(replace(SMALL, minority_categories=("nope",)))
+    # finite and summing to 1, but negative
+    with pytest.raises(ValueError, match="category_weights must be non-negative"):
+        generate(SynthParams(n_categories=2, category_weights=(-0.5, 1.5),
+                             minority_tweet_share=0))
     # share 1.0 is representable when every category is minority
     ds = generate(replace(SMALL, minority_categories=("cat1", "cat2", "cat3"),
                           minority_tweet_share=1.0))
