@@ -338,6 +338,7 @@ def build_dataset(
         for author, kind, target in zip(tweets.authors, tweets.kinds, tweets.targets)
     ]
     dropped = keep.count(False)
+    # a crawl with nothing dangling, as every generated one, needs no copy
     if dropped:
         tweets = tweets.take(list(compress(range(len(keep)), keep)))
     return Dataset(config, users, tweets), dropped

@@ -75,8 +75,6 @@ def normalized_entropy(counts: Sequence[int], n: int) -> float | None:
         raise ValueError("histogram counts must be non-negative")
     if not positive:
         return None
-    if len(positive) == 1:
-        return 0.0
     if len(positive) == n and len(set(positive)) == 1:
         return 1.0
     total = sum(positive)
@@ -176,7 +174,7 @@ class ExposureIndex:
         config = dataset.config
         users = dataset.users
         tweets = dataset.tweets
-        category_pos = {c: i for i, c in enumerate(config.category_ids)}
+        category_pos = {c.id: i for i, c in enumerate(config.categories)}
         # a regular's category, None, has no position
         category_of = users.per_code(map(category_pos.get, users.categories), None)
         self.category_of = category_of

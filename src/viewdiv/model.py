@@ -88,10 +88,6 @@ class CountryConfig:
     def n_categories(self) -> int:
         return len(self.categories)
 
-    @property
-    def category_ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.categories)
-
     def wing_of(self, category_id: str) -> Wing:
         for c in self.categories:
             if c.id == category_id:
@@ -300,6 +296,7 @@ class TweetTable:
             raise ValueError("the tweet table is not over the user table's code map")
         ids = self.ids
         table = self
+        # a crawl that repeats no id, as every generated one, needs no copy
         if len(set(ids)) != len(ids):
             # Built back to front, so each id keeps its first row; the dict
             # is a temporary, freed before the resolution below peaks.

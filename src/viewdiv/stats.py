@@ -32,7 +32,6 @@ class TTestResult:
     t: float
     df: float
     p: float
-    alpha: float
     significant: bool
 
 
@@ -106,12 +105,9 @@ def welch_t_test(samples_a, samples_b, alpha: float = 0.01) -> TTestResult:
     pooled = se_a + se_b
     t = (mean_a - mean_b) / math.sqrt(pooled)
     df = pooled**2 / (se_a**2 / (na - 1) + se_b**2 / (nb - 1))
-    if t == 0.0:
-        p = 1.0
-    else:
-        # Imported here so that importing viewdiv does not load scipy;
-        # only this branch needs it.
-        from scipy.special import betainc
+    # Imported here so that importing viewdiv does not load scipy. At t = 0,
+    # x = df / df = 1, where betainc is exactly 1, so p is 1.
+    from scipy.special import betainc
 
-        p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
-    return TTestResult(t=t, df=df, p=p, alpha=alpha, significant=p < alpha)
+    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+    return TTestResult(t=t, df=df, p=p, significant=p < alpha)

@@ -36,10 +36,8 @@ columns, each seed's originals as one run of rows, and each retweet gets
 its target, the seed it drew, as it is drawn. At 997,929 tweets (the
 throughput test's parameters with ``n_regulars=20000`` and
 ``tweets_per_seed=4000``), generating and writing take 4.3 s (generating
-2.9-3.3 s, writing 1.1-1.4 s) and peak at 188 MiB, against 4.6 s
-(3.2-4.0 s and 1.0-1.2 s) and the same peak when every (user, category)
-pair built its own shares (medians and ranges of 3 alternating runs on a
-2-vCPU Linux VM, Python 3.11.7, numpy 2.4.6).
+2.9-3.3 s, writing 1.1-1.4 s) and peak at 188 MiB (medians and ranges of
+3 runs on a 2-vCPU Linux VM, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -160,10 +158,6 @@ def params_from_object(raw: dict, source: str | Path) -> SynthParams:
     return SynthParams(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
-def _category_ids(n: int) -> list[str]:
-    return [f"cat{i + 1}" for i in range(n)]
-
-
 def _apportion(total: int, weights: tuple[float, ...]) -> list[int]:
     """Largest-remainder apportionment; deterministic, ties to lower index."""
     quotas = [total * w for w in weights]
@@ -200,7 +194,7 @@ def _resolve(params: SynthParams) -> tuple[SynthParams, list[str], list[int]]:
     if p.rng_seed < 0:
         raise ValueError("rng_seed must be non-negative")
 
-    cat_ids = _category_ids(p.n_categories)
+    cat_ids = [f"cat{i + 1}" for i in range(p.n_categories)]
     if p.category_weights is None:
         weights = tuple(1.0 / p.n_categories for _ in cat_ids)
     else:
@@ -332,29 +326,25 @@ def generate(params: SynthParams) -> Dataset:
         sid for sid, m in zip(seed_ids, is_minority_seed) if m
     )
 
-    # original volumes: Poisson for the non-minority pool, share-targeted
-    # total for the minority pool
+    # original volumes: one Poisson pool, the minority seeds at share 1
+    # (_resolve makes every seed one) and the others below; then, at a
+    # share strictly between, a total for the minority seeds that hits it,
+    # split multinomially. A draw of size 0 takes nothing from the stream.
     volumes = np.zeros(len(seed_ids), dtype=int)
     nm_idx = [i for i, m in enumerate(is_minority_seed) if not m]
     m_idx = [i for i, m in enumerate(is_minority_seed) if m]
     share = p.minority_tweet_share
-    if share >= 1.0:
-        if m_idx:
-            volumes[m_idx] = rng.poisson(p.tweets_per_seed, size=len(m_idx))
-    else:
-        if nm_idx:
-            volumes[nm_idx] = rng.poisson(p.tweets_per_seed, size=len(nm_idx))
-        nm_total = int(volumes[nm_idx].sum()) if nm_idx else 0
-        if share > 0:
-            if nm_total == 0:
-                raise ValueError(
-                    "non-minority seeds produced no originals; cannot target "
-                    f"minority share {share} (raise tweets_per_seed)"
-                )
-            target = round(share / (1.0 - share) * nm_total)
-            if target > 0:
-                split = rng.multinomial(target, np.full(len(m_idx), 1.0 / len(m_idx)))
-                volumes[m_idx] = split
+    pool = m_idx if share >= 1.0 else nm_idx
+    volumes[pool] = rng.poisson(p.tweets_per_seed, size=len(pool))
+    if 0.0 < share < 1.0:
+        nm_total = int(volumes[nm_idx].sum())
+        if nm_total == 0:
+            raise ValueError(
+                "non-minority seeds produced no originals; cannot target "
+                f"minority share {share} (raise tweets_per_seed)"
+            )
+        target = round(share / (1.0 - share) * nm_total)
+        volumes[m_idx] = rng.multinomial(target, np.full(len(m_idx), 1.0 / len(m_idx)))
 
     # One code map for every id, so a seed's code is its index and a
     # regular's n_seeds plus its index. Ids never repeat, and a retweet's
@@ -469,7 +459,7 @@ def generate(params: SynthParams) -> Dataset:
         act(si, home, reach, cands_in, SEED_ACTIVITY_FACTOR)
 
     # regulars: home category, Bernoulli follows, then activity on the followed seeds
-    home_draws = rng.choice(n, size=p.n_regulars, p=weights) if p.n_regulars else []
+    home_draws = rng.choice(n, size=p.n_regulars, p=weights)
     # per home category, each seed's follow probability
     follow_p_of_seed = [
         np.minimum(1.0, FOLLOW_DENSITY * n * mix)[seed_cat_idx] for mix in mixtures

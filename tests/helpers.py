@@ -1,10 +1,11 @@
-"""Small constructors for in-memory test datasets, a CLI runner, and a
-loader for the benchmark's scripts."""
+"""Small constructors for in-memory test datasets, a CLI runner, a child
+interpreter's environment, and a loader for the benchmark's scripts."""
 
 from __future__ import annotations
 
 import importlib.util
 import io
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -27,6 +28,7 @@ from viewdiv.ingest import (
     build_dataset, parse_tweets, parse_users, tweet_to_line, user_to_line,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 WINGS = {"left": Wing.LEFT, "right": Wing.RIGHT, "unaligned": Wing.UNALIGNED}
 
 
@@ -112,9 +114,18 @@ def run_cli(argv) -> CliResult:
     return CliResult(code, output.getvalue())
 
 
+def child_env() -> dict[str, str]:
+    """This process's environment with the checkout's ``src`` first on
+    ``PYTHONPATH``: a child interpreter then imports this viewdiv, whether
+    or not one is installed."""
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    return {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+
+
 def load_bench_module(name: str):
     """The module ``bench/<name>.py``, which is no package."""
-    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    path = ROOT / "bench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while they are built

@@ -7,14 +7,11 @@ rename, or a call that no longer goes through the wrapped module global,
 shows here.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-from helpers import load_bench_module
+from helpers import ROOT, child_env, load_bench_module
 
-ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
 TOY = ROOT / "tests" / "data" / "toy"
 
@@ -22,12 +19,11 @@ TOY = ROOT / "tests" / "data" / "toy"
 def test_every_traced_target_is_recorded(tmp_path):
     tracing = load_bench_module("tracing")
     spans_path = tmp_path / "spans.json"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(TRACING), str(spans_path), "1",
          str(TOY / "config.json"), str(TOY / "users.jsonl"), str(TOY / "tweets.jsonl"),
          "-", str(tmp_path / "rep")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     spans, _, absent, _ = tracing.load(spans_path)

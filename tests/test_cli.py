@@ -14,7 +14,7 @@ from viewdiv.cli import METRIC_FIELDS
 from viewdiv.model import CodeMap
 from viewdiv.synth import MAX_CATEGORIES, MAX_USERS, MAX_VOLUME_MEAN
 
-from helpers import run_cli
+from helpers import child_env, run_cli
 
 TOY = Path(__file__).resolve().parent / "data" / "toy"
 
@@ -358,6 +358,7 @@ def test_analyze_loads_neither_numpy_nor_scipy(tmp_path):
         [sys.executable, "-c", check] + _analyze_args(tmp_path / "rep"),
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert _read_all(tmp_path / "rep") == _read_all(TOY / "expected")
@@ -726,6 +727,7 @@ def test_analyze_deterministic_across_processes(tmp_path):
             [sys.executable, "-m", "viewdiv.cli"] + _analyze_args(tmp_path / d),
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
     assert _read_all(tmp_path / "a") == _read_all(tmp_path / "b")

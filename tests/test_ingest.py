@@ -1,7 +1,6 @@
 """Ingest pipeline tests: parsing, filtering, assembly, accounting."""
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import (
-    config, dataset, original, regular, reply, retweet, seed, tables, user_table,
+    child_env, config, dataset, original, regular, reply, retweet, seed, tables, user_table,
 )
 from viewdiv import (
     IngestError,
@@ -199,7 +198,7 @@ def test_follow_codes_never_reach_an_output(tmp_path):
                         "--out", str(out),
                     ],
                     capture_output=True, text=True,
-                    env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                    env={**child_env(), "PYTHONHASHSEED": hash_seed},
                 )
                 assert proc.returncode == 0, proc.stderr
                 reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})

@@ -1,5 +1,7 @@
 """Metric definitions: entropy, diversity, minority access, io correlation."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +30,12 @@ def test_entropy_uniform_is_exactly_one():
 
 
 def test_entropy_single_support_is_exactly_zero():
+    """+0.0, never -0.0, from the general formula, so a report writes
+    0.0000 whatever the universe's size."""
     assert normalized_entropy([10, 0, 0, 0, 0], 5) == 0.0
+    for n in (2, 3, 9):
+        value = normalized_entropy([0] * (n - 1) + [7], n)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_entropy_worked_value():

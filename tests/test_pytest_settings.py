@@ -1,10 +1,13 @@
-"""The project's pytest settings keep a failing property readable."""
+"""The project's pytest settings keep a failing property readable and let
+a bare ``python -m pytest`` import the checkout's viewdiv."""
 
+import os
 import subprocess
 import sys
-from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+from helpers import ROOT
+
+PYPROJECT = ROOT / "pyproject.toml"
 
 _FAILING_PROPERTY = '''
 from hypothesis import given, settings, strategies as st
@@ -32,3 +35,17 @@ def test_a_failing_property_shows_its_falsifying_example(tmp_path):
     assert result.returncode == 1, output
     assert "Falsifying example" in output
     assert "INTERNALERROR" not in output
+
+
+def test_a_bare_run_imports_viewdiv_from_src():
+    """With no PYTHONPATH, and no viewdiv installed, the settings alone put
+    ``src`` on the path, so a test module that imports viewdiv collects."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", "pyproject.toml", "-p", "no:cacheprovider",
+         "--collect-only", "-q", "tests/test_package.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    output = result.stdout + result.stderr
+    assert result.returncode == 0, output
+    assert "1 test collected" in output

@@ -71,8 +71,11 @@ def test_fraction_below_monotone_in_threshold(samples, t1, t2):
 
 
 def test_welch_identical_samples():
-    result = welch_t_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    assert result.t == 0.0 and result.p == 1.0 and not result.significant
+    """Equal means give t = 0 and p = 1 exactly, also when the variances
+    differ."""
+    for b in ([1.0, 2.0, 3.0], [0.0, 2.0, 4.0]):
+        result = welch_t_test([1.0, 2.0, 3.0], b)
+        assert result.t == 0.0 and result.p == 1.0 and not result.significant
 
 
 def test_welch_worked_example():

@@ -168,21 +168,47 @@ def test_choice_draw_matches_generator_choice(weights):
         assert ours.integers(0, 9) == theirs.integers(0, 9)
 
 
-@pytest.mark.parametrize("p", [
+_SHARES = [
     pytest.param([0.2] * 5, id="uniform"),
     pytest.param([0.92, 0.02, 0.02, 0.02, 0.02], id="mixture"),
     pytest.param([0.0, 0.5, 0.0, 0.5], id="zero_shares"),
     pytest.param([1.0], id="one_category"),
-])
+]
+
+
+@pytest.mark.parametrize("p", _SHARES)
 def test_multinomial_of_zero_leaves_the_stream_alone(p):
-    """generate skips the multinomial split of k = 0 draws; that gives the
-    same stream only because numpy's multinomial(0, p) draws nothing. The
-    first integers() call leaves half of a 64-bit draw buffered, which is
-    state too."""
+    """generate splits a minority volume target of 0 with no check, and
+    skips the split of k = 0 activity draws; both give the same stream
+    only because numpy's multinomial(0, p) draws nothing. The first
+    integers() call leaves half of a 64-bit draw buffered, which is state
+    too."""
     rng = np.random.default_rng(17)
     rng.integers(0, 9)
     state = rng.bit_generator.state
     assert rng.multinomial(0, p).tolist() == [0] * len(p)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("lam", [0.0, 30.0, 1e6])
+def test_poisson_of_size_zero_leaves_the_stream_alone(lam):
+    """generate draws the original volumes of one pool of seeds, which may
+    be empty, with no check: numpy's poisson(lam, size=0) draws nothing."""
+    rng = np.random.default_rng(17)
+    rng.integers(0, 9)
+    state = rng.bit_generator.state
+    assert rng.poisson(lam, size=0).tolist() == []
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("p", _SHARES)
+def test_choice_of_size_zero_leaves_the_stream_alone(p):
+    """generate draws the regulars' home categories with no check for
+    n_regulars = 0: numpy's choice(n, size=0, p=p) draws nothing."""
+    rng = np.random.default_rng(17)
+    rng.integers(0, 9)
+    state = rng.bit_generator.state
+    assert rng.choice(len(p), size=0, p=p).tolist() == []
     assert rng.bit_generator.state == state
 
 
