@@ -23,10 +23,8 @@ from .model import (
     Dataset,
     PoliticalCategory,
     TweetKind,
-    TweetRecord,
     TweetTable,
     UserKind,
-    UserRecord,
     UserTable,
     Wing,
     validate_config,
@@ -70,11 +68,9 @@ __all__ = [
     "SynthParams",
     "TTestResult",
     "TweetKind",
-    "TweetRecord",
     "TweetTable",
     "UserKind",
     "UserMetrics",
-    "UserRecord",
     "UserTable",
     "Wing",
     "WingMatrix",

@@ -15,8 +15,8 @@ UTF-8" diagnostic):
 
 Unknown keys are ignored. Malformed lines yield diagnostics, never aborts:
 a line is held to :func:`~viewdiv.model.user_violation` or
-:func:`~viewdiv.model.tweet_violation`, the one rule the records are held
-to as well, and its diagnostic is the rule's message. Lines are parsed
+:func:`~viewdiv.model.tweet_violation`, the one rule the oracle's records are
+held to as well, and its diagnostic is the rule's message. Lines are parsed
 as they are read, so any iterable of lines works, an open file included.
 The users go into the columns of a :class:`~viewdiv.model.UserTable`, each
 id and each follow list as the int codes of its
@@ -54,10 +54,8 @@ from .model import (
     Dataset,
     PoliticalCategory,
     TweetKind,
-    TweetRecord,
     TweetTable,
     UserKind,
-    UserRecord,
     UserTable,
     Wing,
     tweet_violation,
@@ -446,22 +444,11 @@ _quote = json.encoder.encode_basestring_ascii
 _KIND_TEXT = {kind: _quote(kind.value) for kind in (*UserKind, *TweetKind)}
 
 
-def user_to_line(user: UserRecord) -> str:
-    return _user_line(user.id, user.kind, user.category, sorted(user.followees))
-
-
 def _user_line(uid, kind, category, followees) -> str:
     category_text = "" if category is None else ',"category":' + _quote(category)
     return (
         f'{{"id":{_quote(uid)},"kind":{_KIND_TEXT[kind]}{category_text}'
         f',"followees":[{",".join(map(_quote, followees))}]}}'
-    )
-
-
-def tweet_to_line(tweet: TweetRecord) -> str:
-    return _tweet_line(
-        tweet.id, tweet.author_id, tweet.kind, tweet.source_tweet_id,
-        tweet.target_user_id, tweet.timestamp,
     )
 
 

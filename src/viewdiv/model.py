@@ -4,23 +4,21 @@ Users and tweets are each held as a column table (:class:`UserTable`,
 :class:`TweetTable`) that the analysis reads. Tables come from lines, by
 :func:`viewdiv.ingest.parse_users` and :func:`viewdiv.ingest.parse_tweets`,
 or from the columns :func:`viewdiv.synth.generate` fills, and ``take``
-selects rows of either. Each table has one record view: iterating it
-gives :class:`UserRecord` or :class:`TweetRecord` values, for the oracle
-and the tests, and ``rows()`` gives the same fields as tuples, for the
-writer and for table equality. A table has no lookup by id: a caller that
-needs one builds it once, such as ``set(users.ids)``, or works on codes
-through :meth:`UserTable.per_code`. Both tables name users by the int codes
-of one :class:`CodeMap`, which the user table owns and its tweet tables
-share, so no stage translates a code through an id.
+selects rows of either. ``rows()`` gives each row's fields as a tuple, for
+the writer, for table equality and for the oracle, which builds its own
+records from them. A table has no lookup by id: a caller that needs one
+builds it once, such as ``set(users.ids)``, or works on codes through
+:meth:`UserTable.per_code`. Both tables name users by the int codes of one
+:class:`CodeMap`, which the user table owns and its tweet tables share, so
+no stage translates a code through an id.
 
 :func:`user_violation` and :func:`tweet_violation` are the one rule of a
-user and a tweet, held to each line by the parsers and to each record by
-the record itself, so a record refuses what a line refuses, with the same
-message; a record also refuses a lone surrogate in a string field, which
-no UTF-8 line holds, as "invalid UTF-8". That rule makes a seed exactly a
-user with a category, so a :class:`UserTable` keeps no kind: its
-``categories`` column says who is a seed, and its record view reads each
-user's kind from there.
+user and a tweet, held to each line by the parsers and to each of
+:mod:`viewdiv.oracle`'s records by the record itself, so a record refuses
+what a line refuses, with the same message. That rule makes a seed exactly
+a user with a category, so a :class:`UserTable` keeps no kind: its
+``categories`` column says who is a seed, and ``rows()`` reads each user's
+kind from there.
 """
 
 from __future__ import annotations
@@ -101,50 +99,11 @@ class CountryConfig:
 LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _invalid_utf8(*fields) -> bool:
-    """Whether a str among ``fields`` holds a lone surrogate, for which a
-    line holding it gets "invalid UTF-8"."""
-    # isascii() reads a flag CPython keeps on every str, so ASCII skips the
-    # scan; a plain loop, since a generator for any() costs a frame per call
-    for f in fields:
-        if isinstance(f, str) and not f.isascii() and LONE_SURROGATE.search(f):
-            return True
-    return False
-
-
-@dataclass(frozen=True)
-class UserRecord:
-    """A seed (categorized content source) or regular (analyzed follower) user.
-
-    Seeds carry exactly one category; regulars carry none and their stance is
-    only ever inferred from behavior. Followees are the ids the user follows,
-    as read, seeds or not; a dataset's users follow seeds only, since
-    :func:`validate_config` names every other followed id. The fields are
-    held to :func:`user_violation`, and the followees must be a frozenset,
-    so that a record hashes and round-trips through its line.
-    """
-
-    id: str
-    kind: UserKind
-    category: str | None = None
-    followees: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        followees = self.followees if isinstance(self.followees, (list, frozenset)) else ()
-        if _invalid_utf8(self.id, self.kind, self.category, *followees):
-            raise ValueError("invalid UTF-8")
-        problem = user_violation(self.id, self.kind, self.category, self.followees)
-        if problem is None and not isinstance(self.followees, frozenset):
-            problem = "a record's 'followees' must be a frozenset of ids"
-        if problem is not None:
-            raise ValueError(problem)
-
-
 def user_violation(user_id, kind, category, followees, seen: Container[str] = ()) -> str | None:
     """What makes a user with these fields invalid, or None if nothing
     does; a line's fields may be anything JSON decodes to. ``kind`` is a
-    :class:`UserKind` or its value, ``followees`` a line's list or a
-    record's frozenset, and ``seen`` the ids this one must not repeat."""
+    :class:`UserKind` or its value, ``followees`` a line's list or an
+    oracle record's frozenset, and ``seen`` the ids this one must not repeat."""
     if not isinstance(user_id, str) or not user_id:
         return "missing or invalid 'id'"
     # a UserKind is a str that equals its value, so a line's "seed" matches
@@ -162,41 +121,6 @@ def user_violation(user_id, kind, category, followees, seen: Container[str] = ()
     if kind == UserKind.REGULAR and category is not None:
         return f"regular user {user_id!r} must not carry a category"
     return None
-
-
-@dataclass(frozen=True)
-class TweetRecord:
-    """An original tweet, a retweet of an original, or a reply to a user.
-
-    The fields are held to :func:`tweet_violation`. A record also refuses a
-    reference its kind does not keep, which a line may carry and its row
-    drops: the record could not round-trip.
-    """
-
-    id: str
-    author_id: str
-    kind: TweetKind
-    source_tweet_id: str | None = None
-    target_user_id: str | None = None
-    timestamp: int = 0
-
-    def __post_init__(self) -> None:
-        if _invalid_utf8(
-            self.id, self.author_id, self.kind, self.source_tweet_id, self.target_user_id
-        ):
-            raise ValueError("invalid UTF-8")
-        problem = tweet_violation(
-            self.id, self.author_id, self.kind, self.source_tweet_id, self.target_user_id,
-            self.timestamp,
-        )
-        if problem is None:
-            kind = TweetKind(self.kind)
-            if self.source_tweet_id is not None and kind is not TweetKind.RETWEET:
-                problem = f"{kind.value} {self.id!r} must not carry source_tweet_id"
-            elif self.target_user_id is not None and kind is not TweetKind.REPLY:
-                problem = f"{kind.value} {self.id!r} must not carry target_user_id"
-        if problem is not None:
-            raise ValueError(problem)
 
 
 def tweet_violation(
@@ -258,8 +182,8 @@ class TweetTable:
     :meth:`resolve` has run, and -1 otherwise (an original, or a retweet
     whose source is no seed's original). ``sources`` holds a retweet's
     source tweet id as read and None for the other kinds, and ``ids`` and
-    ``timestamps`` complete the record. The analysis reads the columns;
-    iterating the table gives :class:`TweetRecord` views.
+    ``timestamps`` complete the row. The analysis reads the columns, and
+    :meth:`rows` gives each row as a tuple.
     """
 
     def __init__(self, codes: CodeMap) -> None:
@@ -326,7 +250,9 @@ class TweetTable:
         return Counter(compress(self.authors, self.select(ORIGINAL)))
 
     def rows(self) -> Iterator[tuple]:
-        """Each row as a tuple in :class:`TweetRecord` field order."""
+        """Each row as a tuple ``(id, author_id, kind, source_tweet_id,
+        target_user_id, timestamp)``: ids as read, the kind a
+        :class:`TweetKind`, and a target for a reply alone."""
         names = self.codes.names
         for tid, kind, author, source, target, timestamp in zip(
             self.ids, self.kinds, self.authors, self.sources, self.targets, self.timestamps
@@ -338,9 +264,6 @@ class TweetTable:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self) -> Iterator[TweetRecord]:
-        return (TweetRecord(*row) for row in self.rows())
 
     def __eq__(self, other) -> bool:
         """Equal to a table of the same rows, in the same order."""
@@ -372,8 +295,8 @@ class UserTable:
     a user of the table: :meth:`per_code` over the rows tells which codes
     do.
 
-    The analysis reads the columns; iterating the table gives
-    :class:`UserRecord` views, and nothing looks one up by id.
+    The analysis reads the columns, :meth:`rows` gives each user as a
+    tuple, and nothing looks one up by id.
     """
 
     def __init__(
@@ -424,7 +347,7 @@ class UserTable:
         return self.per_code([c is not None for c in self.categories], False)
 
     def rows(self) -> Iterator[tuple]:
-        """Each user as a tuple in :class:`UserRecord` field order, its
+        """Each user as a tuple ``(id, kind, category, followees)``, its
         followees a sorted list of ids; its kind is read from its category."""
         name = self.codes.names.__getitem__
         for uid, category, follows in zip(self.ids, self.categories, self.follows):
@@ -433,12 +356,6 @@ class UserTable:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self) -> Iterator[UserRecord]:
-        return (
-            UserRecord(uid, kind, category, frozenset(followees))
-            for uid, kind, category, followees in self.rows()
-        )
 
     def __eq__(self, other) -> bool:
         """Equal to a table of the same users, in any order: ids are unique,

@@ -1,11 +1,11 @@
 """Brute-force metric recomputation by exhaustive enumeration.
 
 Ground truth for equivalence testing: every metric is recomputed directly
-from its definition with plain loops over the user and tweet records (the
-record views of the dataset's user and tweet tables: a follow list is a
-set of seed ids, never the follow codes), sharing nothing with the
-metrics module (its exposure index included) except the domain types,
-result shapes and ``IO_MARGIN``. The set-level exposure view,
+from its definition with plain loops over this module's own user and tweet
+records, built from the rows of the dataset's tables (a follow list is a
+set of seed ids, never the follow codes), sharing nothing with the metrics
+module (its exposure index included) except the domain types, result
+shapes and ``IO_MARGIN``. The set-level exposure view,
 :func:`exposure_timeline`, lives here for the same reason. Deliberately
 unoptimized; duplication with the fast path is the point. Guarded to small
 datasets.
@@ -15,11 +15,99 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 
 from .metrics import IO_MARGIN, UserMetrics, WingMatrix
-from .model import Dataset, TweetKind, TweetRecord, UserKind, UserRecord, Wing
+from .model import (
+    LONE_SURROGATE, Dataset, TweetKind, UserKind, Wing, tweet_violation, user_violation,
+)
 
 MAX_ORACLE_TWEETS = 10_000
+
+
+def _invalid_utf8(*fields) -> bool:
+    """Whether a str among ``fields`` holds a lone surrogate, for which a
+    line holding it gets "invalid UTF-8"."""
+    # isascii() reads a flag CPython keeps on every str, so ASCII skips the
+    # scan; a plain loop, since a generator for any() costs a frame per call
+    for f in fields:
+        if isinstance(f, str) and not f.isascii() and LONE_SURROGATE.search(f):
+            return True
+    return False
+
+
+@dataclass(frozen=True)
+class UserRecord:
+    """A seed (categorized content source) or regular (analyzed follower) user.
+
+    Seeds carry exactly one category; regulars carry none and their stance is
+    only ever inferred from behavior. Followees are the ids the user follows,
+    as read, seeds or not; a dataset's users follow seeds only, since
+    :func:`~viewdiv.model.validate_config` names every other followed id.
+    The fields are held to :func:`~viewdiv.model.user_violation`, and the
+    followees must be a frozenset, so that a record hashes and round-trips
+    through its line.
+    """
+
+    id: str
+    kind: UserKind
+    category: str | None = None
+    followees: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        followees = self.followees if isinstance(self.followees, (list, frozenset)) else ()
+        if _invalid_utf8(self.id, self.kind, self.category, *followees):
+            raise ValueError("invalid UTF-8")
+        problem = user_violation(self.id, self.kind, self.category, self.followees)
+        if problem is None and not isinstance(self.followees, frozenset):
+            problem = "a record's 'followees' must be a frozenset of ids"
+        if problem is not None:
+            raise ValueError(problem)
+
+
+@dataclass(frozen=True)
+class TweetRecord:
+    """An original tweet, a retweet of an original, or a reply to a user.
+
+    The fields are held to :func:`~viewdiv.model.tweet_violation`. A record
+    also refuses a reference its kind does not keep, which a line may carry
+    and its row drops: the record could not round-trip.
+    """
+
+    id: str
+    author_id: str
+    kind: TweetKind
+    source_tweet_id: str | None = None
+    target_user_id: str | None = None
+    timestamp: int = 0
+
+    def __post_init__(self) -> None:
+        if _invalid_utf8(
+            self.id, self.author_id, self.kind, self.source_tweet_id, self.target_user_id
+        ):
+            raise ValueError("invalid UTF-8")
+        problem = tweet_violation(
+            self.id, self.author_id, self.kind, self.source_tweet_id, self.target_user_id,
+            self.timestamp,
+        )
+        if problem is None:
+            kind = TweetKind(self.kind)
+            if self.source_tweet_id is not None and kind is not TweetKind.RETWEET:
+                problem = f"{kind.value} {self.id!r} must not carry source_tweet_id"
+            elif self.target_user_id is not None and kind is not TweetKind.REPLY:
+                problem = f"{kind.value} {self.id!r} must not carry target_user_id"
+        if problem is not None:
+            raise ValueError(problem)
+
+
+def _records(dataset: Dataset) -> tuple[dict[str, UserRecord], list[TweetRecord]]:
+    """The dataset's users as records by id, and its tweets as records in
+    table order, built from the tables' rows."""
+    users = {
+        uid: UserRecord(uid, kind, category, frozenset(followees))
+        for uid, kind, category, followees in dataset.users.rows()
+    }
+    return users, list(starmap(TweetRecord, dataset.tweets.rows()))
 
 
 @dataclass(frozen=True)
@@ -39,7 +127,8 @@ def exposure_timeline(dataset: Dataset, user_id: str) -> ExposureTimeline:
     An original reaching the user along several paths is one member. An
     unknown user raises KeyError.
     """
-    return _timeline({u.id: u for u in dataset.users}[user_id], list(dataset.tweets))
+    users, tweets = _records(dataset)
+    return _timeline(users[user_id], tweets)
 
 
 def _timeline(user: UserRecord, tweets: list[TweetRecord]) -> ExposureTimeline:
@@ -92,8 +181,7 @@ def oracle_metrics(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     cfg = dataset.config
     n = cfg.n_categories
     # every scan below reads these records, built once from the tables
-    tweets = list(dataset.tweets)
-    users = {u.id: u for u in dataset.users}
+    users, tweets = _records(dataset)
     seeds = {uid: u for uid, u in users.items() if u.kind is UserKind.SEED}
 
     all_minority_originals = set()

@@ -86,25 +86,31 @@ def welch_t_test(samples_a, samples_b, alpha: float = 0.01) -> TTestResult:
     incomplete beta function I_x(df/2, 1/2) at x = df / (df + t^2).
 
     Requires at least two observations per side and nonzero variance in at
-    least one sample.
+    least one sample, and refuses samples that leave t or df not finite: a
+    NaN or inf, or a variance whose value or square leaves a double's range.
     """
     a = [float(x) for x in samples_a]
     b = [float(x) for x in samples_b]
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise ValueError(f"need >= 2 samples per side, got {na} and {nb}")
-    mean_a = math.fsum(a) / na
-    mean_b = math.fsum(b) / nb
-    var_a = math.fsum((x - mean_a) ** 2 for x in a) / (na - 1)
-    var_b = math.fsum((x - mean_b) ** 2 for x in b) / (nb - 1)
-    if var_a == 0.0 and var_b == 0.0:
-        raise ValueError("both samples have zero variance; t is undefined")
+    try:
+        mean_a = math.fsum(a) / na
+        mean_b = math.fsum(b) / nb
+        var_a = math.fsum((x - mean_a) ** 2 for x in a) / (na - 1)
+        var_b = math.fsum((x - mean_b) ** 2 for x in b) / (nb - 1)
+        if var_a == 0.0 and var_b == 0.0:
+            raise ValueError("both samples have zero variance; t is undefined")
 
-    se_a = var_a / na
-    se_b = var_b / nb
-    pooled = se_a + se_b
-    t = (mean_a - mean_b) / math.sqrt(pooled)
-    df = pooled**2 / (se_a**2 / (na - 1) + se_b**2 / (nb - 1))
+        se_a = var_a / na
+        se_b = var_b / nb
+        pooled = se_a + se_b
+        t = (mean_a - mean_b) / math.sqrt(pooled)
+        df = pooled**2 / (se_a**2 / (na - 1) + se_b**2 / (nb - 1))
+    except (OverflowError, ZeroDivisionError):
+        t = df = math.nan
+    if not (math.isfinite(t) and math.isfinite(df)):
+        raise ValueError("t or df is not finite for these samples")
     # Imported here so that importing viewdiv does not load scipy. At t = 0,
     # x = df / df = 1, where betainc is exactly 1, so p is 1.
     from scipy.special import betainc

@@ -1,5 +1,6 @@
-"""Small constructors for in-memory test datasets, a CLI runner, a child
-interpreter's environment, and a loader for the benchmark's scripts."""
+"""Small constructors for in-memory test datasets, written as lines from the
+oracle's records, a CLI runner, a child interpreter's environment, and a
+loader for the benchmark's scripts."""
 
 from __future__ import annotations
 
@@ -16,17 +17,14 @@ from viewdiv import (
     Dataset,
     PoliticalCategory,
     TweetKind,
-    TweetRecord,
     TweetTable,
     UserKind,
-    UserRecord,
     UserTable,
     Wing,
 )
 from viewdiv.cli import main
-from viewdiv.ingest import (
-    build_dataset, parse_tweets, parse_users, tweet_to_line, user_to_line,
-)
+from viewdiv.ingest import _tweet_line, _user_line, build_dataset, parse_tweets, parse_users
+from viewdiv.oracle import TweetRecord, UserRecord
 
 ROOT = Path(__file__).resolve().parent.parent
 WINGS = {"left": Wing.LEFT, "right": Wing.RIGHT, "unaligned": Wing.UNALIGNED}
@@ -49,9 +47,14 @@ def regular(uid: str, followees=()) -> UserRecord:
     return UserRecord(uid, UserKind.REGULAR, followees=frozenset(followees))
 
 
-def regular_users(ds: Dataset) -> list[UserRecord]:
-    """The record views of a dataset's regulars, in table order."""
-    return [u for u in ds.users if u.kind is UserKind.REGULAR]
+def regular_followees(ds: Dataset) -> dict[str, list[str]]:
+    """Each regular of a dataset, in table order, to the sorted ids it
+    follows."""
+    return {
+        uid: followees
+        for uid, kind, _, followees in ds.users.rows()
+        if kind is UserKind.REGULAR
+    }
 
 
 def original(tid: str, author: str, ts: int = 0) -> TweetRecord:
@@ -64,6 +67,19 @@ def retweet(tid: str, author: str, source: str, ts: int = 0) -> TweetRecord:
 
 def reply(tid: str, author: str, target: str, ts: int = 0) -> TweetRecord:
     return TweetRecord(tid, author, TweetKind.REPLY, target_user_id=target, timestamp=ts)
+
+
+def user_to_line(user: UserRecord) -> str:
+    """The line write_dataset writes for this user."""
+    return _user_line(user.id, user.kind, user.category, sorted(user.followees))
+
+
+def tweet_to_line(tweet: TweetRecord) -> str:
+    """The line write_dataset writes for this tweet."""
+    return _tweet_line(
+        tweet.id, tweet.author_id, tweet.kind, tweet.source_tweet_id,
+        tweet.target_user_id, tweet.timestamp,
+    )
 
 
 def _refuse(diagnostics) -> None:

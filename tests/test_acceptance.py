@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from scipy import stats as scipy_stats
 
-from helpers import regular_users
+from helpers import regular_followees
 from viewdiv import (
     SynthParams,
     TweetKind,
@@ -152,20 +152,20 @@ def _dense_follow_oracle_dataset():
     seeds = len(ds.users) - ds.users.categories.count(None)
     assert seeds >= 100 and len(ds.tweets) <= MAX_ORACLE_TWEETS
     retweeted_by_seed = {}
-    for t in ds.tweets:
-        if t.kind is TweetKind.RETWEET:
-            retweeted_by_seed.setdefault(t.author_id, set()).add(t.source_tweet_id)
+    for _, author, kind, source, _, _ in ds.tweets.rows():
+        if kind is TweetKind.RETWEET:
+            retweeted_by_seed.setdefault(author, set()).add(source)
     author = _original_authors(ds)
-    for u in regular_users(ds):
-        assert len(u.followees) >= 100
-        surfaced = [t for f in u.followees for t in retweeted_by_seed.get(f, ())]
+    for followees in regular_followees(ds).values():
+        assert len(followees) >= 100
+        surfaced = [t for f in followees for t in retweeted_by_seed.get(f, ())]
         assert len(surfaced) > len(set(surfaced))  # cross-followee duplicates
-        assert any(author[t] in u.followees for t in surfaced)
+        assert any(author[t] in followees for t in surfaced)
     return params.rng_seed, ds
 
 
 def _original_authors(ds) -> dict[str, str]:
-    return {t.id: t.author_id for t in ds.tweets if t.kind is TweetKind.ORIGINAL}
+    return {tid: author for tid, author, kind, *_ in ds.tweets.rows() if kind is TweetKind.ORIGINAL}
 
 
 def test_oracle_equivalence():
@@ -198,8 +198,8 @@ def test_exposure_invariants_on_generated_datasets():
     for _, ds in _small_oracle_datasets():
         author = _original_authors(ds)
         category = dict(zip(ds.users.ids, ds.users.categories))
-        for u in regular_users(ds):
-            tl = exposure_timeline(ds, u.id)
+        for uid in regular_followees(ds):
+            tl = exposure_timeline(ds, uid)
             assert tl.direct <= tl.indirect
             direct_support = {category[author[t]] for t in tl.direct}
             indirect_support = {category[author[t]] for t in tl.indirect}
@@ -297,7 +297,7 @@ def test_pipeline_determinism_and_throughput(tmp_path):
         tweets_per_seed=400.0, retweets_per_regular=28.0, replies_per_regular=3.0,
     )
     ds = generate(params)
-    assert len(ds.tweets) >= 100_000 and len(regular_users(ds)) == 2000
+    assert len(ds.tweets) >= 100_000 and len(regular_followees(ds)) == 2000
     data_dir = tmp_path / "data"
     write_dataset(ds, data_dir)
 

@@ -17,6 +17,9 @@ from viewdiv.synth import MAX_CATEGORIES, MAX_USERS, MAX_VOLUME_MEAN
 from helpers import child_env, run_cli
 
 TOY = Path(__file__).resolve().parent / "data" / "toy"
+# comparison.csv of the uniform preset (side A) against the segregated one
+# (side B), as `viewdiv synth` and `viewdiv compare` write them
+UNIFORM_VS_SEGREGATED = TOY.parent / "uniform-vs-segregated" / "comparison.csv"
 
 
 def _command_args(command, out_dir, config=None, users=None, spam=None):
@@ -302,7 +305,7 @@ def test_analyze_undecodable_json_is_a_line_diagnostic(tmp_path, line):
 def test_references_of_other_kinds_are_dropped(tmp_path):
     """Only a retweet keeps ``source_tweet_id`` and only a reply
     ``target_user_id``: on other kinds they are dropped like unknown keys,
-    in the records and in every report."""
+    in the table rows and in every report."""
     extra = {
         "t01": ',"target_user_id":"s_blue"',   # an original by s_red, left -> right
         "t18": ',"target_user_id":"u_ghost"',  # u_alice's retweet of t01
@@ -316,11 +319,12 @@ def test_references_of_other_kinds_are_dropped(tmp_path):
     tweets.write_text("".join(line + "\n" for line in lines))
 
     table, diags = parse_tweets(lines, CodeMap())
-    records = {t.id: t for t in table}
-    assert diags == [] and len(records) == len(lines)
-    assert records["t01"].target_user_id is None and records["t01"].source_tweet_id is None
-    assert records["t18"].target_user_id is None and records["t18"].source_tweet_id == "t01"
-    assert records["t23"].source_tweet_id is None and records["t23"].target_user_id == "s_red"
+    # each row's (source_tweet_id, target_user_id)
+    references = {tid: (source, target) for tid, _, _, source, target, _ in table.rows()}
+    assert diags == [] and len(references) == len(lines)
+    assert references["t01"] == (None, None)
+    assert references["t18"] == ("t01", None)
+    assert references["t23"] == (None, "s_red")
 
     args = _analyze_args(tmp_path / "rep")
     args[args.index("--tweets") + 1] = str(tweets)
@@ -486,6 +490,25 @@ def test_compare_dataset_with_itself(tmp_path):
         # identical populations: t is 0 (or NA when both sides are constant)
         assert cols[5] in ("0.0000", "-0.0000", "NA")
         assert cols[-1] == "false"
+
+
+def test_compare_uniform_with_segregated_is_pinned(tmp_path):
+    """The t, df and p of a real pair, byte for byte. Side B's direct
+    diversity is constant, and minority_exposure's p of 0.0101 sits next to
+    alpha 0.01, so a change to the t-test's arithmetic shows here."""
+    args = ["compare"]
+    for preset in ("uniform", "segregated"):
+        data = tmp_path / preset
+        result = run_cli(["synth", "--preset", preset, "--out", data])
+        assert result.exit_code == 0, result.output
+        args += [
+            "--config", data / "config.json",
+            "--users", data / "users.jsonl",
+            "--tweets", data / "tweets.jsonl",
+        ]
+    result = run_cli(args + ["--out", tmp_path / "cmp"])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "cmp" / "comparison.csv").read_bytes() == UNIFORM_VS_SEGREGATED.read_bytes()
 
 
 def test_compare_rejects_alpha_outside_the_open_unit_interval(tmp_path):

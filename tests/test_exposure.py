@@ -9,7 +9,7 @@ from itertools import compress
 
 import pytest
 
-from helpers import config, dataset, original, regular, regular_users, reply, retweet, seed
+from helpers import config, dataset, original, regular, regular_followees, reply, retweet, seed
 from viewdiv import (
     SynthParams,
     TweetKind,
@@ -26,7 +26,7 @@ def _by_user(ds):
 
 
 def _original_authors(ds):
-    return {t.id: t.author_id for t in ds.tweets if t.kind is TweetKind.ORIGINAL}
+    return {tid: author for tid, author, kind, *_ in ds.tweets.rows() if kind is TweetKind.ORIGINAL}
 
 
 def _category_counts(ds, tweet_ids):
@@ -163,8 +163,8 @@ def test_timeline_invariants_on_generated_datasets():
         )
         seeds = set(compress(ds.users.ids, ds.users.categories))
         author = _original_authors(ds)
-        for u in regular_users(ds):
-            tl = _timeline(ds, u.id)
+        for uid in regular_followees(ds):
+            tl = _timeline(ds, uid)
             assert tl.direct <= tl.indirect
             # every member is a seed-authored original
             assert all(author[t] in seeds for t in tl.indirect)

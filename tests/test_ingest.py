@@ -4,21 +4,21 @@ import json
 import random
 import subprocess
 import sys
+from dataclasses import astuple
 from itertools import compress
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import (
-    child_env, config, dataset, original, regular, reply, retweet, seed, tables, user_table,
+    child_env, config, dataset, original, regular, reply, retweet, seed, tables, tweet_to_line,
+    user_table, user_to_line,
 )
 from viewdiv import (
     IngestError,
     ParseDiagnostic,
     TweetKind,
-    TweetRecord,
     UserKind,
-    UserRecord,
     compute_all,
     load_country_config,
     load_dataset,
@@ -31,11 +31,10 @@ from viewdiv.ingest import (
     _WRITE_ROWS,
     build_dataset,
     filter_active_regulars,
-    tweet_to_line,
-    user_to_line,
     write_dataset,
 )
 from viewdiv.model import LONE_SURROGATE, CodeMap, validate_config
+from viewdiv.oracle import TweetRecord, UserRecord
 
 USER_LINES = [
     '{"id":"s1","kind":"seed","category":"a","followees":[]}',
@@ -52,7 +51,7 @@ def _seed_ids(users):
 def test_parse_users_wellformed():
     users, diags = parse_users(USER_LINES)
     assert len(users) == 3 and diags == []
-    assert list(users)[2].followees == frozenset({"s1"})
+    assert list(users.rows())[2] == ("u1", UserKind.REGULAR, None, ["s1"])
 
 
 def test_parse_users_missing_kind_is_diagnosed():
@@ -65,7 +64,7 @@ def test_parse_users_missing_kind_is_diagnosed():
 
 def test_parse_users_empty_stream():
     users, diags = parse_users([])
-    assert list(users) == [] and diags == []
+    assert users.ids == [] and diags == []
 
 
 def test_parse_users_duplicate_id_keeps_first():
@@ -74,7 +73,7 @@ def test_parse_users_duplicate_id_keeps_first():
         '{"id":"u1","kind":"regular","followees":[]}',
     ]
     users, diags = parse_users(lines)
-    assert len(users) == 1 and {u.id: u.followees for u in users} == {"u1": frozenset({"s1"})}
+    assert list(users.rows()) == [("u1", UserKind.REGULAR, None, ["s1"])]
     assert len(diags) == 1 and "duplicate" in diags[0].message
 
 
@@ -214,7 +213,7 @@ def test_parse_users_ignores_unknown_keys_and_blank_lines():
 
 def test_parse_users_invalid_json():
     users, diags = parse_users(["{nope"])
-    assert list(users) == [] and len(diags) == 1 and "invalid JSON" in diags[0].message
+    assert users.ids == [] and len(diags) == 1 and "invalid JSON" in diags[0].message
 
 
 def test_parse_tweets_retweet_requires_source():
@@ -226,7 +225,7 @@ def test_parse_tweets_retweet_requires_source():
     bad, diags = parse_tweets(
         ['{"id":"t1","author_id":"u1","kind":"retweet","timestamp":1}'], CodeMap()
     )
-    assert list(bad) == [] and len(diags) == 1
+    assert bad.ids == [] and len(diags) == 1
 
 
 def test_parse_tweets_reply_requires_target():
@@ -244,7 +243,7 @@ def test_parse_tweets_non_string_reference_is_diagnosed(field, value):
     line = json.dumps({"id": "t1", "author_id": "u1", "kind": kind, field: value})
     ok_line = json.dumps({"id": "t2", "author_id": "u1", "kind": kind, field: "x"})
     tweets, diags = parse_tweets([ok_line, line], CodeMap())
-    assert [t.id for t in tweets] == ["t2"]
+    assert tweets.ids == ["t2"]
     assert len(diags) == 1 and diags[0].line_no == 2
     assert diags[0].message == f"'{field}' must be a string"
 
@@ -252,14 +251,14 @@ def test_parse_tweets_non_string_reference_is_diagnosed(field, value):
 def test_parse_tweets_non_string_reference_on_original_is_diagnosed():
     line = '{"id":"t1","author_id":"s1","kind":"original","target_user_id":["s2"]}'
     tweets, diags = parse_tweets([line], CodeMap())
-    assert list(tweets) == [] and len(diags) == 1
+    assert tweets.ids == [] and len(diags) == 1
 
 
 @pytest.mark.parametrize("value", [["a"], 3, {"a": 1}])
 def test_parse_users_non_string_category_is_diagnosed(value):
     line = json.dumps({"id": "s9", "kind": "seed", "category": value, "followees": []})
     users, diags = parse_users([USER_LINES[0], line])
-    assert [u.id for u in users] == ["s1"]
+    assert users.ids == ["s1"]
     assert len(diags) == 1 and diags[0].line_no == 2
     assert diags[0].message == "'category' must be a string"
 
@@ -293,7 +292,7 @@ def test_parse_users_escaped_lone_surrogate_is_invalid_utf8(field, surrogate):
     users, diags = parse_users(
         [USER_LINES[0], _with_escaped_suffix(_USER, field, surrogate)]
     )
-    assert [u.id for u in users] == ["s1"]
+    assert users.ids == ["s1"]
     assert diags == [ParseDiagnostic(2, "invalid UTF-8")]
 
 
@@ -301,17 +300,17 @@ def test_parse_users_escaped_lone_surrogate_is_invalid_utf8(field, surrogate):
 def test_parse_tweets_escaped_lone_surrogate_is_invalid_utf8(field):
     line = _with_escaped_suffix(_TWEETS[field], field, "\udcff")
     tweets, diags = parse_tweets([line], CodeMap())
-    assert list(tweets) == [] and diags == [ParseDiagnostic(1, "invalid UTF-8")]
+    assert tweets.ids == [] and diags == [ParseDiagnostic(1, "invalid UTF-8")]
 
 
 def test_parse_escaped_surrogate_pair_and_backslash_are_accepted():
     emoji = "\U0001f600"  # json.dumps writes it as the pair \ud83d\ude00
     users, diags = parse_users([_with_escaped_suffix(_USER, "id", emoji)])
-    assert diags == [] and [u.id for u in users] == ["s9" + emoji]
+    assert diags == [] and users.ids == ["s9" + emoji]
     # an escaped backslash before "udcff" is text, not a \u escape
     line = _with_escaped_suffix(_TWEETS["id"], "id", "\\udcff")
     tweets, diags = parse_tweets([line], CodeMap())
-    assert diags == [] and [t.id for t in tweets] == ["t1\\udcff"]
+    assert diags == [] and tweets.ids == ["t1\\udcff"]
 
 
 # Valid JSON that the decoder cannot hold: nesting past the recursion limit
@@ -694,9 +693,9 @@ def test_tweet_record_refuses_what_its_line_refuses(fields):
         return
     assert refusal is None
     record = TweetRecord(**fields)
-    assert list(parsed) == [record]
+    assert list(parsed.rows()) == [astuple(record)]
     reparsed, diags = parse_tweets([tweet_to_line(record)], CodeMap())
-    assert list(reparsed) == [record] and diags == []
+    assert list(reparsed.rows()) == [astuple(record)] and diags == []
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -715,9 +714,11 @@ def test_user_record_refuses_what_its_line_refuses(fields):
         return
     assert refusal is None
     record = UserRecord(**{**fields, "followees": followees})
-    assert list(parsed) == [record]
+    # a table row holds the follow list sorted
+    row = (record.id, record.kind, record.category, sorted(record.followees))
+    assert list(parsed.rows()) == [row]
     reparsed, diags = parse_users([user_to_line(record)])
-    assert list(reparsed) == [record] and diags == []
+    assert list(reparsed.rows()) == [row] and diags == []
 
 
 def test_parse_users_reports_a_repeated_id_before_the_seed_rule():
@@ -739,7 +740,7 @@ def test_load_dataset_counts_non_string_fields_as_malformed():
     ds, report, diags = load_dataset(cfg, user_lines, tweet_lines)
     assert len(diags) == 3
     assert report.users_read == 4 and report.tweets_read == 3
-    assert "s3" not in ds.users.ids and [t.id for t in ds.tweets] == ["o1"]
+    assert "s3" not in ds.users.ids and ds.tweets.ids == ["o1"]
 
 
 @pytest.mark.parametrize(
@@ -765,12 +766,13 @@ def test_parse_spam():
     assert parse_spam(["a", "", " b ", "a"]) == {"a", "b"}
 
 
-def _seed_originals(users, tweets) -> dict[str, str]:
-    """The originals authored by a seed in ``users``: id -> author id."""
-    seeds = {u.id for u in users if u.kind is UserKind.SEED}
+def _seed_originals(users, tweet_rows) -> dict[str, str]:
+    """The originals among ``tweet_rows`` authored by a seed of the table
+    ``users``: id -> author id."""
+    seeds = set(_seed_ids(users))
     return {
-        t.id: t.author_id for t in tweets
-        if t.kind is TweetKind.ORIGINAL and t.author_id in seeds
+        tid: author for tid, author, kind, *_ in tweet_rows
+        if kind is TweetKind.ORIGINAL and author in seeds
     }
 
 
@@ -790,32 +792,32 @@ def _activity(n_retweets: int):
 def test_filter_keeps_regular_at_threshold():
     users, tweets = _activity(5)
     retained, spam, thr = _filter(users, tweets)
-    assert {u.id for u in retained} == {"s1", "u1"} and (spam, thr) == (0, 0)
+    assert set(retained.ids) == {"s1", "u1"} and (spam, thr) == (0, 0)
 
 
 def test_filter_drops_regular_below_threshold():
     users, tweets = _activity(4)
     retained, spam, thr = _filter(users, tweets)
-    assert {u.id for u in retained} == {"s1"} and thr == 1
+    assert set(retained.ids) == {"s1"} and thr == 1
 
 
 def test_filter_counts_duplicate_retweets_once():
     users = [seed("s1", "a"), regular("u1", ["s1"])]
     tweets = [original("o1", "s1")] + [retweet(f"r{i}", "u1", "o1") for i in range(8)]
     retained, _, thr = _filter(users, tweets)
-    assert {u.id for u in retained} == {"s1"} and thr == 1
+    assert set(retained.ids) == {"s1"} and thr == 1
 
 
 def test_filter_spam_takes_precedence():
     users, tweets = _activity(10)
     retained, spam, thr = _filter(users, tweets, spam_ids={"u1"})
-    assert {u.id for u in retained} == {"s1"} and (spam, thr) == (1, 0)
+    assert set(retained.ids) == {"s1"} and (spam, thr) == (1, 0)
 
 
 def test_filter_never_drops_seeds():
     users, tweets = _activity(0)
     retained, _, _ = _filter(users, tweets, spam_ids={"s1"})
-    assert any(u.id == "s1" for u in retained)
+    assert "s1" in retained.ids
 
 
 def test_filter_requires_followed_seed():
@@ -823,7 +825,7 @@ def test_filter_requires_followed_seed():
     tweets = [original(f"o{i}", "s1") for i in range(6)]
     tweets += [retweet(f"r{i}", "u1", f"o{i}") for i in range(6)]
     retained, _, thr = _filter(users, tweets)
-    assert {u.id for u in retained} == {"s1"} and thr == 1
+    assert set(retained.ids) == {"s1"} and thr == 1
 
 
 def test_build_drops_dangling_and_dedupes():
@@ -843,14 +845,14 @@ def test_build_drops_dangling_and_dedupes():
         min_retweets=1,
     )
     assert diags == []
-    assert [t.id for t in ds.tweets] == ["o1", "r1"]
-    assert next(iter(ds.tweets)).timestamp == 1
+    assert ds.tweets.ids == ["o1", "r1"]
+    assert ds.tweets.timestamps[0] == 1
     assert report.tweets_dropped_dangling == 2
     assert report.tweets_read == 5
     # build_dataset itself drops the dangling source and author
     deduped = [tweets[0], *tweets[2:]]
     ds, dropped = build_dataset(cfg, *tables(users, deduped))
-    assert [t.id for t in ds.tweets] == ["o1", "r1"]
+    assert ds.tweets.ids == ["o1", "r1"]
     assert dropped == 2
 
 
@@ -861,7 +863,7 @@ def test_build_drops_retweet_of_regular_original():
     ds, dropped = build_dataset(cfg, *tables(users, tweets))
     # the regular's original is kept, but a retweet of it violates the
     # seed-original requirement and dangles
-    assert [t.id for t in ds.tweets] == ["o1"]
+    assert ds.tweets.ids == ["o1"]
     assert dropped == 1
 
 
@@ -898,7 +900,7 @@ def test_tables_over_another_code_map_are_refused():
     ):
         with pytest.raises(ValueError, match="not over the user table's code map"):
             build_dataset(cfg, other_users, other_tweets)
-    assert [t.id for t in build_dataset(cfg, table, resolved)[0].tweets] == ["o1", "r1", "o2"]
+    assert build_dataset(cfg, table, resolved)[0].tweets.ids == ["o1", "r1", "o2"]
 
 
 def test_build_fails_on_invalid_config():
@@ -1034,7 +1036,7 @@ def test_load_dataset_reused_original_id_first_occurrence_wins(first_author):
     tweets.append(_orig("o1", other))
     ds, report, diags = _load_records(_DEDUPE_USERS, tweets)
     assert diags == []
-    u1_retweets = [t.id for t in ds.tweets if t.author_id == "u1"]
+    u1_retweets = [tid for tid, author, *_ in ds.tweets.rows() if author == "u1"]
     if first_author == "s1":
         assert "u1" in ds.users.ids and len(u1_retweets) == 5
         assert report.users_dropped_threshold == 1  # u2 only
@@ -1057,7 +1059,7 @@ def test_load_dataset_reused_retweet_id_counts_first_source_only():
     assert report.users_dropped_threshold == 2
     assert report.tweets_read == 10
     assert report.tweets_dropped_dangling == 4  # u1's kept retweets
-    assert [t.id for t in ds.tweets] == [f"o{i}" for i in range(1, 6)]
+    assert ds.tweets.ids == [f"o{i}" for i in range(1, 6)]
 
 
 # -- property: ingest accounting over noisy input ----------------------------
@@ -1181,7 +1183,7 @@ def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
         len(ds.users) + report.users_dropped_spam + report.users_dropped_threshold
         + len(user_diags)
     )
-    duplicates = len(parsed_tweets) - len({t.id for t in parsed_tweets})
+    duplicates = len(parsed_tweets) - len(set(parsed_tweets.ids))
     assert report.tweets_read == (
         len(ds.tweets) + report.tweets_dropped_dangling + len(tweet_diags) + duplicates
     )
@@ -1189,40 +1191,38 @@ def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
     # The kept tweets, from the definition: the first line of each id whose
     # author is retained, whose retweet source is an original authored by a
     # seed, and whose reply target is retained.
-    first = {}  # id -> first parsed tweet, in input order
-    for t in parsed_tweets:
-        first.setdefault(t.id, t)
+    first = {}  # id -> first parsed row, in input order
+    for row in parsed_tweets.rows():
+        first.setdefault(row[0], row)
     by_seed = _seed_originals(parsed_users, first.values())
     retained = set(ds.users.ids)
-    assert [t.id for t in ds.tweets] == [
-        t.id for t in first.values()
-        if t.author_id in retained
-        and (t.kind is not TweetKind.RETWEET or t.source_tweet_id in by_seed)
-        and (t.kind is not TweetKind.REPLY or t.target_user_id in retained)
+    assert ds.tweets.ids == [
+        tid for tid, author, kind, source, reply_to, _ in first.values()
+        if author in retained
+        and (kind is not TweetKind.RETWEET or source in by_seed)
+        and (kind is not TweetKind.REPLY or reply_to in retained)
     ]
 
     # The one target column: a kept retweet points at the seed that wrote
     # its source, a kept reply at its retained target, an original at none.
     names = ds.tweets.codes.names
-    for t, target in zip(ds.tweets, ds.tweets.targets, strict=True):
-        if t.kind is TweetKind.RETWEET:
-            assert names[target] == by_seed[t.source_tweet_id]
-        elif t.kind is TweetKind.REPLY:
-            assert names[target] == t.target_user_id and t.target_user_id in retained
+    for (_, _, kind, source, reply_to, _), target in zip(
+        ds.tweets.rows(), ds.tweets.targets, strict=True
+    ):
+        if kind is TweetKind.RETWEET:
+            assert names[target] == by_seed[source]
+        elif kind is TweetKind.REPLY:
+            assert names[target] == reply_to and reply_to in retained
         else:
             assert target == -1
 
     # The filter saw the tweets the dataset holds: every retained regular
     # clears the threshold on the built dataset itself.
-    kind_of = {u.id: u.kind for u in ds.users}
-    seed_originals = {
-        t.id for t in ds.tweets
-        if t.kind is TweetKind.ORIGINAL and kind_of[t.author_id] is UserKind.SEED
-    }
-    for u in ds.users:
-        if u.kind is UserKind.REGULAR:
+    seed_originals = _seed_originals(ds.users, ds.tweets.rows())
+    for uid, kind, _, _ in ds.users.rows():
+        if kind is UserKind.REGULAR:
             sources = {
-                t.source_tweet_id for t in ds.tweets
-                if t.author_id == u.id and t.source_tweet_id in seed_originals
+                source for _, author, _, source, _, _ in ds.tweets.rows()
+                if author == uid and source in seed_originals
             }
-            assert len(sources) >= 2, u.id
+            assert len(sources) >= 2, uid

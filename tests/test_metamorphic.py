@@ -21,7 +21,14 @@ again on one transformed copy per property:
 So the order in which ingest meets ids, the way a line is spelled, and the
 order and repeats within a follow list never reach a report.
 
-A second property adds input that a drop policy must discard, one kind at a
+A second property swaps the left and right wings in the config, on every
+crawl source, the toy fixture (the one with an unaligned category) among
+them. No per-user value reads a wing, so ``compute_all`` gives each user
+exactly the values it gave before, and the seed matrix is reflected
+through its centre: left-to-left trades places with right-to-right,
+left-to-right with right-to-left, and the two row totals swap.
+
+A third property adds input that a drop policy must discard, one kind at a
 time: a spam-listed regular with its tweets, a regular under the retweet
 threshold with its tweets, and tweets by authors that are no user. Each
 moves the ingest counts of ``summary.json`` by exactly what it added, and
@@ -33,9 +40,18 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from viewdiv import SynthParams, generate, write_dataset
+from viewdiv import (
+    SynthParams,
+    WingMatrix,
+    compute_all,
+    generate,
+    load_country_config,
+    load_dataset,
+    write_dataset,
+)
 
 from helpers import run_cli
 
@@ -77,10 +93,14 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+_SOURCES = ("toy", 0, 1, 2)
+
+
 @st.composite
-def _crawl(draw) -> tuple[str, list[str], list[str], list[str]]:
-    """A noisy crawl: (config text, user lines, tweet lines, spam ids)."""
-    config_text, user_lines, tweet_lines = _base(draw(st.sampled_from(["toy", 0, 1, 2])))
+def _crawl(draw, sources=_SOURCES) -> tuple[str, list[str], list[str], list[str]]:
+    """A noisy crawl of one of ``sources``: (config text, user lines, tweet
+    lines, spam ids)."""
+    config_text, user_lines, tweet_lines = _base(draw(st.sampled_from(sources)))
     users = list(user_lines)
     tweets = list(tweet_lines)
     user_ids = [json.loads(line)["id"] for line in users]
@@ -270,6 +290,37 @@ def test_reports_do_not_depend_on_input_order_or_id_spelling(crawl, rnd, gaps):
 
     reversed_follows = _reversed_follows(users, rnd)
     assert _analyze(config_text, reversed_follows, tweets, spam) == base, "follow lists reversed"
+
+
+def _compute_all(config_text: str, users: list[str], tweets: list[str], spam: list[str]):
+    """``compute_all`` of the crawl, loaded as ``analyze`` loads it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(config_text)
+        config = load_country_config(path)
+    return compute_all(load_dataset(config, users, tweets, frozenset(spam))[0])
+
+
+@pytest.mark.parametrize("source", _SOURCES)
+@settings(
+    max_examples=15, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_swapping_the_wings_reflects_the_seed_matrix(source, data):
+    config_text, users, tweets, spam = data.draw(_crawl([source]))
+    config = json.loads(config_text)
+    swap = {"left": "right", "right": "left", "unaligned": "unaligned"}
+    for category in config["categories"]:
+        category["wing"] = swap[category["wing"]]
+    per_user, m = _compute_all(config_text, users, tweets, spam)
+    swapped_per_user, swapped = _compute_all(json.dumps(config), users, tweets, spam)
+    assert swapped_per_user == per_user
+    assert swapped == WingMatrix(
+        left_to_left=m.right_to_right, left_to_right=m.right_to_left,
+        right_to_left=m.left_to_right, right_to_right=m.left_to_left,
+        left_interactions=m.right_interactions, right_interactions=m.left_interactions,
+    )
 
 
 # A prefix no crawl above uses, so every id made with it is fresh.

@@ -5,7 +5,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import config, dataset, original, regular, reply, retweet, seed
+from helpers import (
+    config, dataset, original, regular, reply, retweet, seed, tweet_to_line, user_to_line,
+)
 from test_acceptance import _assert_metrics_match
 from viewdiv import (
     IngestError,
@@ -15,7 +17,6 @@ from viewdiv import (
     oracle_metrics,
     seed_interaction_matrix,
 )
-from viewdiv.ingest import tweet_to_line, user_to_line
 from viewdiv.metrics import IO_MARGIN
 
 

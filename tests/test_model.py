@@ -5,13 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import config, regular, seed, user_table
+from helpers import config, regular, seed, user_table, user_to_line
 from viewdiv import (
     TweetKind,
-    TweetRecord,
     TweetTable,
     UserKind,
-    UserRecord,
     UserTable,
     Wing,
     load_country_config,
@@ -19,8 +17,9 @@ from viewdiv import (
     parse_users,
     validate_config,
 )
-from viewdiv.ingest import filter_active_regulars, user_to_line
+from viewdiv.ingest import filter_active_regulars
 from viewdiv.model import CodeMap
+from viewdiv.oracle import TweetRecord, UserRecord
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -101,7 +100,7 @@ def test_validate_rejects_dangling_and_nonseed_followees():
         regular("u3", ["u1", "s1", "zed"]),
     )
     retained, _, dropped = filter_active_regulars(users, TweetTable(users.codes), min_retweets=0)
-    assert [u.id for u in retained] == ["s1", "u3"] and dropped == 1
+    assert retained.ids == ["s1", "u3"] and dropped == 1
     assert validate_config(cfg, retained) == [
         "user 'u3' follows unknown id 'u1'",
         "user 'u3' follows unknown id 'zed'",
@@ -153,7 +152,8 @@ def test_user_record_holds_its_followees_as_a_frozenset():
     line = '{"id":"u1","kind":"regular","followees":["s1","s1"]}'
     for text in (line, user_to_line(record)):
         users, diags = parse_users([text])
-        assert list(users) == [record] and diags == []
+        [(uid, kind, category, followees)] = users.rows()
+        assert UserRecord(uid, kind, category, frozenset(followees)) == record and diags == []
 
 
 def test_tweet_record_invariants():

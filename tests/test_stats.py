@@ -1,5 +1,6 @@
 """Distribution, threshold fraction, and Welch t-test behavior."""
 
+import math
 import random
 
 import pytest
@@ -106,6 +107,22 @@ def test_welch_contract_violations():
         welch_t_test([1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         welch_t_test([2.0, 2.0], [3.0, 3.0])  # zero variance on both sides
+
+
+@pytest.mark.parametrize("a, b", [
+    # the squared variances underflow to 0 in the Welch-Satterthwaite df
+    ([0, 1e-160, 2e-160], [0, 1e-160, 3e-160]),
+    # the squared deviations overflow
+    ([1e160, 2e160, 3e160], [1e160, 2e160, 4e160]),
+    ([0.1, math.nan, 0.3], [0.2, 0.4, 0.6]),
+    ([0.1, 0.2, 0.3], [0.2, -math.inf, 0.6]),
+], ids=["underflow", "overflow", "nan", "inf"])
+def test_welch_refuses_what_a_double_cannot_hold(a, b):
+    """Each raised ZeroDivisionError or OverflowError, or returned t = df =
+    p = nan, before the t-test refused it."""
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="^t or df is not finite for these samples$"):
+            welch_t_test(first, second)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy's own constant-data advisory

@@ -19,7 +19,7 @@ from viewdiv import (
     validate_config,
 )
 from viewdiv import synth as synth_mod
-from viewdiv.ingest import tweet_to_line, user_to_line, write_dataset
+from viewdiv.ingest import _tweet_line, _user_line, write_dataset
 from viewdiv.synth import (
     MAX_CATEGORIES,
     MAX_DRAWS,
@@ -40,8 +40,8 @@ SMALL = SynthParams(
 
 def _serialize(ds):
     return (
-        [user_to_line(u) for u in sorted(ds.users, key=lambda u: u.id)],
-        [tweet_to_line(t) for t in ds.tweets],
+        [_user_line(*row) for row in sorted(ds.users.rows())],
+        [_tweet_line(*row) for row in ds.tweets.rows()],
     )
 
 
@@ -235,8 +235,8 @@ def test_a_wholly_followed_category_reuses_its_cdf(monkeypatch):
     retweets only there, so the regulars build no cdf."""
     segregated = replace(PINNED_PARAMS["dense"], homophily=1.0)
     regular_retweets = [
-        t for t in generate(segregated).tweets
-        if t.kind is TweetKind.RETWEET and t.author_id.startswith("u")
+        tid for tid, author, kind, *_ in generate(segregated).tweets.rows()
+        if kind is TweetKind.RETWEET and author.startswith("u")
     ]
     assert regular_retweets
     assert _cdf_builds(monkeypatch, segregated) == _cdf_builds(
@@ -270,13 +270,17 @@ def test_zero_homophily_gives_high_direct_diversity():
     assert sum(values) / len(values) >= 0.95
 
 
+def _original_authors(ds) -> list[str]:
+    """The author of each original of a dataset, in table order."""
+    return [author for _, author, kind, *_ in ds.tweets.rows() if kind is TweetKind.ORIGINAL]
+
+
 def test_minority_share_hits_target():
     for share in (0.05, 0.15, 0.3):
         ds = generate(replace(SMALL, n_seeds=12, tweets_per_seed=40,
                               minority_tweet_share=share))
-        originals = [t for t in ds.tweets if t.kind is TweetKind.ORIGINAL]
-        minority = [t for t in originals
-                    if t.author_id in ds.config.minority_user_ids]
+        originals = _original_authors(ds)
+        minority = [a for a in originals if a in ds.config.minority_user_ids]
         assert len(minority) / len(originals) == pytest.approx(share, abs=0.02)
 
 
@@ -300,8 +304,7 @@ def test_infeasible_params_rejected():
     # share 1.0 is representable when every category is minority
     ds = generate(replace(SMALL, minority_categories=("cat1", "cat2", "cat3"),
                           minority_tweet_share=1.0))
-    assert all(t.author_id in ds.config.minority_user_ids
-               for t in ds.tweets if t.kind is TweetKind.ORIGINAL)
+    assert set(_original_authors(ds)) <= ds.config.minority_user_ids
 
 
 _VOLUME_MEANS = ("tweets_per_seed", "retweets_per_regular", "replies_per_regular")
