@@ -74,13 +74,13 @@ class IngestError(ValueError):
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
-    """One skipped input line: 1-based line number plus reason, and the
-    input it is in (``"users"`` or ``"tweets"``) once :func:`load_dataset`
-    has named it; the parse functions leave ``file`` empty."""
+    """One skipped input line: 1-based line number, reason, and the input
+    it is in, ``"users"`` from :func:`parse_users` or ``"tweets"`` from
+    :func:`parse_tweets`."""
 
     line_no: int
     message: str
-    file: str = ""
+    file: str
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,13 @@ _CANONICAL_TWEET = re.compile(
 )
 
 
-def _parse_line(line: str, line_no: int) -> tuple[dict | None, ParseDiagnostic | None]:
-    """One line as (record, None) or (None, diagnostic); a blank line fails
-    as invalid JSON, and the line readers skip it instead."""
+def _decode(line: str) -> tuple[dict | None, str | None]:
+    """One line as (object, None) or (None, reason); a blank line fails as
+    invalid JSON, and the line readers skip it instead."""
     # isascii() reads a flag CPython keeps on every str, so valid ASCII lines
     # never reach the scan.
     if not line.isascii() and LONE_SURROGATE.search(line):
-        return None, ParseDiagnostic(line_no, "invalid UTF-8")
+        return None, "invalid UTF-8"
     try:
         # raw_decode is json.loads without its checks on the text around the
         # value; a line that starts with a value and ends in JSON whitespace
@@ -134,25 +134,25 @@ def _parse_line(line: str, line_no: int) -> tuple[dict | None, ParseDiagnostic |
         # an escaped surrogate pair into one character, so any surrogate left
         # in the decoded record was escaped alone.
         if "\\" in line and LONE_SURROGATE.search(json.dumps(obj, ensure_ascii=False)):
-            return None, ParseDiagnostic(line_no, "invalid UTF-8")
+            return None, "invalid UTF-8"
     except json.JSONDecodeError as exc:
-        return None, ParseDiagnostic(line_no, f"invalid JSON: {exc.msg}")
+        return None, f"invalid JSON: {exc.msg}"
     except RecursionError:
         # Nesting deeper than the interpreter's recursion limit, hit while
         # decoding or while encoding the record again for the surrogate check.
-        return None, ParseDiagnostic(line_no, "invalid JSON: nested too deeply")
+        return None, "invalid JSON: nested too deeply"
     except ValueError:
         # The one other ValueError decoding raises: int() refuses a literal
         # longer than sys.get_int_max_str_digits().
-        return None, ParseDiagnostic(line_no, "invalid JSON: integer too long")
+        return None, "invalid JSON: integer too long"
     if not isinstance(obj, dict):
-        return None, ParseDiagnostic(line_no, "record is not an object")
+        return None, "record is not an object"
     return obj, None
 
 
 def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]:
     """Parse user lines into one :class:`UserTable`; malformed lines become
-    diagnostics, not failures.
+    diagnostics, not failures, each naming its input as ``"users"``.
 
     Duplicate user ids keep the first occurrence and flag the later line.
     Blank lines are skipped silently. A follow list may name an id more
@@ -166,18 +166,16 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
     seen: set[str] = set()
 
     for line_no, line in enumerate(lines, start=1):
-        obj, diag = _parse_line(line, line_no)
-        if obj is None:
-            if line.strip():
-                diagnostics.append(diag)  # type: ignore[arg-type]
-            continue
-
-        get = obj.get
-        uid, kind, category = get("id"), get("kind"), get("category")
-        followees = get("followees", [])
-        problem = user_violation(uid, kind, category, followees, seen)
+        obj, problem = _decode(line)
+        if obj is not None:
+            get = obj.get
+            uid, kind, category = get("id"), get("kind"), get("category")
+            followees = get("followees", [])
+            problem = user_violation(uid, kind, category, followees, seen)
         if problem is not None:
-            diagnostics.append(ParseDiagnostic(line_no, problem))
+            # a blank line fails to decode and is skipped, not diagnosed
+            if line.strip():
+                diagnostics.append(ParseDiagnostic(line_no, problem, "users"))
             continue
         seen.add(uid)
         users.append(uid, category, followees)
@@ -188,8 +186,9 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
 def parse_tweets(lines: Iterable[str], codes: CodeMap) -> tuple[TweetTable, list[ParseDiagnostic]]:
     """Parse tweet lines into one :class:`TweetTable` over ``codes``, the
     code map of the users they are read with (``users.codes``); analogous
-    to :func:`parse_users`. An author or reply target that no user line
-    names is interned into ``codes`` as it is read.
+    to :func:`parse_users`, each diagnostic naming its input as
+    ``"tweets"``. An author or reply target that no user line names is
+    interned into ``codes`` as it is read.
 
     Every well-formed line becomes a row, repeated ids included, so that
     ``len(table)`` counts the parsed lines; :func:`load_dataset` keeps the
@@ -221,36 +220,33 @@ def parse_tweets(lines: Iterable[str], codes: CodeMap) -> tuple[TweetTable, list
         m = canonical(line)
         if m is not None:
             # the pattern gives a source only on a retweet and a target only
-            # on a reply, so the groups are the row's columns as they come
+            # on a reply, so the groups are the row's references as they come
             tid, author, source, target, timestamp = m.groups()
-            add_id(tid)
-            add_kind(RETWEET if source is not None else REPLY if target is not None else ORIGINAL)
-            add_author(code(author))
-            add_source(source)
-            add_target(-1 if target is None else code(target))
-            add_timestamp(int(timestamp))
-            continue
-
-        obj, diag = _parse_line(line, line_no)
-        if obj is None:
-            if line.strip():
-                diagnostics.append(diag)  # type: ignore[arg-type]
-            continue
-
-        get = obj.get
-        tid, author, kind = get("id"), get("author_id"), get("kind")
-        source, target = get("source_tweet_id"), get("target_user_id")
-        timestamp = get("timestamp", 0)
-        problem = tweet_violation(tid, author, kind, source, target, timestamp)
-        if problem is not None:
-            diagnostics.append(ParseDiagnostic(line_no, problem))
-            continue
-        kind = TWEET_KIND_CODES[kind]
+            kind = RETWEET if source is not None else REPLY if target is not None else ORIGINAL
+            timestamp = int(timestamp)
+        else:
+            obj, problem = _decode(line)
+            if obj is not None:
+                get = obj.get
+                tid, author, kind = get("id"), get("author_id"), get("kind")
+                source, target = get("source_tweet_id"), get("target_user_id")
+                timestamp = get("timestamp", 0)
+                problem = tweet_violation(tid, author, kind, source, target, timestamp)
+            if problem is not None:
+                # a blank line fails to decode and is skipped, not diagnosed
+                if line.strip():
+                    diagnostics.append(ParseDiagnostic(line_no, problem, "tweets"))
+                continue
+            kind = TWEET_KIND_CODES[kind]
+            if kind != RETWEET:
+                source = None
+            if kind != REPLY:
+                target = None
         add_id(tid)
         add_kind(kind)
         add_author(code(author))
-        add_source(source if kind == RETWEET else None)
-        add_target(code(target) if kind == REPLY else -1)
+        add_source(source)
+        add_target(-1 if target is None else code(target))
         add_timestamp(timestamp)
 
     return table, diagnostics
@@ -359,8 +355,9 @@ def load_dataset(
     the dataset keeps it. ``users_read`` and ``tweets_read`` count every
     attempted record line, so users_read = retained + dropped_spam +
     dropped_threshold + malformed, and tweets_read = kept +
-    dropped_dangling + malformed + duplicate ids. The diagnostics come
-    users first, each naming its file.
+    dropped_dangling + malformed + duplicate ids. The diagnostics are the
+    users' and then the tweets', each in line order and named by the
+    reader that built it.
     """
     users, user_diags = parse_users(user_lines)
     parsed, tweet_diags = parse_tweets(tweet_lines, users.codes)
@@ -376,9 +373,7 @@ def load_dataset(
         tweets_read=len(parsed) + len(tweet_diags),
         tweets_dropped_dangling=dropped_dangling,
     )
-    diagnostics = [ParseDiagnostic(d.line_no, d.message, "users") for d in user_diags]
-    diagnostics += [ParseDiagnostic(d.line_no, d.message, "tweets") for d in tweet_diags]
-    return dataset, report, diagnostics
+    return dataset, report, user_diags + tweet_diags
 
 
 # -- country config and dataset serialization --------------------------------
@@ -389,10 +384,10 @@ def read_json_object(path: str | Path, what: str) -> dict:
     surrogate), invalid JSON or a non-object raise ``ValueError("<path>:
     malformed <what> (<reason>)")``."""
     text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
-    raw, diag = _parse_line(text, 1)
-    if diag is not None:
-        raise ValueError(f"{path}: malformed {what} ({diag.message})")
-    return raw  # type: ignore[return-value]
+    raw, reason = _decode(text)
+    if raw is None:
+        raise ValueError(f"{path}: malformed {what} ({reason})")
+    return raw
 
 
 def load_country_config(path: str | Path) -> CountryConfig:

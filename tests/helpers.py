@@ -1,6 +1,6 @@
 """Small constructors for in-memory test datasets, written as lines from the
-oracle's records, a CLI runner, a child interpreter's environment, and a
-loader for the benchmark's scripts."""
+oracle's records, and lookups into one; a CLI runner, a child interpreter's
+environment, and a loader for the benchmark's scripts."""
 
 from __future__ import annotations
 
@@ -19,8 +19,10 @@ from viewdiv import (
     TweetKind,
     TweetTable,
     UserKind,
+    UserMetrics,
     UserTable,
     Wing,
+    compute_all,
 )
 from viewdiv.cli import main
 from viewdiv.ingest import _tweet_line, _user_line, build_dataset, parse_tweets, parse_users
@@ -55,6 +57,17 @@ def regular_followees(ds: Dataset) -> dict[str, list[str]]:
         for uid, kind, _, followees in ds.users.rows()
         if kind is UserKind.REGULAR
     }
+
+
+def original_authors(ds: Dataset) -> dict[str, str]:
+    """Each original of a dataset, in table order, to its author's id."""
+    return {tid: author for tid, author, kind, *_ in ds.tweets.rows() if kind is TweetKind.ORIGINAL}
+
+
+def by_user(ds: Dataset) -> dict[str, UserMetrics]:
+    """compute_all's per-user rows keyed by user id."""
+    per_user, _ = compute_all(ds)
+    return {m.user_id: m for m in per_user}
 
 
 def original(tid: str, author: str, ts: int = 0) -> TweetRecord:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from scipy import stats as scipy_stats
 
-from helpers import regular_followees
+from helpers import original_authors, regular_followees
 from viewdiv import (
     SynthParams,
     TweetKind,
@@ -155,17 +155,13 @@ def _dense_follow_oracle_dataset():
     for _, author, kind, source, _, _ in ds.tweets.rows():
         if kind is TweetKind.RETWEET:
             retweeted_by_seed.setdefault(author, set()).add(source)
-    author = _original_authors(ds)
+    author = original_authors(ds)
     for followees in regular_followees(ds).values():
         assert len(followees) >= 100
         surfaced = [t for f in followees for t in retweeted_by_seed.get(f, ())]
         assert len(surfaced) > len(set(surfaced))  # cross-followee duplicates
         assert any(author[t] in followees for t in surfaced)
     return params.rng_seed, ds
-
-
-def _original_authors(ds) -> dict[str, str]:
-    return {tid: author for tid, author, kind, *_ in ds.tweets.rows() if kind is TweetKind.ORIGINAL}
 
 
 def test_oracle_equivalence():
@@ -196,7 +192,7 @@ def test_exposure_invariants_on_generated_datasets():
     """direct <= indirect and support(direct) <= support(indirect) everywhere."""
     checked_users = 0
     for _, ds in _small_oracle_datasets():
-        author = _original_authors(ds)
+        author = original_authors(ds)
         category = dict(zip(ds.users.ids, ds.users.categories))
         for uid in regular_followees(ds):
             tl = exposure_timeline(ds, uid)

@@ -9,29 +9,25 @@ from itertools import compress
 
 import pytest
 
-from helpers import config, dataset, original, regular, regular_followees, reply, retweet, seed
-from viewdiv import (
-    SynthParams,
-    TweetKind,
-    compute_all,
-    generate,
-    normalized_entropy,
+from helpers import (
+    by_user,
+    config,
+    dataset,
+    original,
+    original_authors,
+    regular,
+    regular_followees,
+    reply,
+    retweet,
+    seed,
 )
+from viewdiv import SynthParams, generate, normalized_entropy
 from viewdiv.oracle import exposure_timeline as _timeline
-
-
-def _by_user(ds):
-    per_user, _ = compute_all(ds)
-    return {m.user_id: m for m in per_user}
-
-
-def _original_authors(ds):
-    return {tid: author for tid, author, kind, *_ in ds.tweets.rows() if kind is TweetKind.ORIGINAL}
 
 
 def _category_counts(ds, tweet_ids):
     """Per-category counts of a set of originals, by author category."""
-    author = _original_authors(ds)
+    author = original_authors(ds)
     category = dict(zip(ds.users.ids, ds.users.categories))
     return Counter(category[author[t]] for t in tweet_ids)
 
@@ -84,7 +80,7 @@ def test_indirect_adds_surfaced_original_once():
     assert len(tl.indirect) == 6
     # The batch path agrees: counts (a, b, c) are (3, 2, 0) direct and
     # (3, 2, 1) indirect; counting the surfaced o1 again would give (4, 2, 1).
-    u1 = _by_user(ds)["u1"]
+    u1 = by_user(ds)["u1"]
     assert u1.direct_source_diversity == normalized_entropy([3, 2, 0], 3)
     assert u1.indirect_source_diversity == normalized_entropy([3, 2, 1], 3)
     assert normalized_entropy([3, 2, 1], 3) != normalized_entropy([4, 2, 1], 3)
@@ -116,18 +112,18 @@ def test_histogram_uniform_hundred():
     assert len(tl.direct) == 100
     counts = _category_counts(ds, tl.direct)
     assert all(counts[f"c{i}"] == 20 for i in range(5))
-    assert _by_user(ds)["u1"].direct_source_diversity == 1.0
+    assert by_user(ds)["u1"].direct_source_diversity == 1.0
 
 
 def test_histogram_empty_and_single_category():
     ds = _basic()
     assert not _category_counts(ds, _timeline(ds, "u2").direct)
-    assert _by_user(ds)["u2"].direct_source_diversity is None
+    assert by_user(ds)["u2"].direct_source_diversity is None
     # u3 follows s1 alone: o1..o3, all in category "a" of n = 3
     direct = _timeline(ds, "u3").direct
     assert direct == {"o1", "o2", "o3"}
     assert _category_counts(ds, direct) == {"a": 3} and ds.config.n_categories == 3
-    assert _by_user(ds)["u3"].direct_source_diversity == 0.0
+    assert by_user(ds)["u3"].direct_source_diversity == 0.0
 
 
 def test_output_histograms():
@@ -140,7 +136,7 @@ def test_output_histograms():
         reply("p2", "u1", "s2"),
         reply("p3", "u1", "u2"),  # reply to a regular: no category, excluded
     ]
-    u1 = _by_user(dataset(cfg, users, tweets))["u1"]
+    u1 = by_user(dataset(cfg, users, tweets))["u1"]
     assert u1.retweet_diversity == normalized_entropy([10, 0], 2) == 0.0
     assert u1.reply_diversity == normalized_entropy([0, 2], 2) == 0.0
 
@@ -148,7 +144,7 @@ def test_output_histograms():
     # make the counts show: (10, 1) retweets, one per record, and (1, 2)
     # replies, the reply to the regular u2 still excluded.
     tweets += [original("ob", "s2"), retweet("rb", "u1", "ob"), reply("p4", "u1", "s1")]
-    u1 = _by_user(dataset(cfg, users, tweets))["u1"]
+    u1 = by_user(dataset(cfg, users, tweets))["u1"]
     assert u1.retweet_diversity == normalized_entropy([10, 1], 2)
     assert u1.reply_diversity == normalized_entropy([1, 2], 2)
     assert normalized_entropy([1, 2], 2) != normalized_entropy([1, 3], 2)
@@ -162,7 +158,7 @@ def test_timeline_invariants_on_generated_datasets():
                         replies_per_regular=2)
         )
         seeds = set(compress(ds.users.ids, ds.users.categories))
-        author = _original_authors(ds)
+        author = original_authors(ds)
         for uid in regular_followees(ds):
             tl = _timeline(ds, uid)
             assert tl.direct <= tl.indirect

@@ -293,14 +293,14 @@ def test_parse_users_escaped_lone_surrogate_is_invalid_utf8(field, surrogate):
         [USER_LINES[0], _with_escaped_suffix(_USER, field, surrogate)]
     )
     assert users.ids == ["s1"]
-    assert diags == [ParseDiagnostic(2, "invalid UTF-8")]
+    assert diags == [ParseDiagnostic(2, "invalid UTF-8", "users")]
 
 
 @pytest.mark.parametrize("field", sorted(_TWEETS))
 def test_parse_tweets_escaped_lone_surrogate_is_invalid_utf8(field):
     line = _with_escaped_suffix(_TWEETS[field], field, "\udcff")
     tweets, diags = parse_tweets([line], CodeMap())
-    assert tweets.ids == [] and diags == [ParseDiagnostic(1, "invalid UTF-8")]
+    assert tweets.ids == [] and diags == [ParseDiagnostic(1, "invalid UTF-8", "tweets")]
 
 
 def test_parse_escaped_surrogate_pair_and_backslash_are_accepted():
@@ -741,6 +741,16 @@ def test_load_dataset_counts_non_string_fields_as_malformed():
     assert len(diags) == 3
     assert report.users_read == 4 and report.tweets_read == 3
     assert "s3" not in ds.users.ids and ds.tweets.ids == ["o1"]
+    # each reader names its own file, and load_dataset passes the users'
+    # diagnostics and then the tweets' on as they are
+    users, user_diags = parse_users(user_lines)
+    _, tweet_diags = parse_tweets(tweet_lines, users.codes)
+    assert user_diags == [ParseDiagnostic(4, "'category' must be a string", "users")]
+    assert tweet_diags == [
+        ParseDiagnostic(2, "'source_tweet_id' must be a string", "tweets"),
+        ParseDiagnostic(3, "'target_user_id' must be a string", "tweets"),
+    ]
+    assert diags == user_diags + tweet_diags
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,13 @@ exactly the values it gave before, and the seed matrix is reflected
 through its centre: left-to-left trades places with right-to-right,
 left-to-right with right-to-left, and the two row totals swap.
 
-A third property adds input that a drop policy must discard, one kind at a
+A third property permutes the config's category list and renames every
+category, in the config and in every seed line, by one bijection. No
+metric reads a category's name and no tie is broken by category order, so
+every per-user value stays within 1e-12 (an entropy sums its terms in the
+new order), and every io flag and the seed matrix stay equal.
+
+A fourth property adds input that a drop policy must discard, one kind at a
 time: a spam-listed regular with its tweets, a regular under the retweet
 threshold with its tweets, and tweets by authors that are no user. Each
 moves the ingest counts of ``summary.json`` by exactly what it added, and
@@ -54,6 +60,7 @@ from viewdiv import (
 )
 
 from helpers import run_cli
+from test_acceptance import _assert_metrics_match
 
 TOY = Path(__file__).resolve().parent / "data" / "toy"
 
@@ -321,6 +328,34 @@ def test_swapping_the_wings_reflects_the_seed_matrix(source, data):
         right_to_left=m.left_to_right, right_to_right=m.left_to_left,
         left_interactions=m.right_interactions, right_interactions=m.left_interactions,
     )
+
+
+@pytest.mark.parametrize("source", _SOURCES)
+@settings(
+    max_examples=15, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_relabeling_the_categories_moves_no_metric(source, data):
+    config_text, users, tweets, spam = data.draw(_crawl([source]))
+    config = json.loads(config_text)
+    old_ids = [c["id"] for c in config["categories"]]
+    new_ids = data.draw(st.permutations([f"category-{i}" for i in range(len(old_ids))]))
+    rename = dict(zip(old_ids, new_ids))
+    categories = data.draw(st.permutations(config["categories"]))
+    config["categories"] = [{**c, "id": rename[c["id"]]} for c in categories]
+    relabeled_users = []
+    for line in users:
+        r = _record(line)
+        if r is not None and r.get("category") in rename:
+            line = _dumps({**r, "category": rename[r["category"]]})
+        relabeled_users.append(line)
+    per_user, matrix = _compute_all(config_text, users, tweets, spam)
+    relabeled_per_user, relabeled_matrix = _compute_all(
+        json.dumps(config), relabeled_users, tweets, spam
+    )
+    _assert_metrics_match(relabeled_per_user, per_user, "categories relabeled")
+    assert relabeled_matrix == matrix
 
 
 # A prefix no crawl above uses, so every id made with it is fresh.

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    config, dataset, original, regular, reply, retweet, seed, tweet_to_line, user_to_line,
+    by_user, config, dataset, original, regular, reply, retweet, seed, tweet_to_line, user_to_line,
 )
 from test_acceptance import _assert_metrics_match
 from viewdiv import (
@@ -18,12 +18,6 @@ from viewdiv import (
     seed_interaction_matrix,
 )
 from viewdiv.metrics import IO_MARGIN
-
-
-def _by_user(ds):
-    """compute_all's per-user rows keyed by user id."""
-    per_user, _ = compute_all(ds)
-    return {m.user_id: m for m in per_user}
 
 
 def test_entropy_uniform_is_exactly_one():
@@ -102,7 +96,7 @@ def _diversity_ds():
 
 
 def test_source_diversity_degenerate_and_uniform():
-    m = _by_user(_diversity_ds())
+    m = by_user(_diversity_ds())
     assert m["one_seed"].direct_source_diversity == 0.0
     assert m["balanced"].direct_source_diversity == 1.0
     assert m["idle"].direct_source_diversity is None
@@ -115,12 +109,12 @@ def test_output_diversity_examples():
     tweets = [original(f"oa{i}", "s1") for i in range(4)]
     tweets += [original(f"ob{i}", "s2") for i in range(4)]
     tweets += [retweet(f"r{i}", "u1", f"oa{i}") for i in range(4)]
-    u1 = _by_user(dataset(cfg, users, tweets))["u1"]
+    u1 = by_user(dataset(cfg, users, tweets))["u1"]
     assert u1.retweet_diversity == 0.0  # one category only
     assert u1.reply_diversity is None  # no replies made
 
     tweets += [retweet(f"rb{i}", "u1", f"ob{i}") for i in range(4)]
-    assert _by_user(dataset(cfg, users, tweets))["u1"].retweet_diversity == 1.0
+    assert by_user(dataset(cfg, users, tweets))["u1"].retweet_diversity == 1.0
 
 
 def _minority_ds():
@@ -140,7 +134,7 @@ def _minority_ds():
 
 
 def test_minority_reach_examples():
-    m = _by_user(_minority_ds())
+    m = by_user(_minority_ds())
     assert m["u1"].minority_reach == pytest.approx(0.3)
     assert m["all_min"].minority_reach == 1.0
 
@@ -154,13 +148,13 @@ def test_minority_reach_via_indirect_path_only():
         original("os_0", "s1", 3),
         retweet("r1", "s1", "om_0", 4),  # the only minority access u1 has
     ]
-    assert _by_user(dataset(cfg, users, tweets))["u1"].minority_reach == pytest.approx(1 / 2)
+    assert by_user(dataset(cfg, users, tweets))["u1"].minority_reach == pytest.approx(1 / 2)
 
 
 def test_minority_reach_undefined_without_minority_tweets():
     cfg = config({"a": "left", "b": "right"})
     ds = dataset(cfg, [seed("s1", "a"), regular("u1", ["s1"])], [original("o1", "s1")])
-    assert _by_user(ds)["u1"].minority_reach is None
+    assert by_user(ds)["u1"].minority_reach is None
 
 
 def test_minority_exposure_examples():
@@ -168,7 +162,7 @@ def test_minority_exposure_examples():
     users = [seed("s1", "a"), seed("m1", "m"), regular("u1", ["s1", "m1"]), regular("idle", [])]
     tweets = [original(f"om_{i}", "m1", ts=i) for i in range(23)]
     tweets += [original(f"os_{i}", "s1", ts=100 + i) for i in range(77)]
-    m = _by_user(dataset(cfg, users, tweets))
+    m = by_user(dataset(cfg, users, tweets))
     assert m["u1"].minority_exposure == pytest.approx(0.23)
     assert m["idle"].minority_exposure is None
 
@@ -177,7 +171,7 @@ def test_minority_exposure_examples():
         [seed("s1", "a"), regular("u1", ["s1"])],
         [original("o1", "s1")],
     )
-    assert _by_user(no_min)["u1"].minority_exposure == 0.0
+    assert by_user(no_min)["u1"].minority_exposure == 0.0
 
 
 def test_minority_monotone_in_followed_minority_seeds():
@@ -194,8 +188,8 @@ def test_minority_monotone_in_followed_minority_seeds():
     tweets = [original(f"om1_{i}", "m1", ts=i) for i in range(2)]
     tweets += [original(f"om2_{i}", "m2", ts=10 + i) for i in range(4)]
     tweets += [original(f"os_{i}", "s1", ts=20 + i) for i in range(6)]
-    before = _by_user(dataset(cfg, users_before, tweets))["u1"]
-    after = _by_user(dataset(cfg, users_after, tweets))["u1"]
+    before = by_user(dataset(cfg, users_before, tweets))["u1"]
+    after = by_user(dataset(cfg, users_after, tweets))["u1"]
     assert after.minority_reach >= before.minority_reach
     assert after.minority_exposure >= before.minority_exposure
 
@@ -225,7 +219,7 @@ def _io_ds(input_counts, output_counts, cats=IO_CATS):
 
 def _io(ds, user_id="u1", margin=False):
     """The user's io correlation: the plain column, or the margin column."""
-    m = _by_user(ds)[user_id]
+    m = by_user(ds)[user_id]
     return m.io_correlated_15 if margin else m.io_correlated
 
 
