@@ -9,6 +9,7 @@ from .ingest import (
     parse_spam,
     parse_tweets,
     parse_users,
+    validate_config,
     write_dataset,
 )
 from .metrics import (
@@ -27,7 +28,6 @@ from .model import (
     UserKind,
     UserTable,
     Wing,
-    validate_config,
 )
 from .stats import (
     MetricDistribution,

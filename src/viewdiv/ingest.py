@@ -1,5 +1,8 @@
 """Line-delimited ingest: parsing, activity filtering, and dataset assembly.
 
+Every rule of which rows a dataset keeps is here: the first row per tweet
+id, retweet resolution, the activity filter, dangling drops, config checks.
+
 File formats (one JSON object per line, UTF-8, LF endings; lines are read
 with ``errors="surrogateescape"``, so a line holding bytes that are not
 valid UTF-8, or a ``\\u`` escape of a lone surrogate, becomes one "invalid
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import dataclass
 from itertools import compress, islice, repeat, starmap
 from pathlib import Path
@@ -60,7 +64,6 @@ from .model import (
     Wing,
     tweet_violation,
     user_violation,
-    validate_config,
 )
 
 
@@ -156,12 +159,12 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
 
     Duplicate user ids keep the first occurrence and flag the later line.
     Blank lines are skipped silently. A follow list may name an id more
-    than once, or before that id's own line: each user's id and each
-    followed id gets an int code in the table's code map as it is read
-    (:meth:`~viewdiv.model.UserTable.append`), and the follow list holds
-    those codes, whatever order the lines come in.
+    than once, or before that id's own line: each user's id and then each
+    followed id gets an int code in the table's code map as it is read,
+    and the follow list holds those codes, whatever order the lines come in.
     """
     users = UserTable([], [], [], CodeMap())
+    code = users.codes.__getitem__
     diagnostics: list[ParseDiagnostic] = []
     seen: set[str] = set()
 
@@ -178,7 +181,10 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
                 diagnostics.append(ParseDiagnostic(line_no, problem, "users"))
             continue
         seen.add(uid)
-        users.append(uid, category, followees)
+        users.ids.append(uid)
+        users.categories.append(category)
+        users.user_codes.append(code(uid))
+        users.follows.append(array("i", sorted(set(map(code, followees)))))
 
     return users, diagnostics
 
@@ -257,6 +263,44 @@ def parse_spam(lines: Iterable[str]) -> set[str]:
     return {line.strip() for line in lines if line.strip()}
 
 
+def _check_codes(users: UserTable, tweets: TweetTable) -> None:
+    """Raise ValueError unless ``tweets`` is over ``users``'s code map."""
+    if tweets.codes is not users.codes:
+        raise ValueError("the tweet table is not over the user table's code map")
+
+
+def resolve_tweets(users: UserTable, tweets: TweetTable) -> TweetTable:
+    """The rows of ``tweets`` that hold the first occurrence of their id,
+    each retweet pointing at the seed that wrote its source: ``tweets``
+    itself, resolved in place, when no id repeats.
+
+    A retweet whose source is the id of a kept original written by a seed
+    of ``users`` gets that author's code as its target; every other
+    retweet gets -1. Other rows keep theirs. ``tweets`` must be a table
+    over ``users.codes`` (else ValueError).
+    """
+    _check_codes(users, tweets)
+    ids = tweets.ids
+    # a crawl that repeats no id, as every generated one, needs no copy
+    if len(set(ids)) != len(ids):
+        # Built back to front, so each id keeps its first row; the dict
+        # is a temporary, freed before the resolution below peaks.
+        tweets = tweets.take(sorted(
+            dict(zip(reversed(ids), range(len(ids) - 1, -1, -1))).values()
+        ))
+    is_seed = users.seed_mask()
+    author_of = {
+        tid: author
+        for tid, author in compress(zip(tweets.ids, tweets.authors), tweets.select(ORIGINAL))
+        if is_seed[author]
+    }.get
+    tweets.targets = array("i", [
+        author_of(source, -1) if kind == RETWEET else target  # type: ignore[arg-type]
+        for kind, source, target in zip(tweets.kinds, tweets.sources, tweets.targets)
+    ])
+    return tweets
+
+
 def filter_active_regulars(
     users: UserTable,
     tweets: TweetTable,
@@ -268,8 +312,7 @@ def filter_active_regulars(
     Seeds always pass. A regular passes iff it is not spam-listed, it
     retweeted at least ``min_retweets`` distinct originals written by a
     seed, and it follows at least one seed. ``tweets`` holds each id once
-    and its retweets are resolved
-    (:meth:`~viewdiv.model.TweetTable.resolve`): a retweet counts
+    and its retweets are resolved (:func:`resolve_tweets`): a retweet counts
     iff it points at a seed. Spam takes precedence over the threshold in
     the drop counts. Returns ``(retained, dropped_spam,
     dropped_threshold)``, the retained users a table over the same seeds.
@@ -302,6 +345,56 @@ def filter_active_regulars(
     return users.take(retained), dropped_spam, dropped_threshold
 
 
+def validate_config(config: CountryConfig, users: UserTable) -> list[str]:
+    """Check a config against a user table: its categories and wings, that
+    every minority id names a seed (a user with a category), that every
+    seed's category is in the config, and that every followed id is a seed.
+
+    Returns a list of violation messages; an empty list means the config is
+    valid. Violations are data, not faults: nothing raises here.
+    """
+    violations: list[str] = []
+
+    if config.n_categories < 2:
+        violations.append(
+            f"n < 2: got {config.n_categories} categories; "
+            "normalized entropy needs at least 2"
+        )
+    seen: set[str] = set()
+    for c in config.categories:
+        if not c.id:
+            violations.append("empty category id")
+        elif c.id in seen:
+            violations.append(f"duplicate category id: {c.id!r}")
+        seen.add(c.id)
+    wings = {c.wing for c in config.categories}
+    if Wing.LEFT not in wings or Wing.RIGHT not in wings:
+        violations.append("wing mapping must cover at least one Left and one Right category")
+
+    is_user = users.per_code(repeat(True), False)
+    is_seed = users.seed_mask()
+    for mid in sorted(config.minority_user_ids):
+        # an id the code map lacks reads code -1, the default entry of both
+        code = users.codes.get(mid, -1)
+        if not is_user[code]:
+            violations.append(f"minority id {mid!r} does not resolve to any user")
+        elif not is_seed[code]:
+            violations.append(f"minority id {mid!r} must be a seed user")
+
+    non_seed = {c for c, seed in enumerate(is_seed) if not seed}
+    names = users.codes.names
+    for uid, category, follows in zip(users.ids, users.categories, users.follows):
+        # a seed's category is a string, a regular's None
+        if category is not None and category not in seen:
+            violations.append(f"seed {uid!r} references unknown category {category!r}")
+        # a followed code that is no seed is a user of the table or no one
+        for c in sorted(non_seed.intersection(follows), key=names.__getitem__):
+            what = "non-seed" if is_user[c] else "unknown id"
+            violations.append(f"user {uid!r} follows {what} {names[c]!r}")
+
+    return violations
+
+
 def build_dataset(
     config: CountryConfig,
     users: UserTable,
@@ -314,14 +407,13 @@ def build_dataset(
     :func:`~viewdiv.synth.generate` fills it. ``tweets`` must be a table
     over the same code map, ``users.codes`` (else ValueError), hold each id
     once and have its retweets resolved against ``users``
-    (:meth:`~viewdiv.model.TweetTable.resolve`). An original is kept iff its
+    (:func:`resolve_tweets`). An original is kept iff its
     author is in ``users``; a retweet or reply is kept iff its author and
     the user it points at are in ``users``; the rest dangle.
     Config validation failure raises :class:`IngestError`. Returns
     ``(dataset, tweets_dropped_dangling)``.
     """
-    if tweets.codes is not users.codes:
-        raise ValueError("the tweet table is not over the user table's code map")
+    _check_codes(users, tweets)
     violations = validate_config(config, users)
     if violations:
         raise IngestError(violations)
@@ -361,7 +453,7 @@ def load_dataset(
     """
     users, user_diags = parse_users(user_lines)
     parsed, tweet_diags = parse_tweets(tweet_lines, users.codes)
-    tweets = parsed.resolve(users)
+    tweets = resolve_tweets(users, parsed)
     retained, dropped_spam, dropped_threshold = filter_active_regulars(
         users, tweets, spam_ids, min_retweets
     )

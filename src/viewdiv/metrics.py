@@ -18,7 +18,7 @@ diversity.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress
 
@@ -150,24 +150,24 @@ def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
 
 
 class ExposureIndex:
-    """Per-seed pieces of every user's exposure, from one read of the table.
+    """Every user's exposure (:meth:`exposure`), from one read of the table.
 
-    ``seeds`` holds, for each code of the dataset's code map (what a
-    follow list and the tweet table hold), the row a user's followee loop
-    adds up: ``(volume, category position, minority volume, surfaced bits,
-    authored bits)``, all 0 for a code that names no seed. The volume is
-    the number of originals the seed wrote, its whole direct contribution
-    (followed seeds' originals never overlap); the minority volume is the
-    same number for a minority seed and 0 otherwise. The bits are
-    Python-int bitsets over the originals some seed retweeted, bit ``i``
-    for the i-th distinct one in table order: the ones the seed retweeted,
-    and the ones it wrote. Each retweet's source author is its target in
-    the tweet table, the resolution ingest made once.
+    Per code of the dataset's code map (what a follow list and the tweet
+    table hold) it keeps the row a follow loop adds up: ``(volume, category
+    position, minority volume, surfaced bits, authored bits)``, all 0 for a
+    code that names no seed. The volume is the number of originals the seed
+    wrote, its whole direct contribution (followed seeds' originals never
+    overlap); the minority volume is the same number for a minority seed
+    and 0 otherwise. The bits are Python-int bitsets over the originals
+    some seed retweeted, bit ``i`` for the i-th distinct one in table
+    order: the ones the seed retweeted, and the ones it wrote. A mask per
+    category and one for the minority group the bits by original author.
+    Each retweet's source author is its target in the tweet table, the
+    resolution ingest made once.
 
     ``category_of`` is each code's category position in config order,
-    ``None`` for a non-seed and for code -1. ``category_masks`` (config
-    category order) and ``minority_mask`` group the bits by original
-    author.
+    ``None`` for a non-seed and for code -1; ``total_minority`` is the
+    number of originals the minority seeds wrote.
     """
 
     def __init__(self, dataset: Dataset):
@@ -195,8 +195,8 @@ class ExposureIndex:
 
         originals = tweets.original_counts()
         category_masks = [0] * config.n_categories
-        self.minority_mask = 0
-        self.seeds = [(0, 0, 0, 0, 0)] * len(users.codes)
+        self._minority_mask = 0
+        self._seeds = [(0, 0, 0, 0, 0)] * len(users.codes)
         # a seed's category is a non-empty string, a regular's None
         for s, code in compress(zip(users.ids, users.user_codes), users.categories):
             pos = category_of[code]
@@ -205,61 +205,21 @@ class ExposureIndex:
             category_masks[pos] |= a_bits
             minority = s in config.minority_user_ids
             if minority:
-                self.minority_mask |= a_bits
-            self.seeds[code] = (
+                self._minority_mask |= a_bits
+            self._seeds[code] = (
                 volume, pos, volume if minority else 0, surfaced.get(code, 0), a_bits,
             )
-        self.category_masks = tuple(category_masks)
+        self._category_masks = tuple(category_masks)
+        self.total_minority = sum(row[2] for row in self._seeds)
 
-
-def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
-    """All metrics for every regular user plus the seed interaction matrix.
-
-    Output order is sorted by user id, so reruns on the same dataset are
-    byte-identical.
-
-    This is the batch path: it builds one :class:`ExposureIndex`, reads
-    the regulars' retweets and replies once from the tweet table for the
-    output histograms, and makes one pass over each regular's follow list,
-    adding up the rows of the follow codes it holds. A user's
-    surfaced-new originals are the OR of its followees' surfaced bits minus
-    the OR of their authored bits (originals already received directly);
-    its indirect counts per category and for the minority are the direct
-    ones plus ``bit_count`` of that bitset under ``category_masks`` and
-    ``minority_mask``. Every histogram reaches
-    the entropy in config category order.
-    """
-    index = ExposureIndex(dataset)
-    n = dataset.config.n_categories
-    seeds = index.seeds
-    total_minority = sum(row[2] for row in seeds)
-
-    # the regulars' output histograms, from their retweets and replies
-    tweets = dataset.tweets
-    users = dataset.users
-    # a regular is a user without a category
-    regular = [c is None for c in users.categories]
-    # (id, code, follow list) by id; ids are unique, so no two codes are compared
-    regulars = sorted(compress(zip(users.ids, users.user_codes, users.follows), regular))
-    is_regular = users.per_code(regular, False)
-    category_of = index.category_of
-    output_counts: list[dict[int, list[int]]] = []
-    for kind in (RETWEET, REPLY):
-        counts: dict[int, list[int]] = {}
-        for author, target in compress(zip(tweets.authors, tweets.targets), tweets.select(kind)):
-            pos = category_of[target]
-            # a reply to a regular has no category
-            if is_regular[author] and pos is not None:
-                counts.setdefault(author, [0] * n)[pos] += 1
-        output_counts.append(counts)
-    retweet_counts, reply_counts = output_counts
-
-    no_counts = [0] * n
-    category_masks = index.category_masks
-    minority_mask = index.minority_mask
-    results: list[UserMetrics] = []
-    for uid, code, follows in regulars:
-        direct = [0] * n
+    def exposure(self, follows: Iterable[int]) -> tuple[list[int], list[int], int]:
+        """``(direct, indirect, indirect_minority)`` of a user following each
+        of ``follows`` (codes) once: counts per category in config order and
+        the minority count. The followees' rows add up in one pass; the new
+        originals their retweets surface add to indirect under each mask."""
+        seeds = self._seeds
+        category_masks = self._category_masks
+        direct = [0] * len(category_masks)
         direct_minority = 0
         surfaced = 0
         authored = 0
@@ -271,8 +231,49 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
             authored |= a_bits
         new = surfaced & ~authored
         indirect = [d + (new & m).bit_count() for d, m in zip(direct, category_masks)]
+        return direct, indirect, direct_minority + (new & self._minority_mask).bit_count()
+
+
+def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
+    """All metrics for every regular user plus the seed interaction matrix.
+
+    Output order is sorted by user id, so reruns on the same dataset are
+    byte-identical.
+
+    This is the batch path: it builds one :class:`ExposureIndex`, reads
+    the regulars' retweets and replies once from the tweet table for the
+    output histograms, and asks the index for each regular's exposure from
+    its follow list. Every histogram reaches the entropy in config category
+    order.
+    """
+    index = ExposureIndex(dataset)
+    n = dataset.config.n_categories
+    total_minority = index.total_minority
+
+    # the regulars' output histograms, from their retweets and replies
+    tweets = dataset.tweets
+    users = dataset.users
+    # a regular is a user without a category
+    regular = [c is None for c in users.categories]
+    # (id, code, follow list) by id; ids are unique, so no two codes are compared
+    regulars = sorted(compress(zip(users.ids, users.user_codes, users.follows), regular))
+    category_of = index.category_of
+    output_counts: list[dict[int, list[int]]] = []
+    for kind in (RETWEET, REPLY):
+        counts: dict[int, list[int]] = {}
+        for author, target in compress(zip(tweets.authors, tweets.targets), tweets.select(kind)):
+            pos = category_of[target]
+            # a retained author without a category is a regular; a reply to one has none
+            if category_of[author] is None and pos is not None:
+                counts.setdefault(author, [0] * n)[pos] += 1
+        output_counts.append(counts)
+    retweet_counts, reply_counts = output_counts
+
+    no_counts = [0] * n
+    results: list[UserMetrics] = []
+    for uid, code, follows in regulars:
+        direct, indirect, indirect_minority = index.exposure(follows)
         indirect_total = sum(indirect)
-        indirect_minority = direct_minority + (new & minority_mask).bit_count()
         rt = retweet_counts.get(code, no_counts)
         io_correlated, io_correlated_15 = _io_correlation(indirect, rt, n)
         results.append(

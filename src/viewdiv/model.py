@@ -18,7 +18,8 @@ user and a tweet, held to each line by the parsers and to each of
 what a line refuses, with the same message. That rule makes a seed exactly
 a user with a category, so a :class:`UserTable` keeps no kind: its
 ``categories`` column says who is a seed, and ``rows()`` reads each user's
-kind from there.
+kind from there. The module holds only types, line rules and column
+operations; :mod:`viewdiv.ingest` owns every rule of which rows a dataset keeps.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, repeat
+from itertools import compress
 from typing import Container, Iterable, Iterator
 
 
@@ -177,13 +178,13 @@ class TweetTable:
     :data:`REPLY`). ``authors`` and ``targets`` hold user codes in
     ``codes``, the code map of the user table the tweets are read with; an
     id no user line names is interned into it on first sight, and
-    ``codes.names`` maps every code back. ``targets`` is the
-    user a row points at: a reply's target, a retweet's source author once
-    :meth:`resolve` has run, and -1 otherwise (an original, or a retweet
-    whose source is no seed's original). ``sources`` holds a retweet's
-    source tweet id as read and None for the other kinds, and ``ids`` and
-    ``timestamps`` complete the row. The analysis reads the columns, and
-    :meth:`rows` gives each row as a tuple.
+    ``codes.names`` maps every code back. ``targets`` is the user a row
+    points at: a reply's target, a retweet's source author once
+    :func:`viewdiv.ingest.resolve_tweets` has run, and -1 otherwise (an
+    original, or a retweet whose source is no seed's original). ``sources``
+    holds a retweet's source tweet id as read and None for the other kinds,
+    and ``ids`` and ``timestamps`` complete the row. The analysis reads the
+    columns, and :meth:`rows` gives each row as a tuple.
     """
 
     def __init__(self, codes: CodeMap) -> None:
@@ -204,40 +205,6 @@ class TweetTable:
         table.sources = [self.sources[i] for i in rows]
         table.targets = array("i", [self.targets[i] for i in rows])
         table.timestamps = [self.timestamps[i] for i in rows]
-        return table
-
-    def resolve(self, users: UserTable) -> TweetTable:
-        """The rows that hold the first occurrence of their id, each retweet
-        pointing at the seed that wrote its source: the table itself,
-        resolved in place, when no id repeats.
-
-        A retweet whose source is the id of a kept original written by a
-        seed of ``users`` gets that author's code as its target; every
-        other retweet gets -1. Other rows keep theirs. ``users`` must be
-        the table over the same code map (else ValueError).
-        """
-        if users.codes is not self.codes:
-            raise ValueError("the tweet table is not over the user table's code map")
-        ids = self.ids
-        table = self
-        # a crawl that repeats no id, as every generated one, needs no copy
-        if len(set(ids)) != len(ids):
-            # Built back to front, so each id keeps its first row; the dict
-            # is a temporary, freed before the resolution below peaks.
-            table = self.take(sorted(
-                dict(zip(reversed(ids), range(len(ids) - 1, -1, -1))).values()
-            ))
-        is_seed = users.seed_mask()
-        seed_author_of = {
-            tid: author
-            for tid, author in compress(zip(table.ids, table.authors), table.select(ORIGINAL))
-            if is_seed[author]
-        }
-        author_of = seed_author_of.get
-        table.targets = array("i", [
-            author_of(source, -1) if kind == RETWEET else target  # type: ignore[arg-type]
-            for kind, source, target in zip(table.kinds, table.sources, table.targets)
-        ])
         return table
 
     def select(self, kind: int) -> bytes:
@@ -289,11 +256,11 @@ class UserTable:
     same map names; ``codes.names`` maps a code back to its id.
     ``follows`` holds each user's follow list as an ``array("i")`` of the
     codes of the ids it follows, each once, ascending: seeds of the table,
-    and any other id as read (:func:`validate_config` names those). The
-    codes follow the order in which the lines name ids, so nothing that
-    reaches an output may depend on them. An id in ``codes`` need not name
-    a user of the table: :meth:`per_code` over the rows tells which codes
-    do.
+    and any other id as read (:func:`viewdiv.ingest.validate_config` names
+    those). The codes follow the order in which the lines name ids, so
+    nothing that reaches an output may depend on them. An id in ``codes``
+    need not name a user of the table: :meth:`per_code` over the rows tells
+    which codes do.
 
     The analysis reads the columns, :meth:`rows` gives each user as a
     tuple, and nothing looks one up by id.
@@ -311,16 +278,6 @@ class UserTable:
         self.follows = follows
         self.codes = codes
         self.user_codes = array("i", map(codes.__getitem__, ids))
-
-    def append(self, user_id: str, category: str | None, followees) -> None:
-        """Add one user, its fields held to :func:`user_violation` by the
-        caller, so a seed's ``category`` is a string and a regular's None.
-        Its id and each id it follows get a code, on first sight."""
-        self.ids.append(user_id)
-        self.categories.append(category)
-        code = self.codes.__getitem__
-        self.user_codes.append(code(user_id))
-        self.follows.append(array("i", sorted(set(map(code, followees)))))
 
     def take(self, rows: list[int]) -> UserTable:
         """The given rows, in the given order, as a table over the same
@@ -380,9 +337,9 @@ class Dataset:
     points at the seed that wrote its source.
     :func:`viewdiv.ingest.build_dataset` builds every dataset: from the
     parsed lines, through :func:`viewdiv.ingest.load_dataset` or through
-    ``parse_users``, ``parse_tweets`` and :meth:`TweetTable.resolve`, or
-    from the tables :func:`viewdiv.synth.generate` fills, whose retweets
-    get their targets as they are drawn. It validates the config and drops
+    ``parse_users``, ``parse_tweets`` and ``resolve_tweets``, or from the
+    tables :func:`viewdiv.synth.generate` fills, whose retweets get their
+    targets as they are drawn. It validates the config and drops
     every tweet whose references dangle, so the analysis modules assume
     every reference resolves.
     """
@@ -390,53 +347,3 @@ class Dataset:
     config: CountryConfig
     users: UserTable
     tweets: TweetTable
-
-
-def validate_config(config: CountryConfig, users: UserTable) -> list[str]:
-    """Check a config against a user table: its categories and wings, that
-    every minority id names a seed (a user with a category), that every
-    seed's category is in the config, and that every followed id is a seed.
-
-    Returns a list of violation messages; an empty list means the config is
-    valid. Violations are data, not faults: nothing raises here.
-    """
-    violations: list[str] = []
-
-    if config.n_categories < 2:
-        violations.append(
-            f"n < 2: got {config.n_categories} categories; "
-            "normalized entropy needs at least 2"
-        )
-    seen: set[str] = set()
-    for c in config.categories:
-        if not c.id:
-            violations.append("empty category id")
-        elif c.id in seen:
-            violations.append(f"duplicate category id: {c.id!r}")
-        seen.add(c.id)
-    wings = {c.wing for c in config.categories}
-    if Wing.LEFT not in wings or Wing.RIGHT not in wings:
-        violations.append("wing mapping must cover at least one Left and one Right category")
-
-    is_user = users.per_code(repeat(True), False)
-    is_seed = users.seed_mask()
-    for mid in sorted(config.minority_user_ids):
-        # an id the code map lacks reads code -1, the default entry of both
-        code = users.codes.get(mid, -1)
-        if not is_user[code]:
-            violations.append(f"minority id {mid!r} does not resolve to any user")
-        elif not is_seed[code]:
-            violations.append(f"minority id {mid!r} must be a seed user")
-
-    non_seed = {c for c, seed in enumerate(is_seed) if not seed}
-    names = users.codes.names
-    for uid, category, follows in zip(users.ids, users.categories, users.follows):
-        # a seed's category is a string, a regular's None
-        if category is not None and category not in seen:
-            violations.append(f"seed {uid!r} references unknown category {category!r}")
-        # a followed code that is no seed is a user of the table or no one
-        for c in sorted(non_seed.intersection(follows), key=names.__getitem__):
-            what = "non-seed" if is_user[c] else "unknown id"
-            violations.append(f"user {uid!r} follows {what} {names[c]!r}")
-
-    return violations

@@ -43,7 +43,7 @@ class UserRecord:
     Seeds carry exactly one category; regulars carry none and their stance is
     only ever inferred from behavior. Followees are the ids the user follows,
     as read, seeds or not; a dataset's users follow seeds only, since
-    :func:`~viewdiv.model.validate_config` names every other followed id.
+    :func:`~viewdiv.ingest.validate_config` names every other followed id.
     The fields are held to :func:`~viewdiv.model.user_violation`, and the
     followees must be a frozenset, so that a record hashes and round-trips
     through its line.

@@ -31,13 +31,14 @@ call per retweet gives (``tests/test_synth.py`` pins them by sha256). The
 shares are computed once per category, once per seed for its own category
 less itself, and once per regular only for a category it follows in part;
 the mixture split of a draw count is computed once per home category and
-set of usable categories. The tweets go straight into the table's
-columns, each seed's originals as one run of rows, and each retweet gets
-its target, the seed it drew, as it is drawn. At 997,929 tweets (the
-throughput test's parameters with ``n_regulars=20000`` and
-``tweets_per_seed=4000``), generating and writing take 4.3 s (generating
-2.9-3.3 s, writing 1.1-1.4 s) and peak at 188 MiB (medians and ranges of
-3 runs on a 2-vCPU Linux VM, Python 3.11.7, numpy 2.4.6).
+set of usable categories. The tweets go straight into the table's columns,
+each seed's originals as one run of rows, and each retweet gets its
+target, the seed it drew, as it is drawn, like ingest's
+``resolve_tweets``; ingest's ``build_dataset`` applies the other rules. At
+997,929 tweets (the throughput test's parameters with ``n_regulars=20000``
+and ``tweets_per_seed=4000``), generating and writing take 4.3 s
+(generating 2.9-3.3 s, writing 1.1-1.4 s) and peak at 188 MiB (medians and
+ranges of 3 runs on a 2-vCPU Linux VM, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -348,8 +349,7 @@ def generate(params: SynthParams) -> Dataset:
 
     # One code map for every id, so a seed's code is its index and a
     # regular's n_seeds plus its index. Ids never repeat, and a retweet's
-    # target is the seed it drew, which wrote its source, as
-    # TweetTable.resolve would set it; so the table needs no resolve.
+    # target, the seed it drew, is what ingest.resolve_tweets would set.
     regular_ids = [f"u{i + 1:06d}" for i in range(p.n_regulars)]
     codes = CodeMap(seed_ids + regular_ids)
     tweets = TweetTable(codes)

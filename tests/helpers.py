@@ -25,7 +25,9 @@ from viewdiv import (
     compute_all,
 )
 from viewdiv.cli import main
-from viewdiv.ingest import _tweet_line, _user_line, build_dataset, parse_tweets, parse_users
+from viewdiv.ingest import (
+    _tweet_line, _user_line, build_dataset, parse_tweets, parse_users, resolve_tweets,
+)
 from viewdiv.oracle import TweetRecord, UserRecord
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,7 +118,7 @@ def tables(users, tweets) -> tuple[UserTable, TweetTable]:
     table = user_table(users)
     parsed, diagnostics = parse_tweets(map(tweet_to_line, tweets), table.codes)
     _refuse(diagnostics)
-    return table, parsed.resolve(table)
+    return table, resolve_tweets(table, parsed)
 
 
 def dataset(cfg: CountryConfig, users, tweets) -> Dataset:

@@ -6,6 +6,7 @@ compare them with what the fast path computes.
 
 from collections import Counter
 from itertools import compress
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +22,11 @@ from helpers import (
     retweet,
     seed,
 )
-from viewdiv import SynthParams, generate, normalized_entropy
+from viewdiv import SynthParams, generate, load_country_config, load_dataset, normalized_entropy
+from viewdiv.metrics import ExposureIndex
 from viewdiv.oracle import exposure_timeline as _timeline
+
+TOY = Path(__file__).resolve().parent / "data" / "toy"
 
 
 def _category_counts(ds, tweet_ids):
@@ -30,6 +34,34 @@ def _category_counts(ds, tweet_ids):
     author = original_authors(ds)
     category = dict(zip(ds.users.ids, ds.users.categories))
     return Counter(category[author[t]] for t in tweet_ids)
+
+
+def _assert_exposure_counts_match_the_timelines(ds):
+    """For every regular, ``ExposureIndex.exposure`` gives the per-category
+    counts of the oracle's direct and indirect timelines, in config order,
+    and the number of minority-authored originals in the indirect one; the
+    index's ``total_minority`` counts every minority seed's originals. An
+    entropy is symmetric in its counts, so a count at the wrong category
+    position moves none: only the counts themselves show it."""
+    index = ExposureIndex(ds)
+    author = original_authors(ds)
+    order = [c.id for c in ds.config.categories]
+    minority = ds.config.minority_user_ids
+    assert index.total_minority == sum(a in minority for a in author.values())
+    checked = 0
+    for uid, category, follows in zip(ds.users.ids, ds.users.categories, ds.users.follows):
+        if category is not None:
+            continue
+        tl = _timeline(ds, uid)
+        direct = _category_counts(ds, tl.direct)
+        indirect = _category_counts(ds, tl.indirect)
+        assert index.exposure(follows) == (
+            [direct[c] for c in order],
+            [indirect[c] for c in order],
+            sum(author[t] in minority for t in tl.indirect),
+        ), uid
+        checked += 1
+    return checked
 
 
 def _basic():
@@ -167,3 +199,13 @@ def test_timeline_invariants_on_generated_datasets():
             assert set(_category_counts(ds, tl.direct)) <= set(
                 _category_counts(ds, tl.indirect)
             )
+        assert _assert_exposure_counts_match_the_timelines(ds) == len(regular_followees(ds))
+
+
+def test_exposure_counts_on_the_toy_fixture():
+    """The golden toy crawl: three categories, a minority seed, surfaced
+    originals from a seed the regulars do not follow."""
+    cfg = load_country_config(TOY / "config.json")
+    with open(TOY / "users.jsonl") as users, open(TOY / "tweets.jsonl") as tweets:
+        ds = load_dataset(cfg, users, tweets)[0]
+    assert _assert_exposure_counts_match_the_timelines(ds) == 2

@@ -31,9 +31,11 @@ from viewdiv.ingest import (
     _WRITE_ROWS,
     build_dataset,
     filter_active_regulars,
+    resolve_tweets,
+    validate_config,
     write_dataset,
 )
-from viewdiv.model import LONE_SURROGATE, CodeMap, validate_config
+from viewdiv.model import LONE_SURROGATE, CodeMap
 from viewdiv.oracle import TweetRecord, UserRecord
 
 USER_LINES = [
@@ -903,7 +905,7 @@ def test_tables_over_another_code_map_are_refused():
     reordered = user_table(users[::-1])
     lines = [tweet_to_line(t) for t in tweets]
     with pytest.raises(ValueError, match="not over the user table's code map"):
-        parse_tweets(lines, table.codes)[0].resolve(reordered)
+        resolve_tweets(reordered, parse_tweets(lines, table.codes)[0])
     for other_users, other_tweets in (
         (reordered, resolved),
         (table, parse_tweets(lines, CodeMap())[0]),

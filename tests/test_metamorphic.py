@@ -39,11 +39,22 @@ time: a spam-listed regular with its tweets, a regular under the retweet
 threshold with its tweets, and tweets by authors that are no user. Each
 moves the ingest counts of ``summary.json`` by exactly what it added, and
 no other report byte.
+
+A fifth property repeats every seed original k times under fresh ids, with
+no retweet of a copy. Each regular's direct counts scale by exactly k, so
+its direct source diversity stays within 1e-12. Surfaced originals are not
+copied, so a direct histogram that counted them would not scale.
+
+A sixth property adds one regular who passes the activity filter. Its row
+joins ``users_metrics.csv``, and every other row, and all of
+``seed_matrix.csv``, stay byte-identical: a user's metrics read its own
+follows and tweets, and the total minority volume the seeds alone.
 """
 
 import functools
 import json
 import tempfile
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -51,6 +62,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from viewdiv import (
     SynthParams,
+    TweetKind,
     WingMatrix,
     compute_all,
     generate,
@@ -58,6 +70,7 @@ from viewdiv import (
     load_dataset,
     write_dataset,
 )
+from viewdiv.metrics import ExposureIndex
 
 from helpers import run_cli
 from test_acceptance import _assert_metrics_match
@@ -299,13 +312,18 @@ def test_reports_do_not_depend_on_input_order_or_id_spelling(crawl, rnd, gaps):
     assert _analyze(config_text, reversed_follows, tweets, spam) == base, "follow lists reversed"
 
 
-def _compute_all(config_text: str, users: list[str], tweets: list[str], spam: list[str]):
-    """``compute_all`` of the crawl, loaded as ``analyze`` loads it."""
+def _load(config_text: str, users: list[str], tweets: list[str], spam: list[str]):
+    """The dataset of the crawl, loaded as ``analyze`` loads it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(config_text)
         config = load_country_config(path)
-    return compute_all(load_dataset(config, users, tweets, frozenset(spam))[0])
+    return load_dataset(config, users, tweets, frozenset(spam))[0]
+
+
+def _compute_all(config_text: str, users: list[str], tweets: list[str], spam: list[str]):
+    """``compute_all`` of the crawl, loaded as ``analyze`` loads it."""
+    return compute_all(_load(config_text, users, tweets, spam))
 
 
 @pytest.mark.parametrize("source", _SOURCES)
@@ -457,3 +475,105 @@ def test_dropped_input_moves_only_the_ingest_counts(crawl, data):
     assert after == _with_counts(
         base, tweets_read=len(added), tweets_dropped_dangling=len(added)
     ), "tweets by unknown authors"
+
+
+def _seed_originals(ds) -> list[tuple]:
+    """The rows of a dataset's originals written by a seed, in table order."""
+    seeds = set(compress(ds.users.ids, ds.users.categories))
+    return [
+        row for row in ds.tweets.rows()
+        if row[2] is TweetKind.ORIGINAL and row[1] in seeds
+    ]
+
+
+def _direct_counts(ds) -> dict[str, list[int]]:
+    """Each regular's direct counts per category, by user id."""
+    index = ExposureIndex(ds)
+    users = ds.users
+    return {
+        uid: index.exposure(follows)[0]
+        for uid, category, follows in zip(users.ids, users.categories, users.follows)
+        if category is None
+    }
+
+
+@pytest.mark.parametrize("source", _SOURCES)
+@settings(
+    max_examples=10, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_repeating_every_seed_original_scales_the_direct_counts(source, data):
+    config_text, users, tweets, spam = data.draw(_crawl([source]))
+    k = data.draw(st.integers(2, 4))
+    ds = _load(config_text, users, tweets, spam)
+    copies = [
+        _dumps({
+            "id": f"{_NEW}copy-{j}-{tid}", "author_id": author,
+            "kind": "original", "timestamp": timestamp,
+        })
+        for tid, author, _, _, _, timestamp in _seed_originals(ds)
+        for j in range(1, k)
+    ]
+    scaled = _load(config_text, users, tweets + copies, spam)
+    assert len(scaled.tweets) == len(ds.tweets) + len(copies)
+    assert _direct_counts(scaled) == {
+        uid: [k * c for c in counts] for uid, counts in _direct_counts(ds).items()
+    }
+    per_user, _ = compute_all(ds)
+    scaled_per_user, _ = compute_all(scaled)
+    assert [m.user_id for m in scaled_per_user] == [m.user_id for m in per_user]
+    for before, after in zip(per_user, scaled_per_user):
+        b, a = before.direct_source_diversity, after.direct_source_diversity
+        assert (a is None) == (b is None), before.user_id
+        if b is not None:
+            assert abs(a - b) <= 1e-12, before.user_id
+
+
+@pytest.mark.parametrize("source", _SOURCES)
+@settings(
+    max_examples=10, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_an_added_regular_moves_no_other_row(source, data):
+    config_text, users, tweets, spam = data.draw(_crawl([source]))
+    base = _analyze(config_text, users, tweets, spam)
+    ds = _load(config_text, users, tweets, spam)
+    seeds = sorted(compress(ds.users.ids, ds.users.categories))
+    originals = [row[0] for row in _seed_originals(ds)]
+
+    # not spam-listed, follows a seed and retweets at least 5 distinct seed
+    # originals (the default threshold), so the filter keeps it; it follows
+    # any non-empty set of seeds, so it may reach originals no one else does
+    added_id = _NEW + "active"
+    followees = [s for s in seeds if data.draw(st.booleans())]
+    line = _dumps({
+        "id": added_id, "kind": "regular",
+        "followees": followees or [data.draw(st.sampled_from(seeds))],
+    })
+    sources = data.draw(st.lists(st.sampled_from(originals), min_size=5, max_size=8, unique=True))
+    replies = data.draw(st.lists(st.sampled_from(seeds), max_size=2))
+    added = [
+        _dumps({
+            "id": f"{added_id}-{i}", "author_id": added_id, "kind": "retweet",
+            "source_tweet_id": source, "timestamp": i,
+        })
+        for i, source in enumerate(sources)
+    ] + [
+        _dumps({
+            "id": f"{added_id}-reply-{i}", "author_id": added_id, "kind": "reply",
+            "target_user_id": target, "timestamp": i,
+        })
+        for i, target in enumerate(replies)
+    ]
+    after = _analyze(
+        config_text, _insert(data, users, [line]), _insert(data, tweets, added), spam
+    )
+
+    rows = after["users_metrics.csv"].decode().splitlines()
+    own = [row for row in rows if row.startswith(added_id + ",")]
+    assert len(own) == 1, "the added regular passes the filter"
+    others = [row for row in rows if not row.startswith(added_id + ",")]
+    assert others == base["users_metrics.csv"].decode().splitlines()
+    assert after["seed_matrix.csv"] == base["seed_matrix.csv"]

@@ -23,18 +23,20 @@ def test_never_zero(x):
 def test_a_failing_property_shows_its_falsifying_example(tmp_path):
     """Warnings are errors, yet hypothesis's own deprecation warning in its
     report hook must not turn a failing property into an INTERNALERROR that
-    hides the example."""
+    hides the example: neither with the settings file's filter alone nor
+    with ``-W error`` given on the command line, which outranks the file."""
     test_file = tmp_path / "test_property.py"
     test_file.write_text(_FAILING_PROPERTY)
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-p", "no:cacheprovider",
-         str(test_file)],
-        cwd=tmp_path, capture_output=True, text=True, timeout=120,
-    )
-    output = result.stdout + result.stderr
-    assert result.returncode == 1, output
-    assert "Falsifying example" in output
-    assert "INTERNALERROR" not in output
+    for extra in ([], ["-W", "error"]):
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-p", "no:cacheprovider",
+             *extra, str(test_file)],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        output = result.stdout + result.stderr
+        assert result.returncode == 1, (extra, output)
+        assert "Falsifying example" in output, (extra, output)
+        assert "INTERNALERROR" not in output, (extra, output)
 
 
 def test_a_bare_run_imports_viewdiv_from_src():
