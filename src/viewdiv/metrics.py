@@ -4,10 +4,13 @@ A user's direct exposure is the originals its followees wrote; its indirect
 exposure adds the originals its followees retweeted, each counted once
 however many paths reach it, and attributed to the original author's
 category, never the retweeter's. The set-level definition lives in
-:mod:`viewdiv.oracle`; :class:`ExposureIndex` holds the counts and bitsets
-the fast path needs, one row per user code, and the fast path reads each
-follow list and each tweet's author and target as codes of the one code
-map the user and tweet tables share.
+:mod:`viewdiv.oracle`. :class:`ExposureIndex` counts both for every regular
+at once, from codes of the one code map the user and tweet tables share:
+one byte write per follow edge builds each seed's followers, an int with a
+lane per regular of ``width`` bytes, the fewest of 1, 2, 4 or 8 that hold
+the number of tweets (no count exceeds it, so no lane carries into the
+next); then a few big-int operations per seed and per seed retweet count
+each block of regulars whose lanes fit in :data:`_LANE_BUDGET` bytes.
 
 All unit-interval metrics are ``None`` ("undefined") when the underlying
 activity is empty; undefined values are excluded from population statistics
@@ -18,13 +21,19 @@ diversity.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
+from operator import attrgetter, or_
 
 from .model import REPLY, RETWEET, Dataset, Wing
 
 IO_MARGIN = 0.15  # the "bias above 15%" of io_correlated_15
+# bytes of follower lanes per block of regulars; the 1M-tweet crawl fits one
+_LANE_BUDGET = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,7 @@ def normalized_entropy(counts: Sequence[int], n: int) -> float | None:
     return min(1.0, max(0.0, -acc / math.log(n)))
 
 
-def _dominant(counts: list[int]) -> tuple[int | None, float]:
+def _dominant(counts: Sequence[int]) -> tuple[int | None, float]:
     """Position of the unique largest count and its share; (None, share) on a tie."""
     total = sum(counts)
     best = max(counts)
@@ -95,7 +104,7 @@ def _dominant(counts: list[int]) -> tuple[int | None, float]:
 
 
 def _io_correlation(
-    input_counts: list[int], output_counts: list[int], n: int
+    input_counts: Sequence[int], output_counts: Sequence[int], n: int
 ) -> tuple[bool | None, bool | None]:
     """``(io_correlated, io_correlated_15)`` from one dominance pass.
 
@@ -150,24 +159,22 @@ def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
 
 
 class ExposureIndex:
-    """Every user's exposure (:meth:`exposure`), from one read of the table.
+    """Every regular's exposure counts, in columns with one lane per regular.
 
-    Per code of the dataset's code map (what a follow list and the tweet
-    table hold) it keeps the row a follow loop adds up: ``(volume, category
-    position, minority volume, surfaced bits, authored bits)``, all 0 for a
-    code that names no seed. The volume is the number of originals the seed
-    wrote, its whole direct contribution (followed seeds' originals never
-    overlap); the minority volume is the same number for a minority seed
-    and 0 otherwise. The bits are Python-int bitsets over the originals
-    some seed retweeted, bit ``i`` for the i-th distinct one in table
-    order: the ones the seed retweeted, and the ones it wrote. A mask per
-    category and one for the minority group the bits by original author.
-    Each retweet's source author is its target in the tweet table, the
-    resolution ingest made once.
+    Lane ``i`` is the ``i``-th regular of the user table. ``direct[c][i]``
+    and ``indirect[c][i]`` count the originals in its direct and indirect
+    timelines whose author is in category ``c`` (config order), and
+    ``indirect_minority[i]`` the indirect ones a minority seed wrote; each
+    column is an ``array`` of ``width``-byte unsigned ints.
+    ``total_minority`` is the number of originals the minority seeds wrote,
+    and ``category_of`` each code's category position in config order,
+    ``None`` for a non-seed and for code -1.
 
-    ``category_of`` is each code's category position in config order,
-    ``None`` for a non-seed and for code -1; ``total_minority`` is the
-    number of originals the minority seeds wrote.
+    A seed adds its originals times its followers to its category's totals
+    (followed seeds' originals never overlap). Each of its originals that
+    seeds retweeted (the retweet's target in the tweet table is its author)
+    reaches the OR of their followers; summed over its originals and masked
+    to the lanes that do not follow it, these add to its indirect totals.
     """
 
     def __init__(self, dataset: Dataset):
@@ -178,60 +185,61 @@ class ExposureIndex:
         # a regular's category, None, has no position
         category_of = users.per_code(map(category_pos.get, users.categories), None)
         self.category_of = category_of
+        is_minority = users.per_code([u in config.minority_user_ids for u in users.ids], False)
+        originals = tweets.original_counts()
+        # a seed's category is a non-empty string, a regular's None
+        seeds = list(compress(users.user_codes, users.categories))
+        self.total_minority = sum(originals[s] for s in seeds if is_minority[s])
 
-        position: dict[str, int] = {}
-        surfaced: dict[int, int] = {}
-        authored: dict[int, int] = {}
-        for author, source, source_author in compress(
+        # per author, the seeds that retweeted each of its originals
+        retweeted: dict[int, dict[str | None, list[int]]] = {}
+        for author, source, target in compress(
             zip(tweets.authors, tweets.sources, tweets.targets), tweets.select(RETWEET)
         ):
-            if category_of[author] is None:
-                continue
-            bit = position.get(source)  # type: ignore[arg-type]
-            if bit is None:
-                bit = position[source] = len(position)  # type: ignore[index]
-                authored[source_author] = authored.get(source_author, 0) | 1 << bit
-            surfaced[author] = surfaced.get(author, 0) | 1 << bit
+            if category_of[author] is not None:
+                retweeted.setdefault(target, {}).setdefault(source, []).append(author)
 
-        originals = tweets.original_counts()
-        category_masks = [0] * config.n_categories
-        self._minority_mask = 0
-        self._seeds = [(0, 0, 0, 0, 0)] * len(users.codes)
-        # a seed's category is a non-empty string, a regular's None
-        for s, code in compress(zip(users.ids, users.user_codes), users.categories):
-            pos = category_of[code]
-            volume = originals[code]
-            a_bits = authored.get(code, 0)
-            category_masks[pos] |= a_bits
-            minority = s in config.minority_user_ids
-            if minority:
-                self._minority_mask |= a_bits
-            self._seeds[code] = (
-                volume, pos, volume if minority else 0, surfaced.get(code, 0), a_bits,
+        n = config.n_categories
+        # no count exceeds the number of tweets, so no lane carries into the next
+        width = next(w for w in (1, 2, 4, 8) if 8 * w >= len(tweets).bit_length())
+        full_lane = (1 << 8 * width) - 1
+        # width-byte unsigned ints: direct and indirect per category, then minority
+        columns = [array({1: "B", 2: "H", 4: "I", 8: "Q"}[width]) for _ in range(2 * n + 1)]
+        self.direct, self.indirect = columns[:n], columns[n:-1]
+        self.indirect_minority = columns[-1]
+        regulars = list(compress(users.follows, [c is None for c in users.categories]))
+        block = max(1, _LANE_BUDGET // (width * len(seeds) or 1))
+        for start in range(0, len(regulars), block):
+            part = regulars[start:start + block]
+            size = width * len(part)
+            sink = bytearray(size)  # what a followed code that names no seed writes to
+            buffers = users.per_code(
+                [bytearray(size) if c else sink for c in users.categories], sink
             )
-        self._category_masks = tuple(category_masks)
-        self.total_minority = sum(row[2] for row in self._seeds)
-
-    def exposure(self, follows: Iterable[int]) -> tuple[list[int], list[int], int]:
-        """``(direct, indirect, indirect_minority)`` of a user following each
-        of ``follows`` (codes) once: counts per category in config order and
-        the minority count. The followees' rows add up in one pass; the new
-        originals their retweets surface add to indirect under each mask."""
-        seeds = self._seeds
-        category_masks = self._category_masks
-        direct = [0] * len(category_masks)
-        direct_minority = 0
-        surfaced = 0
-        authored = 0
-        for f in follows:
-            volume, pos, minority, s_bits, a_bits = seeds[f]
-            direct[pos] += volume
-            direct_minority += minority
-            surfaced |= s_bits
-            authored |= a_bits
-        new = surfaced & ~authored
-        indirect = [d + (new & m).bit_count() for d, m in zip(direct, category_masks)]
-        return direct, indirect, direct_minority + (new & self._minority_mask).bit_count()
+            for lane, follows in zip(range(0, size, width), part):
+                for f in follows:
+                    buffers[f][lane] = 1
+            followers = [0] * len(buffers)
+            for s in seeds:
+                followers[s] = int.from_bytes(buffers[s], "little")
+                buffers[s] = sink  # the seed's bytes are freed once read
+            totals = [0] * len(columns)
+            for s in seeds:
+                followed = followers[s]
+                direct = originals[s] * followed
+                retweets = retweeted.get(s, {}).values()
+                surfaced = sum(reduce(or_, map(followers.__getitem__, r)) for r in retweets)
+                # a lane that follows the seed has its originals as direct already
+                indirect = direct + (surfaced & ~(followed * full_lane))
+                totals[category_of[s]] += direct
+                totals[n + category_of[s]] += indirect
+                if is_minority[s]:
+                    totals[-1] += indirect
+            for column, total in zip(columns, totals):
+                column.frombytes(total.to_bytes(size, "little"))
+        if sys.byteorder == "big":
+            for column in columns:
+                column.byteswap()
 
 
 def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
@@ -240,11 +248,12 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     Output order is sorted by user id, so reruns on the same dataset are
     byte-identical.
 
-    This is the batch path: it builds one :class:`ExposureIndex`, reads
-    the regulars' retweets and replies once from the tweet table for the
-    output histograms, and asks the index for each regular's exposure from
-    its follow list. Every histogram reaches the entropy in config category
-    order.
+    This is the batch path: it builds one :class:`ExposureIndex`, which
+    counts every regular's exposure at once, reads the regulars' retweets
+    and replies once from the tweet table for the output histograms, and
+    reads each regular's counts from its lane of the index's columns, in
+    lane order, then sorts the rows by id. Every histogram reaches the
+    entropy in config category order.
     """
     index = ExposureIndex(dataset)
     n = dataset.config.n_categories
@@ -253,10 +262,6 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     # the regulars' output histograms, from their retweets and replies
     tweets = dataset.tweets
     users = dataset.users
-    # a regular is a user without a category
-    regular = [c is None for c in users.categories]
-    # (id, code, follow list) by id; ids are unique, so no two codes are compared
-    regulars = sorted(compress(zip(users.ids, users.user_codes, users.follows), regular))
     category_of = index.category_of
     output_counts: list[dict[int, list[int]]] = []
     for kind in (RETWEET, REPLY):
@@ -271,8 +276,11 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
 
     no_counts = [0] * n
     results: list[UserMetrics] = []
-    for uid, code, follows in regulars:
-        direct, indirect, indirect_minority = index.exposure(follows)
+    # lane i of the index's columns is the i-th regular, a user without a category
+    for (uid, code), direct, indirect, indirect_minority in zip(
+        compress(zip(users.ids, users.user_codes), [c is None for c in users.categories]),
+        zip(*index.direct), zip(*index.indirect), index.indirect_minority,
+    ):
         indirect_total = sum(indirect)
         rt = retweet_counts.get(code, no_counts)
         io_correlated, io_correlated_15 = _io_correlation(indirect, rt, n)
@@ -294,4 +302,5 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
             )
         )
 
+    results.sort(key=attrgetter("user_id"))
     return results, seed_interaction_matrix(dataset)

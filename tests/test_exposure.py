@@ -22,7 +22,15 @@ from helpers import (
     retweet,
     seed,
 )
-from viewdiv import SynthParams, generate, load_country_config, load_dataset, normalized_entropy
+from viewdiv import (
+    SynthParams,
+    compute_all,
+    generate,
+    load_country_config,
+    load_dataset,
+    metrics,
+    normalized_entropy,
+)
 from viewdiv.metrics import ExposureIndex
 from viewdiv.oracle import exposure_timeline as _timeline
 
@@ -36,32 +44,50 @@ def _category_counts(ds, tweet_ids):
     return Counter(category[author[t]] for t in tweet_ids)
 
 
+def _generated(seed_value):
+    return generate(
+        SynthParams(rng_seed=seed_value, n_categories=3, n_seeds=5, n_regulars=5,
+                    homophily=0.5, tweets_per_seed=6, retweets_per_regular=5,
+                    replies_per_regular=2)
+    )
+
+
+def _toy():
+    cfg = load_country_config(TOY / "config.json")
+    with open(TOY / "users.jsonl") as users, open(TOY / "tweets.jsonl") as tweets:
+        return load_dataset(cfg, users, tweets)[0]
+
+
 def _assert_exposure_counts_match_the_timelines(ds):
-    """For every regular, ``ExposureIndex.exposure`` gives the per-category
-    counts of the oracle's direct and indirect timelines, in config order,
-    and the number of minority-authored originals in the indirect one; the
-    index's ``total_minority`` counts every minority seed's originals. An
-    entropy is symmetric in its counts, so a count at the wrong category
-    position moves none: only the counts themselves show it."""
+    """For every regular, its lane of the ``ExposureIndex`` columns gives
+    the per-category counts of the oracle's direct and indirect timelines,
+    in config order, and the number of minority-authored originals in the
+    indirect one; the index's ``total_minority`` counts every minority
+    seed's originals. Lane ``i`` is the ``i``-th regular of the user
+    table. An entropy is symmetric in its counts, so a count at the wrong
+    category position moves none: only the counts themselves show it."""
     index = ExposureIndex(ds)
     author = original_authors(ds)
     order = [c.id for c in ds.config.categories]
     minority = ds.config.minority_user_ids
     assert index.total_minority == sum(a in minority for a in author.values())
-    checked = 0
-    for uid, category, follows in zip(ds.users.ids, ds.users.categories, ds.users.follows):
-        if category is not None:
-            continue
+    regulars = list(compress(ds.users.ids, [c is None for c in ds.users.categories]))
+    columns = (*index.direct, *index.indirect, index.indirect_minority)
+    assert {len(column) for column in columns} == {len(regulars)}
+    for lane, uid in enumerate(regulars):
         tl = _timeline(ds, uid)
         direct = _category_counts(ds, tl.direct)
         indirect = _category_counts(ds, tl.indirect)
-        assert index.exposure(follows) == (
+        assert (
+            [column[lane] for column in index.direct],
+            [column[lane] for column in index.indirect],
+            index.indirect_minority[lane],
+        ) == (
             [direct[c] for c in order],
             [indirect[c] for c in order],
             sum(author[t] in minority for t in tl.indirect),
         ), uid
-        checked += 1
-    return checked
+    return len(regulars)
 
 
 def _basic():
@@ -184,11 +210,7 @@ def test_output_histograms():
 
 def test_timeline_invariants_on_generated_datasets():
     for seed_value in (0, 1, 2):
-        ds = generate(
-            SynthParams(rng_seed=seed_value, n_categories=3, n_seeds=5, n_regulars=5,
-                        homophily=0.5, tweets_per_seed=6, retweets_per_regular=5,
-                        replies_per_regular=2)
-        )
+        ds = _generated(seed_value)
         seeds = set(compress(ds.users.ids, ds.users.categories))
         author = original_authors(ds)
         for uid in regular_followees(ds):
@@ -205,7 +227,54 @@ def test_timeline_invariants_on_generated_datasets():
 def test_exposure_counts_on_the_toy_fixture():
     """The golden toy crawl: three categories, a minority seed, surfaced
     originals from a seed the regulars do not follow."""
-    cfg = load_country_config(TOY / "config.json")
-    with open(TOY / "users.jsonl") as users, open(TOY / "tweets.jsonl") as tweets:
-        ds = load_dataset(cfg, users, tweets)[0]
-    assert _assert_exposure_counts_match_the_timelines(ds) == 2
+    assert _assert_exposure_counts_match_the_timelines(_toy()) == 2
+
+
+def _one_seed_crawl(n_originals):
+    """One minority seed of category "a" writing ``n_originals`` originals,
+    followed by three regulars, and nothing else."""
+    cfg = config({"a": "left", "b": "right"}, minorities=["s1"])
+    users = [seed("s1", "a"), *(regular(f"u{i}", ["s1"]) for i in range(3))]
+    return dataset(cfg, users, [original(f"o{i}", "s1") for i in range(n_originals)])
+
+
+@pytest.mark.parametrize("n_originals, width", [(255, 1), (256, 2)])
+def test_lanes_are_as_narrow_as_the_tweet_count_allows(n_originals, width):
+    """255 tweets fit one byte per lane and 256 take two; every lane then
+    holds the whole count, which no neighbouring lane disturbs."""
+    ds = _one_seed_crawl(n_originals)
+    index = ExposureIndex(ds)
+    columns = (*index.direct, *index.indirect, index.indirect_minority)
+    assert {column.itemsize for column in columns} == {width}
+    assert [list(c) for c in index.direct] == [[n_originals] * 3, [0] * 3]
+    assert [list(c) for c in index.indirect] == [[n_originals] * 3, [0] * 3]
+    assert list(index.indirect_minority) == [n_originals] * 3
+    assert _assert_exposure_counts_match_the_timelines(ds) == 3
+
+
+@pytest.mark.parametrize("per_block", [1, 2])
+@pytest.mark.parametrize("source", ["toy", 0, 1, 2])
+def test_blocks_of_regulars_give_the_counts_of_one_block(monkeypatch, source, per_block):
+    """With a lane budget of one or two regulars per block, every block
+    appends its lanes to the columns: the counts are the oracle's and the
+    columns and metrics those of the whole crawl in one block."""
+    ds = _toy() if source == "toy" else _generated(source)
+    whole = ExposureIndex(ds)
+    want = compute_all(ds)
+    width = whole.indirect_minority.itemsize
+    n_regulars = len(whole.indirect_minority)
+    n_seeds = sum(c is not None for c in ds.users.categories)
+    sizes = []
+    monkeypatch.setattr(metrics, "_LANE_BUDGET", per_block * width * n_seeds)
+    monkeypatch.setattr(
+        metrics, "bytearray", lambda size: sizes.append(size) or bytearray(size), raising=False
+    )
+    blocks = ExposureIndex(ds)
+    # the follower buffers are a block's lanes wide
+    assert set(sizes) == {
+        width * min(per_block, n_regulars - start) for start in range(0, n_regulars, per_block)
+    }
+    assert (blocks.direct, blocks.indirect) == (whole.direct, whole.indirect)
+    assert blocks.indirect_minority == whole.indirect_minority
+    assert _assert_exposure_counts_match_the_timelines(ds) == n_regulars
+    assert compute_all(ds) == want

@@ -487,13 +487,14 @@ def _seed_originals(ds) -> list[tuple]:
 
 
 def _direct_counts(ds) -> dict[str, list[int]]:
-    """Each regular's direct counts per category, by user id."""
+    """Each regular's direct counts per category, by user id: lane ``i``
+    of the index's ``direct`` columns is the ``i``-th regular of the table."""
     index = ExposureIndex(ds)
     users = ds.users
+    regulars = compress(users.ids, [c is None for c in users.categories])
     return {
-        uid: index.exposure(follows)[0]
-        for uid, category, follows in zip(users.ids, users.categories, users.follows)
-        if category is None
+        uid: [column[lane] for column in index.direct]
+        for lane, uid in enumerate(regulars)
     }
 
 
