@@ -9,6 +9,7 @@ rounded to 4 decimals (summary.json) so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -443,5 +444,12 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """The console entry point: :func:`main`, exiting with its code."""
+    code = main()
+    gc.freeze()  # so that the interpreter's collection at exit skips every object
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -160,8 +160,8 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
     Duplicate user ids keep the first occurrence and flag the later line.
     Blank lines are skipped silently. A follow list may name an id more
     than once, or before that id's own line: each user's id and then each
-    followed id gets an int code in the table's code map as it is read,
-    and the follow list holds those codes, whatever order the lines come in.
+    followed id gets an int code in the table's code map as it is read, and
+    the follow list holds those codes, repeats too, whatever order the lines come in.
     """
     users = UserTable([], [], [], CodeMap())
     code = users.codes.__getitem__
@@ -184,7 +184,7 @@ def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]
         users.ids.append(uid)
         users.categories.append(category)
         users.user_codes.append(code(uid))
-        users.follows.append(array("i", sorted(set(map(code, followees)))))
+        users.follows.append(list(map(code, followees)))
 
     return users, diagnostics
 

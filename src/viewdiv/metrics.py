@@ -138,8 +138,8 @@ def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
     # a regular's category, None, has no side
     side_of = dataset.users.per_code(map(side_of_category.get, dataset.users.categories), None)
     cells = [[0, 0], [0, 0]]  # [actor side][target side], left = 0
-    # an original's target, -1, has side None
-    for author, target in zip(tweets.authors, tweets.targets):
+    # ORIGINAL is kind code 0, so the kinds select the retweets and replies
+    for author, target in compress(zip(tweets.authors, tweets.targets), tweets.kinds):
         actor_side = side_of[author]
         target_side = side_of[target]
         if actor_side is not None and target_side is not None:
@@ -175,6 +175,7 @@ class ExposureIndex:
     seeds retweeted (the retweet's target in the tweet table is its author)
     reaches the OR of their followers; summed over its originals and masked
     to the lanes that do not follow it, these add to its indirect totals.
+    A repeated follow edge writes its lane's byte twice, and the byte still reads 1.
     """
 
     def __init__(self, dataset: Dataset):

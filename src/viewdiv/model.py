@@ -254,10 +254,10 @@ class UserTable:
     :class:`CodeMap`: every user's id has a code, held in ``user_codes`` by
     row, and so has every followed id and every id a tweet table over the
     same map names; ``codes.names`` maps a code back to its id.
-    ``follows`` holds each user's follow list as an ``array("i")`` of the
-    codes of the ids it follows, each once, ascending: seeds of the table,
-    and any other id as read (:func:`viewdiv.ingest.validate_config` names
-    those). The codes follow the order in which the lines name ids, so
+    ``follows`` holds each user's follow list as a list of the codes of the
+    ids it follows as read, in order and with repeats, which no reader minds:
+    seeds of the table, and any other id (:func:`viewdiv.ingest.validate_config`
+    names those). The codes follow the order in which the lines name ids, so
     nothing that reaches an output may depend on them. An id in ``codes``
     need not name a user of the table: :meth:`per_code` over the rows tells
     which codes do.
@@ -270,7 +270,7 @@ class UserTable:
         self,
         ids: list[str],
         categories: list[str | None],
-        follows: list[array],
+        follows: list[list[int]],
         codes: CodeMap,
     ) -> None:
         self.ids = ids
@@ -305,11 +305,12 @@ class UserTable:
 
     def rows(self) -> Iterator[tuple]:
         """Each user as a tuple ``(id, kind, category, followees)``, its
-        followees a sorted list of ids; its kind is read from its category."""
+        followees sorted ids, each once: deduplicated in the list's order, which
+        sorts in linear time where the list is in id order, as written lists are."""
         name = self.codes.names.__getitem__
         for uid, category, follows in zip(self.ids, self.categories, self.follows):
             kind = UserKind.REGULAR if category is None else UserKind.SEED
-            yield uid, kind, category, sorted(map(name, follows))
+            yield uid, kind, category, sorted(map(name, dict.fromkeys(follows)))
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -44,7 +44,6 @@ ranges of 3 runs on a 2-vCPU Linux VM, Python 3.11.7, numpy 2.4.6).
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
@@ -481,13 +480,12 @@ def generate(params: SynthParams) -> Dataset:
         cands_in = [[si for si in seeds if vol[si] > 0] for seeds in reach]
         act(len(seed_ids) + ri, int(home_draws[ri]), reach, cands_in, 1.0)
 
-    # The users as table columns, each follow list as codes: a seed's code
-    # is its index, ascending as each list is drawn. A seed has a category
-    # and a regular None.
+    # The users as table columns: each drawn follow list is the seeds'
+    # codes (a seed's code is its index), a seed has a category, a regular None.
     users = UserTable(
         seed_ids + regular_ids,
         [cat_ids[ci] for ci in seed_cat_idx] + [None] * len(regular_ids),
-        [array("i") for _ in seed_ids] + [array("i", follows) for follows in followees_of],
+        [[] for _ in seed_ids] + followees_of,
         codes,
     )
     config = CountryConfig(

@@ -750,6 +750,28 @@ def test_analyze_deterministic_across_processes(tmp_path):
     assert _read_all(tmp_path / "a") == _read_all(tmp_path / "b")
 
 
+def test_main_freezes_nothing_and_run_exits_with_its_code(tmp_path):
+    """An in-process main() leaves the collector as it found it; the console
+    entry point, run(), freezes the heap on its way out and exits with
+    main's code."""
+    import gc
+    import subprocess
+    import sys
+
+    frozen = gc.get_freeze_count()
+    result = run_cli(_analyze_args(tmp_path / "rep"))
+    assert result.exit_code == 0, result.output
+    assert gc.get_freeze_count() == frozen
+    proc = subprocess.run(
+        [sys.executable, "-m", "viewdiv.cli", *_analyze_args(tmp_path / "refused"),
+         "--bin-width", "1e-300"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+
+
 def test_validate_reports_diagnostics(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({

@@ -80,11 +80,26 @@ def test_parse_users_duplicate_id_keeps_first():
 
 
 def test_parse_users_repeated_followee_is_one_edge():
-    lines = USER_LINES[:2] + ['{"id":"u1","kind":"regular","followees":["s1","s1"]}']
+    """A followee listed twice stays twice in the follow column, as read,
+    and counts once everywhere else: in rows(), in table equality and in
+    every metric."""
+    lines = USER_LINES[:2] + ['{"id":"u1","kind":"regular","followees":["s1","s2","s1"]}']
+    once = USER_LINES[:2] + ['{"id":"u1","kind":"regular","followees":["s2","s1"]}']
     users, diags = parse_users(lines)
     assert diags == [] and _seed_ids(users) == ["s1", "s2"]
-    assert [list(f) for f in users.follows] == [[], [], [0]]
-    assert users == parse_users(USER_LINES)[0]
+    assert users.follows == [[], [], [0, 1, 0]]
+    assert list(users.rows())[2] == ("u1", UserKind.REGULAR, None, ["s1", "s2"])
+    assert users == parse_users(once)[0]
+
+    tweets = [original("t1", "s1"), original("t2", "s2"), retweet("t3", "u1", "t1")]
+    cfg = config({"a": "left", "b": "right"})
+    with_repeat, without = (
+        compute_all(load_dataset(cfg, user_lines, map(tweet_to_line, tweets), min_retweets=1)[0])
+        for user_lines in (lines, once)
+    )
+    assert with_repeat == without
+    # one original of each category, each counted once
+    assert with_repeat[0][0].direct_source_diversity == 1.0
 
 
 def test_parse_users_seeds_after_regulars_give_the_same_table():

@@ -49,6 +49,12 @@ A sixth property adds one regular who passes the activity filter. Its row
 joins ``users_metrics.csv``, and every other row, and all of
 ``seed_matrix.csv``, stay byte-identical: a user's metrics read its own
 follows and tweets, and the total minority volume the seeds alone.
+
+A seventh property writes each followee of each follow list one to three
+times and shuffles the list. The user table keeps the lists as read, so
+this reaches every reader of them, yet every per-user value, the seed
+matrix, the ingest counts and diagnostics, and the messages
+``validate_config`` gives for followees that are no seed stay exactly equal.
 """
 
 import functools
@@ -68,8 +74,10 @@ from viewdiv import (
     generate,
     load_country_config,
     load_dataset,
+    parse_users,
     write_dataset,
 )
+from viewdiv.ingest import validate_config
 from viewdiv.metrics import ExposureIndex
 
 from helpers import run_cli
@@ -312,13 +320,17 @@ def test_reports_do_not_depend_on_input_order_or_id_spelling(crawl, rnd, gaps):
     assert _analyze(config_text, reversed_follows, tweets, spam) == base, "follow lists reversed"
 
 
-def _load(config_text: str, users: list[str], tweets: list[str], spam: list[str]):
-    """The dataset of the crawl, loaded as ``analyze`` loads it."""
+def _config(config_text: str):
+    """The crawl's config, read as ``analyze`` reads it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(config_text)
-        config = load_country_config(path)
-    return load_dataset(config, users, tweets, frozenset(spam))[0]
+        return load_country_config(path)
+
+
+def _load(config_text: str, users: list[str], tweets: list[str], spam: list[str]):
+    """The dataset of the crawl, loaded as ``analyze`` loads it."""
+    return load_dataset(_config(config_text), users, tweets, frozenset(spam))[0]
 
 
 def _compute_all(config_text: str, users: list[str], tweets: list[str], spam: list[str]):
@@ -578,3 +590,49 @@ def test_an_added_regular_moves_no_other_row(source, data):
     others = [row for row in rows if not row.startswith(added_id + ",")]
     assert others == base["users_metrics.csv"].decode().splitlines()
     assert after["seed_matrix.csv"] == base["seed_matrix.csv"]
+
+
+def _repeated_followees(users: list[str], rnd) -> list[str]:
+    """Each followee of each follow list written one to three times, and
+    each list shuffled."""
+    out = []
+    for line in users:
+        r = _record(line)
+        if r is None or not r.get("followees"):
+            out.append(line)
+            continue
+        followees = [f for f in r["followees"] for _ in range(rnd.randint(1, 3))]
+        rnd.shuffle(followees)
+        out.append(_dumps({**r, "followees": followees}))
+    return out
+
+
+@pytest.mark.parametrize("source", _SOURCES)
+@settings(
+    max_examples=10, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data(), rnd=st.randoms(use_true_random=False))
+def test_repeating_and_shuffling_followees_moves_no_value(source, data, rnd):
+    config_text, users, tweets, spam = data.draw(_crawl([source]))
+    config = _config(config_text)
+    dataset, *ingest = load_dataset(config, users, tweets, frozenset(spam))
+    repeated, *repeated_ingest = load_dataset(
+        config, _repeated_followees(users, rnd), tweets, frozenset(spam)
+    )
+    assert repeated_ingest == ingest, "ingest counts and diagnostics"
+    assert compute_all(repeated) == compute_all(dataset), "per-user values and seed matrix"
+
+    # a ghost and a regular followed from a few lines, at most one of them
+    # truncated, so that validate_config has something to name
+    records = [_record(line) for line in users]
+    regulars = [r["id"] for r in records if r is not None and r["kind"] == "regular"]
+    invalid = list(users)
+    lines = st.lists(st.integers(0, len(users) - 1), min_size=2, max_size=4, unique=True)
+    for i in data.draw(lines):
+        if records[i] is not None:
+            added = ["ghost", data.draw(st.sampled_from(regulars))]
+            invalid[i] = _dumps({**records[i], "followees": records[i]["followees"] + added})
+    messages = validate_config(config, parse_users(invalid)[0])
+    assert messages
+    assert validate_config(config, parse_users(_repeated_followees(invalid, rnd))[0]) == messages
