@@ -12,13 +12,12 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import ingest as ingest_mod
 from .ingest import IngestError, IngestReport, ParseDiagnostic, load_country_config
 from .metrics import IO_MARGIN, UserMetrics, WingMatrix, compute_all
-from .model import Dataset
+from .model import Dataset, Record
 from .stats import check_bin_width, distribution, fraction_below, welch_t_test
 
 METRIC_FIELDS = (
@@ -31,19 +30,26 @@ METRIC_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One analysis run: input paths as typed, plus statistics knobs."""
+class RunConfig(Record):
+    """One analysis run: input paths as typed (``config_path``,
+    ``users_path``, ``tweets_path``, ``spam_path``, None for no spam list,
+    and ``out_dir``), plus statistics knobs: ``bin_width``, 0.05 by default,
+    and ``thresholds``, a tuple of floats, (0.5, 0.05, 0.01) by default.
+    Refuses a bin width or threshold out of range with a ValueError."""
 
-    config_path: str | Path
-    users_path: str | Path
-    tweets_path: str | Path
-    spam_path: str | Path | None
-    out_dir: str | Path
-    bin_width: float = 0.05
-    thresholds: tuple[float, ...] = (0.5, 0.05, 0.01)
+    __slots__ = (
+        "config_path",
+        "users_path",
+        "tweets_path",
+        "spam_path",
+        "out_dir",
+        "bin_width",
+        "thresholds",
+    )
+    _defaults = (0.05, (0.5, 0.05, 0.01))
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         check_bin_width(self.bin_width)
         for t in self.thresholds:
             if not 0.0 < t <= 1.0:
@@ -147,7 +153,10 @@ def _summary_object(
             "regular_users": regulars,
             "tweets": len(dataset.tweets),
             "minority_originals": minority_originals,
-            "ingest": {**asdict(report), "malformed_lines": len(diagnostics)},
+            "ingest": {
+                **{name: getattr(report, name) for name in IngestReport.__slots__},
+                "malformed_lines": len(diagnostics),
+            },
         },
         "metrics": metrics_obj,
         "io_correlation": {
@@ -335,6 +344,8 @@ def _compare(args: argparse.Namespace) -> None:
 
 def _synth(args: argparse.Namespace) -> None:
     """Generate a synthetic dataset as ingest-compatible files."""
+    from dataclasses import replace
+
     from . import synth as synth_mod  # numpy; only this command needs it
 
     if (args.preset is None) == (args.params is None):

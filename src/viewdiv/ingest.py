@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from dataclasses import dataclass
 from itertools import compress, islice, repeat, starmap
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -57,6 +56,7 @@ from .model import (
     CountryConfig,
     Dataset,
     PoliticalCategory,
+    Record,
     TweetKind,
     TweetTable,
     UserKind,
@@ -75,24 +75,25 @@ class IngestError(ValueError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    """One skipped input line: 1-based line number, reason, and the input
-    it is in, ``"users"`` from :func:`parse_users` or ``"tweets"`` from
-    :func:`parse_tweets`."""
+class ParseDiagnostic(Record):
+    """One skipped input line: its 1-based ``line_no``, the reason
+    ``message``, and the ``file`` it is in, ``"users"`` from
+    :func:`parse_users` or ``"tweets"`` from :func:`parse_tweets`."""
 
-    line_no: int
-    message: str
-    file: str
+    __slots__ = ("line_no", "message", "file")
 
 
-@dataclass(frozen=True)
-class IngestReport:
-    users_read: int = 0
-    users_dropped_spam: int = 0
-    users_dropped_threshold: int = 0
-    tweets_read: int = 0
-    tweets_dropped_dangling: int = 0
+class IngestReport(Record):
+    """What :func:`load_dataset` read and dropped, each an int count, 0 by default."""
+
+    __slots__ = (
+        "users_read",
+        "users_dropped_spam",
+        "users_dropped_threshold",
+        "tweets_read",
+        "tweets_dropped_dangling",
+    )
+    _defaults = (0, 0, 0, 0, 0)
 
 
 _raw_decode = json.JSONDecoder().raw_decode

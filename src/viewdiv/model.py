@@ -27,7 +27,6 @@ from __future__ import annotations
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from typing import Container, Iterable, Iterator
@@ -61,17 +60,83 @@ _KINDS = tuple(TweetKind)
 _SELECT = tuple(bytes(int(k == kind) for k in range(256)) for kind in range(len(_KINDS)))
 
 
-@dataclass(frozen=True)
-class PoliticalCategory:
-    """One category of the political spectrum, e.g. "left" or "kurdish"."""
+class Record:
+    """An immutable record whose fields are its class's ``__slots__``, in
+    order; ``_defaults`` gives the last fields' defaults.
 
-    id: str
-    wing: Wing
+    A record is built by position or keyword, and a missing or unknown
+    argument is a :class:`TypeError`. Assigning or deleting a field is an
+    :class:`AttributeError`. A record equals a record of its own class with
+    equal fields, hashes as the tuple of its fields, and shows as
+    ``Name(field=value, ...)``, as a frozen dataclass does. Defining a
+    subclass generates no code, so it costs a small fraction of what a
+    dataclass does at import time. Each record type derives from this class
+    directly, so that its ``__slots__`` name all of its fields.
+    """
+
+    __slots__ = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value, from arguments not simply all positional."""
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__qualname__}() takes {len(names)} arguments, got {len(args)}")
+        values = dict(zip(names[len(names) - len(cls._defaults):], cls._defaults))
+        values.update(zip(names, args))
+        for name in kwargs:
+            if name not in names or name in names[: len(args)]:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected or repeated argument {name!r}")
+        values.update(kwargs)
+        if len(values) < len(names):
+            missing = ", ".join(name for name in names if name not in values)
+            raise TypeError(f"{cls.__qualname__}() missing argument(s): {missing}")
+        return tuple(map(values.__getitem__, names))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class CountryConfig:
-    """Category universe plus minority designation for one dataset.
+class PoliticalCategory(Record):
+    """One category of the political spectrum, e.g. "left" or "kurdish":
+    its ``id`` and its :class:`Wing`."""
+
+    __slots__ = ("id", "wing")
+
+
+class CountryConfig(Record):
+    """Category universe plus minority designation for one dataset: its
+    ``name``, its ``categories``, a tuple of :class:`PoliticalCategory`, and
+    ``minority_user_ids``, a frozenset of seed ids, empty by default.
 
     ``n_categories`` is the size of the configured universe, not the number
     of categories observed in any particular timeline: diversity of a user
@@ -79,9 +144,8 @@ class CountryConfig:
     against nine.
     """
 
-    name: str
-    categories: tuple[PoliticalCategory, ...]
-    minority_user_ids: frozenset[str] = frozenset()
+    __slots__ = ("name", "categories", "minority_user_ids")
+    _defaults = (frozenset(),)
 
     @property
     def n_categories(self) -> int:
@@ -328,12 +392,12 @@ class UserTable:
         return f"UserTable({len(self)} users)"
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Reference-checked container for one country's crawl; the analysis
     only reads it.
 
-    ``users`` is the table of the retained users and ``tweets`` the column
+    ``config`` is its :class:`CountryConfig`, ``users`` the table of the
+    retained users and ``tweets`` the column
     table of the kept tweets, each id once and its retweets resolved: each
     points at the seed that wrote its source.
     :func:`viewdiv.ingest.build_dataset` builds every dataset: from the
@@ -345,6 +409,4 @@ class Dataset:
     every reference resolves.
     """
 
-    config: CountryConfig
-    users: UserTable
-    tweets: TweetTable
+    __slots__ = ("config", "users", "tweets")

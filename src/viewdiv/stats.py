@@ -7,16 +7,15 @@ excluded upstream, never imputed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .model import Record
 
 
-@dataclass(frozen=True)
-class MetricDistribution:
-    """Bin counts of one metric's defined values; ``count`` is their number."""
+class MetricDistribution(Record):
+    """Bin counts of one metric's defined values: the ``bin_width``, a
+    float, the ``bin_counts``, a tuple of ints, and ``count``, their number."""
 
-    bin_width: float
-    bin_counts: tuple[int, ...]
-    count: int
+    __slots__ = ("bin_width", "bin_counts", "count")
 
     def bin_edges(self) -> list[tuple[float, float]]:
         edges = []
@@ -27,12 +26,11 @@ class MetricDistribution:
         return edges
 
 
-@dataclass(frozen=True)
-class TTestResult:
-    t: float
-    df: float
-    p: float
-    significant: bool
+class TTestResult(Record):
+    """One Welch's t-test: floats ``t``, ``df`` and ``p``, and whether
+    ``p`` is below the test's alpha, ``significant``."""
+
+    __slots__ = ("t", "df", "p", "significant")
 
 
 # The narrowest bin a distribution takes: at most 10,000 bins, so that no

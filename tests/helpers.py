@@ -1,6 +1,6 @@
 """Small constructors for in-memory test datasets, written as lines from the
 oracle's records, and lookups into one; a CLI runner, a child interpreter's
-environment, and a loader for the benchmark's scripts."""
+environment, and a loader for the benchmark's and the tools' scripts."""
 
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import NamedTuple
+
+from hypothesis import Phase
 
 from viewdiv import (
     CountryConfig,
@@ -31,6 +33,11 @@ from viewdiv.ingest import (
 from viewdiv.oracle import TweetRecord, UserRecord
 
 ROOT = Path(__file__).resolve().parent.parent
+# The phases of a property that runs load_dataset or analyze per example:
+# every one but shrinking, so that a failure reports its first failing
+# example and a red run stays short. With derandomize=True the generated
+# examples, and so which runs pass, are the same as with shrinking.
+UNSHRUNK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 WINGS = {"left": Wing.LEFT, "right": Wing.RIGHT, "unaligned": Wing.UNALIGNED}
 
 
@@ -154,10 +161,11 @@ def child_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
 
 
-def load_bench_module(name: str):
-    """The module ``bench/<name>.py``, which is no package."""
-    path = ROOT / "bench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+def load_script(directory: str, name: str):
+    """The module ``<directory>/<name>.py`` of the repository, such as a
+    benchmark script; neither directory is a package."""
+    path = ROOT / directory / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{directory}_{name}", path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while they are built
     sys.modules[spec.name] = module

@@ -10,14 +10,14 @@ shows here.
 import subprocess
 import sys
 
-from helpers import ROOT, child_env, load_bench_module
+from helpers import ROOT, child_env, load_script
 
 TRACING = ROOT / "bench" / "tracing.py"
 TOY = ROOT / "tests" / "data" / "toy"
 
 
 def test_every_traced_target_is_recorded(tmp_path):
-    tracing = load_bench_module("tracing")
+    tracing = load_script("bench", "tracing")
     spans_path = tmp_path / "spans.json"
     proc = subprocess.run(
         [sys.executable, str(TRACING), str(spans_path), "1",

@@ -14,7 +14,7 @@ from viewdiv.cli import METRIC_FIELDS
 from viewdiv.model import CodeMap
 from viewdiv.synth import MAX_CATEGORIES, MAX_USERS, MAX_VOLUME_MEAN
 
-from helpers import child_env, run_cli
+from helpers import UNSHRUNK, child_env, run_cli
 
 TOY = Path(__file__).resolve().parent / "data" / "toy"
 # comparison.csv of the uniform preset (side A) against the segregated one
@@ -366,6 +366,39 @@ def test_analyze_loads_neither_numpy_nor_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert _read_all(tmp_path / "rep") == _read_all(TOY / "expected")
+
+
+def test_analyze_defines_no_dataclass_but_the_two_the_bench_reads(tmp_path):
+    """A record type on analyze's path is a ``model.Record``, which defines
+    no code at import, unlike a dataclass. ``UserMetrics`` and
+    ``WingMatrix`` stay dataclasses because ``bench/gate.py`` reads their
+    fields with ``dataclasses.fields``.
+
+    A subprocess, because this interpreter has imported the generator and
+    the oracle, whose records are dataclasses, off analyze's path.
+    """
+    import subprocess
+    import sys
+
+    check = (
+        "import sys\n"
+        "from viewdiv.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "import dataclasses\n"
+        "made = sorted(\n"
+        "    obj.__qualname__ for name, module in list(sys.modules.items())\n"
+        "    if name.split('.')[0] == 'viewdiv' for obj in vars(module).values()\n"
+        "    if isinstance(obj, type) and obj.__module__ == name and dataclasses.is_dataclass(obj)\n"
+        ")\n"
+        "assert made == ['UserMetrics', 'WingMatrix'], made\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", check] + _analyze_args(tmp_path / "rep"),
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_analyze_rerun_is_byte_identical(tmp_path):
@@ -934,7 +967,7 @@ def _noisy_inputs(draw) -> tuple[bytes, bytes, bytes]:
 
 
 @settings(
-    max_examples=80, deadline=None, derandomize=True,
+    max_examples=80, deadline=None, derandomize=True, phases=UNSHRUNK,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(inputs=_noisy_inputs())
@@ -979,7 +1012,7 @@ def _flag(name: str):
 
 
 @settings(
-    max_examples=30, deadline=None, derandomize=True,
+    max_examples=30, deadline=None, derandomize=True, phases=UNSHRUNK,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
@@ -1118,7 +1151,7 @@ def _mutated(draw, data: bytes) -> bytes:
 
 
 @settings(
-    max_examples=60, deadline=None, derandomize=True,
+    max_examples=60, deadline=None, derandomize=True, phases=UNSHRUNK,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import (
-    child_env, config, dataset, original, regular, reply, retweet, seed, tables, tweet_to_line,
-    user_table, user_to_line,
+    UNSHRUNK, child_env, config, dataset, original, regular, reply, retweet, seed, tables,
+    tweet_to_line, user_table, user_to_line,
 )
 from viewdiv import (
     IngestError,
@@ -1178,7 +1178,7 @@ def _input_file(draw, records, base: list[str], max_noisy: int) -> list[tuple[st
 
 
 @settings(
-    max_examples=120, deadline=None, derandomize=True,
+    max_examples=120, deadline=None, derandomize=True, phases=UNSHRUNK,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(

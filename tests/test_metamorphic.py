@@ -80,7 +80,7 @@ from viewdiv import (
 from viewdiv.ingest import validate_config
 from viewdiv.metrics import ExposureIndex
 
-from helpers import run_cli
+from helpers import UNSHRUNK, run_cli
 from test_acceptance import _assert_metrics_match
 
 TOY = Path(__file__).resolve().parent / "data" / "toy"
@@ -289,7 +289,7 @@ def _shuffle_unique_tweet_lines(tweets: list[str], rnd) -> list[str]:
 
 
 @settings(
-    max_examples=30, deadline=None, derandomize=True,
+    max_examples=30, deadline=None, derandomize=True, phases=UNSHRUNK,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
@@ -340,7 +340,7 @@ def _compute_all(config_text: str, users: list[str], tweets: list[str], spam: li
 
 @pytest.mark.parametrize("source", _SOURCES)
 @settings(
-    max_examples=15, deadline=None, derandomize=True,
+    max_examples=15, deadline=None, derandomize=True, phases=UNSHRUNK,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(data=st.data())
@@ -362,7 +362,7 @@ def test_swapping_the_wings_reflects_the_seed_matrix(source, data):
 
 @pytest.mark.parametrize("source", _SOURCES)
 @settings(
-    max_examples=15, deadline=None, derandomize=True,
+    max_examples=15, deadline=None, derandomize=True, phases=UNSHRUNK,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(data=st.data())
@@ -438,7 +438,7 @@ def _with_counts(reports: dict, **deltas: int) -> dict:
 
 
 @settings(
-    max_examples=20, deadline=None, derandomize=True,
+    max_examples=20, deadline=None, derandomize=True, phases=UNSHRUNK,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(crawl=_crawl(), data=st.data())
@@ -512,7 +512,7 @@ def _direct_counts(ds) -> dict[str, list[int]]:
 
 @pytest.mark.parametrize("source", _SOURCES)
 @settings(
-    max_examples=10, deadline=None, derandomize=True,
+    max_examples=10, deadline=None, derandomize=True, phases=UNSHRUNK,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(data=st.data())
@@ -545,7 +545,7 @@ def test_repeating_every_seed_original_scales_the_direct_counts(source, data):
 
 @pytest.mark.parametrize("source", _SOURCES)
 @settings(
-    max_examples=10, deadline=None, derandomize=True,
+    max_examples=10, deadline=None, derandomize=True, phases=UNSHRUNK,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(data=st.data())
@@ -609,7 +609,7 @@ def _repeated_followees(users: list[str], rnd) -> list[str]:
 
 @pytest.mark.parametrize("source", _SOURCES)
 @settings(
-    max_examples=10, deadline=None, derandomize=True,
+    max_examples=10, deadline=None, derandomize=True, phases=UNSHRUNK,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(data=st.data(), rnd=st.randoms(use_true_random=False))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    by_user, config, dataset, original, regular, reply, retweet, seed, tweet_to_line, user_to_line,
+    UNSHRUNK, by_user, config, dataset, original, regular, reply, retweet, seed, tweet_to_line,
+    user_to_line,
 )
 from test_acceptance import _assert_metrics_match
 from viewdiv import (
@@ -402,7 +403,7 @@ def _crawl(draw):
     return config({"a": "left", "b": "right", "c": "unaligned"}, minorities), users, tweets
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True, phases=UNSHRUNK)
 @given(crawl=_crawl())
 def test_records_assemble_as_lines_do(crawl):
     """Every regular here follows a seed, so at min_retweets=0 the activity

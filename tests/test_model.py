@@ -1,12 +1,21 @@
 """Domain model and config validation tests."""
 
+import dataclasses
 import json
+import pickle
 from pathlib import Path
 
 import pytest
 
 from helpers import config, regular, seed, user_table, user_to_line
 from viewdiv import (
+    CountryConfig,
+    Dataset,
+    IngestReport,
+    MetricDistribution,
+    ParseDiagnostic,
+    PoliticalCategory,
+    TTestResult,
     TweetKind,
     TweetTable,
     UserKind,
@@ -17,6 +26,7 @@ from viewdiv import (
     parse_users,
     validate_config,
 )
+from viewdiv.cli import RunConfig
 from viewdiv.ingest import filter_active_regulars
 from viewdiv.model import CodeMap
 from viewdiv.oracle import TweetRecord, UserRecord
@@ -240,3 +250,78 @@ def test_classify_wing_on_shipped_configs():
     assert netherlands.n_categories == 5
     assert netherlands.wing_of("green") is Wing.LEFT
     assert netherlands.wing_of("centrist") is Wing.UNALIGNED
+
+
+_CODES = CodeMap()
+_LEFT, _RIGHT = PoliticalCategory("left", Wing.LEFT), PoliticalCategory("right", Wing.RIGHT)
+
+
+@pytest.mark.parametrize("cls, values, defaults, refused", [
+    pytest.param(PoliticalCategory, ("left", Wing.LEFT), (), [], id="PoliticalCategory"),
+    pytest.param(
+        CountryConfig, ("nl", (_LEFT, _RIGHT), frozenset({"s1"})), (frozenset(),), [],
+        id="CountryConfig",
+    ),
+    pytest.param(
+        Dataset,
+        (CountryConfig("nl", (_LEFT, _RIGHT)), UserTable([], [], [], _CODES), TweetTable(_CODES)),
+        (), [], id="Dataset",
+    ),
+    pytest.param(ParseDiagnostic, (1, "m", "users"), (), [], id="ParseDiagnostic"),
+    pytest.param(IngestReport, (5, 1, 2, 40, 3), (0, 0, 0, 0, 0), [], id="IngestReport"),
+    pytest.param(MetricDistribution, (0.5, (2, 1), 3), (), [], id="MetricDistribution"),
+    pytest.param(TTestResult, (2.5, 17.25, 0.02, False), (), [], id="TTestResult"),
+    pytest.param(
+        RunConfig, ("c.json", "u.jsonl", "t.jsonl", None, "out", 0.1, (0.5, 0.25)),
+        (0.05, (0.5, 0.05, 0.01)),
+        [{"bin_width": 1e-300}, {"bin_width": 1.5}, {"thresholds": (0.0,)},
+         {"thresholds": (0.5, 1.5)}, {"thresholds": (0.5, 0.50)}],
+        id="RunConfig",
+    ),
+])
+def test_records_behave_as_frozen_dataclasses(cls, values, defaults, refused):
+    """Each record type keeps what callers relied on while it was a frozen
+    dataclass, without being one: construction by position or keyword, its
+    defaults, immutability, equality with its own type only, hashing, the
+    repr, pickling and its own checks."""
+    assert not dataclasses.is_dataclass(cls)
+    names = cls.__slots__
+    record = cls(*values)
+    assert tuple(getattr(record, name) for name in names) == values
+    assert cls(**dict(zip(names, values))) == record
+    required = len(names) - len(defaults)
+    assert cls(*values[:required]) == cls(*values[:required], *defaults)
+
+    bad_arguments = [
+        (values, {"unknown": 1}),
+        (values + values[-1:], {}),  # one too many
+        (values[:1], {names[0]: values[0]}),  # one twice
+    ]
+    if required:
+        bad_arguments.append((values[: required - 1], {}))  # one missing
+    for args, kwargs in bad_arguments:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    for change in refused:
+        with pytest.raises(ValueError):
+            cls(**{**dict(zip(names, values)), **change})
+
+    for attempt in (
+        lambda: setattr(record, names[0], values[0]),
+        lambda: delattr(record, names[-1]),
+        lambda: setattr(record, "other", 1),
+    ):
+        with pytest.raises(AttributeError):
+            attempt()
+
+    assert record != values and record != list(values)
+    assert ParseDiagnostic(1, "m", "users") != (1, "m", "users")
+    if cls is Dataset:
+        with pytest.raises(TypeError):  # its tables are unhashable
+            hash(record)
+    else:
+        assert hash(cls(*values)) == hash(record)
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{cls.__name__}({shown})"
+    assert repr(ParseDiagnostic(1, "m", "users")) == "ParseDiagnostic(line_no=1, message='m', file='users')"
+    assert pickle.loads(pickle.dumps(record)) == record

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import config, dataset, load_bench_module, original, regular, retweet, seed
+from helpers import config, dataset, load_script, original, regular, retweet, seed
 from viewdiv import (
     SynthParams,
     TweetKind,
@@ -342,7 +342,7 @@ def test_every_size_in_use_resolves():
     """Every preset, every benchmark workload and the 1M-tweet point are
     within the size bounds, with room to spare; nothing is generated."""
     in_use = [*presets().values(), _1M_POINT]
-    for workload in load_bench_module("workloads").WORKLOADS.values():
+    for workload in load_script("bench", "workloads").WORKLOADS.values():
         in_use += [workload.params, workload.oracle_params]
     for params in in_use:
         resolved, cat_ids, seeds_per_cat = _resolve(params)
