@@ -31,6 +31,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -178,6 +179,8 @@ def main(argv: list[str] | None = None) -> int:
     metrics = _metrics()
     base_sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
 
+    # so that a terminated run still removes its worktree
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     work = WORK / f"ab-{os.getpid()}"
     base = work / "base"
     work.mkdir(parents=True)
