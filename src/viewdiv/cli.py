@@ -456,7 +456,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The console entry point: :func:`main`, exiting with its code."""
+    """The console entry point: :func:`main`, exiting with its code.
+
+    The cyclic collector is off for the one command a process runs. The
+    tables a command builds live until it exits, and it leaves a few
+    hundred objects in reference cycles whatever its input, so the
+    collector's passes over the tables would only cost time."""
+    gc.disable()
     code = main()
     gc.freeze()  # so that the interpreter's collection at exit skips every object
     sys.exit(code)

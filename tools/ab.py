@@ -1,14 +1,15 @@
 """Paired benchmark of this checkout against an earlier revision.
 
     python3 tools/ab.py --base REV [--pairs 10] [--seed 1] [--workload W ...]
-                        [--seconds 25] [--json FILE]
+                        [--json FILE]
 
 The *base* is REV, checked out with ``git worktree add`` under
 ``.bench_work/`` and removed when the run ends; the *head* is this checkout
 as it stands, uncommitted edits included. Each side's ``bench/run.py``
 measures the ``src`` of its own tree, so both sides run their own benchmark
-code unchanged. Each pair runs every workload once per side; the base runs
-first in odd pairs and the head first in even ones.
+code unchanged, for the ``run_seconds`` that ``BENCHMARK.json`` sets. Each
+pair runs every workload once per side; the base runs first in odd pairs
+and the head first in even ones.
 
 For each workload and end-to-end metric (``BENCHMARK.json``) it prints
 every pair's values, both medians, the base's interquartile range and the
@@ -154,15 +155,16 @@ def compare_outputs(base: Path, work: Path, workloads: list[str], seed: int) -> 
     return result
 
 
-def _metrics() -> dict[str, str]:
-    """Each end-to-end metric's better direction, from ``BENCHMARK.json``."""
+def _benchmark() -> tuple[dict[str, str], float]:
+    """Each end-to-end metric's better direction, and the seconds per run,
+    from ``BENCHMARK.json``."""
     spec = json.loads((HEAD / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}, spec["run_seconds"]
 
 
-def _git(*args: str) -> str:
+def _git(*args: str, check: bool = True) -> str:
     return subprocess.run(["git", *args], cwd=HEAD, capture_output=True, text=True,
-                          check=True).stdout.strip()
+                          check=check).stdout.strip()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -172,40 +174,42 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="Repeat for several (default: all).")
-    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--json", type=Path, help="Write the results as JSON here.")
     args = parser.parse_args(argv)
     workloads = args.workload or list(WORKLOADS)
-    metrics = _metrics()
+    metrics, seconds = _benchmark()
     base_sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
 
     # so that a terminated run still removes its worktree
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     work = WORK / f"ab-{os.getpid()}"
     base = work / "base"
-    work.mkdir(parents=True)
-    _git("worktree", "add", "--detach", str(base), base_sha)
     try:
+        work.mkdir(parents=True)
+        _git("worktree", "add", "--detach", str(base), base_sha)
         roots = {"base": base, "head": HEAD}
         runs = {(w, side): [] for w in workloads for side in roots}
         for pair in range(1, args.pairs + 1):
             for workload in workloads:
                 for side in side_order(pair):
-                    out = _bench_once(roots[side], workload, args.seed, args.seconds)
+                    out = _bench_once(roots[side], workload, args.seed, seconds)
                     runs[workload, side].append(out)
                     value = out.get("metrics", {}).get("analyze_s", {}).get("value")
                     print(f"pair {pair} {workload} {side}: analyze_s {value} "
                           f"correct {out.get('correct')}", flush=True)
         outputs = compare_outputs(base, work, workloads, args.seed)
     finally:
-        _git("worktree", "remove", "--force", str(base))
+        # unchecked, so that the directory goes in any case and an error
+        # that ended the run is not replaced by this one's
+        _git("worktree", "remove", "--force", str(base), check=False)
         shutil.rmtree(work, ignore_errors=True)
+        _git("worktree", "prune", check=False)
         if WORK.is_dir() and not any(WORK.iterdir()):
             WORK.rmdir()
 
     doc = {
         "benchmark": f"python3 bench/run.py --workload W --seed {args.seed} "
-                     f"--seconds {args.seconds:g}, each side from its own tree",
+                     f"--seconds {seconds:g}, each side from its own tree",
         "parent": base_sha,
         "change": f"working tree of {_git('rev-parse', 'HEAD')}",
         "method": f"tools/ab.py: {args.pairs} pairs, every workload once per side per pair, "
