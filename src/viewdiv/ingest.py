@@ -99,6 +99,10 @@ class IngestReport(Record):
 _raw_decode = json.JSONDecoder().raw_decode
 # What json.loads allows around a value: JSON's whitespace, not str.strip's.
 _JSON_WHITESPACE = " \t\n\r"
+# What json.loads looks at before it decodes a value: a BOM, which it
+# refuses, and the whitespace it skips. (An empty line's line[:1] is "", which
+# every str holds.)
+_LOADS_SKIPS = _JSON_WHITESPACE + "\ufeff"
 
 # Exactly the compact line _tweet_line writes, followed by JSON whitespace.
 # A string is printable ASCII without '"' or '\', so it holds no escape and
@@ -125,12 +129,17 @@ def _decode(line: str) -> tuple[dict | None, str | None]:
     try:
         # raw_decode is json.loads without its checks on the text around the
         # value; a line that starts with a value and ends in JSON whitespace
-        # decodes the same either way. Any other line goes to json.loads, so
-        # that an error carries json.loads's own message.
+        # decodes the same either way. json.loads first refuses a leading BOM
+        # and skips leading whitespace, then decodes as raw_decode does, so
+        # raw_decode's error on a line that starts with neither is its error.
+        # Any other line goes to json.loads, so that an error carries
+        # json.loads's own message.
         try:
             obj, end = _raw_decode(line)
             exact = end == len(line) or not line[end:].strip(_JSON_WHITESPACE)
         except json.JSONDecodeError:
+            if line[:1] not in _LOADS_SKIPS:
+                raise
             exact = False
         if not exact:
             obj = json.loads(line)
@@ -270,41 +279,45 @@ def _check_codes(users: UserTable, tweets: TweetTable) -> None:
         raise ValueError("the tweet table is not over the user table's code map")
 
 
-def resolve_tweets(users: UserTable, tweets: TweetTable) -> TweetTable:
-    """The rows of ``tweets`` that hold the first occurrence of their id,
-    each retweet pointing at the seed that wrote its source: ``tweets``
-    itself, resolved in place, when no id repeats.
+def resolve_tweets(users: UserTable, tweets: TweetTable) -> bytes:
+    """Resolve each retweet of ``tweets`` to the seed that wrote its source,
+    in place, and return the first-row selector: one byte per row, 1 where
+    the row holds the first occurrence of its id.
 
-    A retweet whose source is the id of a kept original written by a seed
-    of ``users`` gets that author's code as its target; every other
-    retweet gets -1. Other rows keep theirs. ``tweets`` must be a table
-    over ``users.codes`` (else ValueError).
+    A retweet whose source is the id of an original in a first row, written
+    by a seed of ``users``, gets that author's code as its target; every
+    other retweet gets -1. Other rows keep theirs. Retweets in the later
+    rows of an id are resolved as well; no later stage reads those rows,
+    and nothing is copied here. ``tweets`` must be a table over
+    ``users.codes`` (else ValueError).
     """
     _check_codes(users, tweets)
     ids = tweets.ids
-    # a crawl that repeats no id, as every generated one, needs no copy
-    if len(set(ids)) != len(ids):
-        # Built back to front, so each id keeps its first row; the dict
-        # is a temporary, freed before the resolution below peaks.
-        tweets = tweets.take(sorted(
-            dict(zip(reversed(ids), range(len(ids) - 1, -1, -1))).values()
-        ))
+    n = len(ids)
+    # a crawl that repeats no id, as every generated one, keeps every row
+    if len(set(ids)) == n:
+        first = b"\x01" * n
+    else:
+        # a row is first iff its id is not yet seen; add() returns None
+        seen: set[str] = set()
+        add = seen.add
+        first = bytes([tid not in seen and not add(tid) for tid in ids])
     is_seed = users.seed_mask()
     author_of = {
         tid: author
-        for tid, author in compress(zip(tweets.ids, tweets.authors), tweets.select(ORIGINAL))
+        for tid, author in compress(zip(ids, tweets.authors), tweets.select_first(first, ORIGINAL))
         if is_seed[author]
     }.get
-    tweets.targets = array("i", [
-        author_of(source, -1) if kind == RETWEET else target  # type: ignore[arg-type]
-        for kind, source, target in zip(tweets.kinds, tweets.sources, tweets.targets)
-    ])
-    return tweets
+    targets = tweets.targets
+    for row, source in compress(enumerate(tweets.sources), tweets.select(RETWEET)):
+        targets[row] = author_of(source, -1)  # type: ignore[arg-type]
+    return first
 
 
 def filter_active_regulars(
     users: UserTable,
     tweets: TweetTable,
+    first: bytes,
     spam_ids: frozenset[str] | set[str] = frozenset(),
     min_retweets: int = 5,
 ) -> tuple[UserTable, int, int]:
@@ -312,38 +325,40 @@ def filter_active_regulars(
 
     Seeds always pass. A regular passes iff it is not spam-listed, it
     retweeted at least ``min_retweets`` distinct originals written by a
-    seed, and it follows at least one seed. ``tweets`` holds each id once
-    and its retweets are resolved (:func:`resolve_tweets`): a retweet counts
-    iff it points at a seed. Spam takes precedence over the threshold in
+    seed, and it follows at least one seed. ``tweets`` has its retweets
+    resolved and ``first`` is its first-row selector, both from
+    :func:`resolve_tweets`: a retweet counts iff its row is its id's first
+    and it points at a seed. Spam takes precedence over the threshold in
     the drop counts. Returns ``(retained, dropped_spam,
-    dropped_threshold)``, the retained users a table over the same seeds.
+    dropped_threshold)``, the retained users one copy of the rows that
+    pass, a table over the same seeds.
     """
     distinct_seed_retweets: dict[int, set[str]] = {}
     for author, source, target in compress(
-        zip(tweets.authors, tweets.sources, tweets.targets), tweets.select(RETWEET)
+        zip(tweets.authors, tweets.sources, tweets.targets), tweets.select_first(first, RETWEET)
     ):
         if target >= 0:
             distinct_seed_retweets.setdefault(author, set()).add(source)  # type: ignore[arg-type]
 
     is_seed = users.seed_mask()
-    retained: list[int] = []
+    keep = bytearray(len(users))
     dropped_spam = 0
     dropped_threshold = 0
     for row, (uid, code, category, follows) in enumerate(
         zip(users.ids, users.user_codes, users.categories, users.follows)
     ):
         if category is not None:  # only a seed has a category
-            retained.append(row)
+            keep[row] = 1
             continue
         if uid in spam_ids:
             dropped_spam += 1
             continue
         active = len(distinct_seed_retweets.get(code, ())) >= min_retweets
         if active and any(map(is_seed.__getitem__, follows)):
-            retained.append(row)
+            keep[row] = 1
         else:
             dropped_threshold += 1
-    return users.take(retained), dropped_spam, dropped_threshold
+    return users.take(keep), dropped_spam, dropped_threshold
 
 
 def validate_config(config: CountryConfig, users: UserTable) -> list[str]:
@@ -400,19 +415,22 @@ def build_dataset(
     config: CountryConfig,
     users: UserTable,
     tweets: TweetTable,
+    first: bytes,
 ) -> tuple[Dataset, int]:
     """Assemble and validate an immutable Dataset: the one constructor of
     a :class:`~viewdiv.model.Dataset`.
 
     ``users`` is a table as :func:`parse_users` builds it or
     :func:`~viewdiv.synth.generate` fills it. ``tweets`` must be a table
-    over the same code map, ``users.codes`` (else ValueError), hold each id
-    once and have its retweets resolved against ``users``
-    (:func:`resolve_tweets`). An original is kept iff its
-    author is in ``users``; a retweet or reply is kept iff its author and
-    the user it points at are in ``users``; the rest dangle.
+    over the same code map, ``users.codes`` (else ValueError), with its
+    retweets resolved against ``users``, and ``first`` its first-row
+    selector (:func:`resolve_tweets`). A first row is kept iff it does not
+    dangle: an original iff its author is in ``users``, a retweet or reply
+    iff its author and the user it points at are in ``users``. The two
+    rules make one selector, applied in one copy of the table, and no copy
+    when it keeps every row.
     Config validation failure raises :class:`IngestError`. Returns
-    ``(dataset, tweets_dropped_dangling)``.
+    ``(dataset, tweets_dropped_dangling)``: the first rows not kept.
     """
     _check_codes(users, tweets)
     violations = validate_config(config, users)
@@ -420,15 +438,16 @@ def build_dataset(
         raise IngestError(violations)
 
     retained = users.per_code(repeat(True), False)
-    keep = [
-        retained[author] and (kind == ORIGINAL or retained[target])
-        for author, kind, target in zip(tweets.authors, tweets.kinds, tweets.targets)
-    ]
-    dropped = keep.count(False)
-    # a crawl with nothing dangling, as every generated one, needs no copy
-    if dropped:
-        tweets = tweets.take(list(compress(range(len(keep)), keep)))
-    return Dataset(config, users, tweets), dropped
+    keep = bytes([
+        is_first and retained[author] and (kind == ORIGINAL or retained[target])
+        for is_first, author, kind, target
+        in zip(first, tweets.authors, tweets.kinds, tweets.targets)
+    ])
+    kept = keep.count(1)
+    # a crawl with nothing repeated or dangling, as every generated one, needs no copy
+    if kept != len(tweets):
+        tweets = tweets.take(keep)
+    return Dataset(config, users, tweets), first.count(1) - kept
 
 
 def load_dataset(
@@ -440,30 +459,31 @@ def load_dataset(
 ) -> tuple[Dataset, IngestReport, list[ParseDiagnostic]]:
     """Full ingest pipeline: parse, resolve tweets once, filter, build.
 
-    The lines may be any iterables, read once each, users first. Tweet ids
-    are deduplicated once, keeping the first occurrence, and each retweet
-    is resolved once to the seed that wrote its source, its target in the
-    tweet table; the activity filter, the build and the analysis all read
-    that resolution, so a retweet counts toward a regular's activity iff
-    the dataset keeps it. ``users_read`` and ``tweets_read`` count every
-    attempted record line, so users_read = retained + dropped_spam +
-    dropped_threshold + malformed, and tweets_read = kept +
+    The lines may be any iterables, read once each, users first. Each
+    retweet is resolved once, in the parsed table, to the seed that wrote
+    its source, its target in the tweet table, and the first row of each
+    tweet id is marked once, in a selector; the activity filter, the build
+    and the analysis all read that resolution and only first rows, so a
+    retweet counts toward a regular's activity iff the dataset keeps it.
+    The build copies the kept rows once. ``users_read`` and ``tweets_read``
+    count every attempted record line, so users_read = retained +
+    dropped_spam + dropped_threshold + malformed, and tweets_read = kept +
     dropped_dangling + malformed + duplicate ids. The diagnostics are the
     users' and then the tweets', each in line order and named by the
     reader that built it.
     """
     users, user_diags = parse_users(user_lines)
-    parsed, tweet_diags = parse_tweets(tweet_lines, users.codes)
-    tweets = resolve_tweets(users, parsed)
+    tweets, tweet_diags = parse_tweets(tweet_lines, users.codes)
+    first = resolve_tweets(users, tweets)
     retained, dropped_spam, dropped_threshold = filter_active_regulars(
-        users, tweets, spam_ids, min_retweets
+        users, tweets, first, spam_ids, min_retweets
     )
-    dataset, dropped_dangling = build_dataset(config, retained, tweets)
+    dataset, dropped_dangling = build_dataset(config, retained, tweets, first)
     report = IngestReport(
         users_read=len(users) + len(user_diags),
         users_dropped_spam=dropped_spam,
         users_dropped_threshold=dropped_threshold,
-        tweets_read=len(parsed) + len(tweet_diags),
+        tweets_read=len(tweets) + len(tweet_diags),
         tweets_dropped_dangling=dropped_dangling,
     )
     return dataset, report, user_diags + tweet_diags

@@ -4,13 +4,14 @@ Users and tweets are each held as a column table (:class:`UserTable`,
 :class:`TweetTable`) that the analysis reads. Tables come from lines, by
 :func:`viewdiv.ingest.parse_users` and :func:`viewdiv.ingest.parse_tweets`,
 or from the columns :func:`viewdiv.synth.generate` fills, and ``take``
-selects rows of either. ``rows()`` gives each row's fields as a tuple, for
-the writer, for table equality and for the oracle, which builds its own
-records from them. A table has no lookup by id: a caller that needs one
-builds it once, such as ``set(users.ids)``, or works on codes through
-:meth:`UserTable.per_code`. Both tables name users by the int codes of one
-:class:`CodeMap`, which the user table owns and its tweet tables share, so
-no stage translates a code through an id.
+copies the rows a selector keeps, one byte per row, out of either.
+``rows()`` gives each row's fields as a tuple, for the writer, for table
+equality and for the oracle, which builds its own records from them. A
+table has no lookup by id: a caller that needs one builds it once, such as
+``set(users.ids)``, or works on codes through :meth:`UserTable.per_code`.
+Both tables name users by the int codes of one :class:`CodeMap`, which the
+user table owns and its tweet tables share, so no stage translates a code
+through an id.
 
 :func:`user_violation` and :func:`tweet_violation` are the one rule of a
 user and a tweet, held to each line by the parsers and to each of
@@ -252,21 +253,30 @@ class TweetTable:
         self.timestamps: list[int] = []
         self.codes = codes
 
-    def take(self, rows: list[int]) -> TweetTable:
-        """The given rows, in the given order, as a table over the same codes."""
+    def take(self, keep: bytes) -> TweetTable:
+        """The rows ``keep`` selects, one byte per row and nonzero where the
+        row stays, in table order, as a table over the same codes: one copy
+        of each column, made by :func:`itertools.compress`."""
         table = TweetTable(self.codes)
-        table.ids = [self.ids[i] for i in rows]
-        table.kinds = bytearray(self.kinds[i] for i in rows)
-        table.authors = array("i", [self.authors[i] for i in rows])
-        table.sources = [self.sources[i] for i in rows]
-        table.targets = array("i", [self.targets[i] for i in rows])
-        table.timestamps = [self.timestamps[i] for i in rows]
+        table.ids = list(compress(self.ids, keep))
+        table.kinds = bytearray(compress(self.kinds, keep))
+        table.authors = array("i", compress(self.authors, keep))
+        table.sources = list(compress(self.sources, keep))
+        table.targets = array("i", compress(self.targets, keep))
+        table.timestamps = list(compress(self.timestamps, keep))
         return table
 
     def select(self, kind: int) -> bytes:
         """One byte per row, 1 where the row is of ``kind``: a selector
         for :func:`itertools.compress`."""
         return self.kinds.translate(_SELECT[kind])
+
+    def select_first(self, first: bytes, kind: int) -> bytes:
+        """One byte per row, 1 where the row is of ``kind`` and ``first``,
+        a 0/1 selector over the rows, holds 1."""
+        # two 0/1 selectors AND byte by byte as two little-endian ints do
+        both = int.from_bytes(first, "little") & int.from_bytes(self.select(kind), "little")
+        return both.to_bytes(len(self.kinds), "little")
 
     def original_counts(self) -> Counter[int]:
         """The number of originals per author code."""
@@ -335,13 +345,15 @@ class UserTable:
         self.codes = codes
         self.user_codes = array("i", map(codes.__getitem__, ids))
 
-    def take(self, rows: list[int]) -> UserTable:
-        """The given rows, in the given order, as a table over the same
-        codes; ``rows`` must hold the row of every seed."""
+    def take(self, keep: bytes) -> UserTable:
+        """The rows ``keep`` selects, one byte per row and nonzero where the
+        row stays, in table order, as a table over the same codes, each
+        column copied once by :func:`itertools.compress`; ``keep`` must
+        select every seed."""
         return UserTable(
-            [self.ids[r] for r in rows],
-            [self.categories[r] for r in rows],
-            [self.follows[r] for r in rows],
+            list(compress(self.ids, keep)),
+            list(compress(self.categories, keep)),
+            list(compress(self.follows, keep)),
             self.codes,
         )
 

@@ -493,7 +493,7 @@ def generate(params: SynthParams) -> Dataset:
         categories=categories,
         minority_user_ids=minority_user_ids,
     )
-    return build_dataset(config, users, tweets)[0]
+    return build_dataset(config, users, tweets, b"\x01" * len(tweets))[0]
 
 
 def presets() -> dict[str, SynthParams]:

@@ -117,15 +117,16 @@ def user_table(users) -> UserTable:
     return table
 
 
-def tables(users, tweets) -> tuple[UserTable, TweetTable]:
-    """The table of ``users``, and the tweets parsed from their lines as a
-    table over its codes holding each id once, each retweet pointing at the
-    seed in ``users`` that wrote its source: what load_dataset hands both
-    the filter and the build. A line's diagnostic raises ValueError."""
+def tables(users, tweets) -> tuple[UserTable, TweetTable, bytes]:
+    """The table of ``users``, the tweets parsed from their lines as a
+    table over its codes, each retweet pointing at the seed in ``users``
+    that wrote its source, and the tweets' first-row selector: what
+    load_dataset hands both the filter and the build. A line's diagnostic
+    raises ValueError."""
     table = user_table(users)
     parsed, diagnostics = parse_tweets(map(tweet_to_line, tweets), table.codes)
     _refuse(diagnostics)
-    return table, resolve_tweets(table, parsed)
+    return table, parsed, resolve_tweets(table, parsed)
 
 
 def dataset(cfg: CountryConfig, users, tweets) -> Dataset:

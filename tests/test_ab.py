@@ -74,3 +74,19 @@ def test_tree_differences_name_every_file_that_differs(tmp_path):
     (a / "only_a.csv").write_bytes(b"")
     (b / "only_b.csv").write_bytes(b"")
     assert ab.tree_differences(a, b) == ["only_a.csv", "only_b.csv", "sub/same.json"]
+
+
+def test_max_rss_counts_kib():
+    assert ab.max_rss_mib(241 * 1024) == 241.0
+    assert ab.max_rss_mib(240_538) == pytest.approx(234.900390625)
+
+
+def test_file_digests_are_the_sha256_of_each_file_by_name(tmp_path):
+    (tmp_path / "tweets.jsonl").write_bytes(b"")
+    (tmp_path / "users.jsonl").write_bytes(b"abc")
+    (tmp_path / "nested").mkdir()
+    (tmp_path / "nested" / "skipped.txt").write_bytes(b"x")
+    assert ab.file_digests(tmp_path) == {
+        "tweets.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "users.jsonl": "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+    }

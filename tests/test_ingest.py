@@ -29,6 +29,7 @@ from viewdiv import (
 from viewdiv.ingest import (
     _CANONICAL_TWEET,
     _WRITE_ROWS,
+    _decode,
     build_dataset,
     filter_active_regulars,
     resolve_tweets,
@@ -362,6 +363,48 @@ def test_load_country_config_undecodable_json_is_malformed(tmp_path, text, messa
     with pytest.raises(ValueError) as exc:
         load_country_config(path)
     assert str(exc.value) == f"{path}: malformed country config (invalid JSON: {message})"
+
+
+def _loads_reason(line: str) -> str | None:
+    """What json.loads says of a line, spelled as a diagnostic: its own
+    error message, "record is not an object", or None for an object."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON: {exc.msg}"
+    return None if isinstance(obj, dict) else "record is not an object"
+
+
+_WHOLE = '{"id":"t1","author_id":"s1","kind":"original","timestamp":1}'
+
+
+@pytest.mark.parametrize("line", [
+    _WHOLE[:20],  # cut
+    _WHOLE[:1],
+    _WHOLE[:-1],
+    '{"id":"t1",',
+    "",  # empty
+    "   ",  # blank
+    " \t\r",
+    " " + _WHOLE,  # leading whitespace
+    " " + _WHOLE[:20],
+    "\n" + _WHOLE[:20],
+    "\ufeff" + _WHOLE,  # a BOM, which json.loads refuses before decoding
+    "\ufeff" + _WHOLE[:20],
+    _WHOLE + " x",  # trailing data
+    _WHOLE + _WHOLE,
+    _WHOLE + " \t",
+    "[1, 2]",  # non-object
+    '"t1"',
+    "null",
+    " 7",
+])
+def test_decode_gives_json_loads_own_reason(line):
+    """_decode decodes a line that raises, and starts with neither JSON
+    whitespace nor a BOM, once, and gives the reason json.loads would."""
+    obj, reason = _decode(line)
+    assert reason == _loads_reason(line)
+    assert (obj is None) == (reason is not None)
 
 
 # -- the canonical-line pattern and the JSON path ------------------------------
@@ -916,7 +959,7 @@ def test_tables_over_another_code_map_are_refused():
     cfg = config({"a": "left", "b": "right"})
     users = [seed("s1", "a"), seed("s2", "b"), regular("u1", ["s1"])]
     tweets = [original("o1", "s1"), retweet("r1", "u1", "o1"), original("o2", "u1")]
-    table, resolved = tables(users, tweets)
+    table, resolved, first = tables(users, tweets)
     reordered = user_table(users[::-1])
     lines = [tweet_to_line(t) for t in tweets]
     with pytest.raises(ValueError, match="not over the user table's code map"):
@@ -926,8 +969,8 @@ def test_tables_over_another_code_map_are_refused():
         (table, parse_tweets(lines, CodeMap())[0]),
     ):
         with pytest.raises(ValueError, match="not over the user table's code map"):
-            build_dataset(cfg, other_users, other_tweets)
-    assert build_dataset(cfg, table, resolved)[0].tweets.ids == ["o1", "r1", "o2"]
+            build_dataset(cfg, other_users, other_tweets, first)
+    assert build_dataset(cfg, table, resolved, first)[0].tweets.ids == ["o1", "r1", "o2"]
 
 
 def test_build_fails_on_invalid_config():
@@ -1087,6 +1130,66 @@ def test_load_dataset_reused_retweet_id_counts_first_source_only():
     assert report.tweets_read == 10
     assert report.tweets_dropped_dangling == 4  # u1's kept retweets
     assert ds.tweets.ids == [f"o{i}" for i in range(1, 6)]
+
+
+# -- the first row of each id, at each stage ---------------------------------
+
+def test_filter_counts_no_later_row_of_a_retweet_id():
+    """A later row reusing a retweet's id names another seed original; the
+    filter reads first rows only, so u1 stays at 4 distinct originals."""
+    users = [seed("s1", "a"), regular("u1", ["s1"])]
+    tweets = [original(f"o{i}", "s1") for i in range(1, 6)]
+    tweets += [retweet(f"r{i}", "u1", f"o{i}") for i in range(1, 5)]
+    tweets.append(retweet("r1", "u1", "o5"))
+    retained, _, thr = _filter(users, tweets)
+    assert retained.ids == ["s1"] and thr == 1
+    # without the later row's source, a fifth retweet lifts u1 over
+    retained, _, thr = _filter(users, tweets[:-1] + [retweet("r5", "u1", "o5")])
+    assert retained.ids == ["s1", "u1"] and thr == 0
+
+
+@pytest.mark.parametrize("first_author, later_author, resolved", [
+    ("s1", "s2", "s1"),  # a seed's original, reused by another seed
+    ("u2", "s1", None),  # a regular's original, reused by a seed
+])
+def test_resolution_reads_the_first_original_of_an_id(first_author, later_author, resolved):
+    """A later original reusing an original's id under another author does
+    not change whom that id's retweets resolve to, wherever they stand."""
+    users = user_table([seed("s1", "a"), seed("s2", "b"), regular("u1", ["s1"]), regular("u2")])
+    tweets = [
+        retweet("r0", "u1", "o1"),
+        original("o1", first_author),
+        retweet("r1", "u1", "o1"),
+        original("o1", later_author),
+        retweet("r2", "u1", "o1"),
+    ]
+    table = parse_tweets(map(tweet_to_line, tweets), users.codes)[0]
+    first = resolve_tweets(users, table)
+    assert first == bytes([1, 1, 1, 0, 1])
+    target = -1 if resolved is None else users.codes[resolved]
+    assert [table.targets[row] for row in (0, 2, 4)] == [target] * 3
+
+
+def test_build_keeps_and_counts_no_later_row_of_a_kept_id():
+    """Later rows of a kept id, verbatim or with another author, kind or
+    target, are neither kept nor counted as dangling, even where the later
+    row itself would dangle."""
+    cfg = config({"a": "left", "b": "right"})
+    users = [seed("s1", "a"), seed("s2", "b"), regular("u1", ["s1"])]
+    tweets = [
+        original("o1", "s1", ts=1),
+        retweet("r1", "u1", "o1", ts=2),
+        reply("p1", "u1", "s2", ts=3),
+        original("o1", "s1", ts=1),  # verbatim
+        original("o1", "ghost", ts=4),  # dangling author
+        retweet("r1", "u1", "missing", ts=5),  # dangling source
+        reply("p1", "u1", "ghost", ts=6),  # dangling target
+        retweet("p1", "s2", "o1", ts=7),  # another kind
+    ]
+    ds, dropped = build_dataset(cfg, *tables(users, tweets))
+    assert ds.tweets.ids == ["o1", "r1", "p1"]
+    assert ds.tweets.timestamps == [1, 2, 3]
+    assert dropped == 0
 
 
 # -- property: ingest accounting over noisy input ----------------------------

@@ -55,6 +55,12 @@ times and shuffles the list. The user table keeps the lists as read, so
 this reaches every reader of them, yet every per-user value, the seed
 matrix, the ingest counts and diagnostics, and the messages
 ``validate_config`` gives for followees that are no seed stay exactly equal.
+
+An eighth property appends, after every line of the crawl, verbatim copies
+of its tweet lines and well-formed lines that reuse its tweet ids with
+other content. The first row of each id stays the one kept or dropped, so
+only ``tweets_read`` in ``summary.json`` moves, by the number of lines
+added.
 """
 
 import functools
@@ -487,6 +493,44 @@ def test_dropped_input_moves_only_the_ingest_counts(crawl, data):
     assert after == _with_counts(
         base, tweets_read=len(added), tweets_dropped_dangling=len(added)
     ), "tweets by unknown authors"
+
+
+def _later_rows(data, tweets: list[str], user_ids: list[str]) -> list[str]:
+    """Tweet lines of ids the crawl already holds, to go after all of its
+    lines: verbatim copies of its well-formed lines, and lines that reuse
+    an id with another author, kind, reference or timestamp. Every line is
+    well formed, so each is one more row of an id whose first row is kept
+    or dropped as it was."""
+    records = [r for r in map(_record, tweets) if r is not None]
+    ids = sorted({r["id"] for r in records})
+    lines = data.draw(st.lists(st.sampled_from(sorted({_dumps(r) for r in records})), max_size=6))
+    for _ in range(data.draw(st.integers(0, 6))):
+        record = {
+            "id": data.draw(st.sampled_from(ids)),
+            "author_id": data.draw(st.sampled_from(user_ids + ["ghost"])),
+            "kind": data.draw(st.sampled_from(["original", "retweet", "reply"])),
+        }
+        if record["kind"] == "retweet":
+            record["source_tweet_id"] = data.draw(st.sampled_from(ids + ["never-crawled"]))
+        elif record["kind"] == "reply":
+            record["target_user_id"] = data.draw(st.sampled_from(user_ids + ["ghost"]))
+        record["timestamp"] = data.draw(st.integers(0, 100))
+        lines.append(_dumps(record))
+    return data.draw(st.permutations(lines))
+
+
+@settings(
+    max_examples=20, deadline=None, derandomize=True, phases=UNSHRUNK,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(crawl=_crawl(), data=st.data())
+def test_later_rows_of_crawled_ids_move_only_tweets_read(crawl, data):
+    config_text, users, tweets, spam = crawl
+    base = _analyze(config_text, users, tweets, spam)
+    user_ids = [r["id"] for r in map(_record, users) if r is not None]
+    added = _later_rows(data, tweets, user_ids)
+    after = _analyze(config_text, users, tweets + added, spam)
+    assert after == _with_counts(base, tweets_read=len(added))
 
 
 def _seed_originals(ds) -> list[tuple]:

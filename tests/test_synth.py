@@ -30,6 +30,7 @@ from viewdiv.synth import (
     _choice_draw,
     _expected_tweets,
     _resolve,
+    params_from_object,
 )
 
 SMALL = SynthParams(
@@ -330,12 +331,9 @@ def test_category_bound_is_accepted():
     assert max(p.n_categories for p in presets().values()) < 10
 
 
-# The throughput test's parameters at 20,100 users and 997,929 tweets.
-_1M_POINT = SynthParams(
-    rng_seed=90210, n_categories=5, n_seeds=100, n_regulars=20000,
-    homophily=0.6, minority_tweet_share=0.15,
-    tweets_per_seed=4000.0, retweets_per_regular=28.0, replies_per_regular=3.0,
-)
+# The throughput test's parameters at 20,100 users and 997,929 tweets, as
+# tools/ab.py --scale 1m writes them for synth --params.
+_1M_POINT = params_from_object(load_script("tools", "ab").POINT_1M, "tools/ab.py")
 
 
 def test_every_size_in_use_resolves():
