@@ -1,11 +1,14 @@
-"""tools/ab.py's summary arithmetic, pair order and tree comparison, on
-fixed numbers and files; nothing here runs or times a benchmark."""
+"""tools/ab.py's summary arithmetic, pair order, tree comparison, head copy
+and arguments, on fixed numbers and files; nothing here runs or times a
+benchmark."""
 
 from __future__ import annotations
 
+import subprocess
+
 import pytest
 
-from helpers import load_script
+from helpers import ROOT, load_script
 
 ab = load_script("tools", "ab")
 
@@ -90,3 +93,58 @@ def test_file_digests_are_the_sha256_of_each_file_by_name(tmp_path):
         "tweets.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "users.jsonl": "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
     }
+
+
+def test_the_head_copy_holds_exactly_the_listed_files_as_they_stand(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "head"
+    (repo / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True).stdout
+
+    git("init", "-q")
+    (repo / ".gitignore").write_bytes((ROOT / ".gitignore").read_bytes())
+    (repo / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+    (repo / "edited.txt").write_text("as staged\n")
+    (repo / "deleted.txt").write_text("staged, then deleted\n")
+    git("add", "-A")
+    (repo / "edited.txt").write_text("as edited, not staged\n")
+    (repo / "deleted.txt").unlink()
+    (repo / "untracked.txt").write_text("never staged\n")
+    (repo / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"ignored")
+    (repo / ".bench_work" / "ab-1" / "head").mkdir(parents=True)
+    (repo / ".bench_work" / "ab-1" / "head" / "edited.txt").write_text("an earlier copy\n")
+
+    ab.copy_worktree(repo, dest)
+    listed = set(git("ls-files", "-z", "-co", "--exclude-standard").decode().split("\0")) - {""}
+    copied = {p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file()}
+    # a tracked file deleted from the working tree has no bytes to copy
+    assert copied == listed - {"deleted.txt"} == {
+        ".gitignore", "edited.txt", "src/pkg/mod.py", "untracked.txt"}
+    assert all((dest / name).read_bytes() == (repo / name).read_bytes() for name in copied)
+    assert (dest / "edited.txt").read_text() == "as edited, not staged\n"
+    assert not (dest / ".git").exists() and not (dest / ".bench_work").exists()
+
+
+@pytest.mark.parametrize("option", [["--pairs", "0"], ["--pairs", "-1"], ["--seed", "-1"]])
+def test_bad_counts_are_usage_errors_before_anything_is_exported(option, monkeypatch, capsys):
+    def must_not_run(*_):
+        raise AssertionError("ran past the argument checks")
+
+    monkeypatch.setattr(ab, "_git", must_not_run)
+    monkeypatch.setattr(ab, "place", must_not_run)
+    with pytest.raises(SystemExit) as exit_:
+        ab.main(["--base", "HEAD", *option])
+    assert exit_.value.code == 2
+    assert option[0] in capsys.readouterr().err
+
+
+def test_scale_is_a_usage_error_and_1m_is_a_workload(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        ab.parse_args(["--base", "HEAD", "--scale", "1m"])
+    assert exit_.value.code == 2
+    assert "--scale" in capsys.readouterr().err
+    args = ab.parse_args(["--base", "HEAD", "--workload", "dense_follow", "--workload", "1m"])
+    assert args.workload == ["dense_follow", "1m"]
+    assert (args.pairs, args.seed) == (10, 1)
+    assert ab.parse_args(["--base", "HEAD"]).workload == list(ab.WORKLOADS)

@@ -332,7 +332,7 @@ def test_category_bound_is_accepted():
 
 
 # The throughput test's parameters at 20,100 users and 997,929 tweets, as
-# tools/ab.py --scale 1m writes them for synth --params.
+# tools/ab.py's 1m workload writes them for synth --params.
 _1M_POINT = params_from_object(load_script("tools", "ab").POINT_1M, "tools/ab.py")
 
 
