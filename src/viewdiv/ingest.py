@@ -284,12 +284,11 @@ def resolve_tweets(users: UserTable, tweets: TweetTable) -> bytes:
     in place, and return the first-row selector: one byte per row, 1 where
     the row holds the first occurrence of its id.
 
-    A retweet whose source is the id of an original in a first row, written
-    by a seed of ``users``, gets that author's code as its target; every
-    other retweet gets -1. Other rows keep theirs. Retweets in the later
-    rows of an id are resolved as well; no later stage reads those rows,
-    and nothing is copied here. ``tweets`` must be a table over
-    ``users.codes`` (else ValueError).
+    A retweet in a first row whose source is the id of an original in a
+    first row, written by a seed of ``users``, gets that author's code as
+    its target; every other retweet gets -1 or keeps the -1 that parsing
+    gave it. Other rows keep theirs, and nothing is copied here.
+    ``tweets`` must be a table over ``users.codes`` (else ValueError).
     """
     _check_codes(users, tweets)
     ids = tweets.ids
@@ -309,7 +308,7 @@ def resolve_tweets(users: UserTable, tweets: TweetTable) -> bytes:
         if is_seed[author]
     }.get
     targets = tweets.targets
-    for row, source in compress(enumerate(tweets.sources), tweets.select(RETWEET)):
+    for row, source in compress(enumerate(tweets.sources), tweets.select_first(first, RETWEET)):
         targets[row] = author_of(source, -1)  # type: ignore[arg-type]
     return first
 
@@ -317,7 +316,6 @@ def resolve_tweets(users: UserTable, tweets: TweetTable) -> bytes:
 def filter_active_regulars(
     users: UserTable,
     tweets: TweetTable,
-    first: bytes,
     spam_ids: frozenset[str] | set[str] = frozenset(),
     min_retweets: int = 5,
 ) -> tuple[UserTable, int, int]:
@@ -326,16 +324,15 @@ def filter_active_regulars(
     Seeds always pass. A regular passes iff it is not spam-listed, it
     retweeted at least ``min_retweets`` distinct originals written by a
     seed, and it follows at least one seed. ``tweets`` has its retweets
-    resolved and ``first`` is its first-row selector, both from
-    :func:`resolve_tweets`: a retweet counts iff its row is its id's first
-    and it points at a seed. Spam takes precedence over the threshold in
-    the drop counts. Returns ``(retained, dropped_spam,
-    dropped_threshold)``, the retained users one copy of the rows that
-    pass, a table over the same seeds.
+    resolved by :func:`resolve_tweets`: a retweet counts iff it points at a
+    seed, which only a retweet in its id's first row can. Spam takes
+    precedence over the threshold in the drop counts. Returns ``(retained,
+    dropped_spam, dropped_threshold)``, the retained users one copy of the
+    rows that pass, a table over the same seeds.
     """
     distinct_seed_retweets: dict[int, set[str]] = {}
     for author, source, target in compress(
-        zip(tweets.authors, tweets.sources, tweets.targets), tweets.select_first(first, RETWEET)
+        zip(tweets.authors, tweets.sources, tweets.targets), tweets.select(RETWEET)
     ):
         if target >= 0:
             distinct_seed_retweets.setdefault(author, set()).add(source)  # type: ignore[arg-type]
@@ -459,24 +456,23 @@ def load_dataset(
 ) -> tuple[Dataset, IngestReport, list[ParseDiagnostic]]:
     """Full ingest pipeline: parse, resolve tweets once, filter, build.
 
-    The lines may be any iterables, read once each, users first. Each
-    retweet is resolved once, in the parsed table, to the seed that wrote
-    its source, its target in the tweet table, and the first row of each
-    tweet id is marked once, in a selector; the activity filter, the build
-    and the analysis all read that resolution and only first rows, so a
-    retweet counts toward a regular's activity iff the dataset keeps it.
-    The build copies the kept rows once. ``users_read`` and ``tweets_read``
-    count every attempted record line, so users_read = retained +
-    dropped_spam + dropped_threshold + malformed, and tweets_read = kept +
-    dropped_dangling + malformed + duplicate ids. The diagnostics are the
-    users' and then the tweets', each in line order and named by the
-    reader that built it.
+    The lines may be any iterables, read once each, users first. The first
+    row of each tweet id is marked once, in a selector, and each retweet in
+    a first row is resolved once, in the parsed table, to the seed that
+    wrote its source; the activity filter counts the retweets that point at
+    a seed, and the build copies the first rows it keeps once, so a retweet
+    counts toward a regular's activity iff the dataset keeps it.
+    ``users_read`` and ``tweets_read`` count every attempted record line,
+    so users_read = retained + dropped_spam + dropped_threshold +
+    malformed, and tweets_read = kept + dropped_dangling + malformed +
+    duplicate ids. The diagnostics are the users' and then the tweets',
+    each in line order and named by the reader that built it.
     """
     users, user_diags = parse_users(user_lines)
     tweets, tweet_diags = parse_tweets(tweet_lines, users.codes)
     first = resolve_tweets(users, tweets)
     retained, dropped_spam, dropped_threshold = filter_active_regulars(
-        users, tweets, first, spam_ids, min_retweets
+        users, tweets, spam_ids, min_retweets
     )
     dataset, dropped_dangling = build_dataset(config, retained, tweets, first)
     report = IngestReport(
@@ -532,7 +528,8 @@ def load_country_config(path: str | Path) -> CountryConfig:
             minority_user_ids=frozenset(minority_ids),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed country config ({exc})") from exc
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: malformed country config ({reason})") from exc
 
 
 def config_to_json(config: CountryConfig) -> str:

@@ -5,12 +5,15 @@ exposure adds the originals its followees retweeted, each counted once
 however many paths reach it, and attributed to the original author's
 category, never the retweeter's. The set-level definition lives in
 :mod:`viewdiv.oracle`. :class:`ExposureIndex` counts both for every regular
-at once, from codes of the one code map the user and tweet tables share:
-one byte write per follow edge builds each seed's followers, an int with a
-lane per regular of ``width`` bytes, the fewest of 1, 2, 4 or 8 that hold
-the number of tweets (no count exceeds it, so no lane carries into the
-next); then a few big-int operations per seed and per seed retweet count
-each block of regulars whose lanes fit in :data:`_LANE_BUDGET` bytes.
+at once, with its retweets and replies, from codes of the one code map the
+user and tweet tables share: one walk over the retweets and replies counts
+the regulars' own and groups the seeds'; one byte write per follow edge
+builds each seed's followers, an int with a lane per regular of ``width``
+bytes, the fewest of 1, 2, 4 or 8 that hold the number of tweets (no count
+exceeds it, so no lane carries into the next); then a few big-int
+operations per seed and per seed retweet count each block of regulars
+whose lanes fit in :data:`_LANE_BUDGET` bytes. :func:`compute_all` only
+assembles rows from the lanes.
 
 All unit-interval metrics are ``None`` ("undefined") when the underlying
 activity is empty; undefined values are excluded from population statistics
@@ -26,10 +29,10 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import compress, count
 from operator import attrgetter, or_
 
-from .model import REPLY, RETWEET, Dataset, Wing
+from .model import RETWEET, Dataset, Wing
 
 IO_MARGIN = 0.15  # the "bias above 15%" of io_correlated_15
 # bytes of follower lanes per block of regulars; the 1M-tweet crawl fits one
@@ -159,18 +162,20 @@ def seed_interaction_matrix(dataset: Dataset) -> WingMatrix:
 
 
 class ExposureIndex:
-    """Every regular's exposure counts, in columns with one lane per regular.
+    """Every regular's per-category counts, in columns with one lane per regular.
 
     Lane ``i`` is the ``i``-th regular of the user table. ``direct[c][i]``
     and ``indirect[c][i]`` count the originals in its direct and indirect
-    timelines whose author is in category ``c`` (config order), and
-    ``indirect_minority[i]`` the indirect ones a minority seed wrote; each
-    column is an ``array`` of ``width``-byte unsigned ints.
-    ``total_minority`` is the number of originals the minority seeds wrote,
-    and ``category_of`` each code's category position in config order,
-    ``None`` for a non-seed and for code -1.
+    timelines whose author is in category ``c`` (config order),
+    ``indirect_minority[i]`` the indirect ones a minority seed wrote, and
+    ``retweets[c][i]`` and ``replies[c][i]`` its retweets and replies that
+    point at a seed of category ``c``. Each column is an ``array`` of
+    ``width``-byte unsigned ints. ``total_minority`` is the number of
+    originals the minority seeds wrote.
 
-    A seed adds its originals times its followers to its category's totals
+    One walk over the retweets and replies adds 1 to a regular's lane for
+    each of its own, and groups the seeds' retweets by original. A seed
+    adds its originals times its followers to its category's totals
     (followed seeds' originals never overlap). Each of its originals that
     seeds retweeted (the retweet's target in the tweet table is its author)
     reaches the OR of their followers; summed over its originals and masked
@@ -185,30 +190,41 @@ class ExposureIndex:
         category_pos = {c.id: i for i, c in enumerate(config.categories)}
         # a regular's category, None, has no position
         category_of = users.per_code(map(category_pos.get, users.categories), None)
-        self.category_of = category_of
         is_minority = users.per_code([u in config.minority_user_ids for u in users.ids], False)
         originals = tweets.original_counts()
         # a seed's category is a non-empty string, a regular's None
         seeds = list(compress(users.user_codes, users.categories))
         self.total_minority = sum(originals[s] for s in seeds if is_minority[s])
-
-        # per author, the seeds that retweeted each of its originals
-        retweeted: dict[int, dict[str | None, list[int]]] = {}
-        for author, source, target in compress(
-            zip(tweets.authors, tweets.sources, tweets.targets), tweets.select(RETWEET)
-        ):
-            if category_of[author] is not None:
-                retweeted.setdefault(target, {}).setdefault(source, []).append(author)
-
+        regulars = list(compress(users.follows, [c is None for c in users.categories]))
+        lanes = count()  # a regular's lane; a seed has none
+        lane_of = users.per_code([None if c else next(lanes) for c in users.categories], None)
         n = config.n_categories
         # no count exceeds the number of tweets, so no lane carries into the next
         width = next(w for w in (1, 2, 4, 8) if 8 * w >= len(tweets).bit_length())
+        typecode = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+        self.retweets = [array(typecode, bytes(width * len(regulars))) for _ in range(n)]
+        self.replies = [array(typecode, bytes(width * len(regulars))) for _ in range(n)]
+        outputs = (None, self.retweets, self.replies)  # by kind code
+        # per author, the seeds that retweeted each of its originals
+        retweeted: dict[int, dict[str | None, list[int]]] = {}
+        # ORIGINAL is kind code 0, so the kinds select the retweets and replies
+        for author, kind, source, target in compress(
+            zip(tweets.authors, tweets.kinds, tweets.sources, tweets.targets), tweets.kinds
+        ):
+            pos = category_of[target]
+            if pos is None:
+                continue  # a reply to a regular, or a retweet of no seed's original
+            lane = lane_of[author]
+            if lane is not None:
+                outputs[kind][pos][lane] += 1
+            elif kind == RETWEET:
+                retweeted.setdefault(target, {}).setdefault(source, []).append(author)
+
         full_lane = (1 << 8 * width) - 1
         # width-byte unsigned ints: direct and indirect per category, then minority
-        columns = [array({1: "B", 2: "H", 4: "I", 8: "Q"}[width]) for _ in range(2 * n + 1)]
+        columns = [array(typecode) for _ in range(2 * n + 1)]
         self.direct, self.indirect = columns[:n], columns[n:-1]
         self.indirect_minority = columns[-1]
-        regulars = list(compress(users.follows, [c is None for c in users.categories]))
         block = max(1, _LANE_BUDGET // (width * len(seeds) or 1))
         for start in range(0, len(regulars), block):
             part = regulars[start:start + block]
@@ -250,40 +266,24 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     byte-identical.
 
     This is the batch path: it builds one :class:`ExposureIndex`, which
-    counts every regular's exposure at once, reads the regulars' retweets
-    and replies once from the tweet table for the output histograms, and
-    reads each regular's counts from its lane of the index's columns, in
-    lane order, then sorts the rows by id. Every histogram reaches the
-    entropy in config category order.
+    counts every regular's exposure, retweets and replies at once, reads
+    each regular's counts from its lane of the index's columns, in lane
+    order, then sorts the rows by id. Every histogram reaches the entropy
+    in config category order.
     """
     index = ExposureIndex(dataset)
     n = dataset.config.n_categories
     total_minority = index.total_minority
-
-    # the regulars' output histograms, from their retweets and replies
-    tweets = dataset.tweets
     users = dataset.users
-    category_of = index.category_of
-    output_counts: list[dict[int, list[int]]] = []
-    for kind in (RETWEET, REPLY):
-        counts: dict[int, list[int]] = {}
-        for author, target in compress(zip(tweets.authors, tweets.targets), tweets.select(kind)):
-            pos = category_of[target]
-            # a retained author without a category is a regular; a reply to one has none
-            if category_of[author] is None and pos is not None:
-                counts.setdefault(author, [0] * n)[pos] += 1
-        output_counts.append(counts)
-    retweet_counts, reply_counts = output_counts
 
-    no_counts = [0] * n
     results: list[UserMetrics] = []
     # lane i of the index's columns is the i-th regular, a user without a category
-    for (uid, code), direct, indirect, indirect_minority in zip(
-        compress(zip(users.ids, users.user_codes), [c is None for c in users.categories]),
+    for uid, direct, indirect, indirect_minority, rt, replies in zip(
+        compress(users.ids, [c is None for c in users.categories]),
         zip(*index.direct), zip(*index.indirect), index.indirect_minority,
+        zip(*index.retweets), zip(*index.replies),
     ):
         indirect_total = sum(indirect)
-        rt = retweet_counts.get(code, no_counts)
         io_correlated, io_correlated_15 = _io_correlation(indirect, rt, n)
         results.append(
             UserMetrics(
@@ -291,7 +291,7 @@ def compute_all(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
                 direct_source_diversity=normalized_entropy(direct, n),
                 indirect_source_diversity=normalized_entropy(indirect, n),
                 retweet_diversity=normalized_entropy(rt, n),
-                reply_diversity=normalized_entropy(reply_counts.get(code, no_counts), n),
+                reply_diversity=normalized_entropy(replies, n),
                 minority_reach=(
                     indirect_minority / total_minority if total_minority else None
                 ),

@@ -236,9 +236,9 @@ class TweetTable:
     ``codes``, the code map of the user table the tweets are read with; an
     id no user line names is interned into it on first sight, and
     ``codes.names`` maps every code back. ``targets`` is the user a row
-    points at: a reply's target, a retweet's source author once
+    points at: a reply's target, a first-row retweet's source author once
     :func:`viewdiv.ingest.resolve_tweets` has run, and -1 otherwise (an
-    original, or a retweet whose source is no seed's original). ``sources``
+    original, or a retweet in a later row or of no seed's original). ``sources``
     holds a retweet's source tweet id as read and None for the other kinds,
     and ``ids`` and ``timestamps`` complete the row. The analysis reads the
     columns, and :meth:`rows` gives each row as a tuple.

@@ -186,6 +186,24 @@ def test_analyze_string_minority_ids_exits_2(tmp_path):
     assert "malformed country config" in result.output
 
 
+@pytest.mark.parametrize("key", ["categories", "id", "wing"])
+def test_analyze_config_missing_key_exits_2_naming_it(tmp_path, key):
+    cfg = json.loads((TOY / "config.json").read_text())
+    if key == "categories":
+        del cfg["categories"]
+    else:
+        del cfg["categories"][0][key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    result = run_cli(
+        ["analyze", "--config", str(bad), "--users", str(TOY / "users.jsonl"),
+         "--tweets", str(TOY / "tweets.jsonl"), "--out", str(tmp_path / "rep")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"{bad}: malformed country config (missing key '{key}')" in result.output
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.parametrize(
     "field, value", [("category_id", ["x"]), ("name", ["n"])], ids=["category_id", "name"]
 )

@@ -32,6 +32,7 @@ from viewdiv import (
     normalized_entropy,
 )
 from viewdiv.metrics import ExposureIndex
+from viewdiv.model import TweetKind
 from viewdiv.oracle import exposure_timeline as _timeline
 
 TOY = Path(__file__).resolve().parent / "data" / "toy"
@@ -278,3 +279,32 @@ def test_blocks_of_regulars_give_the_counts_of_one_block(monkeypatch, source, pe
     assert blocks.indirect_minority == whole.indirect_minority
     assert _assert_exposure_counts_match_the_timelines(ds) == n_regulars
     assert compute_all(ds) == want
+
+
+@pytest.mark.parametrize("crawl", ["toy", 0, 1, 2])
+def test_retweet_and_reply_lanes_count_the_rows(crawl):
+    """Lane ``i`` of ``retweets[c]`` and ``replies[c]`` counts the ``i``-th
+    regular's retweets of originals a seed of category ``c`` wrote and its
+    replies to such a seed, as plain counts over the dataset's rows give
+    them; a reply to a regular counts in no column."""
+    ds = _toy() if crawl == "toy" else _generated(crawl)
+    index = ExposureIndex(ds)
+    category = dict(zip(ds.users.ids, ds.users.categories))
+    author = original_authors(ds)
+    counts = Counter()
+    for _, uid, kind, source, target, _ in ds.tweets.rows():
+        pointed = author.get(source) if kind is TweetKind.RETWEET else target
+        counts[uid, kind, category.get(pointed)] += 1
+    regulars = list(compress(ds.users.ids, [c is None for c in ds.users.categories]))
+    assert {len(column) for column in (*index.retweets, *index.replies)} == {len(regulars)}
+    order = [c.id for c in ds.config.categories]
+    for lane, uid in enumerate(regulars):
+        assert (
+            [column[lane] for column in index.retweets],
+            [column[lane] for column in index.replies],
+        ) == (
+            [counts[uid, TweetKind.RETWEET, c] for c in order],
+            [counts[uid, TweetKind.REPLY, c] for c in order],
+        ), uid
+    # the crawl has counts to get wrong: seed-bound retweets and replies
+    assert any(map(any, index.retweets)) and any(map(any, index.replies))

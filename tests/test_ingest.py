@@ -849,7 +849,8 @@ def _seed_originals(users, tweet_rows) -> dict[str, str]:
 def _filter(users, tweets, **kwargs):
     """filter_active_regulars on the table of ``users`` and the resolved
     table of ``tweets``."""
-    return filter_active_regulars(*tables(users, tweets), **kwargs)
+    users, tweets, _ = tables(users, tweets)
+    return filter_active_regulars(users, tweets, **kwargs)
 
 
 def _activity(n_retweets: int):

@@ -108,7 +108,7 @@ def test_validate_rejects_dangling_and_nonseed_followees():
         regular("u1", ["nobody"]),
         regular("u3", ["u1", "s1", "zed"]),
     )
-    retained, _, dropped = filter_active_regulars(users, TweetTable(users.codes), b"", min_retweets=0)
+    retained, _, dropped = filter_active_regulars(users, TweetTable(users.codes), min_retweets=0)
     assert retained.ids == ["s1", "u3"] and dropped == 1
     assert validate_config(cfg, retained) == [
         "user 'u3' follows unknown id 'u1'",
