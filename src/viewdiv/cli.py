@@ -12,12 +12,13 @@ import argparse
 import gc
 import json
 import sys
+from itertools import compress
 from pathlib import Path
 
 from . import ingest as ingest_mod
 from .ingest import IngestError, IngestReport, ParseDiagnostic, load_country_config
 from .metrics import IO_MARGIN, UserMetrics, WingMatrix, compute_all
-from .model import Dataset, Record
+from .model import ORIGINAL, Dataset, Record
 from .stats import check_bin_width, distribution, fraction_below, welch_t_test
 
 METRIC_FIELDS = (
@@ -125,9 +126,12 @@ def _summary_object(
     per_user: list[UserMetrics],
     matrix: WingMatrix,
 ) -> dict:
-    originals = dataset.tweets.original_counts()
-    codes = dataset.users.codes
-    minority_originals = sum(originals[codes[m]] for m in dataset.config.minority_user_ids)
+    users, tweets = dataset.users, dataset.tweets
+    minority = dataset.config.minority_user_ids
+    is_minority = users.per_code(map(minority.__contains__, users.ids), False)
+    minority_originals = sum(
+        map(is_minority.__getitem__, compress(tweets.authors, tweets.select(ORIGINAL)))
+    )
     seeds, regulars = _user_counts(dataset)
     metrics_obj = {}
     for field in METRIC_FIELDS:

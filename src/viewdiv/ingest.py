@@ -27,14 +27,19 @@ id and each follow list as the int codes of its
 of a :class:`~viewdiv.model.TweetTable` over the same map: one code per
 user id, from parse to kernel.
 
-A tweet line is read by its shape. One in exactly the compact form that
-:func:`write_dataset` writes (``{"id":"t1","author_id":"u1","kind":
-"retweet","source_tweet_id":"t0","timestamp":5}``: printable-ASCII strings
-without escapes, keys in this order, no spaces, an integer timestamp of at
-most 18 digits without a leading zero) is read from one compiled pattern,
-``_CANONICAL_TWEET``. Every other line is decoded as JSON and held to the
-rule. Both paths give the same row, and only the second can give a
-diagnostic.
+Both readers read a line by its shape. A line in exactly the compact form
+that :func:`write_dataset` writes (printable-ASCII strings without escapes,
+keys in the written order, no spaces) takes a compact path. A tweet line
+(``{"id":"t1","author_id":"u1","kind":"retweet","source_tweet_id":"t0",
+"timestamp":5}``, an integer timestamp of at most 18 digits without a
+leading zero) is read from one compiled pattern, ``_CANONICAL_TWEET``. A
+user line (``{"id":"u1","kind":"regular","followees":["s1","s2"]}``, a
+seed's ``"category"`` after its kind) has its head, up to the followee
+list, matched by ``_CANONICAL_USER``, and the rest of the line checked and
+split as one string by C calls (``_compact_followees``), so no Python loop
+or pattern walks the followees. Every other line, and a compact user line
+whose id is already read, is decoded as JSON and held to the rule. Both
+paths give the same row, and only the second can give a diagnostic.
 """
 
 from __future__ import annotations
@@ -117,6 +122,11 @@ _CANONICAL_TWEET = re.compile(
     rf'(?:"original"|"retweet","source_tweet_id":{_STR}|"reply","target_user_id":{_STR})'
     r',"timestamp":(0|[1-9][0-9]{0,17})\}[ \t\r\n]*'
 )
+# The head of the compact line _user_line writes, up to the opening bracket
+# of its followee list; strings as above. Groups: id, category (seeds only).
+_CANONICAL_USER = re.compile(
+    rf'\{{"id":{_STR},"kind":(?:"seed","category":{_STR}|"regular"),"followees":\['
+)
 
 
 def _decode(line: str) -> tuple[dict | None, str | None]:
@@ -163,33 +173,76 @@ def _decode(line: str) -> tuple[dict | None, str | None]:
     return obj, None
 
 
+def _compact_followees(line: str, start: int) -> list[str] | None:
+    """The followee list of a line whose followees start at ``start``, just
+    after ``"followees":[``, when the rest of the line is exactly
+    ``"f1","f2",...]}`` (no followee, or any number, repeats included) and
+    then JSON whitespace, each followee printable ASCII without '"' or '\\';
+    else None. Each check is one C call over the whole list."""
+    body = line.rstrip(_JSON_WHITESPACE)
+    if not body.endswith("]}"):
+        return None
+    segment = body[start:-2]
+    if not segment:
+        return []
+    if not (
+        segment[0] == segment[-1] == '"'
+        and segment.isascii()
+        and "\\" not in segment
+        and segment.isprintable()
+    ):
+        return None
+    parts = segment[1:-1].split('","')
+    # the quotes are the separators' and the two outer ones iff no part
+    # holds a quote of its own
+    return parts if segment.count('"') == 2 * len(parts) else None
+
+
 def parse_users(lines: Iterable[str]) -> tuple[UserTable, list[ParseDiagnostic]]:
     """Parse user lines into one :class:`UserTable`; malformed lines become
     diagnostics, not failures, each naming its input as ``"users"``.
 
     Duplicate user ids keep the first occurrence and flag the later line.
-    Blank lines are skipped silently. A follow list may name an id more
+    Blank lines, empty or JSON whitespace only, are skipped silently; a
+    line of other whitespace (a form feed, say) is invalid JSON, as
+    ``json.loads`` finds it. A follow list may name an id more
     than once, or before that id's own line: each user's id and then each
     followed id gets an int code in the table's code map as it is read, and
     the follow list holds those codes, repeats too, whatever order the lines come in.
+
+    A line whose head ``_CANONICAL_USER`` matches, whose id is not yet read
+    and whose rest ``_compact_followees`` accepts, the compact form
+    :func:`write_dataset` writes, is read from the head's groups and the
+    split followee list; any other line is decoded as JSON and held to
+    :func:`~viewdiv.model.user_violation`. A line the compact path takes
+    decodes to the same fields and passes that rule, so the path a line
+    takes never changes its row or its diagnostic.
     """
     users = UserTable([], [], [], CodeMap())
     code = users.codes.__getitem__
     diagnostics: list[ParseDiagnostic] = []
     seen: set[str] = set()
 
+    canonical = _CANONICAL_USER.match
+
     for line_no, line in enumerate(lines, start=1):
-        obj, problem = _decode(line)
-        if obj is not None:
-            get = obj.get
-            uid, kind, category = get("id"), get("kind"), get("category")
-            followees = get("followees", [])
-            problem = user_violation(uid, kind, category, followees, seen)
-        if problem is not None:
-            # a blank line fails to decode and is skipped, not diagnosed
-            if line.strip():
-                diagnostics.append(ParseDiagnostic(line_no, problem, "users"))
-            continue
+        m = canonical(line)
+        # a repeated id takes the JSON path, which names it
+        followees = None if m is None or m[1] in seen else _compact_followees(line, m.end())
+        if followees is not None:
+            uid, category = m.groups()  # type: ignore[union-attr]
+        else:
+            obj, problem = _decode(line)
+            if obj is not None:
+                get = obj.get
+                uid, kind, category = get("id"), get("kind"), get("category")
+                followees = get("followees", [])
+                problem = user_violation(uid, kind, category, followees, seen)
+            if problem is not None:
+                # a blank line fails to decode and is skipped, not diagnosed
+                if line.strip(_JSON_WHITESPACE):
+                    diagnostics.append(ParseDiagnostic(line_no, problem, "users"))
+                continue
         seen.add(uid)
         users.ids.append(uid)
         users.categories.append(category)
@@ -250,7 +303,7 @@ def parse_tweets(lines: Iterable[str], codes: CodeMap) -> tuple[TweetTable, list
                 problem = tweet_violation(tid, author, kind, source, target, timestamp)
             if problem is not None:
                 # a blank line fails to decode and is skipped, not diagnosed
-                if line.strip():
+                if line.strip(_JSON_WHITESPACE):
                     diagnostics.append(ParseDiagnostic(line_no, problem, "tweets"))
                 continue
             kind = TWEET_KIND_CODES[kind]

@@ -28,8 +28,11 @@ from viewdiv import (
 )
 from viewdiv.ingest import (
     _CANONICAL_TWEET,
+    _CANONICAL_USER,
     _WRITE_ROWS,
+    _compact_followees,
     _decode,
+    _user_line,
     build_dataset,
     filter_active_regulars,
     resolve_tweets,
@@ -227,6 +230,25 @@ def test_parse_users_ignores_unknown_keys_and_blank_lines():
     lines = ['{"id":"s1","kind":"seed","category":"a","followees":[],"extra":1}', "", "  "]
     users, diags = parse_users(lines)
     assert len(users) == 1 and diags == []
+
+
+@pytest.mark.parametrize("line", ["\x0c", "\x0b", "\x1c", "\xa0", "\u2028", " \x0c\n", "\t\x85"])
+def test_a_line_of_non_json_whitespace_is_one_invalid_json_diagnostic(line):
+    """A line of whitespace that str.strip strips but JSON does not skip is
+    invalid JSON, as json.loads says, in both readers."""
+    users, user_diags = parse_users([line])
+    tweets, tweet_diags = parse_tweets([line], CodeMap())
+    assert len(users) == len(tweets) == 0
+    assert user_diags == [ParseDiagnostic(1, _loads_reason(line), "users")]
+    assert tweet_diags == [ParseDiagnostic(1, _loads_reason(line), "tweets")]
+    assert _loads_reason(line).startswith("invalid JSON")
+
+
+@pytest.mark.parametrize("line", ["", "   ", "\t", "\r\n"])
+def test_json_whitespace_lines_are_skipped(line):
+    assert parse_users([line]) == (parse_users([])[0], [])
+    tweets, diags = parse_tweets([line], CodeMap())
+    assert len(tweets) == 0 and diags == []
 
 
 def test_parse_users_invalid_json():
@@ -565,6 +587,206 @@ def test_written_tweet_lines_take_the_pattern_path(record):
     )
     line = tweet_to_line(tweet)
     assert _CANONICAL_TWEET.fullmatch(line) and _CANONICAL_TWEET.fullmatch(line + "\n")
+
+
+# -- the compact user path and the JSON path -----------------------------------
+#
+# parse_users reads a line whose head _CANONICAL_USER matches, and whose rest
+# _compact_followees accepts, from the head's groups and the split rest; it
+# decodes any other line as JSON. As for tweets, " " + line takes the JSON
+# path, so it must give the same table and diagnostics as the line itself.
+
+
+def _assert_user_paths_agree(line: str, before: tuple[str, ...] = ()) -> None:
+    """``line`` after the lines ``before`` and " " + ``line`` after them
+    give the same rows, codes in the same order and the same diagnostics."""
+    fast, fast_diags = parse_users([*before, line])
+    slow, slow_diags = parse_users([*before, " " + line])
+    assert list(fast.rows()) == list(slow.rows())
+    assert fast.codes.names == slow.codes.names and fast.follows == slow.follows
+    assert fast_diags == slow_diags
+
+
+def _takes_compact_path(line: str) -> bool:
+    m = _CANONICAL_USER.match(line)
+    return m is not None and _compact_followees(line, m.end()) is not None
+
+
+@st.composite
+def _compact_user(draw) -> dict:
+    record = {"id": draw(_plain_ids), "kind": draw(st.sampled_from(["seed", "regular"]))}
+    if record["kind"] == "seed":
+        record["category"] = draw(_plain_ids)
+    # repeats included: a follow list is kept as read
+    followee = st.sampled_from(["s1", "s2", "s3"]) | _plain_ids
+    record["followees"] = draw(st.lists(followee, max_size=5))
+    return record
+
+
+_USER_MUTATIONS = [
+    "none", "odd_string", "raw_control", "empty_string", "empty_list", "non_string_followee",
+    "extra_key", "key_order", "repeated_followees", "seed_without_category",
+    "regular_with_category", "repeated_id", "default_spacing", "crlf", "trailing", "too_deep",
+]
+# Control characters as they stand in a line's text, not escaped: JSON
+# refuses each inside a string.
+_RAW_CONTROLS = ["\x00", "\t", "\n", "\x1b", "\x1f"]
+
+
+@st.composite
+def _mutated_user_line(draw) -> tuple[str, tuple[str, ...]]:
+    """A compact user line, changed in one of the ways that can send it
+    down the JSON path or make it malformed, and the lines read before it."""
+    record = draw(_compact_user())
+    how = draw(st.sampled_from(_USER_MUTATIONS))
+    # each string of the line as (container, key): the id, a seed's
+    # category and each followee
+    slots = [(record, key) for key in ("id", "category") if key in record]
+    slots += [(record["followees"], i) for i in range(len(record["followees"]))]
+    if how == "odd_string":
+        box, key = draw(st.sampled_from(slots))
+        odd = draw(st.text(st.sampled_from(_ODD_CHARS), min_size=1, max_size=3))
+        at = draw(st.integers(0, len(box[key])))
+        box[key] = box[key][:at] + odd + box[key][at:]
+        return _compact(record, ensure_ascii=draw(st.booleans())), ()
+    if how == "empty_string":
+        box, key = draw(st.sampled_from(slots))
+        box[key] = ""
+    elif how == "empty_list":
+        record["followees"] = []
+    elif how == "non_string_followee":
+        odd = draw(st.sampled_from([1, None, True, ["s1"], {"s": 1}]))
+        at = draw(st.integers(0, len(record["followees"])))
+        record["followees"] = [*record["followees"][:at], odd, *record["followees"][at:]]
+    elif how == "extra_key":
+        value = draw(st.sampled_from([1, "x", None, [], ["s1"], ["s1", "s2"], {"k": 1}]))
+        items = list(record.items())
+        at = draw(st.integers(0, len(items)))
+        record = dict([*items[:at], ("x", value), *items[at:]])
+    elif how == "key_order":
+        record = dict(draw(st.permutations(list(record.items()))))
+    elif how == "repeated_followees":
+        # a second followees key, which json.loads reads as the one that counts
+        other = draw(st.lists(_plain_ids, max_size=2))
+        line = _compact(record)[:-1] + ',"followees":' + _compact(other) + "}"
+        return line, ()
+    elif how == "seed_without_category":
+        record = {"id": record["id"], "kind": "seed", "followees": record["followees"]}
+    elif how == "regular_with_category":
+        record = {"id": record["id"], "kind": "regular", "category": draw(_plain_ids),
+                  "followees": record["followees"]}
+    elif how == "repeated_id":
+        return _compact(record), (_compact({**record, "followees": []}),)
+    elif how == "default_spacing":
+        return json.dumps(record), ()
+    elif how == "raw_control":
+        # a followee holding a marker no plain id holds, written raw and
+        # then replaced (the head's pattern refuses any other field's)
+        at = draw(st.integers(0, len(record["followees"])))
+        record["followees"].insert(at, "s\xff")
+        line = _compact(record, ensure_ascii=False)
+        return line.replace("\xff", draw(st.sampled_from(_RAW_CONTROLS))), ()
+    line = _compact(record)
+    if how == "crlf":
+        return line + "\r\n", ()
+    if how == "trailing":
+        return line + draw(st.sampled_from(["x", "}", "]}", ",", " 1", "\x0c", "\t\n", " \n"])), ()
+    if how == "too_deep":
+        return line[:-1] + ',"x":' + _TOO_DEEP + "}", ()
+    return line + draw(st.sampled_from(["", "\n"])), ()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_mutated_user_line())
+def test_compact_and_json_user_paths_agree_on_mutated_lines(case):
+    line, before = case
+    _assert_user_paths_agree(line, before)
+
+
+_SD = {"id": "s9", "kind": "seed", "category": "a", "followees": ["s1", "s2"]}
+_RG = {"id": "u9", "kind": "regular", "followees": ["s1", "s2", "s1"]}
+
+
+_NAMED_USER_LINES = [
+    pytest.param(_compact(_SD), id="compact_seed"),
+    pytest.param(_compact(_RG), id="compact_regular_with_a_repeat"),
+    pytest.param(_compact({**_RG, "followees": []}), id="no_followees"),
+    pytest.param(_compact(_RG) + "\r\n", id="crlf"),
+    pytest.param(_compact(_RG) + " \t\n", id="trailing_whitespace"),
+    pytest.param(_compact({**_SD, "id": 's"9'}), id="escaped_quote_in_id"),
+    pytest.param(_compact({**_SD, "category": "a\\b"}), id="escaped_backslash_in_category"),
+    pytest.param(_compact({**_RG, "followees": ['s"1']}), id="escaped_quote_in_followee"),
+    pytest.param(_compact({**_RG, "followees": ["s1", 's","2']}), id="escaped_separator"),
+    pytest.param(_compact({**_RG, "followees": ["s\\1"]}), id="escaped_backslash_in_followee"),
+    pytest.param(_compact({**_RG, "followees": ["s\x01"]}), id="control_character"),
+    pytest.param('{"id":"u9","kind":"regular","followees":["s\x01"]}', id="raw_control_character"),
+    pytest.param('{"id":"u9","kind":"regular","followees":["s\t1"]}', id="raw_tab"),
+    pytest.param(_compact({**_RG, "followees": ["s\x7f"]}), id="delete_character"),
+    pytest.param(_compact({**_RG, "followees": ["s\xe9"]}, False), id="raw_non_ascii"),
+    pytest.param(_compact({**_RG, "followees": ["s\xe9"]}), id="escaped_non_ascii"),
+    pytest.param(_compact({**_RG, "followees": ["s\udcff"]}), id="escaped_lone_surrogate"),
+    pytest.param(_compact({**_RG, "followees": ["s\udcff"]}, False), id="raw_lone_surrogate"),
+    pytest.param(_compact({**_RG, "id": ""}), id="empty_id"),
+    pytest.param(_compact({**_SD, "category": ""}), id="empty_category"),
+    pytest.param(_compact({**_RG, "followees": [""]}), id="empty_followee"),
+    pytest.param(_compact({**_RG, "followees": ["s1", "", "s2"]}), id="empty_middle_followee"),
+    pytest.param('{"id":"u9","kind":"regular","followees":["]}', id="lone_quote"),
+    pytest.param('{"id":"u9","kind":"regular","followees":[""""]}', id="four_quotes"),
+    pytest.param('{"id":"u9","kind":"regular","followees":["s1" ,"s2"]}', id="space_in_list"),
+    pytest.param('{"id":"u9","kind":"regular","followees":["s1",]}', id="trailing_comma"),
+    pytest.param(_compact({**_RG, "followees": ["s1", 2]}), id="int_followee"),
+    pytest.param(_compact({**_RG, "followees": [["s1"]]}), id="nested_followee"),
+    pytest.param(_compact({**_RG, "x": ["s3"]}), id="extra_list_key_last"),
+    pytest.param(_compact({"x": 1, **_RG}), id="extra_key_first"),
+    pytest.param(_compact({"kind": "regular", **_RG}), id="other_key_order"),
+    pytest.param(_compact(_RG)[:-1] + ',"followees":["s3"]}', id="repeated_followees_key"),
+    pytest.param(_compact({**_RG, "kind": "seed"}), id="seed_without_category"),
+    pytest.param(_compact({**_RG, "category": "a"}), id="regular_with_category"),
+    pytest.param(_compact({**_RG, "kind": "bot"}), id="unknown_kind"),
+    pytest.param(json.dumps(_RG), id="default_spacing"),
+    pytest.param(_compact(_RG) + "x", id="trailing_garbage"),
+    pytest.param(_compact(_RG)[:-1], id="cut_before_brace"),
+    pytest.param(_compact(_RG)[:-2], id="cut_before_bracket"),
+    pytest.param(_compact(_RG)[:-1] + ',"x":' + _TOO_DEEP + "}", id="too_deep"),
+]
+# The named lines that take the compact path: an empty followee is a string
+# like any other.
+_COMPACT_NAMED = {
+    "compact_seed", "compact_regular_with_a_repeat", "no_followees", "crlf",
+    "trailing_whitespace", "empty_followee", "empty_middle_followee",
+}
+
+
+@pytest.mark.parametrize("line", _NAMED_USER_LINES)
+def test_compact_and_json_user_paths_agree_on_named_lines(line):
+    _assert_user_paths_agree(line)
+
+
+def test_named_user_lines_take_the_path_their_shape_gives():
+    taken = {p.id for p in _NAMED_USER_LINES if _takes_compact_path(p.values[0])}
+    assert taken == _COMPACT_NAMED
+
+
+def test_compact_user_line_with_a_read_id_is_named_as_a_repeat():
+    line = _compact(_RG)
+    _assert_user_paths_agree(line, (line,))
+    users, diags = parse_users([line, line])
+    assert users.ids == ["u9"]
+    assert diags == [ParseDiagnostic(2, "duplicate user id 'u9'", "users")]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(record=_compact_user())
+def test_written_user_lines_take_the_compact_path(record):
+    """Every line _user_line writes takes the compact path and gives its
+    followees as listed, repeats included; a change to the writer's format
+    would put every written file back on the JSON path."""
+    line = _user_line(record["id"], UserKind(record["kind"]), record.get("category"),
+                      record["followees"])
+    for text in (line, line + "\n"):
+        m = _CANONICAL_USER.match(text)
+        assert m is not None and m.groups() == (record["id"], record.get("category"))
+        assert _compact_followees(text, m.end()) == record["followees"]
 
 
 # Any text a record can hold, including the characters JSON escapes: not a
