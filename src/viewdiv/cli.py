@@ -92,12 +92,16 @@ def _load(
     spam_path: str | Path | None,
 ) -> tuple[Dataset, IngestReport, list[ParseDiagnostic]]:
     """Ingest one dataset's inputs, parsing each file as it is read. An
-    empty or absent ``spam_path`` means no spam list."""
+    empty or absent ``spam_path`` means no spam list; a spam list that
+    ``parse_spam`` refuses is a ValueError naming its path."""
     config = load_country_config(config_path)
     spam: frozenset[str] | set[str] = frozenset()
     if spam_path:
         with _open_lines(spam_path) as fh:
-            spam = ingest_mod.parse_spam(fh)
+            try:
+                spam = ingest_mod.parse_spam(fh)
+            except ValueError as exc:
+                raise ValueError(f"{spam_path}: malformed spam list ({exc})") from exc
     # Both opened before either is read, so a bad path fails before parsing.
     with _open_lines(users_path) as users, _open_lines(tweets_path) as tweets:
         return ingest_mod.load_dataset(config, users, tweets, spam)
@@ -386,8 +390,10 @@ def _validate(args: argparse.Namespace) -> None:
     print(
         f"users_read={report.users_read} dropped_spam={report.users_dropped_spam} "
         f"dropped_threshold={report.users_dropped_threshold} "
+        f"followees_ignored={report.followees_ignored} "
         f"tweets_read={report.tweets_read} "
-        f"tweets_dropped_dangling={report.tweets_dropped_dangling}"
+        f"tweets_dropped_dangling={report.tweets_dropped_dangling} "
+        f"tweets_dropped_duplicate={report.tweets_dropped_duplicate}"
     )
     paths = {"users": args.users, "tweets": args.tweets}
     for d in diagnostics:

@@ -9,12 +9,14 @@ valid UTF-8, or a ``\\u`` escape of a lone surrogate, becomes one "invalid
 UTF-8" diagnostic):
 
 * users file:  ``{"id": ..., "kind": "seed"|"regular", "category": ...,
-  "followees": [...]}`` -- ``category`` only for seeds.
+  "followees": [...]}`` -- ``category`` only for seeds; ``followees`` may
+  name any id, and only the seeds among them count.
 * tweets file: ``{"id": ..., "author_id": ..., "kind":
   "original"|"retweet"|"reply", "source_tweet_id": ..., "target_user_id":
   ..., "timestamp": ...}`` -- ``source_tweet_id`` kept for retweets only,
   ``target_user_id`` for replies only.
-* spam list:   one user id per line.
+* spam list:   one user id per line; a line that is not valid UTF-8
+  refuses the whole list (:func:`parse_spam`).
 
 Unknown keys are ignored. Malformed lines yield diagnostics, never aborts:
 a line is held to :func:`~viewdiv.model.user_violation` or
@@ -89,16 +91,22 @@ class ParseDiagnostic(Record):
 
 
 class IngestReport(Record):
-    """What :func:`load_dataset` read and dropped, each an int count, 0 by default."""
+    """What :func:`load_dataset` read, dropped and ignored, each an int
+    count, 0 by default. ``followees_ignored`` counts the entries of the
+    retained users' follow lists that name no seed, as read, repeats
+    included; ``tweets_dropped_duplicate`` the tweet rows after the first
+    of their id."""
 
     __slots__ = (
         "users_read",
         "users_dropped_spam",
         "users_dropped_threshold",
+        "followees_ignored",
         "tweets_read",
         "tweets_dropped_dangling",
+        "tweets_dropped_duplicate",
     )
-    _defaults = (0, 0, 0, 0, 0)
+    _defaults = (0, 0, 0, 0, 0, 0, 0)
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -322,8 +330,20 @@ def parse_tweets(lines: Iterable[str], codes: CodeMap) -> tuple[TweetTable, list
 
 
 def parse_spam(lines: Iterable[str]) -> set[str]:
-    """Parse a spam exclusion list: one user id per line, blanks skipped."""
-    return {line.strip() for line in lines if line.strip()}
+    """Parse a spam exclusion list: one user id per line, surrounding
+    whitespace stripped and blank lines skipped. A line holding a lone
+    surrogate, which is what reading bytes that are not valid UTF-8 with
+    ``errors="surrogateescape"`` makes, raises ``ValueError("line <n>:
+    invalid UTF-8")``: no user id can hold one."""
+    spam: set[str] = set()
+    for line_no, line in enumerate(lines, start=1):
+        uid = line.strip()
+        if not uid:
+            continue
+        if not uid.isascii() and LONE_SURROGATE.search(uid):
+            raise ValueError(f"line {line_no}: invalid UTF-8")
+        spam.add(uid)
+    return spam
 
 
 def _check_codes(users: UserTable, tweets: TweetTable) -> None:
@@ -413,8 +433,9 @@ def filter_active_regulars(
 
 def validate_config(config: CountryConfig, users: UserTable) -> list[str]:
     """Check a config against a user table: its categories and wings, that
-    every minority id names a seed (a user with a category), that every
-    seed's category is in the config, and that every followed id is a seed.
+    every minority id names a seed (a user with a category), and that every
+    seed's category is in the config. Follow lists are not read: a follow
+    list may name anyone, and every metric counts only the seeds it names.
 
     Returns a list of violation messages; an empty list means the config is
     valid. Violations are data, not faults: nothing raises here.
@@ -447,16 +468,10 @@ def validate_config(config: CountryConfig, users: UserTable) -> list[str]:
         elif not is_seed[code]:
             violations.append(f"minority id {mid!r} must be a seed user")
 
-    non_seed = {c for c, seed in enumerate(is_seed) if not seed}
-    names = users.codes.names
-    for uid, category, follows in zip(users.ids, users.categories, users.follows):
+    for uid, category in zip(users.ids, users.categories):
         # a seed's category is a string, a regular's None
         if category is not None and category not in seen:
             violations.append(f"seed {uid!r} references unknown category {category!r}")
-        # a followed code that is no seed is a user of the table or no one
-        for c in sorted(non_seed.intersection(follows), key=names.__getitem__):
-            what = "non-seed" if is_user[c] else "unknown id"
-            violations.append(f"user {uid!r} follows {what} {names[c]!r}")
 
     return violations
 
@@ -517,9 +532,11 @@ def load_dataset(
     counts toward a regular's activity iff the dataset keeps it.
     ``users_read`` and ``tweets_read`` count every attempted record line,
     so users_read = retained + dropped_spam + dropped_threshold +
-    malformed, and tweets_read = kept + dropped_dangling + malformed +
-    duplicate ids. The diagnostics are the users' and then the tweets',
-    each in line order and named by the reader that built it.
+    malformed, and tweets_read = kept + dropped_dangling +
+    dropped_duplicate + malformed. Follow lists are kept as read, and
+    ``followees_ignored`` counts the retained users' entries that name no
+    seed, which no metric reads. The diagnostics are the users' and then
+    the tweets', each in line order and named by the reader that built it.
     """
     users, user_diags = parse_users(user_lines)
     tweets, tweet_diags = parse_tweets(tweet_lines, users.codes)
@@ -528,12 +545,20 @@ def load_dataset(
         users, tweets, spam_ids, min_retweets
     )
     dataset, dropped_dangling = build_dataset(config, retained, tweets, first)
+    seeds = set(compress(retained.user_codes, retained.categories))
     report = IngestReport(
         users_read=len(users) + len(user_diags),
         users_dropped_spam=dropped_spam,
         users_dropped_threshold=dropped_threshold,
+        # a list of seeds alone, as every generated one, is one C-level test
+        followees_ignored=sum(
+            len(follows) - sum(map(seeds.__contains__, follows))
+            for follows in retained.follows
+            if not seeds.issuperset(follows)
+        ),
         tweets_read=len(tweets) + len(tweet_diags),
         tweets_dropped_dangling=dropped_dangling,
+        tweets_dropped_duplicate=len(tweets) - first.count(1),
     )
     return dataset, report, user_diags + tweet_diags
 

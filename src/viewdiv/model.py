@@ -321,12 +321,13 @@ class UserTable:
     row, and so has every followed id and every id a tweet table over the
     same map names; ``codes.names`` maps a code back to its id.
     ``follows`` holds each user's follow list as a list of the codes of the
-    ids it follows as read, in order and with repeats, which no reader minds:
-    seeds of the table, and any other id (:func:`viewdiv.ingest.validate_config`
-    names those). The codes follow the order in which the lines name ids, so
-    nothing that reaches an output may depend on them. An id in ``codes``
-    need not name a user of the table: :meth:`per_code` over the rows tells
-    which codes do.
+    ids it follows as read, in order and with repeats, seeds of the table
+    and any other id alike: every metric counts only the seeds' codes, each
+    once, and :func:`viewdiv.ingest.load_dataset` counts the other entries
+    of the retained lists as ``followees_ignored``. The codes follow the
+    order in which the lines name ids, so nothing that reaches an output
+    may depend on them. An id in ``codes`` need not name a user of the
+    table: :meth:`per_code` over the rows tells which codes do.
 
     The analysis reads the columns, :meth:`rows` gives each user as a
     tuple, and nothing looks one up by id.

@@ -3,7 +3,7 @@
 Ground truth for equivalence testing: every metric is recomputed directly
 from its definition with plain loops over this module's own user and tweet
 records, built from the rows of the dataset's tables (a follow list is a
-set of seed ids, never the follow codes), sharing nothing with the metrics
+set of ids, never the follow codes), sharing nothing with the metrics
 module (its exposure index included) except the domain types, result
 shapes and ``IO_MARGIN``. The set-level exposure view,
 :func:`exposure_timeline`, lives here for the same reason. Deliberately
@@ -42,11 +42,10 @@ class UserRecord:
 
     Seeds carry exactly one category; regulars carry none and their stance is
     only ever inferred from behavior. Followees are the ids the user follows,
-    as read, seeds or not; a dataset's users follow seeds only, since
-    :func:`~viewdiv.ingest.validate_config` names every other followed id.
-    The fields are held to :func:`~viewdiv.model.user_violation`, and the
-    followees must be a frozenset, so that a record hashes and round-trips
-    through its line.
+    as read, seeds or not: a follow list may name anyone, and every metric
+    counts only the seeds among them. The fields are held to
+    :func:`~viewdiv.model.user_violation`, and the followees must be a
+    frozenset, so that a record hashes and round-trips through its line.
     """
 
     id: str
@@ -121,21 +120,31 @@ class ExposureTimeline:
 
 
 def exposure_timeline(dataset: Dataset, user_id: str) -> ExposureTimeline:
-    """The originals a user's followees wrote (direct), plus the ones they
-    retweeted (indirect).
+    """The originals the seeds a user follows wrote (direct), plus the ones
+    those seeds retweeted (indirect); a followee that is no seed adds
+    nothing.
 
     An original reaching the user along several paths is one member. An
     unknown user raises KeyError.
     """
     users, tweets = _records(dataset)
-    return _timeline(users[user_id], tweets)
+    return _timeline(users[user_id], _seeds(users), tweets)
 
 
-def _timeline(user: UserRecord, tweets: list[TweetRecord]) -> ExposureTimeline:
-    """:func:`exposure_timeline` by a scan of every tweet per followee."""
+def _seeds(users: dict[str, UserRecord]) -> dict[str, UserRecord]:
+    """The seeds among ``users``, by id."""
+    return {uid: u for uid, u in users.items() if u.kind is UserKind.SEED}
+
+
+def _timeline(
+    user: UserRecord, seeds: dict[str, UserRecord], tweets: list[TweetRecord]
+) -> ExposureTimeline:
+    """:func:`exposure_timeline` by a scan of every tweet per followed seed."""
     direct: set[str] = set()
     surfaced: set[str] = set()
     for f in user.followees:
+        if f not in seeds:
+            continue
         for t in tweets:
             if t.author_id != f:
                 continue
@@ -182,7 +191,7 @@ def oracle_metrics(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     n = cfg.n_categories
     # every scan below reads these records, built once from the tables
     users, tweets = _records(dataset)
-    seeds = {uid: u for uid, u in users.items() if u.kind is UserKind.SEED}
+    seeds = _seeds(users)
 
     all_minority_originals = set()
     for t in tweets:
@@ -208,7 +217,7 @@ def oracle_metrics(dataset: Dataset) -> tuple[list[UserMetrics], WingMatrix]:
     results: list[UserMetrics] = []
     regulars = sorted(uid for uid, u in users.items() if u.kind is UserKind.REGULAR)
     for uid in regulars:
-        timeline = _timeline(users[uid], tweets)
+        timeline = _timeline(users[uid], seeds, tweets)
         direct = set(timeline.direct)
         indirect = set(timeline.indirect)
 

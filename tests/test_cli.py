@@ -477,6 +477,19 @@ def test_empty_spam_path_means_no_spam_list(tmp_path, command):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare", "validate"])
+def test_spam_line_that_is_not_utf8_exits_2(tmp_path, command):
+    """A spam list is ids alone, with no line diagnostics: a line that is
+    not valid UTF-8 refuses the list, naming its path and line, before any
+    report is written."""
+    spam = tmp_path / "spam.txt"
+    spam.write_bytes(b"u_bob\n\xff\xfe\n")
+    result = run_cli(_command_args(command, tmp_path / "rep", spam=str(spam)))
+    assert result.exit_code == 2, result.output
+    assert f"error: {spam}: malformed spam list (line 2: invalid UTF-8)" in result.output
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_validate_prints_the_toy_counts(tmp_path, reverse):
     """The seed and regular counts and the ingest report, also with the

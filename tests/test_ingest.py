@@ -135,9 +135,10 @@ def test_parse_users_seeds_after_regulars_give_the_same_table():
 def _mask_crawl() -> tuple[dict, list[str], list[str]]:
     """(config object, user lines in written order, tweet lines): u2 follows
     a ghost id and the regular u1, and retweets too few seed originals to be
-    kept; u1 and u3 follow seeds only. Three tweets name ids no user line
-    names, and dangle: an original and a retweet by the unknown author
-    "nobody", and u1's reply to the ghost."""
+    kept; u1 follows seeds only, and u3 follows the ghost, u1 and u2 among
+    its seeds. Three tweets name ids no user line names, and dangle: an
+    original and a retweet by the unknown author "nobody", and u1's reply to
+    the ghost."""
     cfg = {
         "name": "mask",
         "categories": [{"id": "a", "wing": "left"}, {"id": "b", "wing": "right"}],
@@ -149,7 +150,7 @@ def _mask_crawl() -> tuple[dict, list[str], list[str]]:
         {"id": "s3", "kind": "seed", "category": "b", "followees": []},
         {"id": "u1", "kind": "regular", "followees": ["s1", "s2"]},
         {"id": "u2", "kind": "regular", "followees": ["ghost", "s3", "u1"]},
-        {"id": "u3", "kind": "regular", "followees": ["s3", "s2", "s1"]},
+        {"id": "u3", "kind": "regular", "followees": ["s3", "ghost", "s2", "u2", "s1", "u1"]},
     ]
     tweets = [
         original(f"{s}o{i}", s, ts=i) for s in ("s1", "s2", "s3") for i in (1, 2, 3)
@@ -176,9 +177,9 @@ def test_follow_codes_never_reach_an_output(tmp_path):
     order, numbers the followed ids otherwise, and a tweets file in reverse
     order interns its unknown ids otherwise: every id of one line gets its
     code in the order the line names it, and the tweets hand out codes in
-    the users' code map too. The seed mask that validation and the filter
-    read must still mark each seed, so the messages, the metrics and the
-    report bytes equal the written order's."""
+    the users' code map too. The seed mask that the filter and the count of
+    ignored followees read must still mark each seed, so the counts, the
+    metrics and the report bytes equal the written order's."""
     cfg_obj, written, tweet_lines = _mask_crawl()
     users_files = {"written": written, "reversed": written[::-1]}
     tweets_files = {"written": tweet_lines, "reversed": tweet_lines[::-1]}
@@ -191,13 +192,13 @@ def test_follow_codes_never_reach_an_output(tmp_path):
     for user_lines in users_files.values():
         users, diags = parse_users(user_lines)
         assert diags == []
-        assert validate_config(cfg, users) == [
-            "user 'u2' follows unknown id 'ghost'",
-            "user 'u2' follows non-seed 'u1'",
-        ]
+        # a follow list may name anyone
+        assert validate_config(cfg, users) == []
         for lines in tweets_files.values():
             ds, report, _ = load_dataset(cfg, user_lines, lines)
             assert report.users_dropped_threshold == 1
+            # u3's ghost, u2 and u1; u2's own list is not counted, since it is dropped
+            assert report.followees_ignored == 3
             # u2's four retweets, the unknown author's two and the reply to the ghost
             assert report.tweets_dropped_dangling == 7
             results.append(compute_all(ds))
@@ -1058,6 +1059,21 @@ def test_parse_spam():
     assert parse_spam(["a", "", " b ", "a"]) == {"a", "b"}
 
 
+def test_parse_spam_refuses_a_line_that_is_not_utf8():
+    """Bytes that are not valid UTF-8, read with ``surrogateescape`` as the
+    command line reads the list, become lone surrogates, which no user id
+    can hold: the whole list is refused, naming the first such line. Other
+    text is an id, ASCII or not."""
+    lines = b"u_bob\n\xff\xfe\n\xed\xa0\x80\n".decode("utf-8", "surrogateescape")
+    with pytest.raises(ValueError, match=r"^line 2: invalid UTF-8$"):
+        parse_spam(lines.splitlines(keepends=True))
+    with pytest.raises(ValueError, match=r"^line 3: invalid UTF-8$"):
+        parse_spam(["a\n", "\n", " u\udcffx \n"])
+    assert parse_spam(["\u00fcmit\n", " \u0130stanbul\n", "u_bob\n"]) == {
+        "\u00fcmit", "\u0130stanbul", "u_bob",
+    }
+
+
 def _seed_originals(users, tweet_rows) -> dict[str, str]:
     """The originals among ``tweet_rows`` authored by a seed of the table
     ``users``: id -> author id."""
@@ -1536,9 +1552,13 @@ def test_ingest_accounting_holds_on_noisy_lines(users, tweets, spam):
         len(ds.users) + report.users_dropped_spam + report.users_dropped_threshold
         + len(user_diags)
     )
+    # every row after the first of its id is a duplicate, and nothing is
+    # left over: kept + dangling + duplicate + malformed
     duplicates = len(parsed_tweets) - len(set(parsed_tweets.ids))
+    assert report.tweets_dropped_duplicate == duplicates
     assert report.tweets_read == (
-        len(ds.tweets) + report.tweets_dropped_dangling + len(tweet_diags) + duplicates
+        len(ds.tweets) + report.tweets_dropped_dangling + report.tweets_dropped_duplicate
+        + len(tweet_diags)
     )
 
     # The kept tweets, from the definition: the first line of each id whose

@@ -53,14 +53,22 @@ follows and tweets, and the total minority volume the seeds alone.
 A seventh property writes each followee of each follow list one to three
 times and shuffles the list. The user table keeps the lists as read, so
 this reaches every reader of them, yet every per-user value, the seed
-matrix, the ingest counts and diagnostics, and the messages
-``validate_config`` gives for followees that are no seed stay exactly equal.
+matrix, the ingest counts and diagnostics stay exactly equal. With a ghost
+and a regular appended to a few lists first, the same holds, except that
+``followees_ignored`` counts each copy of them on a retained user's list.
 
 An eighth property appends, after every line of the crawl, verbatim copies
 of its tweet lines and well-formed lines that reuse its tweet ids with
 other content. The first row of each id stays the one kept or dropped, so
-only ``tweets_read`` in ``summary.json`` moves, by the number of lines
-added.
+only ``tweets_read`` and ``tweets_dropped_duplicate`` in ``summary.json``
+move, each by the number of lines added.
+
+A ninth property appends to any follow lists entries that name no seed: an
+unknown id, kept and dropped regulars, the user itself, repeats included.
+A follow list may name anyone and every metric counts only the seeds it
+names, so every report stays byte-identical except ``followees_ignored``,
+which grows by exactly the entries appended to retained users' lists, and
+``compute_all`` still equals the oracle.
 """
 
 import functools
@@ -80,11 +88,10 @@ from viewdiv import (
     generate,
     load_country_config,
     load_dataset,
-    parse_users,
     write_dataset,
 )
-from viewdiv.ingest import validate_config
 from viewdiv.metrics import ExposureIndex
+from viewdiv.oracle import oracle_metrics
 
 from helpers import UNSHRUNK, run_cli
 from test_acceptance import _assert_metrics_match
@@ -524,13 +531,15 @@ def _later_rows(data, tweets: list[str], user_ids: list[str]) -> list[str]:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(crawl=_crawl(), data=st.data())
-def test_later_rows_of_crawled_ids_move_only_tweets_read(crawl, data):
+def test_later_rows_of_crawled_ids_move_only_the_read_and_duplicate_counts(crawl, data):
     config_text, users, tweets, spam = crawl
     base = _analyze(config_text, users, tweets, spam)
     user_ids = [r["id"] for r in map(_record, users) if r is not None]
     added = _later_rows(data, tweets, user_ids)
     after = _analyze(config_text, users, tweets + added, spam)
-    assert after == _with_counts(base, tweets_read=len(added))
+    assert after == _with_counts(
+        base, tweets_read=len(added), tweets_dropped_duplicate=len(added)
+    )
 
 
 def _seed_originals(ds) -> list[tuple]:
@@ -668,15 +677,78 @@ def test_repeating_and_shuffling_followees_moves_no_value(source, data, rnd):
     assert compute_all(repeated) == compute_all(dataset), "per-user values and seed matrix"
 
     # a ghost and a regular followed from a few lines, at most one of them
-    # truncated, so that validate_config has something to name
+    # truncated: repeating them moves only the count of ignored followees
     records = [_record(line) for line in users]
     regulars = [r["id"] for r in records if r is not None and r["kind"] == "regular"]
-    invalid = list(users)
+    extended = list(users)
     lines = st.lists(st.integers(0, len(users) - 1), min_size=2, max_size=4, unique=True)
     for i in data.draw(lines):
         if records[i] is not None:
             added = ["ghost", data.draw(st.sampled_from(regulars))]
-            invalid[i] = _dumps({**records[i], "followees": records[i]["followees"] + added})
-    messages = validate_config(config, parse_users(invalid)[0])
-    assert messages
-    assert validate_config(config, parse_users(_repeated_followees(invalid, rnd))[0]) == messages
+            extended[i] = _dumps({**records[i], "followees": records[i]["followees"] + added})
+    repeated_extended = _repeated_followees(extended, rnd)
+    seeds = set(compress(dataset.users.ids, dataset.users.categories))
+    retained = set(dataset.users.ids)
+    for variant in (extended, repeated_extended):
+        loaded, report, diagnostics = load_dataset(config, variant, tweets, frozenset(spam))
+        assert compute_all(loaded) == compute_all(dataset)
+        assert diagnostics == ingest[1]
+        assert _other_counts(report) == _other_counts(ingest[0])
+        assert report.followees_ignored == _ignored_entries(variant, retained, seeds)
+
+
+def _other_counts(report) -> dict:
+    """An ingest report's counts but ``followees_ignored``."""
+    return {k: getattr(report, k) for k in report.__slots__ if k != "followees_ignored"}
+
+
+def _ignored_entries(users: list[str], retained: set[str], seeds: set[str]) -> int:
+    """The entries of the retained users' follow lists that name no seed,
+    as the lines write them, repeats included."""
+    return sum(
+        followee not in seeds
+        for r in map(_record, users) if r is not None and r["id"] in retained
+        for followee in r["followees"]
+    )
+
+
+@settings(
+    max_examples=20, deadline=None, derandomize=True, phases=UNSHRUNK,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(crawl=_crawl(), data=st.data())
+def test_followees_that_name_no_seed_move_only_followees_ignored(crawl, data):
+    config_text, users, tweets, spam = crawl
+    base = _analyze(config_text, users, tweets, spam)
+    dataset = _load(config_text, users, tweets, spam)
+    retained = set(dataset.users.ids)
+    records = [_record(line) for line in users]
+    # kept and dropped regulars (spam-listed or under the threshold) alike
+    regulars = [r["id"] for r in records if r is not None and r["kind"] == "regular"]
+
+    appended = list(users)
+    grown = 0
+    for i, r in enumerate(records):
+        if r is None:
+            continue
+        # a regular's own id names no seed; a seed's would
+        own = [r["id"]] if r["kind"] == "regular" else []
+        added = data.draw(st.lists(st.sampled_from(["ghost", *own, *regulars]), max_size=4))
+        if data.draw(st.booleans()):
+            added += added  # every entry repeated
+        appended[i] = _dumps({**r, "followees": r["followees"] + added})
+        if r["id"] in retained:
+            grown += len(added)
+
+    after = _analyze(config_text, appended, tweets, spam)
+    assert after == _with_counts(base, followees_ignored=grown)
+
+    loaded = _load(config_text, appended, tweets, spam)
+    fast, fast_matrix = compute_all(loaded)
+    slow, slow_matrix = oracle_metrics(loaded)
+    _assert_metrics_match(fast, slow, "followees that name no seed")
+    for field in ("left_to_left", "left_to_right", "right_to_left", "right_to_right"):
+        assert abs(getattr(fast_matrix, field) - getattr(slow_matrix, field)) <= 1e-12
+    assert (fast_matrix.left_interactions, fast_matrix.right_interactions) == (
+        slow_matrix.left_interactions, slow_matrix.right_interactions
+    )

@@ -21,6 +21,7 @@ from viewdiv import (
     UserTable,
     Wing,
     load_country_config,
+    load_dataset,
     parse_tweets,
     parse_users,
     validate_config,
@@ -88,47 +89,52 @@ def test_validate_rejects_an_empty_category_id():
     assert "empty category id" in validate_config(cfg, _users())
 
 
-def test_validate_rejects_dangling_and_nonseed_followees():
-    """One message per bad followee, users in table order; once the filter
-    drops a regular, its own follow list is not checked and a follower of
-    it follows an unknown id."""
+def test_validate_accepts_followees_that_name_no_seed():
+    """A follow list may name anyone: validate_config reads no follow list,
+    and load_dataset counts the retained users' entries that name no seed.
+    Once the filter drops a regular, its own list is not counted, and a
+    follower of it follows an unknown id."""
     cfg = config({"a": "left", "b": "right"})
-    users = _users(
-        seed("s1", "a"),
-        regular("u1", ["nobody"]),
-        regular("u2", ["u1"]),
-    )
-    assert validate_config(cfg, users) == [
-        "user 'u1' follows unknown id 'nobody'",
-        "user 'u2' follows non-seed 'u1'",
-    ]
+    records = [seed("s1", "a"), regular("u1", ["nobody"]), regular("u2", ["u1"])]
+    users = _users(*records)
+    assert validate_config(cfg, users) == []
+    users.follows = None  # a table without follow lists validates the same
+    assert validate_config(cfg, users) == []
+    # u1 and u2 follow no seed, so the filter drops both
+    _, report, _ = load_dataset(cfg, map(user_to_line, records), [], min_retweets=0)
+    assert (report.users_dropped_threshold, report.followees_ignored) == (2, 0)
+
     # min_retweets=0 keeps exactly the regulars that follow a seed: u3
-    users = _users(
-        seed("s1", "a"),
-        regular("u1", ["nobody"]),
-        regular("u3", ["u1", "s1", "zed"]),
-    )
+    records = [
+        seed("s1", "a", ["zed"]), regular("u1", ["nobody"]), regular("u3", ["u1", "s1", "zed"]),
+    ]
+    users = _users(*records)
     retained, _, dropped = filter_active_regulars(users, TweetTable(users.codes), min_retweets=0)
     assert retained.ids == ["s1", "u3"] and dropped == 1
-    assert validate_config(cfg, retained) == [
-        "user 'u3' follows unknown id 'u1'",
-        "user 'u3' follows unknown id 'zed'",
-    ]
+    assert validate_config(cfg, retained) == []
+    ds, report, diags = load_dataset(cfg, map(user_to_line, records), [], min_retweets=0)
+    assert diags == [] and ds.users.ids == ["s1", "u3"]
+    # s1's "zed", u3's "u1" and "zed"; u1's "nobody" is not counted
+    assert report.followees_ignored == 3
 
 
-def test_validate_reports_bad_followees_in_sorted_order():
-    """Each bad followee of a user is one message, in sorted followee order,
-    whatever order the follow list holds them in."""
+def test_followees_ignored_counts_entries_as_read():
+    """Each entry of a retained list that names no seed counts, repeats
+    included, in any order; a seed's own id in its list names a seed."""
     cfg = config({"a": "left", "b": "right"})
-    users = _users(
-        seed("s1", "a"),
-        regular("u1", ["s1"]),
-        regular("u2", ["zed", "s1", "u1"]),
-    )
-    assert validate_config(cfg, users) == [
-        "user 'u2' follows non-seed 'u1'",
-        "user 'u2' follows unknown id 'zed'",
+    lines = [
+        '{"id":"s1","kind":"seed","category":"a","followees":["s1","u1"]}',
+        '{"id":"u1","kind":"regular","followees":["s1"]}',
+        '{"id":"u2","kind":"regular","followees":["zed","s1","u1","zed","u2"]}',
     ]
+    users, diags = parse_users(lines)
+    assert diags == [] and validate_config(cfg, users) == []
+    shuffled = lines[:2] + [
+        '{"id":"u2","kind":"regular","followees":["u2","zed","u1","zed","s1","s1"]}'
+    ]
+    for user_lines in (lines, shuffled, shuffled[::-1]):
+        _, report, _ = load_dataset(cfg, user_lines, [], min_retweets=0)
+        assert report.followees_ignored == 5, user_lines
 
 
 def test_validate_rejects_seed_with_unknown_category():
@@ -267,7 +273,9 @@ _LEFT, _RIGHT = PoliticalCategory("left", Wing.LEFT), PoliticalCategory("right",
         (), [], id="Dataset",
     ),
     pytest.param(ParseDiagnostic, (1, "m", "users"), (), [], id="ParseDiagnostic"),
-    pytest.param(IngestReport, (5, 1, 2, 40, 3), (0, 0, 0, 0, 0), [], id="IngestReport"),
+    pytest.param(
+        IngestReport, (5, 1, 2, 7, 40, 3, 6), (0, 0, 0, 0, 0, 0, 0), [], id="IngestReport",
+    ),
     pytest.param(MetricDistribution, (0.5, (2, 1), 3), (), [], id="MetricDistribution"),
     pytest.param(TTestResult, (2.5, 17.25, 0.02, False), (), [], id="TTestResult"),
     pytest.param(
